@@ -11,7 +11,6 @@ from .coeffs import (
     CoefficientField,
     PiecewisePoly,
     bump,
-    derive_G,
     from_callable,
     pos_neg_parts,
     smoothstep,
@@ -85,7 +84,6 @@ __all__ = [
     "bump",
     "smoothstep",
     "from_callable",
-    "derive_G",
     "pos_neg_parts",
     # system / quasi-derivatives
     "DIRECT",

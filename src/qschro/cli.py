@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -211,19 +210,6 @@ def normalize_problem(task: str, field: CoefficientField, params: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# fan-out
-
-
-def _fanout(fn, items):
-    n = int(os.environ.get("QSCHRO_THREADS", "1") or "1")
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(t) for t in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-# ----------------------------------------------------------------------
 # report writer
 
 
@@ -344,10 +330,11 @@ def run_solve(field, params, rep, tol):
     rep.kv("steps", len(traj.steps), source="adaptive-rk54")
     lo, hi = sorted((x0, x1))
     xs = np.linspace(lo, hi, 21)
-    rows = []
-    for x in xs:
-        s = traj.state_at(float(x))
-        rows.append((float(x), s.y0.real, s.y0.imag, s.y1.real, s.y1.imag, s.logscale))
+    ys, ls = traj.sample(xs)
+    rows = [
+        (x, y0.real, y0.imag, y1.real, y1.imag, l)
+        for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist())
+    ]
     rep.table("trajectory_samples", ["x", "y0_re", "y0_im", "y1_re", "y1_im", "logscale"], rows, source="dense-output")
     rep.verdict("success")
     dump = params.get("dump", False)
@@ -408,10 +395,12 @@ def run_bracket(field, params, rep, tol):
         tol,
     )
     n = int(params.get("samples", 21))
+    xs = np.linspace(a, b, n).tolist()
+    (yu, lu), (yv, lv) = u.sample(xs), v.sample(xs)
     rows = []
-    for x in np.linspace(a, b, n):
-        br = bracket(u.state_at(float(x)), v.state_at(float(x)))
-        rows.append((float(x), br.value.real, br.value.imag, br.logscale))
+    for x, su, sv, l1, l2 in zip(xs, yu.tolist(), yv.tolist(), lu.tolist(), lv.tolist()):
+        br = bracket(QuasiState(x, *su, DIRECT, l1), QuasiState(x, *sv, ADJOINT, l2))
+        rows.append((x, br.value.real, br.value.imag, br.logscale))
     rep.table("bracket_values", ["x", "re", "im", "logscale"], rows, source="bracket[dense-output]")
     resid = bracket_constancy_residual(u, v, window, samples=max(n, 50))
     rep.kv("constancy_residual", resid, source="bracket-constancy")
@@ -450,8 +439,7 @@ def run_form(field, params, rep, tol):
         norm2 = (u * u.conj()).integrate(lo, hi).real
         return fv, norm2
 
-    outs = _fanout(one, fam)
-    for i, (fv, norm2) in enumerate(outs):
+    for i, (fv, norm2) in enumerate(map(one, fam)):
         w = fv.value / norm2
         rows.append(
             (
@@ -680,11 +668,10 @@ def main(argv=None) -> int:
         csv_path = os.path.join(out_dir, "trajectory.csv")
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("x,y0_re,y0_im,y1_re,y1_im,logscale\n")
-            for s in sorted(extra.steps, key=lambda t: t.lo):
-                y0, y1 = s.values(s.lo)
-                fh.write(
-                    f"{s.lo!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{s.logscale!r}\n"
-                )
+            lo, _ = extra.edges()
+            ys, ls = extra.sample(lo)
+            for x, (y0, y1), l in zip(lo.tolist(), ys.tolist(), ls.tolist()):
+                fh.write(f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n")
     print(f"report: {report_path}")
     print(f"exit: {code}")
     return code

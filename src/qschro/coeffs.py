@@ -619,10 +619,6 @@ class CoefficientField:
         return self.Q - 1j * self.r
 
     @property
-    def r0(self) -> PiecewisePoly:
-        return self.r.real
-
-    @property
     def r1(self) -> PiecewisePoly:
         return self.r.imag
 
@@ -648,11 +644,6 @@ class CoefficientField:
         """q = strength * delta at ``location``, encoded as a step of Q."""
         z = PiecewisePoly.zero()
         return cls(z, PiecewisePoly.heaviside(strength, location), z)
-
-
-def derive_G(field: CoefficientField) -> tuple[PiecewisePoly, PiecewisePoly]:
-    """The substitution pair G1 = Q + i r, G2 = Q - i r, exact in coefficients."""
-    return field.G1, field.G2
 
 
 def pos_neg_parts(f: PiecewisePoly, window: tuple[float, float], h: float):

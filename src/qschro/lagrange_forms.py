@@ -4,7 +4,10 @@ The bracket [u, v](x) = u * conj(v_adj_quasi_deriv) - u_quasi_deriv * conj(v)
 plays the role of the Wronskian: its increment over a window equals the
 defect between the two integrals of the Green-type identity, and it is
 constant along solution pairs whose spectral parameters are conjugate.
-The quadratic form of the compactly supported restriction splits into
+Both integrals of the identity go through ``propagate.pair_integral``,
+whichever mix of trajectories and piecewise polynomials the data is, and
+brackets along a trajectory come from its array evaluator.  The
+quadratic form of the compactly supported restriction splits into
 kinetic, coupling and potential parts; sampling its normalized values
 over a test family gives numerical-range evidence (never a proof) for
 accretivity or sector membership.
@@ -20,7 +23,7 @@ import numpy as np
 
 from .coeffs import CoefficientField, PiecewisePoly
 from .errors import SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
-from .propagate import Trajectory
+from .propagate import Trajectory, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, effective_coefficients
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
@@ -90,111 +93,47 @@ def bracket_constancy_residual(
     solution pairs the bracket is a tiny difference of huge products and
     only that cancellation scale is numerically meaningful.
     """
-    a, b = float(window[0]), float(window[1])
-    xs = np.linspace(a, b, samples)
-    vals = []
-    mags = []
-    for x in xs:
-        su = u.state_at(float(x))
-        sv = v.state_at(float(x))
-        br = bracket(su, sv)
-        vals.append((br.value, br.logscale))
-        mags.append(
-            (abs(su.y0 * sv.y1) + abs(su.y1 * sv.y0), su.logscale + sv.logscale)
+    if u.system.side != DIRECT or v.system.side != ADJOINT:
+        raise SideMismatchError(
+            f"bracket needs (direct, adjoint) states, got ({u.system.side}, {v.system.side})"
         )
-    L = max(ls for _, ls in vals)
-    abs_vals = [m * math.exp(ls - L) for m, ls in vals]
-    ref = abs_vals[0]
-    scale = max(m * math.exp(ls - L) for m, ls in mags)
+    xs = np.linspace(float(window[0]), float(window[1]), samples)
+    yu, lu = u.sample(xs)
+    yv, lv = v.sample(xs)
+    vals = yu[:, 0] * yv[:, 1].conj() - yu[:, 1] * yv[:, 0].conj()
+    mags = np.abs(yu[:, 0] * yv[:, 1]) + np.abs(yu[:, 1] * yv[:, 0])
+    ls = lu + lv
+    L = float(np.max(ls))
+    w = np.exp(ls - L)
+    z = vals * w
+    scale = float(np.max(mags * w))
     scale += math.exp(-L) if L > -700 else 0.0
-    return max(abs(z - ref) for z in abs_vals) / scale
+    return float(np.max(np.abs(z - z[0]))) / scale
 
 
-class _Side:
-    """Uniform evaluation adapter: Trajectory or PiecewisePoly solution data."""
+def _applied(c: CoefficientField, f, side: str, window):
+    """(mu, g, atoms) with l[f] = mu * g + sum of atoms on the given side.
 
-    def __init__(self, c: CoefficientField, obj, side: str, window):
-        self.side = side
-        if isinstance(obj, Trajectory):
-            if obj.system.side != side:
-                raise SideMismatchError(
-                    f"expected a {side}-side trajectory, got {obj.system.side}"
-                )
-            self.traj = obj
-            self.lam = obj.system.lam
-            self.poly = None
-            self.expr = None
-            self.atoms = {}
-        elif isinstance(obj, PiecewisePoly):
-            self.traj = None
-            self.poly = obj
-            g1, _, _ = effective_coefficients(c, side)
-            self._q1 = obj.derivative() - g1 * obj
-            self.expr, self.atoms = apply_l_atoms(c, side, obj, window)
-        else:
-            raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(obj)!r}")
-
-    def state(self, x: float, inner: str) -> tuple[complex, complex, float]:
-        if self.traj is not None:
-            s = self.traj.state_at(x)
-            return s.y0, s.y1, s.logscale
-        return self.poly.eval(x, inner), self._q1.eval(x, inner), 0.0
-
-    def expr_value(self, x: float) -> tuple[complex, float]:
-        """Value of the applied expression at x (no atoms)."""
-        if self.traj is not None:
-            s = self.traj.state_at(x)
-            return self.lam * s.y0, s.logscale
-        return self.expr.eval(x), 0.0
-
-    def knots(self, a: float, b: float) -> set[float]:
-        ks: set[float] = set()
-        if self.traj is not None:
-            for s in self.traj.steps:
-                if a < s.lo < b:
-                    ks.add(s.lo)
-                if a < s.hi < b:
-                    ks.add(s.hi)
-        else:
-            ks.update(t for t in map(float, self.expr.breakpoints) if a < t < b)
-            ks.update(t for t in map(float, self.poly.breakpoints) if a < t < b)
-        return ks
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
-def _dot(fu, fv, a: float, b: float) -> tuple[complex, float]:
-    """(mantissa, logscale) of int fu(x) * conj(fv(x)) dx for _Side value fns.
-
-    fu/fv: callables x -> (value, logscale); logscale constant per panel.
+    A trajectory solves the equation, so l[f] = lambda * f; a
+    PiecewisePoly gets the expression applied exactly.
     """
-    acc = 0.0 + 0.0j
-    L = -math.inf
-    knots = fu["knots"] | fv["knots"]
-    ks = sorted(knots)
-    for lo, hi in zip(ks[:-1], ks[1:]):
-        if hi - lo <= 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        _, ls_u = fu["fn"](mid)
-        _, ls_v = fv["fn"](mid)
-        ls = ls_u + ls_v
-        part = 0.0 + 0.0j
-        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-            x = mid + half * t
-            vu, _ = fu["fn"](x)
-            vv, _ = fv["fn"](x)
-            part += w * vu * vv.conjugate()
-        part *= half
-        if ls > L:
-            acc = acc * math.exp(L - ls) if L > -math.inf else 0.0
-            L = ls
-        acc += part * math.exp(ls - L)
-    if L == -math.inf:
-        return 0.0 + 0.0j, 0.0
-    return acc, L
+    if isinstance(f, Trajectory):
+        if f.system.side != side:
+            raise SideMismatchError(f"expected a {side}-side trajectory, got {f.system.side}")
+        return f.system.lam, f, {}
+    if isinstance(f, PiecewisePoly):
+        expr, atoms = apply_l_atoms(c, side, f, window)
+        return 1.0, expr, atoms
+    raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
+
+
+def _state(c: CoefficientField, f, side: str, x: float, inner: str) -> QuasiState:
+    """One-sided state of Trajectory or PiecewisePoly data at x."""
+    if isinstance(f, Trajectory):
+        y, ls = f.sample([x], inner)
+        return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), side, float(ls[0]))
+    g1, _, _ = effective_coefficients(c, side)
+    return QuasiState(x, f.eval(x, inner), (f.derivative() - g1 * f).eval(x, inner), side)
 
 
 def lagrange_residual(
@@ -209,52 +148,36 @@ def lagrange_residual(
     relative to 1 + the magnitudes of the four terms.  u is direct-side
     data (Trajectory of the direct system, or a PiecewisePoly to which the
     expression is applied exactly); v is the adjoint-side counterpart.
+    Both integrals go through pair_integral; for two trajectories they
+    share one integral, scaled by u's lambda and by the conjugate of v's.
     Dirac atoms of either expression contribute their point terms.
     """
     a, b = float(window[0]), float(window[1])
-    su = _Side(c, u, DIRECT, (a, b))
-    sv = _Side(c, v, ADJOINT, (a, b))
-    knots = {a, b} | su.knots(a, b) | sv.knots(a, b)
-
-    fu_expr = {"fn": su.expr_value, "knots": knots}
-    fv_val = {"fn": lambda x: (sv.state(x, "right")[0], sv.state(x, "right")[2]), "knots": knots}
-    i1, L1 = _dot(fu_expr, fv_val, a, b)
-    fu_val = {"fn": lambda x: (su.state(x, "right")[0], su.state(x, "right")[2]), "knots": knots}
-    fv_expr = {"fn": sv.expr_value, "knots": knots}
-    i2, L2 = _dot(fu_val, fv_expr, a, b)
-
+    mu_u, lu, atoms_u = _applied(c, u, DIRECT, (a, b))
+    mu_v, lv, atoms_v = _applied(c, v, ADJOINT, (a, b))
+    i1, L1 = pair_integral(lu, v, a, b)
+    i2, L2 = (i1, L1) if lu is u and lv is v else pair_integral(u, lv, a, b)
+    terms1 = [(mu_u * i1, L1)]
+    terms2 = [(complex(mu_v).conjugate() * i2, L2)]
     # atom contributions: int w*delta_p * conj(v) = w * conj(v(p))
-    for p, w in su.atoms.items():
+    for p, w in atoms_u.items():
         if a <= p <= b:
-            y0v, _, lsv = sv.state(p, "right")
-            i1, L1 = _acc(i1, L1, w * y0v.conjugate(), lsv)
-    for p, w in sv.atoms.items():
+            sv = _state(c, v, ADJOINT, p, "right")
+            terms1.append((w * sv.y0.conjugate(), sv.logscale))
+    for p, w in atoms_v.items():
         if a <= p <= b:
-            y0u, _, lsu = su.state(p, "right")
-            i2, L2 = _acc(i2, L2, y0u * w.conjugate(), lsu)
+            su = _state(c, u, DIRECT, p, "right")
+            terms2.append((su.y0 * w.conjugate(), su.logscale))
 
-    bra = _bracket_at(su, sv, a, inner="right")
-    brb = _bracket_at(su, sv, b, inner="left")
+    bra = bracket(_state(c, u, DIRECT, a, "right"), _state(c, v, ADJOINT, a, "right"))
+    brb = bracket(_state(c, u, DIRECT, b, "left"), _state(c, v, ADJOINT, b, "left"))
 
-    vals = [(i1, L1), (i2, L2), (brb.value, brb.logscale), (bra.value, bra.logscale)]
-    L = max(ls for _, ls in vals)
-    z1, z2, zb, za = (m * math.exp(ls - L) for m, ls in vals)
+    groups = (terms1, terms2, [(brb.value, brb.logscale)], [(bra.value, bra.logscale)])
+    L = max(ls for g in groups for _, ls in g)
+    z1, z2, zb, za = (sum(m * math.exp(ls - L) for m, ls in g) for g in groups)
     resid = abs(z1 - z2 - (zb - za))
     scale = math.exp(-L) + abs(z1) + abs(z2) + abs(zb) + abs(za) if L > -700 else 1.0
     return resid / scale
-
-
-def _acc(m: complex, L: float, add: complex, ls: float) -> tuple[complex, float]:
-    if ls > L:
-        return m * math.exp(L - ls) + add, ls
-    return m + add * math.exp(ls - L), L
-
-
-def _bracket_at(su: _Side, sv: _Side, x: float, inner: str) -> BracketValue:
-    y0u, y1u, lu = su.state(x, inner)
-    y0v, y1v, lv = sv.state(x, inner)
-    val = y0u * y1v.conjugate() - y1u * y0v.conjugate()
-    return BracketValue(x=x, value=val, logscale=lu + lv)
 
 
 def quadratic_form(

@@ -7,13 +7,19 @@ absolute continuity the quasi-derivative buys.  Every accepted step keeps
 a quartic interpolant, so trajectories have dense output; states growing
 past 1e100 are renormalized and the exponent ledger travels with the step
 records.
+
+A trajectory stores its accepted steps as one structured array sorted by
+position (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense
+output goes through ``Trajectory.sample`` (row lookup plus batched
+Horner), and ``pair_integral`` is the one quadrature: 12-node
+Gauss-Legendre per panel, over trajectories and piecewise polynomials
+alike, with the exponent bookkeeping of the rows.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,31 +54,6 @@ _P = np.array(
 )
 
 
-@dataclass(frozen=True)
-class Step:
-    """One accepted step: quartic interpolants in theta = (x - x0)/h."""
-
-    lo: float
-    hi: float
-    x0: float
-    h: float
-    coef0: np.ndarray  # ascending theta coefficients for y0, length 5
-    coef1: np.ndarray
-    logscale: float
-
-    def theta(self, x: float) -> float:
-        return (x - self.x0) / self.h
-
-    def values(self, x: float) -> tuple[complex, complex]:
-        t = self.theta(x)
-        v0 = 0.0 + 0.0j
-        v1 = 0.0 + 0.0j
-        for c0, c1 in zip(self.coef0[::-1], self.coef1[::-1]):
-            v0 = v0 * t + c0
-            v1 = v1 * t + c1
-        return v0, v1
-
-
 class _SegmentMatrix:
     """System entries restricted to one smooth segment, Horner-ready."""
 
@@ -98,13 +79,29 @@ def _horner(rev_coeffs, t):
     return acc
 
 
+# One accepted step: the state on it is sum_k coef[k] * theta**k times
+# exp(logscale), theta = (x - x0)/h; coef columns are (y0, y1).  h < 0 on
+# backward steps.
+STEP_DTYPE = np.dtype(
+    [("x0", float), ("h", float), ("coef", complex, (5, 2)), ("logscale", float)]
+)
+
+
+def _dense(coef: np.ndarray, theta) -> np.ndarray:
+    """Batched Horner: rows of ascending coefficients (axis 1) at theta."""
+    acc = coef[:, -1]
+    for k in range(coef.shape[1] - 2, -1, -1):
+        acc = acc * theta + coef[:, k]
+    return acc
+
+
 @dataclass
 class Trajectory:
     """Dense-output solution of one system over an interval.
 
-    ``steps`` are sorted by position; the true solution on a step is the
-    stored interpolant times exp(step.logscale).  Rescaling never changes
-    the direction of the state vector, only its magnitude.
+    ``steps`` is a STEP_DTYPE array sorted by position; the true solution
+    on a step is its interpolant times exp(logscale).  Rescaling never
+    changes the direction of the state vector, only its magnitude.
     """
 
     system: ShinZettlSystem
@@ -113,42 +110,51 @@ class Trajectory:
     direction: str
     atol: float
     rtol: float
-    steps: list[Step] = dc_field(default_factory=list)
-    _los: list[float] | None = dc_field(default=None, repr=False, compare=False)
+    steps: np.ndarray
 
-    def _locate(self, x: float) -> Step:
-        if not (self.a - 1e-12 <= x <= self.b + 1e-12):
-            raise ValueError(f"x={x} outside trajectory interval [{self.a}, {self.b}]")
-        if self._los is None or len(self._los) != len(self.steps):
-            self._los = [s.lo for s in self.steps]
-        i = bisect.bisect_right(self._los, x) - 1
-        i = max(0, min(i, len(self.steps) - 1))
-        return self.steps[i]
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every step."""
+        return _edges(self.steps)
+
+    def _locate(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
+        outside = (xs < self.a - 1e-12) | (xs > self.b + 1e-12)
+        if np.any(outside):
+            raise ValueError(
+                f"x={xs[outside][0]} outside trajectory interval [{self.a}, {self.b}]"
+            )
+        lo, hi = self.edges()
+        if side == "right":
+            i = np.searchsorted(lo, xs, side="right") - 1
+        elif side == "left":
+            i = np.searchsorted(hi, xs, side="left")
+        else:
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return np.clip(i, 0, len(self.steps) - 1)
+
+    def sample(self, xs, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+        """Dense output at an array of x: states (n, 2) and their logscales.
+
+        At a step edge ``side`` picks the step on that side of x.
+        """
+        xs = np.asarray(xs, dtype=float)
+        rows = self.steps[self._locate(xs, side)]
+        theta = (xs - rows["x0"]) / rows["h"]
+        return _dense(rows["coef"], theta[:, None]), rows["logscale"]
 
     def state_at(self, x: float) -> QuasiState:
-        s = self._locate(x)
-        y0, y1 = s.values(x)
-        return QuasiState(x=x, y0=y0, y1=y1, side=self.system.side, logscale=s.logscale)
-
-    def end_state(self) -> QuasiState:
-        return self.state_at(self.b if self.direction != "backward" else self.a)
+        y, ls = self.sample([x])
+        return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), self.system.side, float(ls[0]))
 
     def log_sup(self, lo: float | None = None, hi: float | None = None) -> float:
-        """log of sup |Y| over the covered range (sampled at step knots)."""
+        """log of sup |Y| over the covered range (sampled at step ends and midpoints)."""
         lo = self.a if lo is None else lo
         hi = self.b if hi is None else hi
-        best = -math.inf
-        for s in self.steps:
-            if s.hi < lo or s.lo > hi:
-                continue
-            for t in (0.0, 0.5, 1.0):
-                x = s.x0 + t * s.h
-                if lo - 1e-12 <= x <= hi + 1e-12:
-                    v0, v1 = s.values(x)
-                    m = max(abs(v0), abs(v1))
-                    if m > 0:
-                        best = max(best, math.log(m) + s.logscale)
-        return best
+        s = self.steps
+        xs = (s["x0"][:, None] + np.array([0.0, 0.5, 1.0]) * s["h"][:, None]).ravel()
+        y, ls = self.sample(xs[(xs >= lo - 1e-12) & (xs <= hi + 1e-12)])
+        m = np.max(np.abs(y), axis=1)
+        pos = m > 0
+        return float(np.max(np.log(m[pos]) + ls[pos])) if np.any(pos) else -math.inf
 
     def to_piecewise(self, component: int = 0, lo: float | None = None, hi: float | None = None) -> PiecewisePoly:
         """Re-fit the dense output as a PiecewisePoly (absolute scale).
@@ -161,25 +167,38 @@ class Trajectory:
         mesh: list[float] = []
         centers: list[float] = []
         pieces: list[np.ndarray] = []
-        for s in sorted(self.steps, key=lambda t: t.lo):
-            if s.hi <= lo + 1e-14 or s.lo >= hi - 1e-14:
+        s = self.steps
+        s_lo, s_hi = self.edges()
+        for slo, shi, x0, h, coef, ls in zip(
+            s_lo.tolist(), s_hi.tolist(), s["x0"].tolist(), s["h"].tolist(),
+            s["coef"][:, :, component], s["logscale"].tolist(),
+        ):
+            if shi <= lo + 1e-14 or slo >= hi - 1e-14:
                 continue
-            c = 0.5 * (max(s.lo, lo) + min(s.hi, hi))
-            coef = s.coef0 if component == 0 else s.coef1
+            c = 0.5 * (max(slo, lo) + min(shi, hi))
             # theta = (x - x0)/h = ((x - c) + (c - x0))/h
-            alpha = 1.0 / s.h
-            beta = (c - s.x0) / s.h
+            alpha = 1.0 / h
+            beta = (c - x0) / h
             sub = np.zeros(len(coef), dtype=complex)
             # compose coef(theta) with theta = beta + alpha*u by Horner on polynomials
             for ck in coef[::-1]:
                 sub = _poly_affine_mul(sub, beta, alpha)
                 sub[0] += ck
-            scale = math.exp(s.logscale)
-            mesh.append(min(s.hi, hi))
+            scale = math.exp(ls)
+            mesh.append(min(shi, hi))
             centers.append(c)
             pieces.append(sub * scale)
         # interior knots only; the first/last piece double as the tails
         return PiecewisePoly._from_local(np.asarray(mesh[:-1]), np.asarray(centers), pieces)
+
+
+def _edges(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x0, h = steps["x0"], steps["h"]
+    return x0 + np.minimum(h, 0.0), x0 + np.maximum(h, 0.0)
+
+
+def _by_position(steps: np.ndarray) -> np.ndarray:
+    return steps[np.argsort(_edges(steps)[0], kind="stable")]
 
 
 def _poly_affine_mul(coeffs: np.ndarray, beta: float, alpha: float) -> np.ndarray:
@@ -222,25 +241,25 @@ def integrate(
     lo, hi = (x_from, to) if forward else (to, x_from)
     bps = [float(t) for t in sys.breakpoints() if lo < t < hi]
     nodes = [x_from] + sorted(bps, reverse=not forward) + [to]
-    traj = Trajectory(
+    y = (complex(y0.y0), complex(y0.y1))
+    ls = float(y0.logscale)
+    span = abs(to - x_from)
+    h_floor = MIN_STEP_FRACTION * span
+    rows: list[tuple] = []
+    for seg_a, seg_b in zip(nodes[:-1], nodes[1:]):
+        y, ls = _integrate_segment(sys, rows, seg_a, seg_b, y, ls, atol, rtol, h_floor)
+    return Trajectory(
         system=sys,
         a=lo,
         b=hi,
         direction="forward" if forward else "backward",
         atol=atol,
         rtol=rtol,
+        steps=_by_position(np.array(rows, dtype=STEP_DTYPE)),
     )
-    y = (complex(y0.y0), complex(y0.y1))
-    ls = float(y0.logscale)
-    span = abs(to - x_from)
-    h_floor = MIN_STEP_FRACTION * span
-    for seg_a, seg_b in zip(nodes[:-1], nodes[1:]):
-        y, ls = _integrate_segment(sys, traj, seg_a, seg_b, y, ls, atol, rtol, h_floor)
-    traj.steps.sort(key=lambda s: s.lo)
-    return traj
 
 
-def _integrate_segment(sys, traj, xa, xb, y, ls, atol, rtol, h_floor):
+def _integrate_segment(sys, rows, xa, xb, y, ls, atol, rtol, h_floor):
     rep = 0.5 * (xa + xb)
     mat = _SegmentMatrix(sys, rep)
     seg_len = xb - xa
@@ -282,26 +301,13 @@ def _integrate_segment(sys, traj, xa, xb, y, ls, atol, rtol, h_floor):
         if err <= 1.0:
             K = np.array(k, dtype=complex)  # 7 x 2
             Q = K.T @ _P  # 2 x 4
-            coef0 = np.zeros(5, dtype=complex)
-            coef1 = np.zeros(5, dtype=complex)
-            coef0[0] = y[0]
-            coef1[0] = y[1]
-            coef0[1:] = h * Q[0]
-            coef1[1:] = h * Q[1]
+            coef = np.empty((5, 2), dtype=complex)
+            coef[0] = y
+            coef[1:] = h * Q.T
             # pin theta=1 to the accepted state exactly
-            coef0[4] += ynew0 - coef0.sum()
-            coef1[4] += ynew1 - coef1.sum()
-            traj.steps.append(
-                Step(
-                    lo=min(x, x + h),
-                    hi=max(x, x + h),
-                    x0=x,
-                    h=h,
-                    coef0=coef0,
-                    coef1=coef1,
-                    logscale=ls,
-                )
-            )
+            coef[4, 0] += ynew0 - coef[:, 0].sum()
+            coef[4, 1] += ynew1 - coef[:, 1].sum()
+            rows.append((x, h, coef, ls))
             x = x + h
             y = (ynew0, ynew1)
             f_now = f_new
@@ -336,11 +342,9 @@ def fundamental(
         if x0 < b:
             parts.append(integrate(sys, state, b, tol))
         merged = Trajectory(
-            system=sys, a=a, b=b, direction="both", atol=tol[0], rtol=tol[1]
+            system=sys, a=a, b=b, direction="both", atol=tol[0], rtol=tol[1],
+            steps=_by_position(np.concatenate([p.steps for p in parts])),
         )
-        for p in parts:
-            merged.steps.extend(p.steps)
-        merged.steps.sort(key=lambda s: s.lo)
         trajs.append(merged)
     return FundamentalSystem(y1=trajs[0], y2=trajs[1], x0=x0)
 
@@ -348,62 +352,50 @@ def fundamental(
 # ----------------------------------------------------------------------
 # quadrature over dense output
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _knots(traj: Trajectory, a: float, b: float, extra=()) -> np.ndarray:
-    ks = {a, b}
-    ks.update(s.lo for s in traj.steps if a < s.lo < b)
-    ks.update(s.hi for s in traj.steps if a < s.hi < b)
-    ks.update(float(t) for t in extra if a < float(t) < b)
-    return np.asarray(sorted(ks))
+def _panel_values(f, mid: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of f at the nodes xs of panels with midpoints mid, with logscales.
 
-
-def pair_integral(
-    u: Trajectory,
-    v: Trajectory,
-    a: float,
-    b: float,
-    weight: PiecewisePoly | None = None,
-    comp_u: int = 0,
-    comp_v: int = 0,
-    conj_v: bool = True,
-) -> tuple[complex, float]:
-    """(mantissa, logscale) of int_a^b u_i * conj(v_j) * w dx on dense output.
-
-    Gauss-Legendre of order 10 per merged knot interval: exact for the
-    quartic interpolants times polynomial weights up to degree 11, and
-    logscale-aware so exponentially large solutions never overflow.
+    A Trajectory contributes its y0 component; a PiecewisePoly is one row
+    per region (x0 = center, h = 1) with logscale 0.
     """
-    extra = () if weight is None else weight.breakpoints
-    ks = np.unique(np.concatenate([_knots(u, a, b), _knots(v, a, b), np.asarray([a, b]), np.asarray(extra, dtype=float)]))
+    if isinstance(f, Trajectory):
+        rows = f.steps[f._locate(mid)]
+        theta = (xs - rows["x0"][:, None]) / rows["h"][:, None]
+        return _dense(rows["coef"][:, :, 0, None], theta), rows["logscale"]
+    if isinstance(f, PiecewisePoly):
+        coef = np.zeros((len(f.coeffs), max(len(c) for c in f.coeffs)), dtype=complex)
+        for i, c in enumerate(f.coeffs):
+            coef[i, : len(c)] = c
+        i = np.searchsorted(f.breakpoints, mid, side="right")
+        return _dense(coef[i, :, None], xs - f.centers[i, None]), np.zeros(len(mid))
+    raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
+
+
+def pair_integral(u, v, a: float, b: float) -> tuple[complex, float]:
+    """(mantissa, logscale) of int_a^b u * conj(v) dx.
+
+    Each operand is a Trajectory (its y0, with the rows' logscales) or a
+    PiecewisePoly (logscale 0).  Panels are the merged step edges and
+    breakpoints; 12-node Gauss-Legendre per panel is exact to degree 23,
+    so quartic interpolants times polynomials of degree up to 19 are
+    integrated exactly, and exponentially large solutions never overflow.
+    """
+    edges = [np.asarray([a, b], dtype=float)]
+    for f in (u, v):
+        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
+    ks = np.unique(np.concatenate(edges))
     ks = ks[(ks >= a) & (ks <= b)]
-    acc = 0.0 + 0.0j
-    L = -math.inf
-    for lo, hi in zip(ks[:-1], ks[1:]):
-        if hi - lo <= 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        su = u._locate(mid)
-        sv = v._locate(mid)
-        ls = su.logscale + sv.logscale
-        xs = mid + half * _GL_NODES
-        part = 0.0 + 0.0j
-        for x, w in zip(xs, _GL_WEIGHTS):
-            uu = su.values(x)[comp_u]
-            vv = sv.values(x)[comp_v]
-            if conj_v:
-                vv = vv.conjugate()
-            val = uu * vv
-            if weight is not None:
-                val *= weight.eval(float(x))
-            part += w * val
-        part *= half
-        if ls > L:
-            acc = acc * math.exp(L - ls) if L > -math.inf else 0.0
-            L = ls
-        acc += part * math.exp(ls - L)
-    if L == -math.inf:
+    if len(ks) < 2:
         return 0.0 + 0.0j, 0.0
-    return acc, L
+    mid = 0.5 * (ks[:-1] + ks[1:])
+    half = 0.5 * (ks[1:] - ks[:-1])
+    xs = mid[:, None] + half[:, None] * _GL_NODES
+    fu, lu = _panel_values(u, mid, xs)
+    fv, lv = _panel_values(v, mid, xs)
+    parts = half * ((fu * fv.conj()) @ _GL_WEIGHTS)
+    ls = lu + lv
+    L = float(np.max(ls))
+    return complex(np.sum(parts * np.exp(ls - L))), L

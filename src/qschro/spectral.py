@@ -18,7 +18,7 @@ hypotheses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +52,12 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class CharValue:
-    """Shooting discriminant with its scale bookkeeping."""
+    """Shooting discriminant with its scale bookkeeping and its shot."""
 
     value: complex  # mantissa; true D = value * exp(logscale)
     logscale: float
     log_sup: float  # log of sup |Y| along the shot
+    trajectory: Trajectory = field(repr=False, compare=False)
 
     @property
     def residual(self) -> float:
@@ -111,15 +112,7 @@ def characteristic(
     end = traj.state_at(b)
     ar, br = bc.right
     D = ar * end.y0 + br * end.y1
-    return CharValue(value=D, logscale=end.logscale, log_sup=traj.log_sup())
-
-
-def _shoot(c, interval, bc, lam, side, tol):
-    a, b = float(interval[0]), float(interval[1])
-    al, be = bc.left
-    init = QuasiState(x=a, y0=-be, y1=al, side=side)
-    sys = assemble(c, side, lam)
-    return integrate(sys, init, b, tol)
+    return CharValue(value=D, logscale=end.logscale, log_sup=traj.log_sup(), trajectory=traj)
 
 
 def eigenvalues(
@@ -145,8 +138,8 @@ def eigenvalues(
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
         lams = np.linspace(lo, hi, grid)
-        vals = [characteristic(c, interval, bc, float(t), side, tol) for t in lams]
-        signs = [math.copysign(1.0, v.value.real) if v.value.real != 0 else 0.0 for v in vals]
+        vals = [characteristic(c, interval, bc, float(t), side, tol).value.real for t in lams]
+        signs = [math.copysign(1.0, v) if v != 0 else 0.0 for v in vals]
         for i in range(len(lams) - 1):
             if signs[i] == 0.0:
                 continue
@@ -189,7 +182,6 @@ def _bisect_real(c, interval, bc, lo, hi, side, tol, char_tol):
             break
     lam = 0.5 * (lo + hi)
     cv = characteristic(c, interval, bc, lam, side, tol)
-    traj = _shoot(c, interval, bc, lam, side, tol)
     # a collapsed bracket around a confirmed sign change is convergence for
     # bisection even when the shot is too lambda-sensitive to push the
     # characteristic residual below char_tol in double precision
@@ -199,7 +191,7 @@ def _bisect_real(c, interval, bc, lo, hi, side, tol, char_tol):
         residual=cv.residual,
         iterations=it,
         converged=bracket_done or cv.residual <= char_tol,
-        trajectory=traj,
+        trajectory=cv.trajectory,
     )
 
 
@@ -213,7 +205,7 @@ def _newton(c, interval, bc, seed, side, tol, char_tol):
                 residual=cv.residual,
                 iterations=it,
                 converged=True,
-                trajectory=_shoot(c, interval, bc, lam, side, tol),
+                trajectory=cv.trajectory,
             )
         h = config.NEWTON_FD_STEP * (1 + abs(lam))
         cp = characteristic(c, interval, bc, lam + h, side, tol)
@@ -238,7 +230,7 @@ def _newton(c, interval, bc, seed, side, tol, char_tol):
                 residual=cv.residual,
                 iterations=it,
                 converged=cv.residual <= char_tol,
-                trajectory=_shoot(c, interval, bc, lam, side, tol),
+                trajectory=cv.trajectory,
                 message="" if cv.residual <= char_tol else "stagnated above tolerance",
             )
     cv = characteristic(c, interval, bc, lam, side, tol)

@@ -92,10 +92,8 @@ def test_criterion_02_delta_measure_oracle():
     msgs.append(f"eigenfunction sup-dev={sup:.2e}")
 
     # u' jumps by -2 u(0); the quasi-derivative does not
-    sl = next(s for s in traj.steps if abs(s.hi - 0.0) < 1e-12)
-    sr = next(s for s in traj.steps if abs(s.lo - 0.0) < 1e-12)
-    y0l, y1l = sl.values(0.0)
-    y0r, y1r = sr.values(0.0)
+    y0l, y1l = traj.sample([0.0], "left")[0][0]
+    y0r, y1r = traj.sample([0.0], "right")[0][0]
     upl = y1l + DELTA.G1.eval(0.0, "left") * y0l
     upr = y1r + DELTA.G1.eval(0.0, "right") * y0r
     scale = 1 + abs(y0l)

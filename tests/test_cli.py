@@ -205,26 +205,6 @@ def test_problem_echo_roundtrip(tmp_path):
     assert strip_metadata(text1).split("[/problem]")[1] == strip_metadata(text2).split("[/problem]")[1]
 
 
-def test_thread_fanout_preserves_output(tmp_path, monkeypatch):
-    problem = {
-        "task": "form",
-        "coefficients": FREE_COEFFS,
-        "params": {
-            "tests": [
-                {"center": 0, "plateau": 1, "ramp": 1},
-                {"center": 1, "plateau": 2, "ramp": 0.5},
-                {"center": -2, "plateau": 0.5, "ramp": 1.5},
-            ]
-        },
-    }
-    raw = load_problem(write(tmp_path, "p.json", problem))
-    monkeypatch.delenv("QSCHRO_THREADS", raising=False)
-    _, serial, _ = run_problem(raw)
-    monkeypatch.setenv("QSCHRO_THREADS", "3")
-    _, threaded, _ = run_problem(raw)
-    assert strip_metadata(serial) == strip_metadata(threaded)
-
-
 def test_cli_writes_report_and_trajectory(tmp_path):
     problem = {
         "task": "solve",

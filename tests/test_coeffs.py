@@ -9,7 +9,6 @@ from qschro.coeffs import (
     CoefficientField,
     PiecewisePoly,
     bump,
-    derive_G,
     from_callable,
     pos_neg_parts,
     smoothstep,
@@ -108,28 +107,28 @@ def test_step_jump_invariant(height, loc, x):
         assert f.eval(x) == pytest.approx(expected)
 
 
-def test_derive_G_constant_r():
+def test_G1_G2_constant_r():
     z = PiecewisePoly.zero()
     field = CoefficientField(z, z, PiecewisePoly.constant(1.0))
-    G1, G2 = derive_G(field)
+    G1, G2 = field.G1, field.G2
     assert G1.eval(0.3) == pytest.approx(1j)
     assert G2.eval(0.3) == pytest.approx(-1j)
 
 
-def test_derive_G_step_Q():
+def test_G1_G2_step_Q():
     field = CoefficientField.delta_well(-2.0)
-    G1, G2 = derive_G(field)
+    G1, G2 = field.G1, field.G2
     for x in (-1.0, 1.0):
         expected = 0.0 if x < 0 else -2.0
         assert G1.eval(x) == pytest.approx(expected)
         assert G2.eval(x) == pytest.approx(expected)
 
 
-def test_derive_G_imaginary_r():
+def test_G1_G2_imaginary_r():
     z = PiecewisePoly.zero()
     r = PiecewisePoly.from_coeffs([0, -1j])  # r = -i x
     field = CoefficientField(z, z, r)
-    G1, G2 = derive_G(field)
+    G1, G2 = field.G1, field.G2
     assert G1.eval(2.0) == pytest.approx(2.0)  # i * (-i x) = x
     assert G2.eval(2.0) == pytest.approx(-2.0)
 

@@ -233,6 +233,16 @@ def test_caccioppoli_linear_drift():
     assert verify_caccioppoli(c, v, build_cutoff("thmA", 2)) <= 1e-7
 
 
+def test_caccioppoli_large_solution_at_support_end():
+    # |v| ~ e^{2.4*5} at the cut-off's support end x = 5: phi*v vanishes
+    # there only up to the rounding of its pieces, which is no jump
+    c = CoefficientField(
+        PiecewisePoly.constant(6.0), PiecewisePoly.zero(), PiecewisePoly.zero()
+    )
+    v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-5.0, 1.0, 0.1, "adjoint"), 5.0)
+    assert verify_caccioppoli(c, v, build_cutoff("thmA", 4)) <= 1e-7
+
+
 def test_caccioppoli_rejects_direct_side():
     free = CoefficientField.free()
     v = integrate(assemble(free, "direct", 0.0), QuasiState(-4.0, 1.0, 0.0), 4.0)

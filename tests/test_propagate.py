@@ -1,5 +1,6 @@
 """Integrator contract: accuracy, dense output, jumps, rescaling."""
 
+import bisect
 import math
 
 import numpy as np
@@ -42,15 +43,9 @@ def test_delta_jump_law():
     dw = CoefficientField.delta_well(c)
     sys = assemble(dw, "direct", -1.0)
     t = integrate(sys, QuasiState(-3.0, 1.0, 0.3), 3.0)
-    eps = 0.0
-    left = t.state_at(-eps if eps else 0.0)
-    right = t.state_at(0.0)
     # one dense mesh node sits exactly at 0; evaluate adjacent steps
-    steps = sorted(t.steps, key=lambda s: s.lo)
-    sl = [s for s in steps if abs(s.hi - 0.0) < 1e-12][0]
-    sr = [s for s in steps if abs(s.lo - 0.0) < 1e-12][0]
-    y0l, y1l = sl.values(0.0)
-    y0r, y1r = sr.values(0.0)
+    y0l, y1l = t.sample([0.0], "left")[0][0]
+    y0r, y1r = t.sample([0.0], "right")[0][0]
     assert abs(y0r - y0l) <= 10 * t.atol
     assert abs(y1r - y1l) <= 10 * t.atol
     uprime_l = y1l + dw.G1.eval(0.0, "left") * y0l
@@ -89,9 +84,8 @@ def test_linear_drift_self_convergence():
 
 def test_dense_output_matches_knots():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
-    for sa, sb in zip(t.steps[:-1], t.steps[1:]):
-        va = sa.values(sa.hi)
-        vb = sb.values(sb.lo)
+    knots = t.edges()[1][:-1]
+    for va, vb in zip(t.sample(knots, "left")[0], t.sample(knots, "right")[0]):
         assert abs(va[0] - vb[0]) <= 1e-13 * (1 + abs(va[0]))
         assert abs(va[1] - vb[1]) <= 1e-13 * (1 + abs(va[1]))
 
@@ -129,6 +123,49 @@ def test_rescaling_long_window():
     assert abs(math.log(abs(s.y0)) + s.logscale - 300.0) <= 1e-6 * 300
 
 
+def _row_value(row, x):
+    """Reference dense output of one step: scalar Horner loop."""
+    theta = (x - row["x0"]) / row["h"]
+    y0 = y1 = 0.0 + 0.0j
+    for c0, c1 in row["coef"][::-1]:
+        y0 = y0 * theta + c0
+        y1 = y1 * theta + c1
+    return y0, y1, row["logscale"]
+
+
+def _pointwise(t, x):
+    """Reference lookup: the last step starting at or before x."""
+    lo = list(t.edges()[0])
+    return _row_value(t.steps[max(0, min(bisect.bisect_right(lo, x) - 1, len(lo) - 1))], x)
+
+
+def test_sample_matches_pointwise_across_rescale():
+    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
+    assert len(set(t.steps["logscale"])) > 1
+    xs = np.concatenate([np.linspace(0.0, 300.0, 601), t.edges()[0]])
+    ys, ls = t.sample(xs)
+    for x, y, l in zip(xs, ys, ls):
+        y0, y1, lref = _pointwise(t, float(x))
+        assert (y[0], y[1], l) == (y0, y1, lref)
+        s = t.state_at(float(x))
+        assert (s.y0, s.y1, s.logscale) == (y0, y1, lref)
+
+
+def test_one_sided_values_at_knot_from_adjacent_rows():
+    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
+    ls = t.steps["logscale"]
+    i = int(np.flatnonzero(np.diff(ls))[0])  # the rescale happens at the end of step i
+    knot = t.edges()[1][i]
+    (yl,), (ll,) = t.sample([knot], "left")
+    (yr,), (lr,) = t.sample([knot], "right")
+    assert (ll, lr) == (ls[i], ls[i + 1])
+    assert tuple(yl) + (ll,) == _row_value(t.steps[i], knot)
+    assert tuple(yr) + (lr,) == _row_value(t.steps[i + 1], knot)
+    # same state, two scales: 1e100-sized mantissa on the left, unit on the right
+    assert max(abs(yl)) > 1e100 and max(abs(yr)) == pytest.approx(1.0)
+    assert np.allclose(yl * math.exp(ll - lr), yr, rtol=1e-12, atol=0.0)
+
+
 def test_step_underflow_signaled():
     # growth rate ~1e15 forces steps below the 1e-14*span floor
     z = PiecewisePoly.zero()
@@ -146,9 +183,10 @@ def test_pair_integral_exponential_mass():
 
 
 def test_pair_integral_with_weight():
+    # a weight is a PiecewisePoly operand: int u * conj(w * u) for u = x, w = x
     t = integrate(assemble(FREE, "direct", 0.0), QuasiState(0.0, 0.0, 1.0), 2.0)  # u = x
-    w = PiecewisePoly.from_coeffs([0.0, 1.0])  # weight x
-    val, ls = pair_integral(t, t, 0.0, 2.0, weight=w)
+    wu = PiecewisePoly([1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])  # x^2, spurious breakpoint at 1
+    val, ls = pair_integral(t, wu, 0.0, 2.0)
     want = 4.0  # int_0^2 x * x * x dx
     assert abs(val * math.exp(ls) - want) <= 1e-9 * want
 
