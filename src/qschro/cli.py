@@ -44,8 +44,8 @@ from .lagrange_forms import (
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
-    numerical_range_sample,
-    quadratic_form,
+    range_verdict,
+    sample_forms,
 )
 from .propagate import integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, assemble
@@ -59,8 +59,6 @@ EXIT_PARSE = 64
 EXIT_VALIDATION = 65
 EXIT_NUMERIC = 70
 
-TASKS = ("solve", "eig", "bracket", "form", "check-a", "check-b", "probe", "verify")
-
 OK_VERDICTS = {"holds-on-horizon", "holds-on-sample", "grows", "success"}
 
 
@@ -71,106 +69,232 @@ class ValidationFailure(Exception):
 
 
 # ----------------------------------------------------------------------
-# parsing and validation
+# parsing and validation: every value of a problem file goes through a
+# kind, a function (value, field) -> typed value that raises
+# ValidationFailure naming the field it was given
+
+REQUIRED = object()
 
 
 def _num(value, field: str) -> float:
-    if isinstance(value, bool):
-        raise ValidationFailure(field, "expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
-        try:
-            out = float(value)
-        except ValueError:
-            raise ValidationFailure(field, f"not a decimal number: {value!r}") from None
-    else:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValidationFailure(field, f"expected a number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except (ValueError, OverflowError):
+        out = math.nan
     if not math.isfinite(out):
-        raise ValidationFailure(field, "number must be finite")
+        raise ValidationFailure(field, f"not a finite decimal number: {value!r}")
     return out
 
 
+def _pos(value, field: str) -> float:
+    out = _num(value, field)
+    if not out > 0:
+        raise ValidationFailure(field, "must be positive")
+    return out
+
+
+def _int(value, field: str) -> int:
+    out = _num(value, field)
+    if not out.is_integer():
+        raise ValidationFailure(field, f"expected an integer, got {value!r}")
+    return int(out)
+
+
 def _cnum(value, field: str) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValidationFailure(field, "complex numbers are [re, im] pairs")
-        return complex(_num(value[0], field + "[0]"), _num(value[1], field + "[1]"))
+    if isinstance(value, list):
+        return complex(*_list(_num, 2)(value, field))
     return complex(_num(value, field))
 
 
-def _check_keys(obj: dict, allowed, field: str):
-    if not isinstance(obj, dict):
-        raise ValidationFailure(field, f"expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValidationFailure(field, f"unknown keys: {sorted(unknown)}")
+def _bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationFailure(field, f"expected true or false, got {value!r}")
+    return value
 
 
-def _parse_poly(spec, field: str, degree_cap: int) -> PiecewisePoly:
-    _check_keys(spec, ("breakpoints", "pieces", "jumps"), field)
-    bps = [_num(b, f"{field}.breakpoints[{i}]") for i, b in enumerate(spec.get("breakpoints", []))]
-    for i in range(len(bps) - 1):
-        if bps[i + 1] <= bps[i]:
-            raise ValidationFailure(
-                f"{field}.breakpoints", f"must be strictly increasing at index {i + 1}"
-            )
-    pieces_spec = spec.get("pieces", [[0.0]])
-    if len(pieces_spec) != len(bps) + 1:
-        raise ValidationFailure(
-            f"{field}.pieces",
-            f"need {len(bps) + 1} pieces for {len(bps)} breakpoints, got {len(pieces_spec)}",
-        )
-    pieces = []
-    for i, piece in enumerate(pieces_spec):
-        if not isinstance(piece, (list, tuple)) or not piece:
-            raise ValidationFailure(f"{field}.pieces[{i}]", "expected a nonempty coefficient array")
-        if len(piece) - 1 > degree_cap:
-            raise ValidationFailure(
-                f"{field}.pieces[{i}]", f"degree {len(piece) - 1} exceeds cap {degree_cap}"
-            )
-        pieces.append([_cnum(cv, f"{field}.pieces[{i}][{j}]") for j, cv in enumerate(piece)])
-    poly = PiecewisePoly(bps, pieces, degree_cap=None)
-    if "jumps" in spec:
-        declared = {}
-        for i, row in enumerate(spec["jumps"]):
-            if not isinstance(row, (list, tuple)) or len(row) != 2:
-                raise ValidationFailure(f"{field}.jumps[{i}]", "expected [location, height]")
-            declared[_num(row[0], f"{field}.jumps[{i}][0]")] = _cnum(row[1], f"{field}.jumps[{i}][1]")
-        actual = poly.jumps
-        for loc, height in declared.items():
-            if not any(abs(loc - b) <= 1e-12 * (1 + abs(b)) for b in actual):
-                raise ValidationFailure(f"{field}.jumps", f"location {loc} is not a breakpoint")
-            got = actual[min(actual, key=lambda b: abs(b - loc))]
-            if abs(got - height) > 1e-9 * (1 + abs(height)):
-                raise ValidationFailure(
-                    f"{field}.jumps",
-                    f"declared jump {height} at {loc} disagrees with pieces ({got})",
-                )
+def _one_of(*options):
+    def parse(value, field):
+        if value not in options:
+            raise ValidationFailure(field, f"must be one of {options}, got {value!r}")
+        return value
+
+    return parse
+
+
+_side = _one_of(DIRECT, ADJOINT)
+
+
+def _filename(value, field: str) -> str:
+    """A plain file name, so that the report stays inside the output directory."""
+    if not isinstance(value, str) or value in ("", ".", "..") or os.path.basename(value) != value or "\0" in value:
+        raise ValidationFailure(field, f"must be a file name without a directory part, got {value!r}")
+    return value
+
+
+def _list(kind, n=None):
+    """A list of values of one kind, n of them if n is given.  A tuple of
+    kinds types a list of that length entry by entry.
+    """
+    n = len(kind) if isinstance(kind, tuple) else n
+
+    def parse(value, field):
+        if not isinstance(value, list):
+            raise ValidationFailure(field, f"expected a list, got {type(value).__name__}")
+        if n is not None and len(value) != n:
+            raise ValidationFailure(field, f"expected {n} entries, got {len(value)}")
+        kinds = kind if isinstance(kind, tuple) else (kind,) * len(value)
+        return tuple(k(v, f"{field}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+
+    return parse
+
+
+def _nonempty(kind):
+    def parse(value, field):
+        out = kind(value, field)
+        if not out:
+            raise ValidationFailure(field, "must not be empty")
+        return out
+
+    return parse
+
+
+def _obj(spec=None):
+    """An object; with a spec {key: (kind, default or REQUIRED)}, its typed
+    entries with the defaults filled in.  Unknown keys are rejected.  An
+    empty field names the whole problem file.
+    """
+
+    def parse(value, field):
+        if not isinstance(value, dict):
+            raise ValidationFailure(field or "problem", f"expected an object, got {type(value).__name__}")
+        if spec is None:
+            return value
+        unknown = set(value) - set(spec)
+        if unknown:
+            raise ValidationFailure(field or "problem", f"unknown keys: {sorted(unknown)}")
+        out = {}
+        for key, (kind, default) in spec.items():
+            name = f"{field}.{key}" if field else key
+            if key in value:
+                out[key] = kind(value[key], name)
+            elif default is REQUIRED:
+                raise ValidationFailure(name, "missing")
+            else:
+                out[key] = default
+        return out
+
+    return parse
+
+
+def _build(make, kind):
+    """kind, then make(value); a ValueError of make names the field."""
+
+    def parse(value, field):
+        try:
+            return make(kind(value, field))
+        except ValueError as exc:
+            raise ValidationFailure(field, str(exc)) from None
+
+    return parse
+
+
+def _interval(value, field: str) -> tuple[float, float]:
+    a, b = _list(_num, 2)(value, field)
+    if not b > a:
+        raise ValidationFailure(field, "needs a < b")
+    return (a, b)
+
+
+POLY = {
+    "breakpoints": (_list(_num), ()),
+    "pieces": (_list(_nonempty(_list(_cnum))), ((0j,),)),
+    "jumps": (_list(_list((_num, _cnum))), ()),
+}
+
+
+def _piecewise(spec: dict, degree_cap: int) -> PiecewisePoly:
+    """The polynomial of a parsed spec.  Its constructor checks that the
+    breakpoints increase, one piece per region and the degree cap; declared
+    jumps must agree with the pieces.
+    """
+    poly = PiecewisePoly(spec["breakpoints"], spec["pieces"], degree_cap)
+    actual = poly.jumps
+    for loc, height in spec["jumps"]:
+        if not any(abs(loc - b) <= 1e-12 * (1 + abs(b)) for b in actual):
+            raise ValueError(f"declared jump location {loc} is not a breakpoint")
+        got = actual[min(actual, key=lambda b: abs(b - loc))]
+        if abs(got - height) > 1e-9 * (1 + abs(height)):
+            raise ValueError(f"declared jump {height} at {loc} disagrees with pieces ({got})")
     return poly
 
 
-def _parse_coefficients(spec, field: str = "coefficients") -> CoefficientField:
-    _check_keys(spec, ("s", "Q", "r", "degree_cap"), field)
-    cap = int(spec.get("degree_cap", config.DEGREE_CAP))
-    zero = {"breakpoints": [], "pieces": [[0.0]]}
-    return CoefficientField(
-        s=_parse_poly(spec.get("s", zero), f"{field}.s", cap),
-        Q=_parse_poly(spec.get("Q", zero), f"{field}.Q", cap),
-        r=_parse_poly(spec.get("r", zero), f"{field}.r", cap),
-    )
+def _poly(degree_cap: int):
+    return _build(lambda spec: _piecewise(spec, degree_cap), _obj(POLY))
 
 
-def load_problem(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    _check_keys(raw, ("task", "coefficients", "params", "output"), "problem")
-    task = raw.get("task")
-    if task not in TASKS:
-        raise ValidationFailure("task", f"must be one of {TASKS}, got {task!r}")
-    if "coefficients" not in raw:
-        raise ValidationFailure("coefficients", "missing")
-    return raw
+COEFFICIENTS = {"s": (_obj(), {}), "Q": (_obj(), {}), "r": (_obj(), {}), "degree_cap": (_int, config.DEGREE_CAP)}
+
+
+def _coefficients(value, field: str) -> CoefficientField:
+    spec = _obj(COEFFICIENTS)(value, field)
+    poly = _poly(spec["degree_cap"])
+    return CoefficientField(**{k: poly(spec[k], f"{field}.{k}") for k in ("s", "Q", "r")})
+
+
+PAIR = _list(_cnum, 2)
+BUMP = {"center": (_num, 0.0), "plateau": (_num, 1.0), "ramp": (_num, 1.0)}
+BC = {"left": (PAIR, (1 + 0j, 0j)), "right": (PAIR, (1 + 0j, 0j))}
+SCHEME = {"delta": (_num, 1.0), "intervals": (_list(_list((_int, _num, _num))), ())}
+PROBE = {"lambda": (_cnum, 0j), "tmax": (_pos, 40.0), "windows": (_list(_num), ())}
+
+# task -> {key: (kind, default or REQUIRED)}; a runner reads exactly these keys
+PARAMS = {
+    "solve": {
+        "from": (_num, 0.0),
+        "to": (_num, REQUIRED),
+        "lambda": (_cnum, 0j),
+        "side": (_side, DIRECT),
+        "initial": (PAIR, (1 + 0j, 0j)),
+        "dump": (_bool, False),
+    },
+    "eig": {
+        "interval": (_interval, REQUIRED),
+        "bc": (_build(lambda d: BoundaryCondition(**d), _obj(BC)), BoundaryCondition.dirichlet()),
+        "scan": (_list(_num, 2), None),
+        "seeds": (_list(_cnum), ()),
+        "grid": (_int, 120),
+        "side": (_side, DIRECT),
+    },
+    "bracket": {
+        "window": (_interval, REQUIRED),
+        "lambda": (_cnum, 0j),
+        "u_initial": (PAIR, (1 + 0j, 0j)),
+        "v_initial": (PAIR, (1 + 0j, 0j)),
+        "samples": (_int, 21),
+    },
+    "form": {
+        "tests": (_nonempty(_list(_build(lambda t: bump(**t), _obj(BUMP)))), REQUIRED),
+        "sector": (_build(Sector, _num), None),
+    },
+    "check-a": {
+        "horizon": (_pos, 60.0),
+        "m": (_poly(config.DEGREE_CAP), REQUIRED),
+        "probe_points": (_list(_num), ()),
+        "with_probe": (_obj(PROBE), None),
+    },
+    "check-b": {
+        "scheme": (_build(lambda d: IntervalScheme({n: (a, b) for n, a, b in d["intervals"]}, d["delta"]),
+                          _obj(SCHEME)), REQUIRED),
+        "with_probe": (_obj(PROBE), None),
+    },
+    "probe": PROBE,
+    "verify": {
+        "window": (_interval, (-5.0, 5.0)),
+        "lambda": (_cnum, 0.25 + 0.1j),
+    },
+}
 
 
 # ----------------------------------------------------------------------
@@ -284,44 +408,13 @@ def _report_condition(rep: Report, label: str, cond):
 
 
 # ----------------------------------------------------------------------
-# task runners
-
-
-def _tol_pair(args_tol):
-    if args_tol:
-        a, r = args_tol.split(",")
-        return (float(a), float(r))
-    return (config.ATOL, config.RTOL)
-
-
-def _parse_interval(params, key, required=True, default=None):
-    if key not in params:
-        if required:
-            raise ValidationFailure(f"params.{key}", "missing")
-        return default
-    iv = params[key]
-    if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-        raise ValidationFailure(f"params.{key}", "expected [a, b]")
-    a, b = _num(iv[0], f"params.{key}[0]"), _num(iv[1], f"params.{key}[1]")
-    if not b > a:
-        raise ValidationFailure(f"params.{key}", "needs a < b")
-    return (a, b)
+# task runners: each takes the field, its task's parsed PARAMS, the report
+# and the tolerance pair; solve returns the trajectory to dump, if any
 
 
 def run_solve(field, params, rep, tol):
-    _check_keys(params, ("from", "to", "lambda", "side", "initial", "dump"), "params")
-    x0 = _num(params.get("from", 0.0), "params.from")
-    x1 = _num(params.get("to"), "params.to") if "to" in params else None
-    if x1 is None:
-        raise ValidationFailure("params.to", "missing")
-    lam = _cnum(params.get("lambda", 0.0), "params.lambda")
-    side = params.get("side", DIRECT)
-    if side not in (DIRECT, ADJOINT):
-        raise ValidationFailure("params.side", f"must be direct or adjoint, got {side!r}")
-    init = params.get("initial", [1.0, 0.0])
-    y0 = _cnum(init[0], "params.initial[0]")
-    y1 = _cnum(init[1], "params.initial[1]")
-    traj = integrate(assemble(field, side, lam), QuasiState(x0, y0, y1, side), x1, tol)
+    x0, x1, side = params["from"], params["to"], params["side"]
+    traj = integrate(assemble(field, side, params["lambda"]), QuasiState(x0, *params["initial"], side), x1, tol)
     end = traj.state_at(x1)
     rep.kv("final.x", x1, source="dense-output")
     rep.kv("final.y0", complex(end.y0), source="dense-output")
@@ -337,29 +430,14 @@ def run_solve(field, params, rep, tol):
     ]
     rep.table("trajectory_samples", ["x", "y0_re", "y0_im", "y1_re", "y1_im", "logscale"], rows, source="dense-output")
     rep.verdict("success")
-    dump = params.get("dump", False)
-    return traj if dump else None
+    return traj if params["dump"] else None
 
 
 def run_eig(field, params, rep, tol):
-    _check_keys(params, ("interval", "bc", "scan", "seeds", "grid", "side"), "params")
-    interval = _parse_interval(params, "interval")
-    bc = BoundaryCondition.dirichlet()
-    if "bc" in params:
-        _check_keys(params["bc"], ("left", "right"), "params.bc")
-        left = tuple(_cnum(v, "params.bc.left") for v in params["bc"].get("left", [1, 0]))
-        right = tuple(_cnum(v, "params.bc.right") for v in params["bc"].get("right", [1, 0]))
-        bc = BoundaryCondition(left, right)
-    scan = None
-    if "scan" in params:
-        s = params["scan"]
-        scan = (_num(s[0], "params.scan[0]"), _num(s[1], "params.scan[1]"))
-    seeds = [_cnum(v, f"params.seeds[{i}]") for i, v in enumerate(params.get("seeds", []))]
+    scan, seeds = params["scan"], params["seeds"]
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
-    grid = int(params.get("grid", 120))
-    side = params.get("side", DIRECT)
-    results = eigenvalues(field, interval, bc, scan=scan, seeds=seeds, grid=grid, side=side, tol=tol)
+    results = eigenvalues(field, params["interval"], params["bc"], scan, seeds, params["grid"], params["side"], tol)
     rows = []
     for r in results:
         src = "shooting-scan-bisect" if not r.message and scan is not None else "shooting-newton"
@@ -376,25 +454,11 @@ def run_eig(field, params, rep, tol):
 
 
 def run_bracket(field, params, rep, tol):
-    _check_keys(params, ("window", "lambda", "u_initial", "v_initial", "samples"), "params")
-    window = _parse_interval(params, "window")
-    lam = _cnum(params.get("lambda", 0.0), "params.lambda")
-    ui = params.get("u_initial", [1.0, 0.0])
-    vi = params.get("v_initial", [1.0, 0.0])
-    a, b = window
-    u = integrate(
-        assemble(field, DIRECT, lam),
-        QuasiState(a, _cnum(ui[0], "params.u_initial[0]"), _cnum(ui[1], "params.u_initial[1]"), DIRECT),
-        b,
-        tol,
-    )
-    v = integrate(
-        assemble(field, ADJOINT, lam.conjugate()),
-        QuasiState(a, _cnum(vi[0], "params.v_initial[0]"), _cnum(vi[1], "params.v_initial[1]"), ADJOINT),
-        b,
-        tol,
-    )
-    n = int(params.get("samples", 21))
+    window = a, b = params["window"]
+    lam = params["lambda"]
+    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, *params["u_initial"], DIRECT), b, tol)
+    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, *params["v_initial"], ADJOINT), b, tol)
+    n = params["samples"]
     xs = np.linspace(a, b, n).tolist()
     (yu, lu), (yv, lv) = u.sample(xs), v.sample(xs)
     rows = []
@@ -410,72 +474,26 @@ def run_bracket(field, params, rep, tol):
     rep.verdict("success" if ok else "fails")
 
 
-def _parse_tests(params, field_name="params.tests"):
-    tests = params.get("tests")
-    if not tests:
-        raise ValidationFailure(field_name, "need at least one test function")
-    fam = []
-    for i, t in enumerate(tests):
-        _check_keys(t, ("center", "plateau", "ramp"), f"{field_name}[{i}]")
-        fam.append(
-            bump(
-                _num(t.get("center", 0.0), f"{field_name}[{i}].center"),
-                _num(t.get("plateau", 1.0), f"{field_name}[{i}].plateau"),
-                _num(t.get("ramp", 1.0), f"{field_name}[{i}].ramp"),
-            )
-        )
-    return fam
-
-
 def run_form(field, params, rep, tol):
-    _check_keys(params, ("tests", "sector", "support"), "params")
-    fam = _parse_tests(params)
-    sector = Sector(_num(params["sector"], "params.sector")) if "sector" in params else None
+    forms = sample_forms(field, params["tests"])
     rows = []
-
-    def one(u):
-        lo, hi = u.support_bounds()
-        fv = quadratic_form(field, u, (lo, hi))
-        norm2 = (u * u.conj()).integrate(lo, hi).real
-        return fv, norm2
-
-    for i, (fv, norm2) in enumerate(map(one, fam)):
-        w = fv.value / norm2
-        rows.append(
-            (
-                i,
-                fv.kinetic.real,
-                fv.kinetic.imag,
-                fv.coupling.real,
-                fv.coupling.imag,
-                fv.potential.real,
-                fv.potential.imag,
-                fv.value.real,
-                fv.value.imag,
-                w.real,
-                w.imag,
-            )
-        )
+    for i, (fv, norm2) in enumerate(forms):
+        parts = (fv.kinetic, fv.coupling, fv.potential, fv.value, fv.value / norm2)
+        rows.append((i, *(x for z in parts for x in (z.real, z.imag))))
     rep.table(
         "form_values",
         ["index", "kin_re", "kin_im", "cpl_re", "cpl_im", "pot_re", "pot_im", "val_re", "val_im", "w_re", "w_im"],
         rows,
         source="exact-piecewise-quadrature",
     )
-    cond = numerical_range_sample(field, fam, sector=sector)
+    cond = range_verdict(forms, sector=params["sector"])
     _report_condition(rep, "range", cond)
     rep.verdict(cond.verdict)
 
 
-def run_check_a(field, params, rep, tol, horizon_override=None):
-    _check_keys(params, ("horizon", "m", "probe_points", "with_probe"), "params")
-    X = horizon_override or _num(params.get("horizon", 60.0), "params.horizon")
-    if "m" not in params:
-        raise ValidationFailure("params.m", "missing weight spec")
-    m_poly = _parse_poly(params["m"], "params.m", config.DEGREE_CAP)
-    w = WeightFunction(m_poly, X)
-    probe_points = [_num(t, "params.probe_points") for t in params.get("probe_points", [])]
-    rep_m = check_m(w, probe_points=probe_points)
+def run_check_a(field, params, rep, tol):
+    w = WeightFunction(params["m"], params["horizon"])
+    rep_m = check_m(w, probe_points=params["probe_points"])
     _report_condition(rep, "m_condition", rep_m)
     rep_g = check_growth(field.r1, w)
     _report_condition(rep, "growth", rep_g)
@@ -485,38 +503,20 @@ def run_check_a(field, params, rep, tol, horizon_override=None):
     elif rep_m.verdict == "inconclusive":
         overall = "inconclusive"
     rep.verdict(overall)
-    if params.get("with_probe") and overall == "holds-on-horizon":
+    if params["with_probe"] is not None and overall == "holds-on-horizon":
         run_probe(field, params["with_probe"], rep, tol, prefix="chained_")
 
 
 def run_check_b(field, params, rep, tol):
-    _check_keys(params, ("scheme", "with_probe"), "params")
-    if "scheme" not in params:
-        raise ValidationFailure("params.scheme", "missing")
-    sch = params["scheme"]
-    _check_keys(sch, ("delta", "intervals"), "params.scheme")
-    iv = {}
-    for i, row in enumerate(sch.get("intervals", [])):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ValidationFailure(f"params.scheme.intervals[{i}]", "expected [n, a, b]")
-        iv[int(row[0])] = (
-            _num(row[1], f"params.scheme.intervals[{i}][1]"),
-            _num(row[2], f"params.scheme.intervals[{i}][2]"),
-        )
-    scheme = IntervalScheme(iv, delta=_num(sch.get("delta", 1.0), "params.scheme.delta"))
-    cond = check_intervals(field.r1, scheme)
+    cond = check_intervals(field.r1, params["scheme"])
     _report_condition(rep, "intervals", cond)
     rep.verdict(cond.verdict)
-    if params.get("with_probe") and cond.verdict == "holds-on-horizon":
+    if params["with_probe"] is not None and cond.verdict == "holds-on-horizon":
         run_probe(field, params["with_probe"], rep, tol, prefix="chained_")
 
 
-def run_probe(field, params, rep, tol, tmax_override=None, prefix=""):
-    _check_keys(params, ("lambda", "tmax", "windows"), "params")
-    lam = _cnum(params.get("lambda", 0.0), "params.lambda")
-    tmax = tmax_override or _num(params.get("tmax", 40.0), "params.tmax")
-    windows = [_num(t, "params.windows") for t in params.get("windows", [])] or None
-    out = null_probe(field, lam, tmax, windows=windows, tol=tol)
+def run_probe(field, params, rep, tol, prefix=""):
+    out = null_probe(field, params["lambda"], params["tmax"], windows=params["windows"], tol=tol)
     rep.kv(prefix + "probe.lambda", out.lam, source="null-probe")
     rep.kv(prefix + "probe.classification", out.classification, source="null-probe")
     rep.kv(prefix + "probe.monotone", out.monotone, source="gram-nesting")
@@ -530,10 +530,8 @@ def run_probe(field, params, rep, tol, tmax_override=None, prefix=""):
 
 
 def run_verify(field, params, rep, tol):
-    _check_keys(params, ("window", "lambda"), "params")
-    window = _parse_interval(params, "window", required=False, default=(-5.0, 5.0))
-    lam = _cnum(params.get("lambda", 0.25 + 0.1j), "params.lambda")
-    a, b = window
+    window = a, b = params["window"]
+    lam = params["lambda"]
     rows = []
 
     u = integrate(assemble(field, DIRECT, lam), QuasiState(a, 0.3, 1.0, DIRECT), b, tol)
@@ -575,36 +573,43 @@ def run_verify(field, params, rep, tol):
 # ----------------------------------------------------------------------
 # driver
 
+RUNNERS = {
+    "solve": run_solve, "eig": run_eig, "bracket": run_bracket, "form": run_form,
+    "check-a": run_check_a, "check-b": run_check_b, "probe": run_probe, "verify": run_verify,
+}
+TASKS = tuple(RUNNERS)
+
+# coefficients and params are parsed by run_problem, once the task is known
+PROBLEM = {
+    "task": (_one_of(*TASKS), REQUIRED),
+    "coefficients": (_obj(), REQUIRED),
+    "params": (_obj(), {}),
+    "output": (_filename, "report.txt"),
+}
+
+
+def load_problem(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    _obj(PROBLEM)(raw, "")
+    return raw
+
 
 def run_problem(raw: dict, argv=(), tol_arg=None, horizon=None, tmax=None) -> tuple[int, str, object]:
     task = raw["task"]
-    field = _parse_coefficients(raw["coefficients"])
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationFailure("params", "expected an object")
+    field = _coefficients(raw["coefficients"], "coefficients")
+    spec = PARAMS[task]
+    params = _obj(spec)(raw.get("params", {}), "params")
+    for key, value in (("horizon", horizon), ("tmax", tmax)):
+        if value is not None and key in spec:
+            params[key] = spec[key][0](value, f"--{key}")
+    tol = _list(_pos, 2)(tol_arg.split(","), "--tol") if tol_arg else (config.ATOL, config.RTOL)
     rep = Report(task)
     rep.metadata(list(argv))
-    rep.problem(normalize_problem(task, field, params))
-    tol = _tol_pair(tol_arg)
+    rep.problem(normalize_problem(task, field, raw.get("params", {})))
     rep.kv("tolerances.atol", tol[0])
     rep.kv("tolerances.rtol", tol[1])
-    extra = None
-    if task == "solve":
-        extra = run_solve(field, params, rep, tol)
-    elif task == "eig":
-        run_eig(field, params, rep, tol)
-    elif task == "bracket":
-        run_bracket(field, params, rep, tol)
-    elif task == "form":
-        run_form(field, params, rep, tol)
-    elif task == "check-a":
-        run_check_a(field, params, rep, tol, horizon_override=horizon)
-    elif task == "check-b":
-        run_check_b(field, params, rep, tol)
-    elif task == "probe":
-        run_probe(field, params, rep, tol, tmax_override=tmax)
-    elif task == "verify":
-        run_verify(field, params, rep, tol)
+    extra = RUNNERS[task](field, params, rep, tol)
     return rep.exit_code, rep.text(), extra
 
 
@@ -625,8 +630,8 @@ def main(argv=None) -> int:
 
     try:
         raw = load_problem(args.input)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"parse error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationFailure as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -642,26 +647,18 @@ def main(argv=None) -> int:
 
     try:
         code, text, extra = run_problem(
-            raw,
-            argv=sys.argv[1:] if argv is None else argv,
-            tol_arg=args.tol,
-            horizon=args.horizon,
-            tmax=args.tmax,
+            raw, sys.argv[1:] if argv is None else argv, args.tol, args.horizon, args.tmax
         )
-    except ValidationFailure as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except QschroError as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValidationFailure, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    report_name = raw.get("output", "report.txt")
-    report_path = os.path.join(out_dir, report_name)
+    report_path = os.path.join(out_dir, raw.get("output", "report.txt"))
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     if extra is not None:  # trajectory dump requested by a solve task

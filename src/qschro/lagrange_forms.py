@@ -226,24 +226,19 @@ def form_vs_operator_check(
     return abs(form - op) / (1.0 + abs(form) + abs(op))
 
 
-def numerical_range_sample(
+def sample_forms(
     c: CoefficientField,
     family,
-    sector: Sector | None = None,
     support: tuple[float, float] | None = None,
-) -> ConditionReport:
-    """Sample w(u) = t(u)/||u||^2 over a test family; verdict on the sample.
+) -> list[tuple[FormValue, float]]:
+    """(t(u), ||u||^2) for each test function of a family, one form each.
 
-    Reports min Re w, max |arg w| and per-sample values; ``fails`` carries
-    the witness index and value if any w leaves the sector (default
-    sector: the closed right half-plane, i.e. accretivity).  A passing
-    verdict is "holds-on-sample", never a proof.
+    Each integral runs over the test function's own support, or over
+    ``support`` when given.
     """
     if not family:
         raise ValueError("test family must be nonempty")
-    rows = []
-    witness = None
-    check_sector = sector or Sector(math.pi / 2)
+    out = []
     for i, u in enumerate(family):
         lo, hi = support if support is not None else u.support_bounds()
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -253,7 +248,24 @@ def numerical_range_sample(
         norm2 = (u * u.conj()).integrate(lo, hi).real
         if norm2 <= 1e-300:
             raise ZeroNormError(f"test function {i} has zero L2 norm")
-        w = quadratic_form(c, u, (lo, hi)).value / norm2
+        out.append((quadratic_form(c, u, (lo, hi)), norm2))
+    return out
+
+
+def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
+    """Verdict on sampled forms, given as ``sample_forms`` returns them.
+
+    Reports min Re w, max |arg w| and per-sample values of
+    w(u) = t(u)/||u||^2; ``fails`` carries the witness index and value if
+    any w leaves the sector (default sector: the closed right half-plane,
+    i.e. accretivity).  A passing verdict is "holds-on-sample", never a
+    proof.
+    """
+    rows = []
+    witness = None
+    check_sector = sector or Sector(math.pi / 2)
+    for i, (form, norm2) in enumerate(forms):
+        w = form.value / norm2
         inside = check_sector.contains(w)
         rows.append((i, w.real, w.imag, norm2, inside))
         if not inside and witness is None:
@@ -280,3 +292,17 @@ def numerical_range_sample(
         witnesses=witnesses,
         tables={"samples": rows},
     )
+
+
+def numerical_range_sample(
+    c: CoefficientField,
+    family,
+    sector: Sector | None = None,
+    support: tuple[float, float] | None = None,
+) -> ConditionReport:
+    """Sample w(u) = t(u)/||u||^2 over a test family; verdict on the sample.
+
+    ``range_verdict`` of ``sample_forms``: a passing verdict is
+    "holds-on-sample", never a proof.
+    """
+    return range_verdict(sample_forms(c, family, support), sector)

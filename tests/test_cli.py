@@ -1,15 +1,22 @@
 """Problem-file validation, exit codes, report determinism, round-trips."""
 
+import copy
 import json
 import math
+import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschro.cli import (
     EXIT_FAILS,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    PARAMS,
     ValidationFailure,
     load_problem,
     main,
@@ -80,6 +87,13 @@ def test_malformed_breakpoints_named_in_error(tmp_path):
 def test_parse_error_exit_code(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
+    assert main(["probe", "--input", str(p), "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep"])
+def test_unreadable_problem_file_is_a_parse_error(tmp_path, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
     assert main(["probe", "--input", str(p), "--out", str(tmp_path)]) == EXIT_PARSE
 
 
@@ -218,3 +232,143 @@ def test_cli_writes_report_and_trajectory(tmp_path):
     csv = (out / "trajectory.csv").read_text().splitlines()
     assert csv[0].startswith("x,y0_re")
     assert len(csv) > 2
+
+
+SOLVE = {"task": "solve", "coefficients": FREE_COEFFS, "params": {"to": 1}}
+EIG = {"task": "eig", "coefficients": FREE_COEFFS, "params": {"interval": [0, 3], "scan": [0.5, 2], "grid": 4}}
+BRACKET = {"task": "bracket", "coefficients": FREE_COEFFS, "params": {"window": [0, 1]}}
+FORM = {"task": "form", "coefficients": FREE_COEFFS, "params": {"tests": [{"center": 0}]}}
+CHECK_A = {"task": "check-a", "coefficients": FREE_COEFFS,
+           "params": {"horizon": 20, "m": {"breakpoints": [], "pieces": [[1]]}}}
+CHECK_B = {"task": "check-b", "coefficients": FREE_COEFFS,
+           "params": {"scheme": {"intervals": [[1, 2, 3], [-1, -3, -2]]}}}
+PROBE = {"task": "probe", "coefficients": FREE_COEFFS, "params": {"tmax": 10}}
+
+
+def edit(problem, path, value):
+    """A copy of the problem with the entry at path (a tuple of keys) set."""
+    out = copy.deepcopy(problem)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def case(name, problem, field, *extra_args):
+    return pytest.param(problem, list(extra_args), field, id=name)
+
+
+@pytest.mark.parametrize(
+    "problem, extra_args, field",
+    [
+        case("solve-initial-short", edit(SOLVE, ("params", "initial"), [1]), "params.initial"),
+        case("solve-initial-number", edit(SOLVE, ("params", "initial"), 5), "params.initial"),
+        case("eig-scan-short", edit(EIG, ("params", "scan"), [1]), "params.scan"),
+        case("eig-seeds-number", edit(EIG, ("params", "seeds"), 5), "params.seeds"),
+        case("eig-grid-list", edit(EIG, ("params", "grid"), [3]), "params.grid"),
+        case("eig-bc-left-number", edit(EIG, ("params", "bc"), {"left": 5}), "params.bc.left"),
+        case("bracket-u-initial-short", edit(BRACKET, ("params", "u_initial"), [1]), "params.u_initial"),
+        case("bracket-samples-list", edit(BRACKET, ("params", "samples"), [2]), "params.samples"),
+        case("form-tests-number", edit(FORM, ("params", "tests"), 5), "params.tests"),
+        case("check-a-probe-points-number", edit(CHECK_A, ("params", "probe_points"), 5), "params.probe_points"),
+        case("check-b-intervals-number", edit(CHECK_B, ("params", "scheme", "intervals"), 5),
+             "params.scheme.intervals"),
+        case("probe-windows-number", edit(PROBE, ("params", "windows"), 5), "params.windows"),
+        case("pieces-number", edit(PROBE, ("coefficients", "s", "pieces"), 5), "coefficients.s.pieces"),
+        case("breakpoints-number", edit(PROBE, ("coefficients", "Q", "breakpoints"), 5),
+             "coefficients.Q.breakpoints"),
+        case("jumps-number", edit(PROBE, ("coefficients", "Q", "jumps"), 5), "coefficients.Q.jumps"),
+        case("degree-cap-list", edit(PROBE, ("coefficients", "degree_cap"), [1]), "coefficients.degree_cap"),
+        case("output-number", edit(PROBE, ("output",), 5), "output"),
+        case("output-subdirectory", edit(PROBE, ("output",), "sub/x.txt"), "output"),
+        case("output-parent", edit(PROBE, ("output",), "../x"), "output"),
+        case("output-absolute", edit(PROBE, ("output",), "/abs/path"), "output"),
+        case("form-support-unread", edit(FORM, ("params", "support"), [-3, 3]), "support"),
+        case("eig-grid-fraction", edit(EIG, ("params", "grid"), 1.7), "params.grid"),
+        case("probe-tmax-zero", PROBE, "--tmax", "--tmax", "0"),
+        case("check-a-horizon-zero", CHECK_A, "--horizon", "--horizon", "0"),
+        case("tol-nan", SOLVE, "--tol", "--tol", "nan,1e-10"),
+        case("tol-inf", SOLVE, "--tol", "--tol", "1e-12,inf"),
+        case("tol-single", SOLVE, "--tol", "--tol", "1e-12"),
+        case("tol-zero", SOLVE, "--tol", "--tol", "0,1e-10"),
+        case("tol-word", SOLVE, "--tol", "--tol", "x,1e-10"),
+    ],
+)
+def test_malformed_input_is_a_named_validation_error(tmp_path, capsys, problem, extra_args, field):
+    path = write(tmp_path, "p.json", problem)
+    out = tmp_path / "out"
+    code = main([problem["task"], "--input", path, "--out", str(out), *extra_args])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and field in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+
+# Fuzz: small valid files, one or two mutations each.  Values come from a
+# fixed pool of small leaves, so no mutation can make a run expensive.
+FUZZ_BASES = (
+    {"task": "solve", "coefficients": dict(FREE_COEFFS, degree_cap=3), "output": "r.txt",
+     "params": {"from": 0, "to": 1, "lambda": [-1, 0], "side": "direct", "initial": [1, 0], "dump": True}},
+    {"task": "bracket", "coefficients": DELTA_COEFFS,
+     "params": {"window": [-1, 1], "lambda": -1, "u_initial": [1, 0], "v_initial": [0, 1], "samples": 5}},
+    {"task": "form", "coefficients": DELTA_COEFFS,
+     "params": {"tests": [{"center": 0, "plateau": 1, "ramp": 1}], "sector": 1.5}},
+    {"task": "check-b", "coefficients": FREE_COEFFS,
+     "params": {"scheme": {"delta": 1, "intervals": [[1, 2, 3], [-1, -3, -2]]}}},
+    {"task": "probe", "coefficients": DELTA_COEFFS, "params": {"lambda": -1, "tmax": 10, "windows": [5, 10]}},
+)
+POOL = (None, True, -1, 0, 1.5, "x", "1", [], [1], {}, {"k": 1})
+
+
+def tree_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from tree_paths(child, path + (key,))
+
+
+def mutate(problem, data):
+    path = data.draw(st.sampled_from(list(tree_paths(problem))))
+    value = copy.deepcopy(data.draw(st.sampled_from(POOL)))
+    op = data.draw(st.sampled_from(("replace", "drop", "add")))
+    if not path:
+        return dict(problem, extra=value) if op == "add" and isinstance(problem, dict) else value
+    parent = problem
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "add" and isinstance(parent[path[-1]], dict):
+        parent[path[-1]]["extra"] = value
+    else:
+        parent[path[-1]] = value
+    return problem
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_problem_files_never_traceback(data):
+    base = data.draw(st.sampled_from(FUZZ_BASES))
+    problem = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2))):
+        problem = mutate(problem, data)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "in", "p.json")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(problem, fh)
+        out = os.path.join(root, "out", "o")
+        code = main([base["task"], "--input", path, "--out", out])
+        assert code in (0, 2, 64, 65, 70)
+        written = [os.path.join(d, f) for d, _, files in os.walk(root) for f in files]
+        assert all(os.path.dirname(f) == out for f in written if f != path), written
+
+
+def test_readme_tables_list_the_params_keys():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for task, spec in PARAMS.items():
+        section = readme.split(f"\n\n`{task}`", 1)[1].split("\n\n", 2)[1]
+        keys = {k.strip(" `") for row in section.splitlines()[2:] for k in row.split("|")[1].split(",")}
+        assert keys == set(spec), task
