@@ -12,7 +12,7 @@ comparison modulo that block is the supported reproducibility check.
 
 Exit codes: 0 holds/grows/success, 2 fails/bounded/inconclusive (witness
 in the report), 64 parse error, 65 validation error, 70 numeric error,
-1 anything else.
+73 cannot write output, 1 anything else.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .conditions import (
     check_m,
     verify_caccioppoli,
 )
-from .errors import QschroError
+from .errors import NonRealError, QschroError
 from .lagrange_forms import (
     Sector,
     bracket,
@@ -58,6 +58,9 @@ EXIT_FAILS = 2
 EXIT_PARSE = 64
 EXIT_VALIDATION = 65
 EXIT_NUMERIC = 70
+EXIT_CANTCREAT = 73
+
+DUMP_NAME = "trajectory.csv"  # the solve task's dump, next to the report
 
 OK_VERDICTS = {"holds-on-horizon", "holds-on-sample", "grows", "success"}
 
@@ -100,6 +103,16 @@ def _int(value, field: str) -> int:
     if not out.is_integer():
         raise ValidationFailure(field, f"expected an integer, got {value!r}")
     return int(out)
+
+
+def _int_in(lo: int, hi: int):
+    def parse(value, field):
+        out = _int(value, field)
+        if not lo <= out <= hi:
+            raise ValidationFailure(field, f"must be an integer in [{lo}, {hi}], got {out}")
+        return out
+
+    return parse
 
 
 def _cnum(value, field: str) -> complex:
@@ -264,7 +277,7 @@ PARAMS = {
         "bc": (_build(lambda d: BoundaryCondition(**d), _obj(BC)), BoundaryCondition.dirichlet()),
         "scan": (_list(_num, 2), None),
         "seeds": (_list(_cnum), ()),
-        "grid": (_int, 120),
+        "grid": (_int_in(2, config.MAX_GRID_POINTS), 120),
         "side": (_side, DIRECT),
     },
     "bracket": {
@@ -272,7 +285,7 @@ PARAMS = {
         "lambda": (_cnum, 0j),
         "u_initial": (PAIR, (1 + 0j, 0j)),
         "v_initial": (PAIR, (1 + 0j, 0j)),
-        "samples": (_int, 21),
+        "samples": (_int_in(1, config.MAX_GRID_POINTS), 21),
     },
     "form": {
         "tests": (_nonempty(_list(_build(lambda t: bump(**t), _obj(BUMP)))), REQUIRED),
@@ -306,17 +319,9 @@ def _norm_complex(z: complex):
 
 
 def _norm_poly(poly: PiecewisePoly) -> dict:
-    pieces = []
-    for i in range(len(poly.breakpoints) + 1):
-        c = poly.centers[i]
-        # emit in global coordinates: shift local coefficients back
-        from .coeffs import _shift_coeffs
-
-        glob = _shift_coeffs(poly.coeffs[i], -c)
-        pieces.append([_norm_complex(v) for v in glob])
     return {
         "breakpoints": [float(b) for b in poly.breakpoints],
-        "pieces": pieces,
+        "pieces": [[_norm_complex(v) for v in piece] for piece in poly.pieces()],
         "jumps": [[float(b), _norm_complex(h)] for b, h in sorted(poly.jumps.items())],
     }
 
@@ -437,7 +442,14 @@ def run_eig(field, params, rep, tol):
     scan, seeds = params["scan"], params["seeds"]
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
-    results = eigenvalues(field, params["interval"], params["bc"], scan, seeds, params["grid"], params["side"], tol)
+    try:
+        results = eigenvalues(field, params["interval"], params["bc"], scan, seeds, params["grid"], params["side"], tol)
+        refused = False
+    except NonRealError as exc:
+        if exc.ratio is None:
+            raise
+        rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
+        results, refused = [], True
     rows = []
     for r in results:
         src = "shooting-scan-bisect" if not r.message and scan is not None else "shooting-newton"
@@ -450,7 +462,7 @@ def run_eig(field, params, rep, tol):
     )
     good = [r for r in results if r.converged]
     rep.kv("found", len(good), source="shooting")
-    rep.verdict("success" if good else "fails")
+    rep.verdict("inconclusive" if refused else "success" if good else "fails")
 
 
 def run_bracket(field, params, rep, tol):
@@ -600,6 +612,8 @@ def run_problem(raw: dict, argv=(), tol_arg=None, horizon=None, tmax=None) -> tu
     field = _coefficients(raw["coefficients"], "coefficients")
     spec = PARAMS[task]
     params = _obj(spec)(raw.get("params", {}), "params")
+    if params.get("dump") and raw.get("output") == DUMP_NAME:
+        raise ValidationFailure("output", f"{DUMP_NAME!r} is the name of the trajectory dump")
     for key, value in (("horizon", horizon), ("tmax", tmax)):
         if value is not None and key in spec:
             params[key] = spec[key][0](value, f"--{key}")
@@ -657,18 +671,21 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, raw.get("output", "report.txt"))
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    if extra is not None:  # trajectory dump requested by a solve task
-        csv_path = os.path.join(out_dir, "trajectory.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("x,y0_re,y0_im,y1_re,y1_im,logscale\n")
-            lo, _ = extra.edges()
-            ys, ls = extra.sample(lo)
-            for x, (y0, y1), l in zip(lo.tolist(), ys.tolist(), ls.tolist()):
-                fh.write(f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if extra is not None:  # trajectory dump requested by a solve task
+            with open(os.path.join(out_dir, DUMP_NAME), "w", encoding="utf-8") as fh:
+                fh.write("x,y0_re,y0_im,y1_re,y1_im,logscale\n")
+                lo, _ = extra.edges()
+                ys, ls = extra.sample(lo)
+                for x, (y0, y1), l in zip(lo.tolist(), ys.tolist(), ls.tolist()):
+                    fh.write(f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n")
+    except OSError as exc:
+        print(f"write error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     print(f"report: {report_path}")
     print(f"exit: {code}")
     return code

@@ -10,7 +10,10 @@ defined.
 Each region keeps its coefficients in powers of ``(x - center)`` with a
 region-local center (midpoint for bounded regions, the finite endpoint
 for tails).  This keeps evaluation, products and differentiation well
-conditioned for narrow high-degree pieces far from the origin.
+conditioned for narrow high-degree pieces far from the origin.  All
+regions share one ``(n_regions, n_coef)`` complex array, one row per
+region, zero-padded on the right; every operation works on all rows at
+once, looping only over the degree.
 """
 
 from __future__ import annotations
@@ -26,36 +29,72 @@ from .errors import NonRealError
 _BP_MERGE_TOL = 1e-12
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Drop exactly-zero trailing coefficients, keeping at least one."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
+def _trim(row: np.ndarray) -> np.ndarray:
+    """One coefficient row without its trailing zeros, keeping at least one."""
+    nz = row.nonzero()[0]
+    return row[: nz[-1] + 1 if len(nz) else 1]
+
+
+def _trim_cols(coeffs: np.ndarray) -> np.ndarray:
+    """Drop the trailing columns that are zero in every row, keeping one."""
+    n = coeffs.shape[1]
+    while n > 1 and not coeffs[:, n - 1].any():
         n -= 1
-    return np.ascontiguousarray(c[:n])
+    return coeffs[:, :n]
 
 
-def _shift_coeffs(coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """Re-center ``p(x) = sum a_k (x-c)^k`` to powers of ``(x-(c+delta))``.
+def _shift_rows(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Re-center row i from powers of ``(x-c_i)`` to powers of ``(x-(c_i+delta_i))``.
 
-    Synthetic-division Taylor shift: exact in exact arithmetic, stable for
-    the shift distances that occur after mesh alignment.
+    Synthetic-division Taylor shift on all rows at once: exact in exact
+    arithmetic, stable for the shift distances that occur after mesh
+    alignment.  Rows with delta 0 keep their coefficients; with no row to
+    move, the input array itself is returned.
     """
-    if delta == 0.0:
-        return coeffs.copy()
-    b = coeffs.astype(complex).copy()
-    n = len(b)
+    moved = delta.nonzero()[0]
+    if not len(moved):
+        return coeffs
+    out = coeffs.copy()
+    b, d = out[moved], delta[moved]
+    n = b.shape[1]
     for j in range(n - 1):
         for k in range(n - 2, j - 1, -1):
-            b[k] += delta * b[k + 1]
-    return b
+            b[:, k] += d * b[:, k + 1]
+    out[moved] = b
+    return out
 
 
-def _poly_eval(coeffs: np.ndarray, t: float | complex) -> complex:
+def _horner(rev_coeffs, t):
+    """One polynomial at one point; coefficients highest power first."""
     acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
+    for c in rev_coeffs:
         acc = acc * t + c
     return acc
+
+
+def _dense(coef: np.ndarray, theta) -> np.ndarray:
+    """Batched Horner: rows of ascending coefficients (axis 1) at theta."""
+    acc = coef[:, -1]
+    for k in range(coef.shape[1] - 2, -1, -1):
+        acc = acc * theta + coef[:, k]
+    return acc
+
+
+def _primitive_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Row-wise antiderivatives vanishing at each row's center."""
+    F = np.zeros((len(coeffs), coeffs.shape[1] + 1), dtype=complex)
+    F[:, 1:] = coeffs / np.arange(1, coeffs.shape[1] + 1)
+    return F
+
+
+def _convolve_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise polynomial products of two coefficient arrays."""
+    if p.shape[1] < q.shape[1]:
+        p, q = q, p
+    out = np.zeros((len(p), p.shape[1] + q.shape[1] - 1), dtype=complex)
+    for k in range(q.shape[1]):
+        out[:, k : k + p.shape[1]] += p * q[:, k, None]
+    return out
 
 
 class PiecewisePoly:
@@ -64,6 +103,7 @@ class PiecewisePoly:
     Regions: ``len(breakpoints) + 1`` polynomials; region 0 is the left
     tail (valid below the first breakpoint), the last region is the right
     tail.  With no breakpoints a single polynomial covers the line.
+    ``coeffs[i]`` holds region i in ascending powers of ``x - centers[i]``.
 
     Closed under +, -, *, conjugation, real/imaginary part, derivative and
     antiderivative; all coefficient arithmetic, no sampling.
@@ -95,27 +135,25 @@ class PiecewisePoly:
                 f"need {len(bp) + 1} pieces for {len(bp)} breakpoints, "
                 f"got {len(pieces)}"
             )
-        centers = _canonical_centers(bp)
-        local = []
-        for piece, c in zip(pieces, centers):
-            arr = _trim(piece)
-            if degree_cap is not None and len(arr) - 1 > degree_cap:
-                raise ValueError(
-                    f"piece degree {len(arr) - 1} exceeds cap {degree_cap}"
-                )
-            local.append(_trim(_shift_coeffs(arr, c)))
+        rows = [_trim(np.atleast_1d(np.asarray(p, dtype=complex))) for p in pieces]
+        for row in rows:
+            if degree_cap is not None and len(row) - 1 > degree_cap:
+                raise ValueError(f"piece degree {len(row) - 1} exceeds cap {degree_cap}")
+        glob = np.zeros((len(rows), max(len(r) for r in rows) or 1), dtype=complex)
+        for i, row in enumerate(rows):
+            glob[i, : len(row)] = row
         self.breakpoints = bp
-        self.centers = centers
-        self.coeffs = local
+        self.centers = _canonical_centers(bp)
+        self.coeffs = _trim_cols(_shift_rows(glob, self.centers))
 
     @classmethod
     def _from_local(cls, breakpoints, centers, coeffs) -> "PiecewisePoly":
-        obj = object.__new__(cls)
-        obj.breakpoints = np.asarray(breakpoints, dtype=float)
-        obj.centers = np.asarray(centers, dtype=float)
-        obj.coeffs = [_trim(c) for c in coeffs]
-        if len(obj.coeffs) != len(obj.breakpoints) + 1 or len(obj.centers) != len(obj.coeffs):
+        """From float arrays of breakpoints and centers and a complex
+        ``(n_regions, n_coef)`` array of local rows."""
+        if coeffs.ndim != 2 or not len(coeffs) == len(centers) == len(breakpoints) + 1:
             raise ValueError("region count mismatch")
+        obj = object.__new__(cls)
+        obj.breakpoints, obj.centers, obj.coeffs = breakpoints, centers, _trim_cols(coeffs)
         return obj
 
     # ------------------------------------------------------------------
@@ -153,19 +191,18 @@ class PiecewisePoly:
 
     @property
     def degree(self) -> int:
-        return max(len(c) - 1 for c in self.coeffs)
+        return self.coeffs.shape[1] - 1
 
-    def _region(self, x: float, side: str) -> int:
-        if side == "right":
-            return int(np.searchsorted(self.breakpoints, x, side="right"))
-        if side == "left":
-            return int(np.searchsorted(self.breakpoints, x, side="left"))
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def _region(self, x, side: str):
+        """Region index (or indices, for an array) holding x on that side."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return np.searchsorted(self.breakpoints, x, side=side)
 
     def eval(self, x: float, side: str = "right") -> complex:
         """One-sided value at x; sides agree away from jump locations."""
         i = self._region(x, side)
-        return _poly_eval(self.coeffs[i], x - self.centers[i])
+        return _horner(self.coeffs[i, ::-1], x - self.centers[i])
 
     def __call__(self, x, side: str = "right"):
         if np.ndim(x) == 0:
@@ -173,31 +210,35 @@ class PiecewisePoly:
         return self.sample(x, side)
 
     def sample(self, xs, side: str = "right") -> np.ndarray:
+        """One-sided values at an array of x, equal to ``eval`` at each."""
         xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape, dtype=complex)
         flat = xs.ravel()
-        res = out.ravel()
-        for k, x in enumerate(flat):
-            res[k] = self.eval(float(x), side)
-        return out
+        i = self._region(flat, side)
+        return _dense(self.coeffs[i], flat - self.centers[i]).reshape(xs.shape)
 
     @property
     def jumps(self) -> dict[float, complex]:
         """Right-minus-left value at every breakpoint."""
-        out = {}
-        for b in self.breakpoints:
-            out[float(b)] = self.eval(b, "right") - self.eval(b, "left")
-        return out
+        bp = self.breakpoints
+        return dict(zip(bp.tolist(), self.sample(bp, "right") - self.sample(bp, "left")))
+
+    def piece_at(self, x: float, side: str = "right") -> tuple[float, np.ndarray]:
+        """(center, ascending local coefficients without trailing zeros) of
+        the region holding x on that side."""
+        i = self._region(x, side)
+        return float(self.centers[i]), _trim(self.coeffs[i])
+
+    def pieces(self) -> list[np.ndarray]:
+        """Per-region coefficients in plain powers of x, as the constructor
+        takes them; trailing zeros are dropped."""
+        return [_trim(row) for row in _shift_rows(self.coeffs, -self.centers)]
 
     def coeff_scale(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.coeffs)
+        return float(np.max(np.abs(self.coeffs)))
 
     def is_real(self, tol: float = 1e-12) -> bool:
         scale = self.coeff_scale() or 1.0
-        return all(float(np.max(np.abs(c.imag))) <= tol * scale for c in self.coeffs)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.all(np.abs(c) <= tol) for c in self.coeffs)
+        return float(np.max(np.abs(self.coeffs.imag))) <= tol * scale
 
     def support_bounds(self) -> tuple[float, float]:
         """Smallest (lo, hi) outside which the function is identically zero.
@@ -205,17 +246,12 @@ class PiecewisePoly:
         Tails or pieces with nonzero coefficients extend the support; a
         function that is nonzero in a tail reports +-inf on that side.
         """
-        nz = [not np.all(c == 0) for c in self.coeffs]
-        if not any(nz):
+        nz = np.flatnonzero(np.any(self.coeffs != 0, axis=1))
+        if not len(nz):
             return (0.0, 0.0)
-        lo = -math.inf if nz[0] else None
-        hi = math.inf if nz[-1] else None
-        if lo is None:
-            first = min(i for i, flag in enumerate(nz) if flag)
-            lo = float(self.breakpoints[first - 1])
-        if hi is None:
-            last = max(i for i, flag in enumerate(nz) if flag)
-            hi = float(self.breakpoints[last])
+        first, last = nz[0], nz[-1]
+        lo = -math.inf if first == 0 else float(self.breakpoints[first - 1])
+        hi = math.inf if last == len(self.coeffs) - 1 else float(self.breakpoints[last])
         return (lo, hi)
 
     # ------------------------------------------------------------------
@@ -223,17 +259,19 @@ class PiecewisePoly:
 
     def with_breakpoints(self, extra) -> "PiecewisePoly":
         """Refined copy whose mesh also contains ``extra`` (zero jumps added)."""
-        merged = _merge_breakpoints(self.breakpoints, np.asarray(extra, dtype=float))
+        merged = _merge_breakpoints(self.breakpoints, np.sort(np.asarray(extra, dtype=float)))
         return self._on_mesh(merged)
 
     def _on_mesh(self, mesh: np.ndarray) -> "PiecewisePoly":
         centers = _canonical_centers(mesh)
-        coeffs = []
-        for i in range(len(mesh) + 1):
-            rep = _region_representative(mesh, i)
-            src = self._region(rep, "right")
-            delta = centers[i] - self.centers[src]
-            coeffs.append(_shift_coeffs(self.coeffs[src], delta))
+        if mesh is self.breakpoints and (centers == self.centers).all():
+            return self
+        inside = centers.copy()  # a point strictly inside each region
+        if len(mesh):
+            inside[0] -= 1.0
+            inside[-1] += 1.0
+        src = self._region(inside, "right")
+        coeffs = _shift_rows(self.coeffs[src], centers - self.centers[src])
         return PiecewisePoly._from_local(mesh, centers, coeffs)
 
     def _aligned(self, other: "PiecewisePoly"):
@@ -249,21 +287,15 @@ class PiecewisePoly:
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
         a, b = self._aligned(other)
-        coeffs = []
-        for ca, cb in zip(a.coeffs, b.coeffs):
-            n = max(len(ca), len(cb))
-            s = np.zeros(n, dtype=complex)
-            s[: len(ca)] += ca
-            s[: len(cb)] += cb
-            coeffs.append(s)
-        return PiecewisePoly._from_local(a.breakpoints, a.centers, coeffs)
+        total = np.zeros((len(a.coeffs), max(a.degree, b.degree) + 1), dtype=complex)
+        total[:, : a.degree + 1] += a.coeffs
+        total[:, : b.degree + 1] += b.coeffs
+        return PiecewisePoly._from_local(a.breakpoints, a.centers, total)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiecewisePoly._from_local(
-            self.breakpoints, self.centers, [-c for c in self.coeffs]
-        )
+        return PiecewisePoly._from_local(self.breakpoints, self.centers, -self.coeffs)
 
     def __sub__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
@@ -277,34 +309,28 @@ class PiecewisePoly:
 
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
-            z = complex(other)
             return PiecewisePoly._from_local(
-                self.breakpoints, self.centers, [c * z for c in self.coeffs]
+                self.breakpoints, self.centers, self.coeffs * complex(other)
             )
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
         a, b = self._aligned(other)
-        coeffs = [np.convolve(ca, cb) for ca, cb in zip(a.coeffs, b.coeffs)]
-        return PiecewisePoly._from_local(a.breakpoints, a.centers, coeffs)
+        return PiecewisePoly._from_local(
+            a.breakpoints, a.centers, _convolve_rows(a.coeffs, b.coeffs)
+        )
 
     __rmul__ = __mul__
 
     def conj(self) -> "PiecewisePoly":
-        return PiecewisePoly._from_local(
-            self.breakpoints, self.centers, [np.conj(c) for c in self.coeffs]
-        )
+        return PiecewisePoly._from_local(self.breakpoints, self.centers, np.conj(self.coeffs))
 
     @property
     def real(self) -> "PiecewisePoly":
-        return PiecewisePoly._from_local(
-            self.breakpoints, self.centers, [c.real.astype(complex) for c in self.coeffs]
-        )
+        return PiecewisePoly._from_local(self.breakpoints, self.centers, self.coeffs.real.astype(complex))
 
     @property
     def imag(self) -> "PiecewisePoly":
-        return PiecewisePoly._from_local(
-            self.breakpoints, self.centers, [c.imag.astype(complex) for c in self.coeffs]
-        )
+        return PiecewisePoly._from_local(self.breakpoints, self.centers, self.coeffs.imag.astype(complex))
 
     def derivative(self) -> "PiecewisePoly":
         """Region-wise derivative (the absolutely continuous part).
@@ -313,39 +339,32 @@ class PiecewisePoly:
         jump is not representable here, callers that care inspect
         ``self.jumps`` before differentiating.
         """
-        coeffs = []
-        for c in self.coeffs:
-            if len(c) == 1:
-                coeffs.append(np.zeros(1, dtype=complex))
-            else:
-                coeffs.append(c[1:] * np.arange(1, len(c)))
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, coeffs)
+        c = self.coeffs
+        d = c[:, 1:] * np.arange(1, c.shape[1]) if c.shape[1] > 1 else np.zeros_like(c)
+        return PiecewisePoly._from_local(self.breakpoints, self.centers, d)
 
     def antiderivative(self, anchor: float = 0.0) -> "PiecewisePoly":
         """Continuous F with F' = self region-wise and F(anchor) = 0.
 
         Jumps of the integrand become kinks of F; F itself is continuous.
         """
-        raw = []
-        for c in self.coeffs:
-            F = np.zeros(len(c) + 1, dtype=complex)
-            F[1:] = c / np.arange(1, len(c) + 1)
-            raw.append(F)
-        n = len(raw)
-        offsets = np.zeros(n, dtype=complex)
+        F = _primitive_rows(self.coeffs)
+        bp, c = self.breakpoints, self.centers
+        below = _dense(F[:-1], bp - c[:-1])  # region i at breakpoint i
+        above = _dense(F[1:], bp - c[1:])  # region i + 1 at breakpoint i
         i0 = self._region(anchor, "right")
-        offsets[i0] = -_poly_eval(raw[i0], anchor - self.centers[i0])
-        for i in range(i0, n - 1):
-            b = self.breakpoints[i]
-            left = _poly_eval(raw[i], b - self.centers[i]) + offsets[i]
-            offsets[i + 1] = left - _poly_eval(raw[i + 1], b - self.centers[i + 1])
-        for i in range(i0 - 1, -1, -1):
-            b = self.breakpoints[i]
-            right = _poly_eval(raw[i + 1], b - self.centers[i + 1]) + offsets[i + 1]
-            offsets[i] = right - _poly_eval(raw[i], b - self.centers[i])
-        for i in range(n):
-            raw[i][0] += offsets[i]
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, raw)
+        start = -_dense(F[i0, None], anchor - c[i0])
+        # Offsets chain outward from the anchor's region, each one the
+        # previous plus the value gap at the shared breakpoint, added in
+        # that order: cumsum over the interleaved terms.
+        right = np.column_stack([below[i0:], -above[i0:]]).ravel()
+        left = np.column_stack([above[:i0][::-1], -below[:i0][::-1]]).ravel()
+        offsets = np.concatenate([
+            np.cumsum(np.concatenate([start, left]))[2::2][::-1],
+            np.cumsum(np.concatenate([start, right]))[::2],
+        ])
+        F[:, 0] += offsets
+        return PiecewisePoly._from_local(bp, c, F)
 
     def integrate(self, a: float, b: float) -> complex:
         """Exact definite integral over [a, b]."""
@@ -353,15 +372,12 @@ class PiecewisePoly:
             return 0.0 + 0.0j
         if a > b:
             return -self.integrate(b, a)
-        total = 0.0 + 0.0j
-        cuts = [a] + [float(t) for t in self.breakpoints if a < t < b] + [b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            i = self._region(0.5 * (lo + hi), "right")
-            c = self.coeffs[i]
-            F = np.zeros(len(c) + 1, dtype=complex)
-            F[1:] = c / np.arange(1, len(c) + 1)
-            total += _poly_eval(F, hi - self.centers[i]) - _poly_eval(F, lo - self.centers[i])
-        return total
+        bp = self.breakpoints
+        cuts = np.concatenate([[a], bp[(bp > a) & (bp < b)], [b]])
+        lo, hi = cuts[:-1], cuts[1:]
+        i = self._region(0.5 * (lo + hi), "right")
+        F, c = _primitive_rows(self.coeffs)[i], self.centers[i]
+        return sum(_dense(F, hi - c) - _dense(F, lo - c), 0.0 + 0.0j)
 
     # ------------------------------------------------------------------
     # real-analysis helpers (real-valued polys)
@@ -375,7 +391,7 @@ class PiecewisePoly:
         for a, b in zip(cuts[:-1], cuts[1:]):
             i = self._region(0.5 * (a + b), "right")
             c = self.coeffs[i].real
-            if np.all(c == 0) or len(c) == 1:
+            if not np.any(c[1:]):
                 continue
             for r in np.roots(c[::-1]):
                 if abs(r.imag) > 1e-9 * (1 + abs(r.real)):
@@ -410,38 +426,33 @@ class PiecewisePoly:
 
 
 def _canonical_centers(bp: np.ndarray) -> np.ndarray:
-    n = len(bp)
-    if n == 0:
+    """Midpoints of the bounded regions, the finite ends of the tails."""
+    if len(bp) == 0:
         return np.zeros(1)
-    centers = np.empty(n + 1)
-    centers[0] = bp[0]
-    centers[-1] = bp[-1]
-    for i in range(1, n):
-        centers[i] = 0.5 * (bp[i - 1] + bp[i])
-    return centers
-
-
-def _region_representative(bp: np.ndarray, i: int) -> float:
-    """A point strictly inside region i of the mesh ``bp``."""
-    n = len(bp)
-    if n == 0:
-        return 0.0
-    if i == 0:
-        return float(bp[0]) - 1.0
-    if i == n:
-        return float(bp[-1]) + 1.0
-    return 0.5 * (float(bp[i - 1]) + float(bp[i]))
+    return np.concatenate([bp[:1], 0.5 * (bp[:-1] + bp[1:]), bp[-1:]])
 
 
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    merged = np.sort(np.concatenate([a, b]))
-    if len(merged) == 0:
+    """Union of two sorted meshes; a point within the merge tolerance of
+    the last kept point is dropped."""
+    if b is a or not len(b):
+        merged = a  # merging a mesh with itself only drops duplicates
+    elif not len(a):
+        merged = b
+    else:
+        merged = np.sort(np.concatenate([a, b]))
+    if len(merged) < 2:
         return merged
-    keep = [merged[0]]
-    for x in merged[1:]:
-        if x - keep[-1] > _BP_MERGE_TOL * (1.0 + abs(x)):
-            keep.append(x)
-    return np.asarray(keep)
+    close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
+    if not close.any():
+        return merged
+    keep = np.ones(len(merged), dtype=bool)
+    for j in close.nonzero()[0] + 1:
+        last = j - 1
+        while not keep[last]:
+            last -= 1
+        keep[j] = merged[j] - merged[last] > _BP_MERGE_TOL * (1.0 + abs(merged[j]))
+    return merged[keep]
 
 
 # ----------------------------------------------------------------------
@@ -469,11 +480,9 @@ def smoothstep(a: float, b: float, rising: bool = True) -> PiecewisePoly:
     lo, hi = (0.0, 1.0) if rising else (1.0, 0.0)
     if not rising:
         ramp = np.array([1.0, 0, 0, 0], dtype=complex) - ramp
-    mid = _shift_coeffs(ramp, 0.0)  # already centered at c
-    out = PiecewisePoly._from_local(
-        np.array([a, b]), np.array([a, c, b]), [np.array([lo]), mid, np.array([hi])]
-    )
-    return out
+    rows = np.zeros((3, 4), dtype=complex)
+    rows[0, 0], rows[1], rows[2, 0] = lo, ramp, hi
+    return PiecewisePoly._from_local(np.array([a, b], dtype=float), np.array([a, c, b], dtype=float), rows)
 
 
 def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
@@ -494,33 +503,17 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     x3 = center + plateau / 2 + ramp
     up = smoothstep(x0, x1, rising=True)
     down = smoothstep(x2, x3, rising=False)
-    if plateau == 0:
-        # ramps meet at the center; breakpoints (x0, x1==x2, x3)
-        mesh = np.array([x0, x1, x3])
-        pieces = [
-            np.zeros(1, dtype=complex),
-            up.coeffs[1],
-            down.coeffs[1],
-            np.zeros(1, dtype=complex),
-        ]
-        centers = _canonical_centers(mesh)
-        local = [
-            pieces[0],
-            _shift_coeffs(up.coeffs[1], centers[1] - up.centers[1]),
-            _shift_coeffs(down.coeffs[1], centers[2] - down.centers[1]),
-            pieces[3],
-        ]
-        return PiecewisePoly._from_local(mesh, centers, local)
-    mesh = np.array([x0, x1, x2, x3])
+    # with no plateau the ramps meet at the center: breakpoints (x0, x1==x2, x3)
+    mesh = np.array([x0, x1, x3]) if plateau == 0 else np.array([x0, x1, x2, x3])
     centers = _canonical_centers(mesh)
-    local = [
-        np.zeros(1, dtype=complex),
-        _shift_coeffs(up.coeffs[1], centers[1] - up.centers[1]),
-        np.ones(1, dtype=complex),
-        _shift_coeffs(down.coeffs[1], centers[3] - down.centers[1]),
-        np.zeros(1, dtype=complex),
-    ]
-    return PiecewisePoly._from_local(mesh, centers, local)
+    rows = np.zeros((len(mesh) + 1, 4), dtype=complex)
+    rows[[1, -2]] = _shift_rows(
+        np.array([up.coeffs[1], down.coeffs[1]]),
+        np.array([centers[1] - up.centers[1], centers[-2] - down.centers[1]]),
+    )
+    if plateau != 0:
+        rows[2, 0] = 1.0
+    return PiecewisePoly._from_local(mesh, centers, rows)
 
 
 def from_callable(
@@ -558,9 +551,10 @@ def from_callable(
         ys = np.array([complex(f(c + half * t)) for t in nodes])
         cheb = np.polynomial.chebyshev.chebfit(nodes, ys, degree)
         mono_t = C.cheb2poly(cheb)
-        local = mono_t / half ** np.arange(len(mono_t))
+        local = np.asarray(mono_t / half ** np.arange(len(mono_t)), dtype=complex)
         xs = np.linspace(lo, hi, 41)
-        err = max(abs(_poly_eval(local, x - c) - complex(f(x))) for x in xs)
+        fx = np.array([complex(f(x)) for x in xs])
+        err = max(np.abs(_dense(local[None], xs - c) - fx))
         if err > tol * fscale:
             if depth >= 24:
                 raise ValueError(
@@ -573,7 +567,7 @@ def from_callable(
             return
         mesh.append(hi)
         centers.append(c)
-        pieces.append(np.asarray(local, dtype=complex))
+        pieces.append(local)
 
     prev = knots[0]
     for k in knots[1:]:
@@ -584,14 +578,16 @@ def from_callable(
         prev = k
 
     full_mesh = np.asarray([a] + mesh)
+    fitted = np.array(pieces)
     if zero_outside:
         all_centers = np.concatenate([[a], centers, [b]])
-        all_pieces = [np.zeros(1, dtype=complex)] + pieces + [np.zeros(1, dtype=complex)]
-        return PiecewisePoly._from_local(full_mesh, all_centers, all_pieces)
+        rows = np.zeros((len(fitted) + 2, fitted.shape[1]), dtype=complex)
+        rows[1:-1] = fitted
+        return PiecewisePoly._from_local(full_mesh, all_centers, rows)
     # extend the first/last fitted piece into the tails
     all_centers = np.concatenate([[centers[0]], centers, [centers[-1]]])
-    all_pieces = [pieces[0]] + pieces + [pieces[-1]]
-    return PiecewisePoly._from_local(full_mesh, all_centers, all_pieces)
+    rows = np.concatenate([fitted[:1], fitted, fitted[-1:]])
+    return PiecewisePoly._from_local(full_mesh, all_centers, rows)
 
 
 # ----------------------------------------------------------------------
@@ -662,7 +658,7 @@ def pos_neg_parts(f: PiecewisePoly, window: tuple[float, float], h: float):
     xs.extend(t for t in map(float, f.breakpoints) if a < t < b)
     xs.extend(f.real_roots(a, b))
     xs = np.array(sorted(set(xs)))
-    vals = np.array([f.eval(x, "right").real for x in xs])
+    vals = f.sample(xs, "right").real
     plus = np.where(vals > 0, vals, 0.0)
     minus = np.where(vals < 0, -vals, 0.0)
     return xs, plus, minus

@@ -155,17 +155,12 @@ def check_growth(
         lo, hi = edges[k], edges[k + 1]
         for side, sgn in (("left", -1.0), ("right", 1.0)):
             a, b = sorted((sgn * lo, sgn * hi))
-            xs = list(np.linspace(a, b, samples_per_block))
-            xs += [float(t) for t in r1.breakpoints if a < t < b]
-            xs += [float(t) for t in w.m.breakpoints if a < t < b]
-            best = 0.0
-            best_x = a
-            for x in xs:
-                v = r1.eval(float(x)).real
-                part = max(v, 0.0) if side == "left" else max(-v, 0.0)
-                ratio = part / w.m.eval(float(x)).real
-                if ratio > best:
-                    best, best_x = ratio, float(x)
+            bps = np.concatenate([r1.breakpoints, w.m.breakpoints])
+            xs = np.concatenate([np.linspace(a, b, samples_per_block), bps[(bps > a) & (bps < b)]])
+            r = r1.sample(xs).real
+            ratio = np.maximum(r if side == "left" else -r, 0.0) / w.m.sample(xs).real
+            j = int(np.argmax(np.where(ratio > 0, ratio, 0.0)))  # first maximum, NaN never
+            best, best_x = (ratio[j], float(xs[j])) if ratio[j] > 0 else (0.0, a)
             blocks[side].append(best)
             rows.append((side, lo, hi, best, best_x))
             if best > worst[0]:
@@ -534,9 +529,7 @@ def _smoothstep_poly(a: float, b: float, rising: bool) -> PiecewisePoly:
     s = smoothstep(a, b, rising=rising)
     # keep only the ramp piece, extended across the line (the indicator
     # multiplication localizes it)
-    return PiecewisePoly._from_local(
-        np.asarray([]), np.asarray([s.centers[1]]), [s.coeffs[1]]
-    )
+    return PiecewisePoly._from_local(np.asarray([]), s.centers[1:2], s.coeffs[1:2])
 
 
 def cutoff_invariants(cut: CutoffSequence, mesh: int = 400) -> dict:

@@ -43,6 +43,15 @@ ENVELOPE_BLOCKS = 8
 # Shooting acceptance: |D(lambda)| <= CHAR_TOL * (cancellation scale of D).
 CHAR_TOL = 1e-9
 
+# The real eigenvalue scan bisects sign changes of Re D, which is valid only
+# when D is real along the scan: it refuses when max |Im D|/|D| over its
+# grid exceeds this.  Formally symmetric data give exactly 0.
+SCAN_REAL_TOL = 1e-8
+
+# Upper bound on the points of an eigenvalue scan grid or a bracket sample
+# grid read from a problem file: one shot or one sample per point.
+MAX_GRID_POINTS = 10_000
+
 # Newton refinement of the characteristic function.
 NEWTON_MAX_ITER = 50
 NEWTON_FD_STEP = 1e-6

@@ -6,7 +6,12 @@ class QschroError(Exception):
 
 
 class NonRealError(QschroError):
-    """A real-valued function was required but the data has an imaginary part."""
+    """A real-valued function was required but the data has an imaginary part,
+    of size ``ratio`` relative to the value where that was measured."""
+
+    def __init__(self, message: str, ratio: float | None = None):
+        super().__init__(message)
+        self.ratio = ratio
 
 
 class DiscontinuousQuasiDerivativeError(QschroError):

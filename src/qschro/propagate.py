@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ATOL, MIN_STEP_FRACTION, RESCALE_THRESHOLD, RTOL
-from .coeffs import PiecewisePoly
+from .coeffs import PiecewisePoly, _dense, _horner
 from .errors import StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
@@ -60,10 +60,9 @@ class _SegmentMatrix:
     __slots__ = ("c11", "p11", "c21", "p21", "c22", "p22")
 
     def __init__(self, sys: ShinZettlSystem, rep: float):
-        for name, poly in (("11", sys.a11), ("21", sys.a21), ("22", sys.a22)):
-            i = poly._region(rep, "right")
-            setattr(self, "c" + name, float(poly.centers[i]))
-            setattr(self, "p" + name, tuple(poly.coeffs[i][::-1]))
+        pieces = [p.piece_at(rep) for p in (sys.a11, sys.a21, sys.a22)]
+        (self.c11, self.p11), (self.c21, self.p21), (self.c22, self.p22) = (
+            (center, tuple(row[::-1])) for center, row in pieces)
 
     def rhs(self, x: float, y0: complex, y1: complex) -> tuple[complex, complex]:
         a11 = _horner(self.p11, x - self.c11)
@@ -72,27 +71,12 @@ class _SegmentMatrix:
         return a11 * y0 + y1, a21 * y0 + a22 * y1
 
 
-def _horner(rev_coeffs, t):
-    acc = 0.0 + 0.0j
-    for c in rev_coeffs:
-        acc = acc * t + c
-    return acc
-
-
 # One accepted step: the state on it is sum_k coef[k] * theta**k times
 # exp(logscale), theta = (x - x0)/h; coef columns are (y0, y1).  h < 0 on
 # backward steps.
 STEP_DTYPE = np.dtype(
     [("x0", float), ("h", float), ("coef", complex, (5, 2)), ("logscale", float)]
 )
-
-
-def _dense(coef: np.ndarray, theta) -> np.ndarray:
-    """Batched Horner: rows of ascending coefficients (axis 1) at theta."""
-    acc = coef[:, -1]
-    for k in range(coef.shape[1] - 2, -1, -1):
-        acc = acc * theta + coef[:, k]
-    return acc
 
 
 @dataclass
@@ -164,32 +148,25 @@ class Trajectory:
         """
         lo = self.a if lo is None else lo
         hi = self.b if hi is None else hi
-        mesh: list[float] = []
-        centers: list[float] = []
-        pieces: list[np.ndarray] = []
-        s = self.steps
         s_lo, s_hi = self.edges()
-        for slo, shi, x0, h, coef, ls in zip(
-            s_lo.tolist(), s_hi.tolist(), s["x0"].tolist(), s["h"].tolist(),
-            s["coef"][:, :, component], s["logscale"].tolist(),
-        ):
-            if shi <= lo + 1e-14 or slo >= hi - 1e-14:
-                continue
-            c = 0.5 * (max(slo, lo) + min(shi, hi))
-            # theta = (x - x0)/h = ((x - c) + (c - x0))/h
-            alpha = 1.0 / h
-            beta = (c - x0) / h
-            sub = np.zeros(len(coef), dtype=complex)
-            # compose coef(theta) with theta = beta + alpha*u by Horner on polynomials
-            for ck in coef[::-1]:
-                sub = _poly_affine_mul(sub, beta, alpha)
-                sub[0] += ck
-            scale = math.exp(ls)
-            mesh.append(min(shi, hi))
-            centers.append(c)
-            pieces.append(sub * scale)
+        keep = (s_hi > lo + 1e-14) & (s_lo < hi - 1e-14)
+        s = self.steps[keep]
+        ends = np.minimum(s_hi[keep], hi)
+        centers = 0.5 * (np.maximum(s_lo[keep], lo) + ends)
+        # theta = (x - x0)/h = alpha*u + beta with u = x - center; compose
+        # each step's quartic with it by Horner on polynomials
+        alpha = (1.0 / s["h"])[:, None]
+        beta = ((centers - s["x0"]) / s["h"])[:, None]
+        coef = s["coef"][:, :, component]
+        sub = np.zeros_like(coef)
+        for k in range(coef.shape[1] - 1, -1, -1):
+            prev = sub
+            sub = beta * prev
+            sub[:, 1:] += alpha * prev[:, :-1]
+            sub[:, 0] += coef[:, k]
+        scale = np.array([math.exp(v) for v in s["logscale"].tolist()])
         # interior knots only; the first/last piece double as the tails
-        return PiecewisePoly._from_local(np.asarray(mesh[:-1]), np.asarray(centers), pieces)
+        return PiecewisePoly._from_local(ends[:-1], centers, sub * scale[:, None])
 
 
 def _edges(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,14 +176,6 @@ def _edges(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _by_position(steps: np.ndarray) -> np.ndarray:
     return steps[np.argsort(_edges(steps)[0], kind="stable")]
-
-
-def _poly_affine_mul(coeffs: np.ndarray, beta: float, alpha: float) -> np.ndarray:
-    """coeffs(u) -> (beta + alpha*u) * coeffs(u), same length buffer."""
-    out = np.zeros_like(coeffs)
-    out += beta * coeffs
-    out[1:] += alpha * coeffs[:-1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -366,11 +335,8 @@ def _panel_values(f, mid: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
         theta = (xs - rows["x0"][:, None]) / rows["h"][:, None]
         return _dense(rows["coef"][:, :, 0, None], theta), rows["logscale"]
     if isinstance(f, PiecewisePoly):
-        coef = np.zeros((len(f.coeffs), max(len(c) for c in f.coeffs)), dtype=complex)
-        for i, c in enumerate(f.coeffs):
-            coef[i, : len(c)] = c
-        i = np.searchsorted(f.breakpoints, mid, side="right")
-        return _dense(coef[i, :, None], xs - f.centers[i, None]), np.zeros(len(mid))
+        i = f._region(mid, "right")
+        return _dense(f.coeffs[i, :, None], xs - f.centers[i, None]), np.zeros(len(mid))
     raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
 
 

@@ -121,8 +121,8 @@ def _eval_scale(u: PiecewisePoly, x: float) -> float:
     only known to this scale, whatever its own size.
     """
     return max(
-        float(np.sum(np.abs(u.coeffs[i]) * abs(x - u.centers[i]) ** np.arange(len(u.coeffs[i]))))
-        for i in (u._region(x, "left"), u._region(x, "right"))
+        float(np.sum(np.abs(c) * abs(x - center) ** np.arange(len(c))))
+        for center, c in (u.piece_at(x, "left"), u.piece_at(x, "right"))
     )
 
 
@@ -212,13 +212,9 @@ def product_rule_check(
     rhs = phi * lu - ddphi * u - 2.0 * (dphi * du) + (g1 - g2) * (dphi * u)
     diff = lhs - rhs
     skip = set(np.round(diff.breakpoints, 12))
-    xs = [x for x in np.linspace(a, b, n_samples) if round(float(x), 12) not in skip]
-    sup_diff = max(abs(diff.eval(float(x))) for x in xs)
-    sup_mag = max(
-        max(abs(lhs.eval(float(x))) for x in xs),
-        max(abs(rhs.eval(float(x))) for x in xs),
-        1.0,
-    )
+    xs = np.array([x for x in np.linspace(a, b, n_samples) if round(float(x), 12) not in skip])
+    sup_diff = np.max(np.abs(diff.sample(xs)))
+    sup_mag = max(np.max(np.abs(lhs.sample(xs))), np.max(np.abs(rhs.sample(xs))), 1.0)
     atom_err = 0.0
     for loc in set(lhs_atoms) | set(lu_atoms):
         want = phi.eval(loc) * lu_atoms.get(loc, 0.0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config
 from .coeffs import CoefficientField
-from .errors import OverflowUnrecoverableError
+from .errors import NonRealError, OverflowUnrecoverableError
 from .propagate import Trajectory, fundamental, integrate, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
 
@@ -129,7 +129,9 @@ def eigenvalues(
     """Locate eigenvalues by real-interval scan or complex Newton seeds.
 
     Scan mode brackets sign changes of Re D on a real grid and bisects:
-    valid when D is real along the scan (formally symmetric data).
+    valid when D is real along the scan (formally symmetric data).  When
+    max |Im D|/|D| over the grid exceeds ``config.SCAN_REAL_TOL`` the scan
+    refuses with a NonRealError carrying that ratio.
     Newton mode iterates lambda - D/D' with a centered finite-difference
     derivative from each seed; non-converged seeds are reported with
     converged=False, never raised.  Duplicates merge within 1e-8.
@@ -138,8 +140,15 @@ def eigenvalues(
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
         lams = np.linspace(lo, hi, grid)
-        vals = [characteristic(c, interval, bc, float(t), side, tol).value.real for t in lams]
-        signs = [math.copysign(1.0, v) if v != 0 else 0.0 for v in vals]
+        vals = [characteristic(c, interval, bc, float(t), side, tol).value for t in lams]
+        ratio = max((abs(v.imag) / abs(v) for v in vals if v != 0), default=0.0)
+        if ratio > config.SCAN_REAL_TOL:
+            raise NonRealError(
+                f"real scan refused: max |Im D|/|D| = {ratio:.3e} over the grid exceeds "
+                f"{config.SCAN_REAL_TOL:g}, so sign changes of Re D are not roots; use Newton seeds",
+                ratio=ratio,
+            )
+        signs = [math.copysign(1.0, v.real) if v.real != 0 else 0.0 for v in vals]
         for i in range(len(lams) - 1):
             if signs[i] == 0.0:
                 continue

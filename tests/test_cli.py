@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschro.cli import (
+    EXIT_CANTCREAT,
     EXIT_FAILS,
     EXIT_OK,
     EXIT_PARSE,
@@ -219,6 +220,28 @@ def test_problem_echo_roundtrip(tmp_path):
     assert strip_metadata(text1).split("[/problem]")[1] == strip_metadata(text2).split("[/problem]")[1]
 
 
+def test_unwritable_output_is_a_write_error(tmp_path, capsys):
+    path = write(tmp_path, "p.json", SOLVE)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert main(["solve", "--input", path, "--out", str(blocker)]) == EXIT_CANTCREAT
+    assert capsys.readouterr().err.startswith("write error: ")
+
+
+def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path):
+    coeffs = dict(FREE_COEFFS, s={"breakpoints": [], "pieces": [["0", ["0", "1"]]]})  # s = i x
+    problem = {"task": "eig", "coefficients": coeffs,
+               "params": {"interval": [0, math.pi], "scan": [0.5, 12], "grid": 40}}
+    out = tmp_path / "out"
+    assert main(["eig", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_FAILS
+    lines = (out / "report.txt").read_text().splitlines()
+    ratio = next(l for l in lines if l.startswith("scan_imag_ratio: "))
+    assert float(ratio.split()[1]) > 0.99
+    table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
+    assert lines[table + 2] == "[/table]"
+    assert "verdict: inconclusive" in lines
+
+
 def test_cli_writes_report_and_trajectory(tmp_path):
     problem = {
         "task": "solve",
@@ -286,6 +309,14 @@ def case(name, problem, field, *extra_args):
         case("output-absolute", edit(PROBE, ("output",), "/abs/path"), "output"),
         case("form-support-unread", edit(FORM, ("params", "support"), [-3, 3]), "support"),
         case("eig-grid-fraction", edit(EIG, ("params", "grid"), 1.7), "params.grid"),
+        case("eig-grid-one", edit(EIG, ("params", "grid"), 1), "params.grid"),
+        case("eig-grid-negative", edit(EIG, ("params", "grid"), -3), "params.grid"),
+        case("eig-grid-above-cap", edit(EIG, ("params", "grid"), 10_001), "params.grid"),
+        case("eig-grid-huge", edit(EIG, ("params", "grid"), 10**9), "params.grid"),
+        case("bracket-samples-zero", edit(BRACKET, ("params", "samples"), 0), "params.samples"),
+        case("bracket-samples-above-cap", edit(BRACKET, ("params", "samples"), 10_001), "params.samples"),
+        case("solve-dump-over-report",
+             edit(edit(SOLVE, ("params", "dump"), True), ("output",), "trajectory.csv"), "output"),
         case("probe-tmax-zero", PROBE, "--tmax", "--tmax", "0"),
         case("check-a-horizon-zero", CHECK_A, "--horizon", "--horizon", "0"),
         case("tol-nan", SOLVE, "--tol", "--tol", "nan,1e-10"),

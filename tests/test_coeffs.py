@@ -68,13 +68,20 @@ def test_degree_cap_enforced():
 
 
 def test_algebra_roundtrips_random_points():
-    # closure under +, *, conj, re/im: evaluate both routes at random points
+    # closure under +, *, conj, re/im: evaluate both routes at random points;
+    # the batched sampler equals the pointwise values exactly, on both sides
+    # of every breakpoint
     for _ in range(12):
         f = random_pw(RNG)
         g = random_pw(RNG)
         xs = RNG.uniform(-5, 5, 100)
         fg = f * g
         fpg = f + g
+        at = np.concatenate([xs, f.breakpoints, g.breakpoints])
+        for h in (f, g, fg, fpg):
+            for side in ("left", "right"):
+                pointwise = [h.eval(float(x), side) for x in at]
+                assert np.array_equal(h.sample(at, side), pointwise)
         for x in xs:
             x = float(x)
             a, b = f.eval(x), g.eval(x)

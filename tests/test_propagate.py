@@ -191,6 +191,23 @@ def test_pair_integral_with_weight():
     assert abs(val * math.exp(ls) - want) <= 1e-9 * want
 
 
+def test_to_piecewise_matches_dense_output():
+    # a field with jumps and a complex spectral parameter: one re-fitted row
+    # per step, equal to the dense output at every step midpoint
+    c = CoefficientField(
+        PiecewisePoly([-0.5, 0.7], [[0.3, 1.0], [1.0, -0.5, 0.4], [0.2]]),
+        PiecewisePoly.heaviside(-1.5, 0.1),
+        PiecewisePoly([0.4], [[0.0, 0.2], [0.3]]),
+    )
+    t = integrate(assemble(c, "direct", 2.0 + 0.5j), QuasiState(-2.0, 0.3, 1.0), 2.0)
+    pw = t.to_piecewise(0)
+    mids = t.steps["x0"] + 0.5 * t.steps["h"]
+    y, ls = t.sample(mids)
+    want = y[:, 0] * np.exp(ls)
+    assert len(pw.breakpoints) == len(t.steps) - 1
+    assert np.all(np.abs(pw.sample(mids) - want) <= 1e-12 * np.abs(want))
+
+
 def test_to_piecewise_roundtrip():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
     pw = t.to_piecewise(0)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qschro.coeffs import CoefficientField, PiecewisePoly
+from qschro.errors import NonRealError
 from qschro.spectral import (
     BoundaryCondition,
     characteristic,
@@ -62,6 +63,16 @@ def test_free_spectrum_scan():
         n2 = round(r.lam.real)
         assert abs(r.lam.real - n2) <= 1e-6 * n2
         assert abs(r.lam.imag) <= 1e-8
+
+
+def test_real_scan_refuses_a_complex_discriminant():
+    # s = i x: the eigenvalues are 1.109, 3.966, 8.981, each + 1.571i.  Re D
+    # changes sign on the real axis, and bisecting it would report false
+    # roots near 3.61 and 8.80 as converged.
+    ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    with pytest.raises(NonRealError) as err:
+        eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
+    assert err.value.ratio > 0.99
 
 
 def test_delta_well_ground_state():
