@@ -32,6 +32,7 @@ from .errors import (
     BadSchemeError,
     DiscontinuousQuasiDerivativeError,
     NonRealError,
+    NonRealScanError,
     OverflowUnrecoverableError,
     QschroError,
     SideMismatchError,
@@ -136,6 +137,7 @@ __all__ = [
     # errors
     "QschroError",
     "NonRealError",
+    "NonRealScanError",
     "DiscontinuousQuasiDerivativeError",
     "StepUnderflowError",
     "SideMismatchError",

@@ -37,7 +37,7 @@ from .conditions import (
     check_m,
     verify_caccioppoli,
 )
-from .errors import NonRealError, QschroError
+from .errors import NonRealScanError, QschroError
 from .lagrange_forms import (
     Sector,
     bracket,
@@ -442,14 +442,15 @@ def run_eig(field, params, rep, tol):
     scan, seeds = params["scan"], params["seeds"]
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
+    args = field, params["interval"], params["bc"]
     try:
-        results = eigenvalues(field, params["interval"], params["bc"], scan, seeds, params["grid"], params["side"], tol)
+        results = eigenvalues(*args, scan, seeds, params["grid"], params["side"], tol)
         refused = False
-    except NonRealError as exc:
-        if exc.ratio is None:
-            raise
+    except NonRealScanError as exc:
+        # the scan's sign changes are not roots; the Newton seeds still are
         rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
-        results, refused = [], True
+        scan, refused = None, True
+        results = eigenvalues(*args, None, seeds, side=params["side"], tol=tol) if seeds else []
     rows = []
     for r in results:
         src = "shooting-scan-bisect" if not r.message and scan is not None else "shooting-newton"

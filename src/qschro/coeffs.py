@@ -264,8 +264,6 @@ class PiecewisePoly:
 
     def _on_mesh(self, mesh: np.ndarray) -> "PiecewisePoly":
         centers = _canonical_centers(mesh)
-        if mesh is self.breakpoints and (centers == self.centers).all():
-            return self
         inside = centers.copy()  # a point strictly inside each region
         if len(mesh):
             inside[0] -= 1.0
@@ -435,18 +433,9 @@ def _canonical_centers(bp: np.ndarray) -> np.ndarray:
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Union of two sorted meshes; a point within the merge tolerance of
     the last kept point is dropped."""
-    if b is a or not len(b):
-        merged = a  # merging a mesh with itself only drops duplicates
-    elif not len(a):
-        merged = b
-    else:
-        merged = np.sort(np.concatenate([a, b]))
-    if len(merged) < 2:
-        return merged
-    close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
-    if not close.any():
-        return merged
+    merged = np.sort(np.concatenate([a, b]))
     keep = np.ones(len(merged), dtype=bool)
+    close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
     for j in close.nonzero()[0] + 1:
         last = j - 1
         while not keep[last]:
@@ -550,8 +539,9 @@ def from_callable(
         half = 0.5 * (hi - lo)
         ys = np.array([complex(f(c + half * t)) for t in nodes])
         cheb = np.polynomial.chebyshev.chebfit(nodes, ys, degree)
-        mono_t = C.cheb2poly(cheb)
-        local = np.asarray(mono_t / half ** np.arange(len(mono_t)), dtype=complex)
+        mono_t = C.cheb2poly(cheb)  # trailing zeros trimmed: pad to one width
+        local = np.zeros(degree + 1, dtype=complex)
+        local[: len(mono_t)] = mono_t / half ** np.arange(len(mono_t))
         xs = np.linspace(lo, hi, 41)
         fx = np.array([complex(f(x)) for x in xs])
         err = max(np.abs(_dense(local[None], xs - c) - fx))

@@ -6,10 +6,14 @@ class QschroError(Exception):
 
 
 class NonRealError(QschroError):
-    """A real-valued function was required but the data has an imaginary part,
-    of size ``ratio`` relative to the value where that was measured."""
+    """A real-valued function was required but the data has an imaginary part."""
 
-    def __init__(self, message: str, ratio: float | None = None):
+
+class NonRealScanError(NonRealError):
+    """The real eigenvalue scan met a discriminant that is not real; ``ratio``
+    is max |Im D|/|D| over the scan grid."""
+
+    def __init__(self, message: str, ratio: float):
         super().__init__(message)
         self.ratio = ratio
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config
 from .coeffs import CoefficientField
-from .errors import NonRealError, OverflowUnrecoverableError
+from .errors import NonRealScanError, OverflowUnrecoverableError
 from .propagate import Trajectory, fundamental, integrate, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
 
@@ -131,7 +131,7 @@ def eigenvalues(
     Scan mode brackets sign changes of Re D on a real grid and bisects:
     valid when D is real along the scan (formally symmetric data).  When
     max |Im D|/|D| over the grid exceeds ``config.SCAN_REAL_TOL`` the scan
-    refuses with a NonRealError carrying that ratio.
+    refuses with a NonRealScanError carrying that ratio.
     Newton mode iterates lambda - D/D' with a centered finite-difference
     derivative from each seed; non-converged seeds are reported with
     converged=False, never raised.  Duplicates merge within 1e-8.
@@ -143,7 +143,7 @@ def eigenvalues(
         vals = [characteristic(c, interval, bc, float(t), side, tol).value for t in lams]
         ratio = max((abs(v.imag) / abs(v) for v in vals if v != 0), default=0.0)
         if ratio > config.SCAN_REAL_TOL:
-            raise NonRealError(
+            raise NonRealScanError(
                 f"real scan refused: max |Im D|/|D| = {ratio:.3e} over the grid exceeds "
                 f"{config.SCAN_REAL_TOL:g}, so sign changes of Re D are not roots; use Newton seeds",
                 ratio=ratio,

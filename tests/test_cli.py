@@ -228,17 +228,25 @@ def test_unwritable_output_is_a_write_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("write error: ")
 
 
-def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path):
-    coeffs = dict(FREE_COEFFS, s={"breakpoints": [], "pieces": [["0", ["0", "1"]]]})  # s = i x
+@pytest.mark.parametrize("seeds", [[], [[1, 1.5]]])
+def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
+    # s = i x: the scan is refused, Newton seeds still run (root 1.109 + 1.571i)
+    coeffs = dict(FREE_COEFFS, s={"breakpoints": [], "pieces": [["0", ["0", "1"]]]})
     problem = {"task": "eig", "coefficients": coeffs,
-               "params": {"interval": [0, math.pi], "scan": [0.5, 12], "grid": 40}}
+               "params": {"interval": [0, math.pi], "scan": [0.5, 12], "grid": 40, "seeds": seeds}}
     out = tmp_path / "out"
     assert main(["eig", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_FAILS
     lines = (out / "report.txt").read_text().splitlines()
     ratio = next(l for l in lines if l.startswith("scan_imag_ratio: "))
     assert float(ratio.split()[1]) > 0.99
     table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
-    assert lines[table + 2] == "[/table]"
+    rows = lines[table + 2 : lines.index("[/table]", table)]
+    assert len(rows) == len(seeds)
+    for row in rows:
+        re, im, _, _, converged, method = row.split(",")
+        assert abs(complex(float(re), float(im)) - (1.109 + 1.571j)) < 1e-3
+        assert (converged, method) == ("true", "shooting-newton")
+    assert f"found: {len(seeds)}  (source: shooting)" in lines
     assert "verdict: inconclusive" in lines
 
 

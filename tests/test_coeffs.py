@@ -250,6 +250,18 @@ def test_from_callable_kink():
     assert d.eval(0, "right") - d.eval(0, "left") == pytest.approx(-2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("zero_outside", [True, False])
+def test_from_callable_with_an_identically_zero_piece(zero_outside):
+    # the fit on the left piece is exactly zero, so its monomial row is shorter
+    p = from_callable(lambda x: max(x, 0.0), (-1, 1), kinks=[0.0], zero_outside=zero_outside)
+    assert p.coeffs.ndim == 2
+    xs = np.linspace(-0.999, 0.999, 301)
+    assert max(abs(p.eval(float(x)) - max(x, 0.0)) for x in xs) < 1e-10
+    assert p.eval(-0.5) == 0.0
+    tail = p.eval(2.0)
+    assert tail == 0.0 if zero_outside else tail == pytest.approx(2.0, abs=1e-8)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     center=st.floats(-10, 10, allow_nan=False),

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qschro.coeffs import CoefficientField, PiecewisePoly
-from qschro.errors import NonRealError
+from qschro.errors import NonRealScanError
 from qschro.spectral import (
     BoundaryCondition,
     characteristic,
@@ -70,7 +70,7 @@ def test_real_scan_refuses_a_complex_discriminant():
     # changes sign on the real axis, and bisecting it would report false
     # roots near 3.61 and 8.80 as converged.
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    with pytest.raises(NonRealError) as err:
+    with pytest.raises(NonRealScanError) as err:
         eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
     assert err.value.ratio > 0.99
 
