@@ -449,12 +449,9 @@ def run_eig(field, params, rep, tol):
     except NonRealScanError as exc:
         # the scan's sign changes are not roots; the Newton seeds still are
         rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
-        scan, refused = None, True
+        refused = True
         results = eigenvalues(*args, None, seeds, side=params["side"], tol=tol) if seeds else []
-    rows = []
-    for r in results:
-        src = "shooting-scan-bisect" if not r.message and scan is not None else "shooting-newton"
-        rows.append((r.lam.real, r.lam.imag, r.residual, r.iterations, r.converged, src))
+    rows = [(r.lam.real, r.lam.imag, r.residual, r.iterations, r.converged, r.method) for r in results]
     rep.table(
         "eigenvalues",
         ["lambda_re", "lambda_im", "char_residual", "iterations", "converged", "method"],
@@ -539,7 +536,7 @@ def run_probe(field, params, rep, tol, prefix=""):
     rep.table(prefix + "probe_gram", ["T", "N", "log_N"], rows, source="gram-quadrature")
     for note in out.notes:
         rep.kv(prefix + "probe.note", note)
-    rep.verdict(out.classification if out.classification != "inconclusive" else "inconclusive")
+    rep.verdict(out.classification)
 
 
 def run_verify(field, params, rep, tol):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -596,15 +597,16 @@ class CoefficientField:
     Q: PiecewisePoly
     r: PiecewisePoly
 
-    @property
+    # computed once per field: every system, shot and form reads them
+    @cached_property
     def G1(self) -> PiecewisePoly:
         return self.Q + 1j * self.r
 
-    @property
+    @cached_property
     def G2(self) -> PiecewisePoly:
         return self.Q - 1j * self.r
 
-    @property
+    @cached_property
     def r1(self) -> PiecewisePoly:
         return self.r.imag
 

@@ -88,12 +88,13 @@ def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
         acc = 0.0
         prev = 0.0
         for T in ladder:
-            acc += abs(_inv_m_integral(w.m, sgn * prev, sgn * T))
+            # the last increment, from X/2 to X, is the outer half
+            half = abs(_inv_m_integral(w.m, sgn * prev, sgn * T))
+            acc += half
             rows.append((T, acc))
             prev = T
         tables[f"partial_integrals_{side}"] = rows
-        half = abs(_inv_m_integral(w.m, sgn * X / 2, sgn * X))
-        deltas[side] = (half, rows[-1][1])
+        deltas[side] = (half, acc)
     probes = {}
     for T in probe_points:
         T = float(T)

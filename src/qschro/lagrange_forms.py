@@ -24,7 +24,7 @@ import numpy as np
 from .coeffs import CoefficientField, PiecewisePoly
 from .errors import SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, pair_integral
-from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, effective_coefficients
+from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
@@ -33,9 +33,6 @@ class BracketValue:
     x: float
     value: complex
     logscale: float = 0.0
-
-    def absolute(self) -> complex:
-        return self.value * math.exp(self.logscale)
 
 
 @dataclass(frozen=True)
@@ -132,8 +129,8 @@ def _state(c: CoefficientField, f, side: str, x: float, inner: str) -> QuasiStat
     if isinstance(f, Trajectory):
         y, ls = f.sample([x], inner)
         return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), side, float(ls[0]))
-    g1, _, _ = effective_coefficients(c, side)
-    return QuasiState(x, f.eval(x, inner), (f.derivative() - g1 * f).eval(x, inner), side)
+    a11 = assemble(c, side).a11
+    return QuasiState(x, f.eval(x, inner), (f.derivative() - a11 * f).eval(x, inner), side)
 
 
 def lagrange_residual(

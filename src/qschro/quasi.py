@@ -4,8 +4,10 @@ In quasi-derivative coordinates the second-order expression with
 distributional coefficients becomes a first-order linear system whose
 matrix is locally integrable; the continuous state is (u, u') with the
 derivative replaced by u' - G1*u.  The Lagrange-adjoint side uses the
-same machinery with (G1, G2, s) replaced by their swapped conjugates, so
-every operation below is written once against side-effective coefficients.
+same machinery with (G1, G2, s) replaced by their swapped conjugates.
+That swap is made in ``assemble`` only: its matrix is the one
+representation of the expression, and every operation below applies it
+through one quasi-derivative ladder with one jump rule for u and u^[1].
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ def _check_side(side: str) -> str:
     if side not in (DIRECT, ADJOINT):
         raise ValueError(f"side must be 'direct' or 'adjoint', got {side!r}")
     return side
-
-
-def effective_coefficients(c: CoefficientField, side: str):
-    """(g1, g2, s) entering the system on the requested operator side."""
-    _check_side(side)
-    if side == DIRECT:
-        return c.G1, c.G2, c.s
-    return c.G2.conj(), c.G1.conj(), c.s.conj()
 
 
 @dataclass(frozen=True)
@@ -81,36 +75,12 @@ class ShinZettlSystem:
 
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
     """Build the Shin-Zettl matrix for l - lambda (or its adjoint)."""
-    g1, g2, s = effective_coefficients(c, side)
+    if _check_side(side) == DIRECT:
+        g1, g2, s = c.G1, c.G2, c.s
+    else:
+        g1, g2, s = c.G2.conj(), c.G1.conj(), c.s.conj()
     a21 = -(g1 * g2) + s - complex(lam)
-    return ShinZettlSystem(c, _check_side(side), complex(lam), g1, a21, -g2)
-
-
-def quasi_derivatives(
-    c: CoefficientField,
-    side: str,
-    u: PiecewisePoly,
-    x: float,
-    jump_tol: float = JUMP_TOL,
-):
-    """(u(x), u^[1](x), u^[2](x)) by exact piecewise algebra.
-
-    The expression value at x is -u^[2](x).  Raises
-    DiscontinuousQuasiDerivativeError if u or its first quasi-derivative
-    jumps at x beyond ``jump_tol`` (scaled); u is then not in the domain
-    there and only one-sided values exist.
-    """
-    g1, g2, s = effective_coefficients(c, side)
-    u1 = u.derivative() - g1 * u
-    u2 = u1.derivative() + g2 * u1 + (g1 * g2 - s) * u
-    scale = 1.0 + max(abs(u.eval(x, "left")), abs(u.eval(x, "right")))
-    du = u.eval(x, "right") - u.eval(x, "left")
-    if abs(du) > jump_tol * scale:
-        raise DiscontinuousQuasiDerivativeError(x, u.eval(x, "left"), u.eval(x, "right"))
-    l1, r1_ = u1.eval(x, "left"), u1.eval(x, "right")
-    if abs(r1_ - l1) > jump_tol * (1.0 + max(abs(l1), abs(r1_))):
-        raise DiscontinuousQuasiDerivativeError(x, l1, r1_)
-    return u.eval(x, "right"), r1_, u2.eval(x, "right")
+    return ShinZettlSystem(c, side, complex(lam), g1, a21, -g2)
 
 
 def _eval_scale(u: PiecewisePoly, x: float) -> float:
@@ -126,13 +96,51 @@ def _eval_scale(u: PiecewisePoly, x: float) -> float:
     )
 
 
-def apply_l_atoms(
-    c: CoefficientField,
-    side: str,
-    u: PiecewisePoly,
-    window: tuple[float, float],
-    jump_tol: float = JUMP_TOL,
-):
+def _jumps(f: PiecewisePoly, window: tuple[float, float]) -> dict[float, complex]:
+    """Jumps of f on the window above JUMP_TOL * (1 + evaluation scale)."""
+    a, b = float(window[0]), float(window[1])
+    # |f(x-)| <= the evaluation scale, so the cheap test screens the exact one
+    return {
+        x: h for x, h in f.jumps.items()
+        if a <= x <= b and abs(h) > JUMP_TOL * (1.0 + abs(f.eval(x, "left")))
+        and abs(h) > JUMP_TOL * (1.0 + _eval_scale(f, x))
+    }
+
+
+def _raise_at_first(f: PiecewisePoly, jumps: dict) -> None:
+    if jumps:
+        x = next(iter(jumps))
+        raise DiscontinuousQuasiDerivativeError(x, f.eval(x, "left"), f.eval(x, "right"))
+
+
+def _apply(c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]):
+    """(u^[1], l[u] without atoms, atoms) on the window, from the system at 0.
+
+    u^[1] = u' - a11 u and l[u] = -(u^[1]' - a22 u^[1] - a21 u); a jump h
+    of u^[1] at x is the atom -h delta_x of l[u].  Raises
+    DiscontinuousQuasiDerivativeError where u itself jumps.
+    """
+    _raise_at_first(u, _jumps(u, window))
+    A = assemble(c, side)
+    u1 = u.derivative() - A.a11 * u
+    atoms = {x: -h for x, h in _jumps(u1, window).items()}
+    return u1, -(u1.derivative() - A.a22 * u1 - A.a21 * u), atoms
+
+
+def quasi_derivatives(c: CoefficientField, side: str, u: PiecewisePoly, x: float):
+    """(u(x), u^[1](x), u^[2](x)) by exact piecewise algebra.
+
+    The expression value at x is -u^[2](x).  Raises
+    DiscontinuousQuasiDerivativeError if u or its first quasi-derivative
+    jumps at x; u is then not in the domain there and only one-sided
+    values exist.
+    """
+    u1, lu, atoms = _apply(c, side, u, (x, x))
+    _raise_at_first(u1, atoms)
+    return u.eval(x, "right"), u1.eval(x, "right"), -lu.eval(x, "right")
+
+
+def apply_l_atoms(c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]):
     """Apply the expression, keeping Dirac atoms explicit.
 
     Returns (f, atoms): f is the absolutely continuous part of l[u] (or
@@ -140,42 +148,22 @@ def apply_l_atoms(
     weight w of w*delta_b coming from a jump of the first quasi-derivative
     there (w = -jump).  For u in the local domain the atom dict is empty.
     """
-    a, b = float(window[0]), float(window[1])
-    g1, g2, s = effective_coefficients(c, side)
-    for bp, h in u.jumps.items():
-        # |u(bp-)| <= the evaluation scale, so the cheap test screens the exact one
-        if a <= bp <= b and abs(h) > jump_tol * (1.0 + abs(u.eval(bp, "left"))):
-            if abs(h) > jump_tol * (1.0 + _eval_scale(u, bp)):
-                raise DiscontinuousQuasiDerivativeError(bp, u.eval(bp, "left"), u.eval(bp, "right"))
-    u1 = u.derivative() - g1 * u
-    atoms: dict[float, complex] = {}
-    for bp, h in u1.jumps.items():
-        if a <= bp <= b and abs(h) > jump_tol * (
-            1.0 + max(abs(u1.eval(bp, "left")), abs(u1.eval(bp, "right")))
-        ):
-            atoms[bp] = -h
-    u2 = u1.derivative() + g2 * u1 + (g1 * g2 - s) * u
-    return -u2, atoms
+    return _apply(c, side, u, window)[1:]
 
 
 def apply_l(
-    c: CoefficientField,
-    side: str,
-    u: PiecewisePoly,
-    window: tuple[float, float],
-    jump_tol: float = JUMP_TOL,
+    c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]
 ) -> PiecewisePoly:
     """l[u] (direct) or the adjoint expression (adjoint side) on a window.
 
     Requires u and u^[1] continuous there; a genuine jump of u^[1] means a
     Dirac atom in the result and raises DiscontinuousQuasiDerivativeError
-    (use apply_l_atoms to keep the atoms).
+    with u^[1]'s one-sided values, as quasi_derivatives does (use
+    apply_l_atoms to keep the atoms).
     """
-    f, atoms = apply_l_atoms(c, side, u, window, jump_tol)
-    if atoms:
-        loc = next(iter(atoms))
-        raise DiscontinuousQuasiDerivativeError(loc, None, atoms[loc])
-    return f
+    u1, lu, atoms = _apply(c, side, u, window)
+    _raise_at_first(u1, atoms)
+    return lu
 
 
 def product_rule_check(
@@ -184,16 +172,14 @@ def product_rule_check(
     u: PiecewisePoly,
     window: tuple[float, float],
     side: str = DIRECT,
-    n_samples: int = 200,
-    jump_tol: float = JUMP_TOL,
 ) -> float:
     """Residual of the cut-off product rule, sup-sampled on the window.
 
-    Checks l[phi*u] against phi*l[u] - phi''*u - 2*phi'*u' + (g1-g2)*phi'*u
-    with side-effective coefficients; returns the sup-norm of the
-    difference over a sample grid, normalized by 1 + the sup of both sides.
-    Dirac atoms produced by jumps of u^[1] agree on both sides and cancel;
-    the comparison is between the absolutely continuous parts.
+    Checks l[phi*u] against phi*l[u] - phi''*u - 2*phi'*u' + (g1-g2)*phi'*u,
+    where g1 - g2 = a11 + a22 on the requested side; returns the sup-norm
+    of the difference over 200 sample points, normalized by 1 + the sup of
+    both sides.  Dirac atoms produced by jumps of u^[1] agree on both sides
+    and cancel; the comparison is between the absolutely continuous parts.
     """
     a, b = float(window[0]), float(window[1])
     if not phi.is_real(1e-9):
@@ -203,16 +189,16 @@ def product_rule_check(
         raise ValueError(
             f"cut-off support [{lo}, {hi}] is not compact inside [{a}, {b}]"
         )
-    g1, g2, _ = effective_coefficients(c, side)
-    lhs, lhs_atoms = apply_l_atoms(c, side, phi * u, window, jump_tol)
-    lu, lu_atoms = apply_l_atoms(c, side, u, window, jump_tol)
+    A = assemble(c, side)
+    lhs, lhs_atoms = apply_l_atoms(c, side, phi * u, window)
+    lu, lu_atoms = apply_l_atoms(c, side, u, window)
     dphi = phi.derivative()
     ddphi = dphi.derivative()
     du = u.derivative()
-    rhs = phi * lu - ddphi * u - 2.0 * (dphi * du) + (g1 - g2) * (dphi * u)
+    rhs = phi * lu - ddphi * u - 2.0 * (dphi * du) + (A.a11 + A.a22) * (dphi * u)
     diff = lhs - rhs
     skip = set(np.round(diff.breakpoints, 12))
-    xs = np.array([x for x in np.linspace(a, b, n_samples) if round(float(x), 12) not in skip])
+    xs = np.array([x for x in np.linspace(a, b, 200) if round(float(x), 12) not in skip])
     sup_diff = np.max(np.abs(diff.sample(xs)))
     sup_mag = max(np.max(np.abs(lhs.sample(xs))), np.max(np.abs(rhs.sample(xs))), 1.0)
     atom_err = 0.0

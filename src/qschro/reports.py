@@ -30,10 +30,3 @@ class ConditionReport:
     tables: dict = field(default_factory=dict)
     notes: tuple = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict in (HOLDS, HOLDS_SAMPLE)
-
-    def witness_str(self) -> str:
-        parts = [f"{k}={v!r}" for k, v in sorted(self.witnesses.items())]
-        return ", ".join(parts)

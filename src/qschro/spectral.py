@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
+    method: str  # "shooting-scan-bisect", "shooting-scan-node" or "shooting-newton"
     trajectory: Trajectory | None = None
     message: str = ""
 
@@ -129,7 +131,8 @@ def eigenvalues(
     """Locate eigenvalues by real-interval scan or complex Newton seeds.
 
     Scan mode brackets sign changes of Re D on a real grid and bisects:
-    valid when D is real along the scan (formally symmetric data).  When
+    valid when D is real along the scan (formally symmetric data).  A grid
+    node where Re D is exactly 0 is itself a root.  When
     max |Im D|/|D| over the grid exceeds ``config.SCAN_REAL_TOL`` the scan
     refuses with a NonRealScanError carrying that ratio.
     Newton mode iterates lambda - D/D' with a centered finite-difference
@@ -140,7 +143,13 @@ def eigenvalues(
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
         lams = np.linspace(lo, hi, grid)
-        vals = [characteristic(c, interval, bc, float(t), side, tol).value for t in lams]
+        vals, nodes = [], {}
+        for i, t in enumerate(lams):
+            cv = characteristic(c, interval, bc, float(t), side, tol)
+            vals.append(cv.value)
+            # only exact zeros keep their shot, so a long scan holds no trajectories
+            if cv.value.real == 0:
+                nodes[i] = cv
         ratio = max((abs(v.imag) / abs(v) for v in vals if v != 0), default=0.0)
         if ratio > config.SCAN_REAL_TOL:
             raise NonRealScanError(
@@ -149,12 +158,16 @@ def eigenvalues(
                 ratio=ratio,
             )
         signs = [math.copysign(1.0, v.real) if v.real != 0 else 0.0 for v in vals]
+        for i, cv in nodes.items():
+            results.append(EigenResult(
+                lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,
+                method="shooting-scan-node", trajectory=cv.trajectory,
+            ))
         for i in range(len(lams) - 1):
-            if signs[i] == 0.0:
-                continue
             if signs[i] * signs[i + 1] < 0:
-                res = _bisect_real(c, interval, bc, float(lams[i]), float(lams[i + 1]), side, tol, char_tol)
-                results.append(res)
+                results.append(_bisect_real(
+                    c, interval, bc, float(lams[i]), float(lams[i + 1]), vals[i].real, side, tol, char_tol
+                ))
     for seed in seeds:
         results.append(_newton(c, interval, bc, complex(seed), side, tol, char_tol))
     merged: list[EigenResult] = []
@@ -173,8 +186,8 @@ def eigenvalues(
     return merged
 
 
-def _bisect_real(c, interval, bc, lo, hi, side, tol, char_tol):
-    flo = characteristic(c, interval, bc, lo, side, tol).value.real
+def _bisect_real(c, interval, bc, lo, hi, flo, side, tol, char_tol):
+    """Bisect a sign change of Re D on [lo, hi]; flo is Re D(lo) from the scan."""
     it = 0
     for it in range(1, 80):
         mid = 0.5 * (lo + hi)
@@ -200,16 +213,18 @@ def _bisect_real(c, interval, bc, lo, hi, side, tol, char_tol):
         residual=cv.residual,
         iterations=it,
         converged=bracket_done or cv.residual <= char_tol,
+        method="shooting-scan-bisect",
         trajectory=cv.trajectory,
     )
 
 
 def _newton(c, interval, bc, seed, side, tol, char_tol):
+    result = partial(EigenResult, method="shooting-newton")
     lam = complex(seed)
     for it in range(1, config.NEWTON_MAX_ITER + 1):
         cv = characteristic(c, interval, bc, lam, side, tol)
         if cv.residual <= char_tol:
-            return EigenResult(
+            return result(
                 lam=lam,
                 residual=cv.residual,
                 iterations=it,
@@ -226,7 +241,7 @@ def _newton(c, interval, bc, seed, side, tol, char_tol):
         d0 = cv.value * math.exp(cv.logscale - L)
         deriv = (dp - dm) / (2 * h)
         if deriv == 0:
-            return EigenResult(
+            return result(
                 lam=lam, residual=cv.residual, iterations=it, converged=False,
                 message="flat characteristic (zero derivative)",
             )
@@ -234,7 +249,7 @@ def _newton(c, interval, bc, seed, side, tol, char_tol):
         lam = lam - step
         if abs(step) <= 1e-14 * (1 + abs(lam)):
             cv = characteristic(c, interval, bc, lam, side, tol)
-            return EigenResult(
+            return result(
                 lam=lam,
                 residual=cv.residual,
                 iterations=it,
@@ -243,7 +258,7 @@ def _newton(c, interval, bc, seed, side, tol, char_tol):
                 message="" if cv.residual <= char_tol else "stagnated above tolerance",
             )
     cv = characteristic(c, interval, bc, lam, side, tol)
-    return EigenResult(
+    return result(
         lam=lam,
         residual=cv.residual,
         iterations=config.NEWTON_MAX_ITER,

@@ -250,6 +250,20 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
     assert "verdict: inconclusive" in lines
 
 
+def test_eig_lists_each_root_with_its_method(tmp_path):
+    # a scan with a Newton seed: the seed's root 4 is not a bisection root
+    problem = {"task": "eig", "coefficients": FREE_COEFFS,
+               "params": {"interval": [0, math.pi], "scan": [0.5, 2], "grid": 8, "seeds": [[3.9, 0.1]]}}
+    out = tmp_path / "out"
+    assert main(["eig", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
+    rows = [row.split(",") for row in lines[table + 2 : lines.index("[/table]", table)]]
+    assert [(round(float(r[0])), r[4], r[5]) for r in rows] == [
+        (1, "true", "shooting-scan-bisect"), (4, "true", "shooting-newton")
+    ]
+
+
 def test_cli_writes_report_and_trajectory(tmp_path):
     problem = {
         "task": "solve",

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly, bump, from_callable
+from qschro.conditions import build_cutoff
 from qschro.errors import DiscontinuousQuasiDerivativeError
+from qschro.propagate import integrate
 from qschro.quasi import (
     ADJOINT,
     DIRECT,
+    QuasiState,
     apply_l,
     apply_l_atoms,
     assemble,
@@ -195,3 +198,44 @@ def test_product_rule_random_fields_both_sides():
         phi = bump(float(RNG.uniform(-1, 1)), float(RNG.uniform(0.5, 1.5)), float(RNG.uniform(0.3, 1.0)))
         for side in (DIRECT, ADJOINT):
             assert product_rule_check(c, phi, u, (-5, 5), side=side) <= 1e-9
+
+
+def growing_fit(side):
+    """Re-fitted solution of -u'' + 6u = 0 on [-5, 5]: it grows like e^{2.45 x}."""
+    c = CoefficientField(PiecewisePoly.constant(6), PiecewisePoly.zero(), PiecewisePoly.zero())
+    u = integrate(assemble(c, side, 0), QuasiState(-5, 1, 0.1, side), 5).to_piecewise(0, -5, 5)
+    return c, u
+
+
+@pytest.mark.parametrize("side", [DIRECT, ADJOINT])
+@pytest.mark.parametrize("n", [3, 4])
+def test_cutoff_zero_times_large_solution_has_no_atom(side, n):
+    # phi*u jumps in u^[1] at the end of phi's support (x = n + 1) only by
+    # rounding of phi's zero times a large u; the jump rule of u, scaled by
+    # the evaluation magnitude, applies to u^[1] too, so no atom is recorded
+    c, u = growing_fit(side)
+    phi = build_cutoff("thmA", n).phi
+    _, atoms = apply_l_atoms(c, side, phi * u, (-5, 5))
+    assert atoms == {}
+    assert product_rule_check(c, phi, u, (-5, 5), side=side) <= 1e-9
+
+
+@pytest.mark.parametrize("side", [DIRECT, ADJOINT])
+def test_quasi_derivatives_at_the_end_of_a_cutoff_support(side):
+    c, u = growing_fit(side)
+    phi = build_cutoff("thmA", 4).phi  # support [-5, 5]
+    assert quasi_derivatives(c, side, phi * u, 5.0) == (0, 0, 0)
+
+
+def test_quasi_derivatives_and_apply_l_agree_bit_for_bit():
+    # a cut-off times a large polynomial: rounding-level jumps at the ends
+    # of the support, genuine ones nowhere off the field's breakpoints
+    rng = np.random.default_rng(11)
+    phi = build_cutoff("thmA", 3).phi  # support [-4, 4]
+    for _ in range(4):
+        c = random_field(rng)
+        u = phi * PiecewisePoly.from_coeffs(1e8 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        for side in (DIRECT, ADJOINT):
+            for x in [-4.0, 4.0, *map(float, rng.uniform(-5, 5, 4))]:
+                y2 = quasi_derivatives(c, side, u, x)[2]
+                assert y2 == -apply_l(c, side, u, (x, x)).eval(x)

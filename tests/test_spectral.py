@@ -75,6 +75,15 @@ def test_real_scan_refuses_a_complex_discriminant():
     assert err.value.ratio > 0.99
 
 
+def test_root_on_a_scan_node_is_kept():
+    # Neumann free field on [0, 3]: D(0) is exactly 0 at the middle node of
+    # the grid -1, 0, 1, with no sign change on either side of it
+    neumann = BoundaryCondition((0, 1), (0, 1))
+    res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 1), grid=3)
+    assert [(r.lam, r.converged, r.method) for r in res] == [(0j, True, "shooting-scan-node")]
+    assert res[0].residual == 0.0 and res[0].trajectory is not None
+
+
 def test_delta_well_ground_state():
     dw = CoefficientField.delta_well(-2.0)
     res = eigenvalues(dw, (-20, 20), BC, scan=(-2, -0.5), grid=16)
