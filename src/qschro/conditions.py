@@ -130,11 +130,7 @@ def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
     )
 
 
-def check_growth(
-    r1: PiecewisePoly,
-    w: WeightFunction,
-    samples_per_block: int = 64,
-) -> ConditionReport:
+def check_growth(r1: PiecewisePoly, w: WeightFunction) -> ConditionReport:
     """Envelope check of the growth bound: positive part of r1 against m
     toward -infinity and the negative part toward +infinity.
 
@@ -157,7 +153,7 @@ def check_growth(
         for side, sgn in (("left", -1.0), ("right", 1.0)):
             a, b = sorted((sgn * lo, sgn * hi))
             bps = np.concatenate([r1.breakpoints, w.m.breakpoints])
-            xs = np.concatenate([np.linspace(a, b, samples_per_block), bps[(bps > a) & (bps < b)]])
+            xs = np.concatenate([np.linspace(a, b, 64), bps[(bps > a) & (bps < b)]])
             r = r1.sample(xs).real
             ratio = np.maximum(r if side == "left" else -r, 0.0) / w.m.sample(xs).real
             j = int(np.argmax(np.where(ratio > 0, ratio, 0.0)))  # first maximum, NaN never
@@ -244,13 +240,13 @@ class RhoMap:
         return float(self.vals[0]), float(self.vals[-1])
 
 
-def build_rho(w: WeightFunction, grid: int = 129) -> RhoMap:
-    """Tabulate rho on the horizon.  Requires m >= 1 there."""
+def build_rho(w: WeightFunction) -> RhoMap:
+    """Tabulate rho on 129 nodes of the horizon.  Requires m >= 1 there."""
     val, x_at = w.m.extreme_on(-w.horizon, w.horizon, mode="min")
     if val < 1.0 - 1e-12:
         raise ValueError(f"m(x) = {val} < 1 at x = {x_at}; run check_m first")
     X = w.horizon
-    nodes = set(np.linspace(-X, X, grid))
+    nodes = set(np.linspace(-X, X, 129))
     nodes.add(0.0)
     nodes.update(float(t) for t in w.m.breakpoints if -X < t < X)
     xs = np.asarray(sorted(nodes))
@@ -533,15 +529,15 @@ def _smoothstep_poly(a: float, b: float, rising: bool) -> PiecewisePoly:
     return PiecewisePoly._from_local(np.asarray([]), s.centers[1:2], s.coeffs[1:2])
 
 
-def cutoff_invariants(cut: CutoffSequence, mesh: int = 400) -> dict:
-    """Re-verify the defining inequalities of a cut-off on a fine mesh.
+def cutoff_invariants(cut: CutoffSequence) -> dict:
+    """Re-verify the defining inequalities of a cut-off on a 400-point mesh.
 
     Returns margin data; raises nothing.  Used by property tests and the
     CLI verify task.
     """
     lo, hi = cut.support
     pad = 0.1 * (hi - lo)
-    xs = np.linspace(lo - pad, hi + pad, mesh)
+    xs = np.linspace(lo - pad, hi + pad, 400)
     out = {
         "range_ok": True,
         "core_ok": True,

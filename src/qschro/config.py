@@ -43,7 +43,7 @@ ENVELOPE_BLOCKS = 8
 # Shooting acceptance: |D(lambda)| <= CHAR_TOL * (cancellation scale of D).
 CHAR_TOL = 1e-9
 
-# The real eigenvalue scan bisects sign changes of Re D, which is valid only
+# The real eigenvalue scan refines sign changes of Re D, which is valid only
 # when D is real along the scan: it refuses when max |Im D|/|D| over its
 # grid exceeds this.  Formally symmetric data give exactly 0.
 SCAN_REAL_TOL = 1e-8

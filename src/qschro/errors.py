@@ -55,4 +55,4 @@ class BadSchemeError(QschroError):
 
 
 class OverflowUnrecoverableError(QschroError):
-    """Log-rescaling bookkeeping could not renormalize a Gram computation."""
+    """Log-rescaling bookkeeping could not bring a result to a representable scale."""

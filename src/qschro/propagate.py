@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ATOL, MIN_STEP_FRACTION, RESCALE_THRESHOLD, RTOL
 from .coeffs import PiecewisePoly, _dense, _horner
-from .errors import StepUnderflowError
+from .errors import OverflowUnrecoverableError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
 # Dormand-Prince 5(4) tableau
@@ -91,7 +91,6 @@ class Trajectory:
     system: ShinZettlSystem
     a: float
     b: float
-    direction: str
     atol: float
     rtol: float
     steps: np.ndarray
@@ -129,13 +128,11 @@ class Trajectory:
         y, ls = self.sample([x])
         return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), self.system.side, float(ls[0]))
 
-    def log_sup(self, lo: float | None = None, hi: float | None = None) -> float:
-        """log of sup |Y| over the covered range (sampled at step ends and midpoints)."""
-        lo = self.a if lo is None else lo
-        hi = self.b if hi is None else hi
+    def log_sup(self) -> float:
+        """log of sup |Y| over the trajectory (sampled at step ends and midpoints)."""
         s = self.steps
         xs = (s["x0"][:, None] + np.array([0.0, 0.5, 1.0]) * s["h"][:, None]).ravel()
-        y, ls = self.sample(xs[(xs >= lo - 1e-12) & (xs <= hi + 1e-12)])
+        y, ls = self.sample(xs)
         m = np.max(np.abs(y), axis=1)
         pos = m > 0
         return float(np.max(np.log(m[pos]) + ls[pos])) if np.any(pos) else -math.inf
@@ -164,7 +161,12 @@ class Trajectory:
             sub = beta * prev
             sub[:, 1:] += alpha * prev[:, :-1]
             sub[:, 0] += coef[:, k]
-        scale = np.array([math.exp(v) for v in s["logscale"].tolist()])
+        try:
+            scale = np.array([math.exp(v) for v in s["logscale"].tolist()])
+        except OverflowError:
+            top = float(np.max(s["logscale"]))
+            raise OverflowUnrecoverableError(
+                f"re-fit at absolute scale: logscale {top:.6g} overflows") from None
         # interior knots only; the first/last piece double as the tails
         return PiecewisePoly._from_local(ends[:-1], centers, sub * scale[:, None])
 
@@ -221,7 +223,6 @@ def integrate(
         system=sys,
         a=lo,
         b=hi,
-        direction="forward" if forward else "backward",
         atol=atol,
         rtol=rtol,
         steps=_by_position(np.array(rows, dtype=STEP_DTYPE)),
@@ -311,7 +312,7 @@ def fundamental(
         if x0 < b:
             parts.append(integrate(sys, state, b, tol))
         merged = Trajectory(
-            system=sys, a=a, b=b, direction="both", atol=tol[0], rtol=tol[1],
+            system=sys, a=a, b=b, atol=tol[0], rtol=tol[1],
             steps=_by_position(np.concatenate([p.steps for p in parts])),
         )
         trajs.append(merged)

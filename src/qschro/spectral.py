@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import config
 from .coeffs import CoefficientField
@@ -72,7 +73,7 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
-    method: str  # "shooting-scan-bisect", "shooting-scan-node" or "shooting-newton"
+    method: str  # "shooting-scan-brent", "shooting-scan-node" or "shooting-newton"
     trajectory: Trajectory | None = None
     message: str = ""
 
@@ -126,13 +127,13 @@ def eigenvalues(
     grid: int = 120,
     side: str = DIRECT,
     tol: tuple[float, float] = (config.ATOL, config.RTOL),
-    char_tol: float = config.CHAR_TOL,
 ) -> list[EigenResult]:
     """Locate eigenvalues by real-interval scan or complex Newton seeds.
 
-    Scan mode brackets sign changes of Re D on a real grid and bisects:
-    valid when D is real along the scan (formally symmetric data).  A grid
-    node where Re D is exactly 0 is itself a root.  When
+    Scan mode brackets sign changes of Re D on a real grid and refines
+    each with Brent's method (``scipy.optimize.brentq``): valid when D is
+    real along the scan (formally symmetric data).  A grid node where Re D
+    is exactly 0 is itself a root.  When
     max |Im D|/|D| over the grid exceeds ``config.SCAN_REAL_TOL`` the scan
     refuses with a NonRealScanError carrying that ratio.
     Newton mode iterates lambda - D/D' with a centered finite-difference
@@ -143,10 +144,11 @@ def eigenvalues(
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
         lams = np.linspace(lo, hi, grid)
-        vals, nodes = [], {}
+        vals, scales, nodes = [], [], {}
         for i, t in enumerate(lams):
             cv = characteristic(c, interval, bc, float(t), side, tol)
             vals.append(cv.value)
+            scales.append(cv.logscale)
             # only exact zeros keep their shot, so a long scan holds no trajectories
             if cv.value.real == 0:
                 nodes[i] = cv
@@ -165,11 +167,10 @@ def eigenvalues(
             ))
         for i in range(len(lams) - 1):
             if signs[i] * signs[i + 1] < 0:
-                results.append(_bisect_real(
-                    c, interval, bc, float(lams[i]), float(lams[i + 1]), vals[i].real, side, tol, char_tol
-                ))
+                results.append(_brent_real(
+                    c, interval, bc, side, tol, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
     for seed in seeds:
-        results.append(_newton(c, interval, bc, complex(seed), side, tol, char_tol))
+        results.append(_newton(c, interval, bc, complex(seed), side, tol))
     merged: list[EigenResult] = []
     for r in sorted(results, key=lambda t: (t.lam.real, t.lam.imag)):
         dup = next(
@@ -186,44 +187,41 @@ def eigenvalues(
     return merged
 
 
-def _bisect_real(c, interval, bc, lo, hi, flo, side, tol, char_tol):
-    """Bisect a sign change of Re D on [lo, hi]; flo is Re D(lo) from the scan."""
-    it = 0
-    for it in range(1, 80):
-        mid = 0.5 * (lo + hi)
-        fm = characteristic(c, interval, bc, mid, side, tol).value.real
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo = mid
-            flo = fm
-        else:
-            hi = mid
-        if hi - lo <= 5e-15 * (1 + abs(mid)):
-            break
-    lam = 0.5 * (lo + hi)
+def _brent_real(c, interval, bc, side, tol, lams, vals, scales):
+    """Refine a sign change of Re D between two scan nodes with brentq.
+
+    The ends reuse the scan's shots.  Every value is put on the common
+    scale exp(L), L the larger end logscale: the mantissas alone carry
+    different exponents.
+    """
+    L = max(scales)
+    ends = {float(t): v.real * math.exp(ls - L) for t, v, ls in zip(lams, vals, scales)}
+
+    def re_d(t):
+        if t in ends:
+            return ends[t]
+        cv = characteristic(c, interval, bc, t, side, tol)
+        return cv.value.real * math.exp(cv.logscale - L)
+
+    lo, hi = ends
+    lam, info = brentq(re_d, lo, hi, xtol=5e-15, full_output=True, disp=False)
     cv = characteristic(c, interval, bc, lam, side, tol)
-    # a collapsed bracket around a confirmed sign change is convergence for
-    # bisection even when the shot is too lambda-sensitive to push the
-    # characteristic residual below char_tol in double precision
-    bracket_done = hi - lo <= 1e-12 * (1 + abs(lam))
     return EigenResult(
         lam=complex(lam),
         residual=cv.residual,
-        iterations=it,
-        converged=bracket_done or cv.residual <= char_tol,
-        method="shooting-scan-bisect",
+        iterations=info.iterations,
+        converged=info.converged or cv.residual <= config.CHAR_TOL,
+        method="shooting-scan-brent",
         trajectory=cv.trajectory,
     )
 
 
-def _newton(c, interval, bc, seed, side, tol, char_tol):
+def _newton(c, interval, bc, seed, side, tol):
     result = partial(EigenResult, method="shooting-newton")
     lam = complex(seed)
     for it in range(1, config.NEWTON_MAX_ITER + 1):
         cv = characteristic(c, interval, bc, lam, side, tol)
-        if cv.residual <= char_tol:
+        if cv.residual <= config.CHAR_TOL:
             return result(
                 lam=lam,
                 residual=cv.residual,
@@ -253,9 +251,9 @@ def _newton(c, interval, bc, seed, side, tol, char_tol):
                 lam=lam,
                 residual=cv.residual,
                 iterations=it,
-                converged=cv.residual <= char_tol,
+                converged=cv.residual <= config.CHAR_TOL,
                 trajectory=cv.trajectory,
-                message="" if cv.residual <= char_tol else "stagnated above tolerance",
+                message="" if cv.residual <= config.CHAR_TOL else "stagnated above tolerance",
             )
     cv = characteristic(c, interval, bc, lam, side, tol)
     return result(
@@ -293,9 +291,9 @@ def eigenfunction_residual(
 # null-space probe
 
 
-def default_windows(tmax: float, count: int = 9) -> tuple:
-    """Geometric window ladder ending at tmax (T0 = tmax / 2^(count-1))."""
-    return tuple(tmax * 0.5 ** k for k in range(count - 1, -1, -1))
+def default_windows(tmax: float) -> tuple:
+    """Geometric ladder of nine windows ending at tmax (T0 = tmax / 2^8)."""
+    return tuple(tmax * 0.5 ** k for k in range(8, -1, -1))
 
 
 def null_probe(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qschro.cli import (
     EXIT_CANTCREAT,
     EXIT_FAILS,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -251,7 +252,7 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
 
 
 def test_eig_lists_each_root_with_its_method(tmp_path):
-    # a scan with a Newton seed: the seed's root 4 is not a bisection root
+    # a scan with a Newton seed: the seed's root 4 is not a scan root
     problem = {"task": "eig", "coefficients": FREE_COEFFS,
                "params": {"interval": [0, math.pi], "scan": [0.5, 2], "grid": 8, "seeds": [[3.9, 0.1]]}}
     out = tmp_path / "out"
@@ -260,8 +261,18 @@ def test_eig_lists_each_root_with_its_method(tmp_path):
     table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
     rows = [row.split(",") for row in lines[table + 2 : lines.index("[/table]", table)]]
     assert [(round(float(r[0])), r[4], r[5]) for r in rows] == [
-        (1, "true", "shooting-scan-bisect"), (4, "true", "shooting-newton")
+        (1, "true", "shooting-scan-brent"), (4, "true", "shooting-newton")
     ]
+
+
+def test_verify_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
+    # e^(x) over [-500, 500] reaches logscale 921: the re-fit of the
+    # solution at absolute scale overflows and must exit 70, not trace back
+    problem = {"task": "verify", "coefficients": FREE_COEFFS,
+               "params": {"window": [-500, 500], "lambda": -1}}
+    path = write(tmp_path, "p.json", problem)
+    assert main(["verify", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "OverflowUnrecoverableError" in capsys.readouterr().err
 
 
 def test_cli_writes_report_and_trajectory(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly
-from qschro.errors import StepUnderflowError
+from qschro.errors import OverflowUnrecoverableError, StepUnderflowError
 from qschro.propagate import fundamental, integrate, pair_integral
 from qschro.quasi import QuasiState, assemble
 
@@ -213,3 +213,12 @@ def test_to_piecewise_roundtrip():
     pw = t.to_piecewise(0)
     for x in np.linspace(0, 1, 101):
         assert abs(pw.eval(float(x)) - t.state_at(float(x)).y0) <= 1e-13 * math.e
+
+
+def test_to_piecewise_past_the_float_range_raises():
+    # e^(4x) on [0, 240]: the rows carry logscales up to 921, past exp's range
+    t = integrate(assemble(FREE, "direct", -16.0), QuasiState(0.0, 1.0, 4.0), 240.0)
+    top = float(np.max(t.steps["logscale"]))
+    assert top > 709
+    with pytest.raises(OverflowUnrecoverableError, match=f"{top:.6g}"):
+        t.to_piecewise(0)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from qschro import spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import NonRealScanError
 from qschro.spectral import (
@@ -65,9 +66,42 @@ def test_free_spectrum_scan():
         assert abs(r.lam.imag) <= 1e-8
 
 
+def _counting_shots(monkeypatch):
+    shots = []
+    shoot = spectral.characteristic
+
+    def counted(*args, **kwargs):
+        shots.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "characteristic", counted)
+    return shots
+
+
+def test_free_spectrum_scan_shot_budget(monkeypatch):
+    # 60 grid shots, then Brent's method and one final shot per root; the
+    # bisection this replaced needed 285 shots for the five roots
+    shots = _counting_shots(monkeypatch)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
+    assert [round(r.lam.real) for r in res if r.converged] == [1, 4, 9, 16, 25]
+    assert len(shots) <= 120
+
+
+def test_scan_refinement_rescales_the_bracket(monkeypatch):
+    # delta well alpha = 20, ground state -100: the shots in this one-cell
+    # bracket rescale by logscales that differ by up to 0.23, so mantissas
+    # alone are off by up to 25 percent and slow Brent's interpolation
+    shots = _counting_shots(monkeypatch)
+    dw = CoefficientField.delta_well(-20.0)
+    res = eigenvalues(dw, (-25, 25), BC, scan=(-110, -94), grid=2, tol=(1e-8, 1e-6))
+    assert len(res) == 1 and res[0].converged and res[0].method == "shooting-scan-brent"
+    assert abs(res[0].lam + 100) <= 1e-12 * 100
+    assert len(shots) <= 14
+
+
 def test_real_scan_refuses_a_complex_discriminant():
     # s = i x: the eigenvalues are 1.109, 3.966, 8.981, each + 1.571i.  Re D
-    # changes sign on the real axis, and bisecting it would report false
+    # changes sign on the real axis, and refining it would report false
     # roots near 3.61 and 8.80 as converged.
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(NonRealScanError) as err:
