@@ -51,7 +51,7 @@ from .lagrange_forms import (
     numerical_range_sample,
     quadratic_form,
 )
-from .propagate import FundamentalSystem, Trajectory, fundamental, integrate, pair_integral
+from .propagate import FundamentalSystem, Trajectory, endpoint, fundamental, integrate, pair_integral
 from .quasi import (
     ADJOINT,
     DIRECT,
@@ -100,6 +100,7 @@ __all__ = [
     "Trajectory",
     "FundamentalSystem",
     "integrate",
+    "endpoint",
     "fundamental",
     "pair_integral",
     # brackets and forms

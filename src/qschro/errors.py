@@ -35,7 +35,22 @@ class DiscontinuousQuasiDerivativeError(QschroError):
 
 
 class StepUnderflowError(QschroError):
-    """Adaptive step size fell below the integrator's floor (blow-up or pathology)."""
+    """A step fell below the integrator's floor (blow-up or pathology).
+
+    Carries the position ``x`` the step would start from, the refused step
+    ``h``, and the state there: (y0, y1) times exp(logscale).
+    """
+
+    def __init__(self, x, h, y0, y1, logscale):
+        self.x = x
+        self.h = h
+        self.y0 = y0
+        self.y1 = y1
+        self.logscale = logscale
+        super().__init__(
+            f"step size {abs(h):.3e} below floor at x={x:.6g} "
+            "(solution blow-up or coefficient pathology)"
+        )
 
 
 class SideMismatchError(QschroError):

@@ -1,12 +1,18 @@
-"""Adaptive propagation of the first-order system across coefficient jumps.
+"""Propagation of the first-order system across coefficient jumps.
 
-A Dormand-Prince 5(4) pair integrates Y' = A(x; lambda) Y between
-consecutive coefficient breakpoints; each breakpoint is a hard mesh node
-and the state (y0, y1) passes through unchanged, which is exactly the
-absolute continuity the quasi-derivative buys.  Every accepted step keeps
-a quartic interpolant, so trajectories have dense output; states growing
-past 1e100 are renormalized and the exponent ledger travels with the step
-records.
+Coefficient breakpoints split the interval into segments, each a hard
+mesh node; the state (y0, y1) passes through them unchanged, which is
+exactly the absolute continuity the quasi-derivative buys.  States growing
+past 1e100 are renormalized and the exponent ledger travels with them.
+
+``integrate`` runs a Dormand-Prince 5(4) pair on every segment and keeps
+a quartic interpolant per accepted step, so trajectories have dense
+output.  ``endpoint`` walks the same segments for the end state and
+log sup|Y| only: on a segment where the system matrix A is constant it
+multiplies by the exact exp(hA) in equal sub-steps, and any other segment
+runs the same Dormand-Prince steps without keeping them.  The tolerances
+apply to Dormand-Prince segments only; exact segments are accurate to
+rounding at any lambda.
 
 A trajectory stores its accepted steps as one structured array sorted by
 position (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense
@@ -18,6 +24,7 @@ alike, with the exponent bookkeeping of the rows.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -69,6 +76,10 @@ class _SegmentMatrix:
         a21 = _horner(self.p21, x - self.c21)
         a22 = _horner(self.p22, x - self.c22)
         return a11 * y0 + y1, a21 * y0 + a22 * y1
+
+    @property
+    def constant(self) -> bool:
+        return len(self.p11) == len(self.p21) == len(self.p22) == 1
 
 
 # One accepted step: the state on it is sum_k coef[k] * theta**k times
@@ -202,36 +213,130 @@ def integrate(
     per step.  Raises StepUnderflowError when the step size falls below
     1e-14 times the interval length.
     """
-    atol, rtol = tol
-    if atol <= 0 or rtol <= 0:
-        raise ValueError("tolerances must be positive")
-    x_from = y0.x
-    if to == x_from:
-        raise ValueError("empty integration interval")
-    forward = to > x_from
-    lo, hi = (x_from, to) if forward else (to, x_from)
-    bps = [float(t) for t in sys.breakpoints() if lo < t < hi]
-    nodes = [x_from] + sorted(bps, reverse=not forward) + [to]
+    segments, h_floor = _segments(sys, y0.x, to, tol)
     y = (complex(y0.y0), complex(y0.y1))
     ls = float(y0.logscale)
-    span = abs(to - x_from)
-    h_floor = MIN_STEP_FRACTION * span
     rows: list[tuple] = []
-    for seg_a, seg_b in zip(nodes[:-1], nodes[1:]):
-        y, ls = _integrate_segment(sys, rows, seg_a, seg_b, y, ls, atol, rtol, h_floor)
+    for seg_a, seg_b in segments:
+        mat = _SegmentMatrix(sys, 0.5 * (seg_a + seg_b))
+        y, ls = _integrate_segment(mat, rows, seg_a, seg_b, y, ls, *tol, h_floor)
+    return _trajectory(sys, y0.x, to, tol, rows)
+
+
+def endpoint(
+    sys: ShinZettlSystem,
+    y0: QuasiState,
+    to: float,
+    tol: tuple[float, float] = (ATOL, RTOL),
+) -> tuple[QuasiState, float]:
+    """End state at ``to`` and log of sup |Y| along the way, no dense output.
+
+    Walks the segments of ``integrate``.  A segment whose system matrix is
+    constant is crossed by exact exponentials (``_exact_step``), with
+    log|Y| sampled at every sub-step end.  Any other segment runs the
+    Dormand-Prince steps of ``integrate``, and its end state and log sup
+    are read from them as ``Trajectory.state_at`` and ``Trajectory.log_sup``
+    read them.  Raises StepUnderflowError as ``integrate`` does.
+    """
+    segments, h_floor = _segments(sys, y0.x, to, tol)
+    y = (complex(y0.y0), complex(y0.y1))
+    ls = float(y0.logscale)
+    sup = -math.inf
+    for seg_a, seg_b in segments:
+        mat = _SegmentMatrix(sys, 0.5 * (seg_a + seg_b))
+        if mat.constant:
+            y, ls, sup = _exact_segment(mat, seg_a, seg_b, y, ls, sup, h_floor)
+            end = y, ls
+        else:
+            rows: list[tuple] = []
+            y, ls = _integrate_segment(mat, rows, seg_a, seg_b, y, ls, *tol, h_floor)
+            seg = _trajectory(sys, seg_a, seg_b, tol, rows)
+            sup = max(sup, seg.log_sup())
+            (end_y,), (end_ls,) = seg.sample([seg_b])
+            end = (complex(end_y[0]), complex(end_y[1])), float(end_ls)
+    (e0, e1), end_ls = end
+    return QuasiState(to, e0, e1, sys.side, end_ls), sup
+
+
+def _segments(sys, x_from, to, tol):
+    """(start, end) of each segment from x_from to ``to``, and the step floor."""
+    if tol[0] <= 0 or tol[1] <= 0:
+        raise ValueError("tolerances must be positive")
+    if to == x_from:
+        raise ValueError("empty integration interval")
+    lo, hi = min(x_from, to), max(x_from, to)
+    bps = sorted((float(t) for t in sys.breakpoints() if lo < t < hi), reverse=to < x_from)
+    nodes = [x_from, *bps, to]
+    return list(zip(nodes[:-1], nodes[1:])), MIN_STEP_FRACTION * (hi - lo)
+
+
+def _trajectory(sys, x_from, to, tol, rows) -> Trajectory:
     return Trajectory(
         system=sys,
-        a=lo,
-        b=hi,
-        atol=atol,
-        rtol=rtol,
+        a=min(x_from, to),
+        b=max(x_from, to),
+        atol=tol[0],
+        rtol=tol[1],
         steps=_by_position(np.array(rows, dtype=STEP_DTYPE)),
     )
 
 
-def _integrate_segment(sys, rows, xa, xb, y, ls, atol, rtol, h_floor):
-    rep = 0.5 * (xa + xb)
-    mat = _SegmentMatrix(sys, rep)
+# 1/(2k)! and 1/(2k+1)!, highest power first: cosh(z) and sinh(z)/z as
+# series in w = z^2, exact to rounding for |w| <= 1
+_COSH = tuple(1 / math.factorial(2 * k) for k in range(11, -1, -1))
+_SINHC = tuple(1 / math.factorial(2 * k + 1) for k in range(11, -1, -1))
+
+
+def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
+    """exp(hA) as (e11, e12, e21, e22), for |h mu| <= 1.
+
+    ``inv`` is (a21, d, tau, mu^2) of the constant A: tau = tr A,
+    d = (a11 - a22)/2 and mu^2 = tau^2/4 - det A = d^2 + a21.
+    Cayley-Hamilton: exp(hA) = e^(h tau/2) [cosh(h mu) I + sinhc(h mu) h B]
+    with B = A - tau/2 I, whose entries are d, 1, a21 and -d.
+    """
+    a21, d, tau, mu2 = inv
+    w = h * h * mu2
+    ch = _horner(_COSH, w)
+    sh = h * _horner(_SINHC, w)
+    g = cmath.exp(0.5 * h * tau)
+    return g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d)
+
+
+def _exact_segment(mat, xa, xb, y, ls, sup, h_floor):
+    """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
+
+    n keeps |h mu| and |h tau|/2 at most 1, so each sub-step grows |Y| by
+    a bounded factor; a sub-step below h_floor raises StepUnderflowError,
+    as in ``_integrate_segment``.  The state is rescaled past
+    RESCALE_THRESHOLD as there.  ``peak`` is the largest mantissa since the
+    last rescale, and a rescale fires at the first mantissa past the
+    threshold, so log(peak) + ls at the end is the largest log|Y| over the
+    segment start, every sub-step end and ``sup``.
+    """
+    a11, a21, a22 = (complex(p[0]) for p in (mat.p11, mat.p21, mat.p22))
+    d = 0.5 * (a11 - a22)
+    tau, mu2 = a11 + a22, d * d + a21
+    seg_len = xb - xa
+    n = abs(seg_len) * max(math.sqrt(abs(mu2)), 0.5 * abs(tau))
+    if not n * h_floor <= abs(seg_len):  # also a rate that is not finite
+        raise StepUnderflowError(xa, seg_len / n, y[0], y[1], ls)
+    n = max(1, math.ceil(n))
+    e11, e12, e21, e22 = _exact_step((a21, d, tau, mu2), seg_len / n)
+    y0, y1 = y
+    peak = max(abs(y0), abs(y1))
+    for _ in range(n):
+        y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
+        m = max(abs(y0), abs(y1))
+        if m > peak:
+            peak = m
+            if m > RESCALE_THRESHOLD:
+                y0, y1, peak = y0 / m, y1 / m, 1.0
+                ls += math.log(m)
+    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+
+
+def _integrate_segment(mat, rows, xa, xb, y, ls, atol, rtol, h_floor):
     seg_len = xb - xa
     direction = 1.0 if seg_len > 0 else -1.0
     x = xa
@@ -239,10 +344,7 @@ def _integrate_segment(sys, rows, xa, xb, y, ls, atol, rtol, h_floor):
     f_now = mat.rhs(x, *y)
     while (x - xb) * direction < 0:
         if abs(h) < h_floor:
-            raise StepUnderflowError(
-                f"step size {abs(h):.3e} below floor at x={x:.6g} "
-                "(solution blow-up or coefficient pathology)"
-            )
+            raise StepUnderflowError(x, h, y[0], y[1], ls)
         if (x + h - xb) * direction > 0:
             h = xb - x
         k = [f_now]

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,7 +28,7 @@ from scipy.optimize import brentq
 from . import config
 from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import Trajectory, fundamental, integrate, pair_integral
+from .propagate import Trajectory, endpoint, fundamental, integrate, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
 
 
@@ -54,12 +55,11 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class CharValue:
-    """Shooting discriminant with its scale bookkeeping and its shot."""
+    """Shooting discriminant with its scale bookkeeping."""
 
     value: complex  # mantissa; true D = value * exp(logscale)
     logscale: float
     log_sup: float  # log of sup |Y| along the shot
-    trajectory: Trajectory = field(repr=False, compare=False)
 
     @property
     def residual(self) -> float:
@@ -74,8 +74,15 @@ class EigenResult:
     iterations: int
     converged: bool
     method: str  # "shooting-scan-brent", "shooting-scan-node" or "shooting-newton"
-    trajectory: Trajectory | None = None
     message: str = ""
+    # the dense shot at lam, run by ``trajectory`` on first read
+    shot: Callable[[], Trajectory] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def trajectory(self) -> Trajectory | None:
+        """Dense-output shot at ``lam`` (one ``integrate``, then cached), or
+        None for a result that keeps none."""
+        return None if self.shot is None else self.shot()
 
 
 @dataclass
@@ -106,16 +113,24 @@ def characteristic(
     side: str = DIRECT,
     tol: tuple[float, float] = (config.ATOL, config.RTOL),
 ) -> CharValue:
-    """Shoot from the left condition and evaluate the right one."""
-    a, b = float(interval[0]), float(interval[1])
-    al, be = bc.left
-    init = QuasiState(x=a, y0=-be, y1=al, side=side)
-    sys = assemble(c, side, lam)
-    traj = integrate(sys, init, b, tol)
-    end = traj.state_at(b)
+    """Shoot from the left condition and evaluate the right one.
+
+    The shot keeps no dense output (``propagate.endpoint``); ``_dense_shot``
+    is the same shot with it.
+    """
+    end, log_sup = endpoint(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]), tol)
     ar, br = bc.right
     D = ar * end.y0 + br * end.y1
-    return CharValue(value=D, logscale=end.logscale, log_sup=traj.log_sup(), trajectory=traj)
+    return CharValue(value=D, logscale=end.logscale, log_sup=log_sup)
+
+
+def _left_state(interval, bc: BoundaryCondition, side: str) -> QuasiState:
+    al, be = bc.left
+    return QuasiState(x=float(interval[0]), y0=-be, y1=al, side=side)
+
+
+def _dense_shot(c, interval, bc, lam, side, tol) -> Trajectory:
+    return integrate(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]), tol)
 
 
 def eigenvalues(
@@ -149,7 +164,6 @@ def eigenvalues(
             cv = characteristic(c, interval, bc, float(t), side, tol)
             vals.append(cv.value)
             scales.append(cv.logscale)
-            # only exact zeros keep their shot, so a long scan holds no trajectories
             if cv.value.real == 0:
                 nodes[i] = cv
         ratio = max((abs(v.imag) / abs(v) for v in vals if v != 0), default=0.0)
@@ -163,7 +177,8 @@ def eigenvalues(
         for i, cv in nodes.items():
             results.append(EigenResult(
                 lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,
-                method="shooting-scan-node", trajectory=cv.trajectory,
+                method="shooting-scan-node",
+                shot=partial(_dense_shot, c, interval, bc, float(lams[i]), side, tol),
             ))
         for i in range(len(lams) - 1):
             if signs[i] * signs[i + 1] < 0:
@@ -212,7 +227,7 @@ def _brent_real(c, interval, bc, side, tol, lams, vals, scales):
         iterations=info.iterations,
         converged=info.converged or cv.residual <= config.CHAR_TOL,
         method="shooting-scan-brent",
-        trajectory=cv.trajectory,
+        shot=partial(_dense_shot, c, interval, bc, lam, side, tol),
     )
 
 
@@ -227,7 +242,7 @@ def _newton(c, interval, bc, seed, side, tol):
                 residual=cv.residual,
                 iterations=it,
                 converged=True,
-                trajectory=cv.trajectory,
+                shot=partial(_dense_shot, c, interval, bc, lam, side, tol),
             )
         h = config.NEWTON_FD_STEP * (1 + abs(lam))
         cp = characteristic(c, interval, bc, lam + h, side, tol)
@@ -252,7 +267,7 @@ def _newton(c, interval, bc, seed, side, tol):
                 residual=cv.residual,
                 iterations=it,
                 converged=cv.residual <= config.CHAR_TOL,
-                trajectory=cv.trajectory,
+                shot=partial(_dense_shot, c, interval, bc, lam, side, tol),
                 message="" if cv.residual <= config.CHAR_TOL else "stagnated above tolerance",
             )
     cv = characteristic(c, interval, bc, lam, side, tol)

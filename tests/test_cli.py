@@ -137,9 +137,11 @@ def test_eig_task_end_to_end(tmp_path):
     raw = load_problem(write(tmp_path, "p.json", problem))
     code, text, _ = run_problem(raw)
     assert code == EXIT_OK
-    table = [l for l in text.splitlines() if l.startswith("-0.9999")]
-    assert table, text
-    lam = float(table[0].split(",")[0])
+    lines = text.splitlines()
+    table = lines.index("[table eigenvalues]  (source: shooting)")
+    rows = lines[table + 2 : lines.index("[/table]", table)]
+    assert len(rows) == 1, text
+    lam = float(rows[0].split(",")[0])
     assert lam == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -273,6 +275,18 @@ def test_verify_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
     path = write(tmp_path, "p.json", problem)
     assert main(["verify", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
     assert "OverflowUnrecoverableError" in capsys.readouterr().err
+
+
+def test_stiff_eig_scan_is_a_numeric_error(tmp_path, capsys):
+    # s = 1e30 on [0, 1]: the exact sub-steps of a constant segment would
+    # be 1e-15 long, below the 1e-14 floor, so the scan's first shot stops
+    # at once instead of looping 1e15 times
+    coeffs = dict(FREE_COEFFS, s={"breakpoints": [], "pieces": [["1e30"]]})
+    problem = {"task": "eig", "coefficients": coeffs,
+               "params": {"interval": [0, 1], "scan": [0, 1], "grid": 3}}
+    path = write(tmp_path, "p.json", problem)
+    assert main(["eig", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "numeric error: StepUnderflowError" in capsys.readouterr().err
 
 
 def test_cli_writes_report_and_trajectory(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import OverflowUnrecoverableError, StepUnderflowError
-from qschro.propagate import fundamental, integrate, pair_integral
+from qschro import propagate
+from qschro.propagate import endpoint, fundamental, integrate, pair_integral
 from qschro.quasi import QuasiState, assemble
 
 
@@ -166,13 +167,28 @@ def test_one_sided_values_at_knot_from_adjacent_rows():
     assert np.allclose(yl * math.exp(ll - lr), yr, rtol=1e-12, atol=0.0)
 
 
-def test_step_underflow_signaled():
-    # growth rate ~1e15 forces steps below the 1e-14*span floor
+def _stiff_shot(shoot):
+    """Shoot the s = 1e30 field from (1, 1) at logscale 2 and return its error."""
     z = PiecewisePoly.zero()
     stiff = CoefficientField(PiecewisePoly.constant(1e30), z, z)
     sys = assemble(stiff, "direct", 0.0)
-    with pytest.raises(StepUnderflowError):
-        integrate(sys, QuasiState(0.0, 1.0, 1.0), 1.0)
+    with pytest.raises(StepUnderflowError, match=r"^step size .* below floor at x=0 \(solution") as err:
+        shoot(sys, QuasiState(0.0, 1.0, 1.0, logscale=2.0), 1.0)
+    e = err.value
+    assert (e.x, e.y0, e.y1, e.logscale) == (0.0, 1.0, 1.0, 2.0)
+    assert 0 < e.h < 1e-14
+    return e
+
+
+def test_step_underflow_signaled():
+    # growth rate ~1e15 forces steps below the 1e-14*span floor
+    _stiff_shot(integrate)
+
+
+def test_step_underflow_signaled_on_the_exact_path():
+    # the same constant field on the exact path: the sub-steps that keep
+    # |h mu| <= 1 would be 1e-15 long, so it stops before any product
+    assert _stiff_shot(endpoint).h == pytest.approx(1e-15)
 
 
 def test_pair_integral_exponential_mass():
@@ -222,3 +238,88 @@ def test_to_piecewise_past_the_float_range_raises():
     assert top > 709
     with pytest.raises(OverflowUnrecoverableError, match=f"{top:.6g}"):
         t.to_piecewise(0)
+
+
+# ----------------------------------------------------------------------
+# endpoint shots: exact exponentials on constant segments
+
+
+def _shot_pair(c, lam, a, b, init=(0.0, 1.0)):
+    """(endpoint, integrate) of the same shot, each as (y, logscale, log_sup)."""
+    sys = assemble(c, "direct", lam)
+    start = QuasiState(a, *init)
+    end, sup = endpoint(sys, start, b)
+    t = integrate(sys, start, b)
+    dense = t.state_at(b)
+    return (end.y0, end.y1, end.logscale, sup), (dense.y0, dense.y1, dense.logscale, t.log_sup())
+
+
+@pytest.mark.parametrize("inv", [
+    (2.0 + 1j, 0.3 - 0.2j, 0.5j, (0.3 - 0.2j) ** 2 + 2.0 + 1j),  # a21, d, tau, mu^2
+    (-2500.0, 0.0, 0.0, -2500.0),
+    (-(0.7j ** 2) + 1e-9, 0.7j, -1.1, 1e-9),  # mu^2 near 0: sinhc series
+    (0.0, 0.0, 0.0, 0.0),  # nilpotent: exp(hA) = I + hA
+])
+def test_exact_step_matches_expm(inv):
+    from scipy.linalg import expm
+
+    a21, d, tau, mu2 = inv
+    A = np.array([[tau / 2 + d, 1.0], [a21, tau / 2 - d]])
+    h = 1.0 / max(abs(mu2) ** 0.5, abs(tau) / 2, 1.0)
+    got = np.array(propagate._exact_step(inv, h)).reshape(2, 2)
+    assert np.allclose(got, expm(h * A), rtol=1e-14, atol=1e-14 * np.abs(expm(h * A)).max())
+
+
+def test_exact_shot_matches_dormand_prince_on_mixed_field():
+    # constant pieces around one linear piece of s and one jump of Q: the
+    # linear segment runs Dormand-Prince, the others are exact
+    c = CoefficientField(
+        PiecewisePoly([-1.0, 1.0], [[0.5], [0.0, 0.8], [-0.3]]),
+        PiecewisePoly.heaviside(-1.5, 1.7),
+        PiecewisePoly.zero(),
+    )
+    for lam in (-2.0, 3.0 + 0.5j, 40.0):
+        (e0, e1, el, esup), (d0, d1, dl, dsup) = _shot_pair(c, lam, -3.0, 3.0)
+        scale = math.exp(dsup)
+        assert abs(e0 * math.exp(el) - d0 * math.exp(dl)) <= 1e-9 * scale
+        assert abs(e1 * math.exp(el) - d1 * math.exp(dl)) <= 1e-9 * scale
+        # both sup are sampled, at other points: exact sub-steps turn the
+        # phase by at most 1, so they miss a peak by at most a factor cos(1/2)
+        assert abs(esup - dsup) <= -math.log(math.cos(0.5))
+
+
+def test_exact_shot_rescales_like_dormand_prince():
+    # e^x growth on [0, 300] passes 1e100 twice; the exact path rescales at
+    # the same threshold and ends with the true size, sinh(300)
+    (e0, _, el, esup), (_, _, dl, _) = _shot_pair(FREE, -1.0, 0.0, 300.0)
+    assert el > 0 and dl > 0
+    want = 300.0 - math.log(2.0)  # log sinh(300) to rounding
+    assert abs(math.log(abs(e0)) + el - want) <= 1e-12 * want
+    assert abs(esup - want) <= 1e-12 * want
+
+
+def test_non_constant_shot_is_the_dormand_prince_shot():
+    # s = i x has no constant segment: endpoint runs the same steps as
+    # integrate and reads the end state and log sup the same way, bit for bit
+    ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    for lam in (1.0, 3.7, 8.0 + 1j):
+        e, d = _shot_pair(ix, lam, 0.0, math.pi)
+        assert e == d
+
+
+def test_exact_substeps_are_fewer_than_dormand_prince_steps(monkeypatch):
+    # free field at lambda = 2500: |h mu| <= 1 gives 158 sub-steps on [0, pi]
+    hs = []
+    step = propagate._exact_step
+
+    def recorded(inv, h):
+        hs.append(h)
+        return step(inv, h)
+
+    monkeypatch.setattr(propagate, "_exact_step", recorded)
+    sys = assemble(FREE, "direct", 2500.0)
+    endpoint(sys, QuasiState(0.0, 0.0, 1.0), math.pi)
+    assert len(hs) == 1
+    substeps = round(math.pi / hs[0])
+    assert substeps == math.ceil(50 * math.pi)
+    assert substeps <= len(integrate(sys, QuasiState(0.0, 0.0, 1.0), math.pi).steps)

@@ -1,5 +1,6 @@
 """Shooting spectra and the null-space growth probe."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ import scipy.sparse.linalg as spla
 from qschro import spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import NonRealScanError
+from qschro.propagate import integrate
+from qschro.quasi import QuasiState, assemble
 from qschro.spectral import (
     BoundaryCondition,
     characteristic,
@@ -48,6 +51,63 @@ def test_characteristic_free_off_eigenvalue():
     cv = characteristic(FREE, (0, math.pi), BC, 2.0)
     want = math.sin(math.sqrt(2) * math.pi) / math.sqrt(2)
     assert cv.value * math.exp(cv.logscale) == pytest.approx(want, abs=1e-8)
+
+
+def _dense_d(c, interval, lam):
+    """D(lambda) e^logscale from a Dormand-Prince shot with dense output."""
+    end = integrate(assemble(c, "direct", lam), QuasiState(interval[0], 0.0, 1.0), interval[1]).state_at(interval[1])
+    return end.y0 * math.exp(end.logscale)
+
+
+@pytest.mark.parametrize("lam", [1.0, 25.0, 400.0, 2500.0, 3 + 0.5j])
+def test_characteristic_free_matches_closed_form(lam):
+    # constant field: exact exponentials, accurate to rounding at any lambda
+    cv = characteristic(FREE, (0, math.pi), BC, lam)
+    got = cv.value * math.exp(cv.logscale)
+    k = cmath.sqrt(lam)
+    assert abs(got - cmath.sin(k * math.pi) / k) <= 1e-12
+    assert abs(got - _dense_d(FREE, (0, math.pi), lam)) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [-1.0, 2 + 1j])
+def test_characteristic_delta_well_matches_closed_form(lam):
+    # u = sin(k(x + L))/k left of the well; u' drops by 2u(0) there, so
+    # D = u(L) = 2 sin(kL) cos(kL)/k - 2 sin(kL)^2/k^2
+    L = 5.0
+    dw = CoefficientField.delta_well(-2.0)
+    cv = characteristic(dw, (-L, L), BC, lam)
+    got = cv.value * math.exp(cv.logscale)
+    k = cmath.sqrt(lam)
+    sn, cs = cmath.sin(k * L) / k, cmath.cos(k * L)
+    scale = math.exp(cv.log_sup)  # the cancellation scale of the shot
+    assert abs(got - (2 * sn * cs - 2 * sn * sn)) <= 1e-12 * scale
+    assert abs(got - _dense_d(dw, (-L, L), lam)) <= 1e-9 * scale
+
+
+def _counting_integrate(monkeypatch):
+    calls = []
+    run = spectral.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate", counted)
+    return calls
+
+
+def test_scan_of_constant_field_keeps_no_dense_output(monkeypatch):
+    # the scan and Brent's shots are exact endpoint shots; the dense shot
+    # is run once, when the eigenfunction is first read, and then kept
+    calls = _counting_integrate(monkeypatch)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
+    assert len(res) == 5 and not calls
+    r = res[1]
+    traj = r.trajectory
+    assert len(calls) == 1
+    assert r.trajectory is traj and len(calls) == 1
+    want = integrate(assemble(FREE, "direct", r.lam), QuasiState(0.0, -0.0, 1.0), math.pi)
+    assert np.array_equal(traj.steps, want.steps)
 
 
 def test_characteristic_delta_well_truncated_bound_state():
@@ -112,6 +172,7 @@ def test_real_scan_refuses_a_complex_discriminant():
 def test_root_on_a_scan_node_is_kept():
     # Neumann free field on [0, 3]: D(0) is exactly 0 at the middle node of
     # the grid -1, 0, 1, with no sign change on either side of it
+    # (exactly 0 on the exact path too: exp(hA) = I + hA at lambda = 0)
     neumann = BoundaryCondition((0, 1), (0, 1))
     res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 1), grid=3)
     assert [(r.lam, r.converged, r.method) for r in res] == [(0j, True, "shooting-scan-node")]
