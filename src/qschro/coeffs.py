@@ -616,11 +616,26 @@ class CoefficientField:
     def is_real(self, tol: float = 1e-12) -> bool:
         return self.s.is_real(tol) and self.Q.is_real(tol) and self.r.is_real(tol)
 
-    def breakpoints(self) -> np.ndarray:
+    # lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22) of each
+    # side; the adjoint side swaps and conjugates (G1, G2, s)
+    @cached_property
+    def direct_entries(self) -> tuple:
+        return self.G1, -(self.G1 * self.G2) + self.s, -self.G2
+
+    @cached_property
+    def adjoint_entries(self) -> tuple:
+        g1, g2 = self.G2.conj(), self.G1.conj()
+        return g1, -(g1 * g2) + self.s.conj(), -g2
+
+    @cached_property
+    def _breakpoints(self) -> np.ndarray:
         return _merge_breakpoints(
             _merge_breakpoints(self.s.breakpoints, self.Q.breakpoints),
             self.r.breakpoints,
         )
+
+    def breakpoints(self) -> np.ndarray:
+        return self._breakpoints
 
     @classmethod
     def free(cls) -> "CoefficientField":

@@ -52,9 +52,10 @@ SCAN_REAL_TOL = 1e-8
 # grid read from a problem file: one shot or one sample per point.
 MAX_GRID_POINTS = 10_000
 
-# Newton refinement of the characteristic function.
+# Newton refinement of the characteristic function by secant steps;
+# NEWTON_FIRST_STEP places the second point at seed + step * (1 + |seed|).
 NEWTON_MAX_ITER = 50
-NEWTON_FD_STEP = 1e-6
+NEWTON_FIRST_STEP = 1e-6
 
 # Eigenvalues closer than this are merged as duplicates.
 EIG_MERGE_TOL = 1e-8

@@ -24,7 +24,7 @@ import numpy as np
 from .coeffs import CoefficientField, PiecewisePoly
 from .errors import SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, pair_integral
-from .quasi import ADJOINT, DIRECT, QuasiState, _side_coefficients, apply_l_atoms
+from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
@@ -129,7 +129,7 @@ def _state(c: CoefficientField, f, side: str, x: float, inner: str) -> QuasiStat
     if isinstance(f, Trajectory):
         y, ls = f.sample([x], inner)
         return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), side, float(ls[0]))
-    g1 = _side_coefficients(c, side)[0]
+    g1 = assemble(c, side).a11
     return QuasiState(x, f.eval(x, inner), (f.derivative() - g1 * f).eval(x, inner), side)
 
 

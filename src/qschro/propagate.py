@@ -62,14 +62,17 @@ _P = np.array(
 
 
 class _SegmentMatrix:
-    """System entries restricted to one smooth segment, Horner-ready."""
+    """System entries restricted to one smooth segment, Horner-ready;
+    lambda is subtracted from the constant term of entry (2,1), which gives
+    the bits of the ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
 
     __slots__ = ("c11", "p11", "c21", "p21", "c22", "p22")
 
     def __init__(self, sys: ShinZettlSystem, rep: float):
-        pieces = [p.piece_at(rep) for p in (sys.a11, sys.a21, sys.a22)]
+        pieces = [p.piece_at(rep) for p in (sys.a11, sys.a21_0, sys.a22)]
         (self.c11, self.p11), (self.c21, self.p21), (self.c22, self.p22) = (
             (center, tuple(row[::-1])) for center, row in pieces)
+        self.p21 = (*self.p21[:-1], self.p21[-1] - sys.lam)
 
     def rhs(self, x: float, y0: complex, y1: complex) -> tuple[complex, complex]:
         a11 = _horner(self.p11, x - self.c11)

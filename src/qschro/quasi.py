@@ -5,14 +5,15 @@ distributional coefficients becomes a first-order linear system whose
 matrix is locally integrable; the continuous state is (u, u') with the
 derivative replaced by u' - G1*u.  The Lagrange-adjoint side uses the
 same machinery with (G1, G2, s) replaced by their swapped conjugates.
-That swap is made in ``_side_coefficients`` only; ``assemble``'s matrix is
-the one representation of the expression, and every operation below
-applies it through one quasi-derivative ladder with one jump rule.
+That swap is made in ``CoefficientField.adjoint_entries`` only; ``assemble``'s
+matrix is the one representation of the expression, and every operation
+below applies it through one quasi-derivative ladder with one jump rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,36 +56,33 @@ class ShinZettlSystem:
     Direct side: [[G1, 1], [-G1*G2 + s - lambda, -G2]].  The adjoint side
     is the same matrix built from (conj G2, conj G1, conj s); its solutions
     carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
-    shift enters entry (2,1) only.
+    shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
     """
 
     field_data: CoefficientField
     side: str
     lam: complex
     a11: PiecewisePoly = field(repr=False)
-    a21: PiecewisePoly = field(repr=False)
+    a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
 
     @property
     def a12(self) -> PiecewisePoly:
         return PiecewisePoly.constant(1.0)
 
+    @cached_property
+    def a21(self) -> PiecewisePoly:  # entry (2,1) at lambda, built on first read
+        return self.a21_0 - self.lam
+
     def breakpoints(self) -> np.ndarray:
         return self.field_data.breakpoints()
 
 
-def _side_coefficients(c: CoefficientField, side: str):
-    """(g1, g2, s) on the given side: the adjoint swaps and conjugates them."""
-    if _check_side(side) == DIRECT:
-        return c.G1, c.G2, c.s
-    return c.G2.conj(), c.G1.conj(), c.s.conj()
-
-
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
-    """Build the Shin-Zettl matrix for l - lambda (or its adjoint)."""
-    g1, g2, s = _side_coefficients(c, side)
-    a21 = -(g1 * g2) + s - complex(lam)
-    return ShinZettlSystem(c, side, complex(lam), g1, a21, -g2)
+    """The Shin-Zettl matrix for l - lambda (or its adjoint); its
+    lambda-free entries are built once per field and side."""
+    entries = c.direct_entries if _check_side(side) == DIRECT else c.adjoint_entries
+    return ShinZettlSystem(c, side, complex(lam), *entries)
 
 
 def _eval_scale(u: PiecewisePoly, x: float) -> float:
@@ -128,7 +126,7 @@ def _apply(c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float
     A = assemble(c, side)
     u1 = u.derivative() - A.a11 * u
     atoms = {x: -h for x, h in _jumps(u1, window).items()}
-    return u1, -(u1.derivative() - A.a22 * u1 - A.a21 * u), atoms
+    return u1, -(u1.derivative() - A.a22 * u1 - A.a21_0 * u), atoms
 
 
 def quasi_derivatives(c: CoefficientField, side: str, u: PiecewisePoly, x: float):
@@ -180,7 +178,7 @@ def product_rule_check(
     """Residual of the cut-off product rule, sup-sampled on the window.
 
     Checks l[phi*u] against phi*l[u] - phi''*u - 2*phi'*u' + (g1-g2)*phi'*u,
-    with g1, g2 taken on the requested side; returns the sup-norm
+    with g1 - g2 = a11 + a22 of the requested side; returns the sup-norm
     of the difference over 200 sample points, normalized by 1 + the sup of
     both sides.  Dirac atoms produced by jumps of u^[1] agree on both sides
     and cancel; the comparison is between the absolutely continuous parts.
@@ -193,13 +191,13 @@ def product_rule_check(
         raise ValueError(
             f"cut-off support [{lo}, {hi}] is not compact inside [{a}, {b}]"
         )
-    g1, g2, _ = _side_coefficients(c, side)
+    A = assemble(c, side)
     lhs, lhs_atoms = apply_l_atoms(c, side, phi * u, window)
     lu, lu_atoms = apply_l_atoms(c, side, u, window)
     dphi = phi.derivative()
     ddphi = dphi.derivative()
     du = u.derivative()
-    rhs = phi * lu - ddphi * u - 2.0 * (dphi * du) + (g1 - g2) * (dphi * u)
+    rhs = phi * lu - ddphi * u - 2.0 * (dphi * du) + (A.a11 + A.a22) * (dphi * u)
     diff = lhs - rhs
     skip = set(np.round(diff.breakpoints, 12))
     xs = np.array([x for x in np.linspace(a, b, 200) if round(float(x), 12) not in skip])

@@ -5,7 +5,8 @@ on the unique (up to scale) solution satisfying the left condition; its
 zeros are the eigenvalues of the restriction with separated quasi-boundary
 conditions.  Because solutions can traverse many orders of magnitude, D
 only vanishes *relative to the cancellation scale of the shot*, and every
-acceptance test is phrased that way.
+acceptance test is phrased that way.  Every shot is one ``characteristic``
+call, and lambda is a scalar of the shot's system.
 
 The probe integrates the adjoint equation's fundamental pair over growing
 symmetric windows and tracks the smallest eigenvalue N(T) of their L2
@@ -151,17 +152,19 @@ def eigenvalues(
     is exactly 0 is itself a root.  When
     max |Im D|/|D| over the grid exceeds ``config.SCAN_REAL_TOL`` the scan
     refuses with a NonRealScanError carrying that ratio.
-    Newton mode iterates lambda - D/D' with a centered finite-difference
-    derivative from each seed; non-converged seeds are reported with
+    Newton mode takes secant steps from each seed, one shot per iterate,
+    plus one polishing step; non-converged seeds are reported with
     converged=False, never raised.  Duplicates merge within 1e-8.
     """
+    shoot = partial(characteristic, c, interval, bc, side=side, tol=tol)
+    dense = partial(_dense_shot, c, interval, bc, side=side, tol=tol)
     results: list[EigenResult] = []
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
         lams = np.linspace(lo, hi, grid)
         vals, scales, nodes = [], [], {}
         for i, t in enumerate(lams):
-            cv = characteristic(c, interval, bc, float(t), side, tol)
+            cv = shoot(float(t))
             vals.append(cv.value)
             scales.append(cv.logscale)
             if cv.value.real == 0:
@@ -177,15 +180,13 @@ def eigenvalues(
         for i, cv in nodes.items():
             results.append(EigenResult(
                 lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,
-                method="shooting-scan-node",
-                shot=partial(_dense_shot, c, interval, bc, float(lams[i]), side, tol),
+                method="shooting-scan-node", shot=partial(dense, float(lams[i])),
             ))
         for i in range(len(lams) - 1):
             if signs[i] * signs[i + 1] < 0:
-                results.append(_brent_real(
-                    c, interval, bc, side, tol, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
+                results.append(_brent_real(shoot, dense, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
     for seed in seeds:
-        results.append(_newton(c, interval, bc, complex(seed), side, tol))
+        results.append(_newton(shoot, dense, complex(seed)))
     merged: list[EigenResult] = []
     for r in sorted(results, key=lambda t: (t.lam.real, t.lam.imag)):
         dup = next(
@@ -202,7 +203,7 @@ def eigenvalues(
     return merged
 
 
-def _brent_real(c, interval, bc, side, tol, lams, vals, scales):
+def _brent_real(shoot, dense, lams, vals, scales):
     """Refine a sign change of Re D between two scan nodes with brentq.
 
     The ends reuse the scan's shots.  Every value is put on the common
@@ -215,69 +216,49 @@ def _brent_real(c, interval, bc, side, tol, lams, vals, scales):
     def re_d(t):
         if t in ends:
             return ends[t]
-        cv = characteristic(c, interval, bc, t, side, tol)
+        cv = shoot(t)
         return cv.value.real * math.exp(cv.logscale - L)
 
     lo, hi = ends
     lam, info = brentq(re_d, lo, hi, xtol=5e-15, full_output=True, disp=False)
-    cv = characteristic(c, interval, bc, lam, side, tol)
+    cv = shoot(lam)
     return EigenResult(
         lam=complex(lam),
         residual=cv.residual,
         iterations=info.iterations,
         converged=info.converged or cv.residual <= config.CHAR_TOL,
         method="shooting-scan-brent",
-        shot=partial(_dense_shot, c, interval, bc, lam, side, tol),
+        shot=partial(dense, lam),
     )
 
 
-def _newton(c, interval, bc, seed, side, tol):
-    result = partial(EigenResult, method="shooting-newton")
-    lam = complex(seed)
+def _newton(shoot, dense, seed):
+    """Secant steps on D from ``seed`` and seed + NEWTON_FIRST_STEP * (1 + |seed|),
+    one shot per iterate.  The first iterate to meet CHAR_TOL gets one more
+    step; the better of the last two iterates is reported, converged when
+    its residual meets CHAR_TOL."""
+    lam = seed + config.NEWTON_FIRST_STEP * (1 + abs(seed))
+    prev, cur = (seed, shoot(seed)), (lam, shoot(lam))
+    message = "no convergence within iteration budget"
     for it in range(1, config.NEWTON_MAX_ITER + 1):
-        cv = characteristic(c, interval, bc, lam, side, tol)
-        if cv.residual <= config.CHAR_TOL:
-            return result(
-                lam=lam,
-                residual=cv.residual,
-                iterations=it,
-                converged=True,
-                shot=partial(_dense_shot, c, interval, bc, lam, side, tol),
-            )
-        h = config.NEWTON_FD_STEP * (1 + abs(lam))
-        cp = characteristic(c, interval, bc, lam + h, side, tol)
-        cm = characteristic(c, interval, bc, lam - h, side, tol)
+        (l0, c0), (l1, c1) = prev, cur
+        met = c1.residual <= config.CHAR_TOL
         # combine at a common scale; nearby lambdas give nearby logscales
-        L = max(cp.logscale, cm.logscale, cv.logscale)
-        dp = cp.value * math.exp(cp.logscale - L)
-        dm = cm.value * math.exp(cm.logscale - L)
-        d0 = cv.value * math.exp(cv.logscale - L)
-        deriv = (dp - dm) / (2 * h)
-        if deriv == 0:
-            return result(
-                lam=lam, residual=cv.residual, iterations=it, converged=False,
-                message="flat characteristic (zero derivative)",
-            )
-        step = d0 / deriv
-        lam = lam - step
-        if abs(step) <= 1e-14 * (1 + abs(lam)):
-            cv = characteristic(c, interval, bc, lam, side, tol)
-            return result(
-                lam=lam,
-                residual=cv.residual,
-                iterations=it,
-                converged=cv.residual <= config.CHAR_TOL,
-                shot=partial(_dense_shot, c, interval, bc, lam, side, tol),
-                message="" if cv.residual <= config.CHAR_TOL else "stagnated above tolerance",
-            )
-    cv = characteristic(c, interval, bc, lam, side, tol)
-    return result(
-        lam=lam,
-        residual=cv.residual,
-        iterations=config.NEWTON_MAX_ITER,
-        converged=False,
-        message="no convergence within iteration budget",
-    )
+        L = max(c0.logscale, c1.logscale)
+        d0, d1 = (cv.value * math.exp(cv.logscale - L) for cv in (c0, c1))
+        if d1 == d0:
+            message = "flat characteristic (zero derivative)"
+            break
+        step = d1 * (l1 - l0) / (d1 - d0)
+        lam = l1 - step
+        prev, cur = cur, (lam, shoot(lam))
+        if met or abs(step) <= 1e-14 * (1 + abs(lam)):
+            message = "stagnated above tolerance"
+            break
+    lam, cv = min(prev, cur, key=lambda p: p[1].residual)
+    ok = cv.residual <= config.CHAR_TOL
+    return EigenResult(lam=lam, residual=cv.residual, iterations=it, converged=ok, method="shooting-newton",
+                       message="" if ok else message, shot=partial(dense, lam))
 
 
 def eigenfunction_residual(

@@ -6,11 +6,12 @@ import pytest
 from qschro.coeffs import CoefficientField, PiecewisePoly, bump, from_callable
 from qschro.conditions import build_cutoff
 from qschro.errors import DiscontinuousQuasiDerivativeError
-from qschro.propagate import integrate
+from qschro.propagate import endpoint, integrate
 from qschro.quasi import (
     ADJOINT,
     DIRECT,
     QuasiState,
+    ShinZettlSystem,
     apply_l,
     apply_l_atoms,
     assemble,
@@ -239,3 +240,29 @@ def test_quasi_derivatives_and_apply_l_agree_bit_for_bit():
             for x in [-4.0, 4.0, *map(float, rng.uniform(-5, 5, 4))]:
                 y2 = quasi_derivatives(c, side, u, x)[2]
                 assert y2 == -apply_l(c, side, u, (x, x)).eval(x)
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("side", [DIRECT, ADJOINT])
+def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
+    # reference: a system at lambda = 0 whose lambda-free entry (2,1) is
+    # the whole polynomial -g1*g2 + s - lambda; random fields run
+    # Dormand-Prince, the delta well the exact exponentials
+    rng = np.random.default_rng(5)
+    fields = [random_field(rng), random_field(rng), CoefficientField.delta_well(-2.0)]
+    for c in fields:
+        if side == DIRECT:
+            g1, g2, s = c.G1, c.G2, c.s
+        else:
+            g1, g2, s = c.G2.conj(), c.G1.conj(), c.s.conj()
+        y0 = QuasiState(-2.0, 1.0, 0.2 + 0.1j, side)
+        for lam in (0, -1, 2 + 1j, 400):
+            sys = assemble(c, side, lam)
+            ref = ShinZettlSystem(c, side, 0j, g1, -(g1 * g2) + s - complex(lam), -g2)
+            (end, sup), (end_ref, sup_ref) = endpoint(sys, y0, 2.0), endpoint(ref, y0, 2.0)
+            assert _bits(end.y0, end.y1, end.logscale, sup) == _bits(
+                end_ref.y0, end_ref.y1, end_ref.logscale, sup_ref)
+            assert integrate(sys, y0, 2.0).steps.tobytes() == integrate(ref, y0, 2.0).steps.tobytes()

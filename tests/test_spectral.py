@@ -233,6 +233,53 @@ def test_newton_complex_drift_vs_fd_oracle():
         assert r.lam.real == pytest.approx(round(r.lam.real), abs=1e-6)
 
 
+FREE_SEEDS = [1.03 + 0.2j, 3.9 - 0.15j, 9.2 + 0.1j, 15.6 - 0.2j]
+
+
+def test_newton_roots_are_polished_to_rounding():
+    # the first iterate under CHAR_TOL is still about 1e-10 off the root;
+    # one more secant step brings it to rounding
+    res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS)
+    assert [r.converged for r in res] == [True] * 4
+    for n, r in enumerate(res, 1):
+        assert abs(r.lam - n * n) <= 1e-14 * n * n
+        assert abs(r.lam.imag) <= 1e-14
+    drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.constant(-1j))
+    res = eigenvalues(drift, (0, math.pi), BC, seeds=[2.1, 5.2, 9.8, 17.3])
+    assert [r.converged for r in res] == [True] * 4
+    for n, r in enumerate(res, 1):
+        assert abs(r.lam - (n * n + 1)) <= 1e-14 * (n * n + 1)
+
+
+def test_newton_spends_one_shot_per_iterate(monkeypatch):
+    # secant steps: two shots to start each seed, then one per iterate;
+    # centred differences took three per iterate, 43 shots here
+    shots = _counting_shots(monkeypatch)
+    res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS)
+    assert [round(r.lam.real) for r in res if r.converged] == [1, 4, 9, 16]
+    assert len(shots) <= 32
+
+
+def test_scan_builds_the_system_once_per_field(monkeypatch):
+    # lambda is a scalar of the shot: the product g1*g2 of entry (2,1) is
+    # formed once per field, not once per shot
+    products = []
+    mul = PiecewisePoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(PiecewisePoly, "__mul__", counted)
+    counts = []
+    for grid in (8, 32):
+        products.clear()
+        res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid)
+        assert [round(r.lam.real) for r in res if r.converged] == [-1]
+        counts.append(len(products))
+    assert counts[0] == counts[1]
+
+
 def test_newton_real_seed_stays_real():
     res = eigenvalues(FREE, (0, math.pi), BC, seeds=[4.2 + 0.3j])
     good = [r for r in res if r.converged]
