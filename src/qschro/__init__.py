@@ -48,8 +48,9 @@ from .lagrange_forms import (
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
-    numerical_range_sample,
     quadratic_form,
+    range_verdict,
+    sample_forms,
 )
 from .propagate import FundamentalSystem, Trajectory, endpoint, fundamental, integrate, pair_integral
 from .quasi import (
@@ -112,7 +113,8 @@ __all__ = [
     "lagrange_residual",
     "quadratic_form",
     "form_vs_operator_check",
-    "numerical_range_sample",
+    "sample_forms",
+    "range_verdict",
     # condition checkers
     "WeightFunction",
     "RhoMap",

@@ -494,7 +494,7 @@ def run_form(field, params, rep, tol):
         "form_values",
         ["index", "kin_re", "kin_im", "cpl_re", "cpl_im", "pot_re", "pot_im", "val_re", "val_im", "w_re", "w_im"],
         rows,
-        source="exact-piecewise-quadrature",
+        source="gauss-legendre-quadrature",
     )
     cond = range_verdict(forms, sector=params["sector"])
     _report_condition(rep, "range", cond)

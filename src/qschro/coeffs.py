@@ -464,9 +464,14 @@ def smoothstep(a: float, b: float, rising: bool = True) -> PiecewisePoly:
     t0 = 0.5
     s0 = 3 * t0**2 - 2 * t0**3
     s1 = (6 * t0 - 6 * t0**2) / L
-    s2 = (6 - 12 * t0) / (2 * L**2)
-    s3 = -12 / (6 * L**3)
+    try:
+        s2 = (6 - 12 * t0) / (2 * L**2)
+        s3 = -12 / (6 * L**3)
+    except (OverflowError, ZeroDivisionError):  # L**2 or L**3 leaves the float range
+        s2 = s3 = math.inf
     ramp = np.array([s0, s1, s2, s3], dtype=complex)
+    if not (math.isfinite(L) and np.all(np.isfinite(ramp))):
+        raise ValueError(f"smoothstep ramp of width {L!r} has coefficients outside the float range")
     lo, hi = (0.0, 1.0) if rising else (1.0, 0.0)
     if not rising:
         ramp = np.array([1.0, 0, 0, 0], dtype=complex) - ramp

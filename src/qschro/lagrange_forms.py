@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientField, PiecewisePoly
-from .errors import SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
-from .propagate import Trajectory, pair_integral
+from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
+from .propagate import Trajectory, _panel_values, _panels, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
@@ -182,10 +182,10 @@ def quadratic_form(
     u: PiecewisePoly,
     support: tuple[float, float],
 ) -> FormValue:
-    """The pre-minimal form t(u), exactly, split into its three parts.
+    """The pre-minimal form t(u), split into its three parts.
 
-    t(u) = int |u'|^2 - int (G1 u conj(u)' + G2 u' conj(u)) + int s |u|^2.
-    u must be continuous with compact support inside ``support``.
+    ``sample_forms`` of the family [u]; u must be continuous, with compact
+    support inside ``support``.
     """
     a, b = float(support[0]), float(support[1])
     lo, hi = u.support_bounds()
@@ -197,11 +197,7 @@ def quadratic_form(
     for p, h in u.jumps.items():
         if abs(h) > 1e-10 * scale:
             raise UnsupportedTestFunctionError(f"test function jumps at x={p}")
-    du = u.derivative()
-    kinetic = (du * du.conj()).integrate(a, b)
-    coupling = -((c.G1 * u * du.conj()) + (c.G2 * du * u.conj())).integrate(a, b)
-    potential = (c.s * u * u.conj()).integrate(a, b)
-    return FormValue(kinetic=kinetic, coupling=coupling, potential=potential)
+    return sample_forms(c, [u])[0][0]
 
 
 def form_vs_operator_check(
@@ -211,9 +207,9 @@ def form_vs_operator_check(
 ) -> float:
     """|t(u) - int l[u] conj(u)| over 1 + magnitudes.
 
-    Both sides are computed independently: the form by exact quadrature of
-    its three integrals, the operator side by applying the expression and
-    integrating against conj(u), Dirac atoms included.
+    Both sides are computed independently: the form by Gauss-Legendre
+    quadrature of its three integrals, the operator side by applying the
+    expression and integrating against conj(u), Dirac atoms included.
     """
     a, b = float(support[0]), float(support[1])
     form = quadratic_form(c, u, support).value
@@ -223,30 +219,43 @@ def form_vs_operator_check(
     return abs(form - op) / (1.0 + abs(form) + abs(op))
 
 
-def sample_forms(
-    c: CoefficientField,
-    family,
-    support: tuple[float, float] | None = None,
-) -> list[tuple[FormValue, float]]:
-    """(t(u), ||u||^2) for each test function of a family, one form each.
+def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
+    """(t(u), ||u||^2) for each test function of a family, in one Gauss-Legendre pass.
 
-    Each integral runs over the test function's own support, or over
-    ``support`` when given.
-    """
+    t(u) = int |u'|^2 - int (G1 u conj(u)' + G2 u' conj(u)) + int s |u|^2 over the
+    support of u, on panels between the breakpoints of u and of the field, where
+    floor(d/2) + 1 nodes are exact for d = 2 deg u + max(deg G1, deg G2, deg s).
+    A value that is not finite raises OverflowUnrecoverableError."""
     if not family:
         raise ValueError("test family must be nonempty")
-    out = []
-    for i, u in enumerate(family):
-        lo, hi = support if support is not None else u.support_bounds()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise UnsupportedTestFunctionError(
-                f"test function {i} is not compactly supported"
-            )
-        norm2 = (u * u.conj()).integrate(lo, hi).real
+    field = (c.G1, c.G2, c.s)
+    n = max(u.degree for u in family) + max(f.degree for f in field) // 2 + 1
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    cols = []  # per test: panel midpoints, half-widths, nodes, u and u' at the nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, u in enumerate(family):
+            lo, hi = u.support_bounds()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise UnsupportedTestFunctionError(f"test function {i} is not compactly supported")
+            mid, half, xs = _panels((u, *field), lo, hi, nodes)
+            u_vals, du_vals = (_panel_values(f, mid, xs)[0] for f in (u, u.derivative()))
+            cols.append((mid, half, xs, u_vals, du_vals))
+        owner = np.repeat(np.arange(len(family)), [len(col[0]) for col in cols])
+        mid, half, xs, fu, fdu = (np.concatenate(a) for a in zip(*cols))
+        fg1, fg2, fs = (_panel_values(f, mid, xs)[0] for f in field)
+        u2 = (fu * fu.conj()).real
+        integrands = [(fdu * fdu.conj()).real, -(fg1 * fu * fdu.conj() + fg2 * fdu * fu.conj()), fs * u2, u2]
+        parts = half * (np.array(integrands) @ weights)
+        sums = [np.bincount(owner, p.real, len(family)) + 1j * np.bincount(owner, p.imag, len(family))
+                for p in parts]
+    forms = [(FormValue(k, cp, p), n2.real) for k, cp, p, n2 in zip(*(t.tolist() for t in sums))]
+    for i, (form, norm2) in enumerate(forms):
         if norm2 <= 1e-300:
             raise ZeroNormError(f"test function {i} has zero L2 norm")
-        out.append((quadratic_form(c, u, (lo, hi)), norm2))
-    return out
+        values = (form.kinetic, form.coupling, form.potential, norm2, form.value / norm2)
+        if not all(map(cmath.isfinite, values)):
+            raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite")
+    return forms
 
 
 def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
@@ -290,16 +299,3 @@ def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
         tables={"samples": rows},
     )
 
-
-def numerical_range_sample(
-    c: CoefficientField,
-    family,
-    sector: Sector | None = None,
-    support: tuple[float, float] | None = None,
-) -> ConditionReport:
-    """Sample w(u) = t(u)/||u||^2 over a test family; verdict on the sample.
-
-    ``range_verdict`` of ``sample_forms``: a passing verdict is
-    "holds-on-sample", never a proof.
-    """
-    return range_verdict(sample_forms(c, family, support), sector)

@@ -17,9 +17,9 @@ rounding at any lambda.
 A trajectory stores its accepted steps as one structured array sorted by
 position (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense
 output goes through ``Trajectory.sample`` (row lookup plus batched
-Horner), and ``pair_integral`` is the one quadrature: 12-node
-Gauss-Legendre per panel, over trajectories and piecewise polynomials
-alike, with the exponent bookkeeping of the rows.
+Horner).  ``_panels`` is the one quadrature: Gauss-Legendre per panel for
+``pair_integral``, over trajectories and piecewise polynomials alike with
+the exponent bookkeeping of the rows, and for the quadratic forms.
 """
 
 from __future__ import annotations
@@ -430,6 +430,19 @@ def fundamental(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
+def _panels(fs, a: float, b: float, nodes: np.ndarray):
+    """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the
+    panels of [a, b] between the step edges and breakpoints of the functions fs."""
+    edges = [np.asarray([a, b], dtype=float)]
+    for f in fs:
+        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
+    ks = np.unique(np.concatenate(edges))
+    ks = ks[(ks >= a) & (ks <= b)]
+    mid = 0.5 * (ks[:-1] + ks[1:])
+    half = 0.5 * (ks[1:] - ks[:-1])
+    return mid, half, mid[:, None] + half[:, None] * nodes
+
+
 def _panel_values(f, mid: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of f at the nodes xs of panels with midpoints mid, with logscales.
 
@@ -455,16 +468,9 @@ def pair_integral(u, v, a: float, b: float) -> tuple[complex, float]:
     so quartic interpolants times polynomials of degree up to 19 are
     integrated exactly, and exponentially large solutions never overflow.
     """
-    edges = [np.asarray([a, b], dtype=float)]
-    for f in (u, v):
-        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
-    ks = np.unique(np.concatenate(edges))
-    ks = ks[(ks >= a) & (ks <= b)]
-    if len(ks) < 2:
+    mid, half, xs = _panels((u, v), a, b, _GL_NODES)
+    if not len(mid):
         return 0.0 + 0.0j, 0.0
-    mid = 0.5 * (ks[:-1] + ks[1:])
-    half = 0.5 * (ks[1:] - ks[:-1])
-    xs = mid[:, None] + half[:, None] * _GL_NODES
     fu, lu = _panel_values(u, mid, xs)
     fv, lv = _panel_values(v, mid, xs)
     parts = half * ((fu * fv.conj()) @ _GL_WEIGHTS)

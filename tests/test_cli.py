@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -277,6 +278,17 @@ def test_verify_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
     assert "OverflowUnrecoverableError" in capsys.readouterr().err
 
 
+def test_form_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
+    # s = -1e308 on a plateau of width 4: the potential part is about
+    # -4e308, which must exit 70 instead of a verdict over nan rows
+    coeffs = dict(FREE_COEFFS, s={"breakpoints": [], "pieces": [["-1e308"]]})
+    problem = {"task": "form", "coefficients": coeffs,
+               "params": {"tests": [{"center": 0, "plateau": 4}]}}
+    path = write(tmp_path, "p.json", problem)
+    assert main(["form", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "OverflowUnrecoverableError: test function 0" in capsys.readouterr().err
+
+
 def test_stiff_eig_scan_is_a_numeric_error(tmp_path, capsys):
     # s = 1e30 on [0, 1]: the exact sub-steps of a constant segment would
     # be 1e-15 long, below the 1e-14 floor, so the scan's first shot stops
@@ -355,6 +367,10 @@ def case(name, problem, field, *extra_args):
         case("output-parent", edit(PROBE, ("output",), "../x"), "output"),
         case("output-absolute", edit(PROBE, ("output",), "/abs/path"), "output"),
         case("form-support-unread", edit(FORM, ("params", "support"), [-3, 3]), "support"),
+        case("form-ramp-overflow", edit(FORM, ("params", "tests"), [{"plateau": 1, "ramp": 1e200}]),
+             "params.tests[0]"),
+        case("form-ramp-underflow", edit(FORM, ("params", "tests"), [{"plateau": 0, "ramp": 1e-200}]),
+             "params.tests[0]"),
         case("eig-grid-fraction", edit(EIG, ("params", "grid"), 1.7), "params.grid"),
         case("eig-grid-one", edit(EIG, ("params", "grid"), 1), "params.grid"),
         case("eig-grid-negative", edit(EIG, ("params", "grid"), -3), "params.grid"),
@@ -442,6 +458,31 @@ def test_fuzzed_problem_files_never_traceback(data):
         assert code in (0, 2, 64, 65, 70)
         written = [os.path.join(d, f) for d, _, files in os.walk(root) for f in files]
         assert all(os.path.dirname(f) == out for f in written if f != path), written
+
+
+# Magnitudes from the smallest to the largest float scale: the cost of a
+# form task does not depend on them, so any of them is cheap to run.
+MAGNITUDES = st.sampled_from((0, 1e-200, -1e-200, 1e-100, -1e-100, 1, -1, 1e100, -1e100,
+                              1e200, -1e200, 1e308, -1e308))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({"center": MAGNITUDES, "plateau": MAGNITUDES, "ramp": MAGNITUDES}),
+       st.tuples(MAGNITUDES, MAGNITUDES, MAGNITUDES))
+def test_fuzzed_form_magnitudes_never_give_a_verdict_without_numbers(test, field):
+    coeffs = {k: {"breakpoints": [], "pieces": [[v]]} for k, v in zip("sQr", field)}
+    problem = {"task": "form", "coefficients": coeffs, "params": {"tests": [test]}}
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(problem, fh)
+        out = os.path.join(root, "out")
+        code = main(["form", "--input", path, "--out", out])
+        assert code in (0, 2, 65, 70)
+        if code in (0, 2):
+            report = pathlib.Path(out, "report.txt").read_text(encoding="utf-8")
+            if "verdict: holds-on-sample" in report:
+                assert not re.search(r"\b(nan|inf)\b", report), report
 
 
 def test_readme_tables_list_the_params_keys():

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly, bump, from_callable
-from qschro.errors import SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
+from qschro.errors import (
+    OverflowUnrecoverableError,
+    SideMismatchError,
+    UnsupportedTestFunctionError,
+    ZeroNormError,
+)
 from qschro.lagrange_forms import (
     Sector,
     bracket,
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
-    numerical_range_sample,
     quadratic_form,
+    range_verdict,
+    sample_forms,
 )
 from qschro.propagate import integrate
 from qschro.quasi import QuasiState, assemble
@@ -160,6 +166,68 @@ def test_quadratic_form_rejects_unsupported():
         quadratic_form(FREE, u, (-1, 1))
 
 
+def exact_forms(c, u):
+    """(kinetic, coupling, potential), ||u||^2 by coefficient algebra:
+    exact products of piecewise polynomials and their exact integrals."""
+    lo, hi = u.support_bounds()
+    du = u.derivative()
+    kinetic = (du * du.conj()).integrate(lo, hi)
+    coupling = -((c.G1 * u * du.conj()) + (c.G2 * du * u.conj())).integrate(lo, hi)
+    potential = (c.s * u * u.conj()).integrate(lo, hi)
+    return (kinetic, coupling, potential), (u * u.conj()).integrate(lo, hi).real
+
+
+def high_degree_field(rng, degree=16):
+    def poly():
+        pieces = [
+            rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            for _ in range(3)
+        ]
+        return PiecewisePoly([-2.0, 2.0], pieces, degree_cap=None)
+
+    return CoefficientField(poly(), poly(), poly())
+
+
+def form_cases():
+    rng = np.random.default_rng(2024)
+    bumps = [bump(0.3, 1.2, 0.8), bump(-1.0, 0.0, 0.5), bump(1.7, 2.5, 0.3)]
+    for k in range(4):
+        yield pytest.param(random_jumpy_field(rng), bumps, id=f"jumpy-{k}")
+    # one degree-8 piece on (-1.5, 1.5), inside one piece of a degree-16
+    # field: the integrands have degree 2 * 8 + 16 = 32 on a panel of width
+    # 3, far beyond the degree 23 that 12 nodes integrate exactly
+    u = from_callable(
+        lambda x: (2.25 - x * x) * (1 + 0.5j * x - 0.3 * x**3 + 0.1j * x**5 - 0.05 * x**6),
+        (-1.5, 1.5),
+        degree=8,
+        max_piece=3.0,
+    )
+    yield pytest.param(high_degree_field(rng), [u, bump(0.0, 0.5, 1.0)], id="degree-16-field")
+    yield pytest.param(CoefficientField.delta_well(-2.0), bumps, id="bumps-delta-well")
+    yield pytest.param(FREE, bumps, id="bumps-free")
+
+
+@pytest.mark.parametrize("c, family", form_cases())
+def test_sample_forms_match_the_exact_algebra(c, family):
+    for (form, norm2), u in zip(sample_forms(c, family), family):
+        parts, exact_norm2 = exact_forms(c, u)
+        scale = sum(map(abs, parts))
+        got = (form.kinetic, form.coupling, form.potential)
+        for g, want in zip(got, parts):
+            assert abs(g - want) <= 1e-13 * scale
+        assert abs(norm2 - exact_norm2) <= 1e-13 * exact_norm2
+
+
+def test_form_past_the_float_range_is_an_overflow_error():
+    c = CoefficientField(
+        PiecewisePoly.constant(-1e308), PiecewisePoly.zero(), PiecewisePoly.zero()
+    )
+    # w = t(u)/||u||^2 is about -1e308 on the narrow bump, but the form of
+    # the wide one, about -4e308, is not a float
+    with pytest.raises(OverflowUnrecoverableError, match="test function 1"):
+        sample_forms(c, [bump(0.0, 0.0, 0.1), bump(0.0, 4.0, 1.0)])
+
+
 def test_form_vs_operator_free():
     assert form_vs_operator_check(FREE, bump(0, 1, 1), (-3, 3)) <= 1e-9
 
@@ -178,7 +246,7 @@ def test_form_vs_operator_linear_drift():
 
 
 def test_numerical_range_free_accretive():
-    rep = numerical_range_sample(FREE, [bump(0, 1, 1), bump(1, 2, 0.5)])
+    rep = range_verdict(sample_forms(FREE, [bump(0, 1, 1), bump(1, 2, 0.5)]))
     assert rep.verdict == "holds-on-sample"
     assert rep.witnesses["min_re_w"] >= 0
     assert rep.witnesses["max_abs_arg_w"] <= 1e-12
@@ -188,7 +256,7 @@ def test_numerical_range_negative_potential_witness():
     c = CoefficientField(
         PiecewisePoly.constant(-1.0), PiecewisePoly.zero(), PiecewisePoly.zero()
     )
-    rep = numerical_range_sample(c, [bump(0, 20, 3)])
+    rep = range_verdict(sample_forms(c, [bump(0, 20, 3)]))
     assert rep.verdict == "fails"
     assert rep.witnesses["witness_value"].real < 0
 
@@ -198,14 +266,14 @@ def test_numerical_range_sector_report():
         PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0.0, -1j])
     )
     fam = [bump(0, 1, 1), bump(0.5, 2, 1), bump(-1, 3, 2)]
-    rep = numerical_range_sample(c, fam, sector=Sector(math.pi / 4))
+    rep = range_verdict(sample_forms(c, fam), sector=Sector(math.pi / 4))
     assert rep.verdict in ("holds-on-sample", "fails")
     assert len(rep.tables["samples"]) == 3
 
 
 def test_zero_norm_rejected():
     with pytest.raises(ZeroNormError):
-        numerical_range_sample(FREE, [PiecewisePoly.zero()], support=(-1, 1))
+        range_verdict(sample_forms(FREE, [PiecewisePoly.zero()]))
 
 
 def test_sector_membership():
