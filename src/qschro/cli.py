@@ -260,7 +260,7 @@ PAIR = _list(_cnum, 2)
 BUMP = {"center": (_num, 0.0), "plateau": (_num, 1.0), "ramp": (_num, 1.0)}
 BC = {"left": (PAIR, (1 + 0j, 0j)), "right": (PAIR, (1 + 0j, 0j))}
 SCHEME = {"delta": (_num, 1.0), "intervals": (_list(_list((_int, _num, _num))), ())}
-PROBE = {"lambda": (_cnum, 0j), "tmax": (_pos, 40.0), "windows": (_list(_num), ())}
+PROBE = {"lambda": (_cnum, 0j), "tmax": (_pos, 40.0), "windows": (_list(_pos), ())}
 
 # task -> {key: (kind, default or REQUIRED)}; a runner reads exactly these keys
 PARAMS = {

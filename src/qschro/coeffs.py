@@ -127,7 +127,7 @@ class PiecewisePoly:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1:
             raise ValueError("breakpoints must be a 1-d sequence")
-        if len(bp) and not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
@@ -145,7 +145,10 @@ class PiecewisePoly:
             glob[i, : len(row)] = row
         self.breakpoints = bp
         self.centers = _canonical_centers(bp)
-        self.coeffs = _trim_cols(_shift_rows(glob, self.centers))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.coeffs = _trim_cols(_shift_rows(glob, self.centers))
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("pieces re-centred on their regions have coefficients outside the float range")
 
     @classmethod
     def _from_local(cls, breakpoints, centers, coeffs) -> "PiecewisePoly":
@@ -223,10 +226,10 @@ class PiecewisePoly:
         bp = self.breakpoints
         return dict(zip(bp.tolist(), self.sample(bp, "right") - self.sample(bp, "left")))
 
-    def piece_at(self, x: float, side: str = "right") -> tuple[float, np.ndarray]:
+    def piece_at(self, x: float) -> tuple[float, np.ndarray]:
         """(center, ascending local coefficients without trailing zeros) of
-        the region holding x on that side."""
-        i = self._region(x, side)
+        the region holding x, taken from the right at a breakpoint."""
+        i = self._region(x, "right")
         return float(self.centers[i]), _trim(self.coeffs[i])
 
     def pieces(self) -> list[np.ndarray]:
@@ -425,10 +428,11 @@ class PiecewisePoly:
 
 
 def _canonical_centers(bp: np.ndarray) -> np.ndarray:
-    """Midpoints of the bounded regions, the finite ends of the tails."""
+    """Midpoints of the bounded regions, the finite ends of the tails.  The
+    halves are added, so no midpoint of finite breakpoints overflows."""
     if len(bp) == 0:
         return np.zeros(1)
-    return np.concatenate([bp[:1], 0.5 * (bp[:-1] + bp[1:]), bp[-1:]])
+    return np.concatenate([bp[:1], 0.5 * bp[:-1] + 0.5 * bp[1:], bp[-1:]])
 
 
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -436,7 +440,8 @@ def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the last kept point is dropped."""
     merged = np.sort(np.concatenate([a, b]))
     keep = np.ones(len(merged), dtype=bool)
-    close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
+    with np.errstate(over="ignore"):  # a gap past the float range is not close
+        close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
     for j in close.nonzero()[0] + 1:
         last = j - 1
         while not keep[last]:

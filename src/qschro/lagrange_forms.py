@@ -59,6 +59,9 @@ class Sector:
             raise ValueError("half-angle must lie in (0, pi/2]")
 
     def contains(self, w: complex, tol: float = 1e-12) -> bool:
+        """Whether w lies in the sector, to tol; never for a value that is not finite."""
+        if not cmath.isfinite(w):
+            return False
         scale = 1.0 + abs(w)
         if w.real < -tol * scale:
             return False
@@ -265,20 +268,22 @@ def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
     w(u) = t(u)/||u||^2; ``fails`` carries the witness index and value if
     any w leaves the sector (default sector: the closed right half-plane,
     i.e. accretivity).  A passing verdict is "holds-on-sample", never a
-    proof.
+    proof.  A w that is not finite raises OverflowUnrecoverableError.
     """
     rows = []
     witness = None
     check_sector = sector or Sector(math.pi / 2)
     for i, (form, norm2) in enumerate(forms):
         w = form.value / norm2
+        if not cmath.isfinite(w):
+            raise OverflowUnrecoverableError(f"test function {i}: w = t(u)/||u||^2 is not finite")
         inside = check_sector.contains(w)
         rows.append((i, w.real, w.imag, norm2, inside))
         if not inside and witness is None:
             witness = (i, w)
     min_re = min(r[1] for r in rows)
     max_arg = max(
-        (abs(cmath.phase(complex(r[1], r[2]))) for r in rows if (r[1], r[2]) != (0, 0)),
+        (abs(math.atan2(r[2], r[1])) for r in rows if (r[1], r[2]) != (0, 0)),
         default=0.0,
     )
     witnesses = {

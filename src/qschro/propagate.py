@@ -19,7 +19,8 @@ position (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense
 output goes through ``Trajectory.sample`` (row lookup plus batched
 Horner).  ``_panels`` is the one quadrature: Gauss-Legendre per panel for
 ``pair_integral``, over trajectories and piecewise polynomials alike with
-the exponent bookkeeping of the rows, and for the quadratic forms.
+the exponent bookkeeping of the rows, for the quadratic forms and for the
+nested Gram windows of the probe.
 """
 
 from __future__ import annotations
@@ -430,10 +431,10 @@ def fundamental(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _panels(fs, a: float, b: float, nodes: np.ndarray):
-    """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the
-    panels of [a, b] between the step edges and breakpoints of the functions fs."""
-    edges = [np.asarray([a, b], dtype=float)]
+def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
+    """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
+    of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``."""
+    edges = [np.asarray([a, b, *cuts], dtype=float)]
     for f in fs:
         edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
     ks = np.unique(np.concatenate(edges))

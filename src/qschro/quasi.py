@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly
+from .coeffs import CoefficientField, PiecewisePoly, _dense
 from .config import JUMP_TOL
 from .errors import DiscontinuousQuasiDerivativeError, NonRealError
 
@@ -85,28 +85,23 @@ def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> Shi
     return ShinZettlSystem(c, side, complex(lam), *entries)
 
 
-def _eval_scale(u: PiecewisePoly, x: float) -> float:
-    """Rounding scale of u's one-sided values at x: sum |c_k| |x - center|^k.
-
-    Taken over the two pieces adjacent to x.  A value that is a sum of
-    large cancelling terms (a cut-off's zero times a large solution) is
-    only known to this scale, whatever its own size.
-    """
-    return max(
-        float(np.sum(np.abs(c) * abs(x - center) ** np.arange(len(c))))
-        for center, c in (u.piece_at(x, "left"), u.piece_at(x, "right"))
-    )
-
-
 def _jumps(f: PiecewisePoly, window: tuple[float, float]) -> dict[float, complex]:
-    """Jumps of f on the window above JUMP_TOL * (1 + evaluation scale)."""
-    a, b = float(window[0]), float(window[1])
-    # |f(x-)| <= the evaluation scale, so the cheap test screens the exact one
-    return {
-        x: h for x, h in f.jumps.items()
-        if a <= x <= b and abs(h) > JUMP_TOL * (1.0 + abs(f.eval(x, "left")))
-        and abs(h) > JUMP_TOL * (1.0 + _eval_scale(f, x))
-    }
+    """Jumps of f at its breakpoints on the window, above JUMP_TOL * (1 + scale).
+
+    The scale at x is the larger of sum |c_k| |x - center|^k over the two
+    adjacent rows: a value that is a sum of large cancelling terms (a
+    cut-off's zero times a large solution) is only known to that scale,
+    whatever its own size.  Heights are the bits of ``f.jumps``.
+    """
+    bp = f.breakpoints
+    i = np.flatnonzero((bp >= float(window[0])) & (bp <= float(window[1])))
+    x = bp[i]
+    rows = (i, i + 1)  # the regions left and right of each breakpoint
+    left, right = (_dense(f.coeffs[r], x - f.centers[r]) for r in rows)
+    scale = np.maximum(*(_dense(np.abs(f.coeffs[r]), np.abs(x - f.centers[r])) for r in rows))
+    h = right - left
+    keep = np.abs(h) > JUMP_TOL * (1.0 + scale)
+    return dict(zip(x[keep].tolist(), h[keep]))
 
 
 def _raise_at_first(f: PiecewisePoly, jumps: dict) -> None:

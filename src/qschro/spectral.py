@@ -29,7 +29,8 @@ from scipy.optimize import brentq
 from . import config
 from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import Trajectory, endpoint, fundamental, integrate, pair_integral
+from .propagate import _GL_NODES, _GL_WEIGHTS, FundamentalSystem, _panel_values, _panels
+from .propagate import Trajectory, endpoint, fundamental, integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
 
 
@@ -292,6 +293,21 @@ def default_windows(tmax: float) -> tuple:
     return tuple(tmax * 0.5 ** k for k in range(8, -1, -1))
 
 
+def _window_grams(fs: FundamentalSystem, windows) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissas, logscales) of the Hermitian L2(-T, T) Gram matrices of the pair, one per
+    window T, from one sampling of the outermost window's panels cut at every +-T; each
+    window sums the parts of its panels on its largest logscale.  Entry (2, 1) is int y1 conj(y2)."""
+    T = np.asarray(windows, dtype=float)
+    mid, half, xs = _panels((fs.y1, fs.y2), -T[-1], T[-1], _GL_NODES, cuts=np.concatenate([-T, T]))
+    (f1, l1), (f2, l2) = (_panel_values(y, mid, xs) for y in (fs.y1, fs.y2))
+    parts = half * (np.array([f1 * f1.conj(), f1 * f2.conj(), f2 * f2.conj()]) @ _GL_WEIGHTS)
+    ls = np.array([l1 + l1, l1 + l2, l2 + l2])
+    inside = (np.abs(mid) < T[:, None])[:, None]  # (windows, 1, panels)
+    L = np.max(np.where(inside, ls, -np.inf), axis=(1, 2))
+    g11, g12, g22 = np.sum(parts * np.exp(np.where(inside, ls - L[:, None, None], -np.inf)), axis=2).T
+    return np.stack([g11, g12.conj(), g12, g22], axis=1).reshape(-1, 2, 2), L
+
+
 def null_probe(
     c: CoefficientField,
     lam: complex = 0.0,
@@ -313,27 +329,15 @@ def null_probe(
     if tmax < 10.0:
         raise ValueError("probe horizon must be at least 10")
     windows = tuple(sorted(windows)) if windows else default_windows(tmax)
+    if not all(T > 0 for T in windows):
+        raise ValueError("windows must be positive")
     if windows[-1] > tmax:
         raise ValueError("windows exceed tmax")
     sys = assemble(c, ADJOINT, complex(lam).conjugate())
-    fs = fundamental(sys, 0.0, (-tmax, tmax), tol)
+    M, scales = _window_grams(fundamental(sys, 0.0, (-tmax, tmax), tol), windows)
     log_N = []
     n_vals = []
-    for T in windows:
-        g11, l11 = pair_integral(fs.y1, fs.y1, -T, T)
-        g22, l22 = pair_integral(fs.y2, fs.y2, -T, T)
-        g12, l12 = pair_integral(fs.y1, fs.y2, -T, T)
-        L = max(l11, l22, l12)
-        M = np.array(
-            [
-                [g11 * math.exp(l11 - L), (g12 * math.exp(l12 - L)).conjugate()],
-                [g12 * math.exp(l12 - L), g22 * math.exp(l22 - L)],
-            ],
-            dtype=complex,
-        )
-        M = 0.5 * (M + M.conj().T)
-        eigs = np.linalg.eigvalsh(M)
-        nmin = float(eigs[0])
+    for T, nmin, L in zip(windows, np.linalg.eigvalsh(M)[:, 0].tolist(), scales.tolist()):
         if not np.isfinite(nmin):
             raise OverflowUnrecoverableError(
                 f"Gram renormalization failed on window T={T}"

@@ -7,9 +7,10 @@ import os
 import pathlib
 import re
 import tempfile
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschro.cli import (
@@ -357,6 +358,10 @@ def case(name, problem, field, *extra_args):
         case("check-b-intervals-number", edit(CHECK_B, ("params", "scheme", "intervals"), 5),
              "params.scheme.intervals"),
         case("probe-windows-number", edit(PROBE, ("params", "windows"), 5), "params.windows"),
+        case("probe-windows-zero", edit(PROBE, ("params", "windows"), [0, 5, 10]), "params.windows[0]"),
+        case("pieces-recentred-overflow",
+             edit(FORM, ("coefficients", "s"), {"breakpoints": [-1.5e308, 1.5e308], "pieces": [[0, 2], [1], [0]]}),
+             "coefficients.s"),
         case("pieces-number", edit(PROBE, ("coefficients", "s", "pieces"), 5), "coefficients.s.pieces"),
         case("breakpoints-number", edit(PROBE, ("coefficients", "Q", "breakpoints"), 5),
              "coefficients.Q.breakpoints"),
@@ -469,6 +474,7 @@ MAGNITUDES = st.sampled_from((0, 1e-200, -1e-200, 1e-100, -1e-100, 1, -1, 1e100,
 @settings(max_examples=200, deadline=None)
 @given(st.fixed_dictionaries({"center": MAGNITUDES, "plateau": MAGNITUDES, "ramp": MAGNITUDES}),
        st.tuples(MAGNITUDES, MAGNITUDES, MAGNITUDES))
+@example({"center": 1e100, "plateau": 0, "ramp": 1e100}, (0, -1e308, 1e-200))  # arg w underflows
 def test_fuzzed_form_magnitudes_never_give_a_verdict_without_numbers(test, field):
     coeffs = {k: {"breakpoints": [], "pieces": [[v]]} for k, v in zip("sQr", field)}
     problem = {"task": "form", "coefficients": coeffs, "params": {"tests": [test]}}
@@ -483,6 +489,16 @@ def test_fuzzed_form_magnitudes_never_give_a_verdict_without_numbers(test, field
             report = pathlib.Path(out, "report.txt").read_text(encoding="utf-8")
             if "verdict: holds-on-sample" in report:
                 assert not re.search(r"\b(nan|inf)\b", report), report
+
+
+def test_breakpoints_near_the_float_limit_run_without_warnings(tmp_path):
+    s = {"breakpoints": [-1.5e308, 1.5e308], "pieces": [[0], [1], [0]]}
+    path = write(tmp_path, "p.json", edit(FORM, ("coefficients", "s"), s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["form", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert not re.search(r"\b(nan|inf|infinity)\b", report, re.IGNORECASE)
 
 
 def test_readme_tables_list_the_params_keys():

@@ -1,5 +1,7 @@
 """Piecewise polynomial algebra: closure, jumps, parts, antiderivatives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,24 @@ def test_eval_global_piece():
 def test_breakpoints_must_increase():
     with pytest.raises(ValueError):
         PiecewisePoly([1.0, 0.5], [[0], [1], [2]])
+
+
+def test_breakpoints_near_the_float_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = PiecewisePoly([-1.5e308, 1.5e308], [[0], [1], [0]])
+        assert f.jumps == {-1.5e308: 1, 1.5e308: -1}
+        assert len((f + f).breakpoints) == 2
+        g = PiecewisePoly([1e308, 1.5e308], [[0], [1], [0]])
+        assert g.centers.tolist() == [1e308, 1.25e308, 1.5e308]
+        with pytest.raises(ValueError, match="float range"):
+            PiecewisePoly([-1.5e308, 1.5e308], [[0, 2], [1], [0]])
+        with pytest.raises(ValueError, match="increasing"):
+            PiecewisePoly([1.5e308, -1.5e308], [[0], [1], [0]])
+    # halves added: the bits of the midpoint wherever the halves are normal
+    rng = np.random.default_rng(3)
+    bp = np.sort(rng.standard_normal(50) * 10.0 ** rng.uniform(-300, 300, 50))
+    assert PiecewisePoly(bp, [[1.0]] * 51).centers[1:-1].tobytes() == (0.5 * (bp[:-1] + bp[1:])).tobytes()
 
 
 def test_degree_cap_enforced():

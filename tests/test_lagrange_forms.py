@@ -13,6 +13,7 @@ from qschro.errors import (
     ZeroNormError,
 )
 from qschro.lagrange_forms import (
+    FormValue,
     Sector,
     bracket,
     bracket_constancy_residual,
@@ -282,3 +283,20 @@ def test_sector_membership():
     assert not s.contains(1.0 + 1.5j)
     assert not s.contains(-0.1 + 0.0j)
     assert Sector(math.pi / 2).contains(0.0 + 5.0j)
+    for w in (complex("nan"), complex(1.0, math.nan), complex(math.inf, 0.0)):
+        assert not Sector(math.pi / 2).contains(w)
+        assert not s.contains(w)
+
+
+def test_range_verdict_takes_the_argument_of_w_where_atan2_underflows():
+    # the w of a form fuzz example: cmath.phase raises OverflowError on it
+    w = complex(2.69e192, -1.94e-317)
+    rep = range_verdict([(FormValue(w, 0, 0), 1.0)])
+    assert rep.verdict == "holds-on-sample"
+    assert rep.witnesses["max_abs_arg_w"] == 0.0
+
+
+@pytest.mark.parametrize("w", [complex("nan"), complex(1.0, math.nan), complex(math.inf, 0.0)])
+def test_range_verdict_refuses_a_value_that_is_not_finite(w):
+    with pytest.raises(OverflowUnrecoverableError, match="test function 1"):
+        range_verdict([(FormValue(1.0, 0, 0), 1.0), (FormValue(w, 0, 0), 1.0)])

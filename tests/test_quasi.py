@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, bump, from_callable
+from qschro.coeffs import CoefficientField, PiecewisePoly, _trim, bump, from_callable
 from qschro.conditions import build_cutoff
+from qschro.config import JUMP_TOL
 from qschro.errors import DiscontinuousQuasiDerivativeError
 from qschro.propagate import endpoint, integrate
 from qschro.quasi import (
@@ -15,6 +16,7 @@ from qschro.quasi import (
     apply_l,
     apply_l_atoms,
     assemble,
+    _jumps,
     product_rule_check,
     quasi_derivatives,
 )
@@ -266,3 +268,74 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
             assert _bits(end.y0, end.y1, end.logscale, sup) == _bits(
                 end_ref.y0, end_ref.y1, end_ref.logscale, sup_ref)
             assert integrate(sys, y0, 2.0).steps.tobytes() == integrate(ref, y0, 2.0).steps.tobytes()
+
+
+def reference_jumps(f: PiecewisePoly, window) -> dict:
+    """The jump rule one breakpoint at a time: |f(x-)| screens, then the
+    rounding scale sum |c_k| |x - center|^k of the two adjacent pieces."""
+    def scale(x):
+        out = []
+        for side in ("left", "right"):
+            i = np.searchsorted(f.breakpoints, x, side)
+            c = _trim(f.coeffs[i])
+            out.append(float(np.sum(np.abs(c) * abs(x - f.centers[i]) ** np.arange(len(c)))))
+        return max(out)
+    a, b = float(window[0]), float(window[1])
+    return {
+        x: h for x, h in f.jumps.items()
+        if a <= x <= b and abs(h) > JUMP_TOL * (1.0 + abs(f.eval(x, "left")))
+        and abs(h) > JUMP_TOL * (1.0 + scale(x))
+    }
+
+
+def corpus_field(rng):
+    """A field as acceptance criterion 03 draws them: linear pieces, with
+    one or two jumps in Q and in r."""
+    def poly(jumpy):
+        bps = np.sort(rng.uniform(-4, 4, int(rng.integers(1, 3)) if jumpy else 0))
+        return PiecewisePoly(bps, [0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                                   for _ in range(len(bps) + 1)])
+    return CoefficientField(poly(False), poly(True), poly(True))
+
+
+def jump_rule_inputs(rng):
+    """Functions the jump rule sees: u and u^[1] of re-fitted solutions on
+    criterion-03 fields and of a cut-off bump on the delta well, and random
+    continuous polynomials with jumps from rounding level to order one."""
+    for _ in range(6):
+        c = corpus_field(rng)
+        for side in (DIRECT, ADJOINT):
+            lam = complex(rng.standard_normal(), rng.standard_normal())
+            u = integrate(assemble(c, side, lam), QuasiState(-5.0, 1.0, 0.4 + 0.2j, side), 5.0)
+            u = u.to_piecewise(0, -5, 5)
+            yield u
+            yield u.derivative() - assemble(c, side).a11 * u
+    delta = CoefficientField.delta_well(-2.0, 0.3)
+    for side in (DIRECT, ADJOINT):
+        u = bump(0.1, 0.5, 0.6) * PiecewisePoly.from_coeffs([1e6, 2e5j, -3e4])
+        yield u
+        yield u.derivative() - assemble(delta, side).a11 * u
+    for _ in range(20):
+        bps = np.sort(rng.uniform(-4, 4, 4))
+        size = 10.0 ** rng.uniform(-4, 8)
+        smooth = PiecewisePoly.from_coeffs(size * rng.standard_normal(5))
+        heights = max(size, 1.0) * 10.0 ** rng.uniform(-10, -2, len(bps)) * rng.standard_normal(len(bps))
+        steps = sum(PiecewisePoly.step(x, 0.0, h) for x, h in zip(bps, heights))
+        yield (smooth + steps).with_breakpoints(rng.uniform(-4, 4, 2))
+
+
+def test_jump_rule_matches_the_rule_one_breakpoint_at_a_time():
+    rng = np.random.default_rng(12)
+    found = missed = 0
+    for f in jump_rule_inputs(rng):
+        bp = f.breakpoints
+        windows = [(-5.0, 5.0), (-1.0, 1.0)]
+        if len(bp):
+            windows += [(bp[0], bp[0]), (bp[0], bp[-1])]
+        for window in windows:
+            got, want = _jumps(f, window), reference_jumps(f, window)
+            assert list(got) == list(want)
+            assert _bits(*got.values()) == _bits(*want.values())
+            found += len(got)
+            missed += int(np.sum((bp >= window[0]) & (bp <= window[1]))) - len(got)
+    assert found > 50 and missed > 50

@@ -11,8 +11,8 @@ import scipy.sparse.linalg as spla
 from qschro import spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import NonRealScanError
-from qschro.propagate import integrate
-from qschro.quasi import QuasiState, assemble
+from qschro.propagate import fundamental, integrate, pair_integral
+from qschro.quasi import ADJOINT, QuasiState, assemble
 from qschro.spectral import (
     BoundaryCondition,
     characteristic,
@@ -346,6 +346,9 @@ def test_probe_rejects_bad_shift():
         null_probe(FREE, 1.5, 40.0)
     with pytest.raises(ValueError):
         null_probe(FREE, 0.0, 5.0)
+    for windows in ([0.0, 5.0, 10.0], [-1.0, 10.0], [math.nan, 5.0]):
+        with pytest.raises(ValueError, match="positive"):
+            null_probe(FREE, 0.0, 10.0, windows=windows)
 
 
 def test_default_windows_ladder():
@@ -353,3 +356,41 @@ def test_default_windows_ladder():
     assert len(ws) == 9
     assert ws[-1] == 40.0
     assert ws[0] == pytest.approx(40.0 / 256)
+
+
+def reference_window_grams(fs, windows):
+    """The Gram matrices window by window: three pair_integral calls each,
+    put on the largest of their logscales and symmetrised."""
+    grams, scales = [], []
+    for T in windows:
+        g11, l11 = pair_integral(fs.y1, fs.y1, -T, T)
+        g22, l22 = pair_integral(fs.y2, fs.y2, -T, T)
+        g12, l12 = pair_integral(fs.y1, fs.y2, -T, T)
+        L = max(l11, l22, l12)
+        m12 = g12 * math.exp(l12 - L)
+        M = np.array([[g11 * math.exp(l11 - L), m12.conjugate()], [m12, g22 * math.exp(l22 - L)]])
+        grams.append(0.5 * (M + M.conj().T))
+        scales.append(L)
+    return np.array(grams), np.array(scales)
+
+
+DRIFT = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0, -1j]))
+
+
+@pytest.mark.parametrize("c", [FREE, CoefficientField.delta_well(-2.0), DRIFT], ids=["free", "delta", "drift"])
+@pytest.mark.parametrize("lam, tmax, windows", [
+    (-1.0, 12.0, None),
+    (0.5j, 15.0, (0.5, 3.0, 3.0, 7.5, 15.0)),  # a duplicate window and one at tmax
+])
+def test_probe_grams_match_the_windows_one_at_a_time(monkeypatch, c, lam, tmax, windows):
+    ws = tuple(sorted(windows)) if windows else default_windows(tmax)
+    fs = fundamental(assemble(c, ADJOINT, complex(lam).conjugate()), 0.0, (-tmax, tmax))
+    M, L = spectral._window_grams(fs, ws)
+    M_ref, L_ref = reference_window_grams(fs, ws)
+    for T, m, m_ref, l, l_ref in zip(ws, M, M_ref, L, L_ref):
+        assert l == l_ref, T  # the largest logscale of the steps inside the window
+        assert np.max(np.abs(m - m_ref)) <= 1e-13 * np.max(np.abs(m_ref)), T
+    got = null_probe(c, lam, tmax, windows)
+    monkeypatch.setattr(spectral, "_window_grams", reference_window_grams)
+    want = null_probe(c, lam, tmax, windows)
+    assert (got.classification, got.monotone) == (want.classification, want.monotone)
