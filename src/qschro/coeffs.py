@@ -226,12 +226,6 @@ class PiecewisePoly:
         bp = self.breakpoints
         return dict(zip(bp.tolist(), self.sample(bp, "right") - self.sample(bp, "left")))
 
-    def piece_at(self, x: float) -> tuple[float, np.ndarray]:
-        """(center, ascending local coefficients without trailing zeros) of
-        the region holding x, taken from the right at a breakpoint."""
-        i = self._region(x, "right")
-        return float(self.centers[i]), _trim(self.coeffs[i])
-
     def pieces(self) -> list[np.ndarray]:
         """Per-region coefficients in plain powers of x, as the constructor
         takes them; trailing zeros are dropped."""
@@ -591,6 +585,24 @@ def from_callable(
     return PiecewisePoly._from_local(full_mesh, all_centers, rows)
 
 
+def region_pieces(fs, breakpoints) -> tuple:
+    """The pieces of the functions fs on each region of a mesh.
+
+    One entry per region between ``breakpoints`` (both tails included),
+    holding per f the (center, ascending local coefficients without
+    trailing zeros) of the piece of f at the region's midpoint, or at
+    -inf and +inf for the tails.  Coefficients are a tuple of the array's
+    own scalars.
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    reps = np.concatenate([[-np.inf], 0.5 * bp[:-1] + 0.5 * bp[1:], [np.inf]]) if len(bp) else np.zeros(1)
+    per_f = []
+    for f in fs:
+        i = f._region(reps, "right")
+        per_f.append([(c, tuple(_trim(row))) for c, row in zip(f.centers[i].tolist(), f.coeffs[i])])
+    return tuple(zip(*per_f))
+
+
 # ----------------------------------------------------------------------
 # coefficient field
 
@@ -636,6 +648,16 @@ class CoefficientField:
     def adjoint_entries(self) -> tuple:
         g1, g2 = self.G2.conj(), self.G1.conj()
         return g1, -(g1 * g2) + self.s.conj(), -g2
+
+    # their pieces on each region between the field's breakpoints, which
+    # every shot of the side reads (``region_pieces``)
+    @cached_property
+    def direct_rows(self) -> tuple:
+        return region_pieces(self.direct_entries, self.breakpoints())
+
+    @cached_property
+    def adjoint_rows(self) -> tuple:
+        return region_pieces(self.adjoint_entries, self.breakpoints())
 
     @cached_property
     def _breakpoints(self) -> np.ndarray:

@@ -222,6 +222,11 @@ def form_vs_operator_check(
     return abs(form - op) / (1.0 + abs(form) + abs(op))
 
 
+def _check_norm(i: int, norm2: float) -> None:
+    if norm2 <= 1e-300:
+        raise ZeroNormError(f"test function {i} has zero L2 norm")
+
+
 def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
     """(t(u), ||u||^2) for each test function of a family, in one Gauss-Legendre pass.
 
@@ -253,8 +258,7 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
                 for p in parts]
     forms = [(FormValue(k, cp, p), n2.real) for k, cp, p, n2 in zip(*(t.tolist() for t in sums))]
     for i, (form, norm2) in enumerate(forms):
-        if norm2 <= 1e-300:
-            raise ZeroNormError(f"test function {i} has zero L2 norm")
+        _check_norm(i, norm2)
         values = (form.kinetic, form.coupling, form.potential, norm2, form.value / norm2)
         if not all(map(cmath.isfinite, values)):
             raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite")
@@ -268,12 +272,14 @@ def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
     w(u) = t(u)/||u||^2; ``fails`` carries the witness index and value if
     any w leaves the sector (default sector: the closed right half-plane,
     i.e. accretivity).  A passing verdict is "holds-on-sample", never a
-    proof.  A w that is not finite raises OverflowUnrecoverableError.
+    proof.  A norm as small as ``sample_forms`` refuses raises
+    ZeroNormError, and a w that is not finite OverflowUnrecoverableError.
     """
     rows = []
     witness = None
     check_sector = sector or Sector(math.pi / 2)
     for i, (form, norm2) in enumerate(forms):
+        _check_norm(i, norm2)
         w = form.value / norm2
         if not cmath.isfinite(w):
             raise OverflowUnrecoverableError(f"test function {i}: w = t(u)/||u||^2 is not finite")

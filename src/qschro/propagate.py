@@ -8,11 +8,14 @@ past 1e100 are renormalized and the exponent ledger travels with them.
 ``integrate`` runs a Dormand-Prince 5(4) pair on every segment and keeps
 a quartic interpolant per accepted step, so trajectories have dense
 output.  ``endpoint`` walks the same segments for the end state and
-log sup|Y| only: on a segment where the system matrix A is constant it
-multiplies by the exact exp(hA) in equal sub-steps, and any other segment
-runs the same Dormand-Prince steps without keeping them.  The tolerances
-apply to Dormand-Prince segments only; exact segments are accurate to
-rounding at any lambda.
+log sup|Y| only, with no Dormand-Prince step: on a segment where the
+system matrix A is constant it multiplies by the exact exp(hA) in equal
+sub-steps, and on any other it takes Taylor steps of order 24 from the
+exact recurrence of the polynomial entries (classical high-order Taylor
+method, Corliss & Chang 1982), each as long as Jorba & Zou's rule (2005)
+allows.  Both are accurate to rounding at any lambda, so the tolerances
+apply to ``integrate`` only.  Each system reads its entries' pieces per
+segment from ``ShinZettlSystem.rows``, built once per field and side.
 
 A trajectory stores its accepted steps as one structured array sorted by
 position (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense
@@ -28,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -63,27 +67,23 @@ _P = np.array(
 
 
 class _SegmentMatrix:
-    """System entries restricted to one smooth segment, Horner-ready;
-    lambda is subtracted from the constant term of entry (2,1), which gives
-    the bits of the ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
+    """System entries on one smooth segment, Horner-ready, from the
+    segment's rows (``ShinZettlSystem.rows``); lambda is subtracted from
+    the constant term of entry (2,1), which gives the bits of the
+    ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
 
     __slots__ = ("c11", "p11", "c21", "p21", "c22", "p22")
 
-    def __init__(self, sys: ShinZettlSystem, rep: float):
-        pieces = [p.piece_at(rep) for p in (sys.a11, sys.a21_0, sys.a22)]
-        (self.c11, self.p11), (self.c21, self.p21), (self.c22, self.p22) = (
-            (center, tuple(row[::-1])) for center, row in pieces)
-        self.p21 = (*self.p21[:-1], self.p21[-1] - sys.lam)
+    def __init__(self, rows, lam: complex):
+        (self.c11, p11), (self.c21, p21), (self.c22, p22) = rows
+        self.p11, self.p22 = p11[::-1], p22[::-1]
+        self.p21 = (*p21[:0:-1], p21[0] - lam)
 
     def rhs(self, x: float, y0: complex, y1: complex) -> tuple[complex, complex]:
         a11 = _horner(self.p11, x - self.c11)
         a21 = _horner(self.p21, x - self.c21)
         a22 = _horner(self.p22, x - self.c22)
         return a11 * y0 + y1, a21 * y0 + a22 * y1
-
-    @property
-    def constant(self) -> bool:
-        return len(self.p11) == len(self.p21) == len(self.p22) == 1
 
 
 # One accepted step: the state on it is sum_k coef[k] * theta**k times
@@ -220,11 +220,17 @@ def integrate(
     segments, h_floor = _segments(sys, y0.x, to, tol)
     y = (complex(y0.y0), complex(y0.y1))
     ls = float(y0.logscale)
-    rows: list[tuple] = []
-    for seg_a, seg_b in segments:
-        mat = _SegmentMatrix(sys, 0.5 * (seg_a + seg_b))
-        y, ls = _integrate_segment(mat, rows, seg_a, seg_b, y, ls, *tol, h_floor)
-    return _trajectory(sys, y0.x, to, tol, rows)
+    steps: list[tuple] = []
+    for seg_a, seg_b, rows in segments:
+        y, ls = _integrate_segment(_SegmentMatrix(rows, sys.lam), steps, seg_a, seg_b, y, ls, *tol, h_floor)
+    return Trajectory(
+        system=sys,
+        a=min(y0.x, to),
+        b=max(y0.x, to),
+        atol=tol[0],
+        rtol=tol[1],
+        steps=_by_position(np.array(steps, dtype=STEP_DTYPE)),
+    )
 
 
 def endpoint(
@@ -236,34 +242,27 @@ def endpoint(
     """End state at ``to`` and log of sup |Y| along the way, no dense output.
 
     Walks the segments of ``integrate``.  A segment whose system matrix is
-    constant is crossed by exact exponentials (``_exact_step``), with
-    log|Y| sampled at every sub-step end.  Any other segment runs the
-    Dormand-Prince steps of ``integrate``, and its end state and log sup
-    are read from them as ``Trajectory.state_at`` and ``Trajectory.log_sup``
-    read them.  Raises StepUnderflowError as ``integrate`` does.
+    constant is crossed by exact exponentials (``_exact_segment``), any
+    other by Taylor steps of the exact recurrence of its polynomial
+    entries (``_taylor_segment``); log|Y| is sampled at the segment starts
+    and at every sub-step end, and at Taylor step midpoints.  ``tol`` is
+    checked as ``integrate`` checks it but no segment uses it: both kinds
+    of step are accurate to rounding.  Raises StepUnderflowError below the
+    step floor of ``integrate``.
     """
     segments, h_floor = _segments(sys, y0.x, to, tol)
     y = (complex(y0.y0), complex(y0.y1))
     ls = float(y0.logscale)
     sup = -math.inf
-    for seg_a, seg_b in segments:
-        mat = _SegmentMatrix(sys, 0.5 * (seg_a + seg_b))
-        if mat.constant:
-            y, ls, sup = _exact_segment(mat, seg_a, seg_b, y, ls, sup, h_floor)
-            end = y, ls
-        else:
-            rows: list[tuple] = []
-            y, ls = _integrate_segment(mat, rows, seg_a, seg_b, y, ls, *tol, h_floor)
-            seg = _trajectory(sys, seg_a, seg_b, tol, rows)
-            sup = max(sup, seg.log_sup())
-            (end_y,), (end_ls,) = seg.sample([seg_b])
-            end = (complex(end_y[0]), complex(end_y[1])), float(end_ls)
-    (e0, e1), end_ls = end
-    return QuasiState(to, e0, e1, sys.side, end_ls), sup
+    for seg_a, seg_b, rows in segments:
+        cross = _exact_segment if all(len(p) == 1 for _, p in rows) else _taylor_segment
+        y, ls, sup = cross(rows, sys.lam, seg_a, seg_b, y, ls, sup, h_floor)
+    return QuasiState(to, *y, sys.side, ls), sup
 
 
 def _segments(sys, x_from, to, tol):
-    """(start, end) of each segment from x_from to ``to``, and the step floor."""
+    """(start, end, rows) of each segment from x_from to ``to``, with the
+    rows of the system on it, and the step floor."""
     if tol[0] <= 0 or tol[1] <= 0:
         raise ValueError("tolerances must be positive")
     if to == x_from:
@@ -271,24 +270,20 @@ def _segments(sys, x_from, to, tol):
     lo, hi = min(x_from, to), max(x_from, to)
     bps = sorted((float(t) for t in sys.breakpoints() if lo < t < hi), reverse=to < x_from)
     nodes = [x_from, *bps, to]
-    return list(zip(nodes[:-1], nodes[1:])), MIN_STEP_FRACTION * (hi - lo)
-
-
-def _trajectory(sys, x_from, to, tol, rows) -> Trajectory:
-    return Trajectory(
-        system=sys,
-        a=min(x_from, to),
-        b=max(x_from, to),
-        atol=tol[0],
-        rtol=tol[1],
-        steps=_by_position(np.array(rows, dtype=STEP_DTYPE)),
-    )
+    ends = list(zip(nodes[:-1], nodes[1:]))
+    regions = np.searchsorted(sys.breakpoints(), [0.5 * (a + b) for a, b in ends], side="right")
+    return [(a, b, sys.rows[i]) for (a, b), i in zip(ends, regions.tolist())], MIN_STEP_FRACTION * (hi - lo)
 
 
 # 1/(2k)! and 1/(2k+1)!, highest power first: cosh(z) and sinh(z)/z as
 # series in w = z^2, exact to rounding for |w| <= 1
 _COSH = tuple(1 / math.factorial(2 * k) for k in range(11, -1, -1))
 _SINHC = tuple(1 / math.factorial(2 * k + 1) for k in range(11, -1, -1))
+
+# Taylor steps on polynomial segments: series order, and the size of the
+# last two terms relative to the state (``_jorba_zou``)
+_TAYLOR_ORDER = 24
+_TAYLOR_EPS = 1e-16
 
 
 def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
@@ -307,7 +302,7 @@ def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
     return g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d)
 
 
-def _exact_segment(mat, xa, xb, y, ls, sup, h_floor):
+def _exact_segment(rows, lam, xa, xb, y, ls, sup, h_floor):
     """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
 
     n keeps |h mu| and |h tau|/2 at most 1, so each sub-step grows |Y| by
@@ -318,7 +313,8 @@ def _exact_segment(mat, xa, xb, y, ls, sup, h_floor):
     threshold, so log(peak) + ls at the end is the largest log|Y| over the
     segment start, every sub-step end and ``sup``.
     """
-    a11, a21, a22 = (complex(p[0]) for p in (mat.p11, mat.p21, mat.p22))
+    (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
+    a11, a21, a22 = complex(a11), complex(a21 - lam), complex(a22)
     d = 0.5 * (a11 - a22)
     tau, mu2 = a11 + a22, d * d + a21
     seg_len = xb - xa
@@ -340,7 +336,86 @@ def _exact_segment(mat, xa, xb, y, ls, sup, h_floor):
     return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
 
 
-def _integrate_segment(mat, rows, xa, xb, y, ls, atol, rtol, h_floor):
+def _recentred(row: list, d: float) -> list:
+    """Ascending coefficients in t of sum_k row[k] (t + d)^k."""
+    q = list(row)
+    for i in range(len(q) - 1):
+        for k in range(len(q) - 2, i - 1, -1):
+            q[k] += d * q[k + 1]
+    return q
+
+
+def _jorba_zou(u: list, v: list) -> float:
+    """Step of a Taylor series whose state (u[0], v[0]) has unit size: the
+    largest h with |Y_k| h^k <= _TAYLOR_EPS for the last two orders k
+    (Jorba & Zou 2005); inf when both vanish, 0 when one is not finite."""
+    h = math.inf
+    for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER):
+        n = abs(u[k]) + abs(v[k])
+        if not n < math.inf:
+            return 0.0
+        if n > 0:
+            h = min(h, (_TAYLOR_EPS / n) ** (1.0 / k))
+    return h
+
+
+def _taylor_segment(rows, lam, xa, xb, y, ls, sup, h_floor):
+    """Cross a segment with polynomial entries by Taylor steps.
+
+    Lambda is subtracted from the constant term of the a21 row, as in
+    ``_SegmentMatrix``.  At each step start x the rows are re-centred at
+    x, and the Taylor coefficients of the state scaled to unit size follow
+    from (k+1) Y_{k+1} = sum_j A_j Y_{k-j} with a12 = 1, up to order
+    _TAYLOR_ORDER.  The step is ``_jorba_zou``'s, clipped to the segment
+    end.  A step below h_floor, or a coefficient, step or state that is not
+    finite, raises StepUnderflowError with the state at x.  log|Y| is
+    sampled at the segment start and at every step end and midpoint, the
+    points ``Trajectory.log_sup`` samples; the state is rescaled at step
+    ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
+    """
+    (c11, p11), (c21, p21), (c22, p22) = rows
+    p11, p21, p22 = ([complex(c) for c in p] for p in (p11, (p21[0] - lam, *p21[1:]), p22))
+    y0, y1 = y
+    m = max(abs(y0), abs(y1))
+    if m == 0:
+        return y, ls, sup
+    direction = 1.0 if xb > xa else -1.0
+    peak = m
+    x = xa
+    while (xb - x) * direction > 0:
+        a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
+        u, v = [y0 / m], [y1 / m]
+        for k in range(1, _TAYLOR_ORDER + 1):
+            du = v[-1] + sum(map(mul, a11, reversed(u)))
+            dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
+            u.append(du / k)
+            v.append(dv / k)
+        h = _jorba_zou(u, v)
+        if not h >= h_floor:
+            raise StepUnderflowError(x, direction * h, y0, y1, ls)
+        rest = (xb - x) * direction
+        last = h >= rest
+        h = direction * (rest if last else h)
+        hm = 0.5 * h
+        e0 = e1 = f0 = f1 = 0j
+        for a, b in zip(reversed(u), reversed(v)):
+            e0, e1, f0, f1 = e0 * h + a, e1 * h + b, f0 * hm + a, f1 * hm + b
+        if not abs(e0) + abs(e1) + abs(f0) + abs(f1) < math.inf:
+            raise StepUnderflowError(x, h, y0, y1, ls)
+        mid = m * max(abs(f0), abs(f1))
+        y0, y1 = m * e0, m * e1
+        m = max(abs(y0), abs(y1))
+        x = xb if last else x + h
+        peak = max(peak, mid, m)
+        if m > RESCALE_THRESHOLD:
+            sup = max(sup, math.log(peak) + ls)
+            y0, y1, ls, peak, m = y0 / m, y1 / m, ls + math.log(m), 1.0, 1.0
+        elif m == 0:
+            break
+    return (y0, y1), ls, max(sup, math.log(peak) + ls)
+
+
+def _integrate_segment(mat, steps, xa, xb, y, ls, atol, rtol, h_floor):
     seg_len = xb - xa
     direction = 1.0 if seg_len > 0 else -1.0
     x = xa
@@ -383,7 +458,7 @@ def _integrate_segment(mat, rows, xa, xb, y, ls, atol, rtol, h_floor):
             # pin theta=1 to the accepted state exactly
             coef[4, 0] += ynew0 - coef[:, 0].sum()
             coef[4, 1] += ynew1 - coef[:, 1].sum()
-            rows.append((x, h, coef, ls))
+            steps.append((x, h, coef, ls))
             x = x + h
             y = (ynew0, ynew1)
             f_now = f_new

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly, _dense
+from .coeffs import CoefficientField, PiecewisePoly, _dense, region_pieces
 from .config import JUMP_TOL
 from .errors import DiscontinuousQuasiDerivativeError, NonRealError
 
@@ -57,6 +57,9 @@ class ShinZettlSystem:
     is the same matrix built from (conj G2, conj G1, conj s); its solutions
     carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
     shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
+    ``rows`` holds the pieces of (a11, a21_0, a22) on each region between
+    the field's breakpoints (``coeffs.region_pieces``); built from the
+    entries when not given.
     """
 
     field_data: CoefficientField
@@ -65,6 +68,12 @@ class ShinZettlSystem:
     a11: PiecewisePoly = field(repr=False)
     a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
+    rows: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            entries = (self.a11, self.a21_0, self.a22)
+            object.__setattr__(self, "rows", region_pieces(entries, self.breakpoints()))
 
     @property
     def a12(self) -> PiecewisePoly:
@@ -80,9 +89,10 @@ class ShinZettlSystem:
 
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
     """The Shin-Zettl matrix for l - lambda (or its adjoint); its
-    lambda-free entries are built once per field and side."""
-    entries = c.direct_entries if _check_side(side) == DIRECT else c.adjoint_entries
-    return ShinZettlSystem(c, side, complex(lam), *entries)
+    lambda-free entries and their rows are built once per field and side."""
+    if _check_side(side) == DIRECT:
+        return ShinZettlSystem(c, side, complex(lam), *c.direct_entries, c.direct_rows)
+    return ShinZettlSystem(c, side, complex(lam), *c.adjoint_entries, c.adjoint_rows)
 
 
 def _jumps(f: PiecewisePoly, window: tuple[float, float]) -> dict[float, complex]:

@@ -302,6 +302,46 @@ def test_stiff_eig_scan_is_a_numeric_error(tmp_path, capsys):
     assert "numeric error: StepUnderflowError" in capsys.readouterr().err
 
 
+def _eig_on_linear_s(root, a, b):
+    """Exit code and report text of one Newton seed on s = a + b x over [0, 1]."""
+    coeffs = dict(FREE_COEFFS, s={"breakpoints": [], "pieces": [[a, b]]})
+    problem = {"task": "eig", "coefficients": coeffs, "params": {"interval": [0, 1], "seeds": [[2, 0.5]]}}
+    path = os.path.join(root, "p.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(problem, fh)
+    out = os.path.join(root, "out")
+    code = main(["eig", "--input", path, "--out", out])
+    report = pathlib.Path(out, "report.txt")
+    return code, report.read_text(encoding="utf-8") if report.exists() else ""
+
+
+@pytest.mark.parametrize("slope", [1e300, 1e200])
+def test_eig_on_a_steep_linear_field_is_a_numeric_error(tmp_path, capsys, slope):
+    # s = slope * x: the Taylor coefficients of the first step overflow, and
+    # the shot stops there instead of turning into nan roots
+    code, report = _eig_on_linear_s(str(tmp_path), 0, slope)
+    said = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert "numeric error: StepUnderflowError" in said.err
+    assert not re.search(r"\bnan\b", said.out + said.err + report)
+
+
+LINEAR_MAGNITUDES = st.sampled_from((0, 1e-200, -1e-200, 1, -1, 1e100, -1e100, 1e300, -1e300))
+
+
+@settings(max_examples=80, deadline=None)
+@given(LINEAR_MAGNITUDES, LINEAR_MAGNITUDES)
+def test_fuzzed_linear_field_magnitudes_never_give_a_converged_root_without_numbers(a, b):
+    with tempfile.TemporaryDirectory() as root:
+        code, report = _eig_on_linear_s(root, a, b)
+    assert code in (0, 2, 65, 70)
+    table = report.split("[table eigenvalues]", 1)[1].split("[/table]")[0] if report else ""
+    rows = [dict(zip(table.splitlines()[1].split(","), line.split(","))) for line in table.splitlines()[2:]]
+    for row in rows:
+        if row["converged"] == "true":
+            assert not re.search(r"\b(nan|inf)\b", ",".join(row.values())), row
+
+
 def test_cli_writes_report_and_trajectory(tmp_path):
     problem = {
         "task": "solve",

@@ -277,6 +277,11 @@ def test_zero_norm_rejected():
         range_verdict(sample_forms(FREE, [PiecewisePoly.zero()]))
 
 
+def test_range_verdict_refuses_a_zero_norm():
+    with pytest.raises(ZeroNormError, match="test function 1 has zero L2 norm"):
+        range_verdict([(FormValue(1, 0, 0), 1.0), (FormValue(1, 0, 0), 0.0)])
+
+
 def test_sector_membership():
     s = Sector(math.pi / 4)
     assert s.contains(1.0 + 0.5j)

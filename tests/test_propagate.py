@@ -1,6 +1,7 @@
 """Integrator contract: accuracy, dense output, jumps, rescaling."""
 
 import bisect
+import cmath
 import math
 
 import numpy as np
@@ -270,16 +271,18 @@ def test_exact_step_matches_expm(inv):
     assert np.allclose(got, expm(h * A), rtol=1e-14, atol=1e-14 * np.abs(expm(h * A)).max())
 
 
+# constant pieces around one linear piece of s and one jump of Q
+MIXED = CoefficientField(
+    PiecewisePoly([-1.0, 1.0], [[0.5], [0.0, 0.8], [-0.3]]),
+    PiecewisePoly.heaviside(-1.5, 1.7),
+    PiecewisePoly.zero(),
+)
+
+
 def test_exact_shot_matches_dormand_prince_on_mixed_field():
-    # constant pieces around one linear piece of s and one jump of Q: the
-    # linear segment runs Dormand-Prince, the others are exact
-    c = CoefficientField(
-        PiecewisePoly([-1.0, 1.0], [[0.5], [0.0, 0.8], [-0.3]]),
-        PiecewisePoly.heaviside(-1.5, 1.7),
-        PiecewisePoly.zero(),
-    )
+    # the linear segment takes Taylor steps, the others are exact
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
-        (e0, e1, el, esup), (d0, d1, dl, dsup) = _shot_pair(c, lam, -3.0, 3.0)
+        (e0, e1, el, esup), (d0, d1, dl, dsup) = _shot_pair(MIXED, lam, -3.0, 3.0)
         scale = math.exp(dsup)
         assert abs(e0 * math.exp(el) - d0 * math.exp(dl)) <= 1e-9 * scale
         assert abs(e1 * math.exp(el) - d1 * math.exp(dl)) <= 1e-9 * scale
@@ -298,13 +301,167 @@ def test_exact_shot_rescales_like_dormand_prince():
     assert abs(esup - want) <= 1e-12 * want
 
 
-def test_non_constant_shot_is_the_dormand_prince_shot():
-    # s = i x has no constant segment: endpoint runs the same steps as
-    # integrate and reads the end state and log sup the same way, bit for bit
-    ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    for lam in (1.0, 3.7, 8.0 + 1j):
-        e, d = _shot_pair(ix, lam, 0.0, math.pi)
-        assert e == d
+IX = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+
+
+def _airy_end(lam, b):
+    """(u, u') at b of u'' = (i x - lambda) u, u(0) = 0, u'(0) = 1: a
+    combination of Ai and Bi of w (x + i lambda), w = e^(i pi/6)."""
+    from scipy.special import airy
+
+    w = cmath.exp(1j * math.pi / 6)
+
+    def pair(x):
+        ai, aip, bi, bip = airy(w * (x + 1j * lam))
+        return np.array([[ai, bi], [w * aip, w * bip]])
+
+    return pair(b) @ np.linalg.solve(pair(0.0), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("lam", [2.0, 1.1 + 1.57j])
+def test_taylor_shot_matches_the_airy_closed_form(lam):
+    # s = i x has no constant segment: the whole shot is Taylor steps.  At
+    # larger lambda the Ai/Bi combination cancels, so it is no reference
+    end, _ = endpoint(assemble(IX, "direct", lam), QuasiState(0.0, 0.0, 1.0), math.pi)
+    got = np.array([end.y0, end.y1]) * math.exp(end.logscale)
+    want = _airy_end(lam, math.pi)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _against_tight_dormand_prince(c, lam, a, b, init=(0.0, 1.0)):
+    """endpoint against integrate at tol (1e-15, 1e-14): asserts the end
+    states agree within 1e-11 of exp(log sup) and returns the (end
+    logscale, log sup) of each."""
+    sys = assemble(c, "direct", lam)
+    start = QuasiState(a, *init)
+    end, sup = endpoint(sys, start, b)
+    t = integrate(sys, start, b, tol=(1e-15, 1e-14))
+    ref = t.state_at(b)
+    for got, want in ((end.y0, ref.y0), (end.y1, ref.y1)):
+        assert abs(got * math.exp(end.logscale - sup) - want * math.exp(ref.logscale - sup)) <= 1e-11
+    return (end.logscale, sup), (ref.logscale, t.log_sup())
+
+
+@pytest.mark.parametrize("lam", [12.0, 100.0, 400.0])
+def test_taylor_shot_matches_tight_dormand_prince(lam):
+    _against_tight_dormand_prince(IX, lam, 0.0, math.pi)
+
+
+def test_taylor_shot_on_a_higher_degree_field():
+    # degree 3 and 4 entries with jumps: several Taylor segments
+    rng = np.random.default_rng(14)
+
+    def poly(deg, bps):
+        return PiecewisePoly(bps, [rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+                                   for _ in range(len(bps) + 1)])
+
+    c = CoefficientField(poly(4, [-0.7, 1.2]), poly(3, [0.4]), poly(3, []))
+    for lam in (0.5, 9.0 + 2j, -4.0):
+        (el, esup), (dl, dsup) = _against_tight_dormand_prince(c, lam, -2.0, 2.0, (1.0, 0.3 - 0.2j))
+        assert abs(esup - dsup) <= 1e-9 * (1 + abs(dsup))
+
+
+def test_long_growing_taylor_segment_rescales_like_dormand_prince():
+    # s = x/100 at lambda = -100: the solution grows to about e^300 on one
+    # Taylor segment [0, 30], so both paths rescale at least once
+    c = CoefficientField(PiecewisePoly([], [[0.0, 0.01]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    (el, esup), (dl, dsup) = _against_tight_dormand_prince(c, -100.0, 0.0, 30.0)
+    assert el > 230 and dl > 230
+    assert abs(esup - dsup) <= 1e-12 * dsup
+
+
+def test_taylor_shot_stops_on_coefficients_past_the_float_range():
+    # s = 1e300 x: the Taylor coefficients overflow at the first step, which
+    # is refused before the state turns to nan
+    c = CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    with pytest.raises(StepUnderflowError, match=r"below floor at x=0 ") as err:
+        endpoint(assemble(c, "direct", 2.0), QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
+    e = err.value
+    assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 0.0, 1.0, 0.5, 3.0)
+
+
+def test_taylor_step_below_the_floor_raises():
+    # s = 1e26 + x: the series allows steps of about 2e-13, below the floor
+    # 1e-12 of an interval of length 100
+    c = CoefficientField(PiecewisePoly([], [[1e26, 1.0]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    with pytest.raises(StepUnderflowError) as err:
+        endpoint(assemble(c, "direct", 0.0), QuasiState(0.0, 1.0, 0.0), 100.0)
+    assert err.value.x == 0.0 and 0 < err.value.h < 1e-12
+
+
+def test_taylor_step_whose_sum_is_not_finite_raises(monkeypatch):
+    # a step the length of the segment, 1e300: the series sum overflows
+    monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v: math.inf)
+    with pytest.raises(StepUnderflowError) as err:
+        endpoint(assemble(IX, "direct", 2.0), QuasiState(0.0, 1.0, 0.0), 1e300)
+    e = err.value
+    assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 1e300, 1.0, 0.0, 0.0)
+
+
+def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
+    # the log sup of a shot is the largest log|Y| at the start, the step
+    # ends and the step midpoints, here read from tight dense output; at
+    # lambda = 12 the largest is at a midpoint, 0.145 against 0 at the ends
+    hs = []
+    step = propagate._jorba_zou
+
+    def recorded(u, v):
+        hs.append(step(u, v))
+        return hs[-1]
+
+    monkeypatch.setattr(propagate, "_jorba_zou", recorded)
+    sys = assemble(IX, "direct", 12.0)
+    _, sup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), math.pi)
+    ends = np.minimum(np.cumsum(hs), math.pi)
+    starts = np.concatenate([[0.0], ends[:-1]])
+    t = integrate(sys, QuasiState(0.0, 0.0, 1.0), math.pi, tol=(1e-15, 1e-14))
+    y, ls = t.sample(np.concatenate([starts, ends, 0.5 * (starts + ends)]))
+    assert abs(sup - np.max(np.log(np.max(np.abs(y), axis=1)) + ls)) <= 1e-10
+
+
+def test_zero_state_crosses_a_taylor_segment_unchanged():
+    end, sup = endpoint(assemble(IX, "direct", 2.0), QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
+    assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 1.5, -math.inf)
+    # r = i (50 + x/1000) at lambda = 2500: both solutions decay like
+    # e^(-50 x), so the state underflows to zero on the way and stays there
+    z = PiecewisePoly.zero()
+    decay = CoefficientField(z, z, PiecewisePoly([], [[50j, 0.001j]]))
+    end, sup = endpoint(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
+    assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_no_shot_runs_dormand_prince(monkeypatch):
+    # scans, Newton seeds and mixed fields shoot without Dormand-Prince
+    # steps; the dense shot runs once, when a root's trajectory is read
+    from qschro import spectral
+    from qschro.errors import NonRealScanError
+
+    allowed = []
+    dopri, dense = propagate._integrate_segment, spectral.integrate
+    integrate_calls = []
+
+    def guarded(*args):
+        if not allowed:
+            raise AssertionError("Dormand-Prince step in a shot")
+        return dopri(*args)
+
+    def counted(*args, **kw):
+        integrate_calls.append(args)
+        return dense(*args, **kw)
+
+    monkeypatch.setattr(propagate, "_integrate_segment", guarded)
+    monkeypatch.setattr(spectral, "integrate", counted)
+    bc = spectral.BoundaryCondition.dirichlet()
+    with pytest.raises(NonRealScanError):
+        spectral.eigenvalues(IX, (0, math.pi), bc, scan=(0.5, 12), grid=40)
+    res = spectral.eigenvalues(IX, (0, math.pi), bc, seeds=[1.2 + 1.6j, 3.9 + 1.5j])
+    assert [r.converged for r in res] == [True, True]
+    for lam in (-2.0, 3.0 + 0.5j, 40.0):
+        endpoint(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
+    assert not integrate_calls
+    allowed.append(True)
+    traj = res[0].trajectory
+    assert res[0].trajectory is traj and len(integrate_calls) == 1
 
 
 def test_exact_substeps_are_fewer_than_dormand_prince_steps(monkeypatch):

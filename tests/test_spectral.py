@@ -280,6 +280,28 @@ def test_scan_builds_the_system_once_per_field(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_scan_reads_the_segment_rows_once_per_field(monkeypatch):
+    # the pieces of the entries on each segment are read once per field
+    # and side, not once per shot
+    from qschro import coeffs
+
+    builds = []
+    pieces = coeffs.region_pieces
+
+    def counted(fs, breakpoints):
+        builds.append(len(breakpoints))
+        return pieces(fs, breakpoints)
+
+    monkeypatch.setattr(coeffs, "region_pieces", counted)
+    counts = []
+    for grid in (8, 32):
+        builds.clear()
+        res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid)
+        assert [round(r.lam.real) for r in res if r.converged] == [-1]
+        counts.append(len(builds))
+    assert counts == [1, 1]
+
+
 def test_newton_real_seed_stays_real():
     res = eigenvalues(FREE, (0, math.pi), BC, seeds=[4.2 + 0.3j])
     good = [r for r in res if r.converged]
