@@ -10,10 +10,10 @@ a quartic interpolant per accepted step, so trajectories have dense
 output.  ``endpoint`` walks the same segments for the end state and
 log sup|Y| only, with no Dormand-Prince step: on a segment where the
 system matrix A is constant it multiplies by the exact exp(hA) in equal
-sub-steps, and on any other it takes Taylor steps of order 24 from the
-exact recurrence of the polynomial entries (classical high-order Taylor
-method, Corliss & Chang 1982), each as long as Jorba & Zou's rule (2005)
-allows.  Both are accurate to rounding at any lambda, so the tolerances
+sub-steps, and on any other it takes Taylor steps of order 23 + d from
+the exact recurrence of the entries of degree d (classical high-order
+Taylor method, Corliss & Chang 1982), each as long as Jorba & Zou's rule
+(2005) allows.  Both are accurate to rounding at any lambda, so the tolerances
 apply to ``integrate`` only.  Each system reads its entries' pieces per
 segment from ``ShinZettlSystem.rows``, built once per field and side.
 
@@ -68,16 +68,13 @@ _P = np.array(
 
 class _SegmentMatrix:
     """System entries on one smooth segment, Horner-ready, from the
-    segment's rows (``ShinZettlSystem.rows``); lambda is subtracted from
-    the constant term of entry (2,1), which gives the bits of the
-    ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
+    segment's lambda-shifted rows (``_segments``)."""
 
     __slots__ = ("c11", "p11", "c21", "p21", "c22", "p22")
 
-    def __init__(self, rows, lam: complex):
+    def __init__(self, rows):
         (self.c11, p11), (self.c21, p21), (self.c22, p22) = rows
-        self.p11, self.p22 = p11[::-1], p22[::-1]
-        self.p21 = (*p21[:0:-1], p21[0] - lam)
+        self.p11, self.p21, self.p22 = p11[::-1], p21[::-1], p22[::-1]
 
     def rhs(self, x: float, y0: complex, y1: complex) -> tuple[complex, complex]:
         a11 = _horner(self.p11, x - self.c11)
@@ -222,7 +219,7 @@ def integrate(
     ls = float(y0.logscale)
     steps: list[tuple] = []
     for seg_a, seg_b, rows in segments:
-        y, ls = _integrate_segment(_SegmentMatrix(rows, sys.lam), steps, seg_a, seg_b, y, ls, *tol, h_floor)
+        y, ls = _integrate_segment(_SegmentMatrix(rows), steps, seg_a, seg_b, y, ls, *tol, h_floor)
     return Trajectory(
         system=sys,
         a=min(y0.x, to),
@@ -256,13 +253,15 @@ def endpoint(
     sup = -math.inf
     for seg_a, seg_b, rows in segments:
         cross = _exact_segment if all(len(p) == 1 for _, p in rows) else _taylor_segment
-        y, ls, sup = cross(rows, sys.lam, seg_a, seg_b, y, ls, sup, h_floor)
+        y, ls, sup = cross(rows, seg_a, seg_b, y, ls, sup, h_floor)
     return QuasiState(to, *y, sys.side, ls), sup
 
 
 def _segments(sys, x_from, to, tol):
     """(start, end, rows) of each segment from x_from to ``to``, with the
-    rows of the system on it, and the step floor."""
+    rows of the system on it, and the step floor.  Lambda is subtracted
+    from the constant term of the a21 row here, which gives the bits of
+    the ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
     if tol[0] <= 0 or tol[1] <= 0:
         raise ValueError("tolerances must be positive")
     if to == x_from:
@@ -272,7 +271,11 @@ def _segments(sys, x_from, to, tol):
     nodes = [x_from, *bps, to]
     ends = list(zip(nodes[:-1], nodes[1:]))
     regions = np.searchsorted(sys.breakpoints(), [0.5 * (a + b) for a, b in ends], side="right")
-    return [(a, b, sys.rows[i]) for (a, b), i in zip(ends, regions.tolist())], MIN_STEP_FRACTION * (hi - lo)
+    segments = []
+    for (a, b), i in zip(ends, regions.tolist()):
+        r11, (c21, p21), r22 = sys.rows[i]
+        segments.append((a, b, (r11, (c21, (p21[0] - sys.lam, *p21[1:])), r22)))
+    return segments, MIN_STEP_FRACTION * (hi - lo)
 
 
 # 1/(2k)! and 1/(2k+1)!, highest power first: cosh(z) and sinh(z)/z as
@@ -280,8 +283,9 @@ def _segments(sys, x_from, to, tol):
 _COSH = tuple(1 / math.factorial(2 * k) for k in range(11, -1, -1))
 _SINHC = tuple(1 / math.factorial(2 * k + 1) for k in range(11, -1, -1))
 
-# Taylor steps on polynomial segments: series order, and the size of the
-# last two terms relative to the state (``_jorba_zou``)
+# Taylor steps on polynomial segments of degree d: series order at d = 1
+# (d - 1 more above), and the size of the last d + 1 terms relative to
+# the state (``_jorba_zou``)
 _TAYLOR_ORDER = 24
 _TAYLOR_EPS = 1e-16
 
@@ -302,7 +306,7 @@ def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
     return g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d)
 
 
-def _exact_segment(rows, lam, xa, xb, y, ls, sup, h_floor):
+def _exact_segment(rows, xa, xb, y, ls, sup, h_floor):
     """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
 
     n keeps |h mu| and |h tau|/2 at most 1, so each sub-step grows |Y| by
@@ -313,8 +317,7 @@ def _exact_segment(rows, lam, xa, xb, y, ls, sup, h_floor):
     threshold, so log(peak) + ls at the end is the largest log|Y| over the
     segment start, every sub-step end and ``sup``.
     """
-    (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
-    a11, a21, a22 = complex(a11), complex(a21 - lam), complex(a22)
+    a11, a21, a22 = (complex(p[0]) for _, p in rows)
     d = 0.5 * (a11 - a22)
     tau, mu2 = a11 + a22, d * d + a21
     seg_len = xb - xa
@@ -345,12 +348,16 @@ def _recentred(row: list, d: float) -> list:
     return q
 
 
-def _jorba_zou(u: list, v: list) -> float:
+def _jorba_zou(u: list, v: list, window: int) -> float:
     """Step of a Taylor series whose state (u[0], v[0]) has unit size: the
-    largest h with |Y_k| h^k <= _TAYLOR_EPS for the last two orders k
-    (Jorba & Zou 2005); inf when both vanish, 0 when one is not finite."""
+    largest h with |Y_k| h^k <= _TAYLOR_EPS for the last ``window`` orders
+    k (Jorba & Zou 2005 take the last two); inf when all of them vanish, 0
+    when one is not finite.  A series whose recurrence reaches ``window``
+    orders back has ended when that many orders in a row vanish, and one
+    that has not ended has a nonzero coefficient among them, however
+    sparse it is."""
     h = math.inf
-    for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER):
+    for k in range(len(u) - window, len(u)):
         n = abs(u[k]) + abs(v[k])
         if not n < math.inf:
             return 0.0
@@ -359,22 +366,27 @@ def _jorba_zou(u: list, v: list) -> float:
     return h
 
 
-def _taylor_segment(rows, lam, xa, xb, y, ls, sup, h_floor):
+def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor):
     """Cross a segment with polynomial entries by Taylor steps.
 
-    Lambda is subtracted from the constant term of the a21 row, as in
-    ``_SegmentMatrix``.  At each step start x the rows are re-centred at
-    x, and the Taylor coefficients of the state scaled to unit size follow
-    from (k+1) Y_{k+1} = sum_j A_j Y_{k-j} with a12 = 1, up to order
-    _TAYLOR_ORDER.  The step is ``_jorba_zou``'s, clipped to the segment
-    end.  A step below h_floor, or a coefficient, step or state that is not
-    finite, raises StepUnderflowError with the state at x.  log|Y| is
-    sampled at the segment start and at every step end and midpoint, the
-    points ``Trajectory.log_sup`` samples; the state is rescaled at step
-    ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
+    ``rows`` are the segment's lambda-shifted rows, of degree at most d.
+    At each step start x the rows are re-centred at x, and the Taylor
+    coefficients of the state scaled to unit size follow from
+    (k+1) Y_{k+1} = sum_{j<=d} A_j Y_{k-j} with a12 = 1, up to order
+    _TAYLOR_ORDER + d - 1.  The step is ``_jorba_zou``'s over the last
+    d + 1 orders, the reach of the recurrence, so that a sparse series (a
+    monomial entry re-centred at its center) is never read as ended; it is
+    clipped to the segment end.  A step below h_floor, or a coefficient,
+    step or state that is not finite, raises StepUnderflowError with the
+    state at x.  log|Y| is sampled at the segment start and at every step
+    end and midpoint, the points ``Trajectory.log_sup`` samples; the state
+    is rescaled at step ends past RESCALE_THRESHOLD.  A zero state crosses
+    unchanged.
     """
     (c11, p11), (c21, p21), (c22, p22) = rows
-    p11, p21, p22 = ([complex(c) for c in p] for p in (p11, (p21[0] - lam, *p21[1:]), p22))
+    p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
+    window = max(len(p11), len(p21), len(p22))
+    order = _TAYLOR_ORDER + window - 2
     y0, y1 = y
     m = max(abs(y0), abs(y1))
     if m == 0:
@@ -385,12 +397,12 @@ def _taylor_segment(rows, lam, xa, xb, y, ls, sup, h_floor):
     while (xb - x) * direction > 0:
         a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
         u, v = [y0 / m], [y1 / m]
-        for k in range(1, _TAYLOR_ORDER + 1):
+        for k in range(1, order + 1):
             du = v[-1] + sum(map(mul, a11, reversed(u)))
             dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
             u.append(du / k)
             v.append(dv / k)
-        h = _jorba_zou(u, v)
+        h = _jorba_zou(u, v, window)
         if not h >= h_floor:
             raise StepUnderflowError(x, direction * h, y0, y1, ls)
         rest = (xb - x) * direction

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly, _dense, region_pieces
+from .coeffs import CoefficientField, PiecewisePoly, _dense
 from .config import JUMP_TOL
 from .errors import DiscontinuousQuasiDerivativeError, NonRealError
 
@@ -58,8 +58,7 @@ class ShinZettlSystem:
     carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
     shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
     ``rows`` holds the pieces of (a11, a21_0, a22) on each region between
-    the field's breakpoints (``coeffs.region_pieces``); built from the
-    entries when not given.
+    the field's breakpoints (``coeffs.region_pieces``).
     """
 
     field_data: CoefficientField
@@ -68,12 +67,7 @@ class ShinZettlSystem:
     a11: PiecewisePoly = field(repr=False)
     a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
-    rows: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.rows is None:
-            entries = (self.a11, self.a21_0, self.a22)
-            object.__setattr__(self, "rows", region_pieces(entries, self.breakpoints()))
+    rows: tuple = field(repr=False, compare=False)
 
     @property
     def a12(self) -> PiecewisePoly:

@@ -361,6 +361,27 @@ def test_taylor_shot_on_a_higher_degree_field():
         assert abs(esup - dsup) <= 1e-9 * (1 + abs(dsup))
 
 
+@pytest.mark.parametrize("deg", [3, 5])
+@pytest.mark.parametrize("init", [(0.0, 1.0), (1.0, 0.0)])
+def test_taylor_shot_on_a_sparse_series(deg, init):
+    # s = x^deg at lambda = 0 from the piece's center: the series of the
+    # state holds only every (deg + 2)-th order, so the last two orders of
+    # a fixed-order series can both vanish while the solution goes on
+    c = CoefficientField(PiecewisePoly([], [[0.0] * deg + [1.0]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    (_, esup), (_, dsup) = _against_tight_dormand_prince(c, 0.0, 0.0, 3.0, init)
+    assert abs(esup - dsup) <= 1e-12 * (1 + abs(dsup))
+
+
+def test_taylor_step_is_exact_when_the_series_ends():
+    # a window of orders as long as the recurrence's reach that is all
+    # zero ends the series: the step is the whole segment
+    u, v = [1.0] + [0.0] * 9, [0.5, 2.0] + [0.0] * 8
+    assert propagate._jorba_zou(u, v, 3) == math.inf
+    u[6] = 1e-30
+    assert propagate._jorba_zou(u, v, 3) == math.inf
+    assert propagate._jorba_zou(u, v, 4) == (1e-16 / 1e-30) ** (1 / 6)
+
+
 def test_long_growing_taylor_segment_rescales_like_dormand_prince():
     # s = x/100 at lambda = -100: the solution grows to about e^300 on one
     # Taylor segment [0, 30], so both paths rescale at least once
@@ -391,7 +412,7 @@ def test_taylor_step_below_the_floor_raises():
 
 def test_taylor_step_whose_sum_is_not_finite_raises(monkeypatch):
     # a step the length of the segment, 1e300: the series sum overflows
-    monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v: math.inf)
+    monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v, window: math.inf)
     with pytest.raises(StepUnderflowError) as err:
         endpoint(assemble(IX, "direct", 2.0), QuasiState(0.0, 1.0, 0.0), 1e300)
     e = err.value
@@ -405,8 +426,8 @@ def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
     hs = []
     step = propagate._jorba_zou
 
-    def recorded(u, v):
-        hs.append(step(u, v))
+    def recorded(u, v, window):
+        hs.append(step(u, v, window))
         return hs[-1]
 
     monkeypatch.setattr(propagate, "_jorba_zou", recorded)

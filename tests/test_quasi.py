@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, _trim, bump, from_callable
+from qschro.coeffs import CoefficientField, PiecewisePoly, _trim, bump, from_callable, region_pieces
 from qschro.conditions import build_cutoff
 from qschro.config import JUMP_TOL
 from qschro.errors import DiscontinuousQuasiDerivativeError
@@ -263,7 +263,8 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
         y0 = QuasiState(-2.0, 1.0, 0.2 + 0.1j, side)
         for lam in (0, -1, 2 + 1j, 400):
             sys = assemble(c, side, lam)
-            ref = ShinZettlSystem(c, side, 0j, g1, -(g1 * g2) + s - complex(lam), -g2)
+            entries = (g1, -(g1 * g2) + s - complex(lam), -g2)
+            ref = ShinZettlSystem(c, side, 0j, *entries, region_pieces(entries, c.breakpoints()))
             (end, sup), (end_ref, sup_ref) = endpoint(sys, y0, 2.0), endpoint(ref, y0, 2.0)
             assert _bits(end.y0, end.y1, end.logscale, sup) == _bits(
                 end_ref.y0, end_ref.y1, end_ref.logscale, sup_ref)
