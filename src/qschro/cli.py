@@ -413,19 +413,19 @@ def _report_condition(rep: Report, label: str, cond):
 
 
 # ----------------------------------------------------------------------
-# task runners: each takes the field, its task's parsed PARAMS, the report
-# and the tolerance pair; solve returns the trajectory to dump, if any
+# task runners: each takes the field, its task's parsed PARAMS and the
+# report; solve returns the trajectory to dump, if any
 
 
-def run_solve(field, params, rep, tol):
+def run_solve(field, params, rep):
     x0, x1, side = params["from"], params["to"], params["side"]
-    traj = integrate(assemble(field, side, params["lambda"]), QuasiState(x0, *params["initial"], side), x1, tol)
+    traj = integrate(assemble(field, side, params["lambda"]), QuasiState(x0, *params["initial"], side), x1)
     end = traj.state_at(x1)
     rep.kv("final.x", x1, source="dense-output")
     rep.kv("final.y0", complex(end.y0), source="dense-output")
     rep.kv("final.y1", complex(end.y1), source="dense-output")
     rep.kv("final.logscale", end.logscale, source="dense-output")
-    rep.kv("steps", len(traj.steps), source="adaptive-rk54")
+    rep.kv("steps", len(traj.steps), source="taylor-series")
     lo, hi = sorted((x0, x1))
     xs = np.linspace(lo, hi, 21)
     ys, ls = traj.sample(xs)
@@ -438,19 +438,19 @@ def run_solve(field, params, rep, tol):
     return traj if params["dump"] else None
 
 
-def run_eig(field, params, rep, tol):
+def run_eig(field, params, rep):
     scan, seeds = params["scan"], params["seeds"]
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
     args = field, params["interval"], params["bc"]
     try:
-        results = eigenvalues(*args, scan, seeds, params["grid"], params["side"], tol)
+        results = eigenvalues(*args, scan, seeds, params["grid"], params["side"])
         refused = False
     except NonRealScanError as exc:
         # the scan's sign changes are not roots; the Newton seeds still are
         rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
         refused = True
-        results = eigenvalues(*args, None, seeds, side=params["side"], tol=tol) if seeds else []
+        results = eigenvalues(*args, None, seeds, side=params["side"]) if seeds else []
     rows = [(r.lam.real, r.lam.imag, r.residual, r.iterations, r.converged, r.method) for r in results]
     rep.table(
         "eigenvalues",
@@ -463,11 +463,11 @@ def run_eig(field, params, rep, tol):
     rep.verdict("inconclusive" if refused else "success" if good else "fails")
 
 
-def run_bracket(field, params, rep, tol):
+def run_bracket(field, params, rep):
     window = a, b = params["window"]
     lam = params["lambda"]
-    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, *params["u_initial"], DIRECT), b, tol)
-    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, *params["v_initial"], ADJOINT), b, tol)
+    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, *params["u_initial"], DIRECT), b)
+    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, *params["v_initial"], ADJOINT), b)
     n = params["samples"]
     xs = np.linspace(a, b, n).tolist()
     (yu, lu), (yv, lv) = u.sample(xs), v.sample(xs)
@@ -484,7 +484,7 @@ def run_bracket(field, params, rep, tol):
     rep.verdict("success" if ok else "fails")
 
 
-def run_form(field, params, rep, tol):
+def run_form(field, params, rep):
     forms = sample_forms(field, params["tests"])
     rows = []
     for i, (fv, norm2) in enumerate(forms):
@@ -501,7 +501,7 @@ def run_form(field, params, rep, tol):
     rep.verdict(cond.verdict)
 
 
-def run_check_a(field, params, rep, tol):
+def run_check_a(field, params, rep):
     w = WeightFunction(params["m"], params["horizon"])
     rep_m = check_m(w, probe_points=params["probe_points"])
     _report_condition(rep, "m_condition", rep_m)
@@ -514,19 +514,19 @@ def run_check_a(field, params, rep, tol):
         overall = "inconclusive"
     rep.verdict(overall)
     if params["with_probe"] is not None and overall == "holds-on-horizon":
-        run_probe(field, params["with_probe"], rep, tol, prefix="chained_")
+        run_probe(field, params["with_probe"], rep, prefix="chained_")
 
 
-def run_check_b(field, params, rep, tol):
+def run_check_b(field, params, rep):
     cond = check_intervals(field.r1, params["scheme"])
     _report_condition(rep, "intervals", cond)
     rep.verdict(cond.verdict)
     if params["with_probe"] is not None and cond.verdict == "holds-on-horizon":
-        run_probe(field, params["with_probe"], rep, tol, prefix="chained_")
+        run_probe(field, params["with_probe"], rep, prefix="chained_")
 
 
-def run_probe(field, params, rep, tol, prefix=""):
-    out = null_probe(field, params["lambda"], params["tmax"], windows=params["windows"], tol=tol)
+def run_probe(field, params, rep, prefix=""):
+    out = null_probe(field, params["lambda"], params["tmax"], windows=params["windows"])
     rep.kv(prefix + "probe.lambda", out.lam, source="null-probe")
     rep.kv(prefix + "probe.classification", out.classification, source="null-probe")
     rep.kv(prefix + "probe.monotone", out.monotone, source="gram-nesting")
@@ -539,13 +539,13 @@ def run_probe(field, params, rep, tol, prefix=""):
     rep.verdict(out.classification)
 
 
-def run_verify(field, params, rep, tol):
+def run_verify(field, params, rep):
     window = a, b = params["window"]
     lam = params["lambda"]
     rows = []
 
-    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, 0.3, 1.0, DIRECT), b, tol)
-    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, 1.0, -0.2, ADJOINT), b, tol)
+    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, 0.3, 1.0, DIRECT), b)
+    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, 1.0, -0.2, ADJOINT), b)
     r1 = lagrange_residual(field, u, v, window)
     rows.append(("lagrange_identity", r1, 1e-8, r1 <= 1e-8, "integral-identity"))
     r2 = bracket_constancy_residual(u, v, window)
@@ -563,7 +563,7 @@ def run_verify(field, params, rep, tol):
         r4 = form_vs_operator_check(field, ub, window)
         rows.append((f"form_vs_operator_{k}", r4, 1e-8, r4 <= 1e-8, "form-vs-operator"))
 
-    v0 = integrate(assemble(field, ADJOINT, 0.0), QuasiState(a, 1.0, 0.1, ADJOINT), b, tol)
+    v0 = integrate(assemble(field, ADJOINT, 0.0), QuasiState(a, 1.0, 0.1, ADJOINT), b)
     n = max(1, int(min(-a, b)) - 1)
     cut = build_cutoff("thmA", n)
     if cut.support[0] >= a and cut.support[1] <= b:
@@ -605,7 +605,7 @@ def load_problem(path: str) -> dict:
     return raw
 
 
-def run_problem(raw: dict, argv=(), tol_arg=None, horizon=None, tmax=None) -> tuple[int, str, object]:
+def run_problem(raw: dict, argv=(), horizon=None, tmax=None) -> tuple[int, str, object]:
     task = raw["task"]
     field = _coefficients(raw["coefficients"], "coefficients")
     spec = PARAMS[task]
@@ -613,15 +613,15 @@ def run_problem(raw: dict, argv=(), tol_arg=None, horizon=None, tmax=None) -> tu
     if params.get("dump") and raw.get("output") == DUMP_NAME:
         raise ValidationFailure("output", f"{DUMP_NAME!r} is the name of the trajectory dump")
     for key, value in (("horizon", horizon), ("tmax", tmax)):
-        if value is not None and key in spec:
-            params[key] = spec[key][0](value, f"--{key}")
-    tol = _list(_pos, 2)(tol_arg.split(","), "--tol") if tol_arg else (config.ATOL, config.RTOL)
+        if value is None:
+            continue
+        if key not in spec:
+            raise ValidationFailure(f"--{key}", f"the {task} task has no {key}")
+        params[key] = spec[key][0](value, f"--{key}")
     rep = Report(task)
     rep.metadata(list(argv))
     rep.problem(normalize_problem(task, field, raw.get("params", {})))
-    rep.kv("tolerances.atol", tol[0])
-    rep.kv("tolerances.rtol", tol[1])
-    extra = RUNNERS[task](field, params, rep, tol)
+    extra = RUNNERS[task](field, params, rep)
     return rep.exit_code, rep.text(), extra
 
 
@@ -635,7 +635,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(t)
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--out", default=None, help="output directory for the report")
-        p.add_argument("--tol", default=None, help="ATOL,RTOL override")
         p.add_argument("--horizon", type=float, default=None, help="horizon override (check-a)")
         p.add_argument("--tmax", type=float, default=None, help="probe horizon override")
     args = parser.parse_args(argv)
@@ -659,7 +658,7 @@ def main(argv=None) -> int:
 
     try:
         code, text, extra = run_problem(
-            raw, sys.argv[1:] if argv is None else argv, args.tol, args.horizon, args.tmax
+            raw, sys.argv[1:] if argv is None else argv, args.horizon, args.tmax
         )
     except QschroError as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -677,9 +676,10 @@ def main(argv=None) -> int:
         if extra is not None:  # trajectory dump requested by a solve task
             with open(os.path.join(out_dir, DUMP_NAME), "w", encoding="utf-8") as fh:
                 fh.write("x,y0_re,y0_im,y1_re,y1_im,logscale\n")
-                lo, _ = extra.edges()
-                ys, ls = extra.sample(lo)
-                for x, (y0, y1), l in zip(lo.tolist(), ys.tolist(), ls.tolist()):
+                lo, hi = extra.edges()
+                xs = np.append(lo, hi[-1])  # every step edge, both ends of the interval
+                ys, ls = extra.sample(xs)
+                for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist()):
                     fh.write(f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n")
     except OSError as exc:
         print(f"write error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,11 +9,6 @@ classification rules explicit and reproducible.
 # may exceed the cap internally (degree doubles), the cap only guards input.
 DEGREE_CAP = 8
 
-# Default integrator tolerances.  End-to-end acceptance targets are in the
-# 1e-6..1e-8 range, so the one-step pair runs well below that.
-ATOL = 1e-12
-RTOL = 1e-10
-
 # |Y| threshold that triggers log-rescaling of a propagated state.
 RESCALE_THRESHOLD = 1e100
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coeffs import CoefficientField, PiecewisePoly
 from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
-from .propagate import Trajectory, _panel_values, _panels, pair_integral
+from .propagate import Trajectory, _gauss_legendre, _panel_values, _panels, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
@@ -238,7 +238,7 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
         raise ValueError("test family must be nonempty")
     field = (c.G1, c.G2, c.s)
     n = max(u.degree for u in family) + max(f.degree for f in field) // 2 + 1
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     cols = []  # per test: panel midpoints, half-widths, nodes, u and u' at the nodes
     with np.errstate(over="ignore", invalid="ignore"):
         for i, u in enumerate(family):

@@ -5,25 +5,26 @@ mesh node; the state (y0, y1) passes through them unchanged, which is
 exactly the absolute continuity the quasi-derivative buys.  States growing
 past 1e100 are renormalized and the exponent ledger travels with them.
 
-``integrate`` runs a Dormand-Prince 5(4) pair on every segment and keeps
-a quartic interpolant per accepted step, so trajectories have dense
-output.  ``endpoint`` walks the same segments for the end state and
-log sup|Y| only, with no Dormand-Prince step: on a segment where the
-system matrix A is constant it multiplies by the exact exp(hA) in equal
-sub-steps, and on any other it takes Taylor steps of order 23 + d from
-the exact recurrence of the entries of degree d (classical high-order
-Taylor method, Corliss & Chang 1982), each as long as Jorba & Zou's rule
-(2005) allows.  Both are accurate to rounding at any lambda, so the tolerances
-apply to ``integrate`` only.  Each system reads its entries' pieces per
-segment from ``ShinZettlSystem.rows``, built once per field and side.
+``endpoint`` and ``integrate`` walk the segments the same way.  On a
+segment where the system matrix A is constant the state is multiplied by
+the exact exp(hA) in equal sub-steps; on any other it takes Taylor steps
+of order 23 + d from the exact recurrence of the entries of degree d
+(classical high-order Taylor method, Corliss & Chang 1982), each as long
+as Jorba & Zou's rule (2005) allows.  Both are accurate to rounding at
+any lambda, so there is no tolerance to choose.  ``endpoint`` keeps the
+end state and log sup|Y| only; ``integrate`` also records each sub-step
+or step as a row of dense output, the Taylor series of the state on it.
+Each system reads its entries' pieces per segment from
+``ShinZettlSystem.rows``, built once per field and side.
 
-A trajectory stores its accepted steps as one structured array sorted by
-position (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense
-output goes through ``Trajectory.sample`` (row lookup plus batched
-Horner).  ``_panels`` is the one quadrature: Gauss-Legendre per panel for
-``pair_integral``, over trajectories and piecewise polynomials alike with
-the exponent bookkeeping of the rows, for the quadratic forms and for the
-nested Gram windows of the probe.
+A trajectory stores its rows as one structured array sorted by position
+(fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense output goes
+through ``Trajectory.sample`` (row lookup plus batched Horner).
+``_panels`` is the one quadrature: Gauss-Legendre per panel, with as many
+nodes as the degrees of the operands need, for ``pair_integral``, over
+trajectories and piecewise polynomials alike with the exponent
+bookkeeping of the rows, for the quadratic forms and for the nested Gram
+windows of the probe.
 """
 
 from __future__ import annotations
@@ -31,81 +32,43 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
 
-from .config import ATOL, MIN_STEP_FRACTION, RESCALE_THRESHOLD, RTOL
+from .config import MIN_STEP_FRACTION, RESCALE_THRESHOLD
 from .coeffs import PiecewisePoly, _dense, _horner
 from .errors import OverflowUnrecoverableError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Shampine's quartic dense-output matrix (theta polynomial degrees 1..4)
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
 
-
-class _SegmentMatrix:
-    """System entries on one smooth segment, Horner-ready, from the
-    segment's lambda-shifted rows (``_segments``)."""
-
-    __slots__ = ("c11", "p11", "c21", "p21", "c22", "p22")
-
-    def __init__(self, rows):
-        (self.c11, p11), (self.c21, p21), (self.c22, p22) = rows
-        self.p11, self.p21, self.p22 = p11[::-1], p21[::-1], p22[::-1]
-
-    def rhs(self, x: float, y0: complex, y1: complex) -> tuple[complex, complex]:
-        a11 = _horner(self.p11, x - self.c11)
-        a21 = _horner(self.p21, x - self.c21)
-        a22 = _horner(self.p22, x - self.c22)
-        return a11 * y0 + y1, a21 * y0 + a22 * y1
-
-
-# One accepted step: the state on it is sum_k coef[k] * theta**k times
-# exp(logscale), theta = (x - x0)/h; coef columns are (y0, y1).  h < 0 on
-# backward steps.
-STEP_DTYPE = np.dtype(
-    [("x0", float), ("h", float), ("coef", complex, (5, 2)), ("logscale", float)]
-)
+def _step_dtype(width: int) -> np.dtype:
+    """One row of dense output: the state on it is sum_k coef[k] * theta**k
+    times exp(logscale), theta = (x - x0)/h, for k < width; coef columns
+    are (y0, y1).  h < 0 on backward steps."""
+    return np.dtype([("x0", float), ("h", float), ("coef", complex, (width, 2)), ("logscale", float)])
 
 
 @dataclass
 class Trajectory:
     """Dense-output solution of one system over an interval.
 
-    ``steps`` is a STEP_DTYPE array sorted by position; the true solution
-    on a step is its interpolant times exp(logscale).  Rescaling never
-    changes the direction of the state vector, only its magnitude.
+    ``steps`` is an array of ``_step_dtype`` rows sorted by position; the
+    true solution on a row is its Taylor polynomial times exp(logscale).
+    Rescaling never changes the direction of the state vector, only its
+    magnitude.
     """
 
     system: ShinZettlSystem
     a: float
     b: float
-    atol: float
-    rtol: float
     steps: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        """Degree in theta of the rows (zero-padded to one width)."""
+        return self.steps.dtype["coef"].shape[0] - 1
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every step."""
@@ -163,7 +126,7 @@ class Trajectory:
         ends = np.minimum(s_hi[keep], hi)
         centers = 0.5 * (np.maximum(s_lo[keep], lo) + ends)
         # theta = (x - x0)/h = alpha*u + beta with u = x - center; compose
-        # each step's quartic with it by Horner on polynomials
+        # each row's polynomial with it by Horner on polynomials
         alpha = (1.0 / s["h"])[:, None]
         beta = ((centers - s["x0"]) / s["h"])[:, None]
         coef = s["coef"][:, :, component]
@@ -201,69 +164,63 @@ class FundamentalSystem:
     x0: float
 
 
-def integrate(
-    sys: ShinZettlSystem,
-    y0: QuasiState,
-    to: float,
-    tol: tuple[float, float] = (ATOL, RTOL),
-) -> Trajectory:
-    """Propagate a state to ``to``, breakpoints as hard mesh nodes.
+def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
+    """Propagate a state to ``to`` with dense output, breakpoints as hard mesh nodes.
 
-    Local error per step is kept at atol + rtol*|Y|; the state is
+    The walk of ``endpoint``, with one row per exact sub-step or Taylor
+    step: the Taylor series of the state on it, whose terms past the last
+    column are below rounding.  The rows of a system all have
+    _TAYLOR_ORDER + d columns, d the largest degree of its entries, so the
+    two halves of a ``fundamental`` pair concatenate.  The state is
     renormalized whenever |Y| exceeds 1e100 and the exponent is recorded
-    per step.  Raises StepUnderflowError when the step size falls below
-    1e-14 times the interval length.
+    per row.  Raises StepUnderflowError as ``endpoint`` does.
     """
-    segments, h_floor = _segments(sys, y0.x, to, tol)
-    y = (complex(y0.y0), complex(y0.y1))
-    ls = float(y0.logscale)
-    steps: list[tuple] = []
-    for seg_a, seg_b, rows in segments:
-        y, ls = _integrate_segment(_SegmentMatrix(rows), steps, seg_a, seg_b, y, ls, *tol, h_floor)
-    return Trajectory(
-        system=sys,
-        a=min(y0.x, to),
-        b=max(y0.x, to),
-        atol=tol[0],
-        rtol=tol[1],
-        steps=_by_position(np.array(steps, dtype=STEP_DTYPE)),
-    )
+    blocks: list[tuple] = []
+    _walk(sys, y0, to, blocks)
+    width = _TAYLOR_ORDER + max(len(p) for row in sys.rows for _, p in row) - 1
+    steps = np.zeros(sum(len(x0) for x0, *_ in blocks), dtype=_step_dtype(width))
+    i = 0
+    for x0, h, coef, ls in blocks:
+        rows = steps[i:i + len(x0)]
+        rows["x0"], rows["h"], rows["logscale"] = x0, h, ls
+        rows["coef"][:, :coef.shape[1]] = coef
+        i += len(x0)
+    return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=_by_position(steps))
 
 
-def endpoint(
-    sys: ShinZettlSystem,
-    y0: QuasiState,
-    to: float,
-    tol: tuple[float, float] = (ATOL, RTOL),
-) -> tuple[QuasiState, float]:
+def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float) -> tuple[QuasiState, float]:
     """End state at ``to`` and log of sup |Y| along the way, no dense output.
 
-    Walks the segments of ``integrate``.  A segment whose system matrix is
-    constant is crossed by exact exponentials (``_exact_segment``), any
-    other by Taylor steps of the exact recurrence of its polynomial
-    entries (``_taylor_segment``); log|Y| is sampled at the segment starts
-    and at every sub-step end, and at Taylor step midpoints.  ``tol`` is
-    checked as ``integrate`` checks it but no segment uses it: both kinds
-    of step are accurate to rounding.  Raises StepUnderflowError below the
-    step floor of ``integrate``.
+    A segment whose system matrix is constant is crossed by exact
+    exponentials (``_exact_segment``), any other by Taylor steps of the
+    exact recurrence of its polynomial entries (``_taylor_segment``);
+    log|Y| is sampled at the segment starts and at every sub-step end, and
+    at Taylor step midpoints.  Both kinds of step are accurate to
+    rounding.  Raises StepUnderflowError when a step falls below 1e-14
+    times the interval length.
     """
-    segments, h_floor = _segments(sys, y0.x, to, tol)
+    y, ls, sup = _walk(sys, y0, to)
+    return QuasiState(to, *y, sys.side, ls), sup
+
+
+def _walk(sys, y0, to, out=None):
+    """(state, logscale, log sup) at ``to``; each segment appends its rows
+    of dense output to ``out`` when one is given."""
+    segments, h_floor = _segments(sys, y0.x, to)
     y = (complex(y0.y0), complex(y0.y1))
     ls = float(y0.logscale)
     sup = -math.inf
     for seg_a, seg_b, rows in segments:
         cross = _exact_segment if all(len(p) == 1 for _, p in rows) else _taylor_segment
-        y, ls, sup = cross(rows, seg_a, seg_b, y, ls, sup, h_floor)
-    return QuasiState(to, *y, sys.side, ls), sup
+        y, ls, sup = cross(rows, seg_a, seg_b, y, ls, sup, h_floor, out)
+    return y, ls, sup
 
 
-def _segments(sys, x_from, to, tol):
+def _segments(sys, x_from, to):
     """(start, end, rows) of each segment from x_from to ``to``, with the
     rows of the system on it, and the step floor.  Lambda is subtracted
     from the constant term of the a21 row here, which gives the bits of
     the ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
-    if tol[0] <= 0 or tol[1] <= 0:
-        raise ValueError("tolerances must be positive")
     if to == x_from:
         raise ValueError("empty integration interval")
     lo, hi = min(x_from, to), max(x_from, to)
@@ -306,16 +263,17 @@ def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
     return g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d)
 
 
-def _exact_segment(rows, xa, xb, y, ls, sup, h_floor):
+def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
 
     n keeps |h mu| and |h tau|/2 at most 1, so each sub-step grows |Y| by
-    a bounded factor; a sub-step below h_floor raises StepUnderflowError,
-    as in ``_integrate_segment``.  The state is rescaled past
-    RESCALE_THRESHOLD as there.  ``peak`` is the largest mantissa since the
-    last rescale, and a rescale fires at the first mantissa past the
-    threshold, so log(peak) + ls at the end is the largest log|Y| over the
-    segment start, every sub-step end and ``sup``.
+    a bounded factor; a sub-step below h_floor raises StepUnderflowError.
+    The state is rescaled past RESCALE_THRESHOLD.  ``peak`` is the largest
+    mantissa since the last rescale, and a rescale fires at the first
+    mantissa past the threshold, so log(peak) + ls at the end is the
+    largest log|Y| over the segment start, every sub-step end and ``sup``.
+    With ``out``, the rows of the sub-steps are appended to it
+    (``_exact_rows``).
     """
     a11, a21, a22 = (complex(p[0]) for _, p in rows)
     d = 0.5 * (a11 - a22)
@@ -328,7 +286,10 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor):
     e11, e12, e21, e22 = _exact_step((a21, d, tau, mu2), seg_len / n)
     y0, y1 = y
     peak = max(abs(y0), abs(y1))
+    starts = None if out is None else []
     for _ in range(n):
+        if starts is not None:
+            starts.append((y0, y1, ls))
         y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
         m = max(abs(y0), abs(y1))
         if m > peak:
@@ -336,7 +297,33 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor):
             if m > RESCALE_THRESHOLD:
                 y0, y1, peak = y0 / m, y1 / m, 1.0
                 ls += math.log(m)
+    if out is not None:
+        out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, np.array(starts)))
     return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+
+
+def _exact_rows(inv, xa, xb, h, starts):
+    """Rows of the sub-steps of a constant segment from their (y0, y1,
+    logscale) ``starts``: the first _TAYLOR_ORDER Taylor coefficients in
+    theta of exp(theta hA) Y, which are p_k Y + q_k hBY for those p_k, q_k
+    of P = e^(theta h tau/2) cosh(theta h mu) and of
+    Q = e^(theta h tau/2) sinh(theta h mu)/(h mu) (``_exact_step``'s
+    notation); P' = h tau/2 P + (h mu)^2 Q and Q' = h tau/2 Q + P give
+    them.  As |h mu| and |h tau|/2 are at most 1, the k-th is at most
+    2^k/k! of |Y| + |hBY|, so the rest is below 2^24/24!, 3e-17.  The
+    last row ends at xb exactly."""
+    a21, d, tau, mu2 = inv
+    half_tau, w = 0.5 * h * tau, h * h * mu2
+    pq = [(1.0, 0.0)]
+    for k in range(1, _TAYLOR_ORDER):
+        p, q = pq[-1]
+        pq.append(((half_tau * p + w * q) / k, (half_tau * q + p) / k))
+    y = starts[:, :2]
+    hby = h * np.stack([d * y[:, 0] + y[:, 1], a21 * y[:, 0] - d * y[:, 1]], axis=1)
+    x0 = xa + h * np.arange(len(starts))
+    hs = np.full(len(starts), h)
+    hs[-1] = xb - x0[-1]
+    return x0, hs, np.einsum("ks,snc->nkc", np.array(pq), np.array([y, hby])), starts[:, 2].real
 
 
 def _recentred(row: list, d: float) -> list:
@@ -366,7 +353,7 @@ def _jorba_zou(u: list, v: list, window: int) -> float:
     return h
 
 
-def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor):
+def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     """Cross a segment with polynomial entries by Taylor steps.
 
     ``rows`` are the segment's lambda-shifted rows, of degree at most d.
@@ -381,7 +368,9 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor):
     state at x.  log|Y| is sampled at the segment start and at every step
     end and midpoint, the points ``Trajectory.log_sup`` samples; the state
     is rescaled at step ends past RESCALE_THRESHOLD.  A zero state crosses
-    unchanged.
+    unchanged.  With ``out``, one row per step is appended to it, the
+    series m Y_k h^k of the state at step start scaled back by its size m,
+    and a zero row for the rest of the segment once the state is zero.
     """
     (c11, p11), (c21, p21), (c22, p22) = rows
     p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
@@ -389,12 +378,11 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor):
     order = _TAYLOR_ORDER + window - 2
     y0, y1 = y
     m = max(abs(y0), abs(y1))
-    if m == 0:
-        return y, ls, sup
     direction = 1.0 if xb > xa else -1.0
     peak = m
     x = xa
-    while (xb - x) * direction > 0:
+    steps = None if out is None else []
+    while m > 0 and (xb - x) * direction > 0:
         a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
         u, v = [y0 / m], [y1 / m]
         for k in range(1, order + 1):
@@ -414,6 +402,12 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor):
             e0, e1, f0, f1 = e0 * h + a, e1 * h + b, f0 * hm + a, f1 * hm + b
         if not abs(e0) + abs(e1) + abs(f0) + abs(f1) < math.inf:
             raise StepUnderflowError(x, h, y0, y1, ls)
+        if steps is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coef = np.array([u, v]).T * (m * h ** np.arange(order + 1))[:, None]
+            if not np.isfinite(coef).all():
+                raise StepUnderflowError(x, h, y0, y1, ls)
+            steps.append((x, h, coef, ls))
         mid = m * max(abs(f0), abs(f1))
         y0, y1 = m * e0, m * e1
         m = max(abs(y0), abs(y1))
@@ -422,76 +416,14 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor):
         if m > RESCALE_THRESHOLD:
             sup = max(sup, math.log(peak) + ls)
             y0, y1, ls, peak, m = y0 / m, y1 / m, ls + math.log(m), 1.0, 1.0
-        elif m == 0:
-            break
-    return (y0, y1), ls, max(sup, math.log(peak) + ls)
+    if steps is not None:
+        if x != xb:
+            steps.append((x, xb - x, np.zeros((order + 1, 2)), ls))
+        out.append(tuple(map(np.array, zip(*steps))))
+    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
 
 
-def _integrate_segment(mat, steps, xa, xb, y, ls, atol, rtol, h_floor):
-    seg_len = xb - xa
-    direction = 1.0 if seg_len > 0 else -1.0
-    x = xa
-    h = direction * min(abs(seg_len), max(abs(seg_len) * 0.05, 1e-3))
-    f_now = mat.rhs(x, *y)
-    while (x - xb) * direction < 0:
-        if abs(h) < h_floor:
-            raise StepUnderflowError(x, h, y[0], y[1], ls)
-        if (x + h - xb) * direction > 0:
-            h = xb - x
-        k = [f_now]
-        for i in range(1, 6):
-            yy0 = y[0]
-            yy1 = y[1]
-            for aij, kj in zip(_A[i], k):
-                yy0 += h * aij * kj[0]
-                yy1 += h * aij * kj[1]
-            k.append(mat.rhs(x + _C[i] * h, yy0, yy1))
-        ynew0 = y[0]
-        ynew1 = y[1]
-        for bi, ki in zip(_B, k):
-            ynew0 += h * bi * ki[0]
-            ynew1 += h * bi * ki[1]
-        f_new = mat.rhs(x + h, ynew0, ynew1)
-        k.append(f_new)
-        err0 = 0.0 + 0.0j
-        err1 = 0.0 + 0.0j
-        for ei, ki in zip(_E, k):
-            err0 += h * ei * ki[0]
-            err1 += h * ei * ki[1]
-        sc0 = atol + rtol * max(abs(y[0]), abs(ynew0))
-        sc1 = atol + rtol * max(abs(y[1]), abs(ynew1))
-        err = math.sqrt(0.5 * ((abs(err0) / sc0) ** 2 + (abs(err1) / sc1) ** 2))
-        if err <= 1.0:
-            K = np.array(k, dtype=complex)  # 7 x 2
-            Q = K.T @ _P  # 2 x 4
-            coef = np.empty((5, 2), dtype=complex)
-            coef[0] = y
-            coef[1:] = h * Q.T
-            # pin theta=1 to the accepted state exactly
-            coef[4, 0] += ynew0 - coef[:, 0].sum()
-            coef[4, 1] += ynew1 - coef[:, 1].sum()
-            steps.append((x, h, coef, ls))
-            x = x + h
-            y = (ynew0, ynew1)
-            f_now = f_new
-            m = max(abs(y[0]), abs(y[1]))
-            if m > RESCALE_THRESHOLD:
-                y = (y[0] / m, y[1] / m)
-                f_now = (f_now[0] / m, f_now[1] / m)
-                ls += math.log(m)
-            factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
-            h *= factor
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
-    return y, ls
-
-
-def fundamental(
-    sys: ShinZettlSystem,
-    x0: float,
-    window: tuple[float, float],
-    tol: tuple[float, float] = (ATOL, RTOL),
-) -> FundamentalSystem:
+def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) -> FundamentalSystem:
     """Canonical pair covering the window in both directions from x0."""
     a, b = float(window[0]), float(window[1])
     if not (a <= x0 <= b):
@@ -499,23 +431,19 @@ def fundamental(
     trajs = []
     for init in ((1.0, 0.0), (0.0, 1.0)):
         state = QuasiState(x=x0, y0=init[0], y1=init[1], side=sys.side)
-        parts = []
-        if x0 > a:
-            parts.append(integrate(sys, state, a, tol))
-        if x0 < b:
-            parts.append(integrate(sys, state, b, tol))
-        merged = Trajectory(
-            system=sys, a=a, b=b, atol=tol[0], rtol=tol[1],
-            steps=_by_position(np.concatenate([p.steps for p in parts])),
-        )
-        trajs.append(merged)
+        parts = [integrate(sys, state, end) for end in (a, b) if end != x0]
+        steps = _by_position(np.concatenate([p.steps for p in parts]))
+        trajs.append(Trajectory(system=sys, a=a, b=b, steps=steps))
     return FundamentalSystem(y1=trajs[0], y2=trajs[1], x0=x0)
 
 
 # ----------------------------------------------------------------------
 # quadrature over dense output
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Legendre on [-1, 1], exact to degree 2n - 1."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
@@ -552,16 +480,17 @@ def pair_integral(u, v, a: float, b: float) -> tuple[complex, float]:
 
     Each operand is a Trajectory (its y0, with the rows' logscales) or a
     PiecewisePoly (logscale 0).  Panels are the merged step edges and
-    breakpoints; 12-node Gauss-Legendre per panel is exact to degree 23,
-    so quartic interpolants times polynomials of degree up to 19 are
-    integrated exactly, and exponentially large solutions never overflow.
+    breakpoints, where both operands are polynomials; floor((deg u +
+    deg v)/2) + 1 Gauss-Legendre nodes per panel integrate their product
+    exactly, and exponentially large solutions never overflow.
     """
-    mid, half, xs = _panels((u, v), a, b, _GL_NODES)
+    nodes, weights = _gauss_legendre((u.degree + v.degree) // 2 + 1)
+    mid, half, xs = _panels((u, v), a, b, nodes)
     if not len(mid):
         return 0.0 + 0.0j, 0.0
     fu, lu = _panel_values(u, mid, xs)
     fv, lv = _panel_values(v, mid, xs)
-    parts = half * ((fu * fv.conj()) @ _GL_WEIGHTS)
+    parts = half * ((fu * fv.conj()) @ weights)
     ls = lu + lv
     L = float(np.max(ls))
     return complex(np.sum(parts * np.exp(ls - L))), L

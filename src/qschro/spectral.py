@@ -6,11 +6,14 @@ zeros are the eigenvalues of the restriction with separated quasi-boundary
 conditions.  Because solutions can traverse many orders of magnitude, D
 only vanishes *relative to the cancellation scale of the shot*, and every
 acceptance test is phrased that way.  Every shot is one ``characteristic``
-call, and lambda is a scalar of the shot's system.
+call, and lambda is a scalar of the shot's system.  A shot and the dense
+shot of a root's trajectory take the same steps (``propagate``), so both
+are accurate to rounding and neither has a tolerance.
 
 The probe integrates the adjoint equation's fundamental pair over growing
 symmetric windows and tracks the smallest eigenvalue N(T) of their L2
-Gram matrix.  Unbounded N(T) means no normalized combination stays
+Gram matrix, by Gauss-Legendre sums that are exact for the pair's Taylor
+rows.  Unbounded N(T) means no normalized combination stays
 square-integrable: desk-scale evidence that the adjoint null space is
 trivial, which is what the uniqueness theorems assert under their
 hypotheses.
@@ -29,7 +32,7 @@ from scipy.optimize import brentq
 from . import config
 from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import _GL_NODES, _GL_WEIGHTS, FundamentalSystem, _panel_values, _panels
+from .propagate import FundamentalSystem, _gauss_legendre, _panel_values, _panels
 from .propagate import Trajectory, endpoint, fundamental, integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
 
@@ -113,14 +116,13 @@ def characteristic(
     bc: BoundaryCondition,
     lam: complex,
     side: str = DIRECT,
-    tol: tuple[float, float] = (config.ATOL, config.RTOL),
 ) -> CharValue:
     """Shoot from the left condition and evaluate the right one.
 
     The shot keeps no dense output (``propagate.endpoint``); ``_dense_shot``
     is the same shot with it.
     """
-    end, log_sup = endpoint(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]), tol)
+    end, log_sup = endpoint(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]))
     ar, br = bc.right
     D = ar * end.y0 + br * end.y1
     return CharValue(value=D, logscale=end.logscale, log_sup=log_sup)
@@ -131,8 +133,8 @@ def _left_state(interval, bc: BoundaryCondition, side: str) -> QuasiState:
     return QuasiState(x=float(interval[0]), y0=-be, y1=al, side=side)
 
 
-def _dense_shot(c, interval, bc, lam, side, tol) -> Trajectory:
-    return integrate(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]), tol)
+def _dense_shot(c, interval, bc, lam, side) -> Trajectory:
+    return integrate(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]))
 
 
 def eigenvalues(
@@ -143,7 +145,6 @@ def eigenvalues(
     seeds=(),
     grid: int = 120,
     side: str = DIRECT,
-    tol: tuple[float, float] = (config.ATOL, config.RTOL),
 ) -> list[EigenResult]:
     """Locate eigenvalues by real-interval scan or complex Newton seeds.
 
@@ -157,8 +158,8 @@ def eigenvalues(
     plus one polishing step; non-converged seeds are reported with
     converged=False, never raised.  Duplicates merge within 1e-8.
     """
-    shoot = partial(characteristic, c, interval, bc, side=side, tol=tol)
-    dense = partial(_dense_shot, c, interval, bc, side=side, tol=tol)
+    shoot = partial(characteristic, c, interval, bc, side=side)
+    dense = partial(_dense_shot, c, interval, bc, side=side)
     results: list[EigenResult] = []
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
@@ -298,9 +299,10 @@ def _window_grams(fs: FundamentalSystem, windows) -> tuple[np.ndarray, np.ndarra
     window T, from one sampling of the outermost window's panels cut at every +-T; each
     window sums the parts of its panels on its largest logscale.  Entry (2, 1) is int y1 conj(y2)."""
     T = np.asarray(windows, dtype=float)
-    mid, half, xs = _panels((fs.y1, fs.y2), -T[-1], T[-1], _GL_NODES, cuts=np.concatenate([-T, T]))
+    nodes, weights = _gauss_legendre((fs.y1.degree + fs.y2.degree) // 2 + 1)
+    mid, half, xs = _panels((fs.y1, fs.y2), -T[-1], T[-1], nodes, cuts=np.concatenate([-T, T]))
     (f1, l1), (f2, l2) = (_panel_values(y, mid, xs) for y in (fs.y1, fs.y2))
-    parts = half * (np.array([f1 * f1.conj(), f1 * f2.conj(), f2 * f2.conj()]) @ _GL_WEIGHTS)
+    parts = half * (np.array([f1 * f1.conj(), f1 * f2.conj(), f2 * f2.conj()]) @ weights)
     ls = np.array([l1 + l1, l1 + l2, l2 + l2])
     inside = (np.abs(mid) < T[:, None])[:, None]  # (windows, 1, panels)
     L = np.max(np.where(inside, ls, -np.inf), axis=(1, 2))
@@ -313,7 +315,6 @@ def null_probe(
     lam: complex = 0.0,
     tmax: float = 40.0,
     windows=None,
-    tol: tuple[float, float] = (config.ATOL, config.RTOL),
 ) -> ProbeReport:
     """Growth analysis of the adjoint solution pair: evidence for def = 0.
 
@@ -334,7 +335,7 @@ def null_probe(
     if windows[-1] > tmax:
         raise ValueError("windows exceed tmax")
     sys = assemble(c, ADJOINT, complex(lam).conjugate())
-    M, scales = _window_grams(fundamental(sys, 0.0, (-tmax, tmax), tol), windows)
+    M, scales = _window_grams(fundamental(sys, 0.0, (-tmax, tmax)), windows)
     log_N = []
     n_vals = []
     for T, nmin, L in zip(windows, np.linalg.eigvalsh(M)[:, 0].tolist(), scales.tolist()):

@@ -17,6 +17,35 @@ from qschro.quasi import QuasiState, assemble
 FREE = CoefficientField.free()
 
 
+def _dop853(c, lam, a, b, init, points=65):
+    """Reference shot from a to b > a by scipy's DOP853 at rtol 1e-13,
+    restarted at every breakpoint of the field: (end state, log of max |Y|
+    at ``points`` dense-output points per segment, the (lo, hi, dense
+    output) of each segment)."""
+    from scipy.integrate import solve_ivp
+
+    sys = assemble(c, "direct", lam)
+    nodes = [a, *sorted(float(t) for t in sys.breakpoints() if a < t < b), b]
+    y = np.array(init, dtype=complex)
+    sup, segments = -math.inf, []
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        pieces = []
+        for f in (sys.a11, sys.a21, sys.a22):
+            i = f._region(0.5 * (lo + hi), "right")
+            pieces.append((f.coeffs[i], f.centers[i]))
+
+        def rhs(x, y, pieces=pieces):
+            a11, a21, a22 = (np.polynomial.polynomial.polyval(x - c0, p) for p, c0 in pieces)
+            return [a11 * y[0] + y[1], a21 * y[0] + a22 * y[1]]
+
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13, atol=1e-20, dense_output=True)
+        assert sol.success
+        y = sol.y[:, -1]
+        sup = max(sup, float(np.max(np.log(np.max(np.abs(sol.sol(np.linspace(lo, hi, points))), axis=0)))))
+        segments.append((lo, hi, sol.sol))
+    return y, sup, segments
+
+
 def test_free_linear_solution():
     t = integrate(assemble(FREE, "direct", 0.0), QuasiState(0.0, 0.0, 1.0), 2.0)
     s = t.state_at(2.0)
@@ -48,8 +77,8 @@ def test_delta_jump_law():
     # one dense mesh node sits exactly at 0; evaluate adjacent steps
     y0l, y1l = t.sample([0.0], "left")[0][0]
     y0r, y1r = t.sample([0.0], "right")[0][0]
-    assert abs(y0r - y0l) <= 10 * t.atol
-    assert abs(y1r - y1l) <= 10 * t.atol
+    assert abs(y0r - y0l) <= 1e-11
+    assert abs(y1r - y1l) <= 1e-11
     uprime_l = y1l + dw.G1.eval(0.0, "left") * y0l
     uprime_r = y1r + dw.G1.eval(0.0, "right") * y0r
     assert abs((uprime_r - uprime_l) - c * y0l) <= 1e-8 * (1 + abs(y0l))
@@ -72,16 +101,14 @@ def test_fundamental_free_hyperbolic():
 
 
 def test_linear_drift_self_convergence():
-    # r = -i x: no closed form; compare against a 10x tighter reference
+    # r = -i x: no closed form; compare against scipy's DOP853 at rtol 1e-13
     z = PiecewisePoly.zero()
     c = CoefficientField(z, z, PiecewisePoly.from_coeffs([0.0, -1j]))
-    sys = assemble(c, "direct", 0.0)
-    t = integrate(sys, QuasiState(0.0, 1.0, 0.5j), 3.0, tol=(1e-10, 1e-8))
-    ref = integrate(sys, QuasiState(0.0, 1.0, 0.5j), 3.0, tol=(1e-12, 1e-10))
-    s, sr = t.state_at(3.0), ref.state_at(3.0)
-    scale = max(abs(sr.y0), abs(sr.y1), 1.0)
-    assert abs(s.y0 - sr.y0) / scale <= 1e-7
-    assert abs(s.y1 - sr.y1) / scale <= 1e-7
+    s = integrate(assemble(c, "direct", 0.0), QuasiState(0.0, 1.0, 0.5j), 3.0).state_at(3.0)
+    ref, _, _ = _dop853(c, 0.0, 0.0, 3.0, (1.0, 0.5j))
+    scale = max(abs(ref[0]), abs(ref[1]), 1.0)
+    assert abs(s.y0 * math.exp(s.logscale) - ref[0]) / scale <= 1e-7
+    assert abs(s.y1 * math.exp(s.logscale) - ref[1]) / scale <= 1e-7
 
 
 def test_dense_output_matches_knots():
@@ -102,20 +129,6 @@ def test_breakpoint_transparency():
     s1 = integrate(assemble(refined, "direct", -1.0), QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
     assert abs(s0.y0 - s1.y0) <= 10 * 1e-12 + 1e-10 * abs(s0.y0)
     assert abs(s0.y1 - s1.y1) <= 10 * 1e-12 + 1e-10 * abs(s0.y1)
-
-
-def test_tolerance_convergence_order():
-    # u'' = u benchmark: error vs exact e^x as rtol tightens
-    sys = assemble(FREE, "direct", -1.0)
-    errs = []
-    hbars = []
-    for rtol in (1e-6, 1e-8, 1e-10):
-        t = integrate(sys, QuasiState(0.0, 1.0, 1.0), 2.0, tol=(1e-14, rtol))
-        errs.append(abs(t.state_at(2.0).y0 - math.exp(2.0)))
-        hbars.append(2.0 / len(t.steps))
-    assert errs[0] > errs[1] > errs[2]
-    order = (math.log(errs[0]) - math.log(errs[2])) / (math.log(hbars[0]) - math.log(hbars[2]))
-    assert order >= 4.0
 
 
 def test_rescaling_long_window():
@@ -245,16 +258,6 @@ def test_to_piecewise_past_the_float_range_raises():
 # endpoint shots: exact exponentials on constant segments
 
 
-def _shot_pair(c, lam, a, b, init=(0.0, 1.0)):
-    """(endpoint, integrate) of the same shot, each as (y, logscale, log_sup)."""
-    sys = assemble(c, "direct", lam)
-    start = QuasiState(a, *init)
-    end, sup = endpoint(sys, start, b)
-    t = integrate(sys, start, b)
-    dense = t.state_at(b)
-    return (end.y0, end.y1, end.logscale, sup), (dense.y0, dense.y1, dense.logscale, t.log_sup())
-
-
 @pytest.mark.parametrize("inv", [
     (2.0 + 1j, 0.3 - 0.2j, 0.5j, (0.3 - 0.2j) ** 2 + 2.0 + 1j),  # a21, d, tau, mu^2
     (-2500.0, 0.0, 0.0, -2500.0),
@@ -282,22 +285,26 @@ MIXED = CoefficientField(
 def test_exact_shot_matches_dormand_prince_on_mixed_field():
     # the linear segment takes Taylor steps, the others are exact
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
-        (e0, e1, el, esup), (d0, d1, dl, dsup) = _shot_pair(MIXED, lam, -3.0, 3.0)
+        end, esup = endpoint(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
+        ref, dsup, _ = _dop853(MIXED, lam, -3.0, 3.0, (0.0, 1.0))
         scale = math.exp(dsup)
-        assert abs(e0 * math.exp(el) - d0 * math.exp(dl)) <= 1e-9 * scale
-        assert abs(e1 * math.exp(el) - d1 * math.exp(dl)) <= 1e-9 * scale
+        assert abs(end.y0 * math.exp(end.logscale) - ref[0]) <= 1e-9 * scale
+        assert abs(end.y1 * math.exp(end.logscale) - ref[1]) <= 1e-9 * scale
         # both sup are sampled, at other points: exact sub-steps turn the
         # phase by at most 1, so they miss a peak by at most a factor cos(1/2)
         assert abs(esup - dsup) <= -math.log(math.cos(0.5))
 
 
 def test_exact_shot_rescales_like_dormand_prince():
-    # e^x growth on [0, 300] passes 1e100 twice; the exact path rescales at
-    # the same threshold and ends with the true size, sinh(300)
-    (e0, _, el, esup), (_, _, dl, _) = _shot_pair(FREE, -1.0, 0.0, 300.0)
-    assert el > 0 and dl > 0
+    # e^x growth on [0, 300] passes 1e100 twice; both paths rescale at the
+    # threshold and end with the true size, sinh(300)
+    sys = assemble(FREE, "direct", -1.0)
+    end, esup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), 300.0)
+    dense = integrate(sys, QuasiState(0.0, 0.0, 1.0), 300.0).state_at(300.0)
+    assert end.logscale > 0 and dense.logscale > 0
     want = 300.0 - math.log(2.0)  # log sinh(300) to rounding
-    assert abs(math.log(abs(e0)) + el - want) <= 1e-12 * want
+    for s in (end, dense):
+        assert abs(math.log(abs(s.y0)) + s.logscale - want) <= 1e-12 * want
     assert abs(esup - want) <= 1e-12 * want
 
 
@@ -329,17 +336,14 @@ def test_taylor_shot_matches_the_airy_closed_form(lam):
 
 
 def _against_tight_dormand_prince(c, lam, a, b, init=(0.0, 1.0)):
-    """endpoint against integrate at tol (1e-15, 1e-14): asserts the end
-    states agree within 1e-11 of exp(log sup) and returns the (end
+    """endpoint against scipy's DOP853 at rtol 1e-13 (``_dop853``): asserts
+    the end states agree within 1e-11 of exp(log sup) and returns the (end
     logscale, log sup) of each."""
-    sys = assemble(c, "direct", lam)
-    start = QuasiState(a, *init)
-    end, sup = endpoint(sys, start, b)
-    t = integrate(sys, start, b, tol=(1e-15, 1e-14))
-    ref = t.state_at(b)
-    for got, want in ((end.y0, ref.y0), (end.y1, ref.y1)):
-        assert abs(got * math.exp(end.logscale - sup) - want * math.exp(ref.logscale - sup)) <= 1e-11
-    return (end.logscale, sup), (ref.logscale, t.log_sup())
+    end, sup = endpoint(assemble(c, "direct", lam), QuasiState(a, *init), b)
+    ref, ref_sup, _ = _dop853(c, lam, a, b, init)
+    for got, want in ((end.y0, ref[0]), (end.y1, ref[1])):
+        assert abs(got * math.exp(end.logscale - sup) - want * math.exp(-sup)) <= 1e-11
+    return (end.logscale, sup), (0.0, ref_sup)
 
 
 @pytest.mark.parametrize("lam", [12.0, 100.0, 400.0])
@@ -384,10 +388,10 @@ def test_taylor_step_is_exact_when_the_series_ends():
 
 def test_long_growing_taylor_segment_rescales_like_dormand_prince():
     # s = x/100 at lambda = -100: the solution grows to about e^300 on one
-    # Taylor segment [0, 30], so both paths rescale at least once
+    # Taylor segment [0, 30], so the shot rescales at least once
     c = CoefficientField(PiecewisePoly([], [[0.0, 0.01]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    (el, esup), (dl, dsup) = _against_tight_dormand_prince(c, -100.0, 0.0, 30.0)
-    assert el > 230 and dl > 230
+    (el, esup), (_, dsup) = _against_tight_dormand_prince(c, -100.0, 0.0, 30.0)
+    assert el > 230 and dsup > 230
     assert abs(esup - dsup) <= 1e-12 * dsup
 
 
@@ -421,7 +425,7 @@ def test_taylor_step_whose_sum_is_not_finite_raises(monkeypatch):
 
 def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
     # the log sup of a shot is the largest log|Y| at the start, the step
-    # ends and the step midpoints, here read from tight dense output; at
+    # ends and the step midpoints, here read from DOP853's dense output; at
     # lambda = 12 the largest is at a midpoint, 0.145 against 0 at the ends
     hs = []
     step = propagate._jorba_zou
@@ -435,9 +439,9 @@ def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
     _, sup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), math.pi)
     ends = np.minimum(np.cumsum(hs), math.pi)
     starts = np.concatenate([[0.0], ends[:-1]])
-    t = integrate(sys, QuasiState(0.0, 0.0, 1.0), math.pi, tol=(1e-15, 1e-14))
-    y, ls = t.sample(np.concatenate([starts, ends, 0.5 * (starts + ends)]))
-    assert abs(sup - np.max(np.log(np.max(np.abs(y), axis=1)) + ls)) <= 1e-10
+    (_, _, dense), = _dop853(IX, 12.0, 0.0, math.pi, (0.0, 1.0))[2]
+    y = dense(np.concatenate([starts, ends, 0.5 * (starts + ends)]))
+    assert abs(sup - np.max(np.log(np.max(np.abs(y), axis=0)))) <= 1e-10
 
 
 def test_zero_state_crosses_a_taylor_segment_unchanged():
@@ -452,25 +456,18 @@ def test_zero_state_crosses_a_taylor_segment_unchanged():
 
 
 def test_no_shot_runs_dormand_prince(monkeypatch):
-    # scans, Newton seeds and mixed fields shoot without Dormand-Prince
-    # steps; the dense shot runs once, when a root's trajectory is read
+    # scans, Newton seeds and mixed fields shoot with no dense output; the
+    # dense shot runs once, when a root's trajectory is read
     from qschro import spectral
     from qschro.errors import NonRealScanError
 
-    allowed = []
-    dopri, dense = propagate._integrate_segment, spectral.integrate
+    dense = spectral.integrate
     integrate_calls = []
-
-    def guarded(*args):
-        if not allowed:
-            raise AssertionError("Dormand-Prince step in a shot")
-        return dopri(*args)
 
     def counted(*args, **kw):
         integrate_calls.append(args)
         return dense(*args, **kw)
 
-    monkeypatch.setattr(propagate, "_integrate_segment", guarded)
     monkeypatch.setattr(spectral, "integrate", counted)
     bc = spectral.BoundaryCondition.dirichlet()
     with pytest.raises(NonRealScanError):
@@ -480,13 +477,13 @@ def test_no_shot_runs_dormand_prince(monkeypatch):
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
         endpoint(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
     assert not integrate_calls
-    allowed.append(True)
     traj = res[0].trajectory
     assert res[0].trajectory is traj and len(integrate_calls) == 1
 
 
 def test_exact_substeps_are_fewer_than_dormand_prince_steps(monkeypatch):
-    # free field at lambda = 2500: |h mu| <= 1 gives 158 sub-steps on [0, pi]
+    # free field at lambda = 2500: |h mu| <= 1 gives 158 sub-steps on [0, pi],
+    # and the dense shot keeps one row per sub-step
     hs = []
     step = propagate._exact_step
 
@@ -500,4 +497,74 @@ def test_exact_substeps_are_fewer_than_dormand_prince_steps(monkeypatch):
     assert len(hs) == 1
     substeps = round(math.pi / hs[0])
     assert substeps == math.ceil(50 * math.pi)
-    assert substeps <= len(integrate(sys, QuasiState(0.0, 0.0, 1.0), math.pi).steps)
+    assert len(integrate(sys, QuasiState(0.0, 0.0, 1.0), math.pi).steps) == substeps
+
+
+# ----------------------------------------------------------------------
+# dense output: the rows of the shot's own sub-steps and Taylor steps
+
+
+@pytest.mark.parametrize("field, lam, a, b", [
+    (FREE, -1.0, 0.0, 2.0),
+    (FREE, 400.0, 0.0, 2.0),
+    (FREE, 2.0 + 1j, 1.0, -2.5),
+    (CoefficientField.delta_well(-2.0), -1.0, -8.0, 8.0),
+    (MIXED, 3.0 + 0.5j, -3.0, 3.0),
+    (IX, 12.0, 0.0, math.pi),
+], ids=["free-growth", "free-osc", "free-backward", "delta-well", "mixed", "ix"])
+def test_dense_end_state_is_the_shot(field, lam, a, b):
+    # integrate crosses the segments as endpoint does, so its last row at
+    # theta = 1 is the shot's end state to rounding, at the same logscale
+    sys = assemble(field, "direct", lam)
+    end, _ = endpoint(sys, QuasiState(a, 0.3, 1.0), b)
+    dense = integrate(sys, QuasiState(a, 0.3, 1.0), b).state_at(b)
+    assert dense.logscale == end.logscale
+    scale = max(abs(end.y0), abs(end.y1))
+    assert abs(dense.y0 - end.y0) <= 1e-15 * scale
+    assert abs(dense.y1 - end.y1) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("lam", [-1.0, 400.0, 3.0 - 2.0j, 0.0])
+def test_exact_rows_end_at_the_next_substep_start(lam):
+    # each row summed at theta = 1 is exp(hA) times its start state, the
+    # start of the next row, to rounding of the largest term it sums
+    t = integrate(assemble(FREE, "direct", lam), QuasiState(0.0, 1.0, 0.5), 3.0)
+    assert len(t.steps) == max(1, math.ceil(3.0 * abs(cmath.sqrt(-lam))))
+    coef, ls = t.steps["coef"], t.steps["logscale"]
+    ends = coef[:-1].sum(axis=1) * np.exp(ls[:-1] - ls[1:])[:, None]
+    starts = coef[1:, 0]
+    scale = np.max(np.abs(coef[:-1]), axis=(1, 2)) * np.exp(ls[:-1] - ls[1:])
+    assert np.all(np.abs(ends - starts) <= 1e-15 * scale[:, None])
+
+
+def test_dense_interior_matches_closed_forms():
+    xs = np.linspace(0.0, 2.0, 53)[1:-1]
+    for lam, want in ((-1.0, np.exp(xs)), (400.0, np.cos(20 * xs) + np.sin(20 * xs) / 20)):
+        t = integrate(assemble(FREE, "direct", lam), QuasiState(0.0, 1.0, 1.0), 2.0)
+        y, ls = t.sample(xs)
+        assert np.all(np.abs(y[:, 0] * np.exp(ls) - want) <= 1e-13 * np.max(np.abs(want)))
+    # delta well at lambda = -1: the bound state e^(-|x|)
+    dw = CoefficientField.delta_well(-2.0)
+    t = integrate(assemble(dw, "direct", -1.0), QuasiState(-6.0, math.exp(-6.0), math.exp(-6.0)), 6.0)
+    xs = np.linspace(-6.0, 6.0, 61)[1:-1]
+    y, ls = t.sample(xs)
+    assert np.all(np.abs(y[:, 0] * np.exp(ls) - np.exp(-np.abs(xs))) <= 1e-13)
+
+
+def test_pair_integral_of_two_degree_24_rows_is_exact():
+    # one row of degree 24 each: 25 Gauss-Legendre nodes integrate the
+    # degree-48 product exactly; the reference integrates it term by term
+    rng = np.random.default_rng(24)
+    sys = assemble(IX, "direct", 0.0)
+    rows = []
+    for _ in range(2):
+        steps = np.zeros(1, propagate._step_dtype(25))
+        steps["x0"], steps["h"] = -0.5, 1.5
+        steps["coef"] = rng.standard_normal((1, 25, 2)) + 1j * rng.standard_normal((1, 25, 2))
+        rows.append(propagate.Trajectory(sys, -0.5, 1.0, steps))
+    u, v = (r.steps["coef"][0, :, 0] for r in rows)
+    prod = np.polynomial.polynomial.polymul(u, v.conj())
+    want = 1.5 * np.sum(prod / np.arange(1, len(prod) + 1))  # int_0^1 over theta, times h
+    val, ls = pair_integral(rows[0], rows[1], -0.5, 1.0)
+    assert rows[0].degree == 24 and ls == 0.0
+    assert abs(val - want) <= 1e-13 * np.sum(np.abs(prod))

@@ -251,8 +251,8 @@ def _bits(*values) -> bytes:
 @pytest.mark.parametrize("side", [DIRECT, ADJOINT])
 def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
     # reference: a system at lambda = 0 whose lambda-free entry (2,1) is
-    # the whole polynomial -g1*g2 + s - lambda; random fields run
-    # Dormand-Prince, the delta well the exact exponentials
+    # the whole polynomial -g1*g2 + s - lambda; random fields take Taylor
+    # steps, the delta well the exact exponentials
     rng = np.random.default_rng(5)
     fields = [random_field(rng), random_field(rng), CoefficientField.delta_well(-2.0)]
     for c in fields:

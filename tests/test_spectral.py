@@ -54,7 +54,7 @@ def test_characteristic_free_off_eigenvalue():
 
 
 def _dense_d(c, interval, lam):
-    """D(lambda) e^logscale from a Dormand-Prince shot with dense output."""
+    """D(lambda) e^logscale from the shot with dense output."""
     end = integrate(assemble(c, "direct", lam), QuasiState(interval[0], 0.0, 1.0), interval[1]).state_at(interval[1])
     return end.y0 * math.exp(end.logscale)
 
@@ -153,7 +153,7 @@ def test_scan_refinement_rescales_the_bracket(monkeypatch):
     # alone are off by up to 25 percent and slow Brent's interpolation
     shots = _counting_shots(monkeypatch)
     dw = CoefficientField.delta_well(-20.0)
-    res = eigenvalues(dw, (-25, 25), BC, scan=(-110, -94), grid=2, tol=(1e-8, 1e-6))
+    res = eigenvalues(dw, (-25, 25), BC, scan=(-110, -94), grid=2)
     assert len(res) == 1 and res[0].converged and res[0].method == "shooting-scan-brent"
     assert abs(res[0].lam + 100) <= 1e-12 * 100
     assert len(shots) <= 14
@@ -353,7 +353,7 @@ def test_probe_limit_circle_not_growing():
         PiecewisePoly.zero(),
         PiecewisePoly.zero(),
     )
-    rep = null_probe(c, 0.0, 10.0, tol=(1e-9, 1e-7))
+    rep = null_probe(c, 0.0, 10.0)
     assert rep.classification in ("bounded", "inconclusive")
     assert rep.tail_ratio < 1.05
 
