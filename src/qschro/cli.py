@@ -451,15 +451,18 @@ def run_eig(field, params, rep):
         rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
         refused = True
         results = eigenvalues(*args, None, seeds, side=params["side"]) if seeds else []
-    rows = [(r.lam.real, r.lam.imag, r.residual, r.iterations, r.converged, r.method) for r in results]
+    rows = [(r.lam.real, r.lam.imag, r.residual, r.floor, r.iterations, r.converged, r.method) for r in results]
     rep.table(
         "eigenvalues",
-        ["lambda_re", "lambda_im", "char_residual", "iterations", "converged", "method"],
+        ["lambda_re", "lambda_im", "char_residual", "char_floor", "iterations", "converged", "method"],
         rows,
         source="shooting",
     )
     good = [r for r in results if r.converged]
     rep.kv("found", len(good), source="shooting")
+    # the scan grid is shot whether or not the scan is refused
+    scan_shots = params["grid"] if scan is not None else 0
+    rep.kv("shots", scan_shots + sum(r.shots for r in results), source="shooting")
     rep.verdict("inconclusive" if refused else "success" if good else "fails")
 
 

@@ -14,13 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import config
 from .coeffs import CoefficientField, PiecewisePoly, bump, from_callable
 from .errors import BadSchemeError, NonRealError
-from .propagate import Trajectory
+from .propagate import Trajectory, _gauss_legendre
 from .quasi import ADJOINT, apply_l_atoms
 from .reports import FAILS, HOLDS, INCONCLUSIVE, ConditionReport
 
@@ -46,19 +44,51 @@ class WeightFunction:
                 raise ValueError(f"weight function jumps at x={p}")
 
 
+# adaptive Gauss-Legendre for int dx/m: nodes per panel, the agreement of a
+# panel with its two halves that ends its halving, and the deepest halving
+_INV_M_NODES = 16
+_INV_M_RTOL = 1e-15
+_INV_M_DEPTH = 60
+
+
 def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
-    """int_a^b dx/m(x) by adaptive quadrature, split at breakpoints."""
+    """int_a^b dx/m(x) by adaptive Gauss-Legendre, split at breakpoints.
+
+    1/m is smooth on each region of m (m >= 1 there), so each region starts
+    as one panel of 16 nodes, and every panel whose two halves do not agree
+    with it to 1e-15 relative is halved, all panels of one level in one
+    batch.  The accepted halves are summed exactly (``math.fsum``).
+    """
     if a == b:
         return 0.0
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
-    total = 0.0
-    cuts = [a] + [float(t) for t in m.breakpoints if a < t < b] + [b]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(lambda x: 1.0 / m.eval(x).real, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total += val
-    return sign * total
+    cuts = np.array([a] + [float(t) for t in m.breakpoints if a < t < b] + [b])
+    nodes, weights = _gauss_legendre(_INV_M_NODES)
+
+    def panel_sums(lo, hi):
+        half = 0.5 * (hi - lo)
+        xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+        return half * ((1.0 / m.sample(xs).real) @ weights)
+
+    lo, hi = cuts[:-1], cuts[1:]
+    whole = panel_sums(lo, hi)
+    parts = []
+    for depth in range(_INV_M_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        left, right = panel_sums(lo, mid), panel_sums(mid, hi)
+        halves = left + right
+        done = np.abs(halves - whole) <= _INV_M_RTOL * halves
+        if depth == _INV_M_DEPTH:
+            done[:] = True
+        parts.extend(left[done].tolist())
+        parts.extend(right[done].tolist())
+        if done.all():
+            return sign * math.fsum(parts)
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([left[~done], right[~done]])
 
 
 def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
@@ -206,7 +236,8 @@ class RhoMap:
 
     Values are tabulated at grid nodes (cumulative adaptive quadrature);
     between nodes the map is evaluated by one more quadrature from the
-    nearest node, and the inverse by bracketed root-finding.
+    nearest node, and the inverse by Newton steps with rho' = 1/m inside
+    the tabulated cell, bisection where a step would leave it.
     """
 
     m: PiecewisePoly
@@ -231,9 +262,26 @@ class RhoMap:
         i = int(np.searchsorted(self.vals, y, side="right")) - 1
         i = max(0, min(i, len(self.xs) - 2))
         a, b = float(self.xs[i]), float(self.xs[i + 1])
-        if self.vals[i] == y:
+        ya, yb = float(self.vals[i]), float(self.vals[i + 1])
+        if ya == y:
             return a
-        return float(brentq(lambda x: self.rho(x) - y, a, b, xtol=1e-13, rtol=1e-15))
+        x = a + (b - a) * (y - ya) / (yb - ya)
+        tol = 2 * np.finfo(float).eps * max(abs(a), abs(b))
+        for _ in range(_INV_M_DEPTH):
+            g = self.rho(x) - y
+            if g == 0:
+                return x
+            if g < 0:
+                a = x
+            else:
+                b = x
+            nxt = x - g * float(self.m.eval(x).real)
+            if not a < nxt < b:
+                nxt = 0.5 * (a + b)
+            if abs(nxt - x) <= tol:
+                return nxt
+            x = nxt
+        return x
 
     @property
     def range(self) -> tuple[float, float]:

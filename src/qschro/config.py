@@ -38,6 +38,11 @@ ENVELOPE_BLOCKS = 8
 # Shooting acceptance: |D(lambda)| <= CHAR_TOL * (cancellation scale of D).
 CHAR_TOL = 1e-9
 
+# A refined scan root is also accepted when its residual is at most its
+# noise floor, CHAR_FLOOR * |D'(lambda)| * eps * (1 + |lambda|) on the same
+# scale: about what rounding lambda to a float moves D by.
+CHAR_FLOOR = 1.0
+
 # The real eigenvalue scan refines sign changes of Re D, which is valid only
 # when D is real along the scan: it refuses when max |Im D|/|D| over its
 # grid exceeds this.  Formally symmetric data give exactly 0.
@@ -49,6 +54,7 @@ MAX_GRID_POINTS = 10_000
 
 # Newton refinement of the characteristic function by secant steps;
 # NEWTON_FIRST_STEP places the second point at seed + step * (1 + |seed|).
+# NEWTON_MAX_ITER also bounds the shots that refine one scan bracket.
 NEWTON_MAX_ITER = 50
 NEWTON_FIRST_STEP = 1e-6
 

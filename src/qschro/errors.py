@@ -70,4 +70,16 @@ class BadSchemeError(QschroError):
 
 
 class OverflowUnrecoverableError(QschroError):
-    """Log-rescaling bookkeeping could not bring a result to a representable scale."""
+    """Log-rescaling bookkeeping could not bring a result to a representable scale.
+
+    Carries where it fired, each None where it does not apply: the probe
+    ``window`` T whose Gram matrix is not finite, the ``logscale`` that
+    overflows a re-fit at absolute scale, and the ``index`` of the test
+    function whose form, norm or w is not finite.
+    """
+
+    def __init__(self, message: str, window=None, logscale=None, index=None):
+        super().__init__(message)
+        self.window = window
+        self.logscale = logscale
+        self.index = index

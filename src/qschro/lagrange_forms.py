@@ -261,7 +261,7 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
         _check_norm(i, norm2)
         values = (form.kinetic, form.coupling, form.potential, norm2, form.value / norm2)
         if not all(map(cmath.isfinite, values)):
-            raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite")
+            raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite", index=i)
     return forms
 
 
@@ -282,7 +282,7 @@ def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
         _check_norm(i, norm2)
         w = form.value / norm2
         if not cmath.isfinite(w):
-            raise OverflowUnrecoverableError(f"test function {i}: w = t(u)/||u||^2 is not finite")
+            raise OverflowUnrecoverableError(f"test function {i}: w = t(u)/||u||^2 is not finite", index=i)
         inside = check_sector.contains(w)
         rows.append((i, w.real, w.imag, norm2, inside))
         if not inside and witness is None:

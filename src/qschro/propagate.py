@@ -12,8 +12,9 @@ of order 23 + d from the exact recurrence of the entries of degree d
 (classical high-order Taylor method, Corliss & Chang 1982), each as long
 as Jorba & Zou's rule (2005) allows.  Both are accurate to rounding at
 any lambda, so there is no tolerance to choose.  ``endpoint`` keeps the
-end state and log sup|Y| only; ``integrate`` also records each sub-step
-or step as a row of dense output, the Taylor series of the state on it.
+end state and log sup|Y| only, and on request dY/dlambda along the same
+steps; ``integrate`` also records each sub-step or step as a row of
+dense output, the Taylor series of the state on it.
 Each system reads its entries' pieces per segment from
 ``ShinZettlSystem.rows``, built once per field and side.
 
@@ -141,7 +142,7 @@ class Trajectory:
         except OverflowError:
             top = float(np.max(s["logscale"]))
             raise OverflowUnrecoverableError(
-                f"re-fit at absolute scale: logscale {top:.6g} overflows") from None
+                f"re-fit at absolute scale: logscale {top:.6g} overflows", logscale=top) from None
         # interior knots only; the first/last piece double as the tails
         return PiecewisePoly._from_local(ends[:-1], centers, sub * scale[:, None])
 
@@ -188,7 +189,7 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=_by_position(steps))
 
 
-def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float) -> tuple[QuasiState, float]:
+def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float, derivative: bool = False):
     """End state at ``to`` and log of sup |Y| along the way, no dense output.
 
     A segment whose system matrix is constant is crossed by exact
@@ -198,16 +199,27 @@ def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float) -> tuple[QuasiStat
     at Taylor step midpoints.  Both kinds of step are accurate to
     rounding.  Raises StepUnderflowError when a step falls below 1e-14
     times the interval length.
+
+    With ``derivative`` a third item is returned: Z = dY/dlambda at ``to``
+    on the logscale of the end state.  Z starts at 0 (the start state does
+    not depend on lambda) and solves Z' = AZ + EY, E = dA/dlambda =
+    [[0, 0], [-1, 0]], along the same steps as Y.
     """
-    y, ls, sup = _walk(sys, y0, to)
-    return QuasiState(to, *y, sys.side, ls), sup
+    y, ls, sup = _walk(sys, y0, to, derivative=derivative)
+    end = QuasiState(to, y[0], y[1], sys.side, ls)
+    if not derivative:
+        return end, sup
+    return end, sup, QuasiState(to, y[2], y[3], sys.side, ls)
 
 
-def _walk(sys, y0, to, out=None):
+def _walk(sys, y0, to, out=None, derivative=False):
     """(state, logscale, log sup) at ``to``; each segment appends its rows
-    of dense output to ``out`` when one is given."""
+    of dense output to ``out`` when one is given.  With ``derivative`` the
+    state is (y0, y1, z0, z1), Z on the logscale of Y."""
     segments, h_floor = _segments(sys, y0.x, to)
     y = (complex(y0.y0), complex(y0.y1))
+    if derivative:
+        y += (0j, 0j)
     ls = float(y0.logscale)
     sup = -math.inf
     for seg_a, seg_b, rows in segments:
@@ -239,6 +251,9 @@ def _segments(sys, x_from, to):
 # series in w = z^2, exact to rounding for |w| <= 1
 _COSH = tuple(1 / math.factorial(2 * k) for k in range(11, -1, -1))
 _SINHC = tuple(1 / math.factorial(2 * k + 1) for k in range(11, -1, -1))
+# their derivatives in w, k w^(k-1)/(2k)! and k w^(k-1)/(2k+1)!
+_DCOSH = tuple(k / math.factorial(2 * k) for k in range(11, 0, -1))
+_DSINHC = tuple(k / math.factorial(2 * k + 1) for k in range(11, 0, -1))
 
 # Taylor steps on polynomial segments of degree d: series order at d = 1
 # (d - 1 more above), and the size of the last d + 1 terms relative to
@@ -263,6 +278,19 @@ def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
     return g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d)
 
 
+def _exact_step_dlam(inv, h: float) -> tuple[complex, complex, complex, complex]:
+    """d exp(hA)/dlambda as (f11, f12, f21, f22): ``_exact_step``
+    differentiated through w = h^2 mu^2 and a21, with dw/dlambda = -h^2
+    and da21/dlambda = -1 (tau and d do not depend on lambda)."""
+    a21, d, tau, mu2 = inv
+    w = h * h * mu2
+    sh = h * _horner(_SINHC, w)
+    dch = -h * h * _horner(_DCOSH, w)
+    dsh = -h * h * h * _horner(_DSINHC, w)
+    g = cmath.exp(0.5 * h * tau)
+    return g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d)
+
+
 def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
 
@@ -273,7 +301,8 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     mantissa past the threshold, so log(peak) + ls at the end is the
     largest log|Y| over the segment start, every sub-step end and ``sup``.
     With ``out``, the rows of the sub-steps are appended to it
-    (``_exact_rows``).
+    (``_exact_rows``).  A state (y0, y1, z0, z1) also carries Z = dY/dlambda:
+    Z <- exp(hA) Z + (d exp(hA)/dlambda) Y per sub-step, rescaled with Y.
     """
     a11, a21, a22 = (complex(p[0]) for _, p in rows)
     d = 0.5 * (a11 - a22)
@@ -284,6 +313,21 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
         raise StepUnderflowError(xa, seg_len / n, y[0], y[1], ls)
     n = max(1, math.ceil(n))
     e11, e12, e21, e22 = _exact_step((a21, d, tau, mu2), seg_len / n)
+    if len(y) == 4:
+        f11, f12, f21, f22 = _exact_step_dlam((a21, d, tau, mu2), seg_len / n)
+        y0, y1, z0, z1 = y
+        peak = max(abs(y0), abs(y1))
+        for _ in range(n):
+            y0, y1, z0, z1 = (e11 * y0 + e12 * y1, e21 * y0 + e22 * y1,
+                              e11 * z0 + e12 * z1 + f11 * y0 + f12 * y1,
+                              e21 * z0 + e22 * z1 + f21 * y0 + f22 * y1)
+            m = max(abs(y0), abs(y1))
+            if m > peak:
+                peak = m
+                if m > RESCALE_THRESHOLD:
+                    y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
+                    ls += math.log(m)
+        return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
     y0, y1 = y
     peak = max(abs(y0), abs(y1))
     starts = None if out is None else []
@@ -335,21 +379,22 @@ def _recentred(row: list, d: float) -> list:
     return q
 
 
-def _jorba_zou(u: list, v: list, window: int) -> float:
-    """Step of a Taylor series whose state (u[0], v[0]) has unit size: the
-    largest h with |Y_k| h^k <= _TAYLOR_EPS for the last ``window`` orders
+def _jorba_zou(u: list, v: list, window: int, size: float = 1.0) -> float:
+    """Step of a Taylor series whose state (u[0], v[0]) has size ``size``: the
+    largest h with |Y_k| h^k <= _TAYLOR_EPS size for the last ``window`` orders
     k (Jorba & Zou 2005 take the last two); inf when all of them vanish, 0
     when one is not finite.  A series whose recurrence reaches ``window``
     orders back has ended when that many orders in a row vanish, and one
     that has not ended has a nonzero coefficient among them, however
     sparse it is."""
     h = math.inf
+    eps = _TAYLOR_EPS * size
     for k in range(len(u) - window, len(u)):
         n = abs(u[k]) + abs(v[k])
         if not n < math.inf:
             return 0.0
         if n > 0:
-            h = min(h, (_TAYLOR_EPS / n) ** (1.0 / k))
+            h = min(h, (eps / n) ** (1.0 / k))
     return h
 
 
@@ -371,12 +416,18 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     unchanged.  With ``out``, one row per step is appended to it, the
     series m Y_k h^k of the state at step start scaled back by its size m,
     and a zero row for the rest of the segment once the state is zero.
+
+    A state (y0, y1, z0, z1) also carries Z = dY/dlambda, whose series
+    follows from (k+1) Z_{k+1} = sum_j A_j Z_{k-j} + E Y_k with
+    E = [[0, 0], [-1, 0]].  Its last orders bound the step too, relative
+    to the larger of |Z| and |Y|; a Z that is not finite is carried along
+    without bounding the step.
     """
     (c11, p11), (c21, p21), (c22, p22) = rows
     p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
     window = max(len(p11), len(p21), len(p22))
     order = _TAYLOR_ORDER + window - 2
-    y0, y1 = y
+    y0, y1, *z = y
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
@@ -385,12 +436,27 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     while m > 0 and (xb - x) * direction > 0:
         a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
         u, v = [y0 / m], [y1 / m]
-        for k in range(1, order + 1):
-            du = v[-1] + sum(map(mul, a11, reversed(u)))
-            dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
-            u.append(du / k)
-            v.append(dv / k)
+        if z:
+            p, q = [z[0] / m], [z[1] / m]
+            for k in range(1, order + 1):
+                dp = q[-1] + sum(map(mul, a11, reversed(p)))
+                dq = sum(map(mul, a21, reversed(p))) + sum(map(mul, a22, reversed(q))) - u[-1]
+                p.append(dp / k)
+                q.append(dq / k)
+                du = v[-1] + sum(map(mul, a11, reversed(u)))
+                dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
+                u.append(du / k)
+                v.append(dv / k)
+        else:
+            for k in range(1, order + 1):
+                du = v[-1] + sum(map(mul, a11, reversed(u)))
+                dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
+                u.append(du / k)
+                v.append(dv / k)
         h = _jorba_zou(u, v, window)
+        if z:
+            hz = _jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))
+            h = min(h, hz) if hz > 0 else h
         if not h >= h_floor:
             raise StepUnderflowError(x, direction * h, y0, y1, ls)
         rest = (xb - x) * direction
@@ -408,6 +474,11 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
             if not np.isfinite(coef).all():
                 raise StepUnderflowError(x, h, y0, y1, ls)
             steps.append((x, h, coef, ls))
+        if z:
+            g0 = g1 = 0j
+            for a, b in zip(reversed(p), reversed(q)):
+                g0, g1 = g0 * h + a, g1 * h + b
+            z = [m * g0, m * g1]
         mid = m * max(abs(f0), abs(f1))
         y0, y1 = m * e0, m * e1
         m = max(abs(y0), abs(y1))
@@ -415,12 +486,13 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
         peak = max(peak, mid, m)
         if m > RESCALE_THRESHOLD:
             sup = max(sup, math.log(peak) + ls)
+            z = [t / m for t in z]
             y0, y1, ls, peak, m = y0 / m, y1 / m, ls + math.log(m), 1.0, 1.0
     if steps is not None:
         if x != xb:
             steps.append((x, xb - x, np.zeros((order + 1, 2)), ls))
         out.append(tuple(map(np.array, zip(*steps))))
-    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+    return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
 
 
 def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) -> FundamentalSystem:

@@ -8,7 +8,11 @@ only vanishes *relative to the cancellation scale of the shot*, and every
 acceptance test is phrased that way.  Every shot is one ``characteristic``
 call, and lambda is a scalar of the shot's system.  A shot and the dense
 shot of a root's trajectory take the same steps (``propagate``), so both
-are accurate to rounding and neither has a tolerance.
+are accurate to rounding and neither has a tolerance.  A shot may also
+carry the exact D'(lambda), from Z = dY/dlambda along the same steps
+(Pryce, Numerical Solution of Sturm-Liouville Problems, 1993): it drives
+the bracketed Newton refinement of real roots and gives each such root
+its noise floor, the residual that rounding lambda alone can leave.
 
 The probe integrates the adjoint equation's fundamental pair over growing
 symmetric windows and tracks the smallest eigenvalue N(T) of their L2
@@ -27,7 +31,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import config
 from .coeffs import CoefficientField
@@ -35,6 +38,8 @@ from .errors import NonRealScanError, OverflowUnrecoverableError
 from .propagate import FundamentalSystem, _gauss_legendre, _panel_values, _panels
 from .propagate import Trajectory, endpoint, fundamental, integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,18 @@ class CharValue:
     value: complex  # mantissa; true D = value * exp(logscale)
     logscale: float
     log_sup: float  # log of sup |Y| along the shot
+    slope: complex | None = None  # mantissa of D'(lambda) on the same logscale, if shot with it
 
     @property
     def residual(self) -> float:
         """|D| relative to the cancellation scale of the shot."""
         return abs(self.value) * math.exp(self.logscale - self.log_sup)
+
+    def floor(self, lam: complex) -> float:
+        """Noise floor of the residual at lam: CHAR_FLOOR |D'| eps (1 + |lam|) on
+        the residual's scale, about what rounding lam to a float moves D by."""
+        rounding = config.CHAR_FLOOR * _EPS * (1 + abs(lam))
+        return abs(self.slope) * rounding * math.exp(self.logscale - self.log_sup)
 
 
 @dataclass
@@ -78,8 +90,10 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
-    method: str  # "shooting-scan-brent", "shooting-scan-node" or "shooting-newton"
+    method: str  # "shooting-scan-bracket", "shooting-scan-node" or "shooting-newton"
     message: str = ""
+    shots: int = 0  # shots spent on this root past the scan grid
+    floor: float | None = None  # noise floor of the residual, where the shot had D'
     # the dense shot at lam, run by ``trajectory`` on first read
     shot: Callable[[], Trajectory] | None = field(default=None, repr=False, compare=False)
 
@@ -116,16 +130,19 @@ def characteristic(
     bc: BoundaryCondition,
     lam: complex,
     side: str = DIRECT,
+    derivative: bool = False,
 ) -> CharValue:
     """Shoot from the left condition and evaluate the right one.
 
     The shot keeps no dense output (``propagate.endpoint``); ``_dense_shot``
-    is the same shot with it.
+    is the same shot with it.  With ``derivative`` the shot also carries
+    dY/dlambda, and ``slope`` is D'(lambda) on the logscale of D.
     """
-    end, log_sup = endpoint(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]))
+    end, log_sup, *dend = endpoint(
+        assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]), derivative)
     ar, br = bc.right
-    D = ar * end.y0 + br * end.y1
-    return CharValue(value=D, logscale=end.logscale, log_sup=log_sup)
+    slope = ar * dend[0].y0 + br * dend[0].y1 if derivative else None
+    return CharValue(value=ar * end.y0 + br * end.y1, logscale=end.logscale, log_sup=log_sup, slope=slope)
 
 
 def _left_state(interval, bc: BoundaryCondition, side: str) -> QuasiState:
@@ -149,14 +166,16 @@ def eigenvalues(
     """Locate eigenvalues by real-interval scan or complex Newton seeds.
 
     Scan mode brackets sign changes of Re D on a real grid and refines
-    each with Brent's method (``scipy.optimize.brentq``): valid when D is
-    real along the scan (formally symmetric data).  A grid node where Re D
-    is exactly 0 is itself a root.  When
-    max |Im D|/|D| over the grid exceeds ``config.SCAN_REAL_TOL`` the scan
-    refuses with a NonRealScanError carrying that ratio.
+    each by Newton steps on Re D/Re D' kept inside the bracket
+    (``_bracket_root``): valid when D is real along the scan (formally
+    symmetric data).  A grid node where Re D is exactly 0 is itself a
+    root.  When max |Im D|/|D| over the grid exceeds
+    ``config.SCAN_REAL_TOL`` the scan refuses with a NonRealScanError
+    carrying that ratio.
     Newton mode takes secant steps from each seed, one shot per iterate,
     plus one polishing step; non-converged seeds are reported with
-    converged=False, never raised.  Duplicates merge within 1e-8.
+    converged=False, never raised.  Duplicates merge within 1e-8, and a
+    kept root counts the shots of the ones merged into it.
     """
     shoot = partial(characteristic, c, interval, bc, side=side)
     dense = partial(_dense_shot, c, interval, bc, side=side)
@@ -186,7 +205,7 @@ def eigenvalues(
             ))
         for i in range(len(lams) - 1):
             if signs[i] * signs[i + 1] < 0:
-                results.append(_brent_real(shoot, dense, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
+                results.append(_bracket_root(shoot, dense, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
     for seed in seeds:
         results.append(_newton(shoot, dense, complex(seed)))
     merged: list[EigenResult] = []
@@ -202,35 +221,66 @@ def eigenvalues(
         )
         if dup is None:
             merged.append(r)
+        else:
+            dup.shots += r.shots
     return merged
 
 
-def _brent_real(shoot, dense, lams, vals, scales):
-    """Refine a sign change of Re D between two scan nodes with brentq.
+def _bracket_root(shoot, dense, lams, vals, scales):
+    """Refine a sign change of Re D between two scan nodes by Newton steps on
+    Re D/Re D', one shot with D' per iterate, kept inside the bracket that
+    every iterate narrows by its sign (``rtsafe``, Numerical Recipes 9.4).
 
-    The ends reuse the scan's shots.  Every value is put on the common
-    scale exp(L), L the larger end logscale: the mantissas alone carry
-    different exponents.
+    The first iterate is the secant point of the two scan values.  A Newton
+    step that leaves the bracket, or is not at most half the last step, is
+    replaced by bisection.  A point within the rounding resolution
+    CHAR_FLOOR eps (1 + |lambda|) of an end moves onto it, as a root at a
+    scan node needs.  The refinement stops when Re D = 0 or when the next
+    iterate is this one: a Newton step within that resolution means a
+    residual within the noise floor (``CharValue.floor``).  The last
+    iterate is reported with its own shot, converged when its residual is
+    at most CHAR_TOL or at most its noise floor.
     """
-    L = max(scales)
-    ends = {float(t): v.real * math.exp(ls - L) for t, v, ls in zip(lams, vals, scales)}
+    (lo, hi), (f_lo, f_hi) = map(float, lams), (v.real for v in vals)
+    below = f_lo < 0  # the sign of Re D at lo, which stays an end of that sign
+    # the scan values carry different logscales
+    ratio = abs(f_hi / f_lo) * math.exp(min(scales[1] - scales[0], 700.0))
 
-    def re_d(t):
-        if t in ends:
-            return ends[t]
-        cv = shoot(t)
-        return cv.value.real * math.exp(cv.logscale - L)
+    def snap(x):
+        slack = config.CHAR_FLOOR * _EPS * (1 + abs(x))
+        return lo if x - lo <= slack else hi if hi - x <= slack else x
 
-    lo, hi = ends
-    lam, info = brentq(re_d, lo, hi, xtol=5e-15, full_output=True, disp=False)
-    cv = shoot(lam)
+    t = snap(0.5 * (lo + hi) if math.isnan(ratio) else lo + (hi - lo) / (1.0 + ratio))
+    last = hi - lo
+    for it in range(1, config.NEWTON_MAX_ITER + 1):
+        cv = shoot(t, derivative=True)
+        f, df = cv.value.real, cv.slope.real
+        if f == 0:
+            break
+        if (f < 0) == below:
+            lo = t
+        else:
+            hi = t
+        slack = config.CHAR_FLOOR * _EPS * (1 + abs(t))
+        step = f / df if df != 0 else math.nan
+        if not (lo - slack <= t - step <= hi + slack and abs(step) <= 0.5 * abs(last)):
+            step = t - 0.5 * (lo + hi)
+        nxt = snap(t - step)
+        if nxt == t:
+            break
+        last, t = step, nxt
+    floor = cv.floor(t)
+    ok = cv.residual <= config.CHAR_TOL or cv.residual <= floor
     return EigenResult(
-        lam=complex(lam),
+        lam=complex(t),
         residual=cv.residual,
-        iterations=info.iterations,
-        converged=info.converged or cv.residual <= config.CHAR_TOL,
-        method="shooting-scan-brent",
-        shot=partial(dense, lam),
+        iterations=it,
+        converged=ok,
+        method="shooting-scan-bracket",
+        message="" if ok else "sign change with a residual above CHAR_TOL and the noise floor",
+        shots=it,
+        floor=floor,
+        shot=partial(dense, t),
     )
 
 
@@ -241,6 +291,7 @@ def _newton(shoot, dense, seed):
     its residual meets CHAR_TOL."""
     lam = seed + config.NEWTON_FIRST_STEP * (1 + abs(seed))
     prev, cur = (seed, shoot(seed)), (lam, shoot(lam))
+    shots = 2
     message = "no convergence within iteration budget"
     for it in range(1, config.NEWTON_MAX_ITER + 1):
         (l0, c0), (l1, c1) = prev, cur
@@ -254,13 +305,14 @@ def _newton(shoot, dense, seed):
         step = d1 * (l1 - l0) / (d1 - d0)
         lam = l1 - step
         prev, cur = cur, (lam, shoot(lam))
+        shots += 1
         if met or abs(step) <= 1e-14 * (1 + abs(lam)):
             message = "stagnated above tolerance"
             break
     lam, cv = min(prev, cur, key=lambda p: p[1].residual)
     ok = cv.residual <= config.CHAR_TOL
     return EigenResult(lam=lam, residual=cv.residual, iterations=it, converged=ok, method="shooting-newton",
-                       message="" if ok else message, shot=partial(dense, lam))
+                       message="" if ok else message, shots=shots, shot=partial(dense, lam))
 
 
 def eigenfunction_residual(
@@ -340,9 +392,7 @@ def null_probe(
     n_vals = []
     for T, nmin, L in zip(windows, np.linalg.eigvalsh(M)[:, 0].tolist(), scales.tolist()):
         if not np.isfinite(nmin):
-            raise OverflowUnrecoverableError(
-                f"Gram renormalization failed on window T={T}"
-            )
+            raise OverflowUnrecoverableError(f"Gram renormalization failed on window T={T}", window=T)
         if nmin <= 0:
             log_N.append(-math.inf)
             n_vals.append(0.0)

@@ -248,7 +248,7 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
     rows = lines[table + 2 : lines.index("[/table]", table)]
     assert len(rows) == len(seeds)
     for row in rows:
-        re, im, _, _, converged, method = row.split(",")
+        re, im, _, _, _, converged, method = row.split(",")
         assert abs(complex(float(re), float(im)) - (1.109 + 1.571j)) < 1e-3
         assert (converged, method) == ("true", "shooting-newton")
     assert f"found: {len(seeds)}  (source: shooting)" in lines
@@ -264,9 +264,39 @@ def test_eig_lists_each_root_with_its_method(tmp_path):
     lines = (out / "report.txt").read_text().splitlines()
     table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
     rows = [row.split(",") for row in lines[table + 2 : lines.index("[/table]", table)]]
-    assert [(round(float(r[0])), r[4], r[5]) for r in rows] == [
-        (1, "true", "shooting-scan-brent"), (4, "true", "shooting-newton")
+    assert [(round(float(r[0])), r[5], r[6]) for r in rows] == [
+        (1, "true", "shooting-scan-bracket"), (4, "true", "shooting-newton")
     ]
+
+
+def test_eig_reports_its_shots(tmp_path):
+    # the shots line is the scan grid plus every refinement shot
+    problem = {"task": "eig", "coefficients": DELTA_COEFFS,
+               "params": {"interval": [-20, 20], "scan": [-2, -0.5], "grid": 16}}
+    out = tmp_path / "out"
+    assert main(["eig", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
+    assert lines[table + 1] == "lambda_re,lambda_im,char_residual,char_floor,iterations,converged,method"
+    (row,) = [r.split(",") for r in lines[table + 2 : lines.index("[/table]", table)]]
+    assert float(row[0]) == -1.0 and float(row[2]) <= float(row[3])
+    assert f"shots: {16 + int(row[4])}  (source: shooting)" in lines
+
+
+def test_check_a_integrates_1_over_m_up_to_the_horizon(tmp_path):
+    # m = 1 + a x^2 with a probe point at the horizon: I(X) = atan(sqrt(a) X)/sqrt(a).
+    # The adaptive quadrature this replaced printed -8.1e-07 here
+    a, X = 1.7191, 714701.1779933694
+    m = {"breakpoints": [], "pieces": [[1.0, 0.0, a]]}
+    problem = {"task": "check-a", "coefficients": FREE_COEFFS,
+               "params": {"m": m, "horizon": X, "probe_points": [X]}}
+    out = tmp_path / "out"
+    assert main(["check-a", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_FAILS
+    lines = (out / "report.txt").read_text().splitlines()
+    got = float(next(l for l in lines if l.startswith(f"m_condition.I({X!r}): ")).split()[1])
+    want = math.atan(math.sqrt(a) * X) / math.sqrt(a)
+    assert abs(got - want) <= 1e-13 * want
+    assert "m_condition.verdict: inconclusive" in lines
 
 
 def test_verify_past_the_float_range_is_a_numeric_error(tmp_path, capsys):

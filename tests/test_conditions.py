@@ -108,6 +108,30 @@ def test_rho_inverse_roundtrip():
         assert rho.inverse(rho.rho(float(x))) == pytest.approx(float(x), abs=1e-10)
 
 
+def test_rho_inverse_roundtrips_to_rounding():
+    # rho = sign(x) log(1 + |x|) for m = 1 + |x|; Newton with rho' = 1/m
+    rho = build_rho(WeightFunction(M_ABS, 60.0))
+    rng = np.random.default_rng(7)
+    for y in rng.uniform(-4.1, 4.1, 100):
+        x = rho.inverse(float(y))
+        assert abs(rho.rho(x) - y) <= 1e-13
+        assert abs(x - math.copysign(math.expm1(abs(y)), y)) <= 1e-13 * (1 + abs(x))
+
+
+def test_inverse_weight_integral_over_long_horizons():
+    # closed forms: log(1 + X) for 1 + |x|, atan(sqrt(a) X)/sqrt(a) for 1 + a x^2
+    from qschro.conditions import _inv_m_integral
+
+    for X in (1e-3, 1.0, 60.0, 1e6):
+        assert abs(_inv_m_integral(M_ABS, -X, 0.0) - math.log1p(X)) <= 1e-15 * math.log1p(X)
+    for a in (1e-4, 1.7191, 1e4):
+        m = PiecewisePoly.from_coeffs([1.0, 0.0, a])
+        for X in (0.5, 714701.1779933694):
+            want = math.atan(math.sqrt(a) * X) / math.sqrt(a)
+            assert abs(_inv_m_integral(m, 0.0, X) - want) <= 1e-14 * want
+            assert _inv_m_integral(m, X, 0.0) == -_inv_m_integral(m, 0.0, X)
+
+
 def test_cutoff_thmA():
     cut = build_cutoff("thmA", 3)
     assert cut.K == 1.5

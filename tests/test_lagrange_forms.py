@@ -225,8 +225,9 @@ def test_form_past_the_float_range_is_an_overflow_error():
     )
     # w = t(u)/||u||^2 is about -1e308 on the narrow bump, but the form of
     # the wide one, about -4e308, is not a float
-    with pytest.raises(OverflowUnrecoverableError, match="test function 1"):
+    with pytest.raises(OverflowUnrecoverableError, match="test function 1") as err:
         sample_forms(c, [bump(0.0, 0.0, 0.1), bump(0.0, 4.0, 1.0)])
+    assert err.value.index == 1
 
 
 def test_form_vs_operator_free():
@@ -303,5 +304,6 @@ def test_range_verdict_takes_the_argument_of_w_where_atan2_underflows():
 
 @pytest.mark.parametrize("w", [complex("nan"), complex(1.0, math.nan), complex(math.inf, 0.0)])
 def test_range_verdict_refuses_a_value_that_is_not_finite(w):
-    with pytest.raises(OverflowUnrecoverableError, match="test function 1"):
+    with pytest.raises(OverflowUnrecoverableError, match="test function 1") as err:
         range_verdict([(FormValue(1.0, 0, 0), 1.0), (FormValue(w, 0, 0), 1.0)])
+    assert err.value.index == 1

@@ -254,6 +254,17 @@ def test_to_piecewise_past_the_float_range_raises():
         t.to_piecewise(0)
 
 
+def test_refit_overflow_carries_its_logscale():
+    # the error names the logscale that overflows, as an attribute too
+    t = integrate(assemble(FREE, "direct", -16.0), QuasiState(0.0, 1.0, 4.0), 240.0)
+    top = float(np.max(t.steps["logscale"]))
+    with pytest.raises(OverflowUnrecoverableError) as err:
+        t.to_piecewise(0)
+    assert str(err.value) == f"re-fit at absolute scale: logscale {top:.6g} overflows"
+    assert err.value.logscale == top
+    assert err.value.window is None and err.value.index is None
+
+
 # ----------------------------------------------------------------------
 # endpoint shots: exact exponentials on constant segments
 
@@ -455,7 +466,7 @@ def test_zero_state_crosses_a_taylor_segment_unchanged():
     assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_no_shot_runs_dormand_prince(monkeypatch):
+def test_shots_keep_no_dense_output(monkeypatch):
     # scans, Newton seeds and mixed fields shoot with no dense output; the
     # dense shot runs once, when a root's trajectory is read
     from qschro import spectral
@@ -481,7 +492,7 @@ def test_no_shot_runs_dormand_prince(monkeypatch):
     assert res[0].trajectory is traj and len(integrate_calls) == 1
 
 
-def test_exact_substeps_are_fewer_than_dormand_prince_steps(monkeypatch):
+def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
     # free field at lambda = 2500: |h mu| <= 1 gives 158 sub-steps on [0, pi],
     # and the dense shot keeps one row per sub-step
     hs = []

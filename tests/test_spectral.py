@@ -139,8 +139,8 @@ def _counting_shots(monkeypatch):
 
 
 def test_free_spectrum_scan_shot_budget(monkeypatch):
-    # 60 grid shots, then Brent's method and one final shot per root; the
-    # bisection this replaced needed 285 shots for the five roots
+    # 60 grid shots, then one shot with D' per Newton iterate of each root:
+    # 5 for the five roots, where Brent's method took 10 and bisection 285
     shots = _counting_shots(monkeypatch)
     res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
     assert [round(r.lam.real) for r in res if r.converged] == [1, 4, 9, 16, 25]
@@ -150,13 +150,82 @@ def test_free_spectrum_scan_shot_budget(monkeypatch):
 def test_scan_refinement_rescales_the_bracket(monkeypatch):
     # delta well alpha = 20, ground state -100: the shots in this one-cell
     # bracket rescale by logscales that differ by up to 0.23, so mantissas
-    # alone are off by up to 25 percent and slow Brent's interpolation
+    # alone are off by up to 25 percent; D varies like e^(-3 lambda) over
+    # the cell, so Newton needs bisections of the bracket to start
     shots = _counting_shots(monkeypatch)
     dw = CoefficientField.delta_well(-20.0)
     res = eigenvalues(dw, (-25, 25), BC, scan=(-110, -94), grid=2)
-    assert len(res) == 1 and res[0].converged and res[0].method == "shooting-scan-brent"
+    assert len(res) == 1 and res[0].converged and res[0].method == "shooting-scan-bracket"
     assert abs(res[0].lam + 100) <= 1e-12 * 100
     assert len(shots) <= 14
+
+
+@pytest.mark.parametrize("lam", [2.0, 25.0, 400.0, -3.0, 3 + 0.5j])
+def test_derivative_of_free_box_matches_closed_form(lam):
+    # D = sin(k L)/k with k^2 = lambda: D' = L cos(kL)/(2 lambda) - sin(kL)/(2 lambda k)
+    L = math.pi
+    cv = characteristic(FREE, (0, L), BC, lam, derivative=True)
+    k = cmath.sqrt(lam)
+    want = L * cmath.cos(k * L) / (2 * lam) - cmath.sin(k * L) / (2 * lam * k)
+    assert abs(cv.slope * math.exp(cv.logscale) - want) <= 1e-13 * abs(want)
+    plain = characteristic(FREE, (0, L), BC, lam)
+    assert plain.slope is None and (plain.value, plain.logscale) == (cv.value, cv.logscale)
+
+
+def _central_difference(c, interval, lam, h):
+    """(D'(lam), its central difference) on the logscale of the shot at lam."""
+    cv = characteristic(c, interval, BC, lam, derivative=True)
+    up, down = (characteristic(c, interval, BC, lam + d) for d in (h, -h))
+    fd = (up.value * math.exp(up.logscale - cv.logscale) - down.value * math.exp(down.logscale - cv.logscale)) / (2 * h)
+    return cv.slope, fd
+
+
+def _random_polynomial_field(rng):
+    def poly(degree):
+        return PiecewisePoly.from_coeffs(list(0.6 * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))))
+
+    return CoefficientField(poly(2), poly(1), poly(1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derivative_on_polynomial_fields_matches_central_difference(seed):
+    # complex s, Q and r of degree 2, 1, 1: every segment takes Taylor steps
+    rng = np.random.default_rng(seed)
+    c = _random_polynomial_field(rng)
+    for lam in (complex(rng.uniform(-5, 20), rng.uniform(-2, 2)), float(rng.uniform(0, 10))):
+        slope, fd = _central_difference(c, (-1.0, 1.5), lam, 1e-5)
+        assert abs(slope - fd) <= 1e-7 * abs(slope)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.3, 2.0 + 1.0j, 6.0])
+def test_derivative_on_the_delta_well_matches_central_difference(lam):
+    # constant segments on both sides of the well: exact sub-steps
+    slope, fd = _central_difference(CoefficientField.delta_well(-2.0), (-5.0, 5.0), lam, 1e-5)
+    assert abs(slope - fd) <= 1e-7 * abs(slope)
+
+
+def test_delta_well_root_is_accepted_at_its_noise_floor():
+    # on (-20, 20) the solution grows by e^20 to the well and falls back:
+    # rounding lambda moves D by about |D'| eps, 10 times CHAR_TOL here, so
+    # the root is accepted on its printed floor, not on a solver flag
+    dw = CoefficientField.delta_well(-2.0)
+    res = eigenvalues(dw, (-20, 20), BC, scan=(-2, -0.5), grid=16)
+    assert len(res) == 1
+    r = res[0]
+    assert r.lam == -1.0 and r.converged and r.method == "shooting-scan-bracket"
+    assert spectral.config.CHAR_TOL < r.residual <= r.floor
+    assert r.shots == r.iterations >= 1
+
+
+def test_bracket_root_shots_add_up(monkeypatch):
+    # every shot past the grid belongs to one root: the Newton seed's root
+    # merges into the bracket root and adds its shots, a node has none
+    shots = _counting_shots(monkeypatch)
+    neumann = BoundaryCondition((0, 1), (0, 1))
+    res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 5), grid=7, seeds=[4.5 + 0.2j])
+    assert [r.method for r in res] == ["shooting-scan-node"] + ["shooting-scan-bracket"] * 2
+    assert len(shots) == 7 + sum(r.shots for r in res)
+    assert (res[0].shots, res[0].floor) == (0, None)
 
 
 def test_real_scan_refuses_a_complex_discriminant():
@@ -371,6 +440,24 @@ def test_probe_rejects_bad_shift():
     for windows in ([0.0, 5.0, 10.0], [-1.0, 10.0], [math.nan, 5.0]):
         with pytest.raises(ValueError, match="positive"):
             null_probe(FREE, 0.0, 10.0, windows=windows)
+
+
+def test_probe_overflow_carries_its_window(monkeypatch):
+    # a Gram matrix that is not finite names its window, as an attribute too
+    grams = spectral._window_grams
+
+    def broken(fs, windows):
+        M, L = grams(fs, windows)
+        M[3] = np.nan
+        return M, L
+
+    monkeypatch.setattr(spectral, "_window_grams", broken)
+    T = default_windows(40.0)[3]
+    with pytest.raises(spectral.OverflowUnrecoverableError) as err:
+        null_probe(FREE, 0.0, 40.0)
+    assert str(err.value) == f"Gram renormalization failed on window T={T}"
+    assert err.value.window == T
+    assert err.value.logscale is None and err.value.index is None
 
 
 def test_default_windows_ladder():
