@@ -45,10 +45,14 @@ class WeightFunction:
 
 
 # adaptive Gauss-Legendre for int dx/m: nodes per panel, the agreement of a
-# panel with its two halves that ends its halving, and the deepest halving
+# panel with its two halves that ends its halving, and the most panels one
+# integral evaluates
 _INV_M_NODES = 16
 _INV_M_RTOL = 1e-15
-_INV_M_DEPTH = 60
+_INV_M_PANELS = 4096
+_EPS = float(np.finfo(float).eps)
+# most Newton or bisection steps of rho^-1 (MAXIT of Numerical Recipes' rtsafe)
+_RHO_INVERSE_ITER = 100
 
 
 def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
@@ -56,8 +60,12 @@ def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
 
     1/m is smooth on each region of m (m >= 1 there), so each region starts
     as one panel of 16 nodes, and every panel whose two halves do not agree
-    with it to 1e-15 relative is halved, all panels of one level in one
-    batch.  The accepted halves are summed exactly (``math.fsum``).
+    with it is halved, all panels of one level in one batch.  They agree
+    when they differ by at most 1e-15 relative plus the rounding error of
+    1/m in the three sums (the bound of ``PiecewisePoly.sample_bounded``
+    over m^2 at each node), which no halving lowers.  Once 4096 panels
+    have been evaluated, the open ones are accepted as they are.  The
+    accepted halves are summed exactly (``math.fsum``).
     """
     if a == b:
         return 0.0
@@ -70,25 +78,28 @@ def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
     def panel_sums(lo, hi):
         half = 0.5 * (hi - lo)
         xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
-        return half * ((1.0 / m.sample(xs).real) @ weights)
+        vals, bound = m.sample_bounded(xs)
+        inv = 1.0 / vals
+        return half * (inv @ weights), half * ((bound * inv**2) @ weights)
 
     lo, hi = cuts[:-1], cuts[1:]
-    whole = panel_sums(lo, hi)
-    parts = []
-    for depth in range(_INV_M_DEPTH + 1):
-        mid = 0.5 * (lo + hi)
-        left, right = panel_sums(lo, mid), panel_sums(mid, hi)
-        halves = left + right
-        done = np.abs(halves - whole) <= _INV_M_RTOL * halves
-        if depth == _INV_M_DEPTH:
+    whole, noise = panel_sums(lo, hi)
+    parts, evaluated = [], len(lo)
+    while True:
+        # the left halves of all panels, then their right halves
+        n, mid = len(lo), 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        sums, noises = panel_sums(lo, hi)
+        evaluated += 2 * n
+        halves = sums[:n] + sums[n:]
+        done = np.abs(halves - whole) <= _INV_M_RTOL * halves + noise + noises[:n] + noises[n:]
+        if evaluated + 4 * (~done).sum() > _INV_M_PANELS:
             done[:] = True
-        parts.extend(left[done].tolist())
-        parts.extend(right[done].tolist())
+        parts.extend(sums[np.concatenate([done, done])].tolist())
         if done.all():
             return sign * math.fsum(parts)
-        lo, mid, hi = lo[~done], mid[~done], hi[~done]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        whole = np.concatenate([left[~done], right[~done]])
+        keep = np.concatenate([~done, ~done])
+        lo, hi, whole, noise = lo[keep], hi[keep], sums[keep], noises[keep]
 
 
 def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
@@ -266,8 +277,7 @@ class RhoMap:
         if ya == y:
             return a
         x = a + (b - a) * (y - ya) / (yb - ya)
-        tol = 2 * np.finfo(float).eps * max(abs(a), abs(b))
-        for _ in range(_INV_M_DEPTH):
+        for _ in range(_RHO_INVERSE_ITER):
             g = self.rho(x) - y
             if g == 0:
                 return x
@@ -278,7 +288,8 @@ class RhoMap:
             nxt = x - g * float(self.m.eval(x).real)
             if not a < nxt < b:
                 nxt = 0.5 * (a + b)
-            if abs(nxt - x) <= tol:
+            # the step is within rounding of the bracket it narrowed
+            if abs(nxt - x) <= 2 * _EPS * max(abs(a), abs(b)):
                 return nxt
             x = nxt
         return x

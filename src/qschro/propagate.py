@@ -436,23 +436,18 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     while m > 0 and (xb - x) * direction > 0:
         a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
         u, v = [y0 / m], [y1 / m]
+        for k in range(1, order + 1):
+            du = v[-1] + sum(map(mul, a11, reversed(u)))
+            dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
+            u.append(du / k)
+            v.append(dv / k)
         if z:
             p, q = [z[0] / m], [z[1] / m]
             for k in range(1, order + 1):
                 dp = q[-1] + sum(map(mul, a11, reversed(p)))
-                dq = sum(map(mul, a21, reversed(p))) + sum(map(mul, a22, reversed(q))) - u[-1]
+                dq = sum(map(mul, a21, reversed(p))) + sum(map(mul, a22, reversed(q))) - u[k - 1]
                 p.append(dp / k)
                 q.append(dq / k)
-                du = v[-1] + sum(map(mul, a11, reversed(u)))
-                dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
-                u.append(du / k)
-                v.append(dv / k)
-        else:
-            for k in range(1, order + 1):
-                du = v[-1] + sum(map(mul, a11, reversed(u)))
-                dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
-                u.append(du / k)
-                v.append(dv / k)
         h = _jorba_zou(u, v, window)
         if z:
             hz = _jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))

@@ -93,7 +93,7 @@ class EigenResult:
     method: str  # "shooting-scan-bracket", "shooting-scan-node" or "shooting-newton"
     message: str = ""
     shots: int = 0  # shots spent on this root past the scan grid
-    floor: float | None = None  # noise floor of the residual, where the shot had D'
+    floor: float | None = None  # noise floor of the residual, where the shot had a finite D'
     # the dense shot at lam, run by ``trajectory`` on first read
     shot: Callable[[], Trajectory] | None = field(default=None, repr=False, compare=False)
 
@@ -239,7 +239,8 @@ def _bracket_root(shoot, dense, lams, vals, scales):
     iterate is this one: a Newton step within that resolution means a
     residual within the noise floor (``CharValue.floor``).  The last
     iterate is reported with its own shot, converged when its residual is
-    at most CHAR_TOL or at most its noise floor.
+    at most CHAR_TOL or at most its noise floor.  A D' that is zero or not
+    finite gives a bisection step, and one that is not finite no floor.
     """
     (lo, hi), (f_lo, f_hi) = map(float, lams), (v.real for v in vals)
     below = f_lo < 0  # the sign of Re D at lo, which stays an end of that sign
@@ -262,7 +263,8 @@ def _bracket_root(shoot, dense, lams, vals, scales):
         else:
             hi = t
         slack = config.CHAR_FLOOR * _EPS * (1 + abs(t))
-        step = f / df if df != 0 else math.nan
+        # a zero or non-finite D' gives no Newton step: bisect
+        step = f / df if 0 < abs(df) < math.inf else math.nan
         if not (lo - slack <= t - step <= hi + slack and abs(step) <= 0.5 * abs(last)):
             step = t - 0.5 * (lo + hi)
         nxt = snap(t - step)
@@ -270,7 +272,9 @@ def _bracket_root(shoot, dense, lams, vals, scales):
             break
         last, t = step, nxt
     floor = cv.floor(t)
-    ok = cv.residual <= config.CHAR_TOL or cv.residual <= floor
+    if not math.isfinite(floor):
+        floor = None
+    ok = cv.residual <= config.CHAR_TOL or (floor is not None and cv.residual <= floor)
     return EigenResult(
         lam=complex(t),
         residual=cv.residual,

@@ -1,6 +1,7 @@
 """Piecewise polynomial algebra: closure, jumps, parts, antiderivatives."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,45 @@ def test_eval_sides_step():
 def test_eval_global_piece():
     f = PiecewisePoly.from_coeffs([0, 0, 1])
     assert f.eval(3, "right") == pytest.approx(9)
+
+
+def _exact_row_values(f, xs):
+    """Real part of each stored row at x - center, in exact rationals."""
+    out = []
+    for x in xs:
+        i = int(np.searchsorted(f.breakpoints, x, side="right"))
+        t = Fraction(float(x)) - Fraction(float(f.centers[i]))
+        out.append(sum(Fraction(float(c.real)) * t**k for k, c in enumerate(f.coeffs[i])))
+    return out
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        # 1 + (x - 500)^2 in powers of x: the terms cancel from 2.5e5 to 1
+        (PiecewisePoly([], [[250001.0, -1000.0, 1.0]]), 499.0, 501.0),
+        # (x + 0.8)^2 + 1/30 on a region centred at 1.1, where x - center is not exact
+        (PiecewisePoly([-1.0, 3.2], [[1.0], [0.64 + 1 / 30, 1.6, 1.0], [1.0]]), -1.0, -0.6),
+        # no cancellation: plain Horner's rule and its bound
+        (PiecewisePoly([0.0], [[2.0, -1.5], [2.0, 1.5]]), -50.0, 50.0),
+    ],
+)
+def test_sample_bounded_is_within_its_bound(f, lo, hi):
+    xs = np.random.default_rng(5).uniform(lo, hi, 200)
+    vals, bound = f.sample_bounded(xs)
+    exact = _exact_row_values(f, xs)
+    for v, b, e in zip(vals, bound, exact):
+        assert abs(Fraction(float(v)) - e) <= Fraction(float(b))
+        assert b <= 8 * np.finfo(float).eps * abs(v)
+
+
+def test_sample_bounded_beats_plain_horner_under_cancellation():
+    hump = PiecewisePoly([], [[250001.0, -1000.0, 1.0]])
+    xs = np.random.default_rng(6).uniform(499.0, 501.0, 200)
+    exact = np.array([float(e) for e in _exact_row_values(hump, xs)])
+    plain = np.max(np.abs(hump.sample(xs).real - exact) / exact)
+    bounded = np.max(np.abs(hump.sample_bounded(xs)[0] - exact) / exact)
+    assert plain > 1e-13 and bounded <= 2 * np.finfo(float).eps
 
 
 def test_breakpoints_must_increase():

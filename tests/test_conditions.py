@@ -132,6 +132,51 @@ def test_inverse_weight_integral_over_long_horizons():
             assert _inv_m_integral(m, X, 0.0) == -_inv_m_integral(m, 0.0, X)
 
 
+# 1 + (x - 500)^2 kept in powers of x: Horner's rule cancels 2.5e5 down to 1
+HUMP = PiecewisePoly([], [[250001.0, -1000.0, 1.0]])
+
+
+def test_inverse_weight_integral_of_a_hump_far_from_its_center():
+    # sampled plainly, 1/m carries noise of about 1e-11 near x = 500, where
+    # no panel agrees with its halves to 1e-15; closed forms are differences
+    # of atan(x - 500)
+    from qschro.conditions import _inv_m_integral
+
+    right, left = 2 * math.atan(500.0), math.atan(1000.0 / 750001.0)
+    assert abs(_inv_m_integral(HUMP, 0.0, 1000.0) - right) <= 1e-14 * right
+    assert abs(_inv_m_integral(HUMP, -1000.0, 0.0) - left) <= 1e-14 * left
+    rep = check_m(WeightFunction(HUMP, 1000.0), probe_points=[1000.0])
+    assert abs(rep.witnesses["I_right"] - right) <= 1e-12 * right
+    assert abs(rep.witnesses["I_left"] - left) <= 1e-12 * left
+    key = next(k for k in rep.witnesses if k.startswith("I("))
+    assert abs(rep.witnesses[key] - right) <= 1e-14 * right
+    rho = build_rho(WeightFunction(HUMP, 1000.0))
+    for x in (499.7, 500.0, 612.5):
+        want = math.atan(x - 500.0) + math.atan(500.0)
+        assert abs(rho.rho(x) - want) <= 1e-13 * want
+        assert abs(rho.inverse(want) - x) <= 1e-13 * x
+
+
+def test_inverse_weight_integral_stops_at_its_panel_budget(monkeypatch):
+    # values noisier than their bound never let a panel agree with its
+    # halves; the halving stops at 4096 panels of 16 nodes
+    from qschro import conditions
+
+    rng = np.random.default_rng(3)
+    sample = PiecewisePoly.sample_bounded
+    nodes = []
+
+    def noisy(self, xs, side="right"):
+        vals, _ = sample(self, xs, side)
+        nodes.append(vals.size)
+        return vals * (1 + 1e-12 * rng.standard_normal(vals.shape)), np.zeros(vals.shape)
+
+    monkeypatch.setattr(PiecewisePoly, "sample_bounded", noisy)
+    m = PiecewisePoly.from_coeffs([1.0, 0.0, 1.0])
+    assert abs(conditions._inv_m_integral(m, 0.0, 10.0) - math.atan(10.0)) <= 1e-11
+    assert sum(nodes) <= 16 * conditions._INV_M_PANELS
+
+
 def test_cutoff_thmA():
     cut = build_cutoff("thmA", 3)
     assert cut.K == 1.5

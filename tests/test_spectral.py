@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,24 @@ def test_bracket_root_shots_add_up(monkeypatch):
     assert [r.method for r in res] == ["shooting-scan-node"] + ["shooting-scan-bracket"] * 2
     assert len(shots) == 7 + sum(r.shots for r in res)
     assert (res[0].shots, res[0].floor) == (0, None)
+
+
+def test_bracket_root_bisects_where_the_slope_is_not_finite(monkeypatch):
+    # a D' that is not finite gives no Newton step and no noise floor: the
+    # bracket is bisected, and the root is converged on CHAR_TOL alone
+    shoot = spectral.characteristic
+
+    def infinite_slope(*args, derivative=False, **kwargs):
+        cv = shoot(*args, derivative=derivative, **kwargs)
+        return replace(cv, slope=complex(math.inf)) if derivative else cv
+
+    monkeypatch.setattr(spectral, "characteristic", infinite_slope)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 1.7), grid=2)
+    assert len(res) == 1
+    r = res[0]
+    assert r.floor is None and r.iterations > 1
+    assert r.converged and r.residual <= spectral.config.CHAR_TOL
+    assert abs(r.lam - 1) <= 1e-8
 
 
 def test_real_scan_refuses_a_complex_discriminant():
