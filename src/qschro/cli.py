@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -356,6 +357,11 @@ class Report:
         ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.lines += ["[metadata]", f"timestamp: {ts}", f"argv: {' '.join(argv)}", "[/metadata]"]
 
+    def phases(self, parse: float, compute: float):
+        """Wall seconds of the parse and compute phases, inside [metadata]."""
+        line = f"phase_s: parse={parse:.6f} compute={compute:.6f}"
+        self.lines.insert(self.lines.index("[/metadata]"), line)
+
     def problem(self, normalized: dict):
         self.lines.append("[problem]")
         self.lines.append(json.dumps(normalized, sort_keys=True, separators=(",", ":")))
@@ -609,6 +615,7 @@ def load_problem(path: str) -> dict:
 
 
 def run_problem(raw: dict, argv=(), horizon=None, tmax=None) -> tuple[int, str, object]:
+    started = time.perf_counter()
     task = raw["task"]
     field = _coefficients(raw["coefficients"], "coefficients")
     spec = PARAMS[task]
@@ -624,7 +631,9 @@ def run_problem(raw: dict, argv=(), horizon=None, tmax=None) -> tuple[int, str, 
     rep = Report(task)
     rep.metadata(list(argv))
     rep.problem(normalize_problem(task, field, raw.get("params", {})))
+    parsed = time.perf_counter()
     extra = RUNNERS[task](field, params, rep)
+    rep.phases(parse=parsed - started, compute=time.perf_counter() - parsed)
     return rep.exit_code, rep.text(), extra
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,23 +46,43 @@ def _trim_cols(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, :n]
 
 
+@lru_cache(maxsize=None)
+def _wavefront(n: int) -> tuple:
+    """The (written, read) column slices of each time of ``_shift_rows``.
+
+    Step (j, k) of the synthetic division, ``b_k += d b_{k+1}`` for
+    j < n - 1 and k from n - 2 down to j, runs at time t = 2j + n - 2 - k:
+    it reads b_k as step (j - 1, k) left it at time t - 2 and b_{k+1} as
+    step (j, k + 1) left it at time t - 1.  The steps of one time are every
+    other column, so each time is one strided update of all rows.
+    """
+    steps = []
+    for t in range(2 * n - 3):
+        j_lo, j_hi = max(0, t - n + 2), min(t // 2, n - 2)
+        lo, hi = n - 2 - t + 2 * j_lo, n - 2 - t + 2 * j_hi
+        steps.append((slice(lo, hi + 1, 2), slice(lo + 1, hi + 2, 2)))
+    return tuple(steps)
+
+
 def _shift_rows(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Re-center row i from powers of ``(x-c_i)`` to powers of ``(x-(c_i+delta_i))``.
 
     Synthetic-division Taylor shift on all rows at once: exact in exact
     arithmetic, stable for the shift distances that occur after mesh
-    alignment.  Rows with delta 0 keep their coefficients; with no row to
-    move, the input array itself is returned.
+    alignment.  Its n(n-1)/2 steps run as a wavefront (``_wavefront``) of
+    2n - 3 array updates, the parallel Horner shift of von zur Gathen and
+    Gerhard (ISSAC 1997); every coefficient gets the operations of the
+    nested loop in the same order, so the result is the same bits.  Rows
+    with delta 0 keep their coefficients; with no row to move, the input
+    array itself is returned.
     """
     moved = delta.nonzero()[0]
     if not len(moved):
         return coeffs
     out = coeffs.copy()
-    b, d = out[moved], delta[moved]
-    n = b.shape[1]
-    for j in range(n - 1):
-        for k in range(n - 2, j - 1, -1):
-            b[:, k] += d * b[:, k + 1]
+    b, d = out[moved], delta[moved, None]
+    for dst, src in _wavefront(b.shape[1]):
+        b[:, dst] += d * b[:, src]
     out[moved] = b
     return out
 
@@ -141,7 +161,7 @@ class PiecewisePoly:
     antiderivative; all coefficient arithmetic, no sampling.
     """
 
-    __slots__ = ("breakpoints", "centers", "coeffs")
+    __slots__ = ("breakpoints", "centers", "coeffs", "_last_mesh")
 
     def __init__(self, breakpoints, pieces, degree_cap: int | None = DEGREE_CAP):
         """Build from global-coordinate coefficient arrays.
@@ -176,6 +196,7 @@ class PiecewisePoly:
             glob[i, : len(row)] = row
         self.breakpoints = bp
         self.centers = _canonical_centers(bp)
+        self._last_mesh = None
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = _trim_cols(_shift_rows(glob, self.centers))
         if not np.all(np.isfinite(self.coeffs)):
@@ -189,6 +210,7 @@ class PiecewisePoly:
             raise ValueError("region count mismatch")
         obj = object.__new__(cls)
         obj.breakpoints, obj.centers, obj.coeffs = breakpoints, centers, _trim_cols(coeffs)
+        obj._last_mesh = None
         return obj
 
     # ------------------------------------------------------------------
@@ -318,6 +340,17 @@ class PiecewisePoly:
         return self._on_mesh(merged)
 
     def _on_mesh(self, mesh: np.ndarray) -> "PiecewisePoly":
+        """This function re-centred on a finer mesh.
+
+        The last result is kept with the mesh's bytes (so -0.0 is not
+        0.0): the factors of a product rule or of the quasi-derivative
+        ladder share their breakpoints, and each would otherwise re-centre
+        the other operand to the same mesh again.  No operation writes to
+        a PiecewisePoly's arrays, so handing out the kept object is safe.
+        """
+        key = mesh.tobytes()
+        if self._last_mesh is not None and self._last_mesh[0] == key:
+            return self._last_mesh[1]
         centers = _canonical_centers(mesh)
         inside = centers.copy()  # a point strictly inside each region
         if len(mesh):
@@ -325,7 +358,9 @@ class PiecewisePoly:
             inside[-1] += 1.0
         src = self._region(inside, "right")
         coeffs = _shift_rows(self.coeffs[src], centers - self.centers[src])
-        return PiecewisePoly._from_local(mesh, centers, coeffs)
+        out = PiecewisePoly._from_local(mesh, centers, coeffs)
+        self._last_mesh = (key, out)
+        return out
 
     def _aligned(self, other: "PiecewisePoly"):
         mesh = _merge_breakpoints(self.breakpoints, other.breakpoints)

@@ -191,12 +191,15 @@ def product_rule_check(
             f"cut-off support [{lo}, {hi}] is not compact inside [{a}, {b}]"
         )
     A = assemble(c, side)
-    lhs, lhs_atoms = apply_l_atoms(c, side, phi * u, window)
-    lu, lu_atoms = apply_l_atoms(c, side, u, window)
     dphi = phi.derivative()
     ddphi = dphi.derivative()
+    # phi and its derivatives share one mesh, so u is re-centred on it once
+    # (``PiecewisePoly._on_mesh`` keeps its last result)
+    phi_u, dphi_u, ddphi_u = phi * u, dphi * u, ddphi * u
+    lhs, lhs_atoms = apply_l_atoms(c, side, phi_u, window)
+    lu, lu_atoms = apply_l_atoms(c, side, u, window)
     du = u.derivative()
-    rhs = phi * lu - ddphi * u - 2.0 * (dphi * du) + (A.a11 + A.a22) * (dphi * u)
+    rhs = phi * lu - ddphi_u - 2.0 * (dphi * du) + (A.a11 + A.a22) * dphi_u
     diff = lhs - rhs
     skip = set(np.round(diff.breakpoints, 12))
     xs = np.array([x for x in np.linspace(a, b, 200) if round(float(x), 12) not in skip])

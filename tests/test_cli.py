@@ -209,6 +209,22 @@ def test_report_determinism_modulo_metadata(tmp_path):
     assert text1 != text2  # metadata differs (timestamp/argv)
 
 
+def test_phase_times_sit_inside_the_metadata_block(tmp_path):
+    path = write(tmp_path, "p.json", {"task": "form", "coefficients": DELTA_COEFFS,
+                                      "params": {"tests": [{"center": 0, "plateau": 1, "ramp": 1}]}})
+    texts = []
+    for run in ("a", "b"):
+        assert main(["form", "--input", path, "--out", str(tmp_path / run)]) == EXIT_OK
+        texts.append((tmp_path / run / "report.txt").read_text())
+    for text in texts:
+        lines = text.splitlines()
+        (i,) = [k for k, line in enumerate(lines) if line.startswith("phase_s:")]
+        assert lines.index("[metadata]") < i < lines.index("[/metadata]")
+        assert re.fullmatch(r"phase_s: parse=\d+\.\d{6} compute=\d+\.\d{6}", lines[i])
+    assert strip_metadata(texts[0]) == strip_metadata(texts[1])
+    assert "phase_s" not in strip_metadata(texts[0])
+
+
 def test_problem_echo_roundtrip(tmp_path):
     problem = {
         "task": "form",

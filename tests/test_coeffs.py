@@ -1,5 +1,6 @@
 """Piecewise polynomial algebra: closure, jumps, parts, antiderivatives."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from qschro.coeffs import (
     CoefficientField,
     PiecewisePoly,
+    _shift_rows,
     bump,
     from_callable,
     pos_neg_parts,
@@ -350,3 +352,101 @@ def test_real_roots_and_extreme():
     v, x = f.extreme_on(-2, 2, "min")
     assert v == pytest.approx(-1.0)
     assert x == pytest.approx(0.0, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Taylor shift and mesh alignment
+
+
+def _shift_rows_nested(coeffs, delta):
+    """The synthetic division of ``_shift_rows`` as the plain nested loop."""
+    moved = delta.nonzero()[0]
+    if not len(moved):
+        return coeffs
+    out = coeffs.copy()
+    b, d = out[moved], delta[moved]
+    n = b.shape[1]
+    for j in range(n - 1):
+        for k in range(n - 2, j - 1, -1):
+            b[:, k] += d * b[:, k + 1]
+    out[moved] = b
+    return out
+
+
+def test_wavefront_shift_is_the_nested_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        n, rows = int(rng.integers(1, 61)), int(rng.integers(1, 9))
+        c = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        c *= 10.0 ** rng.integers(-8, 9, (rows, n))
+        exponent = rng.integers(-300, 301, rows) if trial % 4 == 0 else rng.integers(-3, 4, rows)
+        d = rng.standard_normal(rows) * 10.0**exponent
+        d[rng.random(rows) < 0.3] = 0.0
+        with np.errstate(all="ignore"):
+            got, want = _shift_rows(c, d), _shift_rows_nested(c, d)
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+
+
+def _exact_shift(row, d):
+    """Exact coefficients of sum_j row[j] (t + d)^j in powers of t."""
+    n = len(row)
+    return [sum(row[j] * math.comb(j, k) * d ** (j - k) for j in range(k, n)) for k in range(n)]
+
+
+def _shift_errors(got, row, d):
+    """|error| of each shifted coefficient (real plus imaginary part) against
+    the exact shift of the float row by the float d."""
+    d = Fraction(float(d))
+    re = _exact_shift([Fraction(float(v.real)) for v in row], d)
+    im = _exact_shift([Fraction(float(v.imag)) for v in row], d)
+    return [abs(Fraction(float(g.real)) - r) + abs(Fraction(float(g.imag)) - i) for g, r, i in zip(got, re, im)]
+
+
+def test_shift_is_as_accurate_as_the_nested_loop():
+    # Taylor rows of size O(1) on a region of width w, shifted by up to w:
+    # against exact rational arithmetic, the shift's error is no larger
+    # than the nested loop's, and within 2n eps of the shift of |c| by |d|
+    rng = np.random.default_rng(6)
+    eps = Fraction(float(np.finfo(float).eps))
+    for n in (2, 8, 24, 51):
+        w = 10.0 ** rng.uniform(-3, 1)
+        c = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / w ** np.arange(n)
+        d = rng.uniform(-w, w, 3)
+        got, old = _shift_rows(c, d), _shift_rows_nested(c, d)
+        for i in range(3):
+            err = _shift_errors(got[i], c[i], d[i])
+            assert all(e <= o for e, o in zip(err, _shift_errors(old[i], c[i], d[i])))
+            size = _exact_shift([abs(Fraction(v.real)) + abs(Fraction(v.imag)) for v in c[i]], abs(Fraction(d[i])))
+            assert all(e <= 2 * n * eps * s for e, s in zip(err, size))
+
+
+def test_alignment_to_an_equal_mesh_is_kept():
+    f = random_pw(np.random.default_rng(3), max_bp=3, max_deg=4)
+    mesh = np.array([-2.5, -0.5, 1.0, 3.0])
+    first = f._on_mesh(mesh)
+    assert f._on_mesh(mesh.copy()) is first
+    # a zero of the other sign, or one ulp, is another mesh
+    assert f._on_mesh(np.array([-2.5, -0.0, 1.0, 3.0])) is not f._on_mesh(np.array([-2.5, 0.0, 1.0, 3.0]))
+    second = f._on_mesh(np.nextafter(mesh, np.inf))
+    assert second is not f._on_mesh(mesh)
+    assert np.array_equal(f._on_mesh(mesh).coeffs, first.coeffs)
+
+
+def test_product_rule_factors_re_centre_u_once(monkeypatch):
+    from qschro import coeffs
+
+    phi = bump(0.5, 1.0, 0.75)
+    u = PiecewisePoly([-1.3, 0.2, 0.9, 2.2], [np.arange(1.0, 7.0) * (k + 1) for k in range(5)], degree_cap=None)
+    dphi = phi.derivative()
+    ddphi = dphi.derivative()
+    phi * u
+    widths = []
+
+    def counting(rows, delta):
+        widths.append(rows.shape[1])
+        return _shift_rows(rows, delta)
+
+    monkeypatch.setattr(coeffs, "_shift_rows", counting)
+    ddphi * u
+    dphi * u
+    assert widths and u.coeffs.shape[1] not in widths  # only the factors' rows moved

@@ -579,3 +579,15 @@ def test_pair_integral_of_two_degree_24_rows_is_exact():
     val, ls = pair_integral(rows[0], rows[1], -0.5, 1.0)
     assert rows[0].degree == 24 and ls == 0.0
     assert abs(val - want) <= 1e-13 * np.sum(np.abs(prod))
+
+
+def test_recentred_is_the_array_shift_on_one_row():
+    from qschro.coeffs import _shift_rows
+
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5, 9, 26):
+        row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d = float(rng.uniform(-2, 2))
+        got = np.array(propagate._recentred(list(row), d), dtype=complex)
+        want = _shift_rows(row[None], np.array([d]))[0]
+        assert np.array_equal(got.view(float), want.view(float))
