@@ -11,6 +11,7 @@ from .coeffs import (
     CoefficientField,
     PiecewisePoly,
     bump,
+    bumps,
     from_callable,
     pos_neg_parts,
     smoothstep,
@@ -31,6 +32,7 @@ from .conditions import (
 from .errors import (
     BadSchemeError,
     DiscontinuousQuasiDerivativeError,
+    FamilyMemberError,
     NonRealError,
     NonRealScanError,
     OverflowUnrecoverableError,
@@ -84,6 +86,7 @@ __all__ = [
     "PiecewisePoly",
     "CoefficientField",
     "bump",
+    "bumps",
     "smoothstep",
     "from_callable",
     "pos_neg_parts",
@@ -142,6 +145,7 @@ __all__ = [
     "NonRealError",
     "NonRealScanError",
     "DiscontinuousQuasiDerivativeError",
+    "FamilyMemberError",
     "StepUnderflowError",
     "SideMismatchError",
     "ZeroNormError",

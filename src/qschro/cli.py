@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__, config
-from .coeffs import CoefficientField, PiecewisePoly, bump
+from .coeffs import CoefficientField, PiecewisePoly, bump, bumps
 from .conditions import (
     IntervalScheme,
     WeightFunction,
@@ -38,7 +39,7 @@ from .conditions import (
     check_m,
     verify_caccioppoli,
 )
-from .errors import NonRealScanError, QschroError
+from .errors import FamilyMemberError, NonRealScanError, QschroError
 from .lagrange_forms import (
     Sector,
     bracket,
@@ -259,9 +260,33 @@ def _coefficients(value, field: str) -> CoefficientField:
 
 PAIR = _list(_cnum, 2)
 BUMP = {"center": (_num, 0.0), "plateau": (_num, 1.0), "ramp": (_num, 1.0)}
+
 BC = {"left": (PAIR, (1 + 0j, 0j)), "right": (PAIR, (1 + 0j, 0j))}
 SCHEME = {"delta": (_num, 1.0), "intervals": (_list(_list((_int, _num, _num))), ())}
 PROBE = {"lambda": (_cnum, 0j), "tmax": (_pos, 40.0), "windows": (_list(_pos), ())}
+
+
+def _bumps(value, field: str) -> tuple:
+    """A list of bump objects, built as one family by ``bumps``.  The first
+    member in list order that cannot be read or built names the field.
+    """
+    if not isinstance(value, list):
+        raise ValidationFailure(field, f"expected a list, got {type(value).__name__}")
+    specs, unread = [], None
+    for i, v in enumerate(value):
+        try:
+            specs.append(_obj(BUMP)(v, f"{field}[{i}]"))
+        except ValidationFailure as exc:
+            unread = exc
+            break
+    try:
+        family = bumps(*([spec[key] for spec in specs] for key in BUMP))
+    except FamilyMemberError as exc:
+        raise ValidationFailure(f"{field}[{exc.index}]", str(exc)) from None
+    if unread is not None:
+        raise unread
+    return tuple(family)
+
 
 # task -> {key: (kind, default or REQUIRED)}; a runner reads exactly these keys
 PARAMS = {
@@ -289,7 +314,7 @@ PARAMS = {
         "samples": (_int_in(1, config.MAX_GRID_POINTS), 21),
     },
     "form": {
-        "tests": (_nonempty(_list(_build(lambda t: bump(**t), _obj(BUMP)))), REQUIRED),
+        "tests": (_nonempty(_bumps), REQUIRED),
         "sector": (_build(Sector, _num), None),
     },
     "check-a": {
@@ -390,6 +415,8 @@ class Report:
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # the common case, first
+        return repr(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, (float, np.floating)):
@@ -637,7 +664,9 @@ def run_problem(raw: dict, argv=(), horizon=None, tmax=None) -> tuple[int, str, 
     return rep.exit_code, rep.text(), extra
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on its first use and kept for later calls."""
     parser = argparse.ArgumentParser(
         prog="qschro",
         description="Quasi-derivative Schrodinger toolkit: batch tasks over problem files.",
@@ -649,7 +678,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory for the report")
         p.add_argument("--horizon", type=float, default=None, help="horizon override (check-a)")
         p.add_argument("--tmax", type=float, default=None, help="probe horizon override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         raw = load_problem(args.input)

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import DEGREE_CAP
-from .errors import NonRealError
+from .errors import FamilyMemberError, NonRealError
 
 _BP_MERGE_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -41,7 +41,7 @@ def _trim(row: np.ndarray) -> np.ndarray:
 def _trim_cols(coeffs: np.ndarray) -> np.ndarray:
     """Drop the trailing columns that are zero in every row, keeping one."""
     n = coeffs.shape[1]
-    while n > 1 and not coeffs[:, n - 1].any():
+    while n > 1 and not np.count_nonzero(coeffs[:, n - 1]):
         n -= 1
     return coeffs[:, :n]
 
@@ -321,15 +321,11 @@ class PiecewisePoly:
         """Smallest (lo, hi) outside which the function is identically zero.
 
         Tails or pieces with nonzero coefficients extend the support; a
-        function that is nonzero in a tail reports +-inf on that side.
+        function that is nonzero in a tail reports +-inf on that side, and
+        the zero function (0, 0).
         """
-        nz = np.flatnonzero(np.any(self.coeffs != 0, axis=1))
-        if not len(nz):
-            return (0.0, 0.0)
-        first, last = nz[0], nz[-1]
-        lo = -math.inf if first == 0 else float(self.breakpoints[first - 1])
-        hi = math.inf if last == len(self.coeffs) - 1 else float(self.breakpoints[last])
-        return (lo, hi)
+        lo, hi = _stacked_support(self.breakpoints, self.coeffs, np.array([0, len(self.coeffs)]))
+        return (float(lo[0]), float(hi[0]))
 
     # ------------------------------------------------------------------
     # mesh alignment
@@ -513,6 +509,40 @@ class PiecewisePoly:
         )
 
 
+def _stack(polys) -> tuple:
+    """Piecewise polynomials as one set of arrays: (breakpoints, centers, coeffs, first, widths).
+
+    Function i owns rows ``first[i]`` to ``first[i + 1]`` of ``centers``
+    and ``coeffs`` and breakpoints ``first[i] - i`` to ``first[i + 1] - i - 1``;
+    its rows hold its ``widths[i]`` coefficients, zero-padded to the widest.
+    """
+    counts = np.array([len(f.centers) for f in polys])
+    first = np.concatenate([[0], np.cumsum(counts)])
+    widths = np.array([f.coeffs.shape[1] for f in polys])
+    coeffs = np.zeros((first[-1], widths.max()), dtype=complex)
+    row_width = np.repeat(widths, counts)
+    for w in np.unique(widths).tolist():
+        coeffs[row_width == w, :w] = np.concatenate([f.coeffs for f in polys if f.coeffs.shape[1] == w])
+    breakpoints = np.concatenate([f.breakpoints for f in polys])
+    return breakpoints, np.concatenate([f.centers for f in polys]), coeffs, first, widths
+
+
+def _stacked_support(breakpoints, coeffs, first) -> tuple[np.ndarray, np.ndarray]:
+    """``PiecewisePoly.support_bounds`` of functions stacked as ``_stack``
+    lays them out, as (lo, hi) arrays."""
+    members = np.arange(len(first) - 1)
+    nz = np.flatnonzero(np.any(coeffs != 0, axis=1))
+    nz_owner = np.searchsorted(first, nz, "right") - 1
+    start, stop = np.searchsorted(nz_owner, members, "left"), np.searchsorted(nz_owner, members, "right")
+    nz = np.append(nz, 0)  # a function without a nonzero row reads this, and gets (0, 0)
+    lo_row, hi_row = nz[start], nz[stop - 1]
+    bp = np.append(breakpoints, np.nan)
+    lo = np.where(lo_row == first[:-1], -np.inf, bp.take(lo_row - members - 1, mode="clip"))
+    hi = np.where(hi_row == first[1:] - 1, np.inf, bp.take(hi_row - members, mode="clip"))
+    empty = start == stop
+    return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+
+
 def _canonical_centers(bp: np.ndarray) -> np.ndarray:
     """Midpoints of the bounded regions, the finite ends of the tails.  The
     halves are added, so no midpoint of finite breakpoints overflows."""
@@ -540,35 +570,111 @@ def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # test-function builders
 
 
+def _cubes(x: np.ndarray) -> np.ndarray:
+    """x**3 by Python's float power (the C library's pow), NaN where that
+    overflows.  numpy's power rounds some cubes differently."""
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(v**3)
+        except OverflowError:
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
+def _ramp_rows(a: np.ndarray, b: np.ndarray):
+    """Rising cubic smoothstep ramps from a to b, elementwise.
+
+    Returns (rows, centers, refusals): row k holds ramp k in powers of
+    ``x - c_k``, c_k = (a_k + b_k)/2, and refusal k is the message with
+    which ``smoothstep`` refuses ramp k, or None.  Call under
+    ``np.errstate(all="ignore")``: a row past the float range is refused.
+    """
+    L = b - a
+    # s(t) = 3t^2 - 2t^3 with t = (x-a)/L, expressed around center (a+b)/2
+    c = 0.5 * (a + b)
+    # t = 0.5 + u/L with u = x - c  ->  expand 3t^2 - 2t^3 in u
+    t0 = 0.5
+    rows = np.empty((len(L), 4), dtype=complex)
+    rows[:, 0] = 3 * t0**2 - 2 * t0**3
+    rows[:, 1] = (6 * t0 - 6 * t0**2) / L
+    rows[:, 2] = (6 - 12 * t0) / (2 * L**2)
+    rows[:, 3] = -12 / (6 * _cubes(L))
+    # past a width of about 3.1e102, 6 L^3 overflows and the cubic term is 0
+    outside = ~(np.isfinite(L) & np.isfinite(rows).all(axis=1)) | (rows[:, 3] == 0)
+    refusals = np.full(len(L), None, dtype=object)
+    refusals[outside] = [
+        f"smoothstep ramp of width {w!r} has coefficients outside the float range" for w in L[outside].tolist()
+    ]
+    refusals[~(b > a)] = "smoothstep needs a < b"
+    return rows, c, refusals
+
+
+_FALL = np.array([1.0, 0, 0, 0], dtype=complex)  # a falling ramp is 1 minus the rising one
+
+
 def smoothstep(a: float, b: float, rising: bool = True) -> PiecewisePoly:
     """Cubic smoothstep ramp: 0 at a, 1 at b (or reversed), C^1 at the ends.
 
     On the ramp the slope magnitude peaks at 1.5/(b-a), the minimal-degree
     W^2 ramp constant used by the cut-off sequences.
     """
-    if not b > a:
-        raise ValueError("smoothstep needs a < b")
-    L = b - a
-    # s(t) = 3t^2 - 2t^3 with t = (x-a)/L, expressed around center (a+b)/2
-    c = 0.5 * (a + b)
-    # t = 0.5 + u/L with u = x - c  ->  expand 3t^2 - 2t^3 in u
-    t0 = 0.5
-    s0 = 3 * t0**2 - 2 * t0**3
-    s1 = (6 * t0 - 6 * t0**2) / L
-    try:
-        s2 = (6 - 12 * t0) / (2 * L**2)
-        s3 = -12 / (6 * L**3)
-    except (OverflowError, ZeroDivisionError):  # L**2 or L**3 leaves the float range
-        s2 = s3 = math.inf
-    ramp = np.array([s0, s1, s2, s3], dtype=complex)
-    if not (math.isfinite(L) and np.all(np.isfinite(ramp))):
-        raise ValueError(f"smoothstep ramp of width {L!r} has coefficients outside the float range")
+    ends = np.array([a, b], dtype=float)
+    with np.errstate(all="ignore"):
+        ramp, c, refusals = _ramp_rows(ends[:1], ends[1:])
+    if refusals[0]:
+        raise ValueError(refusals[0])
     lo, hi = (0.0, 1.0) if rising else (1.0, 0.0)
-    if not rising:
-        ramp = np.array([1.0, 0, 0, 0], dtype=complex) - ramp
     rows = np.zeros((3, 4), dtype=complex)
-    rows[0, 0], rows[1], rows[2, 0] = lo, ramp, hi
-    return PiecewisePoly._from_local(np.array([a, b], dtype=float), np.array([a, c, b], dtype=float), rows)
+    rows[0, 0], rows[1], rows[2, 0] = lo, ramp[0] if rising else _FALL - ramp[0], hi
+    return PiecewisePoly._from_local(ends, np.array([a, c[0], b], dtype=float), rows)
+
+
+def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
+    """``bump`` of each (center, plateau, ramp) triple, all built in one pass.
+
+    Raises FamilyMemberError, carrying bump's message and the member's
+    index, for the first triple that bump refuses.
+    """
+    center, plateau, ramp = (np.asarray(v, dtype=float) for v in (centers, plateaus, ramps))
+    n = len(center)
+    with np.errstate(all="ignore"):  # a member past the float range is refused below
+        x0 = center - plateau / 2 - ramp
+        x1 = center - plateau / 2
+        x2 = center + plateau / 2
+        x3 = center + plateau / 2 + ramp
+        # the rising ramps on (x0, x1), then the falling ones on (x2, x3)
+        ramp_rows, ramp_centers, ramp_refusals = _ramp_rows(np.concatenate([x0, x2]), np.concatenate([x1, x3]))
+    ramp_rows[n:] = _FALL - ramp_rows[n:]
+    # bump's checks, the one it makes first written last
+    refusals = np.where(ramp_refusals[:n].astype(bool), ramp_refusals[:n], ramp_refusals[n:])
+    refusals[plateau < 0] = "plateau width must be nonnegative"
+    refusals[ramp <= 0] = "ramp width must be positive"
+    refused = np.flatnonzero(refusals.astype(bool))
+    if len(refused):
+        raise FamilyMemberError(refusals[refused[0]], int(refused[0]))
+    # Every member's regions, stacked: 0, the rising ramp, 1 on the plateau
+    # (none with no plateau, where the ramps meet at x1 == x2), the falling
+    # ramp, 0.  Centers are those of _canonical_centers.
+    has_plateau = plateau != 0
+    regions = np.where(has_plateau, 5, 4)
+    first = np.cumsum(regions) - regions
+    mesh = np.stack([x0, x1, x2, x3], axis=1)
+    mid = 0.5 * mesh[:, :-1] + 0.5 * mesh[:, 1:]
+    last = np.where(has_plateau, mid[:, 2], 0.5 * x1 + 0.5 * x3)
+    keep = np.ones((n, 5), dtype=bool)
+    keep[:, 2] = has_plateau
+    bp = mesh[keep[:, :4]]
+    mesh_centers = np.stack([x0, mid[:, 0], mid[:, 1], last, x3], axis=1)[keep]
+    rows = np.zeros((len(mesh_centers), 4), dtype=complex)
+    rows[np.concatenate([first + 1, first + regions - 2])] = _shift_rows(
+        ramp_rows, np.concatenate([mid[:, 0], last]) - ramp_centers
+    )
+    rows[first[has_plateau] + 2, 0] = 1.0
+    return [
+        PiecewisePoly._from_local(bp[i - k : j - k - 1], mesh_centers[i:j], rows[i:j])
+        for k, (i, j) in enumerate(zip(first.tolist(), (first + regions).tolist()))
+    ]
 
 
 def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
@@ -577,29 +683,9 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     Equal to 1 on ``[center - plateau/2, center + plateau/2]``, cubic ramps
     of width ``ramp`` on both sides, 0 outside.  Lies in W^2 with piecewise
     polynomial second derivative; the family the quadratic-form and
-    cut-off machinery uses throughout.
+    cut-off machinery uses throughout.  ``bumps`` of one triple.
     """
-    if ramp <= 0:
-        raise ValueError("ramp width must be positive")
-    if plateau < 0:
-        raise ValueError("plateau width must be nonnegative")
-    x0 = center - plateau / 2 - ramp
-    x1 = center - plateau / 2
-    x2 = center + plateau / 2
-    x3 = center + plateau / 2 + ramp
-    up = smoothstep(x0, x1, rising=True)
-    down = smoothstep(x2, x3, rising=False)
-    # with no plateau the ramps meet at the center: breakpoints (x0, x1==x2, x3)
-    mesh = np.array([x0, x1, x3]) if plateau == 0 else np.array([x0, x1, x2, x3])
-    centers = _canonical_centers(mesh)
-    rows = np.zeros((len(mesh) + 1, 4), dtype=complex)
-    rows[[1, -2]] = _shift_rows(
-        np.array([up.coeffs[1], down.coeffs[1]]),
-        np.array([centers[1] - up.centers[1], centers[-2] - down.centers[1]]),
-    )
-    if plateau != 0:
-        rows[2, 0] = 1.0
-    return PiecewisePoly._from_local(mesh, centers, rows)
+    return bumps([center], [plateau], [ramp])[0]
 
 
 def from_callable(

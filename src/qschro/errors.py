@@ -61,6 +61,14 @@ class ZeroNormError(QschroError):
     """A test function with zero L2 norm cannot be normalized."""
 
 
+class FamilyMemberError(ValueError):
+    """A member of a family of test functions cannot be built; ``index`` names it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class UnsupportedTestFunctionError(QschroError):
     """Test function does not vanish at and outside the declared support window."""
 

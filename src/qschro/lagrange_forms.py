@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly
+from .coeffs import CoefficientField, PiecewisePoly, _dense, _stack, _stacked_support
 from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
-from .propagate import Trajectory, _gauss_legendre, _panel_values, _panels, pair_integral
+from .propagate import Trajectory, _gauss_legendre, _panel_values, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
@@ -227,42 +227,88 @@ def _check_norm(i: int, norm2: float) -> None:
         raise ZeroNormError(f"test function {i} has zero L2 norm")
 
 
+def _ranks(values, value_owner, queries, query_owner):
+    """For each query, the number of values of its owner at or below it:
+    ``np.searchsorted(v, q, "right")`` on the values v of each owner, with
+    ``value_owner`` sorted and each owner's values sorted."""
+    kind = np.concatenate([np.zeros(len(values)), np.ones(len(queries))])
+    order = np.lexsort((kind, np.concatenate([values, queries]), np.concatenate([value_owner, query_owner])))
+    is_query = order >= len(values)
+    out = np.empty(len(queries), dtype=int)
+    out[order[is_query] - len(values)] = np.cumsum(~is_query)[is_query]
+    return out - np.searchsorted(value_owner, query_owner, "left")
+
+
 def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
     """(t(u), ||u||^2) for each test function of a family, in one Gauss-Legendre pass.
 
     t(u) = int |u'|^2 - int (G1 u conj(u)' + G2 u' conj(u)) + int s |u|^2 over the
     support of u, on panels between the breakpoints of u and of the field, where
     floor(d/2) + 1 nodes are exact for d = 2 deg u + max(deg G1, deg G2, deg s).
-    A value that is not finite raises OverflowUnrecoverableError."""
+    The family is one set of arrays: its members' regions are stacked, the
+    panel edges of all members sorted at once, and u and u' evaluated by one
+    batched Horner pass for each coefficient width.  A value that is not
+    finite raises OverflowUnrecoverableError."""
     if not family:
         raise ValueError("test family must be nonempty")
     field = (c.G1, c.G2, c.s)
-    n = max(u.degree for u in family) + max(f.degree for f in field) // 2 + 1
+    members = np.arange(len(family))
+    bp, centers, coeffs, first, widths = _stack(family)
+    lo, hi = _stacked_support(bp, coeffs, first)
+    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+    if unbounded.any():
+        raise UnsupportedTestFunctionError(f"test function {int(unbounded.argmax())} is not compactly supported")
+    n = coeffs.shape[1] - 1 + max(f.degree for f in field) // 2 + 1
     nodes, weights = _gauss_legendre(n)
-    cols = []  # per test: panel midpoints, half-widths, nodes, u and u' at the nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, u in enumerate(family):
-            lo, hi = u.support_bounds()
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise UnsupportedTestFunctionError(f"test function {i} is not compactly supported")
-            mid, half, xs = _panels((u, *field), lo, hi, nodes)
-            u_vals, du_vals = (_panel_values(f, mid, xs)[0] for f in (u, u.derivative()))
-            cols.append((mid, half, xs, u_vals, du_vals))
-        owner = np.repeat(np.arange(len(family)), [len(col[0]) for col in cols])
-        mid, half, xs, fu, fdu = (np.concatenate(a) for a in zip(*cols))
+        # each member's panel edges: lo, hi and the breakpoints of u and of the field between
+        bp_owner = np.repeat(members, np.diff(first) - 1)
+        inside = (bp >= lo[bp_owner]) & (bp <= hi[bp_owner])
+        fbp = np.unique(np.concatenate([f.breakpoints for f in field]))
+        f_lo = np.searchsorted(fbp, lo, "left")
+        f_count = np.maximum(np.searchsorted(fbp, hi, "right") - f_lo, 0)
+        f_owner = np.repeat(members, f_count)
+        f_at = np.arange(len(f_owner)) + np.repeat(f_lo - (np.cumsum(f_count) - f_count), f_count)
+        edges = np.concatenate([lo, hi, bp[inside], fbp[f_at]])
+        edge_owner = np.concatenate([members, members, bp_owner[inside], f_owner])
+        order = np.lexsort((edges, edge_owner))
+        edges, edge_owner = edges[order], edge_owner[order]
+        distinct = np.ones(len(edges), dtype=bool)
+        distinct[1:] = (edges[1:] != edges[:-1]) | (edge_owner[1:] != edge_owner[:-1])
+        edges, edge_owner = edges[distinct], edge_owner[distinct]
+        panel = edge_owner[1:] == edge_owner[:-1]
+        left, right, owner = edges[:-1][panel], edges[1:][panel], edge_owner[:-1][panel]
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        xs = mid[:, None] + half[:, None] * nodes
+        # u on each panel: its region at mid, as u._region(mid, "right") finds it
+        row = first[owner] + _ranks(bp, bp_owner, mid, owner)
+        theta = xs - centers[row, None]
+        fu, fdu = np.empty_like(xs, dtype=complex), np.empty_like(xs, dtype=complex)
+        groups = np.unique(widths).tolist()
+        for w in groups:
+            at = widths[owner] == w if len(groups) > 1 else slice(None)
+            rows = coeffs[row[at], :w]
+            drows = rows[:, 1:] * np.arange(1, w) if w > 1 else np.zeros_like(rows)  # as u.derivative()
+            fu[at], fdu[at] = (_dense(r[:, :, None], theta[at]) for r in (rows, drows))
         fg1, fg2, fs = (_panel_values(f, mid, xs)[0] for f in field)
         u2 = (fu * fu.conj()).real
         integrands = [(fdu * fdu.conj()).real, -(fg1 * fu * fdu.conj() + fg2 * fdu * fu.conj()), fs * u2, u2]
         parts = half * (np.array(integrands) @ weights)
-        sums = [np.bincount(owner, p.real, len(family)) + 1j * np.bincount(owner, p.imag, len(family))
-                for p in parts]
-    forms = [(FormValue(k, cp, p), n2.real) for k, cp, p, n2 in zip(*(t.tolist() for t in sums))]
-    for i, (form, norm2) in enumerate(forms):
-        _check_norm(i, norm2)
-        values = (form.kinetic, form.coupling, form.potential, norm2, form.value / norm2)
-        if not all(map(cmath.isfinite, values)):
-            raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite", index=i)
-    return forms
+        kinetic, coupling, potential, norm2 = (
+            np.bincount(owner, p.real, len(family)) + 1j * np.bincount(owner, p.imag, len(family)) for p in parts
+        )
+    norm2 = norm2.real
+    with np.errstate(all="ignore"):
+        value = kinetic + coupling + potential
+        finite = np.isfinite(np.array([kinetic, coupling, potential, norm2, value.real / norm2, value.imag / norm2]))
+    bad = (norm2 <= 1e-300) | ~finite.all(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        _check_norm(i, norm2[i])
+        raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite", index=i)
+    columns = (kinetic.tolist(), coupling.tolist(), potential.tolist(), norm2.tolist())
+    return [(FormValue(k, cp, p), n2) for k, cp, p, n2 in zip(*columns)]
 
 
 def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:

@@ -494,6 +494,40 @@ def test_malformed_input_is_a_named_validation_error(tmp_path, capsys, problem, 
 
 
 
+@pytest.mark.parametrize("tests, said", [
+    ([{}, {"ramp": -1}, {"center": "x"}], "params.tests[1]: ramp width must be positive"),
+    ([{}, {"center": "x"}, {"ramp": -1}], "params.tests[1].center: not a finite decimal number: 'x'"),
+    ([{"plateau": -1}, {"bogus": 1}], "params.tests[0]: plateau width must be nonnegative"),
+    ([{}, {"plateau": 0}, {"bogus": 1}, {"ramp": 0}], "params.tests[2]: unknown keys: ['bogus']"),
+    ([{}, 5, {"ramp": -1}], "params.tests[1]: expected an object, got int"),
+    ([{}, {}, {"center": 1e20}], "params.tests[2]: smoothstep needs a < b"),
+    ([{}, {"ramp": 1e200}, {"ramp": 1e-200}],
+     "params.tests[1]: smoothstep ramp of width 1e+200 has coefficients outside the float range"),
+    ([], "params.tests: must not be empty"),
+])
+def test_form_tests_name_their_first_bad_member(tmp_path, capsys, tests, said):
+    path = write(tmp_path, "p.json", edit(FORM, ("params", "tests"), tests))
+    assert main(["form", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {said}\n"
+
+
+def test_parser_is_built_once_and_a_refused_call_leaves_it_as_it_was(tmp_path, capsys):
+    from qschro import cli
+
+    path = write(tmp_path, "p.json", FORM)
+    out = tmp_path / "out"
+    cli._parser.cache_clear()
+    assert main(["form", "--input", path, "--out", str(out)]) == EXIT_OK
+    first = strip_metadata((out / "report.txt").read_text(encoding="utf-8"))
+    with pytest.raises(SystemExit) as refused:
+        main(["form", "--out", str(out)])
+    assert refused.value.code == 2
+    assert "the following arguments are required: --input" in capsys.readouterr().err
+    assert main(["form", "--input", path, "--out", str(out)]) == EXIT_OK
+    assert strip_metadata((out / "report.txt").read_text(encoding="utf-8")) == first
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 2)
+
+
 # Fuzz: small valid files, one or two mutations each.  Values come from a
 # fixed pool of small leaves, so no mutation can make a run expensive.
 FUZZ_BASES = (

@@ -1,6 +1,7 @@
 """Piecewise polynomial algebra: closure, jumps, parts, antiderivatives."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 from qschro.coeffs import (
     CoefficientField,
     PiecewisePoly,
+    _canonical_centers,
     _shift_rows,
     bump,
+    bumps,
     from_callable,
     pos_neg_parts,
     smoothstep,
 )
-from qschro.errors import NonRealError
+from qschro.errors import FamilyMemberError, NonRealError
 
 RNG = np.random.default_rng(20240811)
 
@@ -296,6 +299,146 @@ def test_bump_shape_and_support():
         assert abs(b.eval(bp, "right") - b.eval(bp, "left")) <= 1e-14
         d = b.derivative()
         assert abs(d.eval(bp, "right") - d.eval(bp, "left")) <= 1e-13
+
+
+def _scalar_smoothstep(a, b, rising=True):
+    """The scalar smoothstep that bump was built from, kept as a reference."""
+    if not b > a:
+        raise ValueError("smoothstep needs a < b")
+    L = b - a
+    c = 0.5 * (a + b)
+    t0 = 0.5
+    s0 = 3 * t0**2 - 2 * t0**3
+    s1 = (6 * t0 - 6 * t0**2) / L
+    try:
+        s2 = (6 - 12 * t0) / (2 * L**2)
+        s3 = -12 / (6 * L**3)
+    except (OverflowError, ZeroDivisionError):
+        s2 = s3 = math.inf
+    ramp = np.array([s0, s1, s2, s3], dtype=complex)
+    if not (math.isfinite(L) and np.all(np.isfinite(ramp))):
+        raise ValueError(f"smoothstep ramp of width {L!r} has coefficients outside the float range")
+    lo, hi = (0.0, 1.0) if rising else (1.0, 0.0)
+    if not rising:
+        ramp = np.array([1.0, 0, 0, 0], dtype=complex) - ramp
+    rows = np.zeros((3, 4), dtype=complex)
+    rows[0, 0], rows[1], rows[2, 0] = lo, ramp, hi
+    return PiecewisePoly._from_local(np.array([a, b], dtype=float), np.array([a, c, b], dtype=float), rows)
+
+
+def _two_smoothstep_bump(center, plateau, ramp):
+    """bump as two smoothstep objects, one row taken from each: the reference."""
+    if ramp <= 0:
+        raise ValueError("ramp width must be positive")
+    if plateau < 0:
+        raise ValueError("plateau width must be nonnegative")
+    x0 = center - plateau / 2 - ramp
+    x1 = center - plateau / 2
+    x2 = center + plateau / 2
+    x3 = center + plateau / 2 + ramp
+    up = _scalar_smoothstep(x0, x1, rising=True)
+    down = _scalar_smoothstep(x2, x3, rising=False)
+    mesh = np.array([x0, x1, x3]) if plateau == 0 else np.array([x0, x1, x2, x3])
+    centers = _canonical_centers(mesh)
+    rows = np.zeros((len(mesh) + 1, 4), dtype=complex)
+    rows[[1, -2]] = _shift_rows(
+        np.array([up.coeffs[1], down.coeffs[1]]),
+        np.array([centers[1] - up.centers[1], centers[-2] - down.centers[1]]),
+    )
+    if plateau != 0:
+        rows[2, 0] = 1.0
+    return PiecewisePoly._from_local(mesh, centers, rows)
+
+
+def _bump_triples(rng, n):
+    """(center, plateau, ramp) with ramps from 2e-103 to 3e102 and zero plateaus of both signs."""
+    triples = [(0.0, 0.0, 2e-103), (-0.0, -0.0, 3e102), (1.0, 0.0, 2e-103), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0)]
+    for _ in range(n - len(triples)):
+        center = float(rng.uniform(-10, 10)) * 10.0 ** float(rng.choice([0, 0, 3, 20, 110, 200]))
+        plateau = float(rng.choice([0.0, -0.0, rng.uniform(0, 3), 10.0 ** rng.uniform(-120, 120)]))
+        ramp = float(rng.choice([rng.uniform(0.1, 2), 10.0 ** rng.uniform(np.log10(2e-103), np.log10(3e102))]))
+        triples.append((center, plateau, ramp))
+    return triples
+
+
+def _same_build(build, reference) -> bool:
+    """Whether reference() builds; if it does, build() gives the same arrays
+    bit for bit, and if it refuses, build() refuses with the same message."""
+    try:
+        want = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == str(exc)
+        return False
+    got = build()
+    for name in ("breakpoints", "centers", "coeffs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+    return True
+
+
+def test_bump_is_the_two_smoothstep_construction_bit_for_bit():
+    built = [_same_build(lambda: bump(*t), lambda: _two_smoothstep_bump(*t))
+             for t in _bump_triples(np.random.default_rng(18), 500)]
+    assert 100 < sum(built) < 500
+
+
+def test_smoothstep_is_the_scalar_construction_bit_for_bit():
+    rng = np.random.default_rng(19)
+    built = []
+    for _ in range(200):
+        a = float(rng.uniform(-10, 10)) * 10.0 ** float(rng.choice([0, 50, -50]))
+        b = a + float(rng.choice([rng.uniform(0.01, 3), 10.0 ** rng.uniform(-103, 102)]))
+        for rising in (True, False):
+            built.append(_same_build(lambda: smoothstep(a, b, rising), lambda: _scalar_smoothstep(a, b, rising)))
+    assert 100 < sum(built) < 400
+
+
+def test_ramp_whose_cubic_term_overflows_is_refused():
+    # 6 L^3 overflows between widths of about 3.1e102 and 5.6e102: the scalar
+    # construction's cubic term became -0.0 and the ramp a line
+    assert _scalar_smoothstep(0.0, 5e102).degree == 1
+    for width in (3.2e102, 5e102, 5.5e102):
+        with pytest.raises(ValueError, match=re.escape(f"width {width!r} has coefficients outside the float range")):
+            smoothstep(0.0, width)
+        with pytest.raises(ValueError, match="outside the float range"):
+            bump(0.0, 1.0, width)
+    assert smoothstep(0.0, 3e102).degree == 3
+
+
+def test_bump_family_is_its_members():
+    triples = _bump_triples(np.random.default_rng(20), 300)
+    usable = []
+    for t in triples:
+        try:
+            bump(*t)
+        except ValueError:
+            continue
+        usable.append(t)
+    family = bumps(*zip(*usable))
+    assert len(family) == len(usable) and bumps([], [], []) == []
+    for got, t in zip(family, usable):
+        want = bump(*t)
+        for name in ("breakpoints", "centers", "coeffs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("triples, index, message", [
+    ([(0, 1, 1), (0, 1, -1), (0, -1, 1)], 1, "ramp width must be positive"),
+    ([(0, 1, 1), (0, -1, -1)], 1, "ramp width must be positive"),
+    ([(0, -1, 1), (0, 1, 0)], 0, "plateau width must be nonnegative"),
+    ([(0, 1, 1), (1e20, 1, 1)], 1, "smoothstep needs a < b"),
+    ([(0, 1, 1), (0, 1, 1), (0, 0, 1e200)], 2,
+     "smoothstep ramp of width 1e+200 has coefficients outside the float range"),
+    ([(0, 0, 1e-200), (0, -1, 1)], 0, "smoothstep ramp of width 1e-200 has coefficients outside the float range"),
+])
+def test_bump_family_names_its_first_refused_member(triples, index, message):
+    with pytest.raises(FamilyMemberError) as err:
+        bumps(*zip(*triples))
+    assert (err.value.index, str(err.value)) == (index, message)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bump(*triples[index])
 
 
 def test_from_callable_certified():

@@ -23,7 +23,7 @@ from qschro.lagrange_forms import (
     range_verdict,
     sample_forms,
 )
-from qschro.propagate import integrate
+from qschro.propagate import _gauss_legendre, _panel_values, _panels, integrate
 from qschro.quasi import QuasiState, assemble
 
 FREE = CoefficientField.free()
@@ -217,6 +217,84 @@ def test_sample_forms_match_the_exact_algebra(c, family):
         for g, want in zip(got, parts):
             assert abs(g - want) <= 1e-13 * scale
         assert abs(norm2 - exact_norm2) <= 1e-13 * exact_norm2
+
+
+def looped_forms(c, family):
+    """sample_forms one test at a time: each test's panels from _panels and
+    np.unique, u and u.derivative() through _panel_values; the reference."""
+    field = (c.G1, c.G2, c.s)
+    n = max(u.degree for u in family) + max(f.degree for f in field) // 2 + 1
+    nodes, weights = _gauss_legendre(n)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in family:
+            mid, half, xs = _panels((u, *field), *u.support_bounds(), nodes)
+            fu, fdu, fg1, fg2, fs = (_panel_values(f, mid, xs)[0] for f in (u, u.derivative(), *field))
+            u2 = (fu * fu.conj()).real
+            integrands = [(fdu * fdu.conj()).real, -(fg1 * fu * fdu.conj() + fg2 * fdu * fu.conj()), fs * u2, u2]
+            parts = half * (np.array(integrands) @ weights)
+            k, cp, p, n2 = (complex(np.bincount(np.zeros(len(mid), int), q.real, 1)[0]
+                                    + 1j * np.bincount(np.zeros(len(mid), int), q.imag, 1)[0]) for q in parts)
+            out.append((FormValue(k, cp, p), n2.real))
+    return out
+
+
+def form_bits(forms):
+    return np.array([[f.kinetic, f.coupling, f.potential, n2] for f, n2 in forms]).tobytes()
+
+
+def batched_form_cases():
+    rng = np.random.default_rng(18)
+    mixed = [bump(float(rng.uniform(-3, 3)), float(p), float(rng.uniform(0.3, 1.5)))
+             for p in rng.choice([0.0, 0.7, 1.9], 12)]
+    # field breakpoints at 1.0, 3.0 and 0.0: the first bump's edges x0 = 1 and
+    # x2 = 3 fall on two of them, the next has edges at -0.0 and 0.0, and the
+    # last one's support holds no field breakpoint
+    on_edges = CoefficientField(
+        PiecewisePoly([0.0, 3.0], [[0.5], [1.0 + 0.2j], [-0.3]]),
+        PiecewisePoly([1.0], [[0.1, 0.2], [0.4j]]),
+        PiecewisePoly([1.0, 3.0], [[0.0], [0.3, -0.1], [0.2]]),
+    )
+    edges = [bump(2.5, 1.0, 1.0), bump(-0.0, 0.0, 1.0), bump(0.0, -0.0, 0.5), bump(20.0, 1.0, 0.5)]
+    smooth = from_callable(lambda x: (1 - x * x) * (1 + 0.3j * x - 0.2 * x**3), (-1.0, 1.0), degree=8, max_piece=0.4)
+    yield pytest.param(random_jumpy_field(rng), mixed, id="plateaus-with-and-without")
+    yield pytest.param(on_edges, edges, id="edges-on-field-breakpoints")
+    yield pytest.param(random_jumpy_field(rng), [*mixed[:5], smooth, *edges], id="with-a-degree-8-test")
+    yield pytest.param(CoefficientField.delta_well(-2.0, location=-0.0), [*edges, *mixed],
+                       id="delta-well-at-minus-zero")
+
+
+@pytest.mark.parametrize("c, family", batched_form_cases())
+def test_batched_forms_are_the_per_test_loop_bit_for_bit(c, family):
+    assert form_bits(sample_forms(c, family)) == form_bits(looped_forms(c, family))
+    if len({u.degree for u in family}) == 1:  # the same nodes for a one-member family
+        for k, u in enumerate(family):
+            assert form_bits(sample_forms(c, [u])) == form_bits(sample_forms(c, family)[k : k + 1])
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_batched_forms_name_the_member_without_compact_support(k):
+    family = [bump(float(i), 0.5, 0.5) for i in range(6)]
+    family[k] = family[k] + PiecewisePoly.step(float(k) + 3.0)
+    family[-1] = family[-1] + PiecewisePoly.step(-9.0, 1.0, 0.0)  # a second one, later or the same
+    with pytest.raises(UnsupportedTestFunctionError, match=f"^test function {k} is not compactly supported$"):
+        sample_forms(FREE, family)
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_batched_forms_name_the_member_that_overflows(k):
+    c = CoefficientField(PiecewisePoly.constant(-1e308), PiecewisePoly.zero(), PiecewisePoly.zero())
+    family = [bump(float(i), 0.0, 0.1) for i in range(6)]
+    family[k] = bump(float(k), 4.0, 1.0)  # its potential part is about -4e308
+    with pytest.raises(OverflowUnrecoverableError, match=f"^test function {k}: its form or norm is not finite$") as err:
+        sample_forms(c, family)
+    assert err.value.index == k
+
+
+def test_batched_forms_name_a_zero_member_among_others():
+    family = [bump(0.0, 1.0, 1.0), PiecewisePoly.zero(), bump(1.0, 0.0, 0.5)]
+    with pytest.raises(ZeroNormError, match="^test function 1 has zero L2 norm$"):
+        sample_forms(FREE, family)
 
 
 def test_form_past_the_float_range_is_an_overflow_error():
