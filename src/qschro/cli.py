@@ -301,7 +301,7 @@ PARAMS = {
     "eig": {
         "interval": (_interval, REQUIRED),
         "bc": (_build(lambda d: BoundaryCondition(**d), _obj(BC)), BoundaryCondition.dirichlet()),
-        "scan": (_list(_num, 2), None),
+        "scan": (_interval, None),
         "seeds": (_list(_cnum), ()),
         "grid": (_int_in(2, config.MAX_GRID_POINTS), 120),
         "side": (_side, DIRECT),

@@ -38,9 +38,10 @@ ENVELOPE_BLOCKS = 8
 # Shooting acceptance: |D(lambda)| <= CHAR_TOL * (cancellation scale of D).
 CHAR_TOL = 1e-9
 
-# A refined scan root is also accepted when its residual is at most its
-# noise floor, CHAR_FLOOR * |D'(lambda)| * eps * (1 + |lambda|) on the same
-# scale: about what rounding lambda to a float moves D by.
+# A refined root (scan bracket or Newton seed) is also accepted when its
+# residual is at most its noise floor, CHAR_FLOOR * |D'(lambda)| * eps *
+# (1 + |lambda|) on the same scale: about what rounding lambda to a float
+# moves D by.
 CHAR_FLOOR = 1.0
 
 # The real eigenvalue scan refines sign changes of Re D, which is valid only
@@ -52,11 +53,8 @@ SCAN_REAL_TOL = 1e-8
 # grid read from a problem file: one shot or one sample per point.
 MAX_GRID_POINTS = 10_000
 
-# Newton refinement of the characteristic function by secant steps;
-# NEWTON_FIRST_STEP places the second point at seed + step * (1 + |seed|).
-# NEWTON_MAX_ITER also bounds the shots that refine one scan bracket.
+# Shots with D'(lambda) that refine one Newton seed or one scan bracket.
 NEWTON_MAX_ITER = 50
-NEWTON_FIRST_STEP = 1e-6
 
 # Eigenvalues closer than this are merged as duplicates.
 EIG_MERGE_TOL = 1e-8

@@ -11,8 +11,8 @@ shot of a root's trajectory take the same steps (``propagate``), so both
 are accurate to rounding and neither has a tolerance.  A shot may also
 carry the exact D'(lambda), from Z = dY/dlambda along the same steps
 (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993): it drives
-the bracketed Newton refinement of real roots and gives each such root
-its noise floor, the residual that rounding lambda alone can leave.
+the Newton refinement of every root, bracketed for scan roots, and gives
+each its noise floor, the residual that rounding lambda alone can leave.
 
 The probe integrates the adjoint equation's fundamental pair over growing
 symmetric windows and tracks the smallest eigenvalue N(T) of their L2
@@ -77,11 +77,20 @@ class CharValue:
         """|D| relative to the cancellation scale of the shot."""
         return abs(self.value) * math.exp(self.logscale - self.log_sup)
 
-    def floor(self, lam: complex) -> float:
+    def floor(self, lam: complex) -> float | None:
         """Noise floor of the residual at lam: CHAR_FLOOR |D'| eps (1 + |lam|) on
-        the residual's scale, about what rounding lam to a float moves D by."""
+        the residual's scale, about what rounding lam to a float moves D by;
+        None for a shot without a finite D'."""
+        if self.slope is None:
+            return None
         rounding = config.CHAR_FLOOR * _EPS * (1 + abs(lam))
-        return abs(self.slope) * rounding * math.exp(self.logscale - self.log_sup)
+        floor = abs(self.slope) * rounding * math.exp(self.logscale - self.log_sup)
+        return floor if math.isfinite(floor) else None
+
+    def at_floor(self, lam: complex) -> bool:
+        """Whether the residual is at most its noise floor at lam."""
+        floor = self.floor(lam)
+        return floor is not None and self.residual <= floor
 
 
 @dataclass
@@ -93,7 +102,7 @@ class EigenResult:
     method: str  # "shooting-scan-bracket", "shooting-scan-node" or "shooting-newton"
     message: str = ""
     shots: int = 0  # shots spent on this root past the scan grid
-    floor: float | None = None  # noise floor of the residual, where the shot had a finite D'
+    floor: float | None = None  # noise floor of the residual, None for a node or a D' that is not finite
     # the dense shot at lam, run by ``trajectory`` on first read
     shot: Callable[[], Trajectory] | None = field(default=None, repr=False, compare=False)
 
@@ -171,17 +180,21 @@ def eigenvalues(
     symmetric data).  A grid node where Re D is exactly 0 is itself a
     root.  When max |Im D|/|D| over the grid exceeds
     ``config.SCAN_REAL_TOL`` the scan refuses with a NonRealScanError
-    carrying that ratio.
-    Newton mode takes secant steps from each seed, one shot per iterate,
-    plus one polishing step; non-converged seeds are reported with
-    converged=False, never raised.  Duplicates merge within 1e-8, and a
-    kept root counts the shots of the ones merged into it.
+    carrying that ratio; a scan with hi <= lo raises ValueError.
+    Newton mode takes Newton steps on D/D' from each seed (``_newton``);
+    non-converged seeds are reported with converged=False, never raised.
+    Every refined root is accepted by one rule and keeps its noise floor
+    (``_root``).  Duplicates within 1e-8 merge into the root found first
+    (nodes, bracket roots, then seeds in order), which counts their shots;
+    the roots are then sorted by (Re lambda, Im lambda).
     """
     shoot = partial(characteristic, c, interval, bc, side=side)
     dense = partial(_dense_shot, c, interval, bc, side=side)
     results: list[EigenResult] = []
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
+        if not hi > lo:
+            raise ValueError(f"scan range needs lo < hi, got ({lo:g}, {hi:g})")
         lams = np.linspace(lo, hi, grid)
         vals, scales, nodes = [], [], {}
         for i, t in enumerate(lams):
@@ -209,7 +222,7 @@ def eigenvalues(
     for seed in seeds:
         results.append(_newton(shoot, dense, complex(seed)))
     merged: list[EigenResult] = []
-    for r in sorted(results, key=lambda t: (t.lam.real, t.lam.imag)):
+    for r in results:
         dup = next(
             (
                 m
@@ -223,7 +236,7 @@ def eigenvalues(
             merged.append(r)
         else:
             dup.shots += r.shots
-    return merged
+    return sorted(merged, key=lambda t: (t.lam.real, t.lam.imag))
 
 
 def _bracket_root(shoot, dense, lams, vals, scales):
@@ -238,9 +251,9 @@ def _bracket_root(shoot, dense, lams, vals, scales):
     scan node needs.  The refinement stops when Re D = 0 or when the next
     iterate is this one: a Newton step within that resolution means a
     residual within the noise floor (``CharValue.floor``).  The last
-    iterate is reported with its own shot, converged when its residual is
-    at most CHAR_TOL or at most its noise floor.  A D' that is zero or not
-    finite gives a bisection step, and one that is not finite no floor.
+    iterate is reported with its own shot (``_root``).  A D' that is zero
+    or not finite gives a bisection step, and one that is not finite no
+    floor.
     """
     (lo, hi), (f_lo, f_hi) = map(float, lams), (v.real for v in vals)
     below = f_lo < 0  # the sign of Re D at lo, which stays an end of that sign
@@ -271,52 +284,38 @@ def _bracket_root(shoot, dense, lams, vals, scales):
         if nxt == t:
             break
         last, t = step, nxt
-    floor = cv.floor(t)
-    if not math.isfinite(floor):
-        floor = None
-    ok = cv.residual <= config.CHAR_TOL or (floor is not None and cv.residual <= floor)
-    return EigenResult(
-        lam=complex(t),
-        residual=cv.residual,
-        iterations=it,
-        converged=ok,
-        method="shooting-scan-bracket",
-        message="" if ok else "sign change with a residual above CHAR_TOL and the noise floor",
-        shots=it,
-        floor=floor,
-        shot=partial(dense, t),
-    )
+    return _root(dense, "shooting-scan-bracket", t, cv, it,
+                 "sign change with a residual above CHAR_TOL and the noise floor")
 
 
 def _newton(shoot, dense, seed):
-    """Secant steps on D from ``seed`` and seed + NEWTON_FIRST_STEP * (1 + |seed|),
-    one shot per iterate.  The first iterate to meet CHAR_TOL gets one more
-    step; the better of the last two iterates is reported, converged when
-    its residual meets CHAR_TOL."""
-    lam = seed + config.NEWTON_FIRST_STEP * (1 + abs(seed))
-    prev, cur = (seed, shoot(seed)), (lam, shoot(lam))
-    shots = 2
+    """Newton steps lambda <- lambda - D/D' from ``seed``, one shot with D' per
+    iterate.  The iteration stops when D = 0, when the residual is within
+    its noise floor (``CharValue.floor``), or one step after the first
+    iterate that meets CHAR_TOL; the better of the last two iterates is
+    reported (``_root``).  A D' that is zero or not finite ends it."""
+    lam, prev = seed, None
     message = "no convergence within iteration budget"
     for it in range(1, config.NEWTON_MAX_ITER + 1):
-        (l0, c0), (l1, c1) = prev, cur
-        met = c1.residual <= config.CHAR_TOL
-        # combine at a common scale; nearby lambdas give nearby logscales
-        L = max(c0.logscale, c1.logscale)
-        d0, d1 = (cv.value * math.exp(cv.logscale - L) for cv in (c0, c1))
-        if d1 == d0:
-            message = "flat characteristic (zero derivative)"
+        cv = shoot(lam, derivative=True)
+        if cv.value == 0 or cv.at_floor(lam) or (prev is not None and prev[1].residual <= config.CHAR_TOL):
             break
-        step = d1 * (l1 - l0) / (d1 - d0)
-        lam = l1 - step
-        prev, cur = cur, (lam, shoot(lam))
-        shots += 1
-        if met or abs(step) <= 1e-14 * (1 + abs(lam)):
-            message = "stagnated above tolerance"
+        if not 0 < abs(cv.slope) < math.inf:
+            message = "D' is zero or not finite"
             break
-    lam, cv = min(prev, cur, key=lambda p: p[1].residual)
-    ok = cv.residual <= config.CHAR_TOL
-    return EigenResult(lam=lam, residual=cv.residual, iterations=it, converged=ok, method="shooting-newton",
-                       message="" if ok else message, shots=shots, shot=partial(dense, lam))
+        # value and slope share the shot's logscale
+        prev, lam = (lam, cv), lam - cv.value / cv.slope
+    if prev is not None and prev[1].residual <= cv.residual:
+        lam, cv = prev  # the better of the last two iterates
+    return _root(dense, "shooting-newton", lam, cv, it, message)
+
+
+def _root(dense, method, lam, cv, shots, message):
+    """The root at lam with its shot cv, converged when its residual is at most
+    CHAR_TOL or at most its noise floor; ``message`` says why one is not."""
+    ok = cv.residual <= config.CHAR_TOL or cv.at_floor(lam)
+    return EigenResult(lam=complex(lam), residual=cv.residual, iterations=shots, converged=ok, method=method,
+                       message="" if ok else message, shots=shots, floor=cv.floor(lam), shot=partial(dense, lam))
 
 
 def eigenfunction_residual(

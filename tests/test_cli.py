@@ -440,6 +440,7 @@ def case(name, problem, field, *extra_args):
         case("solve-initial-short", edit(SOLVE, ("params", "initial"), [1]), "params.initial"),
         case("solve-initial-number", edit(SOLVE, ("params", "initial"), 5), "params.initial"),
         case("eig-scan-short", edit(EIG, ("params", "scan"), [1]), "params.scan"),
+        case("eig-scan-descending", edit(EIG, ("params", "scan"), [2, 0.5]), "params.scan"),
         case("eig-seeds-number", edit(EIG, ("params", "seeds"), 5), "params.seeds"),
         case("eig-grid-list", edit(EIG, ("params", "grid"), [3]), "params.grid"),
         case("eig-bc-left-number", edit(EIG, ("params", "bc"), {"left": 5}), "params.bc.left"),

@@ -324,24 +324,58 @@ def test_newton_complex_drift_vs_fd_oracle():
 FREE_SEEDS = [1.03 + 0.2j, 3.9 - 0.15j, 9.2 + 0.1j, 15.6 - 0.2j]
 
 
-def test_newton_roots_are_polished_to_rounding():
-    # the first iterate under CHAR_TOL is still about 1e-10 off the root;
-    # one more secant step brings it to rounding
+def test_newton_roots_reach_rounding():
+    # Newton steps on the exact D' stop at the noise floor or one step
+    # past CHAR_TOL, and every root keeps the floor of its shot
     res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS)
     assert [r.converged for r in res] == [True] * 4
     for n, r in enumerate(res, 1):
         assert abs(r.lam - n * n) <= 1e-14 * n * n
         assert abs(r.lam.imag) <= 1e-14
+        assert math.isfinite(r.floor)
     drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.constant(-1j))
     res = eigenvalues(drift, (0, math.pi), BC, seeds=[2.1, 5.2, 9.8, 17.3])
     assert [r.converged for r in res] == [True] * 4
     for n, r in enumerate(res, 1):
         assert abs(r.lam - (n * n + 1)) <= 1e-14 * (n * n + 1)
+        assert math.isfinite(r.floor)
+
+
+def test_delta_well_seed_is_accepted_at_its_noise_floor():
+    # the complex seed reaches the bound state -1 of the scan test above;
+    # its residual is above CHAR_TOL but within the floor its D' shot gives
+    dw = CoefficientField.delta_well(-2.0)
+    res = eigenvalues(dw, (-20, 20), BC, seeds=[-1.1 + 0.05j])
+    assert len(res) == 1
+    r = res[0]
+    assert r.converged and r.method == "shooting-newton"
+    assert abs(r.lam + 1) <= 1e-15
+    assert spectral.config.CHAR_TOL < r.residual <= r.floor
+    assert r.shots == r.iterations >= 1
+
+
+def test_duplicate_roots_merge_into_the_first_found():
+    # two seeds on the root 4 from either side of the real axis: the first
+    # seed's root is kept, whatever the sign of its imaginary part, and
+    # counts the other's shots
+    for seeds in ([4.2 + 0.3j, 3.9 - 0.2j], [3.9 - 0.2j, 4.2 + 0.3j]):
+        alone = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds[:1])
+        other = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds[1:])
+        (r,) = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds)
+        assert (r.lam, r.iterations) == (alone[0].lam, alone[0].iterations)
+        assert r.shots == alone[0].shots + other[0].shots
+
+
+def test_descending_scan_range_is_refused():
+    # lambda = 1 lies in the range, but a bracket assumes lo < hi
+    for scan in ((1.7, 0.5), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            eigenvalues(FREE, (0, math.pi), BC, scan=scan)
 
 
 def test_newton_spends_one_shot_per_iterate(monkeypatch):
-    # secant steps: two shots to start each seed, then one per iterate;
-    # centred differences took three per iterate, 43 shots here
+    # Newton steps on the exact D': one shot per iterate, the seed's
+    # included (21 shots here); centred differences took 43
     shots = _counting_shots(monkeypatch)
     res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS)
     assert [round(r.lam.real) for r in res if r.converged] == [1, 4, 9, 16]
