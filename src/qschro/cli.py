@@ -267,20 +267,27 @@ PROBE = {"lambda": (_cnum, 0j), "tmax": (_pos, 40.0), "windows": (_list(_pos), (
 
 
 def _bumps(value, field: str) -> tuple:
-    """A list of bump objects, built as one family by ``bumps``.  The first
-    member in list order that cannot be read or built names the field.
+    """A list of bump objects, read in one pass and built as one family by
+    ``bumps``.  The first member in list order that cannot be read or built
+    names the field; a member that cannot be read is read again by
+    ``_obj(BUMP)``, whose message names the bad key.
     """
     if not isinstance(value, list):
         raise ValidationFailure(field, f"expected a list, got {type(value).__name__}")
-    specs, unread = [], None
+    rows, unread = [], None
     for i, v in enumerate(value):
         try:
-            specs.append(_obj(BUMP)(v, f"{field}[{i}]"))
-        except ValidationFailure as exc:
-            unread = exc
-            break
+            if not (isinstance(v, dict) and v.keys() <= BUMP.keys()):
+                raise ValidationFailure(field, "not a bump object")
+            rows.append([kind(v[key], field) if key in v else default for key, (kind, default) in BUMP.items()])
+        except ValidationFailure:
+            try:
+                rows.append(list(_obj(BUMP)(v, f"{field}[{i}]").values()))
+            except ValidationFailure as exc:
+                unread = exc
+                break
     try:
-        family = bumps(*([spec[key] for spec in specs] for key in BUMP))
+        family = bumps(*(zip(*rows) if rows else [()] * len(BUMP)))
     except FamilyMemberError as exc:
         raise ValidationFailure(f"{field}[{exc.index}]", str(exc)) from None
     if unread is not None:

@@ -10,11 +10,16 @@ segment where the system matrix A is constant the state is multiplied by
 the exact exp(hA) in equal sub-steps; on any other it takes Taylor steps
 of order 23 + d from the exact recurrence of the entries of degree d
 (classical high-order Taylor method, Corliss & Chang 1982), each as long
-as Jorba & Zou's rule (2005) allows.  Both are accurate to rounding at
-any lambda, so there is no tolerance to choose.  ``endpoint`` keeps the
-end state and log sup|Y| only, and on request dY/dlambda along the same
-steps; ``integrate`` also records each sub-step or step as a row of
-dense output, the Taylor series of the state on it.
+as Jorba & Zou's rule (2005) allows.  The recurrence of each entry
+shape runs in one function compiled from generated source on first use
+(``_taylor_kernel``), whose later orders read the last coefficients from
+rolling locals instead of summing over reversed lists, with the same
+operations in the same order.  Both kinds of step are accurate to
+rounding at any lambda, so there is no tolerance to choose.
+``endpoint`` keeps the end state and log sup|Y| only, and on request
+dY/dlambda along the same steps; ``integrate`` also records each
+sub-step or step as a row of dense output, the Taylor series of the
+state on it.
 Each system reads its entries' pieces per segment from
 ``ShinZettlSystem.rows``, built once per field and side.
 
@@ -405,6 +410,80 @@ def _jorba_zou(u: list, v: list, window: int, size: float = 1.0) -> float:
     return h
 
 
+def _sum_lines(name: str, coefs: list, terms: list) -> list:
+    """Source lines that set ``name`` to sum(map(mul, coefs, terms)), with
+    the same additions in the same order: 0 + c0*t0 + c1*t1 + ..., carried
+    on to a new line every 32 terms, so that no expression of a wide entry
+    nests deeper than the compiler allows."""
+    products = [f"{c}*{t}" for c, t in zip(coefs, terms)]
+    return [f"{name} = {name if i else 0} + " + " + ".join(products[i:i + 32])
+            for i in range(0, len(products), 32)]
+
+
+def _taylor_source(n11: int, n21: int, n22: int, derivative: bool) -> str:
+    """Source of the Taylor recurrence for entries of n11, n21 and n22
+    coefficients (``_taylor_kernel``).
+
+    It runs the orders k below the widest entry, where ``map`` stops at the
+    shorter operand, as sum(map(mul, a, reversed(u))) over lists, and every
+    later order in one loop over rolling locals u1 = u[k-1], u2 = u[k-2],
+    ..., with the products written out in the order ``sum`` adds them.
+    So every coefficient takes the same operations in the same order as
+    the list form, and the source grows with the window, not with the
+    number of orders.
+    """
+    window = max(n11, n21, n22)
+    reach = max(n11, n21)  # how far back the recurrence reads u (and p)
+    a, b, c = ([f"{x}{j}" for j in range(n)] for x, n in (("A", n11), ("B", n21), ("C", n22)))
+
+    def back(x, n):
+        return [f"{x}{j}" for j in range(1, n + 1)]
+
+    # (Y, Z) series; Z's second row also subtracts u[k-1], read from the
+    # list in the early orders and from the rolling local u1 later
+    pairs = [("u", "v", "", "")] + [("p", "q", " - u[-1]", " - u1")] * derivative
+    names = [x for pair in pairs for x in pair[:2]]
+    src = [f"def taylor(a11, a21, a22, {', '.join(f'{x}0' for x in names)}):",
+           f"    {', '.join(names)} = {', '.join(f'[{x}0]' for x in names)}",
+           f"    for k in range(1, {window}):"]
+    for y, z, tail, _ in pairs:
+        src += [f"        d{y} = {z}[-1] + sum(map(mul, a11, reversed({y})))",
+                f"        d{z} = sum(map(mul, a21, reversed({y}))) + sum(map(mul, a22, reversed({z}))){tail}"]
+    src += [f"        {x}.append(d{x} / k)" for x in names]
+    src += [f"    {', '.join(coefs)}, = {entry}" for coefs, entry in ((a, "a11"), (b, "a21"), (c, "a22"))]
+    lhs, rhs = [], []
+    for y, z, _, tail in pairs:
+        for x, n in ((y, reach), (z, n22)):
+            src.append(f"    {', '.join(back(x, n)[::-1])}, = {x}[-{n}:]")
+        lhs += back(y, reach)[::-1] + back(z, n22)[::-1]
+        rhs += (back(y, reach)[-2::-1] + [f"({z}1 + s{y}) / k"]
+                + back(z, n22)[-2::-1] + [f"(t{y} + t{z}{tail}) / k"])
+    src += [f"    {x}_append = {x}.append" for x in names]
+    src.append(f"    for k in range({window}, {_TAYLOR_ORDER + window - 1}):")
+    for y, z, *_ in pairs:
+        src += ["        " + line for line in _sum_lines(f"s{y}", a, back(y, n11))
+                + _sum_lines(f"t{y}", b, back(y, n21)) + _sum_lines(f"t{z}", c, back(z, n22))]
+    src.append(f"        {', '.join(lhs)} = {', '.join(rhs)}")
+    src += [f"        {x}_append({x}1)" for x in names]
+    src.append(f"    return {', '.join(names)}")
+    return "\n".join(src) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _taylor_kernel(n11: int, n21: int, n22: int, derivative: bool):
+    """The Taylor recurrence of ``_taylor_segment`` for one entry shape,
+    compiled from ``_taylor_source`` on first use.
+
+    kernel(a11, a21, a22, y0, y1) returns the lists (u, v) of the Taylor
+    coefficients Y_0..Y_order of the state from the re-centred rows;
+    with ``derivative`` it takes z0, z1 as well and also returns (p, q),
+    those of Z = dY/dlambda.
+    """
+    namespace = {"mul": mul}
+    exec(compile(_taylor_source(n11, n21, n22, derivative), "<taylor kernel>", "exec"), namespace)
+    return namespace["taylor"]
+
+
 def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     """Cross a segment with polynomial entries by Taylor steps.
 
@@ -412,10 +491,11 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     At each step start x the rows are re-centred at x, and the Taylor
     coefficients of the state scaled to unit size follow from
     (k+1) Y_{k+1} = sum_{j<=d} A_j Y_{k-j} with a12 = 1, up to order
-    _TAYLOR_ORDER + d - 1.  The step is ``_jorba_zou``'s over the last
-    d + 1 orders, the reach of the recurrence, so that a sparse series (a
-    monomial entry re-centred at its center) is never read as ended; it is
-    clipped to the segment end.  A step below h_floor, or a coefficient,
+    _TAYLOR_ORDER + d - 1, by the kernel of the rows' shape
+    (``_taylor_kernel``, with the bits of sums over lists).  The step is
+    ``_jorba_zou``'s over the last d + 1 orders, the reach of the
+    recurrence, so that a sparse series (a monomial entry re-centred at
+    its center) is never read as ended; it is clipped to the segment end.  A step below h_floor, or a coefficient,
     step or state that is not finite, raises StepUnderflowError with the
     state at x.  log|Y| is sampled at the segment start and at every step
     end and midpoint, the points ``Trajectory.log_sup`` samples; the state
@@ -435,6 +515,7 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     window = max(len(p11), len(p21), len(p22))
     order = _TAYLOR_ORDER + window - 2
     y0, y1, *z = y
+    series = _taylor_kernel(len(p11), len(p21), len(p22), bool(z))
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
@@ -442,21 +523,10 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     steps = None if out is None else []
     while m > 0 and (xb - x) * direction > 0:
         a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
-        u, v = [y0 / m], [y1 / m]
-        for k in range(1, order + 1):
-            du = v[-1] + sum(map(mul, a11, reversed(u)))
-            dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
-            u.append(du / k)
-            v.append(dv / k)
-        if z:
-            p, q = [z[0] / m], [z[1] / m]
-            for k in range(1, order + 1):
-                dp = q[-1] + sum(map(mul, a11, reversed(p)))
-                dq = sum(map(mul, a21, reversed(p))) + sum(map(mul, a22, reversed(q))) - u[k - 1]
-                p.append(dp / k)
-                q.append(dq / k)
+        u, v, *pq = series(a11, a21, a22, y0 / m, y1 / m, *(t / m for t in z))
         h = _jorba_zou(u, v, window)
         if z:
+            p, q = pq
             hz = _jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))
             h = min(h, hz) if hz > 0 else h
         if not h >= h_floor:

@@ -512,6 +512,24 @@ def test_form_tests_name_their_first_bad_member(tmp_path, capsys, tests, said):
     assert capsys.readouterr().err == f"validation error: {said}\n"
 
 
+def test_bump_family_reads_each_member_as_the_object_reader_does():
+    # the one-pass reader of params.tests gives the family that reading
+    # every member by _obj(BUMP) gives: defaults, integers and decimal strings
+    import numpy as np
+
+    from qschro import cli
+    from qschro.coeffs import bumps
+
+    tests = [{}, {"center": "0.5"}, {"plateau": 0, "ramp": 2}, {"center": -3, "plateau": 1.5, "ramp": "0.25"}]
+    specs = [cli._obj(cli.BUMP)(t, f"params.tests[{i}]") for i, t in enumerate(tests)]
+    want = bumps(*([spec[key] for spec in specs] for key in cli.BUMP))
+    got = cli._bumps(tests, "params.tests")
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        for name in ("breakpoints", "centers", "coeffs"):
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+
+
 def test_parser_is_built_once_and_a_refused_call_leaves_it_as_it_was(tmp_path, capsys):
     from qschro import cli
 

@@ -1,8 +1,10 @@
 """Integrator contract: accuracy, dense output, jumps, rescaling."""
 
 import bisect
+import itertools
 import cmath
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -591,3 +593,237 @@ def test_recentred_is_the_array_shift_on_one_row():
         got = np.array(propagate._recentred(list(row), d), dtype=complex)
         want = _shift_rows(row[None], np.array([d]))[0]
         assert np.array_equal(got.view(float), want.view(float))
+
+
+# ----------------------------------------------------------------------
+# the Taylor recurrence: one generated kernel per entry shape, the bits of
+# the list loops it replaced
+
+
+def _list_recurrence(a11, a21, a22, y0, y1, z=None):
+    """The two list loops of the recurrence as ``_taylor_segment`` ran them
+    before its kernels, verbatim: the reference of the kernels' bits."""
+    window = max(len(a11), len(a21), len(a22))
+    order = propagate._TAYLOR_ORDER + window - 2
+    u, v = [y0], [y1]
+    for k in range(1, order + 1):
+        du = v[-1] + sum(map(mul, a11, reversed(u)))
+        dv = sum(map(mul, a21, reversed(u))) + sum(map(mul, a22, reversed(v)))
+        u.append(du / k)
+        v.append(dv / k)
+    if z is None:
+        return u, v
+    p, q = [z[0]], [z[1]]
+    for k in range(1, order + 1):
+        dp = q[-1] + sum(map(mul, a11, reversed(p)))
+        dq = sum(map(mul, a21, reversed(p))) + sum(map(mul, a22, reversed(q))) - u[k - 1]
+        p.append(dp / k)
+        q.append(dq / k)
+    return u, v, p, q
+
+
+def _list_taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
+    """``_taylor_segment`` as it ran with the list loops (``_list_recurrence``)."""
+    (c11, p11), (c21, p21), (c22, p22) = rows
+    p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
+    window = max(len(p11), len(p21), len(p22))
+    order = propagate._TAYLOR_ORDER + window - 2
+    y0, y1, *z = y
+    m = max(abs(y0), abs(y1))
+    direction = 1.0 if xb > xa else -1.0
+    peak = m
+    x = xa
+    steps = None if out is None else []
+    while m > 0 and (xb - x) * direction > 0:
+        a11, a21, a22 = (propagate._recentred(p11, x - c11), propagate._recentred(p21, x - c21),
+                         propagate._recentred(p22, x - c22))
+        u, v, *pq = _list_recurrence(a11, a21, a22, y0 / m, y1 / m, [z[0] / m, z[1] / m] if z else None)
+        h = propagate._jorba_zou(u, v, window)
+        if z:
+            p, q = pq
+            hz = propagate._jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))
+            h = min(h, hz) if hz > 0 else h
+        if not h >= h_floor:
+            raise StepUnderflowError(x, direction * h, y0, y1, ls)
+        rest = (xb - x) * direction
+        last = h >= rest
+        h = direction * (rest if last else h)
+        hm = 0.5 * h
+        e0 = e1 = f0 = f1 = 0j
+        for a, b in zip(reversed(u), reversed(v)):
+            e0, e1, f0, f1 = e0 * h + a, e1 * h + b, f0 * hm + a, f1 * hm + b
+        if not abs(e0) + abs(e1) + abs(f0) + abs(f1) < math.inf:
+            raise StepUnderflowError(x, h, y0, y1, ls)
+        if steps is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coef = np.array([u, v]).T * (m * h ** np.arange(order + 1))[:, None]
+            if not np.isfinite(coef).all():
+                raise StepUnderflowError(x, h, y0, y1, ls)
+            steps.append((x, h, coef, ls))
+        if z:
+            g0 = g1 = 0j
+            for a, b in zip(reversed(p), reversed(q)):
+                g0, g1 = g0 * h + a, g1 * h + b
+            z = [m * g0, m * g1]
+        mid = m * max(abs(f0), abs(f1))
+        y0, y1 = m * e0, m * e1
+        m = max(abs(y0), abs(y1))
+        x = xb if last else x + h
+        peak = max(peak, mid, m)
+        if m > propagate.RESCALE_THRESHOLD:
+            sup = max(sup, math.log(peak) + ls)
+            z = [t / m for t in z]
+            y0, y1, ls, peak, m = y0 / m, y1 / m, ls + math.log(m), 1.0, 1.0
+    if steps is not None:
+        if x != xb:
+            steps.append((x, xb - x, np.zeros((order + 1, 2)), ls))
+        out.append(tuple(map(np.array, zip(*steps))))
+    return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+
+
+def _same_bits(got, want):
+    # bit patterns, so that -0.0 is not 0.0; any nan matches any nan
+    got, want = (np.asarray(x, dtype=complex).view(float) for x in (got, want))
+    return got.shape == want.shape and bool(np.all((got.view(np.uint64) == want.view(np.uint64))
+                                                   | (np.isnan(got) & np.isnan(want))))
+
+
+def _kernel_inputs(rng, shape):
+    """Rows of the given lengths and a start state: random complex values,
+    with -0.0 parts, zero rows, and an inf and a nan coefficient."""
+    def draw(n):
+        return [complex(*rng.standard_normal(2)) for _ in range(n)]
+
+    rows, start = [draw(n) for n in shape], draw(4)
+    yield rows, start
+    signed = [[complex(-0.0 if i % 2 else t.real, -0.0 if i % 3 else t.imag) for i, t in enumerate(r)]
+              for r in rows]
+    yield signed, [complex(-0.0, t.imag) for t in start]
+    yield [[0j] * n for n in shape], start
+    # -0.0 + -0.0 is -0.0 and survives the division by k below; a sum
+    # that starts at 0 turns it to +0.0
+    yield [[complex(-0.0, 0.0)] * n for n in shape], [1 + 1j, complex(-0.0, -1.0)] * 2
+    wild = [list(r) for r in rows]
+    wild[0][-1], wild[1][0] = complex(math.inf, 1.0), complex(0.5, math.nan)
+    yield wild, start
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_taylor_kernel_is_the_list_recurrence_bit_for_bit(derivative):
+    rng = np.random.default_rng(21)
+    for shape in itertools.product(range(1, 6), repeat=3):
+        kernel = propagate._taylor_kernel(*shape, derivative)
+        for rows, start in _kernel_inputs(rng, shape):
+            z = start[2:] if derivative else None
+            want = _list_recurrence(*rows, *start[:2], z)
+            got = kernel(*rows, *start[:2], *(z or ()))
+            assert len(got) == len(want)
+            assert all(_same_bits(g, w) for g, w in zip(got, want)), (shape, rows, start)
+
+
+def _degree_8_field():
+    rng = np.random.default_rng(8)
+
+    def poly():
+        return PiecewisePoly([-0.5], [0.3 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+                                      for _ in range(2)])
+
+    return CoefficientField(poly(), poly(), poly())
+
+
+def _corpus_field(rng):
+    # the recipe of acceptance criterion 03: linear s, jumpy linear Q and r
+    def poly(jumpy):
+        nbp = int(rng.integers(1, 3)) if jumpy else 0
+        bps = np.sort(rng.uniform(-4, 4, nbp))
+        while len(bps) > 1 and np.min(np.diff(bps)) < 0.3:
+            bps = np.sort(rng.uniform(-4, 4, nbp))
+        return PiecewisePoly(bps, [0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                                   for _ in range(nbp + 1)])
+
+    return CoefficientField(poly(False), poly(True), poly(True))
+
+
+_CORPUS = np.random.default_rng(20240803)
+_KERNEL_FIELDS = [
+    (IX, 12.0, 0.0, math.pi),
+    (CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly([], [[0, -1j]])),
+     3.0 - 1.0j, -2.0, 2.0),
+    (_corpus_field(_CORPUS), 0.7 + 0.4j, -5.0, 5.0),
+    (_corpus_field(_CORPUS), -1.2 + 0.9j, 5.0, -5.0),
+    (_degree_8_field(), 2.0 - 0.5j, -1.0, 1.0),
+]
+
+
+def _both_segments(monkeypatch, run):
+    """run() with the kernels and then with the list loops."""
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(propagate, "_taylor_segment", _list_taylor_segment)
+        want = run()
+    return got, want
+
+
+def _state_bits(s):
+    return [s.x, s.y0, s.y1, s.logscale]
+
+
+@pytest.mark.parametrize("field, lam, a, b", _KERNEL_FIELDS,
+                         ids=["s=ix", "r=-ix", "corpus-0", "corpus-1-backward", "degree-8"])
+def test_shots_and_rows_keep_the_bits_of_the_list_recurrence(monkeypatch, field, lam, a, b):
+    sys = assemble(field, "direct", lam)
+    start = QuasiState(a, 0.3 - 0.1j, 1.0)
+    for derivative in (False, True):
+        got, want = _both_segments(monkeypatch, lambda: endpoint(sys, start, b, derivative=derivative))
+        assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
+                          [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
+    got, want = _both_segments(monkeypatch, lambda: integrate(sys, start, b).steps)
+    assert len(got) > 1 and got.dtype == want.dtype
+    assert all(_same_bits(got[k], want[k]) for k in got.dtype.names)
+
+
+def test_degree_100_entries_shoot_through_a_kernel_of_o_window_lines(monkeypatch):
+    # degree_cap 100: r of degree 100 makes a21 = s - G1 G2 of degree 200;
+    # every sum of its kernel stays flat, so it compiles and keeps the bits
+    r = PiecewisePoly([], [[0.0] * 100 + [1e-3j]], degree_cap=100)
+    field = CoefficientField(PiecewisePoly([], [[0.0, 1.0]]), PiecewisePoly.zero(), r)
+    sys = assemble(field, "direct", 1.0 + 0.5j)
+    assert [len(p) for _, p in sys.rows[0]] == [101, 201, 101]
+    got, want = _both_segments(
+        monkeypatch, lambda: endpoint(sys, QuasiState(0.0, 1.0, 0.2j), 1.0, derivative=True))
+    assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
+                      [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
+    for shape, window in (((1, 2, 1), 2), ((101, 201, 101), 201)):
+        lines = propagate._taylor_source(*shape, True).splitlines()
+        assert len(lines) <= 40 + window // 4
+    # a sum of 3001 products: past the compiler's nesting limit for one
+    # expression, still one flat statement per 32 terms
+    compile(propagate._taylor_source(1, 3001, 1, False), "<taylor kernel>", "exec")
+
+
+def test_a_scan_builds_one_kernel_per_shape_on_first_use():
+    from qschro import spectral
+    from qschro.errors import NonRealScanError
+
+    propagate._taylor_kernel.cache_clear()
+    with pytest.raises(NonRealScanError):
+        spectral.eigenvalues(IX, (0, math.pi), spectral.BoundaryCondition.dirichlet(), scan=(0.5, 12), grid=40)
+    info = propagate._taylor_kernel.cache_info()
+    assert info.misses == info.currsize <= 2  # (1, 2, 1), with and without dY/dlambda
+    assert info.hits + info.misses >= 40  # one look-up per shot of the scan
+
+
+def test_importing_the_cli_builds_no_kernel():
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    code = ("import json, qschro.cli\n"
+            "from qschro.propagate import _taylor_kernel\n"
+            "print(json.dumps(_taylor_kernel.cache_info().misses))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == 0
