@@ -408,8 +408,9 @@ class Report:
     def table(self, name: str, header, rows, source: str):
         self.lines.append(f"[table {name}]  (source: {source})")
         self.lines.append(",".join(header))
+        cell = _CELL.get
         for row in rows:
-            self.lines.append(",".join(_fmt(v) for v in row))
+            self.lines.append(",".join([cell(type(v), _fmt)(v) for v in row]))
         self.lines.append("[/table]")
 
     def verdict(self, verdict: str):
@@ -436,6 +437,11 @@ def _fmt(v) -> str:
     if v is None:
         return "none"
     return str(v)
+
+
+# the formatter of a table cell by its exact type, _fmt for every other;
+# repr is what _fmt gives a float or an int
+_CELL = {float: repr, int: repr}
 
 
 def _report_condition(rep: Report, label: str, cond):

@@ -279,11 +279,12 @@ class PiecewisePoly:
         Horner's rule on a degree-n row is within 2n eps p~ of the exact
         value, p~ the row with absolute coefficients at |x - center|
         (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).
-        Where its terms cancel, p~ > 2 |value| at some x, all values are
+        At each x where its terms cancel, p~ > 2 |value|, the value is
         recomputed by compensated Horner (Graillat, Langlois & Louvet
         2005), as accurate as Horner's rule in twice the working precision:
         within eps |value| + (2n eps)^2 p~, the rounding of x - center
-        corrected to first order.
+        corrected to first order.  The choice is made per point, so each
+        point's value and bound have the same bits in any array.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
@@ -292,11 +293,11 @@ class PiecewisePoly:
         t = flat - centers
         value, size = _dense(rows, t), _dense(np.abs(rows), np.abs(t))
         gamma = 2 * self.degree * _EPS
-        if np.all(size <= 2 * np.abs(value)):
-            bound = gamma * size
-        else:
-            value = _compensated_horner(rows, flat, centers)
-            bound = _EPS * np.abs(value) + gamma**2 * size
+        bound = gamma * size
+        cancel = ~(size <= 2 * np.abs(value))
+        if cancel.any():
+            value[cancel] = _compensated_horner(rows[cancel], flat[cancel], centers[cancel])
+            bound[cancel] = _EPS * np.abs(value[cancel]) + gamma**2 * size[cancel]
         return value.reshape(xs.shape), bound.reshape(xs.shape)
 
     @property

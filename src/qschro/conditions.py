@@ -55,24 +55,47 @@ _EPS = float(np.finfo(float).eps)
 _RHO_INVERSE_ITER = 100
 
 
-def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
-    """int_a^b dx/m(x) by adaptive Gauss-Legendre, split at breakpoints.
+def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
+    """int_a^b dx/m(x) for every (a, b) of ``ends``, by one adaptive
+    Gauss-Legendre pass split at breakpoints.
 
-    1/m is smooth on each region of m (m >= 1 there), so each region starts
-    as one panel of 16 nodes, and every panel whose two halves do not agree
-    with it is halved, all panels of one level in one batch.  They agree
-    when they differ by at most 1e-15 relative plus the rounding error of
-    1/m in the three sums (the bound of ``PiecewisePoly.sample_bounded``
-    over m^2 at each node), which no halving lowers.  Once 4096 panels
-    have been evaluated, the open ones are accepted as they are.  The
-    accepted halves are summed exactly (``math.fsum``).
+    1/m is smooth on each region of m (m >= 1 there), so each region of
+    each integral starts as one panel of 16 nodes, and every panel whose
+    two halves do not agree with it is halved.  The panels of all
+    integrals sit in flat arrays tagged with their integral, and each level
+    of halving samples m once over every open panel.  A panel agrees with
+    its halves when they differ by at most 1e-15 relative plus the rounding
+    error of 1/m in the three sums (the bound of
+    ``PiecewisePoly.sample_bounded`` over m^2 at each node), which no
+    halving lowers.  Once an integral has evaluated 4096 panels, its open
+    ones are accepted as they are; other integrals keep their own budget.
+    The accepted halves of each integral are summed exactly
+    (``math.fsum``); b < a gives minus the integral over [b, a].
+
+    A panel's sums are row reductions, ``(inv * weights).sum(axis=1)``,
+    whose bits depend on that row alone.  A matrix-vector product (``@``)
+    goes through BLAS, whose blocking depends on the number and alignment
+    of the rows, so a panel's sum would change with the other panels of
+    its level; with row reductions, and ``sample_bounded`` deciding per
+    point, every integral has the same bits alone or in any batch.
     """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    cuts = np.array([a] + [float(t) for t in m.breakpoints if a < t < b] + [b])
+    ends = np.asarray(ends, dtype=float).reshape(-1, 2)
+    lo, hi = ends[:, 0], ends[:, 1]
+    flip = lo > hi
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    # the regions of m inside each (lo, hi), the breakpoints strictly between
+    bps = m.breakpoints
+    first = np.searchsorted(bps, lo, side="right")
+    inner = np.where(lo < hi, np.searchsorted(bps, hi, side="left") - first, 0)
+    count = np.where(lo == hi, 0, inner + 1)
+    tag = np.repeat(np.arange(len(ends)), count)
+    j = np.arange(len(tag)) - np.repeat(np.cumsum(count) - count, count)
+    k = first[tag] + j
+    padded = np.append(bps, 0.0)
+    lo, hi = (
+        np.where(j == 0, lo[tag], padded[k - 1]),
+        np.where(j == inner[tag], hi[tag], padded[k]),
+    )
     nodes, weights = _gauss_legendre(_INV_M_NODES)
 
     def panel_sums(lo, hi):
@@ -80,26 +103,39 @@ def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
         xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
         vals, bound = m.sample_bounded(xs)
         inv = 1.0 / vals
-        return half * (inv @ weights), half * ((bound * inv**2) @ weights)
+        return half * (inv * weights).sum(axis=1), half * (bound * inv**2 * weights).sum(axis=1)
 
-    lo, hi = cuts[:-1], cuts[1:]
     whole, noise = panel_sums(lo, hi)
-    parts, evaluated = [], len(lo)
-    while True:
-        # the left halves of all panels, then their right halves
+    evaluated = np.bincount(tag, minlength=len(ends))
+    parts, part_tags = [np.zeros(0)], [tag[:0]]
+    while len(lo):
+        # the left halves of all open panels, then their right halves
         n, mid = len(lo), 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        lo, hi, tag = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([tag, tag])
         sums, noises = panel_sums(lo, hi)
-        evaluated += 2 * n
+        evaluated += np.bincount(tag, minlength=len(ends))
         halves = sums[:n] + sums[n:]
         done = np.abs(halves - whole) <= _INV_M_RTOL * halves + noise + noises[:n] + noises[n:]
-        if evaluated + 4 * (~done).sum() > _INV_M_PANELS:
-            done[:] = True
-        parts.extend(sums[np.concatenate([done, done])].tolist())
-        if done.all():
-            return sign * math.fsum(parts)
+        spent = evaluated + 4 * np.bincount(tag[:n][~done], minlength=len(ends)) > _INV_M_PANELS
+        done |= spent[tag[:n]]
         keep = np.concatenate([~done, ~done])
-        lo, hi, whole, noise = lo[keep], hi[keep], sums[keep], noises[keep]
+        parts.append(sums[~keep])
+        part_tags.append(tag[~keep])
+        lo, hi, tag, whole, noise = lo[keep], hi[keep], tag[keep], sums[keep], noises[keep]
+    tags = np.concatenate(part_tags)
+    flat = np.concatenate(parts)[np.argsort(tags, kind="stable")].tolist()
+    stops = np.cumsum(np.bincount(tags, minlength=len(ends))).tolist()
+    out, start = [], 0
+    for stop, minus in zip(stops, flip.tolist()):
+        total = math.fsum(flat[start:stop])
+        out.append(-total if minus else total)
+        start = stop
+    return out
+
+
+def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
+    """int_a^b dx/m(x), one integral of ``_inv_m_integrals``."""
+    return _inv_m_integrals(m, [(a, b)])[0]
 
 
 def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
@@ -121,27 +157,27 @@ def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
             witnesses={"witness_x": x_at, "witness_value": val},
             notes=("m(x) < 1 inside the horizon",),
         )
-    ladder = [X * 0.5**k for k in range(7, -1, -1)]
-    tables = {}
-    deltas = {}
-    for side, sgn in (("right", 1.0), ("left", -1.0)):
-        rows = []
-        acc = 0.0
-        prev = 0.0
-        for T in ladder:
-            # the last increment, from X/2 to X, is the outer half
-            half = abs(_inv_m_integral(w.m, sgn * prev, sgn * T))
-            acc += half
-            rows.append((T, acc))
-            prev = T
-        tables[f"partial_integrals_{side}"] = rows
-        deltas[side] = (half, acc)
-    probes = {}
+    probe_points = [float(T) for T in probe_points]
     for T in probe_points:
-        T = float(T)
         if abs(T) > X:
             raise ValueError(f"probe point {T} outside horizon {X}")
-        probes[T] = _inv_m_integral(w.m, 0.0, T)
+    ladder = [X * 0.5**k for k in range(7, -1, -1)]
+    sides = (("right", 1.0), ("left", -1.0))
+    steps = [(sgn * prev, sgn * T) for _, sgn in sides for prev, T in zip([0.0] + ladder, ladder)]
+    integrals = _inv_m_integrals(w.m, steps + [(0.0, T) for T in probe_points])
+    tables = {}
+    deltas = {}
+    for s, (side, _) in enumerate(sides):
+        rows = []
+        acc = 0.0
+        for T, step in zip(ladder, integrals[s * len(ladder) : (s + 1) * len(ladder)]):
+            # the last increment, from X/2 to X, is the outer half
+            half = abs(step)
+            acc += half
+            rows.append((T, acc))
+        tables[f"partial_integrals_{side}"] = rows
+        deltas[side] = (half, acc)
+    probes = dict(zip(probe_points, integrals[len(steps) :]))
     diverging = all(
         half >= config.DIVERGENCE_MARGIN_FRACTION * total for half, total in deltas.values()
     )
@@ -261,7 +297,7 @@ class RhoMap:
             raise ValueError(f"x={x} outside the tabulated horizon {self.horizon}")
         i = int(np.searchsorted(self.xs, x, side="right")) - 1
         i = max(0, min(i, len(self.xs) - 1))
-        return float(self.vals[i]) + _inv_m_integral(self.m, float(self.xs[i]), x)
+        return float(self.vals[i]) + _inv_m_integrals(self.m, [(float(self.xs[i]), x)])[0]
 
     def inverse(self, y: float) -> float:
         if y < self.vals[0] - 1e-12 or y > self.vals[-1] + 1e-12:
@@ -311,11 +347,12 @@ def build_rho(w: WeightFunction) -> RhoMap:
     xs = np.asarray(sorted(nodes))
     vals = np.zeros(len(xs))
     i0 = int(np.searchsorted(xs, 0.0))
+    *cells, to_zero = _inv_m_integrals(w.m, list(zip(xs[:-1], xs[1:])) + [(xs[i0], 0.0)])
     for i in range(i0, len(xs) - 1):
-        vals[i + 1] = vals[i] + _inv_m_integral(w.m, float(xs[i]), float(xs[i + 1]))
+        vals[i + 1] = vals[i] + cells[i]
     for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - _inv_m_integral(w.m, float(xs[i]), float(xs[i + 1]))
-    anchor = vals[i0] - _inv_m_integral(w.m, float(xs[i0]), 0.0)
+        vals[i] = vals[i + 1] - cells[i]
+    anchor = vals[i0] - to_zero
     vals -= anchor
     return RhoMap(m=w.m, horizon=X, xs=xs, vals=vals)
 

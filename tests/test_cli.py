@@ -649,3 +649,19 @@ def test_readme_tables_list_the_params_keys():
         section = readme.split(f"\n\n`{task}`", 1)[1].split("\n\n", 2)[1]
         keys = {k.strip(" `") for row in section.splitlines()[2:] for k in row.split("|")[1].split(",")}
         assert keys == set(spec), task
+
+
+def test_table_cells_are_formatted_as_fmt_formats_them():
+    import numpy as np
+
+    from qschro.cli import Report, _fmt
+
+    row = [
+        True, False, np.bool_(True), np.bool_(False), np.float64(0.1), np.float64(-0.0),
+        np.int64(-7), -0.0, math.nan, math.inf, -math.inf, complex(1.5, 0.0), complex(0.5, -2.0),
+        np.complex128(3.0), None, "left", 2.5, 10**20, 0,
+    ]
+    rep = Report("form")
+    rep.table("cells", [f"c{i}" for i in range(len(row))], [row, row[::-1]], source="test")
+    assert rep.lines[-3:-1] == [",".join(map(_fmt, row)), ",".join(map(_fmt, row[::-1]))]
+    assert rep.lines[-3].split(",")[:2] == ["true", "false"]

@@ -593,3 +593,23 @@ def test_product_rule_factors_re_centre_u_once(monkeypatch):
     ddphi * u
     dphi * u
     assert widths and u.coeffs.shape[1] not in widths  # only the factors' rows moved
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        # cancels near x = 500 only, so an array mixes both kinds of point
+        (PiecewisePoly([], [[250001.0, -1000.0, 1.0]]), -1000.0, 2000.0),
+        # no cancellation anywhere
+        (PiecewisePoly([0.0], [[2.0, -1.5], [2.0, 1.5]]), -50.0, 50.0),
+    ],
+)
+def test_sample_bounded_gives_each_point_its_own_bits(f, lo, hi):
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([rng.uniform(lo, hi, 100), rng.uniform(499.0, 501.0, 20)])
+    vals, bound = f.sample_bounded(xs)
+    grid, grid_bound = f.sample_bounded(xs.reshape(6, 20))
+    assert np.array_equal(grid.ravel(), vals) and np.array_equal(grid_bound.ravel(), bound)
+    for i, x in enumerate(xs):
+        one, one_bound = f.sample_bounded(xs[i : i + 1])
+        assert one[0].hex() == vals[i].hex() and one_bound[0].hex() == bound[i].hex()

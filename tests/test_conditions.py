@@ -337,3 +337,139 @@ def test_energy_inequality_audit_normalized_instance():
         rhs = ((dphi * dphi) * vv).integrate(lo, hi).real
         rhs += 2.0 * ((c.r1 * dphi * phi) * vv).integrate(lo, hi).real
         assert lhs <= rhs * (1 + 1e-9)
+
+
+def _loop_inv_m_integral(m, a, b):
+    """The per-integral loop that ``_inv_m_integrals`` replaced, verbatim
+    apart from its name and the imports it needs."""
+    from qschro.conditions import _INV_M_NODES, _INV_M_PANELS, _INV_M_RTOL
+    from qschro.propagate import _gauss_legendre
+
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -1.0
+    cuts = np.array([a] + [float(t) for t in m.breakpoints if a < t < b] + [b])
+    nodes, weights = _gauss_legendre(_INV_M_NODES)
+
+    def panel_sums(lo, hi):
+        half = 0.5 * (hi - lo)
+        xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+        vals, bound = m.sample_bounded(xs)
+        inv = 1.0 / vals
+        return half * (inv @ weights), half * ((bound * inv**2) @ weights)
+
+    lo, hi = cuts[:-1], cuts[1:]
+    whole, noise = panel_sums(lo, hi)
+    parts, evaluated = [], len(lo)
+    while True:
+        # the left halves of all panels, then their right halves
+        n, mid = len(lo), 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        sums, noises = panel_sums(lo, hi)
+        evaluated += 2 * n
+        halves = sums[:n] + sums[n:]
+        done = np.abs(halves - whole) <= _INV_M_RTOL * halves + noise + noises[:n] + noises[n:]
+        if evaluated + 4 * (~done).sum() > _INV_M_PANELS:
+            done[:] = True
+        parts.extend(sums[np.concatenate([done, done])].tolist())
+        if done.all():
+            return sign * math.fsum(parts)
+        keep = np.concatenate([~done, ~done])
+        lo, hi, whole, noise = lo[keep], hi[keep], sums[keep], noises[keep]
+
+
+# weights and intervals for the batch: linear, quadratic and piecewise m,
+# the cancelling hump, breakpoints inside an interval, a > b and a == b
+BATCH_CASES = [
+    (
+        PiecewisePoly.from_coeffs([3.0, 0.25]),
+        [(-4.0, 100.0), (0.0, 1.0), (7.5, 2.5), (5.0, 5.0), (-4.0, -3.9)],
+    ),
+    (
+        PiecewisePoly.from_coeffs([1.0, 0.0, 1.7191]),
+        [(0.0, 714701.1779933694), (-0.5, 0.5), (60.0, -60.0), (0.0, 0.0), (1e-3, 2e-3)],
+    ),
+    (
+        M_ABS,
+        [(-60.0, 0.0), (0.0, 60.0), (-60.0, 60.0), (60.0, -60.0), (-0.0, -7.5), (0.0, 0.0), (-1e6, 1e6)],
+    ),
+    (
+        PiecewisePoly([-2.0, 0.5, 3.0], [[2.0, -1.0], [4.0, 0.0, 1.0], [4.25, 0.0, 0.0, 1.0], [31.25]]),
+        [(-5.0, 5.0), (-2.0, 0.5), (0.5, -2.0), (-2.0, -2.0), (0.5, 3.0), (-10.0, -2.0), (1.0, 2.0)],
+    ),
+    (
+        HUMP,
+        # its terms cancel on about (86, 2914) only
+        [(0.0, 1000.0), (-1000.0, 0.0), (499.5, 500.5), (1000.0, 0.0), (500.0, 500.0), (0.0, 612.5),
+         (-1000.0, 50.0), (3000.0, 5000.0)],
+    ),
+]
+
+
+@pytest.mark.parametrize("m, ends", BATCH_CASES)
+def test_inverse_weight_integrals_have_the_bits_of_each_integral_alone(m, ends):
+    from qschro.conditions import _inv_m_integral, _inv_m_integrals
+
+    solo = [_inv_m_integrals(m, [e])[0].hex() for e in ends]
+    assert [v.hex() for v in _inv_m_integrals(m, ends)] == solo
+    assert [_inv_m_integral(m, *e).hex() for e in ends] == solo
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        pick = rng.choice(len(ends), size=int(rng.integers(1, 2 * len(ends))))
+        got = _inv_m_integrals(m, [ends[i] for i in pick])
+        assert [v.hex() for v in got] == [solo[i] for i in pick]
+    assert _inv_m_integrals(m, []) == []
+
+
+@pytest.mark.parametrize("m, ends", BATCH_CASES)
+def test_inverse_weight_integrals_match_the_per_integral_loop(m, ends):
+    from qschro.conditions import _inv_m_integrals
+
+    for (a, b), got in zip(ends, _inv_m_integrals(m, ends)):
+        want = _loop_inv_m_integral(m, a, b)
+        if a == b:
+            assert got == want == 0.0
+        else:
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) == math.copysign(1.0, b - a)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_inverse_weight_integrals_keep_a_panel_budget_each(monkeypatch):
+    # values on [0, 10] noisier than their bound never let a panel agree
+    # with its halves; that integral stops at its own 4096 panels, and the
+    # smooth integrals beside it keep their panels and their bits (the
+    # second halves 20 levels deep, past the level where the noisy one stops)
+    from qschro import conditions
+
+    m = PiecewisePoly.from_coeffs([1.0, 0.0, 1.0])
+    smooth = [(20.0, 30.0), (-1e6, -1.0)]
+    alone = [conditions._inv_m_integral(m, *e) for e in smooth]
+    rng = np.random.default_rng(3)
+    sample = PiecewisePoly.sample_bounded
+    nodes = {"noisy": 0, "smooth": 0}
+
+    def noisy(self, xs, side="right"):
+        vals, bound = sample(self, xs, side)
+        inside = (xs >= 0.0) & (xs <= 10.0)
+        nodes["noisy"] += int(inside.sum())
+        nodes["smooth"] += int((~inside).sum())
+        shake = 1 + 1e-12 * rng.standard_normal(vals.shape)
+        return np.where(inside, vals * shake, vals), np.where(inside, 0.0, bound)
+
+    monkeypatch.setattr(PiecewisePoly, "sample_bounded", noisy)
+    for e in smooth:
+        conditions._inv_m_integrals(m, [e])
+    used_alone, nodes["smooth"] = nodes["smooth"], 0
+    got = conditions._inv_m_integrals(m, [smooth[0], (0.0, 10.0), smooth[1]])
+    assert abs(got[1] - math.atan(10.0)) <= 1e-11
+    assert nodes["noisy"] <= 16 * conditions._INV_M_PANELS
+    assert nodes["noisy"] > 16 * conditions._INV_M_PANELS // 2
+    assert nodes["smooth"] == used_alone
+    assert [got[0], got[2]] == alone
+    # two noisy integrals in one batch: each stops at its own budget
+    nodes["noisy"] = 0
+    got = conditions._inv_m_integrals(m, [(0.0, 10.0), (10.0, 0.0)])
+    assert abs(got[0] - math.atan(10.0)) <= 1e-11 and abs(got[1] + math.atan(10.0)) <= 1e-11
+    assert nodes["noisy"] <= 2 * 16 * conditions._INV_M_PANELS
