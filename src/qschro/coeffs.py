@@ -191,6 +191,14 @@ class PiecewisePoly:
         for row in rows:
             if degree_cap is not None and len(row) - 1 > degree_cap:
                 raise ValueError(f"piece degree {len(row) - 1} exceeds cap {degree_cap}")
+        # a merge keeps one point of a close pair: the region between them
+        # would be lost unless it and both sides are one polynomial
+        for i in _close_pairs(bp).nonzero()[0].tolist():
+            if not np.array_equal(rows[i], rows[i + 1]) or not np.array_equal(rows[i + 1], rows[i + 2]):
+                lo, hi = bp[i:i + 2].tolist()
+                raise ValueError(
+                    f"breakpoints {lo!r} and {hi!r} are closer than the merge tolerance "
+                    f"{_BP_MERGE_TOL:g} (times 1 + |x|), and the pieces around them differ")
         glob = np.zeros((len(rows), max(len(r) for r in rows) or 1), dtype=complex)
         for i, row in enumerate(rows):
             glob[i, : len(row)] = row
@@ -349,6 +357,8 @@ class PiecewisePoly:
         if self._last_mesh is not None and self._last_mesh[0] == key:
             return self._last_mesh[1]
         centers = _canonical_centers(mesh)
+        if key == self.breakpoints.tobytes() and centers.tobytes() == self.centers.tobytes():
+            return self  # its own mesh and centers: nothing to re-centre
         inside = centers.copy()  # a point strictly inside each region
         if len(mesh):
             inside[0] -= 1.0
@@ -552,14 +562,31 @@ def _canonical_centers(bp: np.ndarray) -> np.ndarray:
     return np.concatenate([bp[:1], 0.5 * bp[:-1] + 0.5 * bp[1:], bp[-1:]])
 
 
+def _close_pairs(mesh: np.ndarray) -> np.ndarray:
+    """close[i]: mesh[i + 1] is within the merge tolerance of mesh[i]."""
+    with np.errstate(over="ignore"):  # a gap past the float range is not close
+        return mesh[1:] - mesh[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(mesh[1:]))
+
+
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Union of two sorted meshes; a point within the merge tolerance of
-    the last kept point is dropped."""
-    merged = np.sort(np.concatenate([a, b]))
+    the last kept point is dropped.
+
+    A mesh merged with its own copy is merged alone, as every copied point
+    would be dropped.  A point whose left neighbour is kept is dropped
+    exactly when the pair is close, so only a point that ends a chain of
+    close pairs looks back past its neighbour for the last kept point.
+    """
+    if a.tobytes() == b.tobytes():
+        merged = a
+    else:
+        merged = np.sort(np.concatenate([a, b]))
+    close = _close_pairs(merged)
+    if not close.any():
+        return merged
     keep = np.ones(len(merged), dtype=bool)
-    with np.errstate(over="ignore"):  # a gap past the float range is not close
-        close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
-    for j in close.nonzero()[0] + 1:
+    keep[1:] = ~close
+    for j in (close[1:] & close[:-1]).nonzero()[0] + 2:
         last = j - 1
         while not keep[last]:
             last -= 1

@@ -159,6 +159,8 @@ def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
         )
     probe_points = [float(T) for T in probe_points]
     for T in probe_points:
+        if not math.isfinite(T):
+            raise ValueError(f"probe point {T} is not finite")
         if abs(T) > X:
             raise ValueError(f"probe point {T} outside horizon {X}")
     ladder = [X * 0.5**k for k in range(7, -1, -1)]
@@ -293,6 +295,8 @@ class RhoMap:
     vals: np.ndarray = field(repr=False)
 
     def rho(self, x: float) -> float:
+        if not math.isfinite(x):
+            raise ValueError(f"x={x} is not finite")
         if abs(x) > self.horizon * (1 + 1e-12):
             raise ValueError(f"x={x} outside the tabulated horizon {self.horizon}")
         i = int(np.searchsorted(self.xs, x, side="right")) - 1
@@ -300,6 +304,8 @@ class RhoMap:
         return float(self.vals[i]) + _inv_m_integrals(self.m, [(float(self.xs[i]), x)])[0]
 
     def inverse(self, y: float) -> float:
+        if not math.isfinite(y):
+            raise ValueError(f"y={y} is not finite")
         if y < self.vals[0] - 1e-12 or y > self.vals[-1] + 1e-12:
             raise ValueError(f"y={y} outside the range of rho on the horizon")
         if y <= self.vals[0]:

@@ -19,7 +19,11 @@ rounding at any lambda, so there is no tolerance to choose.
 ``endpoint`` keeps the end state and log sup|Y| only, and on request
 dY/dlambda along the same steps; ``integrate`` also records each
 sub-step or step as a row of dense output, the Taylor series of the
-state on it.
+state on it.  The rows of a segment are built in one array pass at its
+end, from the start states of its sub-steps (``_exact_rows``) or from the
+series of its Taylor steps (``_taylor_rows``); a dense walk sums a Taylor
+series at the step end only, as ``Trajectory.log_sup`` reads the rows
+themselves.
 Each system reads its entries' pieces per segment from
 ``ShinZettlSystem.rows``, built once per field and side.
 
@@ -219,8 +223,9 @@ def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float, derivative: bool =
 
 def _walk(sys, y0, to, out=None, derivative=False):
     """(state, logscale, log sup) at ``to``; each segment appends its rows
-    of dense output to ``out`` when one is given.  With ``derivative`` the
-    state is (y0, y1, z0, z1), Z on the logscale of Y."""
+    of dense output to ``out`` when one is given, and then the log sup
+    leaves out the Taylor segments (``integrate`` does not read it).  With
+    ``derivative`` the state is (y0, y1, z0, z1), Z on the logscale of Y."""
     segments, h_floor = _segments(sys, y0.x, to)
     y = (complex(y0.y0), complex(y0.y1))
     if derivative:
@@ -495,14 +500,21 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     (``_taylor_kernel``, with the bits of sums over lists).  The step is
     ``_jorba_zou``'s over the last d + 1 orders, the reach of the
     recurrence, so that a sparse series (a monomial entry re-centred at
-    its center) is never read as ended; it is clipped to the segment end.  A step below h_floor, or a coefficient,
-    step or state that is not finite, raises StepUnderflowError with the
-    state at x.  log|Y| is sampled at the segment start and at every step
-    end and midpoint, the points ``Trajectory.log_sup`` samples; the state
-    is rescaled at step ends past RESCALE_THRESHOLD.  A zero state crosses
-    unchanged.  With ``out``, one row per step is appended to it, the
-    series m Y_k h^k of the state at step start scaled back by its size m,
-    and a zero row for the rest of the segment once the state is zero.
+    its center) is never read as ended; it is clipped to the segment end.
+    Each series is summed at the step end by one Horner loop.  A step
+    below h_floor, or a coefficient, step or state that is not finite,
+    raises StepUnderflowError with the state at x.  The state is rescaled
+    at step ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
+
+    Without ``out`` (an endpoint shot), log|Y| is sampled at the segment
+    start and at every step end and midpoint, the points
+    ``Trajectory.log_sup`` samples, so the series are also summed at the
+    midpoint.  With ``out`` neither is done and ``sup`` is returned as
+    given; the steps are kept and their rows of dense output built in one
+    array pass at the end of the segment (``_taylor_rows``), then appended
+    to ``out``, with a zero row for the rest of the segment once the state
+    is zero.  A row that is not finite raises as it would have at its own
+    step: before any later error of the walk.
 
     A state (y0, y1, z0, z1) also carries Z = dY/dlambda, whose series
     follows from (k+1) Z_{k+1} = sum_j A_j Z_{k-j} + E Y_k with
@@ -513,58 +525,80 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     (c11, p11), (c21, p21), (c22, p22) = rows
     p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
     window = max(len(p11), len(p21), len(p22))
-    order = _TAYLOR_ORDER + window - 2
+    width = _TAYLOR_ORDER + window - 1
     y0, y1, *z = y
     series = _taylor_kernel(len(p11), len(p21), len(p22), bool(z))
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
     x = xa
-    steps = None if out is None else []
-    while m > 0 and (xb - x) * direction > 0:
-        a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
-        u, v, *pq = series(a11, a21, a22, y0 / m, y1 / m, *(t / m for t in z))
-        h = _jorba_zou(u, v, window)
-        if z:
-            p, q = pq
-            hz = _jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))
-            h = min(h, hz) if hz > 0 else h
-        if not h >= h_floor:
-            raise StepUnderflowError(x, direction * h, y0, y1, ls)
-        rest = (xb - x) * direction
-        last = h >= rest
-        h = direction * (rest if last else h)
-        hm = 0.5 * h
-        e0 = e1 = f0 = f1 = 0j
-        for a, b in zip(reversed(u), reversed(v)):
-            e0, e1, f0, f1 = e0 * h + a, e1 * h + b, f0 * hm + a, f1 * hm + b
-        if not abs(e0) + abs(e1) + abs(f0) + abs(f1) < math.inf:
-            raise StepUnderflowError(x, h, y0, y1, ls)
-        if steps is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                coef = np.array([u, v]).T * (m * h ** np.arange(order + 1))[:, None]
-            if not np.isfinite(coef).all():
+    shot = out is None
+    steps = []  # (start, size, series) of each step of a dense walk
+    try:
+        while m > 0 and (xb - x) * direction > 0:
+            a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
+            u, v, *pq = series(a11, a21, a22, y0 / m, y1 / m, *(t / m for t in z))
+            h = _jorba_zou(u, v, window)
+            if z:
+                p, q = pq
+                hz = _jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))
+                h = min(h, hz) if hz > 0 else h
+            if not h >= h_floor:
+                raise StepUnderflowError(x, direction * h, y0, y1, ls)
+            rest = (xb - x) * direction
+            last = h >= rest
+            h = direction * (rest if last else h)
+            e0, e1 = _horner(reversed(u), h), _horner(reversed(v), h)
+            size = abs(e0) + abs(e1)
+            if shot:
+                f0, f1 = _horner(reversed(u), 0.5 * h), _horner(reversed(v), 0.5 * h)
+                size = size + abs(f0) + abs(f1)
+                mid = m * max(abs(f0), abs(f1))
+            if not size < math.inf:
                 raise StepUnderflowError(x, h, y0, y1, ls)
-            steps.append((x, h, coef, ls))
-        if z:
-            g0 = g1 = 0j
-            for a, b in zip(reversed(p), reversed(q)):
-                g0, g1 = g0 * h + a, g1 * h + b
-            z = [m * g0, m * g1]
-        mid = m * max(abs(f0), abs(f1))
-        y0, y1 = m * e0, m * e1
-        m = max(abs(y0), abs(y1))
-        x = xb if last else x + h
-        peak = max(peak, mid, m)
-        if m > RESCALE_THRESHOLD:
-            sup = max(sup, math.log(peak) + ls)
-            z = [t / m for t in z]
-            y0, y1, ls, peak, m = y0 / m, y1 / m, ls + math.log(m), 1.0, 1.0
-    if steps is not None:
-        if x != xb:
-            steps.append((x, xb - x, np.zeros((order + 1, 2)), ls))
-        out.append(tuple(map(np.array, zip(*steps))))
-    return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+            if not shot:
+                steps.append(((x, h, y0, y1, ls), m, (u, v)))
+            if z:
+                z = [m * _horner(reversed(p), h), m * _horner(reversed(q), h)]
+            y0, y1 = m * e0, m * e1
+            m = max(abs(y0), abs(y1))
+            x = xb if last else x + h
+            if shot:
+                peak = max(peak, mid, m)
+            if m > RESCALE_THRESHOLD:
+                if shot:
+                    sup = max(sup, math.log(peak) + ls)
+                z = [t / m for t in z]
+                y0, y1, ls, peak, m = y0 / m, y1 / m, ls + math.log(m), 1.0, 1.0
+    except Exception:
+        if steps:
+            _taylor_rows(steps, width)  # an earlier row that is not finite raises first
+        raise
+    if shot:
+        return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+    if steps:
+        out.append(_taylor_rows(steps, width))
+    if x != xb:
+        out.append(([x], [xb - x], np.zeros((1, width, 2)), [ls]))
+    return (y0, y1, *z), ls, sup
+
+
+def _taylor_rows(steps, width):
+    """Rows (x0, h, coef, logscale) of a segment's Taylor steps, in one
+    array pass.  ``steps`` holds each step's start (x, h, y0, y1,
+    logscale), the size m of its state and its series (u, v) of the state
+    scaled to unit size; its row is m Y_k h^k for k < ``width``, the terms
+    of the series of the state on the step in theta = (x - x0)/h.  The
+    first row that is not finite raises StepUnderflowError with its start.
+    """
+    starts, scales, series = zip(*steps)
+    x0, h, _, _, ls = np.array(starts, dtype=complex).real.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.array(series, dtype=complex) * (np.array(scales)[:, None] * h[:, None] ** np.arange(width))[:, None]
+    finite = np.isfinite(coef).all(axis=(1, 2))
+    if not finite.all():
+        raise StepUnderflowError(*starts[int(np.argmin(finite))])
+    return x0, h, coef.transpose(0, 2, 1), ls
 
 
 def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) -> FundamentalSystem:

@@ -665,3 +665,16 @@ def test_table_cells_are_formatted_as_fmt_formats_them():
     rep.table("cells", [f"c{i}" for i in range(len(row))], [row, row[::-1]], source="test")
     assert rep.lines[-3:-1] == [",".join(map(_fmt, row)), ",".join(map(_fmt, row[::-1]))]
     assert rep.lines[-3].split(",")[:2] == ["true", "false"]
+
+
+def test_breakpoints_closer_than_the_merge_tolerance_are_a_validation_error(tmp_path, capsys):
+    # s = 100 on [0.5, 0.5 + 1e-13]: a merge would drop one breakpoint and
+    # the spike with it, while [problem] echoed both
+    coeffs = dict(FREE_COEFFS, s={"breakpoints": [0.5, 0.5 + 1e-13], "pieces": [[0], [100], [0]]})
+    problem = {"task": "solve", "coefficients": coeffs,
+               "params": {"from": 0, "to": 1, "lambda": 0, "initial": [0, 1]}}
+    path = write(tmp_path, "p.json", problem)
+    assert main(["solve", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "0.5 and 0.5000000000001 are closer than the merge tolerance" in err
+    assert not (tmp_path / "out").exists()

@@ -613,3 +613,97 @@ def test_sample_bounded_gives_each_point_its_own_bits(f, lo, hi):
     for i, x in enumerate(xs):
         one, one_bound = f.sample_bounded(xs[i : i + 1])
         assert one[0].hex() == vals[i].hex() and one_bound[0].hex() == bound[i].hex()
+
+
+# ----------------------------------------------------------------------
+# mesh merges
+
+
+def _loop_merge_breakpoints(a, b):
+    """``_merge_breakpoints`` as it ran with a loop over every close pair,
+    verbatim: the reference of the merge's bits."""
+    from qschro.coeffs import _BP_MERGE_TOL
+
+    merged = np.sort(np.concatenate([a, b]))
+    keep = np.ones(len(merged), dtype=bool)
+    with np.errstate(over="ignore"):  # a gap past the float range is not close
+        close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
+    for j in close.nonzero()[0] + 1:
+        last = j - 1
+        while not keep[last]:
+            last -= 1
+        keep[j] = merged[j] - merged[last] > _BP_MERGE_TOL * (1.0 + abs(merged[j]))
+    return merged[keep]
+
+
+def _random_meshes(rng):
+    """Pairs of sorted meshes: spread points, chains of points 0.4e-12 to
+    0.9e-12 apart (relative to 1 + |x|), shared points, signed zeros,
+    points past 1e307 and empty meshes."""
+    def mesh(n):
+        base = rng.uniform(-5, 5, n) * 10.0 ** rng.integers(-14, 3, n)
+        parts = [base]
+        for x in rng.choice(base, min(n, 3)) if n else ():
+            steps = rng.uniform(0.4e-12, 0.9e-12, rng.integers(1, 6)) * (1.0 + abs(x))
+            parts.append(x + np.cumsum(steps))
+        if rng.random() < 0.3:
+            parts.append([rng.choice([-0.0, 0.0])])
+        if rng.random() < 0.1:
+            parts.append([1.5e308, -1.6e308])
+        return np.sort(np.concatenate(parts))
+
+    for _ in range(300):
+        a, b = mesh(int(rng.integers(0, 8))), mesh(int(rng.integers(0, 8)))
+        yield a, b
+        shared = np.sort(np.concatenate([b[: len(b) // 2], a]))
+        yield a, shared
+        yield a, a.copy()
+    yield np.array([]), np.array([])
+    yield np.array([-0.0, 1.0]), np.array([0.0, 1.0 + 1e-13])
+    yield np.array([1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 1.0 + 1.8e-12]), np.array([1.0 + 1e-12])
+
+
+def test_merged_meshes_have_the_bits_of_the_loop_over_close_pairs():
+    from qschro.coeffs import _merge_breakpoints
+
+    chains = 0
+    for a, b in _random_meshes(np.random.default_rng(23)):
+        got, want = _merge_breakpoints(a, b), _loop_merge_breakpoints(a, b)
+        assert got.tobytes() == want.tobytes(), (a.tolist(), b.tolist())
+        merged = np.sort(np.concatenate([a, b]))
+        with np.errstate(over="ignore"):
+            close = merged[1:] - merged[:-1] <= 1e-12 * (1.0 + np.abs(merged[1:]))
+        chains += bool(np.any(close[1:] & close[:-1]))
+    assert chains > 100
+
+
+def test_a_mesh_merged_with_its_copy_is_the_mesh():
+    from qschro.coeffs import _merge_breakpoints
+
+    f = random_pw(np.random.default_rng(5), max_bp=4)
+    mesh = _merge_breakpoints(f.breakpoints, f.breakpoints.copy())
+    assert mesh.tobytes() == f.breakpoints.tobytes()
+    a, b = f._aligned(f)
+    assert a is f and b is f
+
+
+def test_own_mesh_alignment_returns_the_function_when_its_centers_are_canonical():
+    f = PiecewisePoly([-1.0, 0.5, 2.0], [[1, 2], [0.5j], [3, 0, 1], [1]])
+    assert f._on_mesh(f.breakpoints.copy()) is f
+    # the same mesh with other centers is re-centred on the canonical ones
+    g = PiecewisePoly._from_local(f.breakpoints, f.centers + 0.25, f.coeffs)
+    h = g._on_mesh(g.breakpoints.copy())
+    assert h is not g and h.centers.tobytes() == f.centers.tobytes()
+    xs = np.linspace(-3, 4, 29)
+    assert np.allclose(h(xs), g(xs), rtol=1e-13, atol=1e-13)
+
+
+def test_breakpoints_closer_than_the_merge_tolerance_are_refused():
+    # the merge would keep one of them: p + 0.0 read 2 at 5e-14 where p is 1
+    with pytest.raises(ValueError, match=r"breakpoints 0\.0 and 1e-13 are closer than the merge tolerance"):
+        PiecewisePoly([0, 1e-13], [[0], [1], [2]])
+    with pytest.raises(ValueError, match=r"breakpoints 2\.0 and 2\.0000000000015"):
+        PiecewisePoly([-1.0, 2.0, 2.0 + 1.5e-12], [[0], [1], [1], [0, 1]])
+    # one polynomial around the pair: the merge loses nothing
+    f = PiecewisePoly([0, 1e-13, 3.0], [[1, 2], [1, 2], [1, 2], [0]])
+    assert abs((f + 0.0)(5e-14) - (1 + 1e-13)) <= 1e-15 and abs(f(5e-14) - (1 + 1e-13)) <= 1e-15

@@ -473,3 +473,15 @@ def test_inverse_weight_integrals_keep_a_panel_budget_each(monkeypatch):
     got = conditions._inv_m_integrals(m, [(0.0, 10.0), (10.0, 0.0)])
     assert abs(got[0] - math.atan(10.0)) <= 1e-11 and abs(got[1] + math.atan(10.0)) <= 1e-11
     assert nodes["noisy"] <= 2 * 16 * conditions._INV_M_PANELS
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(bad):
+    w = WeightFunction(M_ABS, 60.0)
+    with pytest.raises(ValueError, match="not finite"):
+        check_m(w, [1.0, bad])
+    rho = build_rho(w)
+    with pytest.raises(ValueError, match="not finite"):
+        rho.rho(bad)
+    with pytest.raises(ValueError, match="not finite"):
+        rho.inverse(bad)

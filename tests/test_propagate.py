@@ -827,3 +827,97 @@ def test_importing_the_cli_builds_no_kernel():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == 0
+
+
+# ----------------------------------------------------------------------
+# the rows of a Taylor segment: built in one array pass at its end
+
+
+def test_taylor_rows_have_the_bits_of_one_row_at_a_time():
+    rng = np.random.default_rng(23)
+    steps = []
+    for x, h, m in ((0.0, 0.4, 2.0), (0.4, 0.3, 1e-30), (0.7, -0.25, 7e99), (0.45, 1.5, 1.0)):
+        u, v = (list(rng.standard_normal(5) + 1j * rng.standard_normal(5)) for _ in range(2))
+        u[1], v[4] = complex(-0.0, 0.0), 0j
+        steps.append(((x, h, 0.3j, 1.0, 2.5), m, (u, v)))
+    x0, h, coef, ls = propagate._taylor_rows(steps, 5)
+    assert list(x0) == [s[0][0] for s in steps] and list(h) == [s[0][1] for s in steps]
+    assert list(ls) == [2.5] * 4
+    for row, ((_, step, *_), m, (u, v)) in zip(coef, steps):
+        # the row as the Taylor loop built it per step
+        want = np.array([u, v]).T * (m * step ** np.arange(5))[:, None]
+        assert _same_bits(np.ascontiguousarray(row), np.ascontiguousarray(want))
+
+
+def test_taylor_rows_raise_with_the_start_of_the_first_row_that_is_not_finite():
+    finite = ([1.0 + 0j, 0.5, 0.25], [0j, 1.0, 0.5j])
+    steps = [((0.0, 0.5, 1.0 + 0j, 0.5j, 0.0), 1.0, finite),
+             # 1e300 * 1e10 * 0.5 is past the float range
+             ((0.5, 0.5, 1e300 + 0j, 0j, 0.0), 1e300, ([1.0 + 0j, 1e10, 0j], [0j, 0j, 0j])),
+             ((1.0, 0.5, 1.0 + 0j, 2.0 + 0j, 7.0), 2.0, ([1.0 + 0j, complex(math.nan, 0.0), 0j], finite[1]))]
+    with pytest.raises(StepUnderflowError) as err:
+        propagate._taylor_rows(steps, 3)
+    e = err.value
+    assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.5, 0.5, 1e300, 0j, 0.0)
+    with pytest.raises(StepUnderflowError) as err:
+        propagate._taylor_rows(steps[2:], 3)
+    e = err.value
+    assert (e.x, e.h, e.y0, e.y1, e.logscale) == (1.0, 0.5, 1.0, 2.0, 7.0)
+
+
+def test_a_row_that_is_not_finite_raises_before_a_later_error_of_the_walk(monkeypatch):
+    # s = i x at lambda = 2 from a state of size 1e99: a first step of 1e9
+    # sums to about 1e201, a finite end state, but its row m Y_k h^k passes
+    # the float range; the second step is refused.  The row's error is
+    # the one raised, as when each row was checked at its own step.
+    hs = iter([1e9, 0.0])
+    monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v, window: next(hs))
+    sys = assemble(IX, "direct", 2.0)
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(sys, QuasiState(0.0, 1e99, 0.0), 2e9)
+    e = err.value
+    assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 1e9, 1e99, 0.0, 0.0)
+    # the shot keeps no rows: it stops at the refused second step
+    hs = iter([1e9, 0.0])
+    with pytest.raises(StepUnderflowError) as err:
+        endpoint(sys, QuasiState(0.0, 1e99, 0.0), 2e9)
+    assert (err.value.x, err.value.h) == (1e9, 0.0)
+
+
+def test_dense_taylor_walk_stops_on_coefficients_past_the_float_range():
+    # the dense twin of the shot's test: s = 1e300 x overflows the series
+    # at the first step, with the same error
+    c = CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    with pytest.raises(StepUnderflowError, match=r"below floor at x=0 ") as err:
+        integrate(assemble(c, "direct", 2.0), QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
+    e = err.value
+    assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 0.0, 1.0, 0.5, 3.0)
+
+
+def test_a_zero_state_keeps_a_zero_row_to_the_segment_end():
+    t = integrate(assemble(IX, "direct", 2.0), QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
+    assert len(t.steps) == 1
+    assert (t.steps["x0"][0], t.steps["h"][0], t.steps["logscale"][0]) == (0.0, math.pi, 1.5)
+    assert not np.any(t.steps["coef"])
+    # r = i (50 + x/1000) at lambda = 2500: the state underflows to zero on
+    # the way, and one zero row covers the rest of the segment
+    z = PiecewisePoly.zero()
+    decay = CoefficientField(z, z, PiecewisePoly([], [[50j, 0.001j]]))
+    t = integrate(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
+    lo, hi = t.edges()
+    assert lo[0] == 0.0 and np.array_equal(lo[1:], hi[:-1]) and hi[-1] == 20.0
+    assert np.any(t.steps["coef"][-2]) and not np.any(t.steps["coef"][-1])
+    end = t.state_at(20.0)
+    assert (end.y0, end.y1) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("lam, b", [(cmath.exp(0.7j), 22.0), (cmath.exp(2.5j), -22.0), (-1.0, 22.0)])
+def test_dense_log_sup_is_the_shots_log_sup_on_the_drift_field(lam, b):
+    # the dense walk no longer tracks the log sup; Trajectory.log_sup reads
+    # it from the rows at the points the shot samples
+    drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly([], [[0, -1j]]))
+    sys = assemble(drift, "direct", lam)
+    _, sup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), b)
+    dense = integrate(sys, QuasiState(0.0, 0.0, 1.0), b).log_sup()
+    assert sup > 10.0
+    assert abs(dense - sup) <= 1e-12 * sup
