@@ -348,10 +348,11 @@ class PiecewisePoly:
         """This function re-centred on a finer mesh.
 
         The last result is kept with the mesh's bytes (so -0.0 is not
-        0.0): the factors of a product rule or of the quasi-derivative
-        ladder share their breakpoints, and each would otherwise re-centre
-        the other operand to the same mesh again.  No operation writes to
-        a PiecewisePoly's arrays, so handing out the kept object is safe.
+        0.0).  A computation that puts its factors on one mesh first
+        (``aligned``) forms every later product and sum on that mesh; only
+        operands from elsewhere, such as a field's entries, still meet it,
+        and each is re-centred once per mesh.  No operation writes to a
+        PiecewisePoly's arrays, so handing out the kept object is safe.
         """
         key = mesh.tobytes()
         if self._last_mesh is not None and self._last_mesh[0] == key:
@@ -369,10 +370,6 @@ class PiecewisePoly:
         self._last_mesh = (key, out)
         return out
 
-    def _aligned(self, other: "PiecewisePoly"):
-        mesh = _merge_breakpoints(self.breakpoints, other.breakpoints)
-        return self._on_mesh(mesh), other._on_mesh(mesh)
-
     # ------------------------------------------------------------------
     # algebra
 
@@ -381,7 +378,7 @@ class PiecewisePoly:
             return self + PiecewisePoly.constant(other)
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        a, b = self._aligned(other)
+        a, b = aligned((self, other))
         total = np.zeros((len(a.coeffs), max(a.degree, b.degree) + 1), dtype=complex)
         total[:, : a.degree + 1] += a.coeffs
         total[:, : b.degree + 1] += b.coeffs
@@ -409,7 +406,7 @@ class PiecewisePoly:
             )
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        a, b = self._aligned(other)
+        a, b = aligned((self, other))
         return PiecewisePoly._from_local(
             a.breakpoints, a.centers, _convolve_rows(a.coeffs, b.coeffs)
         )
@@ -566,6 +563,22 @@ def _close_pairs(mesh: np.ndarray) -> np.ndarray:
     """close[i]: mesh[i + 1] is within the merge tolerance of mesh[i]."""
     with np.errstate(over="ignore"):  # a gap past the float range is not close
         return mesh[1:] - mesh[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(mesh[1:]))
+
+
+def aligned(fs, *meshes) -> list:
+    """The functions ``fs`` re-centred on one mesh: the union of their own
+    meshes and ``meshes``, merged from the left by ``_merge_breakpoints``.
+
+    Two functions give the mesh of their sum or product.  Each function
+    keeps this alignment (``PiecewisePoly._on_mesh``), so products and sums
+    of the results are formed on the mesh without re-centring again.
+    """
+    mesh = fs[0].breakpoints
+    for f in fs[1:]:
+        mesh = _merge_breakpoints(mesh, f.breakpoints)
+    for m in meshes:
+        mesh = _merge_breakpoints(mesh, m)
+    return [f._on_mesh(mesh) for f in fs]
 
 
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .coeffs import CoefficientField, PiecewisePoly, bump, from_callable
+from .coeffs import CoefficientField, PiecewisePoly, aligned, bump, from_callable
 from .errors import BadSchemeError, NonRealError
 from .propagate import Trajectory, _gauss_legendre
 from .quasi import ADJOINT, apply_l_atoms
@@ -685,7 +685,9 @@ def verify_caccioppoli(
     int (phi')^2 |v|^2 + 2 int r1 phi' phi |v|^2.  The left side goes
     through the expression applied to the re-fitted product, the right
     side through direct quadrature; their difference is the residual,
-    relative to 1 + both magnitudes.
+    relative to 1 + both magnitudes.  The re-fitted v, phi and r1 are put
+    on one mesh with the field's breakpoints first, so no product of v,
+    |v|^2 at twice its degree among them, is re-centred.
     """
     phi = cut.phi if isinstance(cut, CutoffSequence) else cut
     if not phi.is_real(1e-9):
@@ -699,7 +701,7 @@ def verify_caccioppoli(
         raise ValueError("cut-off must be compactly supported")
     if lo < v.a - 1e-9 or hi > v.b + 1e-9:
         raise ValueError("null solution does not cover the cut-off support")
-    v_pw = v.to_piecewise(0, lo, hi)
+    v_pw, phi, r1 = aligned((v.to_piecewise(0, lo, hi), phi, c.r1), c.breakpoints())
     phiv = phi * v_pw
     expr, atoms = apply_l_atoms(c, ADJOINT, phiv, (lo, hi))
     left_c = (phiv * expr.conj()).integrate(lo, hi)
@@ -710,5 +712,5 @@ def verify_caccioppoli(
     dphi = phi.derivative()
     vv = v_pw * v_pw.conj()
     right = ((dphi * dphi) * vv).integrate(lo, hi).real
-    right += 2.0 * ((c.r1 * dphi * phi) * vv).integrate(lo, hi).real
+    right += 2.0 * ((r1 * dphi * phi) * vv).integrate(lo, hi).real
     return abs(left - right) / (1.0 + abs(left) + abs(right))

@@ -678,12 +678,12 @@ def test_merged_meshes_have_the_bits_of_the_loop_over_close_pairs():
 
 
 def test_a_mesh_merged_with_its_copy_is_the_mesh():
-    from qschro.coeffs import _merge_breakpoints
+    from qschro.coeffs import _merge_breakpoints, aligned
 
     f = random_pw(np.random.default_rng(5), max_bp=4)
     mesh = _merge_breakpoints(f.breakpoints, f.breakpoints.copy())
     assert mesh.tobytes() == f.breakpoints.tobytes()
-    a, b = f._aligned(f)
+    a, b = aligned((f, f))
     assert a is f and b is f
 
 

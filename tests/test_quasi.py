@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, _trim, bump, from_callable, region_pieces
-from qschro.conditions import build_cutoff
+from qschro import coeffs
+from qschro.coeffs import (
+    CoefficientField,
+    PiecewisePoly,
+    _canonical_centers,
+    _dense,
+    _trim,
+    bump,
+    from_callable,
+    region_pieces,
+)
+from qschro.conditions import build_cutoff, verify_caccioppoli
 from qschro.config import JUMP_TOL
 from qschro.errors import DiscontinuousQuasiDerivativeError
 from qschro.propagate import endpoint, integrate
@@ -176,7 +186,7 @@ def test_apply_l_atoms_delta_well_bump():
 
 def test_product_rule_free_bump():
     phi = bump(0.0, 1.0, 1.0)
-    res = product_rule_check(CoefficientField.free(), phi, phi, (-3, 3))
+    res = product_rule_check(CoefficientField.free(), phi, phi, (-3, 3))[DIRECT]
     assert res <= 1e-9
 
 
@@ -184,14 +194,14 @@ def test_product_rule_delta_well_proxy():
     c = CoefficientField.delta_well(-2.0)
     u = from_callable(lambda x: np.exp(-abs(x)), (-1, 1), kinks=[0.0], zero_outside=False)
     phi = bump(0.0, 1.0, 0.4)
-    assert product_rule_check(c, phi, u, (-1, 1)) <= 1e-9
+    assert product_rule_check(c, phi, u, (-1, 1))[DIRECT] <= 1e-9
 
 
 def test_product_rule_adjoint_side():
     c = CoefficientField.delta_well(-2.0)
     u = from_callable(lambda x: np.exp(-abs(x)), (-1, 1), kinks=[0.0], zero_outside=False)
     phi = bump(0.0, 1.0, 0.4)
-    assert product_rule_check(c, phi, u, (-1, 1), side=ADJOINT) <= 1e-9
+    assert product_rule_check(c, phi, u, (-1, 1))[ADJOINT] <= 1e-9
 
 
 def test_product_rule_random_fields_both_sides():
@@ -200,7 +210,7 @@ def test_product_rule_random_fields_both_sides():
         u = PiecewisePoly.from_coeffs(RNG.standard_normal(3) + 1j * RNG.standard_normal(3))
         phi = bump(float(RNG.uniform(-1, 1)), float(RNG.uniform(0.5, 1.5)), float(RNG.uniform(0.3, 1.0)))
         for side in (DIRECT, ADJOINT):
-            assert product_rule_check(c, phi, u, (-5, 5), side=side) <= 1e-9
+            assert product_rule_check(c, phi, u, (-5, 5))[side] <= 1e-9
 
 
 def growing_fit(side):
@@ -220,7 +230,7 @@ def test_cutoff_zero_times_large_solution_has_no_atom(side, n):
     phi = build_cutoff("thmA", n).phi
     _, atoms = apply_l_atoms(c, side, phi * u, (-5, 5))
     assert atoms == {}
-    assert product_rule_check(c, phi, u, (-5, 5), side=side) <= 1e-9
+    assert product_rule_check(c, phi, u, (-5, 5))[side] <= 1e-9
 
 
 @pytest.mark.parametrize("side", [DIRECT, ADJOINT])
@@ -340,3 +350,86 @@ def test_jump_rule_matches_the_rule_one_breakpoint_at_a_time():
             found += len(got)
             missed += int(np.sum((bp >= window[0]) & (bp <= window[1]))) - len(got)
     assert found > 50 and missed > 50
+
+
+def four_call_jumps(f: PiecewisePoly, window) -> dict:
+    """The jump rule with one ``_dense`` call per side and quantity."""
+    bp = f.breakpoints
+    i = np.flatnonzero((bp >= float(window[0])) & (bp <= float(window[1])))
+    x = bp[i]
+    rows = (i, i + 1)  # the regions left and right of each breakpoint
+    left, right = (_dense(f.coeffs[r], x - f.centers[r]) for r in rows)
+    scale = np.maximum(*(_dense(np.abs(f.coeffs[r]), np.abs(x - f.centers[r])) for r in rows))
+    h = right - left
+    keep = np.abs(h) > JUMP_TOL * (1.0 + scale)
+    return dict(zip(x[keep].tolist(), h[keep]))
+
+
+def signed_zero_input() -> PiecewisePoly:
+    """Signed zeros in the breakpoints and coefficients, and a zero row."""
+    bp = np.array([-1.0, -0.0, 2.0])
+    rows = np.array([[-0.0, 1.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 3.0], [1e-9, -0.0, 0.0]], dtype=complex)
+    rows.imag[[0, 2]] = -0.0
+    return PiecewisePoly._from_local(bp, _canonical_centers(bp), rows)
+
+
+def test_jump_rule_keeps_the_bits_of_one_dense_call_per_side_and_quantity():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for f in [signed_zero_input(), *jump_rule_inputs(rng)]:
+        bp = f.breakpoints
+        windows = [(-5.0, 5.0), (0.0, 0.0), (5.0, 6.0)]
+        if len(bp):
+            windows += [(bp[0], bp[0]), (bp[0], bp[-1]), (bp[-1], 5.0), (-0.0, bp[-1])]
+        for window in windows:
+            got, want = _jumps(f, window), four_call_jumps(f, window)
+            assert np.array(list(got)).tobytes() == np.array(list(want)).tobytes()
+            assert _bits(*got.values()) == _bits(*want.values())
+            checked += len(got)
+    assert checked > 100
+
+
+def wide_recentrings(monkeypatch) -> list:
+    """The widths of the coefficient arrays of >= 8 columns whose rows
+    ``coeffs._shift_rows`` moves, appended as it moves them."""
+    widths = []
+    shift = coeffs._shift_rows
+
+    def counting(rows, delta):
+        if rows.shape[1] >= 8 and np.any(delta):
+            widths.append(rows.shape[1])
+        return shift(rows, delta)
+
+    monkeypatch.setattr(coeffs, "_shift_rows", counting)
+    return widths
+
+
+def test_product_rule_check_recentres_the_refit_once_for_both_sides(monkeypatch):
+    # u goes onto the union of the meshes of u, phi and the field once; every
+    # product of u is formed on that mesh, and only the field's entries
+    # (a few columns) are re-centred after it
+    rng = np.random.default_rng(17)
+    phi = bump(0.0, 2.5, 1.25)
+    widths = wide_recentrings(monkeypatch)
+    for _ in range(3):
+        c = corpus_field(rng)
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        u = integrate(assemble(c, DIRECT, lam), QuasiState(-5.0, 0.3, 1.0), 5.0).to_piecewise(0, -5, 5)
+        assert u.degree >= 7
+        widths.clear()
+        res = product_rule_check(c, phi, u, (-5, 5))
+        assert len(widths) <= 1
+        assert set(res) == {DIRECT, ADJOINT} and max(res.values()) <= 1e-9
+
+
+def test_caccioppoli_recentres_the_refit_once(monkeypatch):
+    # v, phi and r1 go onto one mesh with the field's breakpoints, so |v|^2
+    # (twice v's degree) is never re-centred
+    rng = np.random.default_rng(19)
+    widths = wide_recentrings(monkeypatch)
+    for _ in range(3):
+        c = corpus_field(rng)
+        v = integrate(assemble(c, ADJOINT, 0.0), QuasiState(-5.0, 1.0, 0.1, ADJOINT), 5.0)
+        widths.clear()
+        assert verify_caccioppoli(c, v, build_cutoff("thmA", 3)) <= 1e-7
+        assert len(widths) <= 1
