@@ -149,6 +149,36 @@ def _convolve_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Legendre on [-1, 1], exact to degree 2n - 1."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panels(lo, hi, shared=(), owned=(), owned_by=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, owner) of the panels of the intervals [lo[i], hi[i]], by owner and position.
+
+    Interval i is cut at the ``shared`` edges strictly inside it and at the ``owned`` ones
+    whose ``owned_by`` is i.  Its ends are lo[i] and hi[i] themselves, no two of its edges
+    are equal, and an interval with hi <= lo has no panel."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.maximum(lo, hi)  # hi <= lo: the one edge lo
+    shared = np.sort(shared)
+    owned, owned_by = np.asarray(owned, dtype=float), np.asarray(owned_by, dtype=int)
+    start = shared.searchsorted(lo, "right")
+    count = np.maximum(shared.searchsorted(hi, "left") - start, 0)
+    members = np.arange(len(lo))
+    shared_by = members.repeat(count)
+    at = np.arange(len(shared_by)) + (start - count.cumsum() + count)[shared_by]
+    mine = ((owned > lo[owned_by]) & (owned < hi[owned_by])).nonzero()[0]
+    edges = np.concatenate([lo, hi, owned[mine], shared[at]])
+    owner = np.concatenate([members, members, owned_by[mine], shared_by])
+    order = np.lexsort((edges, owner))
+    edges, owner = edges[order], owner[order]
+    i = ((owner[1:] == owner[:-1]) & (edges[1:] != edges[:-1])).nonzero()[0]
+    return edges[i], edges[i + 1], owner[i]
+
+
 class PiecewisePoly:
     """Complex piecewise polynomial with breakpoints and tracked jumps.
 
@@ -464,12 +494,11 @@ class PiecewisePoly:
             return 0.0 + 0.0j
         if a > b:
             return -self.integrate(b, a)
-        bp = self.breakpoints
-        cuts = np.concatenate([[a], bp[(bp > a) & (bp < b)], [b]])
-        lo, hi = cuts[:-1], cuts[1:]
+        lo, hi, _ = _panels([a], [b], self.breakpoints)
         i = self._region(0.5 * (lo + hi), "right")
-        F, c = _primitive_rows(self.coeffs)[i], self.centers[i]
-        return sum(_dense(F, hi - c) - _dense(F, lo - c), 0.0 + 0.0j)
+        F, c = _primitive_rows(self.coeffs[i]), self.centers[i]
+        ends = _dense(np.concatenate([F, F]), np.concatenate([hi - c, lo - c]))  # both ends in one pass
+        return sum(ends[: len(i)] - ends[len(i) :], 0.0 + 0.0j)
 
     # ------------------------------------------------------------------
     # real-analysis helpers (real-valued polys)

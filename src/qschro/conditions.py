@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .coeffs import CoefficientField, PiecewisePoly, aligned, bump, from_callable
+from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, aligned, bump, from_callable
 from .errors import BadSchemeError, NonRealError
-from .propagate import Trajectory, _gauss_legendre
+from .propagate import Trajectory
 from .quasi import ADJOINT, apply_l_atoms
 from .reports import FAILS, HOLDS, INCONCLUSIVE, ConditionReport
 
@@ -80,22 +80,8 @@ def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
     point, every integral has the same bits alone or in any batch.
     """
     ends = np.asarray(ends, dtype=float).reshape(-1, 2)
-    lo, hi = ends[:, 0], ends[:, 1]
-    flip = lo > hi
-    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
-    # the regions of m inside each (lo, hi), the breakpoints strictly between
-    bps = m.breakpoints
-    first = np.searchsorted(bps, lo, side="right")
-    inner = np.where(lo < hi, np.searchsorted(bps, hi, side="left") - first, 0)
-    count = np.where(lo == hi, 0, inner + 1)
-    tag = np.repeat(np.arange(len(ends)), count)
-    j = np.arange(len(tag)) - np.repeat(np.cumsum(count) - count, count)
-    k = first[tag] + j
-    padded = np.append(bps, 0.0)
-    lo, hi = (
-        np.where(j == 0, lo[tag], padded[k - 1]),
-        np.where(j == inner[tag], hi[tag], padded[k]),
-    )
+    flip = ends[:, 0] > ends[:, 1]
+    lo, hi, tag = _panels(ends.min(axis=1), ends.max(axis=1), m.breakpoints)  # the regions of m in each integral
     nodes, weights = _gauss_legendre(_INV_M_NODES)
 
     def panel_sums(lo, hi):
@@ -227,11 +213,11 @@ def check_growth(r1: PiecewisePoly, w: WeightFunction) -> ConditionReport:
     rows = []
     blocks = {"left": [], "right": []}
     worst = (0.0, 0.0)
+    bps = np.concatenate([r1.breakpoints, w.m.breakpoints])
     for k in range(nb):
         lo, hi = edges[k], edges[k + 1]
         for side, sgn in (("left", -1.0), ("right", 1.0)):
             a, b = sorted((sgn * lo, sgn * hi))
-            bps = np.concatenate([r1.breakpoints, w.m.breakpoints])
             xs = np.concatenate([np.linspace(a, b, 64), bps[(bps > a) & (bps < b)]])
             r = r1.sample(xs).real
             ratio = np.maximum(r if side == "left" else -r, 0.0) / w.m.sample(xs).real

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly, _dense, _stack, _stacked_support
+from .coeffs import CoefficientField, PiecewisePoly, _dense, _gauss_legendre, _panels, _stack, _stacked_support
 from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
-from .propagate import Trajectory, _gauss_legendre, _panel_values, pair_integral
+from .propagate import Trajectory, _panel_values, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
@@ -246,13 +246,12 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
     support of u, on panels between the breakpoints of u and of the field, where
     floor(d/2) + 1 nodes are exact for d = 2 deg u + max(deg G1, deg G2, deg s).
     The family is one set of arrays: its members' regions are stacked, the
-    panel edges of all members sorted at once, and u and u' evaluated by one
+    panels of all members cut at once (``coeffs._panels``), and u and u' evaluated by one
     batched Horner pass for each coefficient width.  A value that is not
     finite raises OverflowUnrecoverableError."""
     if not family:
         raise ValueError("test family must be nonempty")
     field = (c.G1, c.G2, c.s)
-    members = np.arange(len(family))
     bp, centers, coeffs, first, widths = _stack(family)
     lo, hi = _stacked_support(bp, coeffs, first)
     unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
@@ -261,23 +260,9 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
     n = coeffs.shape[1] - 1 + max(f.degree for f in field) // 2 + 1
     nodes, weights = _gauss_legendre(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        # each member's panel edges: lo, hi and the breakpoints of u and of the field between
-        bp_owner = np.repeat(members, np.diff(first) - 1)
-        inside = (bp >= lo[bp_owner]) & (bp <= hi[bp_owner])
-        fbp = np.unique(np.concatenate([f.breakpoints for f in field]))
-        f_lo = np.searchsorted(fbp, lo, "left")
-        f_count = np.maximum(np.searchsorted(fbp, hi, "right") - f_lo, 0)
-        f_owner = np.repeat(members, f_count)
-        f_at = np.arange(len(f_owner)) + np.repeat(f_lo - (np.cumsum(f_count) - f_count), f_count)
-        edges = np.concatenate([lo, hi, bp[inside], fbp[f_at]])
-        edge_owner = np.concatenate([members, members, bp_owner[inside], f_owner])
-        order = np.lexsort((edges, edge_owner))
-        edges, edge_owner = edges[order], edge_owner[order]
-        distinct = np.ones(len(edges), dtype=bool)
-        distinct[1:] = (edges[1:] != edges[:-1]) | (edge_owner[1:] != edge_owner[:-1])
-        edges, edge_owner = edges[distinct], edge_owner[distinct]
-        panel = edge_owner[1:] == edge_owner[:-1]
-        left, right, owner = edges[:-1][panel], edges[1:][panel], edge_owner[:-1][panel]
+        # each member's panels: its support cut at its own breakpoints and at the field's
+        bp_owner = np.repeat(np.arange(len(family)), np.diff(first) - 1)
+        left, right, owner = _panels(lo, hi, np.concatenate([f.breakpoints for f in field]), bp, bp_owner)
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
         xs = mid[:, None] + half[:, None] * nodes

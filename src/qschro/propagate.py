@@ -30,11 +30,11 @@ Each system reads its entries' pieces per segment from
 A trajectory stores its rows as one structured array sorted by position
 (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense output goes
 through ``Trajectory.sample`` (row lookup plus batched Horner).
-``_panels`` is the one quadrature: Gauss-Legendre per panel, with as many
-nodes as the degrees of the operands need, for ``pair_integral``, over
-trajectories and piecewise polynomials alike with the exponent
-bookkeeping of the rows, for the quadratic forms and for the nested Gram
-windows of the probe.
+``_panels`` cuts [a, b] at the step edges and breakpoints of its operands
+with ``coeffs._panels``, the one cutter of every quadrature of the package.
+``pair_integral`` and the nested Gram windows of the probe take as many
+Gauss-Legendre nodes per panel as the operands' degrees need, over
+trajectories and piecewise polynomials alike with the rows' logscales.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from operator import mul
 import numpy as np
 
 from .config import MIN_STEP_FRACTION, RESCALE_THRESHOLD
-from .coeffs import PiecewisePoly, _dense, _horner
+from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut
 from .errors import OverflowUnrecoverableError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
@@ -618,22 +618,15 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
 # ----------------------------------------------------------------------
 # quadrature over dense output
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre on [-1, 1], exact to degree 2n - 1."""
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
     """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
     of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``."""
-    edges = [np.asarray([a, b, *cuts], dtype=float)]
+    edges = [np.asarray(cuts, dtype=float)]
     for f in fs:
         edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
-    ks = np.unique(np.concatenate(edges))
-    ks = ks[(ks >= a) & (ks <= b)]
-    mid = 0.5 * (ks[:-1] + ks[1:])
-    half = 0.5 * (ks[1:] - ks[:-1])
+    left, right, _ = _cut([a], [b], np.concatenate(edges))
+    mid = 0.5 * (left + right)
+    half = 0.5 * (right - left)
     return mid, half, mid[:, None] + half[:, None] * nodes
 
 
@@ -660,8 +653,12 @@ def pair_integral(u, v, a: float, b: float) -> tuple[complex, float]:
     PiecewisePoly (logscale 0).  Panels are the merged step edges and
     breakpoints, where both operands are polynomials; floor((deg u +
     deg v)/2) + 1 Gauss-Legendre nodes per panel integrate their product
-    exactly, and exponentially large solutions never overflow.
+    exactly, and exponentially large solutions never overflow.  b < a gives
+    minus the integral over [b, a].
     """
+    if b < a:
+        mantissa, L = pair_integral(u, v, b, a)
+        return -mantissa, L
     nodes, weights = _gauss_legendre((u.degree + v.degree) // 2 + 1)
     mid, half, xs = _panels((u, v), a, b, nodes)
     if not len(mid):

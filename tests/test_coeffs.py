@@ -707,3 +707,184 @@ def test_breakpoints_closer_than_the_merge_tolerance_are_refused():
     # one polynomial around the pair: the merge loses nothing
     f = PiecewisePoly([0, 1e-13, 3.0], [[1, 2], [1, 2], [1, 2], [0]])
     assert abs((f + 0.0)(5e-14) - (1 + 1e-13)) <= 1e-15 and abs(f(5e-14) - (1 + 1e-13)) <= 1e-15
+
+
+# ----------------------------------------------------------------------
+# panels: one cutter for every quadrature, with the bits of the four it replaced
+
+
+def _unique_panels(fs, a, b, nodes, cuts=()):
+    """``propagate._panels`` as it cut with ``np.unique``, verbatim."""
+    from qschro.propagate import Trajectory
+
+    edges = [np.asarray([a, b, *cuts], dtype=float)]
+    for f in fs:
+        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
+    ks = np.unique(np.concatenate(edges))
+    ks = ks[(ks >= a) & (ks <= b)]
+    mid = 0.5 * (ks[:-1] + ks[1:])
+    half = 0.5 * (ks[1:] - ks[:-1])
+    return mid, half, mid[:, None] + half[:, None] * nodes
+
+
+def _lexsort_panels(lo, hi, bp, first, field_breakpoints):
+    """The panel block of ``sample_forms`` as it sorted every member's edges
+    itself, verbatim apart from its inputs and return."""
+    members = np.arange(len(lo))
+    bp_owner = np.repeat(members, np.diff(first) - 1)
+    inside = (bp >= lo[bp_owner]) & (bp <= hi[bp_owner])
+    fbp = np.unique(np.concatenate(field_breakpoints))
+    f_lo = np.searchsorted(fbp, lo, "left")
+    f_count = np.maximum(np.searchsorted(fbp, hi, "right") - f_lo, 0)
+    f_owner = np.repeat(members, f_count)
+    f_at = np.arange(len(f_owner)) + np.repeat(f_lo - (np.cumsum(f_count) - f_count), f_count)
+    edges = np.concatenate([lo, hi, bp[inside], fbp[f_at]])
+    edge_owner = np.concatenate([members, members, bp_owner[inside], f_owner])
+    order = np.lexsort((edges, edge_owner))
+    edges, edge_owner = edges[order], edge_owner[order]
+    distinct = np.ones(len(edges), dtype=bool)
+    distinct[1:] = (edges[1:] != edges[:-1]) | (edge_owner[1:] != edge_owner[:-1])
+    edges, edge_owner = edges[distinct], edge_owner[distinct]
+    panel = edge_owner[1:] == edge_owner[:-1]
+    return edges[:-1][panel], edges[1:][panel], edge_owner[:-1][panel]
+
+
+def _region_panels(ends, bps):
+    """The panels of ``conditions._inv_m_integrals`` as its region arithmetic
+    cut them, verbatim apart from its inputs and return."""
+    lo, hi = ends[:, 0], ends[:, 1]
+    flip = lo > hi
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    first = np.searchsorted(bps, lo, side="right")
+    inner = np.where(lo < hi, np.searchsorted(bps, hi, side="left") - first, 0)
+    count = np.where(lo == hi, 0, inner + 1)
+    tag = np.repeat(np.arange(len(ends)), count)
+    j = np.arange(len(tag)) - np.repeat(np.cumsum(count) - count, count)
+    k = first[tag] + j
+    padded = np.append(bps, 0.0)
+    lo, hi = (
+        np.where(j == 0, lo[tag], padded[k - 1]),
+        np.where(j == inner[tag], hi[tag], padded[k]),
+    )
+    return lo, hi, tag
+
+
+def _integrate_cuts(bp, a, b):
+    """The cuts of ``PiecewisePoly.integrate`` for a < b, verbatim."""
+    cuts = np.concatenate([[a], bp[(bp > a) & (bp < b)], [b]])
+    return cuts[:-1], cuts[1:]
+
+
+# a coarse grid with both zeros, so that edges fall on interval ends, on
+# each other and on zeros of either sign
+_GRID = np.array([-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+def _edges(rng, n):
+    return np.where(rng.random(n) < 0.6, rng.choice(_GRID, n), rng.uniform(-2.5, 2.5, n))
+
+
+def _same_panels(left, right, want_left, want_right):
+    """Equal edges, and the bits of every midpoint and half-width.  Where two
+    edges are equal zeros of opposite sign, the cutters may keep either, and
+    no midpoint or half-width of a nonempty panel depends on which."""
+    assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
+    assert (0.5 * (left + right)).tobytes() == (0.5 * (want_left + want_right)).tobytes()
+    assert (0.5 * (right - left)).tobytes() == (0.5 * (want_right - want_left)).tobytes()
+
+
+def test_panels_cut_each_interval_at_shared_and_its_own_edges():
+    from qschro.coeffs import _panels
+
+    left, right, owner = _panels([0.0, 1.0, 5.0, 2.0], [2.0, 3.0, 5.0, 1.0], [1.5, 1.0, 1.5, 9.0],
+                                 [0.5, 1.5, 2.5, 4.0, 1.2], [0, 0, 1, 1, 3])
+    assert left.tolist() == [0.0, 0.5, 1.0, 1.5, 1.0, 1.5, 2.5]
+    assert right.tolist() == [0.5, 1.0, 1.5, 2.0, 1.5, 2.5, 3.0]
+    assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1]  # lo == hi and hi < lo: no panel
+    # the ends are lo and hi themselves; an edge strictly inside keeps its bits
+    left, right, _ = _panels([0.0, -1.0], [1.0, -0.0], [-0.0, 0.5])
+    assert [x.hex() for x in left] == ["0x0.0p+0", "0x1.0000000000000p-1", "-0x1.0000000000000p+0"]
+    assert [x.hex() for x in right] == ["0x1.0000000000000p-1", "0x1.0000000000000p+0", "-0x0.0p+0"]
+    left, right, _ = _panels([0.0], [1.0], (), [-0.0, 1.0], [0, 0])
+    assert [x.hex() for x in left] == ["0x0.0p+0"] and right.tolist() == [1.0]
+    left, right, owner = _panels([0.0], [1.0])
+    assert (left.tolist(), right.tolist(), owner.tolist()) == ([0.0], [1.0], [0])
+
+
+def test_panels_have_the_bits_of_the_unique_cutter_of_propagate():
+    from types import SimpleNamespace
+
+    from qschro.propagate import _gauss_legendre, _panels, integrate
+    from qschro.quasi import QuasiState, assemble
+
+    rng = np.random.default_rng(25)
+    nodes = _gauss_legendre(3)[0]
+    zero = PiecewisePoly.zero()
+    field = CoefficientField(PiecewisePoly([0.5], [[0.0], [2.0]]), zero, zero)
+    traj = integrate(assemble(field, "direct", -1.0), QuasiState(-2.0, 1.0, 0.0), 2.0)
+    empty = 0
+    for case in range(400):
+        a, b = _edges(rng, 2)
+        fs = [SimpleNamespace(breakpoints=np.sort(_edges(rng, int(rng.integers(0, 12))))) for _ in range(2)]
+        if case % 8 == 0:
+            fs.append(traj)
+        cuts = _edges(rng, int(rng.integers(0, 4)))
+        got = _panels(fs, a, b, nodes, cuts)
+        want = _unique_panels(fs, a, b, nodes, cuts)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), (a, b)
+        empty += not len(got[0])
+    assert empty > 50  # a == b and b < a among them
+
+
+def test_panels_have_the_bits_of_the_lexsort_block_of_sample_forms():
+    from qschro.coeffs import _panels
+
+    rng = np.random.default_rng(26)
+    no_edge_inside = owned_and_shared = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        lo = _edges(rng, n)
+        hi = lo + rng.choice([0.0, 0.5, 1.0, 3.0], n)  # supports: lo <= hi
+        counts = rng.integers(0, 5, n)
+        bp = _edges(rng, int(counts.sum()))
+        first = np.concatenate([[0], np.cumsum(counts + 1)])
+        field = [_edges(rng, int(rng.integers(0, 6))) for _ in range(3)]
+        left, right, owner = _panels(lo, hi, np.concatenate(field), bp, np.repeat(np.arange(n), counts))
+        want_left, want_right, want_owner = _lexsort_panels(lo, hi, bp, first, field)
+        _same_panels(left, right, want_left, want_right)
+        assert np.array_equal(owner, want_owner)
+        no_edge_inside += int(np.sum(np.bincount(owner, minlength=n) == 1))
+        owned_and_shared += bool(np.isin(bp, np.concatenate(field)).any())
+    assert no_edge_inside > 100 and owned_and_shared > 100
+
+
+def test_panels_have_the_bits_of_the_region_arithmetic_of_inv_m_integrals():
+    from qschro.coeffs import _panels
+
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        ends = _edges(rng, 2 * int(rng.integers(1, 8))).reshape(-1, 2)
+        bps = np.unique(_edges(rng, int(rng.integers(0, 12))))
+        lo, hi = ends[:, 0], ends[:, 1]
+        flip = lo > hi
+        got = _panels(np.where(flip, hi, lo), np.where(flip, lo, hi), bps)
+        want = _region_panels(ends, bps)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), (ends.tolist(), bps.tolist())
+
+
+def test_panels_have_the_bits_of_the_cuts_of_integrate():
+    from qschro.coeffs import _panels
+
+    rng = np.random.default_rng(28)
+    for _ in range(400):
+        a, b = _edges(rng, 2)
+        bp = np.unique(_edges(rng, int(rng.integers(0, 12))))
+        left, right, owner = _panels([a], [b], bp)
+        if a < b:
+            want_left, want_right = _integrate_cuts(bp, a, b)
+            assert left.tobytes() == want_left.tobytes() and right.tobytes() == want_right.tobytes()
+            assert not owner.any()
+        else:  # integrate returns before it cuts
+            assert len(left) == len(right) == len(owner) == 0

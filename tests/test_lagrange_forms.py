@@ -23,7 +23,7 @@ from qschro.lagrange_forms import (
     range_verdict,
     sample_forms,
 )
-from qschro.propagate import _gauss_legendre, _panel_values, _panels, integrate
+from qschro.propagate import Trajectory, _gauss_legendre, _panel_values, integrate
 from qschro.quasi import QuasiState, assemble
 
 FREE = CoefficientField.free()
@@ -219,16 +219,29 @@ def test_sample_forms_match_the_exact_algebra(c, family):
         assert abs(norm2 - exact_norm2) <= 1e-13 * exact_norm2
 
 
+def unique_panels(fs, a, b, nodes, cuts=()):
+    """``propagate._panels`` as it cut with ``np.unique``, verbatim: the
+    reference shares no cutter with ``sample_forms``."""
+    edges = [np.asarray([a, b, *cuts], dtype=float)]
+    for f in fs:
+        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
+    ks = np.unique(np.concatenate(edges))
+    ks = ks[(ks >= a) & (ks <= b)]
+    mid = 0.5 * (ks[:-1] + ks[1:])
+    half = 0.5 * (ks[1:] - ks[:-1])
+    return mid, half, mid[:, None] + half[:, None] * nodes
+
+
 def looped_forms(c, family):
-    """sample_forms one test at a time: each test's panels from _panels and
-    np.unique, u and u.derivative() through _panel_values; the reference."""
+    """sample_forms one test at a time: each test's panels from unique_panels,
+    u and u.derivative() through _panel_values; the reference."""
     field = (c.G1, c.G2, c.s)
     n = max(u.degree for u in family) + max(f.degree for f in field) // 2 + 1
     nodes, weights = _gauss_legendre(n)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for u in family:
-            mid, half, xs = _panels((u, *field), *u.support_bounds(), nodes)
+            mid, half, xs = unique_panels((u, *field), *u.support_bounds(), nodes)
             fu, fdu, fg1, fg2, fs = (_panel_values(f, mid, xs)[0] for f in (u, u.derivative(), *field))
             u2 = (fu * fu.conj()).real
             integrands = [(fdu * fdu.conj()).real, -(fg1 * fu * fdu.conj() + fg2 * fdu * fu.conj()), fs * u2, u2]

@@ -223,6 +223,17 @@ def test_pair_integral_with_weight():
     assert abs(val * math.exp(ls) - want) <= 1e-9 * want
 
 
+def test_pair_integral_with_reversed_bounds_is_minus_the_integral():
+    # as PiecewisePoly.integrate has it: int_1^0 (1 + 2x) * 3 dx = -6
+    u, v = PiecewisePoly.from_coeffs([1.0, 2.0]), PiecewisePoly.constant(3.0)
+    assert (u * v.conj()).integrate(1.0, 0.0) == -6.0
+    assert pair_integral(u, v, 1.0, 0.0) == (-6.0, 0.0)
+    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
+    val, ls = pair_integral(t, t, 0.25, 1.0)
+    assert val != 0
+    assert pair_integral(t, t, 1.0, 0.25) == (-val, ls)
+
+
 def test_to_piecewise_matches_dense_output():
     # a field with jumps and a complex spectral parameter: one re-fitted row
     # per step, equal to the dense output at every step midpoint
