@@ -12,21 +12,13 @@ from .coeffs import (
     PiecewisePoly,
     bump,
     bumps,
-    from_callable,
-    pos_neg_parts,
-    smoothstep,
 )
 from .conditions import (
-    CutoffSequence,
     IntervalScheme,
-    RhoMap,
     WeightFunction,
-    build_cutoff,
-    build_rho,
     check_growth,
     check_intervals,
     check_m,
-    cutoff_invariants,
     verify_caccioppoli,
 )
 from .errors import (
@@ -60,11 +52,9 @@ from .quasi import (
     DIRECT,
     QuasiState,
     ShinZettlSystem,
-    apply_l,
     apply_l_atoms,
     assemble,
     product_rule_check,
-    quasi_derivatives,
 )
 from .reports import ConditionReport
 from .spectral import (
@@ -73,7 +63,6 @@ from .spectral import (
     EigenResult,
     ProbeReport,
     characteristic,
-    eigenfunction_residual,
     eigenvalues,
     null_probe,
 )
@@ -87,17 +76,12 @@ __all__ = [
     "CoefficientField",
     "bump",
     "bumps",
-    "smoothstep",
-    "from_callable",
-    "pos_neg_parts",
     # system / quasi-derivatives
     "DIRECT",
     "ADJOINT",
     "ShinZettlSystem",
     "QuasiState",
     "assemble",
-    "quasi_derivatives",
-    "apply_l",
     "apply_l_atoms",
     "product_rule_check",
     # propagation
@@ -120,15 +104,10 @@ __all__ = [
     "range_verdict",
     # condition checkers
     "WeightFunction",
-    "RhoMap",
-    "CutoffSequence",
     "IntervalScheme",
     "ConditionReport",
     "check_m",
     "check_growth",
-    "build_rho",
-    "build_cutoff",
-    "cutoff_invariants",
     "check_intervals",
     "verify_caccioppoli",
     # spectra and the probe
@@ -138,7 +117,6 @@ __all__ = [
     "ProbeReport",
     "characteristic",
     "eigenvalues",
-    "eigenfunction_residual",
     "null_probe",
     # errors
     "QschroError",

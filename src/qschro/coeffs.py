@@ -657,7 +657,7 @@ def _ramp_rows(a: np.ndarray, b: np.ndarray):
 
     Returns (rows, centers, refusals): row k holds ramp k in powers of
     ``x - c_k``, c_k = (a_k + b_k)/2, and refusal k is the message with
-    which ``smoothstep`` refuses ramp k, or None.  Call under
+    which ``bumps`` refuses ramp k, or None.  Call under
     ``np.errstate(all="ignore")``: a row past the float range is refused.
     """
     L = b - a
@@ -681,23 +681,6 @@ def _ramp_rows(a: np.ndarray, b: np.ndarray):
 
 
 _FALL = np.array([1.0, 0, 0, 0], dtype=complex)  # a falling ramp is 1 minus the rising one
-
-
-def smoothstep(a: float, b: float, rising: bool = True) -> PiecewisePoly:
-    """Cubic smoothstep ramp: 0 at a, 1 at b (or reversed), C^1 at the ends.
-
-    On the ramp the slope magnitude peaks at 1.5/(b-a), the minimal-degree
-    W^2 ramp constant used by the cut-off sequences.
-    """
-    ends = np.array([a, b], dtype=float)
-    with np.errstate(all="ignore"):
-        ramp, c, refusals = _ramp_rows(ends[:1], ends[1:])
-    if refusals[0]:
-        raise ValueError(refusals[0])
-    lo, hi = (0.0, 1.0) if rising else (1.0, 0.0)
-    rows = np.zeros((3, 4), dtype=complex)
-    rows[0, 0], rows[1], rows[2, 0] = lo, ramp[0] if rising else _FALL - ramp[0], hi
-    return PiecewisePoly._from_local(ends, np.array([a, c[0], b], dtype=float), rows)
 
 
 def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
@@ -752,85 +735,11 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
 
     Equal to 1 on ``[center - plateau/2, center + plateau/2]``, cubic ramps
     of width ``ramp`` on both sides, 0 outside.  Lies in W^2 with piecewise
-    polynomial second derivative; the family the quadratic-form and
-    cut-off machinery uses throughout.  ``bumps`` of one triple.
+    polynomial second derivative; the test functions of the quadratic
+    forms and the cut-offs of ``verify`` are all bumps.  ``bumps`` of one
+    triple.
     """
     return bumps([center], [plateau], [ramp])[0]
-
-
-def from_callable(
-    f,
-    window: tuple[float, float],
-    kinks=(),
-    degree: int = 8,
-    max_piece: float = 0.5,
-    tol: float = 1e-10,
-    zero_outside: bool = True,
-) -> PiecewisePoly:
-    """Piecewise polynomial proxy of a callable on a window.
-
-    Chebyshev interpolation of degree ``degree`` on sub-pieces no longer
-    than ``max_piece``, split additionally at the given kinks; pieces are
-    bisected until the sampled sup error is below ``tol`` times the scale
-    of f.  Raises if the certification fails at minimal piece length.
-    """
-    from numpy.polynomial import chebyshev as C
-
-    a, b = float(window[0]), float(window[1])
-    if not b > a:
-        raise ValueError("window must have positive length")
-    knots = sorted({a, b, *(float(k) for k in kinks if a < float(k) < b)})
-    mesh: list[float] = []
-    pieces: list[np.ndarray] = []
-    centers: list[float] = []
-    nodes = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))
-
-    fscale = max(abs(complex(f(x))) for x in np.linspace(a, b, 101)) or 1.0
-
-    def _fit_piece(lo: float, hi: float, depth: int):
-        c = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        ys = np.array([complex(f(c + half * t)) for t in nodes])
-        cheb = np.polynomial.chebyshev.chebfit(nodes, ys, degree)
-        mono_t = C.cheb2poly(cheb)  # trailing zeros trimmed: pad to one width
-        local = np.zeros(degree + 1, dtype=complex)
-        local[: len(mono_t)] = mono_t / half ** np.arange(len(mono_t))
-        xs = np.linspace(lo, hi, 41)
-        fx = np.array([complex(f(x)) for x in xs])
-        err = max(np.abs(_dense(local[None], xs - c) - fx))
-        if err > tol * fscale:
-            if depth >= 24:
-                raise ValueError(
-                    f"cannot certify interpolation of piece [{lo}, {hi}]: "
-                    f"error {err:.3e}"
-                )
-            mid = 0.5 * (lo + hi)
-            _fit_piece(lo, mid, depth + 1)
-            _fit_piece(mid, hi, depth + 1)
-            return
-        mesh.append(hi)
-        centers.append(c)
-        pieces.append(local)
-
-    prev = knots[0]
-    for k in knots[1:]:
-        n = max(1, math.ceil((k - prev) / max_piece))
-        edges = np.linspace(prev, k, n + 1)
-        for p, q in zip(edges[:-1], edges[1:]):
-            _fit_piece(p, q, 0)
-        prev = k
-
-    full_mesh = np.asarray([a] + mesh)
-    fitted = np.array(pieces)
-    if zero_outside:
-        all_centers = np.concatenate([[a], centers, [b]])
-        rows = np.zeros((len(fitted) + 2, fitted.shape[1]), dtype=complex)
-        rows[1:-1] = fitted
-        return PiecewisePoly._from_local(full_mesh, all_centers, rows)
-    # extend the first/last fitted piece into the tails
-    all_centers = np.concatenate([[centers[0]], centers, [centers[-1]]])
-    rows = np.concatenate([fitted[:1], fitted, fitted[-1:]])
-    return PiecewisePoly._from_local(full_mesh, all_centers, rows)
 
 
 def region_pieces(fs, breakpoints) -> tuple:
@@ -928,24 +837,3 @@ class CoefficientField:
         z = PiecewisePoly.zero()
         return cls(z, PiecewisePoly.heaviside(strength, location), z)
 
-
-def pos_neg_parts(f: PiecewisePoly, window: tuple[float, float], h: float):
-    """Sampled positive/negative parts of a real function on a window.
-
-    Returns (xs, plus, minus) with plus - minus = f and plus * minus = 0 on
-    the mesh; sign crossings inside pieces are located by root-finding and
-    inserted into the mesh, so the split is exact at the returned points.
-    """
-    if not f.is_real(1e-9):
-        raise NonRealError("pos_neg_parts requires a real-valued function")
-    a, b = float(window[0]), float(window[1])
-    xs = list(np.arange(a, b, h))
-    if not xs or xs[-1] < b:
-        xs.append(b)
-    xs.extend(t for t in map(float, f.breakpoints) if a < t < b)
-    xs.extend(f.real_roots(a, b))
-    xs = np.array(sorted(set(xs)))
-    vals = f.sample(xs, "right").real
-    plus = np.where(vals > 0, vals, 0.0)
-    minus = np.where(vals < 0, -vals, 0.0)
-    return xs, plus, minus

@@ -1,22 +1,21 @@
 """Constructive checkers for the two m-accretivity criteria.
 
 Growth-vs-weight checks (imaginary part of r against a weight m with
-divergent integral of 1/m), the reparametrization rho with rho' = 1/m,
-cut-off sequences with explicit slope constants, interval schemes with
-per-interval bounds, and the key integral identity audited on computed
-null solutions.  Divergence of an integral is reported as a trend, never
-as a theorem: every verdict carries the data it was called on.
+divergent integral of 1/m), interval schemes with per-interval bounds,
+and the key integral identity audited on computed null solutions.
+Divergence of an integral is reported as a trend, never as a theorem:
+every verdict carries the data it was called on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, aligned, bump, from_callable
+from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, aligned
 from .errors import BadSchemeError, NonRealError
 from .propagate import Trajectory
 from .quasi import ADJOINT, apply_l_atoms
@@ -50,9 +49,6 @@ class WeightFunction:
 _INV_M_NODES = 16
 _INV_M_RTOL = 1e-15
 _INV_M_PANELS = 4096
-_EPS = float(np.finfo(float).eps)
-# most Newton or bisection steps of rho^-1 (MAXIT of Numerical Recipes' rtsafe)
-_RHO_INVERSE_ITER = 100
 
 
 def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
@@ -117,11 +113,6 @@ def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
         out.append(-total if minus else total)
         start = stop
     return out
-
-
-def _inv_m_integral(m: PiecewisePoly, a: float, b: float) -> float:
-    """int_a^b dx/m(x), one integral of ``_inv_m_integrals``."""
-    return _inv_m_integrals(m, [(a, b)])[0]
 
 
 def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
@@ -265,90 +256,6 @@ def check_growth(r1: PiecewisePoly, w: WeightFunction) -> ConditionReport:
     )
 
 
-@dataclass
-class RhoMap:
-    """Strictly increasing reparametrization with rho' = 1/m and rho(0) = 0.
-
-    Values are tabulated at grid nodes (cumulative adaptive quadrature);
-    between nodes the map is evaluated by one more quadrature from the
-    nearest node, and the inverse by Newton steps with rho' = 1/m inside
-    the tabulated cell, bisection where a step would leave it.
-    """
-
-    m: PiecewisePoly
-    horizon: float
-    xs: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-
-    def rho(self, x: float) -> float:
-        if not math.isfinite(x):
-            raise ValueError(f"x={x} is not finite")
-        if abs(x) > self.horizon * (1 + 1e-12):
-            raise ValueError(f"x={x} outside the tabulated horizon {self.horizon}")
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        i = max(0, min(i, len(self.xs) - 1))
-        return float(self.vals[i]) + _inv_m_integrals(self.m, [(float(self.xs[i]), x)])[0]
-
-    def inverse(self, y: float) -> float:
-        if not math.isfinite(y):
-            raise ValueError(f"y={y} is not finite")
-        if y < self.vals[0] - 1e-12 or y > self.vals[-1] + 1e-12:
-            raise ValueError(f"y={y} outside the range of rho on the horizon")
-        if y <= self.vals[0]:
-            return float(self.xs[0])
-        if y >= self.vals[-1]:
-            return float(self.xs[-1])
-        i = int(np.searchsorted(self.vals, y, side="right")) - 1
-        i = max(0, min(i, len(self.xs) - 2))
-        a, b = float(self.xs[i]), float(self.xs[i + 1])
-        ya, yb = float(self.vals[i]), float(self.vals[i + 1])
-        if ya == y:
-            return a
-        x = a + (b - a) * (y - ya) / (yb - ya)
-        for _ in range(_RHO_INVERSE_ITER):
-            g = self.rho(x) - y
-            if g == 0:
-                return x
-            if g < 0:
-                a = x
-            else:
-                b = x
-            nxt = x - g * float(self.m.eval(x).real)
-            if not a < nxt < b:
-                nxt = 0.5 * (a + b)
-            # the step is within rounding of the bracket it narrowed
-            if abs(nxt - x) <= 2 * _EPS * max(abs(a), abs(b)):
-                return nxt
-            x = nxt
-        return x
-
-    @property
-    def range(self) -> tuple[float, float]:
-        return float(self.vals[0]), float(self.vals[-1])
-
-
-def build_rho(w: WeightFunction) -> RhoMap:
-    """Tabulate rho on 129 nodes of the horizon.  Requires m >= 1 there."""
-    val, x_at = w.m.extreme_on(-w.horizon, w.horizon, mode="min")
-    if val < 1.0 - 1e-12:
-        raise ValueError(f"m(x) = {val} < 1 at x = {x_at}; run check_m first")
-    X = w.horizon
-    nodes = set(np.linspace(-X, X, 129))
-    nodes.add(0.0)
-    nodes.update(float(t) for t in w.m.breakpoints if -X < t < X)
-    xs = np.asarray(sorted(nodes))
-    vals = np.zeros(len(xs))
-    i0 = int(np.searchsorted(xs, 0.0))
-    *cells, to_zero = _inv_m_integrals(w.m, list(zip(xs[:-1], xs[1:])) + [(xs[i0], 0.0)])
-    for i in range(i0, len(xs) - 1):
-        vals[i + 1] = vals[i] + cells[i]
-    for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - cells[i]
-    anchor = vals[i0] - to_zero
-    vals -= anchor
-    return RhoMap(m=w.m, horizon=X, xs=xs, vals=vals)
-
-
 @dataclass(frozen=True)
 class IntervalScheme:
     """Disjoint intervals Delta_n = [a_n, b_n], n = ±1..±N, drifting to ±inf.
@@ -461,208 +368,10 @@ def check_intervals(r1: PiecewisePoly, scheme: IntervalScheme) -> ConditionRepor
     )
 
 
-@dataclass
-class CutoffSequence:
-    """One member of a cut-off family, with its constants and evaluators.
-
-    ``phi`` is the piecewise-polynomial representation (exact for the
-    plain and interval kinds, a certified proxy for the reparametrized
-    kind).  ``slope_bound(x)`` is the constructive bound on |phi'| at x.
-    """
-
-    kind: str
-    n: int
-    phi: PiecewisePoly
-    K: float
-    core: tuple[float, float]
-    support: tuple[float, float]
-    delta: float | None = None
-    transitions: dict = field(default_factory=dict)
-    rho: RhoMap | None = None
-    base: PiecewisePoly | None = None
-
-    def phi_value(self, x: float) -> float:
-        if self.rho is not None:
-            return float(self.base.eval(self.rho.rho(x)).real)
-        return float(self.phi.eval(x).real)
-
-    def phi_prime(self, x: float) -> float:
-        if self.rho is not None:
-            return float(self.base.derivative().eval(self.rho.rho(x)).real) / float(
-                self.rho.m.eval(x).real
-            )
-        return float(self.phi.derivative().eval(x).real)
-
-    def slope_bound(self, x: float) -> float:
-        if self.rho is not None:
-            return self.K / float(self.rho.m.eval(x).real)
-        if self.kind == "thmB" and self.transitions:
-            if x < 0:
-                a, b = self.transitions["neg"]
-            else:
-                a, b = self.transitions["pos"]
-            return self.K / (b - a)
-        return self.K
-
-
-def build_cutoff(
-    kind: str,
-    n: int,
-    scheme: IntervalScheme | None = None,
-    rho: RhoMap | None = None,
-) -> CutoffSequence:
-    """Construct a cut-off family member with cubic smoothstep ramps.
-
-    thmA: equal to 1 on [-n, n], ramps of width 1, slope constant 3/2.
-    thmB: ramps living on the scheme's intervals ±n, slope K/|interval|.
-    thmA-rho: the thmA cut-off composed with rho, chain-rule slope bound
-    K/m(x); its piecewise representation is a certified interpolation.
-    """
-    if n < 1:
-        raise ValueError("cut-off index must be >= 1")
-    K = config.SMOOTHSTEP_SLOPE
-    if kind == "thmA":
-        phi = bump(0.0, 2.0 * n, 1.0)
-        return CutoffSequence(
-            kind=kind,
-            n=n,
-            phi=phi,
-            K=K,
-            core=(-n, n),
-            support=(-n - 1.0, n + 1.0),
-            transitions={"neg": (-n - 1.0, -n), "pos": (n, n + 1.0)},
-        )
-    if kind == "thmB":
-        if scheme is None:
-            raise BadSchemeError("thmB cut-off needs an interval scheme")
-        if n not in scheme.intervals or -n not in scheme.intervals:
-            raise BadSchemeError(f"scheme does not cover index ±{n}")
-        am, bm = scheme.intervals[-n]
-        ap, bp = scheme.intervals[n]
-        if bm > ap:
-            raise BadSchemeError("negative-side interval overlaps positive side")
-        up = _indicator(am, bm) * _smoothstep_poly(am, bm, rising=True)
-        core = _indicator(bm, ap)
-        down = _indicator(ap, bp) * _smoothstep_poly(ap, bp, rising=False)
-        phi = up + core + down
-        return CutoffSequence(
-            kind=kind,
-            n=n,
-            phi=phi,
-            K=K,
-            core=(bm, ap),
-            support=(am, bp),
-            delta=scheme.delta,
-            transitions={"neg": (am, bm), "pos": (ap, bp)},
-        )
-    if kind == "thmA-rho":
-        if rho is None:
-            raise BadSchemeError("thmA-rho cut-off needs a rho map")
-        lo_y, hi_y = rho.range
-        if not (lo_y <= -n - 1 and hi_y >= n + 1):
-            raise BadSchemeError(
-                f"rho range [{lo_y:.3g}, {hi_y:.3g}] does not cover ±{n + 1}"
-            )
-        base = bump(0.0, 2.0 * n, 1.0)
-        xm0, xm1 = rho.inverse(-n - 1.0), rho.inverse(-n)
-        xp0, xp1 = rho.inverse(float(n)), rho.inverse(n + 1.0)
-        kinks = [float(t) for t in rho.m.breakpoints]
-        up = from_callable(
-            lambda x: base.eval(rho.rho(x)).real,
-            (xm0, xm1),
-            kinks=[k for k in kinks if xm0 < k < xm1],
-            degree=6,
-            max_piece=max((xm1 - xm0) / 4, 1e-3),
-            tol=1e-9,
-            zero_outside=False,
-        )
-        down = from_callable(
-            lambda x: base.eval(rho.rho(x)).real,
-            (xp0, xp1),
-            kinks=[k for k in kinks if xp0 < k < xp1],
-            degree=6,
-            max_piece=max((xp1 - xp0) / 4, 1e-3),
-            tol=1e-9,
-            zero_outside=False,
-        )
-        phi = (
-            _indicator(xm0, xm1) * up
-            + _indicator(xm1, xp0)
-            + _indicator(xp0, xp1) * down
-        )
-        return CutoffSequence(
-            kind=kind,
-            n=n,
-            phi=phi,
-            K=config.SMOOTHSTEP_SLOPE,
-            core=(xm1, xp0),
-            support=(xm0, xp1),
-            transitions={"neg": (xm0, xm1), "pos": (xp0, xp1)},
-            rho=rho,
-            base=base,
-        )
-    raise ValueError(f"unknown cut-off kind {kind!r}")
-
-
-def _indicator(a: float, b: float) -> PiecewisePoly:
-    return PiecewisePoly([a, b], [[0.0], [1.0], [0.0]])
-
-
-def _smoothstep_poly(a: float, b: float, rising: bool) -> PiecewisePoly:
-    from .coeffs import smoothstep
-
-    s = smoothstep(a, b, rising=rising)
-    # keep only the ramp piece, extended across the line (the indicator
-    # multiplication localizes it)
-    return PiecewisePoly._from_local(np.asarray([]), s.centers[1:2], s.coeffs[1:2])
-
-
-def cutoff_invariants(cut: CutoffSequence) -> dict:
-    """Re-verify the defining inequalities of a cut-off on a 400-point mesh.
-
-    Returns margin data; raises nothing.  Used by property tests and the
-    CLI verify task.
-    """
-    lo, hi = cut.support
-    pad = 0.1 * (hi - lo)
-    xs = np.linspace(lo - pad, hi + pad, 400)
-    out = {
-        "range_ok": True,
-        "core_ok": True,
-        "support_ok": True,
-        "sign_ok": True,
-        "slope_ok": True,
-        "max_slope_ratio": 0.0,
-    }
-    for x in xs:
-        x = float(x)
-        v = cut.phi_value(x)
-        d = cut.phi_prime(x)
-        if not -1e-9 <= v <= 1 + 1e-9:
-            out["range_ok"] = False
-        if cut.core[0] + 1e-9 < x < cut.core[1] - 1e-9 and abs(v - 1) > 1e-9:
-            out["core_ok"] = False
-        if not (lo - 1e-9 <= x <= hi + 1e-9) and abs(v) > 1e-9:
-            out["support_ok"] = False
-        tneg = cut.transitions.get("neg")
-        tpos = cut.transitions.get("pos")
-        if tneg and tneg[0] + 1e-9 < x < tneg[1] - 1e-9 and d < -1e-7:
-            out["sign_ok"] = False
-        if tpos and tpos[0] + 1e-9 < x < tpos[1] - 1e-9 and d > 1e-7:
-            out["sign_ok"] = False
-        bound = cut.slope_bound(x)
-        if bound > 0:
-            ratio = abs(d) / bound
-            out["max_slope_ratio"] = max(out["max_slope_ratio"], ratio)
-            if ratio > 1 + 1e-7:
-                out["slope_ok"] = False
-    return out
-
-
 def verify_caccioppoli(
     c: CoefficientField,
     v: Trajectory,
-    cut: CutoffSequence | PiecewisePoly,
+    phi: PiecewisePoly,
 ) -> float:
     """Residual of the null-solution energy identity, scale-normalized.
 
@@ -675,7 +384,6 @@ def verify_caccioppoli(
     on one mesh with the field's breakpoints first, so no product of v,
     |v|^2 at twice its degree among them, is re-centred.
     """
-    phi = cut.phi if isinstance(cut, CutoffSequence) else cut
     if not phi.is_real(1e-9):
         raise NonRealError("cut-off must be real-valued")
     if v.system.side != ADJOINT:

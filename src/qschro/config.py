@@ -62,6 +62,3 @@ EIG_MERGE_TOL = 1e-8
 # Jump height below which a quasi-derivative is treated as continuous
 # (absolute, scaled by the local state magnitude).
 JUMP_TOL = 1e-8
-
-# Max slope of the cubic smoothstep ramp on a unit interval.
-SMOOTHSTEP_SLOPE = 1.5

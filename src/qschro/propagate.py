@@ -620,9 +620,12 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
 
 def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
     """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
-    of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``."""
+    of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``.
+    A function passed twice (``pair_integral(t, t, ...)``) gives its edges once."""
     edges = [np.asarray(cuts, dtype=float)]
-    for f in fs:
+    for i, f in enumerate(fs):
+        if any(f is g for g in fs[:i]):
+            continue
         edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
     left, right, _ = _cut([a], [b], np.concatenate(edges))
     mid = 0.5 * (left + right)

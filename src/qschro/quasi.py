@@ -109,39 +109,6 @@ def _jumps(f: PiecewisePoly, window: tuple[float, float]) -> dict[float, complex
     return dict(zip(x[keep].tolist(), h[keep]))
 
 
-def _raise_at_first(f: PiecewisePoly, jumps: dict) -> None:
-    if jumps:
-        x = next(iter(jumps))
-        raise DiscontinuousQuasiDerivativeError(x, f.eval(x, "left"), f.eval(x, "right"))
-
-
-def _apply(c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]):
-    """(u^[1], l[u] without atoms, atoms) on the window, from the system at 0.
-
-    u^[1] = u' - a11 u and l[u] = -(u^[1]' - a22 u^[1] - a21 u); a jump h
-    of u^[1] at x is the atom -h delta_x of l[u].  Raises
-    DiscontinuousQuasiDerivativeError where u itself jumps.
-    """
-    _raise_at_first(u, _jumps(u, window))
-    A = assemble(c, side)
-    u1 = u.derivative() - A.a11 * u
-    atoms = {x: -h for x, h in _jumps(u1, window).items()}
-    return u1, -(u1.derivative() - A.a22 * u1 - A.a21_0 * u), atoms
-
-
-def quasi_derivatives(c: CoefficientField, side: str, u: PiecewisePoly, x: float):
-    """(u(x), u^[1](x), u^[2](x)) by exact piecewise algebra.
-
-    The expression value at x is -u^[2](x).  Raises
-    DiscontinuousQuasiDerivativeError if u or its first quasi-derivative
-    jumps at x; u is then not in the domain there and only one-sided
-    values exist.
-    """
-    u1, lu, atoms = _apply(c, side, u, (x, x))
-    _raise_at_first(u1, atoms)
-    return u.eval(x, "right"), u1.eval(x, "right"), -lu.eval(x, "right")
-
-
 def apply_l_atoms(c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]):
     """Apply the expression, keeping Dirac atoms explicit.
 
@@ -149,23 +116,19 @@ def apply_l_atoms(c: CoefficientField, side: str, u: PiecewisePoly, window: tupl
     the adjoint expression) on the window, atoms maps a location b to the
     weight w of w*delta_b coming from a jump of the first quasi-derivative
     there (w = -jump).  For u in the local domain the atom dict is empty.
+
+    From the system at 0: u^[1] = u' - a11 u and
+    l[u] = -(u^[1]' - a22 u^[1] - a21 u).  Raises
+    DiscontinuousQuasiDerivativeError where u itself jumps.
     """
-    return _apply(c, side, u, window)[1:]
-
-
-def apply_l(
-    c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]
-) -> PiecewisePoly:
-    """l[u] (direct) or the adjoint expression (adjoint side) on a window.
-
-    Requires u and u^[1] continuous there; a genuine jump of u^[1] means a
-    Dirac atom in the result and raises DiscontinuousQuasiDerivativeError
-    with u^[1]'s one-sided values, as quasi_derivatives does (use
-    apply_l_atoms to keep the atoms).
-    """
-    u1, lu, atoms = _apply(c, side, u, window)
-    _raise_at_first(u1, atoms)
-    return lu
+    jumps = _jumps(u, window)
+    if jumps:
+        x = next(iter(jumps))
+        raise DiscontinuousQuasiDerivativeError(x, u.eval(x, "left"), u.eval(x, "right"))
+    A = assemble(c, side)
+    u1 = u.derivative() - A.a11 * u
+    atoms = {x: -h for x, h in _jumps(u1, window).items()}
+    return -(u1.derivative() - A.a22 * u1 - A.a21_0 * u), atoms
 
 
 def product_rule_check(

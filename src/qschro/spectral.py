@@ -37,7 +37,7 @@ from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
 from .propagate import FundamentalSystem, _gauss_legendre, _panel_values, _panels
 from .propagate import Trajectory, endpoint, fundamental, integrate
-from .quasi import ADJOINT, DIRECT, QuasiState, apply_l, assemble
+from .quasi import ADJOINT, DIRECT, QuasiState, assemble
 
 _EPS = float(np.finfo(float).eps)
 
@@ -316,28 +316,6 @@ def _root(dense, method, lam, cv, shots, message):
     ok = cv.residual <= config.CHAR_TOL or cv.at_floor(lam)
     return EigenResult(lam=complex(lam), residual=cv.residual, iterations=shots, converged=ok, method=method,
                        message="" if ok else message, shots=shots, floor=cv.floor(lam), shot=partial(dense, lam))
-
-
-def eigenfunction_residual(
-    c: CoefficientField,
-    result: EigenResult,
-    interval: tuple[float, float],
-    side: str = DIRECT,
-) -> float:
-    """Relative L2 residual of the re-fitted eigenfunction.
-
-    Re-fits the dense output as a piecewise polynomial, applies the
-    expression exactly, and compares with lambda times the eigenfunction.
-    """
-    if result.trajectory is None:
-        raise ValueError("eigenvalue result carries no trajectory")
-    a, b = float(interval[0]), float(interval[1])
-    u = result.trajectory.to_piecewise(0, a, b)
-    lu = apply_l(c, side, u, (a, b))
-    diff = lu - result.lam * u
-    num = (diff * diff.conj()).integrate(a, b).real
-    den = (u * u.conj()).integrate(a, b).real
-    return math.sqrt(max(num, 0.0) / den) / (1 + abs(result.lam))
 
 
 # ----------------------------------------------------------------------

@@ -325,6 +325,24 @@ def test_verify_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
     assert "OverflowUnrecoverableError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", [["-5", "5"], ["1", "3"]])
+def test_verify_says_when_the_caccioppoli_row_is_skipped(window):
+    # the cut-off for [1, 3] is supported on [-2, 2], which does not fit in
+    # the window: the row is left out, and a note says so
+    raw = load_problem(str(pathlib.Path(__file__).parents[1] / "problems" / "verify_delta_well.json"))
+    raw["params"]["window"] = window
+    _, text, _ = run_problem(raw)
+    lines = text.splitlines()
+    rows = [l.split(",") for l in lines if l.startswith("caccioppoli_identity,")]
+    notes = [l for l in lines if l.startswith("note: ")]
+    if window == ["-5", "5"]:
+        assert len(rows) == 1 and float(rows[0][1]) <= 1e-7 and notes == []
+    else:
+        assert rows == []
+        assert notes == ["note: caccioppoli_identity skipped: cut-off support [-2.0, 2.0] "
+                         "does not fit in the window [1.0, 3.0]"]
+
+
 def test_form_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
     # s = -1e308 on a plateau of width 4: the potential part is about
     # -4e308, which must exit 70 instead of a verdict over nan rows

@@ -17,11 +17,8 @@ from qschro.coeffs import (
     _shift_rows,
     bump,
     bumps,
-    from_callable,
-    pos_neg_parts,
-    smoothstep,
 )
-from qschro.errors import FamilyMemberError, NonRealError
+from qschro.errors import FamilyMemberError
 
 RNG = np.random.default_rng(20240811)
 
@@ -205,36 +202,6 @@ def test_G1_G2_imaginary_r():
     assert G2.eval(2.0) == pytest.approx(-2.0)
 
 
-def test_pos_neg_parts_linear():
-    f = PiecewisePoly.from_coeffs([0, -1.0])  # -x
-    xs, plus, minus = pos_neg_parts(f, (-1, 1), 0.125)
-    at = dict(zip(xs, plus))
-    atm = dict(zip(xs, minus))
-    assert at[-1.0] == pytest.approx(1.0)
-    assert atm[1.0] == pytest.approx(1.0)
-    assert at[1.0] == 0.0
-    np.testing.assert_allclose(plus - minus, [f.eval(x).real for x in xs], atol=1e-14)
-    assert np.max(np.minimum(plus, minus)) == 0.0
-
-
-def test_pos_neg_parts_zero():
-    xs, plus, minus = pos_neg_parts(PiecewisePoly.zero(), (-1, 1), 0.5)
-    assert np.all(plus == 0) and np.all(minus == 0)
-
-
-def test_pos_neg_parts_crossing_refined():
-    f = PiecewisePoly.from_coeffs([-1, 0, 1])  # x^2 - 1, crossing at 1
-    xs, plus, minus = pos_neg_parts(f, (0, 2), 0.3)
-    assert min(abs(x - 1.0) for x in xs) <= 1e-12
-    assert all(p == 0 for x, p in zip(xs, plus) if x < 1)
-    assert all(m == 0 for x, m in zip(xs, minus) if x > 1)
-
-
-def test_pos_neg_rejects_complex():
-    with pytest.raises(NonRealError):
-        pos_neg_parts(PiecewisePoly.constant(1j), (0, 1), 0.5)
-
-
 def test_antiderivative_constant():
     F = PiecewisePoly.constant(1.0).antiderivative(anchor=0.5)
     assert F.eval(0.5) == pytest.approx(0.0)
@@ -282,7 +249,7 @@ def test_spurious_breakpoint_transparent():
 
 
 def test_smoothstep_slope_bound():
-    s = smoothstep(2.0, 3.5)
+    s = bump(4.5, 2.0, 1.5)  # rising ramp on (2.0, 3.5)
     v, x = s.derivative().extreme_on(2.0, 3.5, "max")
     assert v == pytest.approx(1.5 / 1.5)
     assert x == pytest.approx(2.75)
@@ -384,27 +351,16 @@ def test_bump_is_the_two_smoothstep_construction_bit_for_bit():
     assert 100 < sum(built) < 500
 
 
-def test_smoothstep_is_the_scalar_construction_bit_for_bit():
-    rng = np.random.default_rng(19)
-    built = []
-    for _ in range(200):
-        a = float(rng.uniform(-10, 10)) * 10.0 ** float(rng.choice([0, 50, -50]))
-        b = a + float(rng.choice([rng.uniform(0.01, 3), 10.0 ** rng.uniform(-103, 102)]))
-        for rising in (True, False):
-            built.append(_same_build(lambda: smoothstep(a, b, rising), lambda: _scalar_smoothstep(a, b, rising)))
-    assert 100 < sum(built) < 400
-
-
 def test_ramp_whose_cubic_term_overflows_is_refused():
     # 6 L^3 overflows between widths of about 3.1e102 and 5.6e102: the scalar
     # construction's cubic term became -0.0 and the ramp a line
     assert _scalar_smoothstep(0.0, 5e102).degree == 1
     for width in (3.2e102, 5e102, 5.5e102):
         with pytest.raises(ValueError, match=re.escape(f"width {width!r} has coefficients outside the float range")):
-            smoothstep(0.0, width)
+            bump(0.0, 0.0, width)
         with pytest.raises(ValueError, match="outside the float range"):
             bump(0.0, 1.0, width)
-    assert smoothstep(0.0, 3e102).degree == 3
+    assert bump(0.0, 0.0, 3e102).degree == 3
 
 
 def test_bump_family_is_its_members():
@@ -439,32 +395,6 @@ def test_bump_family_names_its_first_refused_member(triples, index, message):
     assert (err.value.index, str(err.value)) == (index, message)
     with pytest.raises(ValueError, match=re.escape(message)):
         bump(*triples[index])
-
-
-def test_from_callable_certified():
-    p = from_callable(np.exp, (0.0, 1.0))
-    xs = np.linspace(1e-9, 1 - 1e-9, 301)
-    assert max(abs(p.eval(float(x)) - np.exp(x)) for x in xs) < 1e-10 * np.e
-
-
-def test_from_callable_kink():
-    p = from_callable(lambda x: np.exp(-abs(x)), (-1, 1), kinks=[0.0])
-    xs = np.linspace(-0.999, 0.999, 301)
-    assert max(abs(p.eval(float(x)) - np.exp(-abs(x))) for x in xs) < 1e-10
-    d = p.derivative()
-    assert d.eval(0, "right") - d.eval(0, "left") == pytest.approx(-2.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("zero_outside", [True, False])
-def test_from_callable_with_an_identically_zero_piece(zero_outside):
-    # the fit on the left piece is exactly zero, so its monomial row is shorter
-    p = from_callable(lambda x: max(x, 0.0), (-1, 1), kinks=[0.0], zero_outside=zero_outside)
-    assert p.coeffs.ndim == 2
-    xs = np.linspace(-0.999, 0.999, 301)
-    assert max(abs(p.eval(float(x)) - max(x, 0.0)) for x in xs) < 1e-10
-    assert p.eval(-0.5) == 0.0
-    tail = p.eval(2.0)
-    assert tail == 0.0 if zero_outside else tail == pytest.approx(2.0, abs=1e-8)
 
 
 @settings(max_examples=30, deadline=None)

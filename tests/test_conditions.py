@@ -1,20 +1,18 @@
-"""Weight checks, rho maps, cut-off families, interval schemes, the identity."""
+"""Weight checks, interval schemes, the null-energy identity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly
+from qschro.coeffs import CoefficientField, PiecewisePoly, bump
 from qschro.conditions import (
     IntervalScheme,
     WeightFunction,
-    build_cutoff,
-    build_rho,
+    _inv_m_integrals,
     check_growth,
     check_intervals,
     check_m,
-    cutoff_invariants,
     verify_caccioppoli,
 )
 from qschro.errors import BadSchemeError, NonRealError
@@ -89,47 +87,16 @@ def test_check_growth_fails_monotone_in_horizon():
         assert rep.verdict == "fails"
 
 
-def test_build_rho_identity():
-    rho = build_rho(WeightFunction(PiecewisePoly.constant(1.0), 20.0))
-    for x in (-7.3, 0.0, 11.1):
-        assert rho.rho(x) == pytest.approx(x, abs=1e-12)
-
-
-def test_build_rho_logarithmic():
-    rho = build_rho(WeightFunction(M_ABS, 60.0))
-    assert rho.rho(math.e - 1) == pytest.approx(1.0, abs=1e-10)
-    assert rho.rho(-(math.e - 1)) == pytest.approx(-1.0, abs=1e-10)
-
-
-def test_rho_inverse_roundtrip():
-    rho = build_rho(WeightFunction(M_ABS, 60.0))
-    rng = np.random.default_rng(5)
-    for x in rng.uniform(-55, 55, 100):
-        assert rho.inverse(rho.rho(float(x))) == pytest.approx(float(x), abs=1e-10)
-
-
-def test_rho_inverse_roundtrips_to_rounding():
-    # rho = sign(x) log(1 + |x|) for m = 1 + |x|; Newton with rho' = 1/m
-    rho = build_rho(WeightFunction(M_ABS, 60.0))
-    rng = np.random.default_rng(7)
-    for y in rng.uniform(-4.1, 4.1, 100):
-        x = rho.inverse(float(y))
-        assert abs(rho.rho(x) - y) <= 1e-13
-        assert abs(x - math.copysign(math.expm1(abs(y)), y)) <= 1e-13 * (1 + abs(x))
-
-
 def test_inverse_weight_integral_over_long_horizons():
     # closed forms: log(1 + X) for 1 + |x|, atan(sqrt(a) X)/sqrt(a) for 1 + a x^2
-    from qschro.conditions import _inv_m_integral
-
     for X in (1e-3, 1.0, 60.0, 1e6):
-        assert abs(_inv_m_integral(M_ABS, -X, 0.0) - math.log1p(X)) <= 1e-15 * math.log1p(X)
+        assert abs(_inv_m_integrals(M_ABS, [(-X, 0.0)])[0] - math.log1p(X)) <= 1e-15 * math.log1p(X)
     for a in (1e-4, 1.7191, 1e4):
         m = PiecewisePoly.from_coeffs([1.0, 0.0, a])
         for X in (0.5, 714701.1779933694):
             want = math.atan(math.sqrt(a) * X) / math.sqrt(a)
-            assert abs(_inv_m_integral(m, 0.0, X) - want) <= 1e-14 * want
-            assert _inv_m_integral(m, X, 0.0) == -_inv_m_integral(m, 0.0, X)
+            assert abs(_inv_m_integrals(m, [(0.0, X)])[0] - want) <= 1e-14 * want
+            assert _inv_m_integrals(m, [(X, 0.0)])[0] == -_inv_m_integrals(m, [(0.0, X)])[0]
 
 
 # 1 + (x - 500)^2 kept in powers of x: Horner's rule cancels 2.5e5 down to 1
@@ -140,21 +107,17 @@ def test_inverse_weight_integral_of_a_hump_far_from_its_center():
     # sampled plainly, 1/m carries noise of about 1e-11 near x = 500, where
     # no panel agrees with its halves to 1e-15; closed forms are differences
     # of atan(x - 500)
-    from qschro.conditions import _inv_m_integral
-
     right, left = 2 * math.atan(500.0), math.atan(1000.0 / 750001.0)
-    assert abs(_inv_m_integral(HUMP, 0.0, 1000.0) - right) <= 1e-14 * right
-    assert abs(_inv_m_integral(HUMP, -1000.0, 0.0) - left) <= 1e-14 * left
+    assert abs(_inv_m_integrals(HUMP, [(0.0, 1000.0)])[0] - right) <= 1e-14 * right
+    assert abs(_inv_m_integrals(HUMP, [(-1000.0, 0.0)])[0] - left) <= 1e-14 * left
     rep = check_m(WeightFunction(HUMP, 1000.0), probe_points=[1000.0])
     assert abs(rep.witnesses["I_right"] - right) <= 1e-12 * right
     assert abs(rep.witnesses["I_left"] - left) <= 1e-12 * left
     key = next(k for k in rep.witnesses if k.startswith("I("))
     assert abs(rep.witnesses[key] - right) <= 1e-14 * right
-    rho = build_rho(WeightFunction(HUMP, 1000.0))
     for x in (499.7, 500.0, 612.5):
         want = math.atan(x - 500.0) + math.atan(500.0)
-        assert abs(rho.rho(x) - want) <= 1e-13 * want
-        assert abs(rho.inverse(want) - x) <= 1e-13 * x
+        assert abs(_inv_m_integrals(HUMP, [(0.0, x)])[0] - want) <= 1e-13 * want
 
 
 def test_inverse_weight_integral_stops_at_its_panel_budget(monkeypatch):
@@ -173,58 +136,22 @@ def test_inverse_weight_integral_stops_at_its_panel_budget(monkeypatch):
 
     monkeypatch.setattr(PiecewisePoly, "sample_bounded", noisy)
     m = PiecewisePoly.from_coeffs([1.0, 0.0, 1.0])
-    assert abs(conditions._inv_m_integral(m, 0.0, 10.0) - math.atan(10.0)) <= 1e-11
+    assert abs(conditions._inv_m_integrals(m, [(0.0, 10.0)])[0] - math.atan(10.0)) <= 1e-11
     assert sum(nodes) <= 16 * conditions._INV_M_PANELS
 
 
 def test_cutoff_thmA():
-    cut = build_cutoff("thmA", 3)
-    assert cut.K == 1.5
-    assert cut.phi.eval(0.0) == pytest.approx(1.0)
-    assert cut.phi.eval(3.0) == pytest.approx(1.0)
-    assert cut.phi.eval(4.0) == 0.0
-    v, x_at = cut.phi.derivative().extreme_on(3.0, 4.0, "min")
+    # the cut-off of verify: 1 on [-n, n], unit ramps, slope bound 3/2
+    phi = bump(0.0, 2.0 * 3, 1.0)
+    assert phi.support_bounds() == (-4.0, 4.0)
+    assert phi.eval(0.0) == pytest.approx(1.0)
+    assert phi.eval(3.0) == pytest.approx(1.0)
+    assert phi.eval(4.0) == 0.0
+    v, x_at = phi.derivative().extreme_on(3.0, 4.0, "min")
     assert v == pytest.approx(-1.5)
-    inv = cutoff_invariants(cut)
-    assert all(inv[k] for k in ("range_ok", "core_ok", "support_ok", "sign_ok", "slope_ok"))
-
-
-def test_cutoff_thmB_scaled_slope():
-    scheme = IntervalScheme.unit_intervals(4)
-    cut = build_cutoff("thmB", 2, scheme=scheme)
-    inv = cutoff_invariants(cut)
-    assert all(inv[k] for k in ("range_ok", "core_ok", "support_ok", "sign_ok", "slope_ok"))
-    # unit intervals: |phi'| <= 1.5
-    dmax, _ = cut.phi.derivative().extreme_on(*scheme.intervals[-2], "max")
-    assert dmax <= 1.5 + 1e-12
-
-
-def test_cutoff_thmA_rho_identity_weight():
-    rho = build_rho(WeightFunction(PiecewisePoly.constant(1.0), 20.0))
-    cut = build_cutoff("thmA-rho", 2, rho=rho)
-    plain = build_cutoff("thmA", 2)
-    for x in np.linspace(-3.5, 3.5, 101):
-        assert cut.phi.eval(float(x)) == pytest.approx(
-            plain.phi.eval(float(x)), abs=1e-9
-        )
-
-
-def test_cutoff_thmA_rho_chain_rule_bound():
-    rho = build_rho(WeightFunction(M_ABS, 60.0))
-    cut = build_cutoff("thmA-rho", 2, rho=rho)
-    inv = cutoff_invariants(cut)
-    assert inv["slope_ok"]
-    # |phi'(x)| * m(x) <= K at mesh points
-    lo, hi = cut.support
-    for x in np.linspace(lo, hi, 301):
-        bound = abs(cut.phi_prime(float(x))) * M_ABS.eval(float(x)).real
-        assert bound <= cut.K * (1 + 1e-7)
 
 
 def test_cutoff_bad_scheme():
-    scheme = IntervalScheme.unit_intervals(2)
-    with pytest.raises(BadSchemeError):
-        build_cutoff("thmB", 3, scheme=scheme)
     with pytest.raises(BadSchemeError):
         IntervalScheme({1: (0.0, 1.0), 2: (0.5, 1.5)}, delta=1.0)
 
@@ -279,19 +206,19 @@ def test_check_intervals_length_bound():
 def test_caccioppoli_free_constant():
     free = CoefficientField.free()
     v = integrate(assemble(free, "adjoint", 0.0), QuasiState(-4.0, 1.0, 0.0), 4.0)
-    assert verify_caccioppoli(free, v, build_cutoff("thmA", 2)) <= 1e-9
+    assert verify_caccioppoli(free, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-9
 
 
 def test_caccioppoli_free_linear():
     free = CoefficientField.free()
     v = integrate(assemble(free, "adjoint", 0.0), QuasiState(-4.0, -4.0, 1.0), 4.0)
-    assert verify_caccioppoli(free, v, build_cutoff("thmA", 2)) <= 1e-8
+    assert verify_caccioppoli(free, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-8
 
 
 def test_caccioppoli_delta_well():
     dw = CoefficientField.delta_well(-2.0)
     v = integrate(assemble(dw, "adjoint", 0.0), QuasiState(-4.0, 1.0, 0.2), 4.0)
-    assert verify_caccioppoli(dw, v, build_cutoff("thmA", 2)) <= 1e-7
+    assert verify_caccioppoli(dw, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-7
 
 
 def test_caccioppoli_linear_drift():
@@ -299,7 +226,7 @@ def test_caccioppoli_linear_drift():
         PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0, -1j])
     )
     v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-4.0, 1.0, 0.1), 4.0)
-    assert verify_caccioppoli(c, v, build_cutoff("thmA", 2)) <= 1e-7
+    assert verify_caccioppoli(c, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-7
 
 
 def test_caccioppoli_large_solution_at_support_end():
@@ -309,14 +236,14 @@ def test_caccioppoli_large_solution_at_support_end():
         PiecewisePoly.constant(6.0), PiecewisePoly.zero(), PiecewisePoly.zero()
     )
     v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-5.0, 1.0, 0.1, "adjoint"), 5.0)
-    assert verify_caccioppoli(c, v, build_cutoff("thmA", 4)) <= 1e-7
+    assert verify_caccioppoli(c, v, bump(0.0, 2.0 * 4, 1.0)) <= 1e-7
 
 
 def test_caccioppoli_rejects_direct_side():
     free = CoefficientField.free()
     v = integrate(assemble(free, "direct", 0.0), QuasiState(-4.0, 1.0, 0.0), 4.0)
     with pytest.raises(ValueError):
-        verify_caccioppoli(free, v, build_cutoff("thmA", 2))
+        verify_caccioppoli(free, v, bump(0.0, 2.0 * 2, 1.0))
 
 
 def test_energy_inequality_audit_normalized_instance():
@@ -327,11 +254,10 @@ def test_energy_inequality_audit_normalized_instance():
     )
     v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-4.0, 1.0, 1.0), 4.0)
     for n in (1, 2, 3):
-        cut = build_cutoff("thmA", n)
-        lo, hi = cut.support
+        phi = bump(0.0, 2.0 * n, 1.0)
+        lo, hi = phi.support_bounds()
         v_pw = v.to_piecewise(0, lo, hi)
         vv = v_pw * v_pw.conj()
-        phi = cut.phi
         dphi = phi.derivative()
         lhs = ((phi * phi) * vv).integrate(lo, hi).real
         rhs = ((dphi * dphi) * vv).integrate(lo, hi).real
@@ -339,7 +265,7 @@ def test_energy_inequality_audit_normalized_instance():
         assert lhs <= rhs * (1 + 1e-9)
 
 
-def _loop_inv_m_integral(m, a, b):
+def _per_integral_loop(m, a, b):
     """The per-integral loop that ``_inv_m_integrals`` replaced, verbatim
     apart from its name and the imports it needs."""
     from qschro.conditions import _INV_M_NODES, _INV_M_PANELS, _INV_M_RTOL
@@ -410,11 +336,8 @@ BATCH_CASES = [
 
 @pytest.mark.parametrize("m, ends", BATCH_CASES)
 def test_inverse_weight_integrals_have_the_bits_of_each_integral_alone(m, ends):
-    from qschro.conditions import _inv_m_integral, _inv_m_integrals
-
     solo = [_inv_m_integrals(m, [e])[0].hex() for e in ends]
     assert [v.hex() for v in _inv_m_integrals(m, ends)] == solo
-    assert [_inv_m_integral(m, *e).hex() for e in ends] == solo
     rng = np.random.default_rng(11)
     for _ in range(5):
         pick = rng.choice(len(ends), size=int(rng.integers(1, 2 * len(ends))))
@@ -425,10 +348,8 @@ def test_inverse_weight_integrals_have_the_bits_of_each_integral_alone(m, ends):
 
 @pytest.mark.parametrize("m, ends", BATCH_CASES)
 def test_inverse_weight_integrals_match_the_per_integral_loop(m, ends):
-    from qschro.conditions import _inv_m_integrals
-
     for (a, b), got in zip(ends, _inv_m_integrals(m, ends)):
-        want = _loop_inv_m_integral(m, a, b)
+        want = _per_integral_loop(m, a, b)
         if a == b:
             assert got == want == 0.0
         else:
@@ -445,7 +366,7 @@ def test_inverse_weight_integrals_keep_a_panel_budget_each(monkeypatch):
 
     m = PiecewisePoly.from_coeffs([1.0, 0.0, 1.0])
     smooth = [(20.0, 30.0), (-1e6, -1.0)]
-    alone = [conditions._inv_m_integral(m, *e) for e in smooth]
+    alone = [conditions._inv_m_integrals(m, [e])[0] for e in smooth]
     rng = np.random.default_rng(3)
     sample = PiecewisePoly.sample_bounded
     nodes = {"noisy": 0, "smooth": 0}
@@ -480,8 +401,3 @@ def test_non_finite_points_are_refused(bad):
     w = WeightFunction(M_ABS, 60.0)
     with pytest.raises(ValueError, match="not finite"):
         check_m(w, [1.0, bad])
-    rho = build_rho(w)
-    with pytest.raises(ValueError, match="not finite"):
-        rho.rho(bad)
-    with pytest.raises(ValueError, match="not finite"):
-        rho.inverse(bad)

@@ -3,9 +3,10 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, bump, from_callable
+from qschro.coeffs import CoefficientField, PiecewisePoly, bump
 from qschro.errors import (
     OverflowUnrecoverableError,
     SideMismatchError,
@@ -28,6 +29,16 @@ from qschro.quasi import QuasiState, assemble
 
 FREE = CoefficientField.free()
 RNG = np.random.default_rng(99)
+# e^{-|x|} to third order on each side: u(0) = 1 and u'(0+-) = -+1, so
+# u' jumps by -2 u(0), the jump rule of the delta well of strength -2
+KINK = PiecewisePoly([0.0], [[1.0, 1.0, 0.5, 1 / 6], [1.0, -1.0, 0.5, -1 / 6]])
+# x (pi - x) on [0, pi], zero outside
+ARCH = PiecewisePoly([0.0, math.pi], [[0.0], [0.0, math.pi, -1.0], [0.0]])
+
+
+def on_interval(coeffs, a, b):
+    """The polynomial with ascending ``coeffs`` on [a, b], zero outside."""
+    return PiecewisePoly([a, b], [[0.0], list(coeffs), [0.0]])
 
 
 def random_jumpy_field(rng, scale=0.6):
@@ -88,9 +99,8 @@ def test_lagrange_identity_nonsolutions_by_hand():
 
 def test_lagrange_identity_with_dirac_masses():
     dw = CoefficientField.delta_well(-2.0)
-    u = from_callable(lambda x: math.exp(-abs(x)), (-1, 1), kinks=[0.0], zero_outside=False)
     v = integrate(assemble(dw, "adjoint", 0.3 + 0.2j), QuasiState(-1.0, 0.7, 0.1j), 1.0)
-    assert lagrange_residual(dw, u, v, (-0.9, 0.9)) <= 1e-8
+    assert lagrange_residual(dw, KINK, v, (-0.9, 0.9)) <= 1e-8
 
 
 def test_lagrange_identity_random_fields():
@@ -117,9 +127,8 @@ def test_bracket_constancy_conjugate_pairs_random():
 
 
 def test_quadratic_form_kinetic_only():
-    u = from_callable(math.sin, (0, math.pi), max_piece=0.4)
-    fv = quadratic_form(FREE, u, (0, math.pi))
-    assert fv.value == pytest.approx(math.pi / 2, abs=1e-8)
+    fv = quadratic_form(FREE, ARCH, (0, math.pi))
+    assert fv.value == pytest.approx(math.pi**3 / 3, abs=1e-8)  # int (pi - 2x)^2
     assert fv.coupling == 0
     assert fv.potential == 0
 
@@ -128,8 +137,9 @@ def test_quadratic_form_with_potential():
     c = CoefficientField(
         PiecewisePoly.constant(1.0), PiecewisePoly.zero(), PiecewisePoly.zero()
     )
-    u = from_callable(math.sin, (0, math.pi), max_piece=0.4)
-    assert quadratic_form(c, u, (0, math.pi)).value == pytest.approx(math.pi, abs=1e-8)
+    # int (pi - 2x)^2 + int x^2 (pi - x)^2
+    want = math.pi**3 / 3 + math.pi**5 / 30
+    assert quadratic_form(c, ARCH, (0, math.pi)).value == pytest.approx(want, abs=1e-8)
 
 
 def test_quadratic_form_real_r_real_u_no_coupling():
@@ -197,12 +207,8 @@ def form_cases():
     # one degree-8 piece on (-1.5, 1.5), inside one piece of a degree-16
     # field: the integrands have degree 2 * 8 + 16 = 32 on a panel of width
     # 3, far beyond the degree 23 that 12 nodes integrate exactly
-    u = from_callable(
-        lambda x: (2.25 - x * x) * (1 + 0.5j * x - 0.3 * x**3 + 0.1j * x**5 - 0.05 * x**6),
-        (-1.5, 1.5),
-        degree=8,
-        max_piece=3.0,
-    )
+    # (2.25 - x^2) (1 + 0.5i x - 0.3 x^3 + 0.1i x^5 - 0.05 x^6)
+    u = on_interval(P.polymul([2.25, 0, -1], [1, 0.5j, 0, -0.3, 0, 0.1j, -0.05]), -1.5, 1.5)
     yield pytest.param(high_degree_field(rng), [u, bump(0.0, 0.5, 1.0)], id="degree-16-field")
     yield pytest.param(CoefficientField.delta_well(-2.0), bumps, id="bumps-delta-well")
     yield pytest.param(FREE, bumps, id="bumps-free")
@@ -269,7 +275,9 @@ def batched_form_cases():
         PiecewisePoly([1.0, 3.0], [[0.0], [0.3, -0.1], [0.2]]),
     )
     edges = [bump(2.5, 1.0, 1.0), bump(-0.0, 0.0, 1.0), bump(0.0, -0.0, 0.5), bump(20.0, 1.0, 0.5)]
-    smooth = from_callable(lambda x: (1 - x * x) * (1 + 0.3j * x - 0.2 * x**3), (-1.0, 1.0), degree=8, max_piece=0.4)
+    # (1 - x^2) (1 + 0.3i x - 0.2 x^3 + 0.05 x^6) on five pieces of [-1, 1]
+    smooth = on_interval(P.polymul([1, 0, -1], [1, 0.3j, 0, -0.2, 0, 0, 0.05]), -1.0, 1.0)
+    smooth = smooth.with_breakpoints([-0.6, -0.2, 0.2, 0.6])
     yield pytest.param(random_jumpy_field(rng), mixed, id="plateaus-with-and-without")
     yield pytest.param(on_edges, edges, id="edges-on-field-breakpoints")
     yield pytest.param(random_jumpy_field(rng), [*mixed[:5], smooth, *edges], id="with-a-degree-8-test")

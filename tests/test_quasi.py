@@ -11,10 +11,9 @@ from qschro.coeffs import (
     _dense,
     _trim,
     bump,
-    from_callable,
     region_pieces,
 )
-from qschro.conditions import build_cutoff, verify_caccioppoli
+from qschro.conditions import verify_caccioppoli
 from qschro.config import JUMP_TOL
 from qschro.errors import DiscontinuousQuasiDerivativeError
 from qschro.propagate import endpoint, integrate
@@ -23,15 +22,16 @@ from qschro.quasi import (
     DIRECT,
     QuasiState,
     ShinZettlSystem,
-    apply_l,
     apply_l_atoms,
     assemble,
     _jumps,
     product_rule_check,
-    quasi_derivatives,
 )
 
 RNG = np.random.default_rng(7)
+# e^{-|x|} to third order on each side: u(0) = 1 and u'(0+-) = -+1, so
+# u' jumps by -2 u(0), the jump rule of the delta well of strength -2
+KINK = PiecewisePoly([0.0], [[1.0, 1.0, 0.5, 1 / 6], [1.0, -1.0, 0.5, -1 / 6]])
 
 
 def const_field(s=0.0, Q=0.0, r=0.0):
@@ -108,23 +108,32 @@ def test_real_field_self_adjoint_system():
             assert abs(d.a22.eval(x) - a.a22.eval(x)) <= 1e-12 * (1 + abs(d.a22.eval(x)))
 
 
-def test_quasi_derivatives_free_linear():
-    y0, y1, y2 = quasi_derivatives(CoefficientField.free(), DIRECT, PiecewisePoly.identity(), 2.0)
+def quasi_ladder(c, side, u, x):
+    """(u(x), u^[1](x), u^[2](x)) with u^[1] = u' - a11 u and u^[2] = -l[u],
+    for u whose first quasi-derivative does not jump at x."""
+    lu, atoms = apply_l_atoms(c, side, u, (x, x))
+    assert atoms == {}
+    u1 = u.derivative() - assemble(c, side).a11 * u
+    return u.eval(x, "right"), u1.eval(x, "right"), -lu.eval(x, "right")
+
+
+def test_quasi_ladder_free_linear():
+    y0, y1, y2 = quasi_ladder(CoefficientField.free(), DIRECT, PiecewisePoly.identity(), 2.0)
     assert (y0, y1, y2) == (2.0, 1.0, 0.0)
 
 
-def test_quasi_derivatives_constant_r():
+def test_quasi_ladder_constant_r():
     c = const_field(r=1.0)
-    y0, y1, _ = quasi_derivatives(c, DIRECT, PiecewisePoly.identity(), 2.0)
+    y0, y1, _ = quasi_ladder(c, DIRECT, PiecewisePoly.identity(), 2.0)
     assert y0 == pytest.approx(2.0)
     assert y1 == pytest.approx(1.0 - 2.0j)  # u' - i*x at 2
 
 
-def test_quasi_derivatives_delta_well_bound_state():
+def test_quasi_ladder_delta_well_bound_state():
     # e^{-|x|}: u' jumps by -2*u(0) at 0 but u^[1] stays continuous
     c = CoefficientField.delta_well(-2.0)
-    u = from_callable(lambda x: np.exp(-abs(x)), (-1, 1), kinks=[0.0], zero_outside=False)
-    y0, y1, y2 = quasi_derivatives(c, DIRECT, u, 0.0)
+    u = KINK
+    y0, y1, y2 = quasi_ladder(c, DIRECT, u, 0.0)
     assert y0 == pytest.approx(1.0, abs=1e-10)
     assert y1 == pytest.approx(1.0, abs=1e-8)
     du = u.derivative()
@@ -134,21 +143,17 @@ def test_quasi_derivatives_delta_well_bound_state():
     assert -y2 == pytest.approx(-y0, abs=1e-8)
 
 
-def test_quasi_derivatives_flags_discontinuity():
-    c = CoefficientField.delta_well(-2.0)
-    with pytest.raises(DiscontinuousQuasiDerivativeError):
-        quasi_derivatives(c, DIRECT, PiecewisePoly.constant(1.0), 0.0)
-
-
 def test_apply_l_free_quadratic():
-    out = apply_l(CoefficientField.free(), DIRECT, PiecewisePoly.from_coeffs([0, 0, 1]), (-1, 1))
+    out, atoms = apply_l_atoms(CoefficientField.free(), DIRECT, PiecewisePoly.from_coeffs([0, 0, 1]), (-1, 1))
+    assert atoms == {}
     for x in (-0.5, 0.0, 0.9):
         assert out.eval(x) == pytest.approx(-2.0)
 
 
 def test_apply_l_potential_only():
     c = const_field(s=1.0)
-    out = apply_l(c, DIRECT, PiecewisePoly.constant(1.0), (-1, 1))
+    out, atoms = apply_l_atoms(c, DIRECT, PiecewisePoly.constant(1.0), (-1, 1))
+    assert atoms == {}
     assert out.eval(0.2) == pytest.approx(1.0)
 
 
@@ -160,7 +165,8 @@ def test_apply_l_matches_classical_fd_smooth_coefficients():
     r = PiecewisePoly.from_coeffs([0.0, -0.3 + 0.2j])
     c = CoefficientField(s, Q, r)
     u = PiecewisePoly.from_coeffs([1.0, 1.0, 0.5, -0.25])
-    out = apply_l(c, DIRECT, u, (-2, 2))
+    out, atoms = apply_l_atoms(c, DIRECT, u, (-2, 2))
+    assert atoms == {}
     h = 1e-4
     q = s + Q.derivative()
     for x in np.linspace(-1.5, 1.5, 11):
@@ -177,11 +183,18 @@ def test_apply_l_atoms_delta_well_bump():
     # bump with u(0) != 0: the expression carries the atom c*u(0)*delta_0
     c = CoefficientField.delta_well(-2.0)
     u = bump(0.0, 1.0, 1.0)
-    with pytest.raises(DiscontinuousQuasiDerivativeError):
-        apply_l(c, DIRECT, u, (-2, 2))
     _, atoms = apply_l_atoms(c, DIRECT, u, (-2, 2))
     assert set(atoms) == {0.0}
     assert atoms[0.0] == pytest.approx(-2.0 * u.eval(0.0))
+
+
+def test_apply_l_atoms_refuses_a_jump_of_u():
+    # a jump of u itself is no atom: u is not in the domain there
+    u = PiecewisePoly.step(0.5, left=1.0, right=3.0)
+    with pytest.raises(DiscontinuousQuasiDerivativeError) as err:
+        apply_l_atoms(CoefficientField.free(), DIRECT, u, (-1, 1))
+    assert (err.value.location, err.value.left, err.value.right) == (0.5, 1.0, 3.0)
+    assert apply_l_atoms(CoefficientField.free(), DIRECT, u, (-1, 0.25))[1] == {}
 
 
 def test_product_rule_free_bump():
@@ -192,14 +205,14 @@ def test_product_rule_free_bump():
 
 def test_product_rule_delta_well_proxy():
     c = CoefficientField.delta_well(-2.0)
-    u = from_callable(lambda x: np.exp(-abs(x)), (-1, 1), kinks=[0.0], zero_outside=False)
+    u = KINK
     phi = bump(0.0, 1.0, 0.4)
     assert product_rule_check(c, phi, u, (-1, 1))[DIRECT] <= 1e-9
 
 
 def test_product_rule_adjoint_side():
     c = CoefficientField.delta_well(-2.0)
-    u = from_callable(lambda x: np.exp(-abs(x)), (-1, 1), kinks=[0.0], zero_outside=False)
+    u = KINK
     phi = bump(0.0, 1.0, 0.4)
     assert product_rule_check(c, phi, u, (-1, 1))[ADJOINT] <= 1e-9
 
@@ -227,31 +240,17 @@ def test_cutoff_zero_times_large_solution_has_no_atom(side, n):
     # rounding of phi's zero times a large u; the jump rule of u, scaled by
     # the evaluation magnitude, applies to u^[1] too, so no atom is recorded
     c, u = growing_fit(side)
-    phi = build_cutoff("thmA", n).phi
+    phi = bump(0.0, 2.0 * n, 1.0)
     _, atoms = apply_l_atoms(c, side, phi * u, (-5, 5))
     assert atoms == {}
     assert product_rule_check(c, phi, u, (-5, 5))[side] <= 1e-9
 
 
 @pytest.mark.parametrize("side", [DIRECT, ADJOINT])
-def test_quasi_derivatives_at_the_end_of_a_cutoff_support(side):
+def test_quasi_ladder_at_the_end_of_a_cutoff_support(side):
     c, u = growing_fit(side)
-    phi = build_cutoff("thmA", 4).phi  # support [-5, 5]
-    assert quasi_derivatives(c, side, phi * u, 5.0) == (0, 0, 0)
-
-
-def test_quasi_derivatives_and_apply_l_agree_bit_for_bit():
-    # a cut-off times a large polynomial: rounding-level jumps at the ends
-    # of the support, genuine ones nowhere off the field's breakpoints
-    rng = np.random.default_rng(11)
-    phi = build_cutoff("thmA", 3).phi  # support [-4, 4]
-    for _ in range(4):
-        c = random_field(rng)
-        u = phi * PiecewisePoly.from_coeffs(1e8 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-        for side in (DIRECT, ADJOINT):
-            for x in [-4.0, 4.0, *map(float, rng.uniform(-5, 5, 4))]:
-                y2 = quasi_derivatives(c, side, u, x)[2]
-                assert y2 == -apply_l(c, side, u, (x, x)).eval(x)
+    phi = bump(0.0, 2.0 * 4, 1.0)  # support [-5, 5]
+    assert quasi_ladder(c, side, phi * u, 5.0) == (0, 0, 0)
 
 
 def _bits(*values) -> bytes:
@@ -431,5 +430,5 @@ def test_caccioppoli_recentres_the_refit_once(monkeypatch):
         c = corpus_field(rng)
         v = integrate(assemble(c, ADJOINT, 0.0), QuasiState(-5.0, 1.0, 0.1, ADJOINT), 5.0)
         widths.clear()
-        assert verify_caccioppoli(c, v, build_cutoff("thmA", 3)) <= 1e-7
+        assert verify_caccioppoli(c, v, bump(0.0, 2.0 * 3, 1.0)) <= 1e-7
         assert len(widths) <= 1

@@ -13,12 +13,11 @@ from qschro import spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import NonRealScanError
 from qschro.propagate import fundamental, integrate, pair_integral
-from qschro.quasi import ADJOINT, QuasiState, assemble
+from qschro.quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from qschro.spectral import (
     BoundaryCondition,
     characteristic,
     default_windows,
-    eigenfunction_residual,
     eigenvalues,
     null_probe,
 )
@@ -299,11 +298,18 @@ def test_delta_well_eigenfunction_matches_exponential():
     assert worst <= 1e-4
 
 
-def test_eigenfunction_residual_in_l2():
+def test_delta_well_eigenfunction_refit_solves_the_equation_in_l2():
+    # the re-fitted trajectory u: ||l[u] - lambda u|| / ||u|| / (1 + |lambda|)
     dw = CoefficientField.delta_well(-2.0)
     res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10)
     r = [t for t in res if t.converged][0]
-    assert eigenfunction_residual(dw, r, (-20, 20)) <= 1e-6
+    u = r.trajectory.to_piecewise(0, -20, 20)
+    lu, atoms = apply_l_atoms(dw, DIRECT, u, (-20, 20))
+    assert atoms == {}
+    diff = lu - r.lam * u
+    num = (diff * diff.conj()).integrate(-20, 20).real
+    den = (u * u.conj()).integrate(-20, 20).real
+    assert math.sqrt(max(num, 0.0) / den) / (1 + abs(r.lam)) <= 1e-6
 
 
 def test_newton_complex_drift_vs_fd_oracle():
