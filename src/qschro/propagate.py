@@ -620,12 +620,9 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
 
 def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
     """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
-    of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``.
-    A function passed twice (``pair_integral(t, t, ...)``) gives its edges once."""
+    of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``."""
     edges = [np.asarray(cuts, dtype=float)]
-    for i, f in enumerate(fs):
-        if any(f is g for g in fs[:i]):
-            continue
+    for f in fs:
         edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
     left, right, _ = _cut([a], [b], np.concatenate(edges))
     mid = 0.5 * (left + right)
