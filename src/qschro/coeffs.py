@@ -263,11 +263,6 @@ class PiecewisePoly:
         return cls.constant(0.0)
 
     @classmethod
-    def identity(cls) -> "PiecewisePoly":
-        """The function x."""
-        return cls([], [[0.0, 1.0]], degree_cap=None)
-
-    @classmethod
     def from_coeffs(cls, coeffs) -> "PiecewisePoly":
         """Single global polynomial valid on the whole line."""
         return cls([], [coeffs], degree_cap=None)
@@ -298,11 +293,6 @@ class PiecewisePoly:
         """One-sided value at x; sides agree away from jump locations."""
         i = self._region(x, side)
         return _horner(self.coeffs[i, ::-1], x - self.centers[i])
-
-    def __call__(self, x, side: str = "right"):
-        if np.ndim(x) == 0:
-            return self.eval(float(x), side)
-        return self.sample(x, side)
 
     def sample(self, xs, side: str = "right") -> np.ndarray:
         """One-sided values at an array of x, equal to ``eval`` at each."""
@@ -368,11 +358,6 @@ class PiecewisePoly:
 
     # ------------------------------------------------------------------
     # mesh alignment
-
-    def with_breakpoints(self, extra) -> "PiecewisePoly":
-        """Refined copy whose mesh also contains ``extra`` (zero jumps added)."""
-        merged = _merge_breakpoints(self.breakpoints, np.sort(np.asarray(extra, dtype=float)))
-        return self._on_mesh(merged)
 
     def _on_mesh(self, mesh: np.ndarray) -> "PiecewisePoly":
         """This function re-centred on a finer mesh.
@@ -503,8 +488,9 @@ class PiecewisePoly:
     # ------------------------------------------------------------------
     # real-analysis helpers (real-valued polys)
 
-    def real_roots(self, lo: float, hi: float, tol: float = 1e-11) -> list[float]:
-        """Real zeros of a real-valued piecewise polynomial in (lo, hi)."""
+    def real_roots(self, lo: float, hi: float) -> list[float]:
+        """Real zeros of a real-valued piecewise polynomial in (lo, hi), a root
+        within 1e-11 outside a piece's interval clipped onto it."""
         if not self.is_real(1e-9):
             raise NonRealError("real_roots requires a real-valued function")
         found: list[float] = []
@@ -518,7 +504,7 @@ class PiecewisePoly:
                 if abs(r.imag) > 1e-9 * (1 + abs(r.real)):
                     continue
                 x = float(r.real) + self.centers[i]
-                if a - tol <= x <= b + tol:
+                if a - 1e-11 <= x <= b + 1e-11:
                     found.append(min(max(x, a), b))
         return sorted(set(found))
 
@@ -788,12 +774,6 @@ class CoefficientField:
     @cached_property
     def r1(self) -> PiecewisePoly:
         return self.r.imag
-
-    def conjugated(self) -> "CoefficientField":
-        return CoefficientField(self.s.conj(), self.Q.conj(), self.r.conj())
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return self.s.is_real(tol) and self.Q.is_real(tol) and self.r.is_real(tol)
 
     # lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22) of each
     # side; the adjoint side swaps and conjugates (G1, G2, s)

@@ -287,10 +287,6 @@ class IntervalScheme:
             if self.intervals[i][0] >= self.intervals[j][0]:
                 raise BadSchemeError("interval positions must increase with the index")
 
-    def length(self, n: int) -> float:
-        a, b = self.intervals[n]
-        return b - a
-
     def index_range(self) -> list[int]:
         return sorted(n for n in self.intervals if n > 0)
 
@@ -395,7 +391,7 @@ def verify_caccioppoli(
         raise ValueError("cut-off must be compactly supported")
     if lo < v.a - 1e-9 or hi > v.b + 1e-9:
         raise ValueError("null solution does not cover the cut-off support")
-    v_pw, phi, r1 = aligned((v.to_piecewise(0, lo, hi), phi, c.r1), c.breakpoints())
+    v_pw, phi, r1 = aligned((v.to_piecewise(lo, hi), phi, c.r1), c.breakpoints())
     phiv = phi * v_pw
     expr, atoms = apply_l_atoms(c, ADJOINT, phiv, (lo, hi))
     left_c = (phiv * expr.conj()).integrate(lo, hi)

@@ -73,8 +73,10 @@ class UnsupportedTestFunctionError(QschroError):
     """Test function does not vanish at and outside the declared support window."""
 
 
-class BadSchemeError(QschroError):
-    """Interval scheme is unusable (overlap, wrong ordering, empty ramp room)."""
+class BadSchemeError(QschroError, ValueError):
+    """Interval scheme is unusable (overlap, wrong ordering, empty ramp room).
+
+    A ValueError too: a scheme is input, so a bad one is a validation error."""
 
 
 class OverflowUnrecoverableError(QschroError):

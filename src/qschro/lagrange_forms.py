@@ -58,16 +58,16 @@ class Sector:
         if not 0 < self.half_angle <= math.pi / 2:
             raise ValueError("half-angle must lie in (0, pi/2]")
 
-    def contains(self, w: complex, tol: float = 1e-12) -> bool:
-        """Whether w lies in the sector, to tol; never for a value that is not finite."""
+    def contains(self, w: complex) -> bool:
+        """Whether w lies in the sector, to 1e-12 (1 + |w|); never for a value that is not finite."""
         if not cmath.isfinite(w):
             return False
         scale = 1.0 + abs(w)
-        if w.real < -tol * scale:
+        if w.real < -1e-12 * scale:
             return False
         if self.half_angle >= math.pi / 2 - 1e-15:
             return True
-        return abs(w.imag) <= math.tan(self.half_angle) * w.real + tol * scale
+        return abs(w.imag) <= math.tan(self.half_angle) * w.real + 1e-12 * scale
 
 
 def bracket(u: QuasiState, v: QuasiState) -> BracketValue:

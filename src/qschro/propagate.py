@@ -32,9 +32,11 @@ A trajectory stores its rows as one structured array sorted by position
 through ``Trajectory.sample`` (row lookup plus batched Horner).
 ``_panels`` cuts [a, b] at the step edges and breakpoints of its operands
 with ``coeffs._panels``, the one cutter of every quadrature of the package.
-``pair_integral`` and the nested Gram windows of the probe take as many
-Gauss-Legendre nodes per panel as the operands' degrees need, over
-trajectories and piecewise polynomials alike with the rows' logscales.
+``_pair_sums`` forms every Gauss-Legendre pair sum on dense output: index
+pairs of a few functions over a batch of windows, with as many nodes per
+panel as the operands' degrees need, over trajectories and piecewise
+polynomials alike with the rows' logscales.  ``pair_integral`` is its
+one-pair, one-window case and the probe's nested Gram windows another.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ class Trajectory:
         pos = m > 0
         return float(np.max(np.log(m[pos]) + ls[pos])) if np.any(pos) else -math.inf
 
-    def to_piecewise(self, component: int = 0, lo: float | None = None, hi: float | None = None) -> PiecewisePoly:
-        """Re-fit the dense output as a PiecewisePoly (absolute scale).
+    def to_piecewise(self, lo: float | None = None, hi: float | None = None) -> PiecewisePoly:
+        """Re-fit the dense output's y0 as a PiecewisePoly (absolute scale).
 
         End pieces extend into the tails.  Only valid when exp(logscale)
         is representable; refits are meant for desk-scale windows.
@@ -139,7 +141,7 @@ class Trajectory:
         # each row's polynomial with it by Horner on polynomials
         alpha = (1.0 / s["h"])[:, None]
         beta = ((centers - s["x0"]) / s["h"])[:, None]
-        coef = s["coef"][:, :, component]
+        coef = s["coef"][:, :, 0]
         sub = np.zeros_like(coef)
         for k in range(coef.shape[1] - 1, -1, -1):
             prev = sub
@@ -242,7 +244,8 @@ def _segments(sys, x_from, to):
     """(start, end, rows) of each segment from x_from to ``to``, with the
     rows of the system on it, and the step floor.  Lambda is subtracted
     from the constant term of the a21 row here, which gives the bits of
-    the ``sys.a21`` piece (``a21_0`` is a sum, so never -0.0)."""
+    ``sys.a21_0 - sys.lam`` on the segment (``a21_0`` is a sum, so never
+    -0.0)."""
     if to == x_from:
         raise ValueError("empty integration interval")
     lo, hi = min(x_from, to), max(x_from, to)
@@ -646,26 +649,37 @@ def _panel_values(f, mid: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
 
 
-def pair_integral(u, v, a: float, b: float) -> tuple[complex, float]:
-    """(mantissa, logscale) of int_a^b u * conj(v) dx.
+def _pair_sums(fs, pairs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissas, logscales) of int f_i conj(f_j) dx over every window (lo[w], hi[w])
+    for every index pair (i, j) of ``pairs``: mantissas (windows, pairs), one logscale per window.
 
-    Each operand is a Trajectory (its y0, with the rows' logscales) or a
-    PiecewisePoly (logscale 0).  Panels are the merged step edges and
-    breakpoints, where both operands are polynomials; floor((deg u +
-    deg v)/2) + 1 Gauss-Legendre nodes per panel integrate their product
-    exactly, and exponentially large solutions never overflow.  b < a gives
-    minus the integral over [b, a].
+    Each function is a Trajectory (its y0, with the rows' logscales) or a
+    PiecewisePoly (logscale 0).  The panels of [min lo, max hi] are cut once,
+    at the step edges and breakpoints of fs and at every window end, so each
+    panel lies inside or outside each window, and the functions are sampled
+    there once.  floor((deg f_i + deg f_j)/2) + 1 Gauss-Legendre nodes per
+    panel, the most any pair needs, integrate every product exactly.  Each
+    window sums its panels' parts on its largest logscale, so exponentially
+    large solutions never overflow; a window with no panel gives 0 on
+    logscale 0.  Windows need lo <= hi.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    nodes, weights = _gauss_legendre(max(fs[i].degree + fs[j].degree for i, j in pairs) // 2 + 1)
+    mid, half, xs = _panels(fs, lo.min(), hi.max(), nodes, cuts=np.concatenate([lo, hi]))
+    values, scales = zip(*(_panel_values(f, mid, xs) for f in fs))
+    parts = half * (np.array([values[i] * values[j].conj() for i, j in pairs]) @ weights)
+    ls = np.array([scales[i] + scales[j] for i, j in pairs])
+    inside = ((lo[:, None] < mid) & (mid < hi[:, None]))[:, None]  # (windows, 1, panels)
+    L = np.max(np.where(inside, ls, -np.inf), axis=(1, 2), initial=-np.inf)
+    L = np.where(L > -np.inf, L, 0.0)
+    return np.sum(parts * np.exp(np.where(inside, ls - L[:, None, None], -np.inf)), axis=2), L
+
+
+def pair_integral(u, v, a: float, b: float) -> tuple[complex, float]:
+    """(mantissa, logscale) of int_a^b u * conj(v) dx, one pair on one window of
+    ``_pair_sums``.  b < a gives minus the integral over [b, a]."""
     if b < a:
         mantissa, L = pair_integral(u, v, b, a)
         return -mantissa, L
-    nodes, weights = _gauss_legendre((u.degree + v.degree) // 2 + 1)
-    mid, half, xs = _panels((u, v), a, b, nodes)
-    if not len(mid):
-        return 0.0 + 0.0j, 0.0
-    fu, lu = _panel_values(u, mid, xs)
-    fv, lv = _panel_values(v, mid, xs)
-    parts = half * ((fu * fv.conj()) @ weights)
-    ls = lu + lv
-    L = float(np.max(ls))
-    return complex(np.sum(parts * np.exp(ls - L))), L
+    sums, L = _pair_sums((u, v), ((0, 1),), [a], [b])
+    return complex(sums[0, 0]), float(L[0])

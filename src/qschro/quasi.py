@@ -13,7 +13,6 @@ below applies it through one quasi-derivative ladder with one jump rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,14 +67,6 @@ class ShinZettlSystem:
     a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
     rows: tuple = field(repr=False, compare=False)
-
-    @property
-    def a12(self) -> PiecewisePoly:
-        return PiecewisePoly.constant(1.0)
-
-    @cached_property
-    def a21(self) -> PiecewisePoly:  # entry (2,1) at lambda, built on first read
-        return self.a21_0 - self.lam
 
     def breakpoints(self) -> np.ndarray:
         return self.field_data.breakpoints()

@@ -35,8 +35,7 @@ import numpy as np
 from . import config
 from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import FundamentalSystem, _gauss_legendre, _panel_values, _panels
-from .propagate import Trajectory, endpoint, fundamental, integrate
+from .propagate import FundamentalSystem, Trajectory, _pair_sums, endpoint, fundamental, integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, assemble
 
 _EPS = float(np.finfo(float).eps)
@@ -329,17 +328,10 @@ def default_windows(tmax: float) -> tuple:
 
 def _window_grams(fs: FundamentalSystem, windows) -> tuple[np.ndarray, np.ndarray]:
     """(mantissas, logscales) of the Hermitian L2(-T, T) Gram matrices of the pair, one per
-    window T, from one sampling of the outermost window's panels cut at every +-T; each
-    window sums the parts of its panels on its largest logscale.  Entry (2, 1) is int y1 conj(y2)."""
+    window T, from one ``_pair_sums`` call over all windows.  Entry (2, 1) is int y1 conj(y2)."""
     T = np.asarray(windows, dtype=float)
-    nodes, weights = _gauss_legendre((fs.y1.degree + fs.y2.degree) // 2 + 1)
-    mid, half, xs = _panels((fs.y1, fs.y2), -T[-1], T[-1], nodes, cuts=np.concatenate([-T, T]))
-    (f1, l1), (f2, l2) = (_panel_values(y, mid, xs) for y in (fs.y1, fs.y2))
-    parts = half * (np.array([f1 * f1.conj(), f1 * f2.conj(), f2 * f2.conj()]) @ weights)
-    ls = np.array([l1 + l1, l1 + l2, l2 + l2])
-    inside = (np.abs(mid) < T[:, None])[:, None]  # (windows, 1, panels)
-    L = np.max(np.where(inside, ls, -np.inf), axis=(1, 2))
-    g11, g12, g22 = np.sum(parts * np.exp(np.where(inside, ls - L[:, None, None], -np.inf)), axis=2).T
+    sums, L = _pair_sums((fs.y1, fs.y2), ((0, 0), (0, 1), (1, 1)), -T, T)
+    g11, g12, g22 = sums.T
     return np.stack([g11, g12.conj(), g12, g22], axis=1).reshape(-1, 2, 2), L
 
 

@@ -145,7 +145,7 @@ def test_criterion_04_product_rule_suite():
             traj = integrate(
                 assemble(c, side, lam), QuasiState(-5.0, 1.0, 0.2, side), 5.0
             )
-            u = traj.to_piecewise(0, -5, 5)
+            u = traj.to_piecewise(-5, 5)
         worst = max(worst, product_rule_check(c, phi, u, (-5, 5))[side])
     ok = worst <= 1e-9
     report(4, ok, f"product-rule residual<={worst:.2e} over 20 triples, both sides")

@@ -328,19 +328,25 @@ def test_verify_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
 @pytest.mark.parametrize("window", [["-5", "5"], ["1", "3"]])
 def test_verify_says_when_the_caccioppoli_row_is_skipped(window):
     # the cut-off for [1, 3] is supported on [-2, 2], which does not fit in
-    # the window: the row is left out, and a note says so
+    # the window: the row is left out, a note says so, and the verdict is
+    # inconclusive although every computed row passes
     raw = load_problem(str(pathlib.Path(__file__).parents[1] / "problems" / "verify_delta_well.json"))
     raw["params"]["window"] = window
-    _, text, _ = run_problem(raw)
+    code, text, _ = run_problem(raw)
     lines = text.splitlines()
-    rows = [l.split(",") for l in lines if l.startswith("caccioppoli_identity,")]
+    start = lines.index("name,residual,contract,pass,method") + 1
+    table = [l.split(",") for l in lines[start:lines.index("[/table]", start)]]
+    assert table and all(row[3] == "true" for row in table)
+    rows = [row for row in table if row[0] == "caccioppoli_identity"]
     notes = [l for l in lines if l.startswith("note: ")]
     if window == ["-5", "5"]:
         assert len(rows) == 1 and float(rows[0][1]) <= 1e-7 and notes == []
+        assert "verdict: success" in lines and code == EXIT_OK
     else:
         assert rows == []
         assert notes == ["note: caccioppoli_identity skipped: cut-off support [-2.0, 2.0] "
                          "does not fit in the window [1.0, 3.0]"]
+        assert "verdict: inconclusive" in lines and code == EXIT_FAILS
 
 
 def test_form_past_the_float_range_is_a_numeric_error(tmp_path, capsys):
@@ -448,12 +454,12 @@ def edit(problem, path, value):
     return out
 
 
-def case(name, problem, field, *extra_args):
-    return pytest.param(problem, list(extra_args), field, id=name)
+def case(name, problem, field):
+    return pytest.param(problem, field, id=name)
 
 
 @pytest.mark.parametrize(
-    "problem, extra_args, field",
+    "problem, field",
     [
         case("solve-initial-short", edit(SOLVE, ("params", "initial"), [1]), "params.initial"),
         case("solve-initial-number", edit(SOLVE, ("params", "initial"), 5), "params.initial"),
@@ -496,16 +502,20 @@ def case(name, problem, field, *extra_args):
         case("bracket-samples-above-cap", edit(BRACKET, ("params", "samples"), 10_001), "params.samples"),
         case("solve-dump-over-report",
              edit(edit(SOLVE, ("params", "dump"), True), ("output",), "trajectory.csv"), "output"),
-        case("probe-tmax-zero", PROBE, "--tmax", "--tmax", "0"),
-        case("check-a-horizon-zero", CHECK_A, "--horizon", "--horizon", "0"),
-        case("solve-horizon", SOLVE, "--horizon", "--horizon", "5", "--tmax", "7"),
-        case("check-a-tmax", CHECK_A, "--tmax", "--tmax", "12"),
+        case("check-b-scheme-degenerate", edit(CHECK_B, ("params", "scheme", "intervals"), [[1, 2, 1], [-1, -3, -2]]),
+             "params.scheme: interval 1 is degenerate"),
+        case("check-b-scheme-empty", edit(CHECK_B, ("params", "scheme", "intervals"), []),
+             "params.scheme: empty interval scheme"),
+        case("check-a-m-complex", edit(CHECK_A, ("params", "m", "pieces"), [[[1, 1]]]),
+             "params.m: weight function must be real-valued"),
+        case("check-a-m-jumps", edit(CHECK_A, ("params", "m"), {"breakpoints": [0], "pieces": [[1], [2]]}),
+             "params.m: weight function jumps at x=0.0"),
     ],
 )
-def test_malformed_input_is_a_named_validation_error(tmp_path, capsys, problem, extra_args, field):
+def test_malformed_input_is_a_named_validation_error(tmp_path, capsys, problem, field):
     path = write(tmp_path, "p.json", problem)
     out = tmp_path / "out"
-    code = main([problem["task"], "--input", path, "--out", str(out), *extra_args])
+    code = main([problem["task"], "--input", path, "--out", str(out)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and field in err, err

@@ -256,7 +256,7 @@ def test_energy_inequality_audit_normalized_instance():
     for n in (1, 2, 3):
         phi = bump(0.0, 2.0 * n, 1.0)
         lo, hi = phi.support_bounds()
-        v_pw = v.to_piecewise(0, lo, hi)
+        v_pw = v.to_piecewise(lo, hi)
         vv = v_pw * v_pw.conj()
         dphi = phi.derivative()
         lhs = ((phi * phi) * vv).integrate(lo, hi).real

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, bump
+from qschro.coeffs import CoefficientField, PiecewisePoly, aligned, bump
 from qschro.errors import (
     OverflowUnrecoverableError,
     SideMismatchError,
@@ -277,7 +277,7 @@ def batched_form_cases():
     edges = [bump(2.5, 1.0, 1.0), bump(-0.0, 0.0, 1.0), bump(0.0, -0.0, 0.5), bump(20.0, 1.0, 0.5)]
     # (1 - x^2) (1 + 0.3i x - 0.2 x^3 + 0.05 x^6) on five pieces of [-1, 1]
     smooth = on_interval(P.polymul([1, 0, -1], [1, 0.3j, 0, -0.2, 0, 0, 0.05]), -1.0, 1.0)
-    smooth = smooth.with_breakpoints([-0.6, -0.2, 0.2, 0.6])
+    smooth = aligned([smooth], np.array([-0.6, -0.2, 0.2, 0.6]))[0]
     yield pytest.param(random_jumpy_field(rng), mixed, id="plateaus-with-and-without")
     yield pytest.param(on_edges, edges, id="edges-on-field-breakpoints")
     yield pytest.param(random_jumpy_field(rng), [*mixed[:5], smooth, *edges], id="with-a-degree-8-test")

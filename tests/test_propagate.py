@@ -9,7 +9,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly
+from qschro.coeffs import CoefficientField, PiecewisePoly, aligned
 from qschro.errors import OverflowUnrecoverableError, StepUnderflowError
 from qschro import propagate
 from qschro.propagate import endpoint, fundamental, integrate, pair_integral
@@ -32,7 +32,7 @@ def _dop853(c, lam, a, b, init, points=65):
     sup, segments = -math.inf, []
     for lo, hi in zip(nodes[:-1], nodes[1:]):
         pieces = []
-        for f in (sys.a11, sys.a21, sys.a22):
+        for f in (sys.a11, sys.a21_0 - sys.lam, sys.a22):
             i = f._region(0.5 * (lo + hi), "right")
             pieces.append((f.coeffs[i], f.centers[i]))
 
@@ -125,7 +125,7 @@ def test_breakpoint_transparency():
     z = PiecewisePoly.zero()
     base = CoefficientField(z, PiecewisePoly.constant(0.4), z)
     refined = CoefficientField(
-        z, PiecewisePoly.constant(0.4).with_breakpoints([0.37]), z
+        z, aligned([PiecewisePoly.constant(0.4)], np.array([0.37]))[0], z
     )
     s0 = integrate(assemble(base, "direct", -1.0), QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
     s1 = integrate(assemble(refined, "direct", -1.0), QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
@@ -243,7 +243,7 @@ def test_to_piecewise_matches_dense_output():
         PiecewisePoly([0.4], [[0.0, 0.2], [0.3]]),
     )
     t = integrate(assemble(c, "direct", 2.0 + 0.5j), QuasiState(-2.0, 0.3, 1.0), 2.0)
-    pw = t.to_piecewise(0)
+    pw = t.to_piecewise()
     mids = t.steps["x0"] + 0.5 * t.steps["h"]
     y, ls = t.sample(mids)
     want = y[:, 0] * np.exp(ls)
@@ -253,7 +253,7 @@ def test_to_piecewise_matches_dense_output():
 
 def test_to_piecewise_roundtrip():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
-    pw = t.to_piecewise(0)
+    pw = t.to_piecewise()
     for x in np.linspace(0, 1, 101):
         assert abs(pw.eval(float(x)) - t.state_at(float(x)).y0) <= 1e-13 * math.e
 
@@ -264,7 +264,7 @@ def test_to_piecewise_past_the_float_range_raises():
     top = float(np.max(t.steps["logscale"]))
     assert top > 709
     with pytest.raises(OverflowUnrecoverableError, match=f"{top:.6g}"):
-        t.to_piecewise(0)
+        t.to_piecewise()
 
 
 def test_refit_overflow_carries_its_logscale():
@@ -272,7 +272,7 @@ def test_refit_overflow_carries_its_logscale():
     t = integrate(assemble(FREE, "direct", -16.0), QuasiState(0.0, 1.0, 4.0), 240.0)
     top = float(np.max(t.steps["logscale"]))
     with pytest.raises(OverflowUnrecoverableError) as err:
-        t.to_piecewise(0)
+        t.to_piecewise()
     assert str(err.value) == f"re-fit at absolute scale: logscale {top:.6g} overflows"
     assert err.value.logscale == top
     assert err.value.window is None and err.value.index is None
@@ -573,6 +573,57 @@ def test_dense_interior_matches_closed_forms():
     xs = np.linspace(-6.0, 6.0, 61)[1:-1]
     y, ls = t.sample(xs)
     assert np.all(np.abs(y[:, 0] * np.exp(ls) - np.exp(-np.abs(xs))) <= 1e-13)
+
+
+GRAM_PAIRS = ((0, 0), (0, 1), (1, 1))
+
+
+def adjoint_pair(c, lam, tmax):
+    """The adjoint fundamental pair at conj(lam) on [-tmax, tmax], as the probe builds it."""
+    fs = fundamental(assemble(c, "adjoint", complex(lam).conjugate()), 0.0, (-tmax, tmax))
+    return fs.y1, fs.y2
+
+
+@pytest.mark.parametrize("c", [FREE, CoefficientField.delta_well(-2.0)], ids=["free", "delta-well"])
+@pytest.mark.parametrize("lam", [-1.0, 0.5j])
+def test_pair_sums_of_the_half_lines_add_up_to_the_whole_window(c, lam):
+    # 0 is a step edge of both halves of a fundamental pair, so the
+    # half-line windows cut no whole-line panel
+    from qschro.spectral import default_windows
+
+    T = np.array(default_windows(20.0))
+    zero = np.zeros_like(T)
+    sums, L = propagate._pair_sums(adjoint_pair(c, lam, 20.0), GRAM_PAIRS,
+                                   np.concatenate([-T, zero, -T]), np.concatenate([zero, T, T]))
+    left, right, whole = np.split(sums, 3)
+    l_left, l_right, l_whole = np.split(L, 3)
+    halves = left * np.exp(l_left - l_whole)[:, None] + right * np.exp(l_right - l_whole)[:, None]
+    # relative to sqrt(|g_ii g_jj|), the Cauchy-Schwarz bound: the free
+    # pair is even and odd, so its whole-line g_12 is rounding only
+    scale = np.sqrt(np.abs(whole[:, [0, 0, 2]] * whole[:, [0, 2, 2]]))
+    assert np.all(np.abs(halves - whole) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("c", [FREE, CoefficientField.delta_well(-2.0)], ids=["free", "delta-well"])
+@pytest.mark.parametrize("lam", [-1.0, 0.5j])
+def test_pair_sums_over_many_windows_match_pair_integral_window_by_window(c, lam):
+    # window ends off the step edges: the batch cuts every window at the
+    # others' ends, so its panels differ from pair_integral's
+    fs = adjoint_pair(c, lam, 10.0)
+    lo, hi = np.array([-9.3, -2.71, 0.123, -0.5]), np.array([1.7, 8.05, 6.6, -0.01])
+    sums, L = propagate._pair_sums(fs, GRAM_PAIRS, lo, hi)
+    for w in range(len(lo)):
+        for k, (i, j) in enumerate(GRAM_PAIRS):
+            want, l_want = pair_integral(fs[i], fs[j], lo[w], hi[w])
+            got = sums[w, k] * math.exp(L[w] - l_want)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_pair_sums_of_an_empty_window_are_zero_on_logscale_zero():
+    u = PiecewisePoly.from_coeffs([1.0, 2.0])
+    sums, L = propagate._pair_sums((u,), ((0, 0),), [0.5, 0.0], [0.5, 1.0])
+    assert sums[0, 0] == 0 and L[0] == 0.0
+    assert abs(sums[1, 0] - 13 / 3) <= 1e-15 * 13 and L[1] == 0.0  # int_0^1 (1 + 2x)^2 dx
 
 
 def test_pair_integral_of_two_degree_24_rows_is_exact():

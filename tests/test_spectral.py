@@ -303,7 +303,7 @@ def test_delta_well_eigenfunction_refit_solves_the_equation_in_l2():
     dw = CoefficientField.delta_well(-2.0)
     res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10)
     r = [t for t in res if t.converged][0]
-    u = r.trajectory.to_piecewise(0, -20, 20)
+    u = r.trajectory.to_piecewise(-20, 20)
     lu, atoms = apply_l_atoms(dw, DIRECT, u, (-20, 20))
     assert atoms == {}
     diff = lu - r.lam * u

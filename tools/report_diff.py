@@ -97,7 +97,6 @@ def reports_of(root: str, entries_path: str, scratch: str) -> dict:
     out_root = tempfile.mkdtemp(dir=scratch)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in THREAD_VARS})
-    env.pop("QSCHRO_THREADS", None)
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", entries_path, out_root],
                           env=env, cwd=out_root, capture_output=True, text=True)
     if proc.returncode != 0:
