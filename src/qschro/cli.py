@@ -11,8 +11,9 @@ only volatile content lives inside the [metadata] block, so byte
 comparison modulo that block is the supported reproducibility check.
 
 Exit codes: 0 holds/grows/success, 2 fails/bounded/inconclusive (witness
-in the report), 64 parse error, 65 validation error, 70 numeric error,
-73 cannot write output, 1 anything else.
+in the report), 64 parse error (also an unknown or missing command-line
+flag), 65 validation error, 70 numeric error, 73 cannot write output,
+1 anything else.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _piecewise(spec: dict, degree_cap: int) -> PiecewisePoly:
     jumps must agree with the pieces.
     """
     poly = PiecewisePoly(spec["breakpoints"], spec["pieces"], degree_cap)
-    actual = poly.jumps
+    actual = poly.jumps if spec["jumps"] else {}
     for loc, height in spec["jumps"]:
         if not any(abs(loc - b) <= 1e-12 * (1 + abs(b)) for b in actual):
             raise ValueError(f"declared jump location {loc} is not a breakpoint")
@@ -677,10 +678,19 @@ def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
     return rep.exit_code, rep.text(), extra
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error (an unknown or missing flag)
+    exits EXIT_PARSE: argparse's own code 2 is that of a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on its first use and kept for later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qschro",
         description="Quasi-derivative Schrodinger toolkit: batch tasks over problem files.",
     )

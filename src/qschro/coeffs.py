@@ -208,9 +208,9 @@ class PiecewisePoly:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1:
             raise ValueError("breakpoints must be a 1-d sequence")
-        if not np.all(bp[1:] > bp[:-1]):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
         if len(pieces) != len(bp) + 1:
             raise ValueError(
@@ -237,7 +237,7 @@ class PiecewisePoly:
         self._last_mesh = None
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = _trim_cols(_shift_rows(glob, self.centers))
-        if not np.all(np.isfinite(self.coeffs)):
+        if not np.isfinite(self.coeffs).all():
             raise ValueError("pieces re-centred on their regions have coefficients outside the float range")
 
     @classmethod
@@ -287,7 +287,7 @@ class PiecewisePoly:
         """Region index (or indices, for an array) holding x on that side."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return np.searchsorted(self.breakpoints, x, side=side)
+        return self.breakpoints.searchsorted(x, side=side)
 
     def eval(self, x: float, side: str = "right") -> complex:
         """One-sided value at x; sides agree away from jump locations."""
@@ -332,6 +332,8 @@ class PiecewisePoly:
     def jumps(self) -> dict[float, complex]:
         """Right-minus-left value at every breakpoint."""
         bp = self.breakpoints
+        if not len(bp):
+            return {}
         return dict(zip(bp.tolist(), self.sample(bp, "right") - self.sample(bp, "left")))
 
     def pieces(self) -> list[np.ndarray]:
@@ -576,6 +578,8 @@ def _canonical_centers(bp: np.ndarray) -> np.ndarray:
 
 def _close_pairs(mesh: np.ndarray) -> np.ndarray:
     """close[i]: mesh[i + 1] is within the merge tolerance of mesh[i]."""
+    if len(mesh) < 2:
+        return np.zeros(0, dtype=bool)
     with np.errstate(over="ignore"):  # a gap past the float range is not close
         return mesh[1:] - mesh[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(mesh[1:]))
 
@@ -600,15 +604,21 @@ def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Union of two sorted meshes; a point within the merge tolerance of
     the last kept point is dropped.
 
-    A mesh merged with its own copy is merged alone, as every copied point
-    would be dropped.  A point whose left neighbour is kept is dropped
-    exactly when the pair is close, so only a point that ends a chain of
-    close pairs looks back past its neighbour for the last kept point.
+    A mesh merged with an empty one or with its own copy is merged alone,
+    as every copied point would be dropped; a mesh of fewer than two
+    points is returned as it is.  A point whose left neighbour is kept is
+    dropped exactly when the pair is close, so only a point that ends a
+    chain of close pairs looks back past its neighbour for the last kept
+    point.
     """
-    if a.tobytes() == b.tobytes():
+    if not len(b) or a.tobytes() == b.tobytes():
         merged = a
+    elif not len(a):
+        merged = b
     else:
         merged = np.sort(np.concatenate([a, b]))
+    if len(merged) < 2:
+        return merged
     close = _close_pairs(merged)
     if not close.any():
         return merged
@@ -795,6 +805,16 @@ class CoefficientField:
     @cached_property
     def adjoint_rows(self) -> tuple:
         return region_pieces(self.adjoint_entries, self.breakpoints())
+
+    # the lambda-free shot plans over those rows, by interval: filled and
+    # bounded by ``propagate._plan``, so they live as long as the field
+    @cached_property
+    def direct_plans(self) -> dict:
+        return {}
+
+    @cached_property
+    def adjoint_plans(self) -> dict:
+        return {}
 
     @cached_property
     def _breakpoints(self) -> np.ndarray:

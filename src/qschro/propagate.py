@@ -5,16 +5,26 @@ mesh node; the state (y0, y1) passes through them unchanged, which is
 exactly the absolute continuity the quasi-derivative buys.  States growing
 past 1e100 are renormalized and the exponent ledger travels with them.
 
-``endpoint`` and ``integrate`` walk the segments the same way.  On a
-segment where the system matrix A is constant the state is multiplied by
-the exact exp(hA) in equal sub-steps; on any other it takes Taylor steps
+``endpoint`` and ``integrate`` walk the segments the same way, from one
+lambda-free plan per field, side and interval (``_plan``): the segments,
+each segment's rows as Python complex with its kind and, on a constant
+segment, the invariants of its exponential, and the step floor.  It is
+built on the first walk and kept with the field
+(``CoefficientField.direct_plans``/``adjoint_plans``, at most _PLANS
+intervals per side), so a shot only subtracts lambda from each segment's
+a21 constant and steps.  On a segment where the system matrix A is
+constant the state is multiplied by the exact exp(hA) in equal
+sub-steps; on any other it takes Taylor steps
 of order 23 + d from the exact recurrence of the entries of degree d
 (classical high-order Taylor method, Corliss & Chang 1982), each as long
 as Jorba & Zou's rule (2005) allows.  The recurrence of each entry
 shape runs in one function compiled from generated source on first use
 (``_taylor_kernel``), whose later orders read the last coefficients from
 rolling locals instead of summing over reversed lists, with the same
-operations in the same order.  Both kinds of step are accurate to
+operations in the same order.  The Horner sums of a step are generated
+the same way per series width (``_sums_kernel``): Y at h and h/2 in a
+shot, Y at h in a dense walk and Z = dY/dlambda at h, each with the
+bits of ``coeffs._horner``.  Both kinds of step are accurate to
 rounding at any lambda, so there is no tolerance to choose.
 ``endpoint`` keeps the end state and log sup|Y| only, and on request
 dY/dlambda along the same steps; ``integrate`` also records each
@@ -24,7 +34,7 @@ end, from the start states of its sub-steps (``_exact_rows``) or from the
 series of its Taylor steps (``_taylor_rows``); a dense walk sums a Taylor
 series at the step end only, as ``Trajectory.log_sup`` reads the rows
 themselves.
-Each system reads its entries' pieces per segment from
+The plans read the entries' pieces per segment from
 ``ShinZettlSystem.rows``, built once per field and side.
 
 A trajectory stores its rows as one structured array sorted by position
@@ -187,9 +197,10 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     renormalized whenever |Y| exceeds 1e100 and the exponent is recorded
     per row.  Raises StepUnderflowError as ``endpoint`` does.
     """
+    plan = _plan(sys, y0.x, to)
     blocks: list[tuple] = []
-    _walk(sys, y0, to, blocks)
-    width = _TAYLOR_ORDER + max(len(p) for row in sys.rows for _, p in row) - 1
+    _walk(plan, sys.lam, y0, blocks)
+    width = plan[2]
     steps = np.zeros(sum(len(x0) for x0, *_ in blocks), dtype=_step_dtype(width))
     i = 0
     for x0, h, coef, ls in blocks:
@@ -216,48 +227,94 @@ def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float, derivative: bool =
     not depend on lambda) and solves Z' = AZ + EY, E = dA/dlambda =
     [[0, 0], [-1, 0]], along the same steps as Y.
     """
-    y, ls, sup = _walk(sys, y0, to, derivative=derivative)
+    y, ls, sup = _walk(_plan(sys, y0.x, to), sys.lam, y0, derivative=derivative)
     end = QuasiState(to, y[0], y[1], sys.side, ls)
     if not derivative:
         return end, sup
     return end, sup, QuasiState(to, y[2], y[3], sys.side, ls)
 
 
-def _walk(sys, y0, to, out=None, derivative=False):
-    """(state, logscale, log sup) at ``to``; each segment appends its rows
-    of dense output to ``out`` when one is given, and then the log sup
-    leaves out the Taylor segments (``integrate`` does not read it).  With
-    ``derivative`` the state is (y0, y1, z0, z1), Z on the logscale of Y."""
-    segments, h_floor = _segments(sys, y0.x, to)
+def _walk(plan, lam, y0, out=None, derivative=False):
+    """(state, logscale, log sup) at the end of the ``plan`` (``_plan``)
+    from the state y0 at its start; each segment appends its rows of dense
+    output to ``out`` when one is given, and then the log sup leaves out
+    the Taylor segments (``integrate`` does not read it).  With
+    ``derivative`` the state is (y0, y1, z0, z1), Z on the logscale of Y.
+    Lambda is subtracted from the constant term of each segment's a21 row
+    here, which gives the bits of ``sys.a21_0 - sys.lam`` on it (``a21_0``
+    is a sum, so never -0.0)."""
+    segments, h_floor, _ = plan
     y = (complex(y0.y0), complex(y0.y1))
     if derivative:
         y += (0j, 0j)
     ls = float(y0.logscale)
     sup = -math.inf
-    for seg_a, seg_b, rows in segments:
-        cross = _exact_segment if all(len(p) == 1 for _, p in rows) else _taylor_segment
-        y, ls, sup = cross(rows, seg_a, seg_b, y, ls, sup, h_floor, out)
+    for xa, xb, rows, consts in segments:
+        if rows is None:
+            y, ls, sup = _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out)
+        else:
+            r11, (c21, p21), r22 = rows
+            rows = (r11, (c21, (p21[0] - lam, *p21[1:])), r22)
+            y, ls, sup = _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out)
     return y, ls, sup
 
 
-def _segments(sys, x_from, to):
-    """(start, end, rows) of each segment from x_from to ``to``, with the
-    rows of the system on it, and the step floor.  Lambda is subtracted
-    from the constant term of the a21 row here, which gives the bits of
-    ``sys.a21_0 - sys.lam`` on the segment (``a21_0`` is a sum, so never
-    -0.0)."""
+# lambda-free plans kept per field and side (``_plan``)
+_PLANS = 8
+
+
+def _plan(sys, x_from, to):
+    """The lambda-free shot plan of ``sys`` from x_from to ``to``: its
+    segments, the step floor and the width of its dense rows.
+
+    Built once per field, side and interval and kept in ``sys.plans``, the
+    field's dict of the side (``CoefficientField.direct_plans``), which
+    holds the last _PLANS intervals shot; a system built without one
+    plans every walk anew.  -0.0 and 0.0 are one key of a dict, so an end
+    at zero also keys its sign: a segment starts its rows at its own bits.
+    """
+    key = (x_from, to) if x_from and to else (x_from, to, math.copysign(1.0, x_from), math.copysign(1.0, to))
+    plans = sys.plans
+    plan = None if plans is None else plans.get(key)
+    if plan is None:
+        plan = _build_plan(sys, x_from, to)
+        if plans is not None:
+            if len(plans) >= _PLANS:
+                del plans[next(iter(plans))]
+            plans[key] = plan
+    return plan
+
+
+def _build_plan(sys, x_from, to):
+    """(segments, step floor, row width) of a walk of ``sys`` from x_from
+    to ``to``.  A segment is (start, end, rows, consts), the rows of the
+    system on it at lambda = 0 (``ShinZettlSystem.rows``) with their
+    coefficients as Python complex.  A segment whose rows are all constant
+    is crossed by exact exponentials and has rows None and the invariants
+    consts = (a21_0, d, tau, d^2, |tau|/2) of ``_exact_segment``; any
+    other takes Taylor steps and has consts None.  Every row of the
+    system, not only the segments', sets the width, so that the two
+    halves of a ``fundamental`` pair concatenate."""
     if to == x_from:
         raise ValueError("empty integration interval")
     lo, hi = min(x_from, to), max(x_from, to)
-    bps = sorted((float(t) for t in sys.breakpoints() if lo < t < hi), reverse=to < x_from)
+    bp = sys.breakpoints()
+    bps = sorted((float(t) for t in bp if lo < t < hi), reverse=to < x_from)
     nodes = [x_from, *bps, to]
     ends = list(zip(nodes[:-1], nodes[1:]))
-    regions = np.searchsorted(sys.breakpoints(), [0.5 * (a + b) for a, b in ends], side="right")
+    regions = np.searchsorted(bp, [0.5 * (a + b) for a, b in ends], side="right")
     segments = []
     for (a, b), i in zip(ends, regions.tolist()):
-        r11, (c21, p21), r22 = sys.rows[i]
-        segments.append((a, b, (r11, (c21, (p21[0] - sys.lam, *p21[1:])), r22)))
-    return segments, MIN_STEP_FRACTION * (hi - lo)
+        rows = tuple((c, tuple(map(complex, p))) for c, p in sys.rows[i])
+        if any(len(p) > 1 for _, p in rows):
+            segments.append((a, b, rows, None))
+            continue
+        (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
+        d = 0.5 * (a11 - a22)
+        tau = a11 + a22
+        segments.append((a, b, None, (a21, d, tau, d * d, 0.5 * abs(tau))))
+    width = _TAYLOR_ORDER + max(len(p) for row in sys.rows for _, p in row) - 1
+    return tuple(segments), MIN_STEP_FRACTION * (hi - lo), width
 
 
 # 1/(2k)! and 1/(2k+1)!, highest power first: cosh(z) and sinh(z)/z as
@@ -304,12 +361,15 @@ def _exact_step_dlam(inv, h: float) -> tuple[complex, complex, complex, complex]
     return g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d)
 
 
-def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
+def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out=None):
     """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
 
-    n keeps |h mu| and |h tau|/2 at most 1, so each sub-step grows |Y| by
-    a bounded factor; a sub-step below h_floor raises StepUnderflowError.
-    The state is rescaled past RESCALE_THRESHOLD.  ``peak`` is the largest
+    ``consts`` are the lambda-free invariants (a21_0, d, tau, d^2, |tau|/2)
+    of the segment's plan (``_build_plan``): a21 = a21_0 - lam and
+    mu^2 = d^2 + a21.  n keeps |h mu| and |h tau|/2 at most 1, so each
+    sub-step grows |Y| by a bounded factor; a sub-step below h_floor
+    raises StepUnderflowError.  The state is rescaled past
+    RESCALE_THRESHOLD.  ``peak`` is the largest
     mantissa since the last rescale, and a rescale fires at the first
     mantissa past the threshold, so log(peak) + ls at the end is the
     largest log|Y| over the segment start, every sub-step end and ``sup``.
@@ -317,11 +377,11 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     (``_exact_rows``).  A state (y0, y1, z0, z1) also carries Z = dY/dlambda:
     Z <- exp(hA) Z + (d exp(hA)/dlambda) Y per sub-step, rescaled with Y.
     """
-    a11, a21, a22 = (complex(p[0]) for _, p in rows)
-    d = 0.5 * (a11 - a22)
-    tau, mu2 = a11 + a22, d * d + a21
+    a21_0, d, tau, dd, half_tau_abs = consts
+    a21 = a21_0 - lam
+    mu2 = dd + a21
     seg_len = xb - xa
-    n = abs(seg_len) * max(math.sqrt(abs(mu2)), 0.5 * abs(tau))
+    n = abs(seg_len) * max(math.sqrt(abs(mu2)), half_tau_abs)
     if not n * h_floor <= abs(seg_len):  # also a rate that is not finite
         raise StepUnderflowError(xa, seg_len / n, y[0], y[1], ls)
     n = max(1, math.ceil(n))
@@ -334,7 +394,11 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
             y0, y1, z0, z1 = (e11 * y0 + e12 * y1, e21 * y0 + e22 * y1,
                               e11 * z0 + e12 * z1 + f11 * y0 + f12 * y1,
                               e21 * z0 + e22 * z1 + f21 * y0 + f22 * y1)
-            m = max(abs(y0), abs(y1))
+            # m = max(|y0|, |y1|) with max's choice, nan included, without
+            # a call per sub-step
+            m, m1 = abs(y0), abs(y1)
+            if m1 > m:
+                m = m1
             if m > peak:
                 peak = m
                 if m > RESCALE_THRESHOLD:
@@ -348,7 +412,9 @@ def _exact_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
         if starts is not None:
             starts.append((y0, y1, ls))
         y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
-        m = max(abs(y0), abs(y1))
+        m, m1 = abs(y0), abs(y1)
+        if m1 > m:
+            m = m1
         if m > peak:
             peak = m
             if m > RESCALE_THRESHOLD:
@@ -492,11 +558,53 @@ def _taylor_kernel(n11: int, n21: int, n22: int, derivative: bool):
     return namespace["taylor"]
 
 
+def _horner_lines(name: str, coefs: list, t: str) -> list:
+    """Source lines that set ``name`` to ``coeffs._horner(coefs, t)``, coefs
+    highest power first, with the same operations in the same order:
+    0j*t + c0, then (...)*t + c1, ..., carried on to a new line every 32
+    terms, so that no expression nests deeper than the compiler allows."""
+    lines, acc = [], "0j"
+    for i in range(0, len(coefs), 32):
+        for j, c in enumerate(coefs[i:i + 32]):
+            acc = f"({acc})*{t} + {c}" if j else f"{acc}*{t} + {c}"
+        lines.append(f"{name} = {acc}")
+        acc = name
+    return lines
+
+
+def _sums_source(width: int, half: bool) -> str:
+    """Source of the Horner sums of two Taylor series of ``width``
+    coefficients (``_sums_kernel``): sums(h, u, v) returns u and v summed
+    at h and, with ``half``, at h/2 too.  Each list is unpacked once into
+    locals, and each sum is ``_horner``'s loop written out."""
+    points = [("u", "h"), ("v", "h")] + [("u", "hm"), ("v", "hm")] * half
+    src = ["def sums(h, u, v):"]
+    src += [f"    {', '.join(f'{x}{k}' for k in range(width))}, = {x}" for x in "uv"]
+    if half:
+        src.append("    hm = 0.5 * h")
+    for i, (x, t) in enumerate(points):
+        src += ["    " + line for line in _horner_lines(f"s{i}", [f"{x}{k}" for k in range(width - 1, -1, -1)], t)]
+    src.append(f"    return {', '.join(f's{i}' for i in range(len(points)))}")
+    return "\n".join(src) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _sums_kernel(width: int, half: bool):
+    """The Horner sums of ``_taylor_segment``'s steps for one series width,
+    compiled from ``_sums_source`` on first use: Y at h and h/2 in a shot
+    (``half``), and Y in a dense walk and Z = dY/dlambda at h; each with
+    the bits of ``_horner(reversed(series), t)``."""
+    namespace = {}
+    exec(compile(_sums_source(width, half), "<taylor sums>", "exec"), namespace)
+    return namespace["sums"]
+
+
 def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     """Cross a segment with polynomial entries by Taylor steps.
 
-    ``rows`` are the segment's lambda-shifted rows, of degree at most d.
-    At each step start x the rows are re-centred at x, and the Taylor
+    ``rows`` are the segment's lambda-shifted rows, of degree at most d,
+    with coefficients as Python complex (``_build_plan``).  At each step
+    start x the rows are re-centred at x, and the Taylor
     coefficients of the state scaled to unit size follow from
     (k+1) Y_{k+1} = sum_{j<=d} A_j Y_{k-j} with a12 = 1, up to order
     _TAYLOR_ORDER + d - 1, by the kernel of the rows' shape
@@ -504,10 +612,11 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     ``_jorba_zou``'s over the last d + 1 orders, the reach of the
     recurrence, so that a sparse series (a monomial entry re-centred at
     its center) is never read as ended; it is clipped to the segment end.
-    Each series is summed at the step end by one Horner loop.  A step
-    below h_floor, or a coefficient, step or state that is not finite,
-    raises StepUnderflowError with the state at x.  The state is rescaled
-    at step ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
+    The series are summed at the step end by the generated Horner sums of
+    their width (``_sums_kernel``).  A step below h_floor, or a
+    coefficient, step or state that is not finite, raises
+    StepUnderflowError with the state at x.  The state is rescaled at step
+    ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
 
     Without ``out`` (an endpoint shot), log|Y| is sampled at the segment
     start and at every step end and midpoint, the points
@@ -526,24 +635,30 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     without bounding the step.
     """
     (c11, p11), (c21, p21), (c22, p22) = rows
-    p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
     window = max(len(p11), len(p21), len(p22))
     width = _TAYLOR_ORDER + window - 1
     y0, y1, *z = y
+    shot = out is None
     series = _taylor_kernel(len(p11), len(p21), len(p22), bool(z))
+    sums = _sums_kernel(width, shot)
+    z_sums = _sums_kernel(width, False) if z else None
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
     x = xa
-    shot = out is None
     steps = []  # (start, size, series) of each step of a dense walk
     try:
         while m > 0 and (xb - x) * direction > 0:
-            a11, a21, a22 = _recentred(p11, x - c11), _recentred(p21, x - c21), _recentred(p22, x - c22)
-            u, v, *pq = series(a11, a21, a22, y0 / m, y1 / m, *(t / m for t in z))
+            # a constant row is its own re-centring
+            a11 = _recentred(p11, x - c11) if len(p11) > 1 else p11
+            a21 = _recentred(p21, x - c21) if len(p21) > 1 else p21
+            a22 = _recentred(p22, x - c22) if len(p22) > 1 else p22
+            if z:
+                u, v, p, q = series(a11, a21, a22, y0 / m, y1 / m, z[0] / m, z[1] / m)
+            else:
+                u, v = series(a11, a21, a22, y0 / m, y1 / m)
             h = _jorba_zou(u, v, window)
             if z:
-                p, q = pq
                 hz = _jorba_zou(p, q, window, max(1.0, abs(p[0]) + abs(q[0])))
                 h = min(h, hz) if hz > 0 else h
             if not h >= h_floor:
@@ -551,18 +666,21 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
             rest = (xb - x) * direction
             last = h >= rest
             h = direction * (rest if last else h)
-            e0, e1 = _horner(reversed(u), h), _horner(reversed(v), h)
-            size = abs(e0) + abs(e1)
             if shot:
-                f0, f1 = _horner(reversed(u), 0.5 * h), _horner(reversed(v), 0.5 * h)
-                size = size + abs(f0) + abs(f1)
-                mid = m * max(abs(f0), abs(f1))
+                e0, e1, f0, f1 = sums(h, u, v)
+                f0, f1 = abs(f0), abs(f1)  # only the midpoint's size is read
+                size = abs(e0) + abs(e1) + f0 + f1
+                mid = m * max(f0, f1)
+            else:
+                e0, e1 = sums(h, u, v)
+                size = abs(e0) + abs(e1)
             if not size < math.inf:
                 raise StepUnderflowError(x, h, y0, y1, ls)
             if not shot:
                 steps.append(((x, h, y0, y1, ls), m, (u, v)))
             if z:
-                z = [m * _horner(reversed(p), h), m * _horner(reversed(q), h)]
+                g0, g1 = z_sums(h, p, q)
+                z = [m * g0, m * g1]
             y0, y1 = m * e0, m * e1
             m = max(abs(y0), abs(y1))
             x = xb if last else x + h

@@ -57,7 +57,9 @@ class ShinZettlSystem:
     carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
     shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
     ``rows`` holds the pieces of (a11, a21_0, a22) on each region between
-    the field's breakpoints (``coeffs.region_pieces``).
+    the field's breakpoints (``coeffs.region_pieces``).  ``plans`` is the
+    field's dict of the side's lambda-free shot plans
+    (``propagate._plan``); a system built with rows of its own has none.
     """
 
     field_data: CoefficientField
@@ -67,6 +69,7 @@ class ShinZettlSystem:
     a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
     rows: tuple = field(repr=False, compare=False)
+    plans: dict | None = field(default=None, repr=False, compare=False)
 
     def breakpoints(self) -> np.ndarray:
         return self.field_data.breakpoints()
@@ -74,10 +77,11 @@ class ShinZettlSystem:
 
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
     """The Shin-Zettl matrix for l - lambda (or its adjoint); its
-    lambda-free entries and their rows are built once per field and side."""
+    lambda-free entries, their rows and the shot plans over them are
+    built once per field and side."""
     if _check_side(side) == DIRECT:
-        return ShinZettlSystem(c, side, complex(lam), *c.direct_entries, c.direct_rows)
-    return ShinZettlSystem(c, side, complex(lam), *c.adjoint_entries, c.adjoint_rows)
+        return ShinZettlSystem(c, side, complex(lam), *c.direct_entries, c.direct_rows, c.direct_plans)
+    return ShinZettlSystem(c, side, complex(lam), *c.adjoint_entries, c.adjoint_rows, c.adjoint_plans)
 
 
 def _jumps(f: PiecewisePoly, window: tuple[float, float]) -> dict[float, complex]:

@@ -566,13 +566,22 @@ def test_parser_is_built_once_and_a_refused_call_leaves_it_as_it_was(tmp_path, c
     cli._parser.cache_clear()
     assert main(["form", "--input", path, "--out", str(out)]) == EXIT_OK
     first = strip_metadata((out / "report.txt").read_text(encoding="utf-8"))
+    # a usage error exits 64, the parse error's code, not argparse's 2,
+    # which a failed check uses
     with pytest.raises(SystemExit) as refused:
         main(["form", "--out", str(out)])
-    assert refused.value.code == 2
+    assert refused.value.code == 64
     assert "the following arguments are required: --input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as refused:
+        main(["form", "--input", path, "--bogus", "1"])
+    assert refused.value.code == 64
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
     assert main(["form", "--input", path, "--out", str(out)]) == EXIT_OK
     assert strip_metadata((out / "report.txt").read_text(encoding="utf-8")) == first
-    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 2)
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 3)
+    with pytest.raises(SystemExit) as helped:
+        main(["form", "--help"])
+    assert helped.value.code == 0
 
 
 # Fuzz: small valid files, one or two mutations each.  Values come from a

@@ -1,6 +1,7 @@
 """Integrator contract: accuracy, dense output, jumps, rescaling."""
 
 import bisect
+import dataclasses
 import itertools
 import cmath
 import math
@@ -883,12 +884,177 @@ def test_importing_the_cli_builds_no_kernel():
     import sys
 
     code = ("import json, qschro.cli\n"
-            "from qschro.propagate import _taylor_kernel\n"
-            "print(json.dumps(_taylor_kernel.cache_info().misses))\n")
+            "from qschro.propagate import _sums_kernel, _taylor_kernel\n"
+            "print(json.dumps([_taylor_kernel.cache_info().misses, _sums_kernel.cache_info().misses]))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == 0
+    assert json.loads(proc.stdout) == [0, 0]
+
+
+def _sums_inputs(rng, width):
+    """Four series of ``width`` coefficients: random complex values, the
+    same with -0.0 parts (a top coefficient of -0.0 - 0.0j among them,
+    which 0j*h + c turns to +0.0 for h > 0), and with an inf and a nan."""
+    series = [[complex(*rng.standard_normal(2)) for _ in range(width)] for _ in range(4)]
+    yield series
+    signed = [[complex(-0.0 if (j + k) % 2 else t.real, -0.0 if (j + k) % 3 else t.imag) for k, t in enumerate(x)]
+              for j, x in enumerate(series)]
+    signed[0][-1] = signed[2][-1] = complex(-0.0, -0.0)
+    yield signed
+    wild = [list(x) for x in series]
+    wild[0][width // 2], wild[3][0] = complex(math.inf, 1.0), complex(0.5, math.nan)
+    yield wild
+
+
+def test_generated_sums_are_horner_bit_for_bit():
+    # every width up to that of degree-200 entries (24 + 201 - 1) and
+    # past it, forward and backward steps: two series at h and at h/2,
+    # the sums of a shot, and at h only, the sums of a dense walk and of
+    # Z, against _horner over the reversed series
+    rng = np.random.default_rng(28)
+    for width in range(1, 231):
+        for series in _sums_inputs(rng, width):
+            for (u, v), h in itertools.product((series[:2], series[2:]), (0.37, -0.37)):
+                at_h = [propagate._horner(reversed(x), h) for x in (u, v)]
+                at_half = [propagate._horner(reversed(x), 0.5 * h) for x in (u, v)]
+                assert _same_bits(list(propagate._sums_kernel(width, True)(h, u, v)), at_h + at_half), (width, h)
+                assert _same_bits(list(propagate._sums_kernel(width, False)(h, u, v)), at_h), (width, h)
+
+
+# ----------------------------------------------------------------------
+# lambda-free shot plans: one per field, side and interval, bounded
+
+
+def _counted_plans(monkeypatch):
+    """The (side, start, end) of every plan built from here on."""
+    built = []
+    build = propagate._build_plan
+
+    def counted(sys, x_from, to):
+        built.append((sys.side, x_from, to))
+        return build(sys, x_from, to)
+
+    monkeypatch.setattr(propagate, "_build_plan", counted)
+    return built
+
+
+def test_a_scan_and_its_roots_dense_shot_share_one_plan(monkeypatch):
+    from qschro import spectral
+    from qschro.errors import NonRealScanError
+
+    built = _counted_plans(monkeypatch)
+    ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    bc = spectral.BoundaryCondition.dirichlet()
+    with pytest.raises(NonRealScanError):
+        spectral.eigenvalues(ix, (0, math.pi), bc, scan=(0.5, 12), grid=40)
+    assert built == [("direct", 0.0, math.pi)]
+    (plan,) = ix.direct_plans.values()
+    # Newton shots with D' and the dense shot of the root read it too
+    (root,) = spectral.eigenvalues(ix, (0, math.pi), bc, seeds=[1.2 + 1.5j])
+    assert root.converged and abs(root.lam - (1.1090679488224868 + 1.5707963267948712j)) < 1e-9
+    assert root.trajectory.b == math.pi and len(root.trajectory.steps) > 1
+    assert built == [("direct", 0.0, math.pi)]
+    assert list(ix.direct_plans.values()) == [plan] and ix.adjoint_plans == {}
+
+
+def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
+    built = _counted_plans(monkeypatch)
+    z = PiecewisePoly.zero()
+    field = CoefficientField(PiecewisePoly([1.0], [[0, 1j], [0.5]]), z, z)
+    twin = CoefficientField(field.s, z, z)
+    start = QuasiState(0.0, 0.0, 1.0)
+    for c, side, b in ((field, "direct", 2.0), (field, "direct", 2.0), (field, "direct", 3.0),
+                       (field, "adjoint", 2.0), (twin, "direct", 2.0)):
+        endpoint(assemble(c, side, 2.0 - 0.5j), QuasiState(0.0, 0.0, 1.0, side), b)
+    assert built == [("direct", 0.0, 2.0), ("direct", 0.0, 3.0), ("adjoint", 0.0, 2.0), ("direct", 0.0, 2.0)]
+    assert (len(field.direct_plans), len(field.adjoint_plans), len(twin.direct_plans)) == (2, 1, 1)
+    # a plan holds no lambda: another lambda shoots through it to the bits
+    # of a system that plans anew (no dict of plans)
+    sys = assemble(field, "direct", 7.0 + 1.0j)
+    alone = dataclasses.replace(sys, plans=None)
+    for derivative in (False, True):
+        got, want = endpoint(sys, start, 3.0, derivative), endpoint(alone, start, 3.0, derivative)
+        assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
+                          [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
+    assert integrate(sys, start, 3.0).steps.tobytes() == integrate(alone, start, 3.0).steps.tobytes()
+    assert len(built) == 4 + 3  # the system without plans planned each walk anew
+    # a start at -0.0 does not take the plan of a start at 0.0: its dense
+    # rows start at -0.0
+    for x0, sign in ((0.0, 1.0), (-0.0, -1.0)):
+        back = integrate(assemble(field, "direct", 2.0), QuasiState(x0, 0.0, 1.0), -1.0)
+        assert math.copysign(1.0, back.steps["x0"][-1]) == sign
+
+
+def test_shooting_many_intervals_keeps_a_bounded_number_of_plans():
+    import gc
+    import tracemalloc
+
+    field = CoefficientField(PiecewisePoly([0.5, 1.0], [[0.2], [0.3], [0.1]]),
+                             PiecewisePoly.heaviside(-1.0, 0.75), PiecewisePoly.zero())
+    starts = (QuasiState(0.0, 0.0, 1.0), QuasiState(0.0, 0.0, 1.0, "adjoint"))
+
+    def shoot(first, n):
+        for k in range(first, first + n):
+            for start in starts:
+                endpoint(assemble(field, start.side, 1.0), start, 1.5 + k / 1000)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    shoot(0, 50)
+    tracemalloc.start()
+    try:
+        held = [shoot(first, 300) for first in (50, 350, 650)]
+    finally:
+        tracemalloc.stop()
+    assert len(field.direct_plans) == len(field.adjoint_plans) == propagate._PLANS
+    assert [key[1] for key in field.direct_plans][-1] == 1.5 + 949 / 1000
+    # the first round fills the interpreter's free lists; then 600 more
+    # plans, which would hold about 1 MB if they were all kept, add next
+    # to nothing
+    assert held[-1] - held[-2] < 100_000, held
+
+
+# the StepUnderflowError of the walk before plans: (x, h, y0, y1,
+# logscale) from a start (0.3 - 0.1j, 1) at logscale 0.5, raised in a
+# later segment than the first, after crossing the earlier ones
+_UNDERFLOW_CASES = {
+    # an exact segment: s = 1e30 past x = 1 asks for sub-steps of 1e-15
+    "exact": ((PiecewisePoly([1.0], [[0.0], [1e30]]), PiecewisePoly.zero()), 2.0 + 0.5j, 0.0, 3.0,
+              {None: (1.0, 1e-15, 0.7234485101921629 - 0.13487786162656556j,
+                      -0.30196744010410936 - 0.09556642516743351j, 0.5)}),
+    # backward across a step of Q and a constant piece of s, then s = 1e30
+    "exact-backward": ((PiecewisePoly([-1.0, 1.0], [[1e30], [0.5], [0.0]]), PiecewisePoly.heaviside(-1.5, 0.25)),
+                       -3.0, 2.5, -2.0,
+                       {None: (-1.0, -1e-15, -2.881000076889406 - 30.643256933385068j,
+                               5.325758369437134 + 56.611793726810426j, 0.5)}),
+    # Taylor steps of s = i x, then s = 1e22 + x: a step of 6.3e-12 below
+    # the floor 1e-11 of (0, 1000)
+    "taylor-floor": ((PiecewisePoly([0.5], [[0, 1j], [1e22, 1.0]]), PiecewisePoly.zero()), 3.0 - 1.0j, 0.0, 1000.0,
+                     {None: (0.5, 6.317470694927815e-12, 0.6455140195748377 - 0.001979673865088516j,
+                             0.28702287157867756 + 0.42492834709596494j, 0.5)}),
+    # Taylor steps of s = i x, then s = 1e300 x: a series past the float range
+    "taylor-overflow": ((PiecewisePoly([1.0], [[0, 1j], [0, 1e300]]), PiecewisePoly.zero()), 2.0, 0.0, 2.0,
+                        {None: (1.0, 0.0, 0.7529181029619902 + 0.08464802314629463j,
+                                -0.26028343907062607 + 0.44816869068930165j, 0.5),
+                         "D'": (1.0, 0.0, 0.7529181029619902 + 0.0846480231462946j,
+                                -0.26028343907062573 + 0.4481686906893016j, 0.5)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNDERFLOW_CASES))
+def test_a_planned_segment_raises_the_step_underflow_of_the_walk_before_plans(case):
+    (s, q), lam, a, b, want = _UNDERFLOW_CASES[case]
+    sys = assemble(CoefficientField(s, q, PiecewisePoly.zero()), "direct", lam)
+    start = QuasiState(a, 0.3 - 0.1j, 1.0, logscale=0.5)
+    for kind, run in ((None, lambda: endpoint(sys, start, b)),
+                      ("D'", lambda: endpoint(sys, start, b, derivative=True)),
+                      (None, lambda: integrate(sys, start, b))):
+        for _ in range(2):  # the walk that builds the plan and one that reuses it
+            with pytest.raises(StepUnderflowError) as err:
+                run()
+            e = err.value
+            assert (e.x, e.h, e.y0, e.y1, e.logscale) == want.get(kind, want[None]), (case, kind)
 
 
 # ----------------------------------------------------------------------
