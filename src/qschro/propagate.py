@@ -21,11 +21,11 @@ as Jorba & Zou's rule (2005) allows.  The recurrence of each entry
 shape runs in one function compiled from generated source on first use
 (``_taylor_kernel``), whose later orders read the last coefficients from
 rolling locals instead of summing over reversed lists, with the same
-operations in the same order.  The Horner sums of a step are generated
-the same way per series width (``_sums_kernel``): Y at h and h/2 in a
-shot, Y at h in a dense walk and Z = dY/dlambda at h, each with the
-bits of ``coeffs._horner``.  Both kinds of step are accurate to
-rounding at any lambda, so there is no tolerance to choose.
+operations in the same order.  One loop sums a step's two series
+(``_step_sums``): Y at h and h/2 in a shot, Y at h in a dense walk and
+Z = dY/dlambda at h, each with the bits of ``coeffs._horner``.  Both
+kinds of step are accurate to rounding at any lambda, so there is no
+tolerance to choose.
 ``endpoint`` keeps the end state and log sup|Y| only, and on request
 dY/dlambda along the same steps; ``integrate`` also records each
 sub-step or step as a row of dense output, the Taylor series of the
@@ -269,19 +269,18 @@ def _plan(sys, x_from, to):
 
     Built once per field, side and interval and kept in ``sys.plans``, the
     field's dict of the side (``CoefficientField.direct_plans``), which
-    holds the last _PLANS intervals shot; a system built without one
-    plans every walk anew.  -0.0 and 0.0 are one key of a dict, so an end
-    at zero also keys its sign: a segment starts its rows at its own bits.
+    holds the last _PLANS intervals shot.  -0.0 and 0.0 are one key of a
+    dict, so an end at zero also keys its sign: a segment starts its rows
+    at its own bits.
     """
     key = (x_from, to) if x_from and to else (x_from, to, math.copysign(1.0, x_from), math.copysign(1.0, to))
     plans = sys.plans
-    plan = None if plans is None else plans.get(key)
+    plan = plans.get(key)
     if plan is None:
         plan = _build_plan(sys, x_from, to)
-        if plans is not None:
-            if len(plans) >= _PLANS:
-                del plans[next(iter(plans))]
-            plans[key] = plan
+        if len(plans) >= _PLANS:
+            del plans[next(iter(plans))]
+        plans[key] = plan
     return plan
 
 
@@ -558,45 +557,24 @@ def _taylor_kernel(n11: int, n21: int, n22: int, derivative: bool):
     return namespace["taylor"]
 
 
-def _horner_lines(name: str, coefs: list, t: str) -> list:
-    """Source lines that set ``name`` to ``coeffs._horner(coefs, t)``, coefs
-    highest power first, with the same operations in the same order:
-    0j*t + c0, then (...)*t + c1, ..., carried on to a new line every 32
-    terms, so that no expression nests deeper than the compiler allows."""
-    lines, acc = [], "0j"
-    for i in range(0, len(coefs), 32):
-        for j, c in enumerate(coefs[i:i + 32]):
-            acc = f"({acc})*{t} + {c}" if j else f"{acc}*{t} + {c}"
-        lines.append(f"{name} = {acc}")
-        acc = name
-    return lines
-
-
-def _sums_source(width: int, half: bool) -> str:
-    """Source of the Horner sums of two Taylor series of ``width``
-    coefficients (``_sums_kernel``): sums(h, u, v) returns u and v summed
-    at h and, with ``half``, at h/2 too.  Each list is unpacked once into
-    locals, and each sum is ``_horner``'s loop written out."""
-    points = [("u", "h"), ("v", "h")] + [("u", "hm"), ("v", "hm")] * half
-    src = ["def sums(h, u, v):"]
-    src += [f"    {', '.join(f'{x}{k}' for k in range(width))}, = {x}" for x in "uv"]
-    if half:
-        src.append("    hm = 0.5 * h")
-    for i, (x, t) in enumerate(points):
-        src += ["    " + line for line in _horner_lines(f"s{i}", [f"{x}{k}" for k in range(width - 1, -1, -1)], t)]
-    src.append(f"    return {', '.join(f's{i}' for i in range(len(points)))}")
-    return "\n".join(src) + "\n"
-
-
-@lru_cache(maxsize=64)
-def _sums_kernel(width: int, half: bool):
-    """The Horner sums of ``_taylor_segment``'s steps for one series width,
-    compiled from ``_sums_source`` on first use: Y at h and h/2 in a shot
-    (``half``), and Y in a dense walk and Z = dY/dlambda at h; each with
-    the bits of ``_horner(reversed(series), t)``."""
-    namespace = {}
-    exec(compile(_sums_source(width, half), "<taylor sums>", "exec"), namespace)
-    return namespace["sums"]
+def _step_sums(h, u, v, half):
+    """The Horner sums of a Taylor step: the series u and v (lowest power
+    first) at h and, with ``half``, at h/2 too, all in one loop, each with
+    the operations and bits of ``_horner(reversed(series), t)``."""
+    a = b = 0j
+    if not half:
+        for cu, cv in zip(reversed(u), reversed(v)):
+            a = a * h + cu
+            b = b * h + cv
+        return a, b
+    hm = 0.5 * h
+    c = d = 0j
+    for cu, cv in zip(reversed(u), reversed(v)):
+        a = a * h + cu
+        b = b * h + cv
+        c = c * hm + cu
+        d = d * hm + cv
+    return a, b, c, d
 
 
 def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
@@ -612,9 +590,8 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     ``_jorba_zou``'s over the last d + 1 orders, the reach of the
     recurrence, so that a sparse series (a monomial entry re-centred at
     its center) is never read as ended; it is clipped to the segment end.
-    The series are summed at the step end by the generated Horner sums of
-    their width (``_sums_kernel``).  A step below h_floor, or a
-    coefficient, step or state that is not finite, raises
+    The series are summed at the step end (``_step_sums``).  A step below
+    h_floor, or a coefficient, step or state that is not finite, raises
     StepUnderflowError with the state at x.  The state is rescaled at step
     ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
 
@@ -640,8 +617,6 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     y0, y1, *z = y
     shot = out is None
     series = _taylor_kernel(len(p11), len(p21), len(p22), bool(z))
-    sums = _sums_kernel(width, shot)
-    z_sums = _sums_kernel(width, False) if z else None
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
@@ -667,19 +642,19 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
             last = h >= rest
             h = direction * (rest if last else h)
             if shot:
-                e0, e1, f0, f1 = sums(h, u, v)
+                e0, e1, f0, f1 = _step_sums(h, u, v, True)
                 f0, f1 = abs(f0), abs(f1)  # only the midpoint's size is read
                 size = abs(e0) + abs(e1) + f0 + f1
                 mid = m * max(f0, f1)
             else:
-                e0, e1 = sums(h, u, v)
+                e0, e1 = _step_sums(h, u, v, False)
                 size = abs(e0) + abs(e1)
             if not size < math.inf:
                 raise StepUnderflowError(x, h, y0, y1, ls)
             if not shot:
                 steps.append(((x, h, y0, y1, ls), m, (u, v)))
             if z:
-                g0, g1 = z_sums(h, p, q)
+                g0, g1 = _step_sums(h, p, q, False)
                 z = [m * g0, m * g1]
             y0, y1 = m * e0, m * e1
             m = max(abs(y0), abs(y1))

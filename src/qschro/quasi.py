@@ -59,7 +59,8 @@ class ShinZettlSystem:
     ``rows`` holds the pieces of (a11, a21_0, a22) on each region between
     the field's breakpoints (``coeffs.region_pieces``).  ``plans`` is the
     field's dict of the side's lambda-free shot plans
-    (``propagate._plan``); a system built with rows of its own has none.
+    (``propagate._plan``); a system built with rows of its own takes a
+    dict of its own, so that it never shares the field's plans.
     """
 
     field_data: CoefficientField
@@ -69,7 +70,7 @@ class ShinZettlSystem:
     a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
     rows: tuple = field(repr=False, compare=False)
-    plans: dict | None = field(default=None, repr=False, compare=False)
+    plans: dict = field(repr=False, compare=False)
 
     def breakpoints(self) -> np.ndarray:
         return self.field_data.breakpoints()

@@ -884,12 +884,12 @@ def test_importing_the_cli_builds_no_kernel():
     import sys
 
     code = ("import json, qschro.cli\n"
-            "from qschro.propagate import _sums_kernel, _taylor_kernel\n"
-            "print(json.dumps([_taylor_kernel.cache_info().misses, _sums_kernel.cache_info().misses]))\n")
+            "from qschro.propagate import _taylor_kernel\n"
+            "print(json.dumps(_taylor_kernel.cache_info().misses))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, 0]
+    assert json.loads(proc.stdout) == 0
 
 
 def _sums_inputs(rng, width):
@@ -907,7 +907,7 @@ def _sums_inputs(rng, width):
     yield wild
 
 
-def test_generated_sums_are_horner_bit_for_bit():
+def test_step_sums_are_horner_bit_for_bit():
     # every width up to that of degree-200 entries (24 + 201 - 1) and
     # past it, forward and backward steps: two series at h and at h/2,
     # the sums of a shot, and at h only, the sums of a dense walk and of
@@ -918,8 +918,8 @@ def test_generated_sums_are_horner_bit_for_bit():
             for (u, v), h in itertools.product((series[:2], series[2:]), (0.37, -0.37)):
                 at_h = [propagate._horner(reversed(x), h) for x in (u, v)]
                 at_half = [propagate._horner(reversed(x), 0.5 * h) for x in (u, v)]
-                assert _same_bits(list(propagate._sums_kernel(width, True)(h, u, v)), at_h + at_half), (width, h)
-                assert _same_bits(list(propagate._sums_kernel(width, False)(h, u, v)), at_h), (width, h)
+                assert _same_bits(list(propagate._step_sums(h, u, v, True)), at_h + at_half), (width, h)
+                assert _same_bits(list(propagate._step_sums(h, u, v, False)), at_h), (width, h)
 
 
 # ----------------------------------------------------------------------
@@ -970,15 +970,18 @@ def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
     assert built == [("direct", 0.0, 2.0), ("direct", 0.0, 3.0), ("adjoint", 0.0, 2.0), ("direct", 0.0, 2.0)]
     assert (len(field.direct_plans), len(field.adjoint_plans), len(twin.direct_plans)) == (2, 1, 1)
     # a plan holds no lambda: another lambda shoots through it to the bits
-    # of a system that plans anew (no dict of plans)
+    # of a system that plans anew (a fresh dict of plans per walk)
     sys = assemble(field, "direct", 7.0 + 1.0j)
-    alone = dataclasses.replace(sys, plans=None)
+
+    def alone():
+        return dataclasses.replace(sys, plans={})
+
     for derivative in (False, True):
-        got, want = endpoint(sys, start, 3.0, derivative), endpoint(alone, start, 3.0, derivative)
+        got, want = endpoint(sys, start, 3.0, derivative), endpoint(alone(), start, 3.0, derivative)
         assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                           [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
-    assert integrate(sys, start, 3.0).steps.tobytes() == integrate(alone, start, 3.0).steps.tobytes()
-    assert len(built) == 4 + 3  # the system without plans planned each walk anew
+    assert integrate(sys, start, 3.0).steps.tobytes() == integrate(alone(), start, 3.0).steps.tobytes()
+    assert len(built) == 4 + 3  # each fresh dict planned its walk anew
     # a start at -0.0 does not take the plan of a start at 0.0: its dense
     # rows start at -0.0
     for x0, sign in ((0.0, 1.0), (-0.0, -1.0)):

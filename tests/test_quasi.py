@@ -278,7 +278,7 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
         for lam in (0, -1, 2 + 1j, 400):
             sys = assemble(c, side, lam)
             entries = (g1, -(g1 * g2) + s - complex(lam), -g2)
-            ref = ShinZettlSystem(c, side, 0j, *entries, region_pieces(entries, c.breakpoints()))
+            ref = ShinZettlSystem(c, side, 0j, *entries, region_pieces(entries, c.breakpoints()), {})
             (end, sup), (end_ref, sup_ref) = endpoint(sys, y0, 2.0), endpoint(ref, y0, 2.0)
             assert _bits(end.y0, end.y1, end.logscale, sup) == _bits(
                 end_ref.y0, end_ref.y1, end_ref.logscale, sup_ref)
