@@ -30,6 +30,7 @@ from .errors import (
     OverflowUnrecoverableError,
     QschroError,
     SideMismatchError,
+    StepBudgetError,
     StepUnderflowError,
     UnsupportedTestFunctionError,
     ZeroNormError,
@@ -125,6 +126,7 @@ __all__ = [
     "DiscontinuousQuasiDerivativeError",
     "FamilyMemberError",
     "StepUnderflowError",
+    "StepBudgetError",
     "SideMismatchError",
     "ZeroNormError",
     "UnsupportedTestFunctionError",

@@ -10,17 +10,19 @@ tables, every number tagged with the operation that produced it); the
 only volatile content lives inside the [metadata] block, so byte
 comparison modulo that block is the supported reproducibility check.
 
+The command line is ``qschro TASK --input FILE [--out DIR]``, read by a
+small reader (``_read_argv``) rather than argparse, whose import and
+parser set-up cost a one-task run more than most of its tasks.
+
 Exit codes: 0 holds/grows/success, 2 fails/bounded/inconclusive (witness
-in the report), 64 parse error (also an unknown or missing command-line
-flag), 65 validation error, 70 numeric error, 73 cannot write output,
-1 anything else.
+in the report), 64 parse error (also a misused command line: an unknown
+task or flag, a missing, repeated or valueless flag), 65 validation
+error, 70 numeric error, 73 cannot write output, 1 anything else.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime
-import functools
 import json
 import math
 import os
@@ -678,35 +680,75 @@ def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
     return rep.exit_code, rep.text(), extra
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a usage error (an unknown or missing flag)
-    exits EXIT_PARSE: argparse's own code 2 is that of a failed check."""
+USAGE = "usage: qschro TASK --input FILE [--out DIR]"
+HELP = f"""{USAGE}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+Quasi-derivative Schrodinger toolkit: batch tasks over problem files.
+
+  TASK          one of {", ".join(TASKS)}
+  --input FILE  problem file (JSON); also --input=FILE
+  --out DIR     output directory for the report, default the current one;
+                also --out=DIR
+  -h, --help    show this help and exit
+
+Exit codes: 0 holds/grows/success, 2 fails/bounded/inconclusive, 64 usage
+or parse error, 65 validation error, 70 numeric error, 73 cannot write
+output, 1 anything else.
+"""
+FLAGS = ("--input", "--out")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on its first use and kept for later calls."""
-    parser = _Parser(
-        prog="qschro",
-        description="Quasi-derivative Schrodinger toolkit: batch tasks over problem files.",
-    )
-    sub = parser.add_subparsers(dest="task", required=True)
-    for t in TASKS:
-        p = sub.add_parser(t)
-        p.add_argument("--input", required=True, help="problem file (JSON)")
-        p.add_argument("--out", default=None, help="output directory for the report")
-    return parser
+def _usage_error(message: str):
+    print(USAGE, file=sys.stderr)
+    print(f"qschro: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _read_argv(argv) -> tuple[str, str, str | None]:
+    """(task, input, out) of the words ``TASK --input FILE [--out DIR]``.
+
+    A flag's value is the next word, or follows '=' in the same word; a
+    value that starts with '-' takes the '=' form.  A word -h or --help
+    anywhere prints the help and exits 0.  Any misuse (no task, an unknown
+    task or word, a flag given twice or without a value, no --input)
+    prints the usage and the error to stderr and exits EXIT_PARSE:
+    argparse's code 2 is that of a failed check.  Both exits raise
+    SystemExit, as argparse does.
+    """
+    words = list(argv)
+    if "-h" in words or "--help" in words:
+        print(HELP, end="")
+        raise SystemExit(EXIT_OK)
+    if not words:
+        _usage_error("the following arguments are required: TASK")
+    task, values, extra = words[0], {}, []
+    if task not in TASKS:
+        _usage_error(f"invalid task {task!r} (choose from {', '.join(TASKS)})")
+    rest = iter(words[1:])
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        if flag not in FLAGS:
+            extra.append(word)
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                _usage_error(f"argument {flag}: expected one argument")
+        if flag in values:
+            _usage_error(f"argument {flag}: given more than once")
+        values[flag] = value
+    if "--input" not in values:
+        _usage_error("the following arguments are required: --input")
+    if extra:
+        _usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    return task, values["--input"], values.get("--out")
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    task, input_path, out_dir = _read_argv(sys.argv[1:] if argv is None else argv)
 
     try:
-        raw = load_problem(args.input)
+        raw = load_problem(input_path)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"parse error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -714,10 +756,10 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if raw["task"] != args.task:
+    if raw["task"] != task:
         print(
             f"validation error: task: file declares {raw['task']!r} but the "
-            f"{args.task!r} subcommand was invoked",
+            f"{task!r} subcommand was invoked",
             file=sys.stderr,
         )
         return EXIT_VALIDATION
@@ -731,7 +773,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out_dir = args.out or "."
+    out_dir = out_dir or "."
     report_path = os.path.join(out_dir, raw.get("output", "report.txt"))
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -15,6 +15,13 @@ RESCALE_THRESHOLD = 1e100
 # Step-size floor, relative to the integration interval length.
 MIN_STEP_FRACTION = 1e-14
 
+# Most sub-steps and Taylor steps one walk (a shot or a dense integration)
+# may take; past it the walk stops with StepBudgetError instead of running
+# out of memory or time.  A dense walk of 1e5 exact sub-steps peaks near
+# 260 MB (75 MB of rows); the walks of the test suite and the benchmark
+# take at most about 1000.
+MAX_WALK_STEPS = 100_000
+
 # Null-space probe: "grows" needs N(Tmax) >= GROWTH_FACTOR * N(T0) with a
 # monotone trend AND the outermost window doubling still adding at least
 # SUSTAINED_MIN relative mass; "bounded" needs the last window increment

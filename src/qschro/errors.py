@@ -53,6 +53,27 @@ class StepUnderflowError(QschroError):
         )
 
 
+class StepBudgetError(QschroError):
+    """A walk would take more steps than its budget (``config.MAX_WALK_STEPS``).
+
+    Carries the position ``x`` of the first step past the budget, that
+    step ``h``, the state there, (y0, y1) times exp(logscale), and the
+    ``budget``.
+    """
+
+    def __init__(self, x, h, y0, y1, logscale, budget):
+        self.x = x
+        self.h = h
+        self.y0 = y0
+        self.y1 = y1
+        self.logscale = logscale
+        self.budget = budget
+        super().__init__(
+            f"walk needs more than {budget} steps: step {abs(h):.3e} at x={x:.6g} "
+            "(interval too long for the coefficients and lambda)"
+        )
+
+
 class SideMismatchError(QschroError):
     """Bracket arguments must pair one direct-side and one adjoint-side state."""
 

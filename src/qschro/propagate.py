@@ -5,19 +5,22 @@ mesh node; the state (y0, y1) passes through them unchanged, which is
 exactly the absolute continuity the quasi-derivative buys.  States growing
 past 1e100 are renormalized and the exponent ledger travels with them.
 
-``endpoint`` and ``integrate`` walk the segments the same way, from one
-lambda-free plan per field, side and interval (``_plan``): the segments,
-each segment's rows as Python complex with its kind and, on a constant
-segment, the invariants of its exponential, and the step floor.  It is
-built on the first walk and kept with the field
+``endpoint`` and ``integrate`` walk the segments the same way (``_walk``),
+from one lambda-free plan per field, side and interval (``_plan``): the
+segments, each segment's rows as Python complex with its kind and, on a
+constant segment, the invariants of its exponential, and the step floor.
+It is built on the first walk and kept with the field
 (``CoefficientField.direct_plans``/``adjoint_plans``, at most _PLANS
 intervals per side), so a shot only subtracts lambda from each segment's
-a21 constant and steps.  On a segment where the system matrix A is
-constant the state is multiplied by the exact exp(hA) in equal
-sub-steps; on any other it takes Taylor steps
-of order 23 + d from the exact recurrence of the entries of degree d
-(classical high-order Taylor method, Corliss & Chang 1982), each as long
-as Jorba & Zou's rule (2005) allows.  The recurrence of each entry
+a21 constant and steps; ``spectral.characteristic`` walks the plan from
+a plain (y0, y1, logscale) start, with no system or state around it.
+Every walk has one budget of MAX_WALK_STEPS sub-steps and Taylor steps,
+past which it raises StepBudgetError.  On a segment where the system
+matrix A is constant the state is multiplied by the exact exp(hA) in
+equal sub-steps; on any other it takes Taylor steps of order 23 + d
+from the exact recurrence of the entries of degree d (classical
+high-order Taylor method, Corliss & Chang 1982), each as long as Jorba &
+Zou's rule (2005) allows.  The recurrence of each entry
 shape runs in one function compiled from generated source on first use
 (``_taylor_kernel``), whose later orders read the last coefficients from
 rolling locals instead of summing over reversed lists, with the same
@@ -59,9 +62,9 @@ from operator import mul
 
 import numpy as np
 
-from .config import MIN_STEP_FRACTION, RESCALE_THRESHOLD
+from .config import MAX_WALK_STEPS, MIN_STEP_FRACTION, RESCALE_THRESHOLD
 from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut
-from .errors import OverflowUnrecoverableError, StepUnderflowError
+from .errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
 
@@ -195,11 +198,12 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     _TAYLOR_ORDER + d columns, d the largest degree of its entries, so the
     two halves of a ``fundamental`` pair concatenate.  The state is
     renormalized whenever |Y| exceeds 1e100 and the exponent is recorded
-    per row.  Raises StepUnderflowError as ``endpoint`` does.
+    per row.  Raises StepUnderflowError and StepBudgetError as
+    ``endpoint`` does.
     """
-    plan = _plan(sys, y0.x, to)
+    plan = _plan(sys.plans, y0.x, to, lambda: sys)
     blocks: list[tuple] = []
-    _walk(plan, sys.lam, y0, blocks)
+    _walk(plan, sys.lam, (y0.y0, y0.y1, y0.logscale), blocks)
     width = plan[2]
     steps = np.zeros(sum(len(x0) for x0, *_ in blocks), dtype=_step_dtype(width))
     i = 0
@@ -220,42 +224,47 @@ def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float, derivative: bool =
     log|Y| is sampled at the segment starts and at every sub-step end, and
     at Taylor step midpoints.  Both kinds of step are accurate to
     rounding.  Raises StepUnderflowError when a step falls below 1e-14
-    times the interval length.
+    times the interval length, and StepBudgetError when the walk would take
+    more than MAX_WALK_STEPS sub-steps and steps in all.
 
     With ``derivative`` a third item is returned: Z = dY/dlambda at ``to``
     on the logscale of the end state.  Z starts at 0 (the start state does
     not depend on lambda) and solves Z' = AZ + EY, E = dA/dlambda =
     [[0, 0], [-1, 0]], along the same steps as Y.
     """
-    y, ls, sup = _walk(_plan(sys, y0.x, to), sys.lam, y0, derivative=derivative)
+    plan = _plan(sys.plans, y0.x, to, lambda: sys)
+    y, ls, sup = _walk(plan, sys.lam, (y0.y0, y0.y1, y0.logscale), derivative=derivative)
     end = QuasiState(to, y[0], y[1], sys.side, ls)
     if not derivative:
         return end, sup
     return end, sup, QuasiState(to, y[2], y[3], sys.side, ls)
 
 
-def _walk(plan, lam, y0, out=None, derivative=False):
+def _walk(plan, lam, start, out=None, derivative=False):
     """(state, logscale, log sup) at the end of the ``plan`` (``_plan``)
-    from the state y0 at its start; each segment appends its rows of dense
-    output to ``out`` when one is given, and then the log sup leaves out
-    the Taylor segments (``integrate`` does not read it).  With
-    ``derivative`` the state is (y0, y1, z0, z1), Z on the logscale of Y.
-    Lambda is subtracted from the constant term of each segment's a21 row
-    here, which gives the bits of ``sys.a21_0 - sys.lam`` on it (``a21_0``
-    is a sum, so never -0.0)."""
+    from the state (y0, y1) times exp(logscale) of ``start`` at its start;
+    each segment appends its rows of dense output to ``out`` when one is
+    given, and then the log sup leaves out the Taylor segments
+    (``integrate`` does not read it).  With ``derivative`` the state is
+    (y0, y1, z0, z1), Z on the logscale of Y.  Lambda is subtracted from
+    the constant term of each segment's a21 row here, which gives the bits
+    of ``sys.a21_0 - sys.lam`` on it (``a21_0`` is a sum, so never -0.0).
+    The segments share one budget of MAX_WALK_STEPS sub-steps and steps:
+    a walk that needs more raises StepBudgetError before its memory or
+    time runs away."""
     segments, h_floor, _ = plan
-    y = (complex(y0.y0), complex(y0.y1))
-    if derivative:
-        y += (0j, 0j)
-    ls = float(y0.logscale)
+    y0, y1, ls = start
+    y = (complex(y0), complex(y1), 0j, 0j) if derivative else (complex(y0), complex(y1))
+    ls = float(ls)
     sup = -math.inf
+    left = MAX_WALK_STEPS
     for xa, xb, rows, consts in segments:
         if rows is None:
-            y, ls, sup = _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out)
+            y, ls, sup, left = _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out)
         else:
             r11, (c21, p21), r22 = rows
             rows = (r11, (c21, (p21[0] - lam, *p21[1:])), r22)
-            y, ls, sup = _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out)
+            y, ls, sup, left = _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out)
     return y, ls, sup
 
 
@@ -263,21 +272,22 @@ def _walk(plan, lam, y0, out=None, derivative=False):
 _PLANS = 8
 
 
-def _plan(sys, x_from, to):
-    """The lambda-free shot plan of ``sys`` from x_from to ``to``: its
+def _plan(plans, x_from, to, system):
+    """The lambda-free shot plan from x_from to ``to`` in ``plans``: its
     segments, the step floor and the width of its dense rows.
 
-    Built once per field, side and interval and kept in ``sys.plans``, the
-    field's dict of the side (``CoefficientField.direct_plans``), which
-    holds the last _PLANS intervals shot.  -0.0 and 0.0 are one key of a
-    dict, so an end at zero also keys its sign: a segment starts its rows
-    at its own bits.
+    ``plans`` is the dict of one field and side
+    (``CoefficientField.direct_plans``/``adjoint_plans``, which is
+    ``ShinZettlSystem.plans``), holding the last _PLANS intervals shot.
+    On a miss the plan is built from ``system()``, the side's
+    ShinZettlSystem, and kept there, so a shot on a known interval builds
+    no system.  -0.0 and 0.0 are one key of a dict, so an end at zero also
+    keys its sign: a segment starts its rows at its own bits.
     """
     key = (x_from, to) if x_from and to else (x_from, to, math.copysign(1.0, x_from), math.copysign(1.0, to))
-    plans = sys.plans
     plan = plans.get(key)
     if plan is None:
-        plan = _build_plan(sys, x_from, to)
+        plan = _build_plan(system(), x_from, to)
         if len(plans) >= _PLANS:
             del plans[next(iter(plans))]
         plans[key] = plan
@@ -360,14 +370,16 @@ def _exact_step_dlam(inv, h: float) -> tuple[complex, complex, complex, complex]
     return g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d)
 
 
-def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out=None):
+def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
     """Cross a constant segment by n products with exp(hA), h = (xb - xa)/n.
 
     ``consts`` are the lambda-free invariants (a21_0, d, tau, d^2, |tau|/2)
     of the segment's plan (``_build_plan``): a21 = a21_0 - lam and
     mu^2 = d^2 + a21.  n keeps |h mu| and |h tau|/2 at most 1, so each
     sub-step grows |Y| by a bounded factor; a sub-step below h_floor
-    raises StepUnderflowError.  The state is rescaled past
+    raises StepUnderflowError, and n past the ``left`` of the walk's step
+    budget StepBudgetError, both before the first sub-step; the budget
+    left after the n is returned last.  The state is rescaled past
     RESCALE_THRESHOLD.  ``peak`` is the largest
     mantissa since the last rescale, and a rescale fires at the first
     mantissa past the threshold, so log(peak) + ls at the end is the
@@ -384,6 +396,8 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out=None):
     if not n * h_floor <= abs(seg_len):  # also a rate that is not finite
         raise StepUnderflowError(xa, seg_len / n, y[0], y[1], ls)
     n = max(1, math.ceil(n))
+    if n > left:
+        raise StepBudgetError(xa, seg_len / n, y[0], y[1], ls, MAX_WALK_STEPS)
     e11, e12, e21, e22 = _exact_step((a21, d, tau, mu2), seg_len / n)
     if len(y) == 4:
         f11, f12, f21, f22 = _exact_step_dlam((a21, d, tau, mu2), seg_len / n)
@@ -403,7 +417,7 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out=None):
                 if m > RESCALE_THRESHOLD:
                     y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
                     ls += math.log(m)
-        return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+        return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
     y0, y1 = y
     peak = max(abs(y0), abs(y1))
     starts = None if out is None else []
@@ -421,7 +435,7 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, out=None):
                 ls += math.log(m)
     if out is not None:
         out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, np.array(starts)))
-    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
 
 
 def _exact_rows(inv, xa, xb, h, starts):
@@ -577,7 +591,7 @@ def _step_sums(h, u, v, half):
     return a, b, c, d
 
 
-def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
+def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     """Cross a segment with polynomial entries by Taylor steps.
 
     ``rows`` are the segment's lambda-shifted rows, of degree at most d,
@@ -592,8 +606,10 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
     its center) is never read as ended; it is clipped to the segment end.
     The series are summed at the step end (``_step_sums``).  A step below
     h_floor, or a coefficient, step or state that is not finite, raises
-    StepUnderflowError with the state at x.  The state is rescaled at step
-    ends past RESCALE_THRESHOLD.  A zero state crosses unchanged.
+    StepUnderflowError with the state at x, and a step past the ``left`` of
+    the walk's step budget StepBudgetError; the budget left is returned
+    last.  The state is rescaled at step ends past RESCALE_THRESHOLD.  A
+    zero state crosses unchanged.
 
     Without ``out`` (an endpoint shot), log|Y| is sampled at the segment
     start and at every step end and midpoint, the points
@@ -641,6 +657,9 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
             rest = (xb - x) * direction
             last = h >= rest
             h = direction * (rest if last else h)
+            if not left:
+                raise StepBudgetError(x, h, y0, y1, ls, MAX_WALK_STEPS)
+            left -= 1
             if shot:
                 e0, e1, f0, f1 = _step_sums(h, u, v, True)
                 f0, f1 = abs(f0), abs(f1)  # only the midpoint's size is read
@@ -671,12 +690,12 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
             _taylor_rows(steps, width)  # an earlier row that is not finite raises first
         raise
     if shot:
-        return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+        return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left
     if steps:
         out.append(_taylor_rows(steps, width))
     if x != xb:
         out.append(([x], [xb - x], np.zeros((1, width, 2)), [ls]))
-    return (y0, y1, *z), ls, sup
+    return (y0, y1, *z), ls, sup, left
 
 
 def _taylor_rows(steps, width):

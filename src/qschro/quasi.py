@@ -117,11 +117,20 @@ def apply_l_atoms(c: CoefficientField, side: str, u: PiecewisePoly, window: tupl
     l[u] = -(u^[1]' - a22 u^[1] - a21 u).  Raises
     DiscontinuousQuasiDerivativeError where u itself jumps.
     """
+    _screen(u, window)
+    return _apply(assemble(c, side), u, window)
+
+
+def _screen(u: PiecewisePoly, window: tuple[float, float]) -> None:
+    """Raise DiscontinuousQuasiDerivativeError at the first jump of u on the window."""
     jumps = _jumps(u, window)
     if jumps:
         x = next(iter(jumps))
         raise DiscontinuousQuasiDerivativeError(x, u.eval(x, "left"), u.eval(x, "right"))
-    A = assemble(c, side)
+
+
+def _apply(A: ShinZettlSystem, u: PiecewisePoly, window: tuple[float, float]):
+    """``apply_l_atoms`` with the system A of the side, for a u already screened."""
     u1 = u.derivative() - A.a11 * u
     atoms = {x: -h for x, h in _jumps(u1, window).items()}
     return -(u1.derivative() - A.a22 * u1 - A.a21_0 * u), atoms
@@ -146,7 +155,8 @@ def product_rule_check(
     field's, so every later product and sum is formed on that mesh and
     only the field's entries meet it from elsewhere; the products that do
     not depend on the side (phi*u, phi'*u, phi''*u, phi'*u') are formed
-    once for both sides.
+    once for both sides, and both are screened for jumps
+    (``apply_l_atoms``) once, in that order.
     """
     a, b = float(window[0]), float(window[1])
     if not phi.is_real(1e-9):
@@ -161,11 +171,13 @@ def product_rule_check(
     ddphi = dphi.derivative()
     phi_u, dphi_u, ddphi_u = phi * u, dphi * u, ddphi * u
     dphi_du = dphi * u.derivative()
+    _screen(phi_u, window)
+    _screen(u, window)
     out = {}
     for side in (DIRECT, ADJOINT):
         A = assemble(c, side)
-        lhs, lhs_atoms = apply_l_atoms(c, side, phi_u, window)
-        lu, lu_atoms = apply_l_atoms(c, side, u, window)
+        lhs, lhs_atoms = _apply(A, phi_u, window)
+        lu, lu_atoms = _apply(A, u, window)
         rhs = phi * lu - ddphi_u - 2.0 * dphi_du + (A.a11 + A.a22) * dphi_u
         diff = lhs - rhs
         skip = set(np.round(diff.breakpoints, 12))

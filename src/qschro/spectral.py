@@ -6,13 +6,16 @@ zeros are the eigenvalues of the restriction with separated quasi-boundary
 conditions.  Because solutions can traverse many orders of magnitude, D
 only vanishes *relative to the cancellation scale of the shot*, and every
 acceptance test is phrased that way.  Every shot is one ``characteristic``
-call, and lambda is a scalar of the shot's system.  A shot and the dense
-shot of a root's trajectory take the same steps (``propagate``), so both
-are accurate to rounding and neither has a tolerance.  A shot may also
-carry the exact D'(lambda), from Z = dY/dlambda along the same steps
-(Pryce, Numerical Solution of Sturm-Liouville Problems, 1993): it drives
-the Newton refinement of every root, bracketed for scan roots, and gives
-each its noise floor, the residual that rounding lambda alone can leave.
+call: the walk (``propagate._walk``) of the field side's lambda-free plan
+for the interval from the left condition's state, and the CharValue of
+its end; it builds a system only when it plans a new interval.  A shot
+and the dense shot of a root's trajectory take the same steps
+(``propagate``), so both are accurate to rounding and neither has a
+tolerance.  A shot may also carry the exact D'(lambda), from Z =
+dY/dlambda along the same steps (Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993): it drives the Newton refinement of every
+root, bracketed for scan roots, and gives each its noise floor, the
+residual that rounding lambda alone can leave.
 
 The probe integrates the adjoint equation's fundamental pair over growing
 symmetric windows and tracks the smallest eigenvalue N(T) of their L2
@@ -35,8 +38,8 @@ import numpy as np
 from . import config
 from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import FundamentalSystem, Trajectory, _pair_sums, endpoint, fundamental, integrate
-from .quasi import ADJOINT, DIRECT, QuasiState, assemble
+from .propagate import FundamentalSystem, Trajectory, _pair_sums, _plan, _walk, fundamental, integrate
+from .quasi import ADJOINT, DIRECT, QuasiState, _check_side, assemble
 
 _EPS = float(np.finfo(float).eps)
 
@@ -62,9 +65,11 @@ class BoundaryCondition:
         return cls((1.0, 0.0), (1.0, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CharValue:
-    """Shooting discriminant with its scale bookkeeping."""
+    """Shooting discriminant with its scale bookkeeping.  Every shot builds
+    one, and a plain dataclass with slots takes about a third of the time
+    of a frozen one to build."""
 
     value: complex  # mantissa; true D = value * exp(logscale)
     logscale: float
@@ -142,15 +147,22 @@ def characteristic(
 ) -> CharValue:
     """Shoot from the left condition and evaluate the right one.
 
-    The shot keeps no dense output (``propagate.endpoint``); ``_dense_shot``
-    is the same shot with it.  With ``derivative`` the shot also carries
-    dY/dlambda, and ``slope`` is D'(lambda) on the logscale of D.
+    The shot is the walk of ``propagate.endpoint`` with its bits, without
+    the system and states around it: the field side's plan for the
+    interval (built from ``assemble`` on its first shot only) walked from
+    the left state (-beta, alpha).  It keeps no dense output;
+    ``_dense_shot`` is the same shot with it.  With ``derivative`` the shot
+    also carries dY/dlambda, and ``slope`` is D'(lambda) on the logscale
+    of D.
     """
-    end, log_sup, *dend = endpoint(
-        assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]), derivative)
+    a, b = float(interval[0]), float(interval[1])
+    plans = c.direct_plans if _check_side(side) == DIRECT else c.adjoint_plans
+    plan = _plan(plans, a, b, lambda: assemble(c, side, lam))
+    al, be = bc.left
+    y, ls, log_sup = _walk(plan, complex(lam), (-be, al, 0.0), derivative=derivative)
     ar, br = bc.right
-    slope = ar * dend[0].y0 + br * dend[0].y1 if derivative else None
-    return CharValue(value=ar * end.y0 + br * end.y1, logscale=end.logscale, log_sup=log_sup, slope=slope)
+    slope = ar * y[2] + br * y[3] if derivative else None
+    return CharValue(ar * y[0] + br * y[1], ls, log_sup, slope)
 
 
 def _left_state(interval, bc: BoundaryCondition, side: str) -> QuasiState:

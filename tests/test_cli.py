@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -558,12 +560,9 @@ def test_bump_family_reads_each_member_as_the_object_reader_does():
             assert np.array_equal(getattr(g, name), getattr(w, name))
 
 
-def test_parser_is_built_once_and_a_refused_call_leaves_it_as_it_was(tmp_path, capsys):
-    from qschro import cli
-
+def test_a_refused_command_line_leaves_the_next_run_as_it_was(tmp_path, capsys):
     path = write(tmp_path, "p.json", FORM)
     out = tmp_path / "out"
-    cli._parser.cache_clear()
     assert main(["form", "--input", path, "--out", str(out)]) == EXIT_OK
     first = strip_metadata((out / "report.txt").read_text(encoding="utf-8"))
     # a usage error exits 64, the parse error's code, not argparse's 2,
@@ -578,10 +577,101 @@ def test_parser_is_built_once_and_a_refused_call_leaves_it_as_it_was(tmp_path, c
     assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
     assert main(["form", "--input", path, "--out", str(out)]) == EXIT_OK
     assert strip_metadata((out / "report.txt").read_text(encoding="utf-8")) == first
-    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 3)
     with pytest.raises(SystemExit) as helped:
         main(["form", "--help"])
     assert helped.value.code == 0
+
+
+def _src_env():
+    """The environment of a child interpreter that imports this qschro."""
+    import qschro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qschro.__file__)))
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+
+def test_importing_the_cli_leaves_argparse_unimported():
+    code = "import sys, qschro.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code, said", [
+    (["--help"], EXIT_OK, None),
+    (["-h"], EXIT_OK, None),
+    ([], EXIT_PARSE, "the following arguments are required: TASK"),
+    (["frobnicate", "--input", "{path}"], EXIT_PARSE, "invalid task 'frobnicate'"),
+    (["--input", "{path}", "form"], EXIT_PARSE, "invalid task '--input'"),
+    (["form", "--input", "{path}", "--input", "{path}"], EXIT_PARSE, "argument --input: given more than once"),
+    (["form", "--input", "{path}", "--out={out}", "--out", "{out}"], EXIT_PARSE,
+     "argument --out: given more than once"),
+    (["form", "--input"], EXIT_PARSE, "argument --input: expected one argument"),
+    (["form", "--input", "--out", "{out}"], EXIT_PARSE, "argument --input: expected one argument"),
+    (["form", "--input", "{path}", "--out"], EXIT_PARSE, "argument --out: expected one argument"),
+    (["form", "--inp", "{path}"], EXIT_PARSE, "the following arguments are required: --input"),
+    (["form", "--input", "{path}", "extra"], EXIT_PARSE, "unrecognized arguments: extra"),
+], ids=["help", "h", "no-task", "unknown-task", "flag-before-task", "repeated-input", "repeated-out",
+        "input-without-value", "input-followed-by-a-flag", "out-without-value", "abbreviated-flag",
+        "stray-word"])
+def test_the_argv_reader_refuses_misuse_with_the_usage_and_exit_64(tmp_path, capsys, argv, code, said):
+    path, out = write(tmp_path, "p.json", FORM), str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exited:
+        main([a.format(path=path, out=out) for a in argv])
+    assert exited.value.code == code
+    captured = capsys.readouterr()
+    if said is None:
+        assert captured.out.startswith("usage: qschro TASK --input FILE [--out DIR]\n") and captured.err == ""
+        assert all(task in captured.out for task in PARAMS)
+    else:
+        assert captured.err.startswith(f"usage: qschro TASK --input FILE [--out DIR]\nqschro: error: {said}")
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_and_out_take_their_value_after_an_equals_sign(tmp_path):
+    path = write(tmp_path, "p.json", FORM)
+    assert main(["form", "--input", path, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["form", f"--input={path}", f"--out={tmp_path / 'b'}"]) == EXIT_OK
+    a, b = (strip_metadata((tmp_path / d / "report.txt").read_text(encoding="utf-8")) for d in "ab")
+    assert a == b
+
+
+# Walks that once ran out of memory or time: each needs far more than
+# config.MAX_WALK_STEPS sub-steps, so its first shot or integration stops
+# at once with exit 70.  The child runs under a 1 GiB address-space limit,
+# so that a walk without the budget fails fast too.
+_LONG_WALKS = {
+    "solve-to-1e6": ("solve", FREE_COEFFS, {"to": 1e6, "lambda": 1}),
+    "probe-tmax-1e6": ("probe", FREE_COEFFS, {"lambda": -1, "tmax": 1e6}),
+    "verify-1e10": ("verify", DELTA_COEFFS, {"window": [-1e10, 1e10]}),
+    "eig-1e9": ("eig", FREE_COEFFS, {"interval": [0, 1e9], "scan": [1, 10], "grid": 5}),
+}
+_BUDGETED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qschro.cli import main
+t = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.parametrize("case", list(_LONG_WALKS))
+def test_a_walk_past_its_step_budget_is_a_numeric_error(tmp_path, case):
+    task, coeffs, params = _LONG_WALKS[case]
+    path = write(tmp_path, "p.json", {"task": task, "coefficients": coeffs, "params": params})
+    argv = [task, "--input", path, "--out", str(tmp_path / "out")]
+    try:
+        proc = subprocess.run([sys.executable, "-c", _BUDGETED_CHILD, *argv], capture_output=True, text=True,
+                              env=_src_env(), timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{case} still ran after 10 s")
+    assert "numeric error: StepBudgetError: walk needs more than 100000 steps" in proc.stderr, proc.stderr[-2000:]
+    code, seconds, rss_mb = proc.stdout.split()[-3:]
+    assert int(code) == EXIT_NUMERIC
+    # about 0.01 s and 60 MB here; the bounds leave room for a busy machine
+    assert float(seconds) < 5 and float(rss_mb) < 300
 
 
 # Fuzz: small valid files, one or two mutations each.  Values come from a

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly, aligned
-from qschro.errors import OverflowUnrecoverableError, StepUnderflowError
+from qschro.errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from qschro import propagate
 from qschro.propagate import endpoint, fundamental, integrate, pair_integral
 from qschro.quasi import QuasiState, assemble
@@ -685,8 +685,9 @@ def _list_recurrence(a11, a21, a22, y0, y1, z=None):
     return u, v, p, q
 
 
-def _list_taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
-    """``_taylor_segment`` as it ran with the list loops (``_list_recurrence``)."""
+def _list_taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
+    """``_taylor_segment`` as it ran with the list loops (``_list_recurrence``),
+    without the step budget: it hands ``left`` back unchanged."""
     (c11, p11), (c21, p21), (c22, p22) = rows
     p11, p21, p22 = ([complex(c) for c in p] for p in (p11, p21, p22))
     window = max(len(p11), len(p21), len(p22))
@@ -741,7 +742,7 @@ def _list_taylor_segment(rows, xa, xb, y, ls, sup, h_floor, out=None):
         if x != xb:
             steps.append((x, xb - x, np.zeros((order + 1, 2)), ls))
         out.append(tuple(map(np.array, zip(*steps))))
-    return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup
+    return (y0, y1, *z), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left
 
 
 def _same_bits(got, want):
@@ -1152,3 +1153,75 @@ def test_dense_log_sup_is_the_shots_log_sup_on_the_drift_field(lam, b):
     dense = integrate(sys, QuasiState(0.0, 0.0, 1.0), b).log_sup()
     assert sup > 10.0
     assert abs(dense - sup) <= 1e-12 * sup
+
+
+# ----------------------------------------------------------------------
+# one step budget per walk
+
+
+def _budget_walks(sys, start, b):
+    """Each walk of a system: the shot, the shot with D' and the dense walk."""
+    return (lambda: endpoint(sys, start, b), lambda: endpoint(sys, start, b, derivative=True),
+            lambda: integrate(sys, start, b))
+
+
+def test_exact_segments_share_the_step_budget_of_their_walk(monkeypatch):
+    # delta well at lambda = -1: |h mu| <= 1 takes 5 sub-steps on each of
+    # (-5, 0) and (0, 5), 10 in all
+    sys = assemble(CoefficientField.delta_well(-2.0), "direct", -1.0)
+    start = QuasiState(-5.0, 1.0, 0.5j, logscale=0.25)
+    assert len(integrate(sys, start, 5.0).steps) == 10
+    full = [run() for run in _budget_walks(sys, start, 5.0)]
+    monkeypatch.setattr(propagate, "MAX_WALK_STEPS", 10)
+    for run, want in zip(_budget_walks(sys, start, 5.0), full):
+        got = run()
+        if isinstance(got, tuple):
+            assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
+                              [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
+        else:
+            assert got.steps.tobytes() == want.steps.tobytes()
+    # one fewer: the second segment is refused before its first sub-step,
+    # with the state the first one left at 0
+    half, _ = endpoint(sys, start, 0.0)
+    monkeypatch.setattr(propagate, "MAX_WALK_STEPS", 9)
+    for run in _budget_walks(sys, start, 5.0):
+        with pytest.raises(StepBudgetError, match="walk needs more than 9 steps") as err:
+            run()
+        e = err.value
+        assert (e.x, e.h, e.y0, e.y1, e.logscale, e.budget) == (0.0, 1.0, half.y0, half.y1, half.logscale, 9)
+
+
+def test_taylor_steps_count_against_the_step_budget(monkeypatch):
+    # s = i x on (0, pi) at lambda = 5: a walk of n Taylor steps passes a
+    # budget of n and is refused at its last step under n - 1, with the
+    # same position, step and state by the shot and the dense walk
+    sys = assemble(IX, "direct", 5.0)
+    start = QuasiState(0.0, 0.3 - 0.1j, 1.0)
+    rows = integrate(sys, start, math.pi).steps
+    n = len(rows)
+    assert n > 3
+    monkeypatch.setattr(propagate, "MAX_WALK_STEPS", n)
+    assert integrate(sys, start, math.pi).steps.tobytes() == rows.tobytes()
+    endpoint(sys, start, math.pi, derivative=True)
+    monkeypatch.setattr(propagate, "MAX_WALK_STEPS", n - 1)
+    raised = []
+    for run in _budget_walks(sys, start, math.pi):
+        with pytest.raises(StepBudgetError) as err:
+            run()
+        e = err.value
+        raised.append((e.x, e.h, e.y0, e.y1, e.logscale))
+    assert raised[0] == raised[2] and raised[0][:2] == (rows["x0"][-1], rows["h"][-1])
+    # with D' the steps may be shorter, never fewer
+    assert raised[1][0] <= raised[0][0]
+
+
+def test_a_walk_past_the_default_budget_stops_before_its_first_sub_step():
+    # 1e6 long at lambda = 1: a million sub-steps, whose rows would take
+    # about 750 MB; the walk is refused before the first
+    sys = assemble(FREE, "direct", 1.0)
+    start = QuasiState(0.0, 1.0, 0.0)
+    for run in _budget_walks(sys, start, 1e6):
+        with pytest.raises(StepBudgetError) as err:
+            run()
+        e = err.value
+        assert (e.x, e.h, e.y0, e.y1, e.logscale, e.budget) == (0.0, 1.0, 1.0, 0.0, 0.0, 100_000)

@@ -437,3 +437,34 @@ def test_caccioppoli_recentres_the_refit_once(monkeypatch):
         widths.clear()
         assert verify_caccioppoli(c, v, bump(0.0, 2.0 * 3, 1.0)) <= 1e-7
         assert len(widths) <= 1
+
+
+def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
+    # u and phi*u do not depend on the side: each is screened for jumps
+    # once, and each side only screens the u^[1] of both for atoms
+    from qschro import quasi
+
+    screened = []
+    jumps = quasi._jumps
+
+    def counted(f, window):
+        screened.append(f)
+        return jumps(f, window)
+
+    monkeypatch.setattr(quasi, "_jumps", counted)
+    c = CoefficientField.delta_well(-2.0)
+    phi = bump(0.0, 1.0, 0.4)
+    res = product_rule_check(c, phi, KINK, (-1, 1))
+    assert max(res.values()) <= 1e-9
+    assert len(screened) == 2 + 2 * 2
+    # phi*u is screened first, as the direct side's apply_l_atoms did: a
+    # jump of u on phi's ramp is refused with the values of phi*u
+    u = PiecewisePoly.step(0.7, left=1.0, right=3.0)
+    p = phi.eval(0.7)
+    assert 0 < p < 1
+    screened.clear()
+    with pytest.raises(DiscontinuousQuasiDerivativeError) as err:
+        product_rule_check(c, phi, u, (-1, 1))
+    e = err.value
+    assert e.location == 0.7 and abs(e.left - p) <= 1e-14 and abs(e.right - 3 * p) <= 1e-14
+    assert len(screened) == 1

@@ -1,6 +1,7 @@
 """Shooting spectra and the null-space growth probe."""
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from qschro import spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
-from qschro.errors import NonRealScanError
+from qschro.errors import NonRealScanError, QschroError
 from qschro.propagate import fundamental, integrate, pair_integral
 from qschro.quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from qschro.spectral import (
@@ -562,3 +563,120 @@ def test_probe_grams_match_the_windows_one_at_a_time(monkeypatch, c, lam, tmax, 
     monkeypatch.setattr(spectral, "_window_grams", reference_window_grams)
     want = null_probe(c, lam, tmax, windows)
     assert (got.classification, got.monotone) == (want.classification, want.monotone)
+
+
+# ----------------------------------------------------------------------
+# a shot is the walk of its plan: the bits of ``propagate.endpoint``
+
+
+def _bits(x):
+    """Bit patterns of a float or complex (None as is), so that -0.0 is not 0.0."""
+    if x is None:
+        return None
+    z = complex(x)
+    return np.array([z.real, z.imag]).view(np.uint64).tolist()
+
+
+def _endpoint_shot(c, interval, bc, lam, side, derivative):
+    """The shot through ``assemble``, a start state and ``endpoint``, as a
+    CharValue was formed before shots walked their plans."""
+    from qschro.propagate import endpoint
+
+    al, be = bc.left
+    start = QuasiState(float(interval[0]), -be, al, side)
+    end, log_sup, *dend = endpoint(assemble(c, side, lam), start, float(interval[1]), derivative)
+    ar, br = bc.right
+    slope = ar * dend[0].y0 + br * dend[0].y1 if derivative else None
+    return ar * end.y0 + br * end.y1, end.logscale, log_sup, slope
+
+
+def _jumpy():
+    return CoefficientField(PiecewisePoly([-1.0, 0.5], [[0.2], [0.3 + 0.1j, 0.4], [-0.1]]),
+                            PiecewisePoly.heaviside(-1.5, 0.25),
+                            PiecewisePoly([-0.5], [[0.0], [0.2, 0.1]]))
+
+
+_SHOT_FIELDS = {
+    "free": (CoefficientField.free, (0.0, math.pi), [5.0, -2.0, 3.0 + 0.5j]),
+    "delta-well": (lambda: CoefficientField.delta_well(-2.0), (-7.0, 7.0), [-0.9, -1.0 + 0.2j]),
+    "jumpy": (_jumpy, (-2.0, 2.5), [1.5, -0.5 + 0.7j]),
+    "s=ix": (lambda: CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero()),
+             (-0.0, math.pi), [5.0, 1.1 + 1.5j]),
+}
+_SHOT_BCS = {"dirichlet": BC, "robin": BoundaryCondition((0.3 - 0.2j, 1.0), (1.0, -0.5)),
+             "neumann-robin": BoundaryCondition((0.0, 1.0), (2.0 + 1.0j, 1.0))}
+
+
+@pytest.mark.parametrize("name", list(_SHOT_FIELDS))
+def test_a_shot_has_the_bits_of_the_endpoint_shot(name):
+    make, interval, lams = _SHOT_FIELDS[name]
+    for side, bc, lam, derivative in itertools.product((DIRECT, ADJOINT), _SHOT_BCS.values(), lams, (False, True)):
+        # the shot first, on a fresh field, so that it builds the plan
+        c = make()
+        got = characteristic(c, interval, bc, lam, side=side, derivative=derivative)
+        want = _endpoint_shot(c, interval, bc, lam, side, derivative)
+        assert list(map(_bits, (got.value, got.logscale, got.log_sup, got.slope))) == list(map(_bits, want)), (
+            name, side, bc, lam, derivative)
+        assert (got.slope is None) == (not derivative)
+
+
+def test_a_shot_from_minus_zero_walks_its_own_plan():
+    # -0.0 and 0.0 start the same walk, each under its own plan key; the
+    # shot from -0.0 keeps the bits of the endpoint shot from -0.0
+    c = _SHOT_FIELDS["s=ix"][0]()
+    for a in (-0.0, 0.0, -0.0):
+        got = characteristic(c, (a, 2.0), BC, 3.0 - 0.5j, derivative=True)
+        want = _endpoint_shot(c, (a, 2.0), BC, 3.0 - 0.5j, DIRECT, True)
+        assert list(map(_bits, (got.value, got.logscale, got.log_sup, got.slope))) == list(map(_bits, want))
+    assert len(c.direct_plans) == 2
+
+
+@pytest.mark.parametrize("coeffs, interval, lam, error", [
+    # the exact sub-steps past x = 1 would be 1e-15 long, below the floor
+    ((PiecewisePoly([1.0], [[0.0], [1e30]]), PiecewisePoly.zero()), (0.0, 3.0), 2.0 + 0.5j, "StepUnderflowError"),
+    # s = 1e300 x past x = 1: a Taylor series past the float range
+    ((PiecewisePoly([1.0], [[0, 1j], [0, 1e300]]), PiecewisePoly.zero()), (0.0, 2.0), 2.0, "StepUnderflowError"),
+    # 1e9 long at lambda 2: about 1.4e9 exact sub-steps, past the step budget
+    ((PiecewisePoly.zero(), PiecewisePoly.heaviside(-1.0, 1.0)), (0.0, 1e9), 2.0, "StepBudgetError"),
+], ids=["exact-floor", "taylor-overflow", "budget"])
+def test_a_refused_shot_raises_the_error_of_the_endpoint_shot(coeffs, interval, lam, error):
+    c = CoefficientField(*coeffs, PiecewisePoly.zero())
+    bc = BoundaryCondition((0.3 - 0.1j, 1.0), (1.0, 0.0))
+    for derivative in (False, True):
+        raised = []
+        for shoot in (lambda: characteristic(c, interval, bc, lam, derivative=derivative),
+                      lambda: _endpoint_shot(c, interval, bc, lam, DIRECT, derivative)):
+            with pytest.raises(QschroError) as err:
+                shoot()
+            e = err.value
+            raised.append((type(e).__name__, e.x, e.h, e.y0, e.y1, e.logscale))
+        assert raised[0][0] == error
+        assert list(map(_bits, raised[0][1:])) == list(map(_bits, raised[1][1:])), raised
+
+
+def test_a_scan_assembles_a_system_once_per_field_and_side(monkeypatch):
+    # a shot reads the plan of its interval from the field; only the
+    # first shot of a field, side and interval builds a system
+    built = []
+    make = spectral.assemble
+
+    def counted(c, side=DIRECT, lam=0.0):
+        built.append(side)
+        return make(c, side, lam)
+
+    monkeypatch.setattr(spectral, "assemble", counted)
+    c = CoefficientField.delta_well(-2.0)
+    for side in (DIRECT, ADJOINT):
+        res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, side=side)
+        assert [round(r.lam.real) for r in res if r.converged] == [-1]
+        assert res[0].shots > 0
+    assert built == [DIRECT, ADJOINT]
+    res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, seeds=[-0.9 + 0.1j])
+    assert built == [DIRECT, ADJOINT]
+    res[0].trajectory  # the dense shot of a root builds its system
+    assert built == [DIRECT, ADJOINT, DIRECT]
+
+
+def test_a_shot_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be"):
+        characteristic(FREE, (0, math.pi), BC, 5.0, side="Direct")
