@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import __version__, config
-from .coeffs import CoefficientField, PiecewisePoly, bump, bumps
+from .coeffs import CoefficientField, PiecewisePoly, bumps, pieces_and_jumps
 from .conditions import (
     IntervalScheme,
     WeightFunction,
@@ -349,25 +349,19 @@ PARAMS = {
 # normalization (the canonical echo that re-runs identically)
 
 
-def _norm_complex(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
-def _norm_poly(poly: PiecewisePoly) -> dict:
-    return {
-        "breakpoints": [float(b) for b in poly.breakpoints],
-        "pieces": [[_norm_complex(v) for v in piece] for piece in poly.pieces()],
-        "jumps": [[float(b), _norm_complex(h)] for b, h in sorted(poly.jumps.items())],
-    }
-
-
 def normalize_problem(task: str, field: CoefficientField, params: dict) -> dict:
+    """The problem as it re-runs identically: the field's functions echoed
+    from one pass over their pieces and jumps (``coeffs.pieces_and_jumps``)."""
+    polys = (field.s, field.Q, field.r)
     return {
         "task": task,
         "coefficients": {
-            "s": _norm_poly(field.s),
-            "Q": _norm_poly(field.Q),
-            "r": _norm_poly(field.r),
+            k: {
+                "breakpoints": f.breakpoints.tolist(),
+                "pieces": [[[z.real, z.imag] for z in piece] for piece in pieces],
+                "jumps": [[b, [h.real, h.imag]] for b, h in jumps],
+            }
+            for k, f, (pieces, jumps) in zip("sQr", polys, pieces_and_jumps(polys))
         },
         "params": params,
     }
@@ -606,19 +600,32 @@ def run_verify(field, params, rep):
     rows.append(("bracket_constancy", r2, 1e-8, r2 <= 1e-8, "bracket-sampling"))
 
     mid = 0.5 * (a + b)
-    phi = bump(mid, (b - a) / 4, (b - a) / 8)
+    n = max(1, int(min(-a, b)) - 1)
+    # phi, which is also the first form test, the second form test and the
+    # cut-off, 1 on [-n, n] and 0 outside [-n - 1, n + 1], built in one
+    # call; a refused one raises where it is first needed
+    shapes = ([mid, mid - (b - a) / 8, 0.0], [(b - a) / 4, (b - a) / 6, 2.0 * n], [(b - a) / 8] * 2 + [1.0])
+    try:
+        made = bumps(*shapes)
+    except FamilyMemberError as exc:
+        made = bumps(*(col[: exc.index] for col in shapes)) + [exc] * (3 - exc.index)
+
+    def built(k):
+        if isinstance(made[k], FamilyMemberError):
+            raise made[k]
+        return made[k]
+
+    phi = built(0)
     u_fit = u.to_piecewise(a, b)
     r3 = product_rule_check(field, phi, u_fit, window)
     for side in (DIRECT, ADJOINT):
         rows.append((f"product_rule_{side}", r3[side], 1e-9, r3[side] <= 1e-9, "cutoff-product-rule"))
 
-    for k, (center, plateau) in enumerate(((mid, (b - a) / 4), (mid - (b - a) / 8, (b - a) / 6))):
-        ub = bump(center, plateau, (b - a) / 8)
-        r4 = form_vs_operator_check(field, ub, window)
+    for k in range(2):
+        r4 = form_vs_operator_check(field, built(k), window)
         rows.append((f"form_vs_operator_{k}", r4, 1e-8, r4 <= 1e-8, "form-vs-operator"))
 
-    n = max(1, int(min(-a, b)) - 1)
-    cut = bump(0.0, 2.0 * n, 1.0)  # 1 on [-n, n], 0 outside [-n - 1, n + 1]
+    cut = built(2)
     lo, hi = cut.support_bounds()
     fits = a <= lo and hi <= b
     if fits:
@@ -658,8 +665,11 @@ PROBLEM = {
 
 
 def load_problem(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """The problem file, read as UTF-8 text with universal newlines, as a text-mode
+    open reads it, without the cost of setting one up."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    raw = json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
     _obj(PROBLEM)(raw, "")
     return raw
 
@@ -776,7 +786,8 @@ def main(argv=None) -> int:
     out_dir = out_dir or "."
     report_path = os.path.join(out_dir, raw.get("output", "report.txt"))
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        if not os.path.isdir(out_dir):  # a stat, where makedirs would try mkdir too
+            os.makedirs(out_dir, exist_ok=True)
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(text)
         if extra is not None:  # trajectory dump requested by a solve task

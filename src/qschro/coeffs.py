@@ -18,9 +18,13 @@ once, looping only over the degree.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -28,14 +32,9 @@ from .config import DEGREE_CAP
 from .errors import FamilyMemberError, NonRealError
 
 _BP_MERGE_TOL = 1e-12
+_MESHES = 4  # re-centred copies kept per function (``PiecewisePoly._on_mesh``)
 _EPS = float(np.finfo(float).eps)
 _SPLIT = 2.0**27 + 1  # splits a double into two halves of 26 bits
-
-
-def _trim(row: np.ndarray) -> np.ndarray:
-    """One coefficient row without its trailing zeros, keeping at least one."""
-    nz = row.nonzero()[0]
-    return row[: nz[-1] + 1 if len(nz) else 1]
 
 
 def _trim_cols(coeffs: np.ndarray) -> np.ndarray:
@@ -191,7 +190,7 @@ class PiecewisePoly:
     antiderivative; all coefficient arithmetic, no sampling.
     """
 
-    __slots__ = ("breakpoints", "centers", "coeffs", "_last_mesh")
+    __slots__ = ("breakpoints", "centers", "coeffs", "_meshes")
 
     def __init__(self, breakpoints, pieces, degree_cap: int | None = DEGREE_CAP):
         """Build from global-coordinate coefficient arrays.
@@ -204,41 +203,11 @@ class PiecewisePoly:
             degree_cap: reject input pieces above this degree (None = no
                 check; internal arithmetic uses None since products double
                 the degree).
+
+        A refusal is a ValueError.
         """
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1:
-            raise ValueError("breakpoints must be a 1-d sequence")
-        if not (bp[1:] > bp[:-1]).all():
-            raise ValueError("breakpoints must be strictly increasing")
-        if not np.isfinite(bp).all():
-            raise ValueError("breakpoints must be finite")
-        if len(pieces) != len(bp) + 1:
-            raise ValueError(
-                f"need {len(bp) + 1} pieces for {len(bp)} breakpoints, "
-                f"got {len(pieces)}"
-            )
-        rows = [_trim(np.atleast_1d(np.asarray(p, dtype=complex))) for p in pieces]
-        for row in rows:
-            if degree_cap is not None and len(row) - 1 > degree_cap:
-                raise ValueError(f"piece degree {len(row) - 1} exceeds cap {degree_cap}")
-        # a merge keeps one point of a close pair: the region between them
-        # would be lost unless it and both sides are one polynomial
-        for i in _close_pairs(bp).nonzero()[0].tolist():
-            if not np.array_equal(rows[i], rows[i + 1]) or not np.array_equal(rows[i + 1], rows[i + 2]):
-                lo, hi = bp[i:i + 2].tolist()
-                raise ValueError(
-                    f"breakpoints {lo!r} and {hi!r} are closer than the merge tolerance "
-                    f"{_BP_MERGE_TOL:g} (times 1 + |x|), and the pieces around them differ")
-        glob = np.zeros((len(rows), max(len(r) for r in rows) or 1), dtype=complex)
-        for i, row in enumerate(rows):
-            glob[i, : len(row)] = row
-        self.breakpoints = bp
-        self.centers = _canonical_centers(bp)
-        self._last_mesh = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.coeffs = _trim_cols(_shift_rows(glob, self.centers))
-        if not np.isfinite(self.coeffs).all():
-            raise ValueError("pieces re-centred on their regions have coefficients outside the float range")
+        self.breakpoints, self.centers, self.coeffs = _member(breakpoints, pieces, degree_cap)
+        self._meshes = None
 
     @classmethod
     def _from_local(cls, breakpoints, centers, coeffs) -> "PiecewisePoly":
@@ -246,10 +215,7 @@ class PiecewisePoly:
         ``(n_regions, n_coef)`` array of local rows."""
         if coeffs.ndim != 2 or not len(coeffs) == len(centers) == len(breakpoints) + 1:
             raise ValueError("region count mismatch")
-        obj = object.__new__(cls)
-        obj.breakpoints, obj.centers, obj.coeffs = breakpoints, centers, _trim_cols(coeffs)
-        obj._last_mesh = None
-        return obj
+        return _poly(breakpoints, centers, _trim_cols(coeffs))
 
     # ------------------------------------------------------------------
     # constructors
@@ -336,11 +302,6 @@ class PiecewisePoly:
             return {}
         return dict(zip(bp.tolist(), self.sample(bp, "right") - self.sample(bp, "left")))
 
-    def pieces(self) -> list[np.ndarray]:
-        """Per-region coefficients in plain powers of x, as the constructor
-        takes them; trailing zeros are dropped."""
-        return [_trim(row) for row in _shift_rows(self.coeffs, -self.centers)]
-
     def coeff_scale(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
@@ -364,27 +325,30 @@ class PiecewisePoly:
     def _on_mesh(self, mesh: np.ndarray) -> "PiecewisePoly":
         """This function re-centred on a finer mesh.
 
-        The last result is kept with the mesh's bytes (so -0.0 is not
-        0.0).  A computation that puts its factors on one mesh first
-        (``aligned``) forms every later product and sum on that mesh; only
-        operands from elsewhere, such as a field's entries, still meet it,
-        and each is re-centred once per mesh.  No operation writes to a
-        PiecewisePoly's arrays, so handing out the kept object is safe.
+        A function already on the mesh with canonical centers is returned
+        as it is.  The last _MESHES results are kept by the mesh's bytes (so
+        -0.0 is not 0.0).  A computation that puts its factors on one mesh
+        first (``aligned``) forms every later product and sum on that mesh;
+        only operands from elsewhere, such as a field's entries, still meet
+        it, and each is re-centred once per mesh.  No operation writes to a
+        PiecewisePoly's arrays, so handing out a kept object is safe.
         """
         key = mesh.tobytes()
-        if self._last_mesh is not None and self._last_mesh[0] == key:
-            return self._last_mesh[1]
+        kept = self._meshes = self._meshes or {}
+        if key in kept:
+            return kept[key]
         centers = _canonical_centers(mesh)
         if key == self.breakpoints.tobytes() and centers.tobytes() == self.centers.tobytes():
-            return self  # its own mesh and centers: nothing to re-centre
+            return self
         inside = centers.copy()  # a point strictly inside each region
         if len(mesh):
             inside[0] -= 1.0
             inside[-1] += 1.0
         src = self._region(inside, "right")
-        coeffs = _shift_rows(self.coeffs[src], centers - self.centers[src])
-        out = PiecewisePoly._from_local(mesh, centers, coeffs)
-        self._last_mesh = (key, out)
+        out = PiecewisePoly._from_local(mesh, centers, _shift_rows(self.coeffs[src], centers - self.centers[src]))
+        if len(kept) >= _MESHES:
+            del kept[next(iter(kept))]
+        kept[key] = out
         return out
 
     # ------------------------------------------------------------------
@@ -534,6 +498,80 @@ class PiecewisePoly:
         )
 
 
+def _recentred(row: list, d: float) -> list:
+    """Ascending coefficients in t of sum_k row[k] (t + d)^k.
+
+    The synthetic division of ``_shift_rows`` on one row of Python complex,
+    with the same bits: each step multiplies by a float and adds, which
+    Python and numpy round alike.  It stays a loop over Python scalars: a
+    Taylor step shifts three rows of a few coefficients, three rows of three
+    take about 3 us here and about 10 us in one array call of
+    ``_shift_rows`` (x86-64, one core), and a shot makes a few hundred steps.
+    """
+    q = list(row)
+    for i in range(len(q) - 1):
+        for k in range(len(q) - 2, i - 1, -1):
+            q[k] += d * q[k + 1]
+    return q
+
+
+def _trimmed(row: list) -> list:
+    """A row of Python numbers without its trailing zeros, keeping at least one."""
+    n = len(row)
+    while n > 1 and not row[n - 1]:
+        n -= 1
+    return row[:n]
+
+
+def _piece(p) -> list:
+    """One constructor piece (a sequence, or a scalar) as Python complex, without trailing zeros."""
+    try:
+        return _trimmed([complex(v) for v in p])
+    except TypeError:
+        return [complex(p)]
+
+
+def _member(breakpoints, pieces, degree_cap) -> tuple:
+    """(breakpoints, centers, coeffs) of one constructor input, checked and
+    re-centred as ``PiecewisePoly`` documents, or ValueError with its
+    refusal.  Its rows are lists of Python complex until they are whole
+    (``_recentred`` has the bits of ``_shift_rows``)."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.ndim != 1:
+        raise ValueError("breakpoints must be a 1-d sequence")
+    points = bp.tolist()
+    if not all(map(operator.lt, points, points[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if not all(map(math.isfinite, points)):
+        raise ValueError("breakpoints must be finite")
+    if len(pieces) != len(points) + 1:
+        raise ValueError(f"need {len(points) + 1} pieces for {len(points)} breakpoints, got {len(pieces)}")
+    rows = [_piece(p) for p in pieces]
+    for row in rows:
+        if degree_cap is not None and len(row) - 1 > degree_cap:
+            raise ValueError(f"piece degree {len(row) - 1} exceeds cap {degree_cap}")
+    # a merge keeps one point of a close pair: the region between them
+    # would be lost unless it and both sides are one polynomial
+    for i, (lo, hi) in enumerate(zip(points, points[1:])):
+        if hi - lo <= _BP_MERGE_TOL * (1.0 + abs(hi)) and not rows[i] == rows[i + 1] == rows[i + 2]:
+            raise ValueError(
+                f"breakpoints {lo!r} and {hi!r} are closer than the merge tolerance "
+                f"{_BP_MERGE_TOL:g} (times 1 + |x|), and the pieces around them differ")
+    width = max(map(len, rows)) or 1
+    centers = [points[0], *(0.5 * a + 0.5 * b for a, b in zip(points, points[1:])), points[-1]] if points else [0.0]
+    coeffs = [_recentred(row, c) if c else row for row, c in zip((r + [0j] * (width - len(r)) for r in rows), centers)]
+    if not all(map(cmath.isfinite, chain.from_iterable(coeffs))):
+        raise ValueError("pieces re-centred on their regions have coefficients outside the float range")
+    return bp, np.array(centers), np.array(coeffs, dtype=complex)
+
+
+def _poly(breakpoints, centers, coeffs) -> PiecewisePoly:
+    """A PiecewisePoly of arrays already checked and trimmed."""
+    f = object.__new__(PiecewisePoly)
+    f.breakpoints, f.centers, f.coeffs, f._meshes = breakpoints, centers, coeffs, None
+    return f
+
+
 def _stack(polys) -> tuple:
     """Piecewise polynomials as one set of arrays: (breakpoints, centers, coeffs, first, widths).
 
@@ -576,14 +614,6 @@ def _canonical_centers(bp: np.ndarray) -> np.ndarray:
     return np.concatenate([bp[:1], 0.5 * bp[:-1] + 0.5 * bp[1:], bp[-1:]])
 
 
-def _close_pairs(mesh: np.ndarray) -> np.ndarray:
-    """close[i]: mesh[i + 1] is within the merge tolerance of mesh[i]."""
-    if len(mesh) < 2:
-        return np.zeros(0, dtype=bool)
-    with np.errstate(over="ignore"):  # a gap past the float range is not close
-        return mesh[1:] - mesh[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(mesh[1:]))
-
-
 def aligned(fs, *meshes) -> list:
     """The functions ``fs`` re-centred on one mesh: the union of their own
     meshes and ``meshes``, merged from the left by ``_merge_breakpoints``.
@@ -600,26 +630,34 @@ def aligned(fs, *meshes) -> list:
     return [f._on_mesh(mesh) for f in fs]
 
 
+def _holds(a: np.ndarray, b: np.ndarray) -> bool:
+    """Every point of the sorted mesh b is one of the sorted mesh a, bit for bit."""
+    if not len(b) or len(b) > len(a):
+        return not len(b)
+    return a[a.searchsorted(b).clip(max=len(a) - 1)].tobytes() == b.tobytes()
+
+
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Union of two sorted meshes; a point within the merge tolerance of
     the last kept point is dropped.
 
-    A mesh merged with an empty one or with its own copy is merged alone,
-    as every copied point would be dropped; a mesh of fewer than two
-    points is returned as it is.  A point whose left neighbour is kept is
-    dropped exactly when the pair is close, so only a point that ends a
-    chain of close pairs looks back past its neighbour for the last kept
-    point.
+    A mesh merged with one whose points it holds bit for bit (``_holds``:
+    an empty one, its own copy) is merged alone, as every copied point
+    would be dropped; a mesh of fewer than two points is returned as it
+    is.  A point whose left neighbour is kept is dropped exactly when the
+    pair is close, so only a point that ends a chain of close pairs looks
+    back past its neighbour for the last kept point.
     """
-    if not len(b) or a.tobytes() == b.tobytes():
+    if _holds(a, b):
         merged = a
-    elif not len(a):
+    elif _holds(b, a):
         merged = b
     else:
         merged = np.sort(np.concatenate([a, b]))
     if len(merged) < 2:
         return merged
-    close = _close_pairs(merged)
+    with np.errstate(over="ignore"):  # close[i]: merged[i + 1] is near merged[i]; an overflowing gap is not
+        close = merged[1:] - merged[:-1] <= _BP_MERGE_TOL * (1.0 + np.abs(merged[1:]))
     if not close.any():
         return merged
     keep = np.ones(len(merged), dtype=bool)
@@ -738,22 +776,101 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     return bumps([center], [plateau], [ramp])[0]
 
 
-def region_pieces(fs, breakpoints) -> tuple:
-    """The pieces of the functions fs on each region of a mesh.
+# A field's set-up works on a handful of short rows, where one array call
+# costs more than the arithmetic it holds.  So it works on lists of Python
+# complex, one per region, with the bits of the array operations: Python
+# adds, negates, conjugates and multiplies by a float or by 1j as numpy
+# does, and only a product of two complex arrays is left to numpy, whose
+# rounding of it is not Python's.
 
-    One entry per region between ``breakpoints`` (both tails included),
-    holding per f the (center, ascending local coefficients without
-    trailing zeros) of the piece of f at the region's midpoint, or at
-    -inf and +inf for the tails.  Coefficients are a tuple of the array's
-    own scalars.
+
+def pieces_and_jumps(polys) -> list:
+    """(pieces, jumps) of each function: its pieces in plain powers of x, as
+    the constructor takes them, without trailing zeros, and its (breakpoint,
+    right minus left value) pairs, with the bits of ``_shift_rows`` and of
+    ``jumps``.  Breakpoints must increase strictly, as the constructor makes
+    them."""
+    out = []
+    for f in polys:
+        bp, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
+        pieces = [_trimmed(_recentred(row, -c) if c else row) for row, c in zip(rows, centers)]
+        out.append((pieces, [(x, _value(rows[i + 1], x - centers[i + 1]) - _value(rows[i], x - centers[i]))
+                             for i, x in enumerate(bp)]))
+    return out
+
+
+def _value(row: list, t: float) -> complex:
+    """A row at t by Horner's rule, as ``_dense`` sums it."""
+    acc = row[-1]
+    for c in reversed(row[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def _cols(rows: list) -> list:
+    """Rows without the trailing columns that are zero in every row, keeping one (``_trim_cols``)."""
+    n = len(rows[0])
+    while n > 1 and not any(row[n - 1] for row in rows):
+        n -= 1
+    return [row[:n] for row in rows]
+
+
+def _sum(a: list, b: list) -> list:
+    """Rows of a + b on one mesh, 0 + a_k + b_k as ``PiecewisePoly.__add__``
+    forms them: a zero past a row's end adds nothing, as 0 + a_k is never -0."""
+    pad = [0j] * max(len(a[0]), len(b[0]))
+    return _cols([[0j + x + y for x, y in zip(ra + pad[len(ra):], rb + pad[len(rb):])] for ra, rb in zip(a, b)])
+
+
+def _product(p: np.ndarray, q: np.ndarray) -> list:
+    """Rows of p q on one mesh, as ``_convolve_rows`` adds its products."""
+    if p.shape[1] < q.shape[1]:
+        p, q = q, p
+    terms = [(p * q[:, k, None]).tolist() for k in range(q.shape[1])]
+    out = []
+    for i in range(len(p)):
+        row = [0j] * (p.shape[1] + q.shape[1] - 1)
+        for k, term in enumerate(terms):
+            for j, z in enumerate(term[i]):
+                row[j + k] += z
+        out.append(row)
+    return _cols(out)
+
+
+def _rows_on(f, mesh: np.ndarray, centers: np.ndarray, rows: list) -> list:
+    """Rows on f's regions re-centred on a finer mesh with its canonical
+    ``centers``, as ``PiecewisePoly._on_mesh`` re-centres f."""
+    if mesh.tobytes() == f.breakpoints.tobytes() and centers.tobytes() == f.centers.tobytes():
+        return rows
+    bp, own, at = f.breakpoints.tolist(), f.centers.tolist(), centers.tolist()
+    inside = [at[0] - 1.0, *at[1:-1], at[-1] + 1.0] if len(mesh) else at  # a point strictly inside each region
+    src = [bisect.bisect_right(bp, x) for x in inside]
+    return _cols([_recentred(rows[i], c - own[i]) if c - own[i] else rows[i] for i, c in zip(src, at)])
+
+
+def _side(g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: list, mesh: np.ndarray) -> tuple:
+    """(a11, a21_0, a22, rows) of one side of the system, in one pass.
+
+    The entries a11 = g1, a21_0 = -(g1 g2) + s and a22 = -g2, for g2 on
+    g1's regions and the rows of s, have the bits of the operators.  The
+    rows hold, for each region between the field's breakpoints ``mesh``
+    (both tails included), each entry's (center, ascending coefficients
+    as Python complex without trailing zeros) at the region's midpoint, or
+    at -inf and +inf for the tails: what every shot of the side reads.
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    reps = np.concatenate([[-np.inf], 0.5 * bp[:-1] + 0.5 * bp[1:], [np.inf]]) if len(bp) else np.zeros(1)
-    per_f = []
-    for f in fs:
-        i = f._region(reps, "right")
-        per_f.append([(c, tuple(_trim(row))) for c, row in zip(f.centers[i].tolist(), f.coeffs[i])])
-    return tuple(zip(*per_f))
+    joint = _merge_breakpoints(g1.breakpoints, s.breakpoints)
+    centers = _canonical_centers(joint)
+    neg = [[-z for z in row] for row in _product(g1.coeffs, g2)]
+    a21 = _sum(_rows_on(g1, joint, centers, neg), _rows_on(s, joint, centers, s_rows))
+    a22 = [[-z for z in row] for row in g2.tolist()]
+    entries = g1, _poly(joint, centers, np.array(a21)), _poly(g1.breakpoints, g1.centers, np.array(a22))
+    pts = mesh.tolist()
+    reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(pts, pts[1:])), math.inf] if pts else [0.0]
+    per_entry = []
+    for f, rows in zip(entries, (g1.coeffs.tolist(), a21, a22)):
+        bp, own = f.breakpoints.tolist(), f.centers.tolist()
+        per_entry.append([(own[i], tuple(_trimmed(rows[i]))) for i in (bisect.bisect_right(bp, x) for x in reps)])
+    return *entries, tuple(zip(*per_entry))
 
 
 # ----------------------------------------------------------------------
@@ -774,37 +891,39 @@ class CoefficientField:
 
     # computed once per field: every system, shot and form reads them
     @cached_property
-    def G1(self) -> PiecewisePoly:
-        return self.Q + 1j * self.r
+    def _gauge(self) -> tuple:
+        """(G1, G2) = (Q + i r, Q - i r) in one pass, with the bits of the
+        operators: i r and -(i r) re-centred on the union of the meshes of Q
+        and r, each added to Q re-centred there."""
+        Q, r = self.Q, self.r
+        mesh = _merge_breakpoints(Q.breakpoints, r.breakpoints)
+        centers = _canonical_centers(mesh)
+        q = _rows_on(Q, mesh, centers, Q.coeffs.tolist())
+        ir = [[z * 1j for z in row] for row in r.coeffs.tolist()]
+        nir = [[-z for z in row] for row in ir]
+        return tuple(_poly(mesh, centers, np.array(_sum(q, _rows_on(r, mesh, centers, g)))) for g in (ir, nir))
 
-    @cached_property
-    def G2(self) -> PiecewisePoly:
-        return self.Q - 1j * self.r
+    G1 = property(lambda self: self._gauge[0])
+    G2 = property(lambda self: self._gauge[1])
 
     @cached_property
     def r1(self) -> PiecewisePoly:
         return self.r.imag
 
-    # lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22) of each
-    # side; the adjoint side swaps and conjugates (G1, G2, s)
+    # the lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22) of
+    # each side and their rows on each region between the field's
+    # breakpoints (``_side``); the adjoint side swaps and conjugates
+    # (G1, G2, s)
     @cached_property
-    def direct_entries(self) -> tuple:
-        return self.G1, -(self.G1 * self.G2) + self.s, -self.G2
+    def direct_side(self) -> tuple:
+        G1, G2 = self._gauge
+        return _side(G1, G2.coeffs, self.s, self.s.coeffs.tolist(), self.breakpoints())
 
     @cached_property
-    def adjoint_entries(self) -> tuple:
-        g1, g2 = self.G2.conj(), self.G1.conj()
-        return g1, -(g1 * g2) + self.s.conj(), -g2
-
-    # their pieces on each region between the field's breakpoints, which
-    # every shot of the side reads (``region_pieces``)
-    @cached_property
-    def direct_rows(self) -> tuple:
-        return region_pieces(self.direct_entries, self.breakpoints())
-
-    @cached_property
-    def adjoint_rows(self) -> tuple:
-        return region_pieces(self.adjoint_entries, self.breakpoints())
+    def adjoint_side(self) -> tuple:
+        G1, G2 = self._gauge
+        s_rows = [[z.conjugate() for z in row] for row in self.s.coeffs.tolist()]
+        return _side(G2.conj(), np.conj(G1.coeffs), self.s, s_rows, self.breakpoints())
 
     # the lambda-free shot plans over those rows, by interval: filled and
     # bounded by ``propagate._plan``, so they live as long as the field

@@ -63,7 +63,7 @@ from operator import mul
 import numpy as np
 
 from .config import MAX_WALK_STEPS, MIN_STEP_FRACTION, RESCALE_THRESHOLD
-from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut
+from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut, _recentred
 from .errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
@@ -177,7 +177,12 @@ def _edges(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _by_position(steps: np.ndarray) -> np.ndarray:
-    return steps[np.argsort(_edges(steps)[0], kind="stable")]
+    """The steps sorted by position, stably; a walk's own order, or its
+    reverse, is kept as a view of the array rather than a copy."""
+    lo = _edges(steps)[0]
+    if (lo[1:] >= lo[:-1]).all():
+        return steps
+    return steps[::-1] if (lo[1:] < lo[:-1]).all() else steps[np.argsort(lo, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -204,13 +209,16 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     plan = _plan(sys.plans, y0.x, to, lambda: sys)
     blocks: list[tuple] = []
     _walk(plan, sys.lam, (y0.y0, y0.y1, y0.logscale), blocks)
-    width = plan[2]
-    steps = np.zeros(sum(len(x0) for x0, *_ in blocks), dtype=_step_dtype(width))
+    steps = np.zeros(sum(len(x0) for x0, *_ in blocks), dtype=_step_dtype(plan[2]))
     i = 0
-    for x0, h, coef, ls in blocks:
+    for k, (x0, h, coef, ls) in enumerate(blocks):
         rows = steps[i:i + len(x0)]
         rows["x0"], rows["h"], rows["logscale"] = x0, h, ls
-        rows["coef"][:, :coef.shape[1]] = coef
+        if isinstance(coef, tuple):  # an exact segment's factors (``_exact_rows``)
+            np.einsum("ks,snc->nkc", *coef, out=rows["coef"][:, :len(coef[0])])
+        else:
+            rows["coef"][:, :coef.shape[1]] = coef
+        blocks[k] = None  # its rows are copied: let them go
         i += len(x0)
     return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=_by_position(steps))
 
@@ -297,8 +305,8 @@ def _plan(plans, x_from, to, system):
 def _build_plan(sys, x_from, to):
     """(segments, step floor, row width) of a walk of ``sys`` from x_from
     to ``to``.  A segment is (start, end, rows, consts), the rows of the
-    system on it at lambda = 0 (``ShinZettlSystem.rows``) with their
-    coefficients as Python complex.  A segment whose rows are all constant
+    system on it at lambda = 0 (``ShinZettlSystem.rows``, whose
+    coefficients are Python complex).  A segment whose rows are all constant
     is crossed by exact exponentials and has rows None and the invariants
     consts = (a21_0, d, tau, d^2, |tau|/2) of ``_exact_segment``; any
     other takes Taylor steps and has consts None.  Every row of the
@@ -314,7 +322,7 @@ def _build_plan(sys, x_from, to):
     regions = np.searchsorted(bp, [0.5 * (a + b) for a, b in ends], side="right")
     segments = []
     for (a, b), i in zip(ends, regions.tolist()):
-        rows = tuple((c, tuple(map(complex, p))) for c, p in sys.rows[i])
+        rows = sys.rows[i]
         if any(len(p) > 1 for _, p in rows):
             segments.append((a, b, rows, None))
             continue
@@ -420,10 +428,14 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
         return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
     y0, y1 = y
     peak = max(abs(y0), abs(y1))
-    starts = None if out is None else []
-    for _ in range(n):
-        if starts is not None:
-            starts.append((y0, y1, ls))
+    # a dense walk keeps the start state of each sub-step, flat, and the
+    # (sub-step, logscale) of each rescale
+    starts, logscales = [], [(0, ls)]
+    keep = None if out is None else starts.append
+    for i in range(n):
+        if keep:
+            keep(y0)
+            keep(y1)
         y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
         m, m1 = abs(y0), abs(y1)
         if m1 > m:
@@ -433,49 +445,39 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
             if m > RESCALE_THRESHOLD:
                 y0, y1, peak = y0 / m, y1 / m, 1.0
                 ls += math.log(m)
+                logscales.append((i + 1, ls))
     if out is not None:
-        out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, np.array(starts)))
+        out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, starts, logscales))
     return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
 
 
-def _exact_rows(inv, xa, xb, h, starts):
-    """Rows of the sub-steps of a constant segment from their (y0, y1,
-    logscale) ``starts``: the first _TAYLOR_ORDER Taylor coefficients in
+def _exact_rows(inv, xa, xb, h, starts, logscales):
+    """Rows of the sub-steps of a constant segment from their start states
+    ``starts`` (y0, y1 of each, flat), on the logscale that the last
+    (sub-step, logscale) of ``logscales`` at or before each sets: the first
+    _TAYLOR_ORDER Taylor coefficients in
     theta of exp(theta hA) Y, which are p_k Y + q_k hBY for those p_k, q_k
     of P = e^(theta h tau/2) cosh(theta h mu) and of
     Q = e^(theta h tau/2) sinh(theta h mu)/(h mu) (``_exact_step``'s
     notation); P' = h tau/2 P + (h mu)^2 Q and Q' = h tau/2 Q + P give
     them.  As |h mu| and |h tau|/2 are at most 1, the k-th is at most
     2^k/k! of |Y| + |hBY|, so the rest is below 2^24/24!, 3e-17.  The
-    last row ends at xb exactly."""
+    last row ends at xb exactly.  The coefficients are returned as the
+    factors (p_k, q_k) and (Y, hBY) of their einsum, which ``integrate``
+    forms in the dense output itself."""
     a21, d, tau, mu2 = inv
     half_tau, w = 0.5 * h * tau, h * h * mu2
     pq = [(1.0, 0.0)]
     for k in range(1, _TAYLOR_ORDER):
         p, q = pq[-1]
         pq.append(((half_tau * p + w * q) / k, (half_tau * q + p) / k))
-    y = starts[:, :2]
+    y = np.array(starts, dtype=complex).reshape(-1, 2)
     hby = h * np.stack([d * y[:, 0] + y[:, 1], a21 * y[:, 0] - d * y[:, 1]], axis=1)
-    x0 = xa + h * np.arange(len(starts))
-    hs = np.full(len(starts), h)
+    x0 = xa + h * np.arange(len(y))
+    hs = np.full(len(y), h)
     hs[-1] = xb - x0[-1]
-    return x0, hs, np.einsum("ks,snc->nkc", np.array(pq), np.array([y, hby])), starts[:, 2].real
-
-
-def _recentred(row: list, d: float) -> list:
-    """Ascending coefficients in t of sum_k row[k] (t + d)^k.
-
-    The synthetic division of ``coeffs._shift_rows`` on one row, with the
-    same bits.  It stays a loop over Python scalars: a Taylor step shifts
-    three rows of a few coefficients, three rows of three take about 3 us
-    here and about 10 us in one array call of ``_shift_rows`` (x86-64,
-    one core), and a shot makes a few hundred steps.
-    """
-    q = list(row)
-    for i in range(len(q) - 1):
-        for k in range(len(q) - 2, i - 1, -1):
-            q[k] += d * q[k + 1]
-    return q
+    at, ls = zip(*logscales)
+    return x0, hs, (np.array(pq), np.array([y, hby])), np.repeat(ls, np.diff([*at, len(y)]))
 
 
 def _jorba_zou(u: list, v: list, window: int, size: float = 1.0) -> float:

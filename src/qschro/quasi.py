@@ -5,7 +5,7 @@ distributional coefficients becomes a first-order linear system whose
 matrix is locally integrable; the continuous state is (u, u') with the
 derivative replaced by u' - G1*u.  The Lagrange-adjoint side uses the
 same machinery with (G1, G2, s) replaced by their swapped conjugates.
-That swap is made in ``CoefficientField.adjoint_entries`` only; ``assemble``'s
+That swap is made in ``CoefficientField.adjoint_side`` only; ``assemble``'s
 matrix is the one representation of the expression, and every operation
 below applies it through one quasi-derivative ladder with one jump rule.
 """
@@ -57,7 +57,8 @@ class ShinZettlSystem:
     carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
     shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
     ``rows`` holds the pieces of (a11, a21_0, a22) on each region between
-    the field's breakpoints (``coeffs.region_pieces``).  ``plans`` is the
+    the field's breakpoints, with Python complex coefficients
+    (``coeffs._side``).  ``plans`` is the
     field's dict of the side's lambda-free shot plans
     (``propagate._plan``); a system built with rows of its own takes a
     dict of its own, so that it never shares the field's plans.
@@ -81,8 +82,8 @@ def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> Shi
     lambda-free entries, their rows and the shot plans over them are
     built once per field and side."""
     if _check_side(side) == DIRECT:
-        return ShinZettlSystem(c, side, complex(lam), *c.direct_entries, c.direct_rows, c.direct_plans)
-    return ShinZettlSystem(c, side, complex(lam), *c.adjoint_entries, c.adjoint_rows, c.adjoint_plans)
+        return ShinZettlSystem(c, side, complex(lam), *c.direct_side, c.direct_plans)
+    return ShinZettlSystem(c, side, complex(lam), *c.adjoint_side, c.adjoint_plans)
 
 
 def _jumps(f: PiecewisePoly, window: tuple[float, float]) -> dict[float, complex]:

@@ -24,6 +24,7 @@ from qschro.cli import (
     EXIT_VALIDATION,
     PARAMS,
     ValidationFailure,
+    _poly,
     load_problem,
     main,
     run_problem,
@@ -523,6 +524,59 @@ def test_malformed_input_is_a_named_validation_error(tmp_path, capsys, problem, 
     assert err.startswith("validation error: ") and field in err, err
     assert not out.exists() or not any(out.iterdir())
 
+
+
+def test_a_refused_verify_bump_is_raised_where_it_is_first_needed(monkeypatch):
+    # on (-1e16, 1e16) the cut-off's ramp of width 1 rounds to nothing at
+    # x = -n - 1: verify builds it with phi and the form tests, but refuses
+    # it only after the checks that use those
+    from qschro import cli
+    from qschro.errors import FamilyMemberError
+
+    calls = []
+    monkeypatch.setattr(cli, "lagrange_residual", lambda *args: 0.0)
+    monkeypatch.setattr(cli, "bracket_constancy_residual", lambda *args: 0.0)
+    monkeypatch.setattr(cli, "product_rule_check", lambda *args: calls.append("product") or {"direct": 0.0, "adjoint": 0.0})
+    monkeypatch.setattr(cli, "form_vs_operator_check", lambda *args: calls.append("form") or 0.0)
+    params = {"window": (-1e16, 1e16), "lambda": 0j}
+    with pytest.raises(FamilyMemberError, match="smoothstep needs a < b"):
+        cli.run_verify(cli._coefficients(FREE_COEFFS, "coefficients"), params, cli.Report("verify"))
+    assert calls == ["product", "form", "form"]
+
+
+_BAD_INCREASING = {"breakpoints": [1, 0], "pieces": [[0], [1], [2]]}
+_BAD_JUMP = {"breakpoints": [0], "pieces": [[0], [1]], "jumps": [[0, 2]]}
+_BAD_CAP = {"breakpoints": [], "pieces": [[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]]}
+_BAD_OVERFLOW = {"breakpoints": [-1.5e308, 1.5e308], "pieces": [[0, 2], [1], [0]]}
+_BAD_CLOSE = {"breakpoints": [0, 1e-13], "pieces": [[0], [1], [2]]}
+_BAD_LOCATION = {"breakpoints": [0], "pieces": [[0], [1]], "jumps": [[0.5, 1]]}
+_UNREAD = {"breakpoints": [], "pieces": 5}
+_GOOD = {"breakpoints": [0], "pieces": [[0], [1]]}
+
+
+@pytest.mark.parametrize("s, Q, r", [
+    (_BAD_INCREASING, _UNREAD, _GOOD),
+    (_BAD_JUMP, _UNREAD, _BAD_CAP),
+    (_GOOD, _BAD_CAP, _BAD_OVERFLOW),
+    (_GOOD, _BAD_CLOSE, _UNREAD),
+    (_GOOD, _GOOD, _BAD_OVERFLOW),
+    (_BAD_LOCATION, _BAD_CAP, _GOOD),
+    (_GOOD, _BAD_JUMP, _BAD_INCREASING),
+    ({"pieces": []}, _BAD_CAP, _GOOD),
+    (_GOOD, {"breakpoints": [0, "x"]}, _BAD_CAP),
+], ids=["s-build-Q-unread", "s-jumps-Q-unread", "Q-cap-r-overflow", "Q-close-r-unread", "r-overflow",
+        "s-location-Q-cap", "Q-jumps-r-increasing", "s-pieces-empty", "Q-breakpoint-unread"])
+def test_the_coefficients_refusal_is_the_first_of_reading_them_in_turn(tmp_path, capsys, s, Q, r):
+    # reference: s, Q and r each read, built and checked in turn
+    coefficients = {"s": s, "Q": Q, "r": r, "degree_cap": 8}
+    try:
+        for k in "sQr":
+            _poly(8)(coefficients[k], f"coefficients.{k}")
+    except ValidationFailure as exc:
+        said = f"validation error: {exc}"
+    path = write(tmp_path, "p.json", dict(PROBE, coefficients=coefficients))
+    assert main(["probe", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip() == said
 
 
 @pytest.mark.parametrize("tests, said", [

@@ -1225,3 +1225,35 @@ def test_a_walk_past_the_default_budget_stops_before_its_first_sub_step():
             run()
         e = err.value
         assert (e.x, e.h, e.y0, e.y1, e.logscale, e.budget) == (0.0, 1.0, 1.0, 0.0, 0.0, 100_000)
+
+
+# A dense walk at the step budget's scale: its rows are the only large
+# array it keeps.  The child reports its peak RSS before and after the walk.
+_LONG_DENSE_WALK = """
+import resource, sys
+from qschro import CoefficientField
+from qschro.propagate import integrate
+from qschro.quasi import QuasiState, assemble
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t = integrate(assemble(CoefficientField.free(), "direct", 1.0), QuasiState(0.0, 1.0, 0.0), float(sys.argv[1]))
+print(len(t.steps), t.steps.nbytes / 2**20, before / 1024, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.parametrize("to", [49_000.0, -49_000.0])
+def test_a_long_dense_walk_keeps_about_one_copy_of_its_rows(to):
+    # 49 000 exact sub-steps take 37 MB of rows; the walk once held them
+    # three times over (147 MB at peak on a 30 MB interpreter), now once
+    # plus the start states (74 MB)
+    import os
+    import subprocess
+    import sys
+
+    import qschro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qschro.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LONG_DENSE_WALK, repr(to)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"), timeout=60)
+    n, rows_mb, before_mb, after_mb = proc.stdout.split()
+    assert int(n) == 49_000
+    assert float(after_mb) - float(before_mb) < 1.5 * float(rows_mb), proc.stdout

@@ -9,10 +9,10 @@ from qschro.coeffs import (
     PiecewisePoly,
     _canonical_centers,
     _dense,
-    _trim,
+    _shift_rows,
     aligned,
     bump,
-    region_pieces,
+    pieces_and_jumps,
 )
 from qschro.conditions import verify_caccioppoli
 from qschro.config import JUMP_TOL
@@ -30,6 +30,12 @@ from qschro.quasi import (
 )
 
 RNG = np.random.default_rng(7)
+
+
+def _trim(row: np.ndarray) -> np.ndarray:
+    """One coefficient row without its trailing zeros, keeping at least one."""
+    nz = row.nonzero()[0]
+    return row[: nz[-1] + 1 if len(nz) else 1]
 # e^{-|x|} to third order on each side: u(0) = 1 and u'(0+-) = -+1, so
 # u' jumps by -2 u(0), the jump rule of the delta well of strength -2
 KINK = PiecewisePoly([0.0], [[1.0, 1.0, 0.5, 1 / 6], [1.0, -1.0, 0.5, -1 / 6]])
@@ -262,6 +268,142 @@ def _bits(*values) -> bytes:
     return np.array(values, dtype=complex).tobytes()
 
 
+def region_rows(fs, breakpoints) -> tuple:
+    """Reference rows: per region between the breakpoints (both tails
+    included) and per f, the (center, trimmed local coefficients as Python
+    complex) of f's piece at the region's midpoint, or at -inf and +inf."""
+    bp = np.asarray(breakpoints, dtype=float)
+    reps = np.concatenate([[-np.inf], 0.5 * bp[:-1] + 0.5 * bp[1:], [np.inf]]) if len(bp) else np.zeros(1)
+    per_f = []
+    for f in fs:
+        i = f._region(reps, "right")
+        per_f.append([(c, tuple(map(complex, _trim(row)))) for c, row in zip(f.centers[i].tolist(), f.coeffs[i])])
+    return tuple(zip(*per_f))
+
+
+def operator_entries(c, side) -> tuple:
+    """Reference entries (a11, a21_0, a22) of a side by the PiecewisePoly operators."""
+    G1, G2 = c.Q + 1j * c.r, c.Q - 1j * c.r
+    if side == DIRECT:
+        return G1, -(G1 * G2) + c.s, -G2
+    g1, g2 = G2.conj(), G1.conj()
+    return g1, -(g1 * g2) + c.s.conj(), -g2
+
+
+def _poly_bits(f) -> tuple:
+    return f.breakpoints.tobytes(), f.centers.tobytes(), f.coeffs.shape, f.coeffs.tobytes()
+
+
+def _rows_bits(rows) -> bytes:
+    """Every center and coefficient of a system's rows, bit for bit."""
+    assert all(type(z) is complex for region in rows for _, p in region for z in p)
+    return np.array([z for region in rows for c, p in region for z in (c, *p)], dtype=complex).tobytes()
+
+
+def reference_echo(f) -> dict:
+    """The echo of one function as ``pieces()`` and ``jumps`` gave it."""
+    pieces = [_trim(row) for row in _shift_rows(f.coeffs, -f.centers)]
+    return {
+        "breakpoints": [float(b) for b in f.breakpoints],
+        "pieces": [[[float(v.real), float(v.imag)] for v in piece] for piece in pieces],
+        "jumps": [[float(b), [float(h.real), float(h.imag)]] for b, h in sorted(f.jumps.items())],
+    }
+
+
+def _field_with_breakpoints(rng, s_bp, Q_bp, r_bp) -> CoefficientField:
+    """Complex pieces of degree 0 to 3, some of them holding zeros of either sign."""
+    def poly(bps):
+        pieces = []
+        for _ in range(len(bps) + 1):
+            c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            c[rng.integers(0, 4)] = complex(-0.0, 0.0) if rng.random() < 0.5 else complex(0.0, -0.0)
+            pieces.append(c[: rng.integers(1, 5)])
+        return PiecewisePoly(bps, pieces)
+    return CoefficientField(poly(s_bp), poly(Q_bp), poly(r_bp))
+
+
+ONE_PASS_FIELDS = {
+    "s-only": ([-1.0, 0.5], [], []),
+    "Q-only": ([], [-0.25, 1.5], []),
+    "r-only": ([], [], [0.75]),
+    "distinct": ([-2.0, 1.0], [-0.5], [0.25, 2.5]),
+    # within the merge tolerance of each other: which point a merge keeps
+    # depends on the order of the merges
+    "close-pair": ([1.0], [0.5, 1.0 + 0.9e-12], [0.5 + 4e-13, 1.0 + 1.8e-12]),
+    "minus-zero": ([0.0], [-0.0, 1.0], [-0.0]),
+    "minus-zero-first": ([-0.0], [0.0], [0.0, 2.0]),
+    "minus-zero-Q-zero-r": ([], [-0.0], [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_PASS_FIELDS))
+def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
+    # reference: the PiecewisePoly operators, region_rows on their entries
+    # and the echo of pieces() and jumps, as in
+    # test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry
+    import json
+
+    from qschro.cli import normalize_problem
+
+    rng = np.random.default_rng(list(ONE_PASS_FIELDS).index(case))
+    for _ in range(4):
+        c = _field_with_breakpoints(rng, *ONE_PASS_FIELDS[case])
+        assert _poly_bits(c.G1) == _poly_bits(c.Q + 1j * c.r)
+        assert _poly_bits(c.G2) == _poly_bits(c.Q - 1j * c.r)
+        for side in (DIRECT, ADJOINT):
+            A, want = assemble(c, side), operator_entries(c, side)
+            for got, ref in zip((A.a11, A.a21_0, A.a22), want):
+                assert _poly_bits(got) == _poly_bits(ref)
+            assert _rows_bits(A.rows) == _rows_bits(region_rows(want, c.breakpoints()))
+        ref = {k: reference_echo(f) for k, f in zip("sQr", (c.s, c.Q, c.r))}
+        got = normalize_problem("eig", c, {})["coefficients"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+def test_the_list_constructor_has_the_bits_of_the_array_shift():
+    # pieces re-centred by _shift_rows on the canonical centers, zero-padded
+    # to the widest trimmed piece, as the constructor built them before
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        bps = np.sort(rng.uniform(-5, 5, rng.integers(0, 4)))
+        pieces = [complex(1, 0) * a + 1j * b for a, b in
+                  (rng.standard_normal((2, rng.integers(1, 6))) for _ in range(len(bps) + 1))]
+        for p in pieces:  # zeros of either sign below the top coefficient
+            p[: rng.integers(0, len(p))] = complex(-0.0, -0.0) if rng.random() < 0.5 else complex(0.0, -0.0)
+        rows = [_trim(np.asarray(p, dtype=complex)) for p in pieces]
+        glob = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+        for i, row in enumerate(rows):
+            glob[i, :len(row)] = row
+        want = _shift_rows(glob, _canonical_centers(bps))
+        f = PiecewisePoly(bps, pieces)
+        assert f.coeffs.tobytes() == want.tobytes() and f.coeffs.shape == want.shape
+        assert f.centers.tobytes() == _canonical_centers(bps).tobytes()
+
+
+def test_both_sides_of_the_free_field_create_only_their_seven_entries(monkeypatch):
+    # G1, G2, and a21_0, a22 of the direct side, a11, a21_0, a22 of the
+    # adjoint one; no intermediate function is built
+    made = []
+    new, init = coeffs._poly, PiecewisePoly.__init__
+
+    def counted_poly(*args):
+        made.append(new(*args))
+        return made[-1]
+
+    def counted_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    c = CoefficientField.free()
+    monkeypatch.setattr(coeffs, "_poly", counted_poly)
+    monkeypatch.setattr(PiecewisePoly, "__init__", counted_init)
+    direct, adjoint = assemble(c, DIRECT), assemble(c, ADJOINT)
+    entries = {id(f) for f in (c.G1, c.G2, direct.a11, direct.a21_0, direct.a22,
+                                adjoint.a11, adjoint.a21_0, adjoint.a22)}
+    assert len(entries) == 7
+    assert len(made) == 7 and {id(f) for f in made} == entries
+
+
 @pytest.mark.parametrize("side", [DIRECT, ADJOINT])
 def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
     # reference: a system at lambda = 0 whose lambda-free entry (2,1) is
@@ -278,7 +420,7 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
         for lam in (0, -1, 2 + 1j, 400):
             sys = assemble(c, side, lam)
             entries = (g1, -(g1 * g2) + s - complex(lam), -g2)
-            ref = ShinZettlSystem(c, side, 0j, *entries, region_pieces(entries, c.breakpoints()), {})
+            ref = ShinZettlSystem(c, side, 0j, *entries, region_rows(entries, c.breakpoints()), {})
             (end, sup), (end_ref, sup_ref) = endpoint(sys, y0, 2.0), endpoint(ref, y0, 2.0)
             assert _bits(end.y0, end.y1, end.logscale, sup) == _bits(
                 end_ref.y0, end_ref.y1, end_ref.logscale, sup_ref)

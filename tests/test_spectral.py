@@ -415,13 +415,13 @@ def test_scan_reads_the_segment_rows_once_per_field(monkeypatch):
     from qschro import coeffs
 
     builds = []
-    pieces = coeffs.region_pieces
+    side = coeffs._side
 
-    def counted(fs, breakpoints):
-        builds.append(len(breakpoints))
-        return pieces(fs, breakpoints)
+    def counted(*args):
+        builds.append(len(args[-1]))
+        return side(*args)
 
-    monkeypatch.setattr(coeffs, "region_pieces", counted)
+    monkeypatch.setattr(coeffs, "_side", counted)
     counts = []
     for grid in (8, 32):
         builds.clear()

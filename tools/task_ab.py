@@ -1,14 +1,18 @@
 """Time every task of one benchmark workload in two source trees, side by side.
 
     python3 tools/task_ab.py ROOT_A ROOT_B [--workload shoot] [--seed 1] \
-        [--rounds 9] [--fresh 6]
+        [--rounds 9] [--fresh 6] [--cold]
 
 Each ROOT is the root of a source checkout (it holds ``src/qschro``).  The
 tasks are those of ``bench/workloads.py`` of this checkout for the given
 workload and seed, written once as problem files, so both trees read the
 same bytes.  Every task runs through ``qschro.cli.main`` as the benchmark
 runs it, with the tree's ``src`` on PYTHONPATH and BLAS pinned to one
-thread; each call is timed alone.
+thread; each call is timed alone, after its last report is removed, as
+``bench/worker.py`` does: overwriting a report costs more than creating
+one.  With ``--cold`` each call also follows a run of the benchmark's
+``reference_loop``, which leaves the caches as the benchmark leaves them
+between tasks.
 
 Warm times: one persistent child interpreter per tree runs a warm-up pass
 and then ``--rounds`` passes, the two trees taking turns (A first in odd
@@ -55,15 +59,24 @@ def write_problems(folder: str, workload: str, seed: int) -> list[dict]:
         path = os.path.join(folder, f"{i:03d}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(t.raw_text if t.raw_text is not None else json.dumps(t.problem, indent=1))
-        entries.append({"id": t.id, "task": t.task, "input": path})
+        report = (t.problem or json.loads(t.raw_text)).get("output", "report.txt")
+        entries.append({"id": t.id, "task": t.task, "input": path, "report": report})
     return entries
 
 
-def run_pass(main, entries, out_root: str) -> tuple[list[float], list]:
+def run_pass(main, entries, out_root: str, cold: bool) -> tuple[list[float], list]:
     """Child side: every task once through main; (seconds, exit codes)."""
+    if cold:
+        sys.path.insert(0, os.path.join(REPO, "bench"))
+        from worker import reference_loop
     times, codes = [], []
     for i, e in enumerate(entries):
-        argv = [e["task"], "--input", e["input"], "--out", os.path.join(out_root, f"{i:03d}")]
+        out = os.path.join(out_root, f"{i:03d}")
+        argv = [e["task"], "--input", e["input"], "--out", out]
+        if os.path.exists(os.path.join(out, e["report"])):
+            os.remove(os.path.join(out, e["report"]))
+        if cold:
+            reference_loop()
         sink = io.StringIO()
         t = time.perf_counter()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -74,20 +87,20 @@ def run_pass(main, entries, out_root: str) -> tuple[list[float], list]:
 
 
 def child(mode: str, entries_path: str, out_root: str) -> None:
-    """Child side.  ``warm``: run a pass per line read from stdin, answer
-    each with one JSON line.  ``fresh``: time the import and two passes,
-    print them as one JSON line."""
+    """Child side.  ``warm`` or ``cold``: run a pass per line read from
+    stdin, answer each with one JSON line.  ``fresh``: time the import and
+    two passes, print them as one JSON line."""
     with open(entries_path, encoding="utf-8") as fh:
         entries = json.load(fh)
     t = time.perf_counter()
     from qschro.cli import main
     import_s = time.perf_counter() - t
     if mode == "fresh":
-        (first, codes), (second, _) = (run_pass(main, entries, out_root) for _ in range(2))
+        (first, codes), (second, _) = (run_pass(main, entries, out_root, False) for _ in range(2))
         print(json.dumps({"import_s": import_s, "first": first, "second": second, "codes": codes}))
         return
     for _ in sys.stdin:
-        times, codes = run_pass(main, entries, out_root)
+        times, codes = run_pass(main, entries, out_root, mode == "cold")
         print(json.dumps({"times": times, "codes": codes}), flush=True)
 
 
@@ -109,9 +122,9 @@ def answer(proc: subprocess.Popen, root: str) -> dict:
     return json.loads(line)
 
 
-def warm_times(roots, entries_path: str, scratch: str, rounds: int) -> tuple[list, list]:
+def warm_times(roots, entries_path: str, scratch: str, rounds: int, mode: str) -> tuple[list, list]:
     """Fastest time per task over interleaved passes, and the exit codes, per root."""
-    procs = [start(root, "warm", entries_path, scratch, stdin=subprocess.PIPE) for root in roots]
+    procs = [start(root, mode, entries_path, scratch, stdin=subprocess.PIPE) for root in roots]
     best, codes = [None, None], [None, None]
     try:
         for r in range(rounds + 1):  # round 0 is the warm-up pass
@@ -149,6 +162,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=9, help="interleaved warm passes per tree")
     parser.add_argument("--fresh", type=int, default=6, help="fresh interpreters per tree for the first pass")
+    parser.add_argument("--cold", action="store_true", help="run the benchmark's reference_loop before each call")
     parser.add_argument("--child", nargs=3, metavar=("MODE", "ENTRIES", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -165,10 +179,11 @@ def main(argv=None) -> int:
         entries_path = os.path.join(scratch, "entries.json")
         with open(entries_path, "w", encoding="utf-8") as fh:
             json.dump(entries, fh)
-        (best_a, best_b), (codes_a, codes_b) = warm_times(args.roots, entries_path, scratch, args.rounds)
+        mode = "cold" if args.cold else "warm"
+        (best_a, best_b), (codes_a, codes_b) = warm_times(args.roots, entries_path, scratch, args.rounds, mode)
         fresh = first_pass(args.roots, entries_path, scratch, args.fresh)
 
-    print(f"{args.workload} seed {args.seed}: fastest of {args.rounds} interleaved warm passes per task")
+    print(f"{args.workload} seed {args.seed}: fastest of {args.rounds} interleaved {mode} passes per task")
     print(f"{'task':28s} {'A ms':>9s} {'B ms':>9s} {'B/A - 1':>9s}")
     for e, a, b in zip(entries, best_a, best_b):
         print(f"{e['id']:28s} {1e3 * a:9.3f} {1e3 * b:9.3f} {100 * (b / a - 1):+8.1f}%")
