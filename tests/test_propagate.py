@@ -5,6 +5,9 @@ import dataclasses
 import itertools
 import cmath
 import math
+import os
+import subprocess
+import sys
 from operator import mul
 
 import numpy as np
@@ -1244,11 +1247,7 @@ print(len(t.steps), t.steps.nbytes / 2**20, before / 1024, resource.getrusage(re
 def test_a_long_dense_walk_keeps_about_one_copy_of_its_rows(to):
     # 49 000 exact sub-steps take 37 MB of rows; the walk once held them
     # three times over (147 MB at peak on a 30 MB interpreter), now once
-    # plus the start states (74 MB)
-    import os
-    import subprocess
-    import sys
-
+    # plus the start states (76 MB)
     import qschro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(qschro.__file__)))
