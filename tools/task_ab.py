@@ -59,8 +59,7 @@ def write_problems(folder: str, workload: str, seed: int) -> list[dict]:
         path = os.path.join(folder, f"{i:03d}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(t.raw_text if t.raw_text is not None else json.dumps(t.problem, indent=1))
-        report = (t.problem or json.loads(t.raw_text)).get("output", "report.txt")
-        entries.append({"id": t.id, "task": t.task, "input": path, "report": report})
+        entries.append({"id": t.id, "task": t.task, "input": path, "report": t.problem.get("output", "report.txt")})
     return entries
 
 
