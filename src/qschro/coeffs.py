@@ -632,9 +632,11 @@ def aligned(fs, *meshes) -> list:
 
 def _holds(a: np.ndarray, b: np.ndarray) -> bool:
     """Every point of the sorted mesh b is one of the sorted mesh a, bit for bit."""
-    if not len(b) or len(b) > len(a):
-        return not len(b)
-    return a[a.searchsorted(b).clip(max=len(a) - 1)].tobytes() == b.tobytes()
+    if len(b) > len(a):
+        return False
+    if not len(b) or a.tobytes() == b.tobytes():
+        return True
+    return a.take(a.searchsorted(b), mode="clip").tobytes() == b.tobytes()
 
 
 def _merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
