@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import __version__, config
-from .coeffs import CoefficientField, PiecewisePoly, bumps, pieces_and_jumps
+from .coeffs import CoefficientField, PiecewisePoly, _bump_stack, bumps, pieces_and_jumps
 from .conditions import (
     IntervalScheme,
     WeightFunction,
@@ -44,12 +44,12 @@ from .conditions import (
 from .errors import FamilyMemberError, NonRealError, NonRealScanError, QschroError
 from .lagrange_forms import (
     Sector,
+    _form_columns,
+    _w_verdict,
     bracket,
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
-    range_verdict,
-    sample_forms,
 )
 from .propagate import integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, assemble
@@ -269,32 +269,37 @@ PROBE = {"lambda": (_cnum, 0j), "tmax": (_pos, 40.0), "windows": (_list(_pos), (
 
 
 def _bumps(value, field: str) -> tuple:
-    """A list of bump objects, read in one pass and built as one family by
-    ``bumps``.  The first member in list order that cannot be read or built
-    names the field; a member that cannot be read is read again by
-    ``_obj(BUMP)``, whose message names the bad key.
+    """A nonempty list of bump objects, built as one stacked family by
+    ``coeffs._bump_stack``.  A list of objects of finite floats is taken as
+    it is; any other is read member by member by ``_obj(BUMP)``, whose
+    message names the bad key.  The first member in list order that cannot
+    be read or built names the field.
     """
     if not isinstance(value, list):
         raise ValidationFailure(field, f"expected a list, got {type(value).__name__}")
-    rows, unread = [], None
-    for i, v in enumerate(value):
-        try:
-            if not (isinstance(v, dict) and v.keys() <= BUMP.keys()):
-                raise ValidationFailure(field, "not a bump object")
-            rows.append([kind(v[key], field) if key in v else default for key, (kind, default) in BUMP.items()])
-        except ValidationFailure:
+    columns, unread = (), None
+    if all(type(v) is dict and v.keys() <= BUMP.keys() for v in value):
+        columns = [[v.get(key, default) for v in value] for key, (_, default) in BUMP.items()]
+    # finite floats whose sum overflows only send the list to the reader
+    floats = columns and all(type(x) is float for col in columns for x in col)
+    if not (floats and math.isfinite(sum(map(sum, columns)))):
+        rows = []
+        for i, v in enumerate(value):
             try:
                 rows.append(list(_obj(BUMP)(v, f"{field}[{i}]").values()))
             except ValidationFailure as exc:
                 unread = exc
                 break
+        columns = list(zip(*rows)) if rows else [()] * len(BUMP)
     try:
-        family = bumps(*(zip(*rows) if rows else [()] * len(BUMP)))
+        family = _bump_stack(*columns)
     except FamilyMemberError as exc:
         raise ValidationFailure(f"{field}[{exc.index}]", str(exc)) from None
     if unread is not None:
         raise unread
-    return tuple(family)
+    if not value:
+        raise ValidationFailure(field, "must not be empty")
+    return family
 
 
 # task -> {key: (kind, default or REQUIRED)}; a runner reads exactly these keys
@@ -323,7 +328,7 @@ PARAMS = {
         "samples": (_int_in(1, config.MAX_GRID_POINTS), 21),
     },
     "form": {
-        "tests": (_nonempty(_bumps), REQUIRED),
+        "tests": (_bumps, REQUIRED),
         "sector": (_build(Sector, _num), None),
     },
     "check-a": {
@@ -402,12 +407,12 @@ class Report:
         self.lines.append(f"{key}: {txt}")
 
     def table(self, name: str, header, rows, source: str):
-        self.lines.append(f"[table {name}]  (source: {source})")
-        self.lines.append(",".join(header))
         cell = _CELL.get
-        for row in rows:
-            self.lines.append(",".join([cell(type(v), _fmt)(v) for v in row]))
-        self.lines.append("[/table]")
+        self.csv(name, header, [",".join([cell(type(v), _fmt)(v) for v in row]) for row in rows], source)
+
+    def csv(self, name: str, header, lines, source: str):
+        """A table of rows written already."""
+        self.lines += [f"[table {name}]  (source: {source})", ",".join(header), *lines, "[/table]"]
 
     def verdict(self, verdict: str):
         self.kv("verdict", verdict)
@@ -530,18 +535,23 @@ def run_bracket(field, params, rep):
 
 
 def run_form(field, params, rep):
-    forms = sample_forms(field, params["tests"])
-    rows = []
-    for i, (fv, norm2) in enumerate(forms):
-        parts = (fv.kinetic, fv.coupling, fv.potential, fv.value, fv.value / norm2)
-        rows.append((i, *(x for z in parts for x in (z.real, z.imag))))
-    rep.table(
+    # the kinetic part is real; t(u) is the sum of the three parts and
+    # w = t(u)/||u||^2, both in Python complex
+    lines, ws = [], []
+    columns = (a.tolist() for a in _form_columns(field, params["tests"]))
+    for i, (kin, cpl, pot, norm2) in enumerate(zip(*columns)):
+        value = kin + cpl + pot
+        w = value / norm2
+        ws.append(w)
+        lines.append(",".join(map(repr, (i, kin.real, cpl.real, cpl.imag, pot.real, pot.imag,
+                                         value.real, value.imag, w.real, w.imag, norm2))))
+    rep.csv(
         "form_values",
-        ["index", "kin_re", "kin_im", "cpl_re", "cpl_im", "pot_re", "pot_im", "val_re", "val_im", "w_re", "w_im"],
-        rows,
+        ["index", "kin_re", "cpl_re", "cpl_im", "pot_re", "pot_im", "val_re", "val_im", "w_re", "w_im", "norm2"],
+        lines,
         source="gauss-legendre-quadrature",
     )
-    cond = range_verdict(forms, sector=params["sector"])
+    cond = _w_verdict(ws, sector=params["sector"])
     _report_condition(rep, "range", cond)
     rep.verdict(cond.verdict)
 

@@ -719,8 +719,11 @@ def _ramp_rows(a: np.ndarray, b: np.ndarray):
 _FALL = np.array([1.0, 0, 0, 0], dtype=complex)  # a falling ramp is 1 minus the rising one
 
 
-def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
-    """``bump`` of each (center, plateau, ramp) triple, all built in one pass.
+def _bump_stack(centers, plateaus, ramps) -> tuple:
+    """``_stack(bumps(centers, plateaus, ramps))``, built as one set of
+    arrays without a member object: (breakpoints, centers, coeffs, first,
+    widths).  Every member's rows hold four coefficients, because a ramp
+    whose cubic term is 0 is refused.
 
     Raises FamilyMemberError, carrying bump's message and the member's
     index, for the first triple that bump refuses.
@@ -747,7 +750,7 @@ def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
     # ramp, 0.  Centers are those of _canonical_centers.
     has_plateau = plateau != 0
     regions = np.where(has_plateau, 5, 4)
-    first = np.cumsum(regions) - regions
+    first = np.concatenate([[0], np.cumsum(regions)])
     mesh = np.stack([x0, x1, x2, x3], axis=1)
     mid = 0.5 * mesh[:, :-1] + 0.5 * mesh[:, 1:]
     last = np.where(has_plateau, mid[:, 2], 0.5 * x1 + 0.5 * x3)
@@ -756,13 +759,21 @@ def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
     bp = mesh[keep[:, :4]]
     mesh_centers = np.stack([x0, mid[:, 0], mid[:, 1], last, x3], axis=1)[keep]
     rows = np.zeros((len(mesh_centers), 4), dtype=complex)
-    rows[np.concatenate([first + 1, first + regions - 2])] = _shift_rows(
+    rows[np.concatenate([first[:-1] + 1, first[1:] - 2])] = _shift_rows(
         ramp_rows, np.concatenate([mid[:, 0], last]) - ramp_centers
     )
-    rows[first[has_plateau] + 2, 0] = 1.0
+    rows[first[:-1][has_plateau] + 2, 0] = 1.0
+    return bp, mesh_centers, rows, first, np.full(n, 4)
+
+
+def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
+    """``bump`` of each (center, plateau, ramp) triple, all built in one pass
+    (``_bump_stack``), with its FamilyMemberError for the first refused one.
+    """
+    bp, mesh_centers, rows, first, _ = _bump_stack(centers, plateaus, ramps)
     return [
-        PiecewisePoly._from_local(bp[i - k : j - k - 1], mesh_centers[i:j], rows[i:j])
-        for k, (i, j) in enumerate(zip(first.tolist(), (first + regions).tolist()))
+        _poly(bp[i - k : j - k - 1], mesh_centers[i:j], rows[i:j])
+        for k, (i, j) in enumerate(zip(first[:-1].tolist(), first[1:].tolist()))
     ]
 
 

@@ -222,9 +222,10 @@ def form_vs_operator_check(
     return abs(form - op) / (1.0 + abs(form) + abs(op))
 
 
-def _check_norm(i: int, norm2: float) -> None:
+def _check_norm(i: int, norm2: float) -> float:
     if norm2 <= 1e-300:
         raise ZeroNormError(f"test function {i} has zero L2 norm")
+    return norm2
 
 
 def _ranks(values, value_owner, queries, query_owner):
@@ -239,20 +240,19 @@ def _ranks(values, value_owner, queries, query_owner):
     return out - np.searchsorted(value_owner, query_owner, "left")
 
 
-def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
-    """(t(u), ||u||^2) for each test function of a family, in one Gauss-Legendre pass.
+def _form_columns(c: CoefficientField, stack) -> tuple:
+    """The kinetic, coupling and potential parts of t(u) and ||u||^2, one
+    array each over a family stacked as ``coeffs._stack`` lays it out.
 
     t(u) = int |u'|^2 - int (G1 u conj(u)' + G2 u' conj(u)) + int s |u|^2 over the
     support of u, on panels between the breakpoints of u and of the field, where
     floor(d/2) + 1 nodes are exact for d = 2 deg u + max(deg G1, deg G2, deg s).
-    The family is one set of arrays: its members' regions are stacked, the
-    panels of all members cut at once (``coeffs._panels``), and u and u' evaluated by one
-    batched Horner pass for each coefficient width.  A value that is not
-    finite raises OverflowUnrecoverableError."""
-    if not family:
-        raise ValueError("test family must be nonempty")
+    The panels of all members are cut at once (``coeffs._panels``), and u and u'
+    evaluated by one batched Horner pass for each coefficient width.  A value
+    that is not finite raises OverflowUnrecoverableError."""
     field = (c.G1, c.G2, c.s)
-    bp, centers, coeffs, first, widths = _stack(family)
+    bp, centers, coeffs, first, widths = stack
+    members = len(widths)
     lo, hi = _stacked_support(bp, coeffs, first)
     unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
     if unbounded.any():
@@ -261,7 +261,7 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
     nodes, weights = _gauss_legendre(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # each member's panels: its support cut at its own breakpoints and at the field's
-        bp_owner = np.repeat(np.arange(len(family)), np.diff(first) - 1)
+        bp_owner = np.repeat(np.arange(members), np.diff(first) - 1)
         left, right, owner = _panels(lo, hi, np.concatenate([f.breakpoints for f in field]), bp, bp_owner)
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
@@ -281,7 +281,7 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
         integrands = [(fdu * fdu.conj()).real, -(fg1 * fu * fdu.conj() + fg2 * fdu * fu.conj()), fs * u2, u2]
         parts = half * (np.array(integrands) @ weights)
         kinetic, coupling, potential, norm2 = (
-            np.bincount(owner, p.real, len(family)) + 1j * np.bincount(owner, p.imag, len(family)) for p in parts
+            np.bincount(owner, p.real, members) + 1j * np.bincount(owner, p.imag, members) for p in parts
         )
     norm2 = norm2.real
     with np.errstate(all="ignore"):
@@ -292,52 +292,51 @@ def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
         i = int(bad.argmax())
         _check_norm(i, norm2[i])
         raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite", index=i)
-    columns = (kinetic.tolist(), coupling.tolist(), potential.tolist(), norm2.tolist())
+    return kinetic, coupling, potential, norm2
+
+
+def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
+    """(t(u), ||u||^2) for each test function of a family, in one Gauss-Legendre
+    pass: ``_form_columns`` of the family stacked by ``coeffs._stack``."""
+    if not family:
+        raise ValueError("test family must be nonempty")
+    columns = (a.tolist() for a in _form_columns(c, _stack(family)))
     return [(FormValue(k, cp, p), n2) for k, cp, p, n2 in zip(*columns)]
 
 
 def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
-    """Verdict on sampled forms, given as ``sample_forms`` returns them.
+    """Verdict on sampled forms, given as ``sample_forms`` returns them:
+    ``_w_verdict`` of w(u) = t(u)/||u||^2.  A norm as small as
+    ``sample_forms`` refuses raises ZeroNormError."""
+    return _w_verdict((form.value / _check_norm(i, norm2) for i, (form, norm2) in enumerate(forms)), sector)
 
-    Reports min Re w, max |arg w| and per-sample values of
-    w(u) = t(u)/||u||^2; ``fails`` carries the witness index and value if
-    any w leaves the sector (default sector: the closed right half-plane,
-    i.e. accretivity).  A passing verdict is "holds-on-sample", never a
-    proof.  A norm as small as ``sample_forms`` refuses raises
-    ZeroNormError, and a w that is not finite OverflowUnrecoverableError.
+
+def _w_verdict(ws, sector: Sector | None = None) -> ConditionReport:
+    """Verdict on sampled normalized values w(u) = t(u)/||u||^2, read in one pass.
+
+    Reports min Re w and max |arg w|; ``fails`` carries the witness index
+    and value if any w leaves the sector (default sector: the closed right
+    half-plane, i.e. accretivity).  A passing verdict is "holds-on-sample",
+    never a proof.  A w that is not finite raises OverflowUnrecoverableError,
+    and an empty sample ValueError.
     """
-    rows = []
-    witness = None
     check_sector = sector or Sector(math.pi / 2)
-    for i, (form, norm2) in enumerate(forms):
-        _check_norm(i, norm2)
-        w = form.value / norm2
+    min_re, max_arg, witness = math.inf, 0.0, None
+    for i, w in enumerate(ws):
         if not cmath.isfinite(w):
             raise OverflowUnrecoverableError(f"test function {i}: w = t(u)/||u||^2 is not finite", index=i)
-        inside = check_sector.contains(w)
-        rows.append((i, w.real, w.imag, norm2, inside))
-        if not inside and witness is None:
+        min_re = min(min_re, w.real)
+        if w:
+            max_arg = max(max_arg, abs(math.atan2(w.imag, w.real)))
+        if witness is None and not check_sector.contains(w):
             witness = (i, w)
-    min_re = min(r[1] for r in rows)
-    max_arg = max(
-        (abs(math.atan2(r[2], r[1])) for r in rows if (r[1], r[2]) != (0, 0)),
-        default=0.0,
-    )
-    witnesses = {
-        "min_re_w": min_re,
-        "max_abs_arg_w": max_arg,
-        "sector_half_angle": check_sector.half_angle,
-    }
+    if min_re == math.inf:
+        raise ValueError("no sampled value")
+    witnesses = {"min_re_w": min_re, "max_abs_arg_w": max_arg, "sector_half_angle": check_sector.half_angle}
     if witness is not None:
-        witnesses["witness_index"] = witness[0]
-        witnesses["witness_value"] = witness[1]
-        verdict = FAILS
-    else:
-        verdict = HOLDS_SAMPLE
+        witnesses["witness_index"], witnesses["witness_value"] = witness
     return ConditionReport(
         check="numerical-range",
-        verdict=verdict,
+        verdict=FAILS if witness is not None else HOLDS_SAMPLE,
         witnesses=witnesses,
-        tables={"samples": rows},
     )
-

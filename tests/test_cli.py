@@ -167,6 +167,34 @@ def test_form_task_negative_potential_fails(tmp_path):
     assert "witness_value" in text
 
 
+def report_table(text: str, name: str) -> list[dict]:
+    """The rows of a report's table, keyed by its header."""
+    lines = text.splitlines()
+    top = next(i for i, line in enumerate(lines) if line.startswith(f"[table {name}]"))
+    header = lines[top + 1].split(",")
+    return [dict(zip(header, row.split(","))) for row in lines[top + 2 : lines.index("[/table]", top)]]
+
+
+def test_form_norm2_column_is_the_closed_form_and_w_is_val_over_it():
+    # ||u||^2 = plateau + 2 ramp int_0^1 (3t^2 - 2t^3)^2 dt = plateau + (26/35) ramp
+    shapes = [(0.0, 1.0, 1.0), (0.3, 0.0, 0.5), (-2.5, 3.25, 0.125), (7.0, 0.0, 2.0), (1e3, 40.0, 1e-3)]
+    coeffs = dict(DELTA_COEFFS, s={"pieces": [[1, [0, 1]]]})  # s = 1 + ix
+    problem = {"task": "form", "coefficients": coeffs,
+               "params": {"tests": [{"center": c, "plateau": p, "ramp": r} for c, p, r in shapes]}}
+    _, text, _ = run_problem(problem)
+    rows = report_table(text, "form_values")
+    assert list(rows[0]) == ["index", "kin_re", "cpl_re", "cpl_im", "pot_re", "pot_im",
+                             "val_re", "val_im", "w_re", "w_im", "norm2"]
+    assert "[table range.samples]" not in text
+    for row, (_, plateau, ramp) in zip(rows, shapes, strict=True):
+        norm2 = float(row["norm2"])
+        want = plateau + 26 / 35 * ramp
+        assert abs(norm2 - want) <= 1e-13 * want
+        w = complex(float(row["val_re"]), float(row["val_im"])) / norm2
+        assert (row["w_re"], row["w_im"]) == (repr(w.real), repr(w.imag))
+    assert all(float(row["val_im"]) for row in rows)
+
+
 def test_check_b_task(tmp_path):
     problem = {
         "task": "check-b",
@@ -590,6 +618,8 @@ def test_the_coefficients_refusal_is_the_first_of_reading_them_in_turn(tmp_path,
     ([{}, {"ramp": 1e200}, {"ramp": 1e-200}],
      "params.tests[1]: smoothstep ramp of width 1e+200 has coefficients outside the float range"),
     ([], "params.tests: must not be empty"),
+    ([{}, {"center": float("inf")}], "params.tests[1].center: not a finite decimal number: inf"),
+    ([{}, {"plateau": 1e308, "center": 1e308}], "params.tests[1]: smoothstep needs a < b"),
 ])
 def test_form_tests_name_their_first_bad_member(tmp_path, capsys, tests, said):
     path = write(tmp_path, "p.json", edit(FORM, ("params", "tests"), tests))
@@ -598,21 +628,23 @@ def test_form_tests_name_their_first_bad_member(tmp_path, capsys, tests, said):
 
 
 def test_bump_family_reads_each_member_as_the_object_reader_does():
-    # the one-pass reader of params.tests gives the family that reading
-    # every member by _obj(BUMP) gives: defaults, integers and decimal strings
-    import numpy as np
-
+    # params.tests gives the stacked family that reading every member by
+    # _obj(BUMP) gives: defaults, integers and decimal strings, and a list
+    # of objects of floats, which is taken as it is
     from qschro import cli
-    from qschro.coeffs import bumps
+    from qschro.coeffs import _stack, bumps
 
-    tests = [{}, {"center": "0.5"}, {"plateau": 0, "ramp": 2}, {"center": -3, "plateau": 1.5, "ramp": "0.25"}]
-    specs = [cli._obj(cli.BUMP)(t, f"params.tests[{i}]") for i, t in enumerate(tests)]
-    want = bumps(*([spec[key] for spec in specs] for key in cli.BUMP))
-    got = cli._bumps(tests, "params.tests")
-    assert len(got) == len(want) == 4
-    for g, w in zip(got, want):
-        for name in ("breakpoints", "centers", "coeffs"):
-            assert np.array_equal(getattr(g, name), getattr(w, name))
+    mixed = [{}, {"center": "0.5"}, {"plateau": 0, "ramp": 2}, {"center": -3, "plateau": 1.5, "ramp": "0.25"},
+             {"center": 0.25, "plateau": 0.0, "ramp": 0.75}, {"ramp": 1e-3}]
+    floats = [{key: float(val) for key, val in t.items()} for t in mixed]
+    for tests in (mixed, floats):
+        specs = [cli._obj(cli.BUMP)(t, f"params.tests[{i}]") for i, t in enumerate(tests)]
+        want = _stack(bumps(*([spec[key] for spec in specs] for key in cli.BUMP)))
+        got = cli._bumps(tests, "params.tests")
+        assert len(got) == len(want) == 5
+        assert got[3].tolist() == [0, 5, 10, 14, 19, 23, 28]  # no plateau region in members 2 and 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_a_refused_command_line_leaves_the_next_run_as_it_was(tmp_path, capsys):

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from qschro.coeffs import (
     CoefficientField,
     PiecewisePoly,
+    _bump_stack,
     _canonical_centers,
     _shift_rows,
+    _stack,
     aligned,
     bump,
     bumps,
@@ -381,6 +383,27 @@ def test_bump_family_is_its_members():
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
+def test_bump_stack_is_the_stacked_members_bit_for_bit():
+    usable = []
+    for t in _bump_triples(np.random.default_rng(21), 300):
+        try:
+            bump(*t)
+        except ValueError:
+            continue
+        usable.append(t)
+    families = {
+        "mixed": usable,
+        "with plateaus": [t for t in usable if t[1] != 0],
+        "without plateaus": [t for t in usable if t[1] == 0],
+        "one member": usable[:1],
+    }
+    assert len(families["with plateaus"]) > 20 and len(families["without plateaus"]) > 20
+    for name, family in families.items():
+        got, want = _bump_stack(*zip(*family)), _stack(bumps(*zip(*family)))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
 @pytest.mark.parametrize("triples, index, message", [
     ([(0, 1, 1), (0, 1, -1), (0, -1, 1)], 1, "ramp width must be positive"),
     ([(0, 1, 1), (0, -1, -1)], 1, "ramp width must be positive"),
@@ -391,9 +414,10 @@ def test_bump_family_is_its_members():
     ([(0, 0, 1e-200), (0, -1, 1)], 0, "smoothstep ramp of width 1e-200 has coefficients outside the float range"),
 ])
 def test_bump_family_names_its_first_refused_member(triples, index, message):
-    with pytest.raises(FamilyMemberError) as err:
-        bumps(*zip(*triples))
-    assert (err.value.index, str(err.value)) == (index, message)
+    for build in (bumps, _bump_stack):
+        with pytest.raises(FamilyMemberError) as err:
+            build(*zip(*triples))
+        assert (err.value.index, str(err.value)) == (index, message)
     with pytest.raises(ValueError, match=re.escape(message)):
         bump(*triples[index])
 

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
+from qschro.cli import run_problem
 from qschro.coeffs import CoefficientField, PiecewisePoly, aligned, bump
 from qschro.errors import (
     OverflowUnrecoverableError,
@@ -366,10 +367,24 @@ def test_numerical_range_sector_report():
     c = CoefficientField(
         PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0.0, -1j])
     )
-    fam = [bump(0, 1, 1), bump(0.5, 2, 1), bump(-1, 3, 2)]
-    rep = range_verdict(sample_forms(c, fam), sector=Sector(math.pi / 4))
+    shapes = [(0, 1, 1), (0.5, 2, 1), (-1, 3, 2)]
+    forms = sample_forms(c, [bump(*t) for t in shapes])
+    rep = range_verdict(forms, sector=Sector(math.pi / 4))
     assert rep.verdict in ("holds-on-sample", "fails")
-    assert len(rep.tables["samples"]) == 3
+    # the samples are the rows of the form task's report, one norm2 each
+    # and no table of their own
+    assert rep.tables == {}
+    problem = {
+        "task": "form",
+        "coefficients": {"r": {"pieces": [[0, [0, -1]]]}},
+        "params": {"tests": [dict(zip(("center", "plateau", "ramp"), t)) for t in shapes], "sector": math.pi / 4},
+    }
+    _, text, _ = run_problem(problem)
+    lines = text.splitlines()
+    top = lines.index("[table form_values]  (source: gauss-legendre-quadrature)")
+    rows = [row.split(",") for row in lines[top + 2 : lines.index("[/table]", top)]]
+    assert [float(row[-1]) for row in rows] == [n2 for _, n2 in forms]
+    assert f"range.verdict: {rep.verdict}" in lines and "[table range.samples]" not in text
 
 
 def test_zero_norm_rejected():

@@ -12,13 +12,21 @@ tree's ``src`` on PYTHONPATH and BLAS pinned to one thread, as the
 benchmark runs it.  Reports are compared without their ``[metadata]``
 block (``bench/workloads.strip_metadata``).
 
-Prints every task whose exit code or report differs, with its first
-differing line, and a count; exits 1 if any task differs, else 0.
+Prints every task whose exit code or report differs and, under it, what
+differs: each ``key:`` line (keyed by its key and its place among the lines
+of that key), table and table column that differs, and each one found on
+only one side.  A table column is compared row by row, and a changed one
+is shown by its count of changed rows and its first one.  Reports that
+differ only in the order of their lines show their first differing line.
+A long line is cut to 160 characters around its first difference.
+Then a tally: each kind of difference with the number of tasks that show
+it, and a count; exits 1 if any task differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -108,14 +116,80 @@ def reports_of(root: str, entries_path: str, scratch: str) -> dict:
     return results["tasks"]
 
 
-def first_difference(a: str | None, b: str | None) -> str:
+def parts(report: str) -> tuple[dict, dict]:
+    """({key: value} of the ``key:`` lines and the [problem] block, {name:
+    (title, columns)} of the tables).  A key seen before gets its count,
+    as ``key#2``; a table's columns are {header: [cell of each row]}."""
+    lines, kv, tables, seen = report.splitlines(), {}, {}, collections.Counter()
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if line.startswith("[table "):
+            end = lines.index("[/table]", i)
+            header = lines[i + 1].split(",")
+            cells = [row.split(",") for row in lines[i + 2 : end]]
+            columns = {h: [row[k] if k < len(row) else None for row in cells] for k, h in enumerate(header)}
+            tables[line[len("[table ") : line.index("]")]] = (line, columns)
+            i = end
+        elif line == "[problem]":
+            end = lines.index("[/problem]", i)
+            kv["[problem]"] = "\n".join(lines[i + 1 : end])
+            i = end
+        else:
+            key = line.partition(": ")[0] if ": " in line else line
+            seen[key] += 1
+            kv[key if seen[key] == 1 else f"{key}#{seen[key]}"] = line
+        i += 1
+    return kv, tables
+
+
+def differences(a: str | None, b: str | None) -> list[tuple[str, str]]:
+    """(kind, detail) of each difference between two reports; the kind
+    names what differs without its values, for the tally."""
     if a is None or b is None:
-        return "report " + ("missing in A" if a is None else "missing in B")
-    la, lb = a.splitlines(), b.splitlines()
-    for n, (x, y) in enumerate(zip(la, lb), 1):
-        if x != y:
-            return f"line {n}:\n      A: {x}\n      B: {y}"
-    return f"A has {len(la)} lines, B has {len(lb)}"
+        return [("report " + ("missing in A" if a is None else "missing in B"), "")]
+    (kv_a, tables_a), (kv_b, tables_b) = parts(a), parts(b)
+    out = []
+    for key in [*kv_a, *(k for k in kv_b if k not in kv_a)]:
+        if key not in kv_b or key not in kv_a:
+            out.append((f"line {key!r} only in {'A' if key in kv_a else 'B'}", _cut(kv_a.get(key, kv_b.get(key)))))
+        elif kv_a[key] != kv_b[key]:
+            x, y = kv_a[key], kv_b[key]
+            out.append((f"line {key!r} differs", f"A: {_cut(x, y)}\n      B: {_cut(y, x)}"))
+    for name in [*tables_a, *(t for t in tables_b if t not in tables_a)]:
+        if name not in tables_b or name not in tables_a:
+            side, (_, columns) = ("A", tables_a[name]) if name in tables_a else ("B", tables_b[name])
+            out.append((f"table {name} only in {side}", f"{len(next(iter(columns.values()), []))} rows"))
+            continue
+        (title_a, cols_a), (title_b, cols_b) = tables_a[name], tables_b[name]
+        if title_a != title_b:
+            out.append((f"table {name} title differs", f"A: {title_a}\n      B: {title_b}"))
+        for col in [*cols_a, *(c for c in cols_b if c not in cols_a)]:
+            if col not in cols_a or col not in cols_b:
+                out.append((f"table {name} column {col} only in {'A' if col in cols_a else 'B'}", ""))
+                continue
+            ca, cb = cols_a[col], cols_b[col]
+            changed = [k for k, (x, y) in enumerate(zip(ca, cb)) if x != y]
+            if len(ca) != len(cb):
+                out.append((f"table {name} column {col} row count differs", f"A: {len(ca)}, B: {len(cb)}"))
+            elif changed:
+                k = changed[0]
+                out.append((f"table {name} column {col} differs",
+                            f"{len(changed)} of {len(ca)} rows, first row {k}: A {ca[k]} / B {cb[k]}"))
+    if not out and a != b:
+        la, lb = a.splitlines() + ["(end)"], b.splitlines() + ["(end)"]
+        n = next(n for n, (x, y) in enumerate(zip(la, lb)) if x != y)
+        x, y = la[n], lb[n]
+        out.append(("line order differs", f"line {n + 1}:\n      A: {_cut(x, y)}\n      B: {_cut(y, x)}"))
+    return out
+
+
+def _cut(line: str, other: str = "") -> str:
+    """At most 160 characters of a line, from 40 before its first difference
+    from other: a [problem] echo is one long line."""
+    n = next((k for k, (x, y) in enumerate(zip(line, other)) if x != y), min(len(line), len(other)))
+    lo = max(0, n - 40)
+    return ("..." if lo else "") + line[lo : lo + 160] + ("..." if len(line) > lo + 160 else "")
 
 
 def main(argv=None) -> int:
@@ -139,7 +213,7 @@ def main(argv=None) -> int:
         with open(entries_path, "w", encoding="utf-8") as fh:
             json.dump(entries, fh)
         runs = [reports_of(root, entries_path, scratch) for root in args.roots]
-    differ = 0
+    differ, tally = 0, collections.Counter()
     for e in entries:
         (code_a, rep_a), (code_b, rep_b) = (run[e["name"]] for run in runs)
         body_a, body_b = (None if r is None else workloads.strip_metadata(r) for r in (rep_a, rep_b))
@@ -147,8 +221,13 @@ def main(argv=None) -> int:
             continue
         differ += 1
         print(f"{e['name']} ({e['task']}): exit {code_a} vs {code_b}")
-        if body_a != body_b:
-            print("    " + first_difference(body_a, body_b))
+        found = [("exit code differs", "")] if code_a != code_b else []
+        found += differences(body_a, body_b) if body_a != body_b else []
+        for kind, detail in found:
+            print(f"    {kind}" + (f": {detail}" if detail else ""))
+        tally.update({kind for kind, _ in found})
+    for kind, n in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{n:5d} tasks: {kind}")
     print(f"{differ} of {len(entries)} tasks differ")
     return 1 if differ else 0
 
