@@ -631,8 +631,7 @@ def run_verify(field, params, rep):
     for side in (DIRECT, ADJOINT):
         rows.append((f"product_rule_{side}", r3[side], 1e-9, r3[side] <= 1e-9, "cutoff-product-rule"))
 
-    for k in range(2):
-        r4 = form_vs_operator_check(field, built(k), window)
+    for k, r4 in enumerate(form_vs_operator_check(field, [built(0), built(1)], window)):
         rows.append((f"form_vs_operator_{k}", r4, 1e-8, r4 <= 1e-8, "form-vs-operator"))
 
     cut = built(2)

@@ -138,6 +138,22 @@ def _primitive_rows(coeffs: np.ndarray) -> np.ndarray:
     return F
 
 
+def _derivative_rows(c: np.ndarray) -> np.ndarray:
+    """Row-wise derivatives of a coefficient array, one column narrower."""
+    return c[:, 1:] * np.arange(1, c.shape[1]) if c.shape[1] > 1 else np.zeros_like(c)
+
+
+def _sum_rows(a: np.ndarray, b: np.ndarray, op=np.add) -> np.ndarray:
+    """Rows of a + b (``op`` np.add) or a - b (np.subtract) of two functions
+    on one mesh: 0 + a_k, then b_k added or subtracted.  A zero past a
+    row's end adds nothing, as 0 + a_k is never -0; a - b has the bits of
+    a + (-b)."""
+    out = np.zeros((len(a), max(a.shape[1], b.shape[1])), dtype=complex)
+    out[:, : a.shape[1]] += a
+    op(out[:, : b.shape[1]], b, out=out[:, : b.shape[1]])
+    return out
+
+
 def _convolve_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise polynomial products of two coefficient arrays."""
     if p.shape[1] < q.shape[1]:
@@ -190,7 +206,7 @@ class PiecewisePoly:
     antiderivative; all coefficient arithmetic, no sampling.
     """
 
-    __slots__ = ("breakpoints", "centers", "coeffs", "_meshes")
+    __slots__ = ("breakpoints", "centers", "coeffs", "_meshes", "_canon")
 
     def __init__(self, breakpoints, pieces, degree_cap: int | None = DEGREE_CAP):
         """Build from global-coordinate coefficient arrays.
@@ -207,7 +223,7 @@ class PiecewisePoly:
         A refusal is a ValueError.
         """
         self.breakpoints, self.centers, self.coeffs = _member(breakpoints, pieces, degree_cap)
-        self._meshes = None
+        self._meshes, self._canon = None, False
 
     @classmethod
     def _from_local(cls, breakpoints, centers, coeffs) -> "PiecewisePoly":
@@ -323,7 +339,8 @@ class PiecewisePoly:
     # mesh alignment
 
     def _on_mesh(self, mesh: np.ndarray) -> "PiecewisePoly":
-        """This function re-centred on a finer mesh.
+        """This function re-centred on a finer mesh, one with no close pair
+        (a ``_merge_breakpoints`` result).
 
         A function already on the mesh with canonical centers is returned
         as it is.  The last _MESHES results are kept by the mesh's bytes (so
@@ -331,25 +348,43 @@ class PiecewisePoly:
         first (``aligned``) forms every later product and sum on that mesh;
         only operands from elsewhere, such as a field's entries, still meet
         it, and each is re-centred once per mesh.  No operation writes to a
-        PiecewisePoly's arrays, so handing out a kept object is safe.
+        PiecewisePoly's arrays, so handing out a kept object is safe.  The
+        result is marked ``_canon``.
         """
         key = mesh.tobytes()
+        if self._canon and key == self.breakpoints.tobytes():
+            return self
         kept = self._meshes = self._meshes or {}
         if key in kept:
             return kept[key]
         centers = _canonical_centers(mesh)
         if key == self.breakpoints.tobytes() and centers.tobytes() == self.centers.tobytes():
+            self._canon = True
             return self
         inside = centers.copy()  # a point strictly inside each region
         if len(mesh):
             inside[0] -= 1.0
             inside[-1] += 1.0
         src = self._region(inside, "right")
-        out = PiecewisePoly._from_local(mesh, centers, _shift_rows(self.coeffs[src], centers - self.centers[src]))
+        out = _poly(mesh, centers, _trim_cols(_shift_rows(self.coeffs[src], centers - self.centers[src])), True)
         if len(kept) >= _MESHES:
             del kept[next(iter(kept))]
         kept[key] = out
         return out
+
+    def _with(self, other) -> tuple:
+        """(self, other) on one mesh: ``aligned((self, other))``.  Two
+        functions marked ``_canon`` on meshes of equal bytes are that pair
+        already, and are returned without a merge."""
+        if self._canon and other._canon and (
+            self.breakpoints is other.breakpoints or self.breakpoints.tobytes() == other.breakpoints.tobytes()
+        ):
+            return self, other
+        return aligned((self, other))
+
+    def _same(self, coeffs) -> "PiecewisePoly":
+        """A function on this one's mesh and centers, with the mark of this one."""
+        return _poly(self.breakpoints, self.centers, _trim_cols(coeffs), self._canon)
 
     # ------------------------------------------------------------------
     # algebra
@@ -359,51 +394,45 @@ class PiecewisePoly:
             return self + PiecewisePoly.constant(other)
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        a, b = aligned((self, other))
-        total = np.zeros((len(a.coeffs), max(a.degree, b.degree) + 1), dtype=complex)
-        total[:, : a.degree + 1] += a.coeffs
-        total[:, : b.degree + 1] += b.coeffs
-        return PiecewisePoly._from_local(a.breakpoints, a.centers, total)
+        a, b = self._with(other)
+        return _poly(a.breakpoints, a.centers, _trim_cols(_sum_rows(a.coeffs, b.coeffs)), True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, -self.coeffs)
+        return self._same(-self.coeffs)
 
     def __sub__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
             return self + PiecewisePoly.constant(-complex(other))
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self._with(other)
+        return _poly(a.breakpoints, a.centers, _trim_cols(_sum_rows(a.coeffs, b.coeffs, np.subtract)), True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
-            return PiecewisePoly._from_local(
-                self.breakpoints, self.centers, self.coeffs * complex(other)
-            )
+            return self._same(self.coeffs * complex(other))
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        a, b = aligned((self, other))
-        return PiecewisePoly._from_local(
-            a.breakpoints, a.centers, _convolve_rows(a.coeffs, b.coeffs)
-        )
+        a, b = self._with(other)
+        return _poly(a.breakpoints, a.centers, _trim_cols(_convolve_rows(a.coeffs, b.coeffs)), True)
 
     __rmul__ = __mul__
 
     def conj(self) -> "PiecewisePoly":
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, np.conj(self.coeffs))
+        return self._same(np.conj(self.coeffs))
 
     @property
     def real(self) -> "PiecewisePoly":
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, self.coeffs.real.astype(complex))
+        return self._same(self.coeffs.real.astype(complex))
 
     @property
     def imag(self) -> "PiecewisePoly":
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, self.coeffs.imag.astype(complex))
+        return self._same(self.coeffs.imag.astype(complex))
 
     def derivative(self) -> "PiecewisePoly":
         """Region-wise derivative (the absolutely continuous part).
@@ -412,9 +441,7 @@ class PiecewisePoly:
         jump is not representable here, callers that care inspect
         ``self.jumps`` before differentiating.
         """
-        c = self.coeffs
-        d = c[:, 1:] * np.arange(1, c.shape[1]) if c.shape[1] > 1 else np.zeros_like(c)
-        return PiecewisePoly._from_local(self.breakpoints, self.centers, d)
+        return self._same(_derivative_rows(self.coeffs))
 
     def antiderivative(self, anchor: float = 0.0) -> "PiecewisePoly":
         """Continuous F with F' = self region-wise and F(anchor) = 0.
@@ -565,10 +592,18 @@ def _member(breakpoints, pieces, degree_cap) -> tuple:
     return bp, np.array(centers), np.array(coeffs, dtype=complex)
 
 
-def _poly(breakpoints, centers, coeffs) -> PiecewisePoly:
-    """A PiecewisePoly of arrays already checked and trimmed."""
+def _poly(breakpoints, centers, coeffs, canon: bool = False) -> PiecewisePoly:
+    """A PiecewisePoly of arrays already checked and trimmed.
+
+    ``canon`` marks a function whose breakpoints hold no close pair (a
+    ``_merge_breakpoints`` result) and whose centers are their canonical
+    ones: ``aligned`` leaves two such functions on meshes of equal bytes as
+    they are, so their sums and products skip it (``PiecewisePoly._with``).
+    The mark is a fact about the function's own arrays, so it carries
+    nothing from one computation to the next.
+    """
     f = object.__new__(PiecewisePoly)
-    f.breakpoints, f.centers, f.coeffs, f._meshes = breakpoints, centers, coeffs, None
+    f.breakpoints, f.centers, f.coeffs, f._meshes, f._canon = breakpoints, centers, coeffs, None, canon
     return f
 
 
@@ -579,13 +614,11 @@ def _stack(polys) -> tuple:
     and ``coeffs`` and breakpoints ``first[i] - i`` to ``first[i + 1] - i - 1``;
     its rows hold its ``widths[i]`` coefficients, zero-padded to the widest.
     """
-    counts = np.array([len(f.centers) for f in polys])
-    first = np.concatenate([[0], np.cumsum(counts)])
     widths = np.array([f.coeffs.shape[1] for f in polys])
+    first = np.cumsum([0] + [len(f.coeffs) for f in polys])
     coeffs = np.zeros((first[-1], widths.max()), dtype=complex)
-    row_width = np.repeat(widths, counts)
-    for w in np.unique(widths).tolist():
-        coeffs[row_width == w, :w] = np.concatenate([f.coeffs for f in polys if f.coeffs.shape[1] == w])
+    for f, i in zip(polys, first.tolist()):
+        coeffs[i : i + len(f.coeffs), : f.coeffs.shape[1]] = f.coeffs
     breakpoints = np.concatenate([f.breakpoints for f in polys])
     return breakpoints, np.concatenate([f.centers for f in polys]), coeffs, first, widths
 
@@ -616,16 +649,16 @@ def _canonical_centers(bp: np.ndarray) -> np.ndarray:
 
 def aligned(fs, *meshes) -> list:
     """The functions ``fs`` re-centred on one mesh: the union of their own
-    meshes and ``meshes``, merged from the left by ``_merge_breakpoints``.
+    meshes and ``meshes``, merged from the left by ``_merge_breakpoints``
+    (a lone mesh with itself, so no close pair is left).
 
     Two functions give the mesh of their sum or product.  Each function
     keeps this alignment (``PiecewisePoly._on_mesh``), so products and sums
     of the results are formed on the mesh without re-centring again.
     """
-    mesh = fs[0].breakpoints
-    for f in fs[1:]:
-        mesh = _merge_breakpoints(mesh, f.breakpoints)
-    for m in meshes:
+    meshes = [f.breakpoints for f in fs] + list(meshes)
+    mesh = meshes[0]
+    for m in meshes[1:] or meshes:  # one mesh alone is merged with itself
         mesh = _merge_breakpoints(mesh, m)
     return [f._on_mesh(mesh) for f in fs]
 
@@ -876,7 +909,7 @@ def _side(g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: list, mes
     neg = [[-z for z in row] for row in _product(g1.coeffs, g2)]
     a21 = _sum(_rows_on(g1, joint, centers, neg), _rows_on(s, joint, centers, s_rows))
     a22 = [[-z for z in row] for row in g2.tolist()]
-    entries = g1, _poly(joint, centers, np.array(a21)), _poly(g1.breakpoints, g1.centers, np.array(a22))
+    entries = g1, _poly(joint, centers, np.array(a21), True), _poly(g1.breakpoints, g1.centers, np.array(a22), g1._canon)
     pts = mesh.tolist()
     reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(pts, pts[1:])), math.inf] if pts else [0.0]
     per_entry = []
@@ -914,7 +947,7 @@ class CoefficientField:
         q = _rows_on(Q, mesh, centers, Q.coeffs.tolist())
         ir = [[z * 1j for z in row] for row in r.coeffs.tolist()]
         nir = [[-z for z in row] for row in ir]
-        return tuple(_poly(mesh, centers, np.array(_sum(q, _rows_on(r, mesh, centers, g)))) for g in (ir, nir))
+        return tuple(_poly(mesh, centers, np.array(_sum(q, _rows_on(r, mesh, centers, g))), True) for g in (ir, nir))
 
     G1 = property(lambda self: self._gauge[0])
     G2 = property(lambda self: self._gauge[1])

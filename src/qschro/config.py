@@ -29,6 +29,11 @@ MAX_WALK_STEPS = 100_000
 PROBE_GROWTH_FACTOR = 100.0
 PROBE_SATURATION_FRACTION = 0.01
 PROBE_SUSTAINED_MIN = 0.05
+# A window's N is resolved when it is above PROBE_FLOOR * eps times the
+# largest eigenvalue of its Gram matrix: below that, the pair is parallel
+# to rounding and N is noise (the benchmark's delta-well oracle allows
+# 64 eps e^{2T} of Gram rounding).
+PROBE_FLOOR = 64.0
 
 # Partial integrals I(T) of 1/m are "divergence-consistent" when the outer
 # half of the horizon still contributes at least this fraction of I(X).

@@ -24,7 +24,7 @@ import numpy as np
 from .coeffs import CoefficientField, PiecewisePoly, _dense, _gauss_legendre, _panels, _stack, _stacked_support
 from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, _panel_values, pair_integral
-from .quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
+from .quasi import ADJOINT, DIRECT, QuasiState, _apply_stacked, _on_field_mesh, _screen, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
@@ -180,6 +180,19 @@ def lagrange_residual(
     return resid / scale
 
 
+def _check_test_function(u: PiecewisePoly, a: float, b: float) -> None:
+    """Refuse a test function that jumps or is not supported inside [a, b]."""
+    lo, hi = u.support_bounds()
+    if lo < a - 1e-12 or hi > b + 1e-12:
+        raise UnsupportedTestFunctionError(
+            f"test function supported on [{lo}, {hi}], outside [{a}, {b}]"
+        )
+    scale = u.coeff_scale() or 1.0
+    for p, h in u.jumps.items():
+        if abs(h) > 1e-10 * scale:
+            raise UnsupportedTestFunctionError(f"test function jumps at x={p}")
+
+
 def quadratic_form(
     c: CoefficientField,
     u: PiecewisePoly,
@@ -190,36 +203,39 @@ def quadratic_form(
     ``sample_forms`` of the family [u]; u must be continuous, with compact
     support inside ``support``.
     """
-    a, b = float(support[0]), float(support[1])
-    lo, hi = u.support_bounds()
-    if lo < a - 1e-12 or hi > b + 1e-12:
-        raise UnsupportedTestFunctionError(
-            f"test function supported on [{lo}, {hi}], outside [{a}, {b}]"
-        )
-    scale = u.coeff_scale() or 1.0
-    for p, h in u.jumps.items():
-        if abs(h) > 1e-10 * scale:
-            raise UnsupportedTestFunctionError(f"test function jumps at x={p}")
+    _check_test_function(u, float(support[0]), float(support[1]))
     return sample_forms(c, [u])[0][0]
 
 
 def form_vs_operator_check(
     c: CoefficientField,
-    u: PiecewisePoly,
+    family,
     support: tuple[float, float],
-) -> float:
-    """|t(u) - int l[u] conj(u)| over 1 + magnitudes.
+) -> list[float]:
+    """|t(u) - int l[u] conj(u)| over 1 + magnitudes, for each test function
+    of a family.
 
-    Both sides are computed independently: the form by Gauss-Legendre
-    quadrature of its three integrals, the operator side by applying the
-    expression and integrating against conj(u), Dirac atoms included.
+    Both sides are computed independently: the forms by one Gauss-Legendre
+    pass over the family (``sample_forms``), the operator side by applying
+    the expression to the whole family in one stacked pass
+    (``quasi._apply_stacked``) and integrating against conj(u), Dirac atoms
+    included.  Every test function is checked as ``quadratic_form`` checks
+    it, then screened for jumps as ``apply_l_atoms`` screens it.
     """
     a, b = float(support[0]), float(support[1])
-    form = quadratic_form(c, u, support).value
-    expr, atoms = apply_l_atoms(c, DIRECT, u, (a, b))
-    op = (expr * u.conj()).integrate(a, b)
-    op += sum(w * u.eval(p).conjugate() for p, w in atoms.items() if a <= p <= b)
-    return abs(form - op) / (1.0 + abs(form) + abs(op))
+    for u in family:
+        _check_test_function(u, a, b)
+    forms = sample_forms(c, family)
+    _screen(family, (a, b))
+    on, dfs = _on_field_mesh(c, family)
+    applied = _apply_stacked([assemble(c, DIRECT)] * len(family), on, dfs, (a, b))
+    out = []
+    for u, v, (form, _), (expr, atoms) in zip(family, on, forms, applied):
+        t = form.value
+        op = (expr * v.conj()).integrate(a, b)
+        op += sum(w * u.eval(p).conjugate() for p, w in atoms.items() if a <= p <= b)
+        out.append(abs(t - op) / (1.0 + abs(t) + abs(op)))
+    return out
 
 
 def _check_norm(i: int, norm2: float) -> float:

@@ -347,6 +347,25 @@ def _window_grams(fs: FundamentalSystem, windows) -> tuple[np.ndarray, np.ndarra
     return np.stack([g11, g12.conj(), g12, g22], axis=1).reshape(-1, 2, 2), L
 
 
+def _exp(x: float) -> float:
+    """e^x, inf past the float range, where ``math.exp`` raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ladder(log_N: list) -> tuple:
+    """(monotone, growth, tail ratio, last increment) of a ladder of log N:
+    log N never falls by more than 1e-9 relative, the total growth in log,
+    N(T_last)/N(T_prev) and 1 - N(T_prev)/N(T_last).  Each ratio is e^ of a
+    log difference, inf past the float range, so no ratio overflows."""
+    monotone = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(log_N[:-1], log_N[1:]))
+    if len(log_N) < 2:
+        return monotone, log_N[-1] - log_N[0], math.inf, 1.0
+    return monotone, log_N[-1] - log_N[0], _exp(log_N[-1] - log_N[-2]), 1.0 - _exp(log_N[-2] - log_N[-1])
+
+
 def null_probe(
     c: CoefficientField,
     lam: complex = 0.0,
@@ -359,8 +378,16 @@ def null_probe(
     anchored at 0 and computes N(T), the smallest eigenvalue of the 2x2
     L2(-T, T) Gram matrix.  "grows" (no normalized null combination stays
     in L2 on the horizon) needs N(Tmax) >= 100 * N(T0) with a monotone
-    trend; "bounded" needs saturation within 1 percent.  For problems
-    without accretivity evidence the verdict is exploratory.
+    trend; "bounded" needs a monotone trend that saturates within 1
+    percent.  For problems without accretivity evidence the verdict is
+    exploratory.
+
+    A window whose N is at most PROBE_FLOOR eps times the largest
+    eigenvalue of its Gram matrix is unresolved: the pair is parallel to
+    rounding there.  The classification reads only the windows below the
+    first unresolved one, which a note names; with fewer than three of
+    them (or fewer than the ladder has) it is "inconclusive".  The printed
+    monotone flag, growth and tail ratio are those of the whole ladder.
     """
     if not lam.real < 1.0:
         raise ValueError("probe expects Re lambda < 1 (normalized setting)")
@@ -375,29 +402,34 @@ def null_probe(
     M, scales = _window_grams(fundamental(sys, 0.0, (-tmax, tmax)), windows)
     log_N = []
     n_vals = []
-    for T, nmin, L in zip(windows, np.linalg.eigvalsh(M)[:, 0].tolist(), scales.tolist()):
+    resolved = len(windows)  # the windows below the first unresolved one
+    for k, (T, (nmin, nmax), L) in enumerate(zip(windows, np.linalg.eigvalsh(M).tolist(), scales.tolist())):
         if not np.isfinite(nmin):
             raise OverflowUnrecoverableError(f"Gram renormalization failed on window T={T}", window=T)
+        if not nmin > config.PROBE_FLOOR * _EPS * nmax and resolved > k:
+            resolved = k
         if nmin <= 0:
             log_N.append(-math.inf)
             n_vals.append(0.0)
             continue
         log_N.append(math.log(nmin) + L)
         n_vals.append(nmin * math.exp(L) if abs(math.log(nmin) + L) < 700 else math.inf)
-    monotone = all(
-        b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(log_N[:-1], log_N[1:])
-    )
+    monotone, growth, tail_ratio, last_increment = _ladder(log_N)
+    monotone_r, growth_r, tail_r, increment_r = _ladder(log_N[: max(resolved, 1)])  # what the classification reads
     notes = []
-    growth = log_N[-1] - log_N[0]
-    tail_ratio = math.exp(log_N[-1] - log_N[-2]) if len(log_N) >= 2 else math.inf
-    last_increment = 1.0 - math.exp(log_N[-2] - log_N[-1]) if len(log_N) >= 2 else 1.0
-    if last_increment <= config.PROBE_SATURATION_FRACTION:
+    if resolved < len(windows):
+        T = windows[resolved]
+        notes.append(f"N({T!r}) is below its rounding floor, {config.PROBE_FLOOR:g} eps times the largest "
+                     f"Gram eigenvalue: the windows from T={T!r} on are unresolved")
+    if resolved < min(3, len(windows)):
+        cls = "inconclusive"
+    elif monotone_r and increment_r <= config.PROBE_SATURATION_FRACTION:
         cls = "bounded"
         notes.append("Gram mass saturates: an L2 null direction is not excluded")
     elif (
-        monotone
-        and growth >= math.log(config.PROBE_GROWTH_FACTOR)
-        and tail_ratio >= 1.0 + config.PROBE_SUSTAINED_MIN
+        monotone_r
+        and growth_r >= math.log(config.PROBE_GROWTH_FACTOR)
+        and tail_r >= 1.0 + config.PROBE_SUSTAINED_MIN
     ):
         # total growth alone is not enough: a deep ladder always grows out
         # of its smallest windows, so the outermost doubling must still add

@@ -162,7 +162,7 @@ def test_criterion_05_form_consistency():
             float(rng.uniform(0.5, 2.5)),
             float(rng.uniform(0.4, 1.5)),
         )
-        worst = max(worst, form_vs_operator_check(c, u, (-6, 6)))
+        worst = max(worst, *form_vs_operator_check(c, [u], (-6, 6)))
     ok = worst <= 1e-8
     report(5, ok, f"form-vs-operator residual<={worst:.2e} over 20 bumps")
 

@@ -566,11 +566,11 @@ def test_a_refused_verify_bump_is_raised_where_it_is_first_needed(monkeypatch):
     monkeypatch.setattr(cli, "bracket_constancy_residual", lambda *args: 0.0)
     monkeypatch.setattr(cli, "product_rule_check",
                         lambda *args: calls.append("product") or {"direct": 0.0, "adjoint": 0.0})
-    monkeypatch.setattr(cli, "form_vs_operator_check", lambda *args: calls.append("form") or 0.0)
+    monkeypatch.setattr(cli, "form_vs_operator_check", lambda c, family, w: calls.append("form") or [0.0] * len(family))
     params = {"window": (-1e16, 1e16), "lambda": 0j}
     with pytest.raises(FamilyMemberError, match="smoothstep needs a < b"):
         cli.run_verify(cli._coefficients(FREE_COEFFS, "coefficients"), params, cli.Report("verify"))
-    assert calls == ["product", "form", "form"]
+    assert calls == ["product", "form"]
 
 
 _BAD_INCREASING = {"breakpoints": [1, 0], "pieces": [[0], [1], [2]]}

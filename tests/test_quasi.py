@@ -10,6 +10,7 @@ from qschro.coeffs import (
     _canonical_centers,
     _dense,
     _shift_rows,
+    _stack,
     aligned,
     bump,
     pieces_and_jumps,
@@ -25,7 +26,7 @@ from qschro.quasi import (
     ShinZettlSystem,
     apply_l_atoms,
     assemble,
-    _jumps,
+    _stack_jumps,
     product_rule_check,
 )
 
@@ -427,6 +428,11 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
             assert integrate(sys, y0, 2.0).steps.tobytes() == integrate(ref, y0, 2.0).steps.tobytes()
 
 
+def _jumps(f: PiecewisePoly, window) -> dict:
+    """The jump rule on one function."""
+    return _stack_jumps(_stack([f]), window)[0]
+
+
 def reference_jumps(f: PiecewisePoly, window) -> dict:
     """The jump rule one breakpoint at a time: |f(x-)| screens, then the
     rounding scale sum |c_k| |x - center|^k of the two adjacent pieces."""
@@ -582,23 +588,23 @@ def test_caccioppoli_recentres_the_refit_once(monkeypatch):
 
 
 def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
-    # u and phi*u do not depend on the side: each is screened for jumps
-    # once, and each side only screens the u^[1] of both for atoms
+    # u and phi*u do not depend on the side: both are screened for jumps in
+    # one pass, and the u^[1] of both, on both sides, in one more for atoms
     from qschro import quasi
 
     screened = []
-    jumps = quasi._jumps
+    jumps = quasi._stack_jumps
 
-    def counted(f, window):
-        screened.append(f)
-        return jumps(f, window)
+    def counted(stack, window):
+        screened.append(len(stack[3]) - 1)
+        return jumps(stack, window)
 
-    monkeypatch.setattr(quasi, "_jumps", counted)
+    monkeypatch.setattr(quasi, "_stack_jumps", counted)
     c = CoefficientField.delta_well(-2.0)
     phi = bump(0.0, 1.0, 0.4)
     res = product_rule_check(c, phi, KINK, (-1, 1))
     assert max(res.values()) <= 1e-9
-    assert len(screened) == 2 + 2 * 2
+    assert screened == [2, 2 * 2]
     # phi*u is screened first, as the direct side's apply_l_atoms did: a
     # jump of u on phi's ramp is refused with the values of phi*u
     u = PiecewisePoly.step(0.7, left=1.0, right=3.0)

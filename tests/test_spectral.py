@@ -487,6 +487,64 @@ def test_probe_limit_circle_not_growing():
     assert rep.tail_ratio < 1.05
 
 
+def _drift(sign: int, p: int) -> CoefficientField:
+    """r = sign i x^p, s = Q = 0."""
+    z = PiecewisePoly.zero()
+    return CoefficientField(z, z, PiecewisePoly.from_coeffs([0] * p + [sign * 1j]))
+
+
+def test_probe_ratios_past_the_float_range_are_inf_not_a_traceback():
+    # r = i x^3 at lambda = -1: N(10)/N(5) = e^9370.  The ratio was
+    # math.exp of the log difference, an OverflowError; every window is
+    # resolved (the Gram's eigenvalues stay within a factor 0.8)
+    rep = null_probe(_drift(1, 3), -1.0, 10.0)
+    assert rep.tail_ratio == math.inf
+    assert all(math.isfinite(v) for v in rep.log_N)
+    assert rep.monotone and rep.classification == "grows"
+    assert not any("unresolved" in note for note in rep.notes)
+
+
+def test_probe_classifies_only_the_windows_below_the_first_unresolved_one():
+    # r = -i x^2 at lambda = -1: the pair is parallel to rounding from T = 5
+    # on (N(5)/lambda_max = 2.3e-16, and N(10) = 0.0); the old rule called
+    # it "bounded" from 1 - N(5)/N(10) = -inf
+    c, windows = _drift(-1, 2), spectral.default_windows(10.0)
+    rep = null_probe(c, -1.0, 10.0)
+    assert rep.N[-1] == 0.0 and not rep.monotone
+    assert rep.classification != "bounded"
+    assert rep.notes[0].startswith("N(5.0) is below its rounding floor")
+    # the seven resolved windows alone give the same classification
+    alone = null_probe(c, -1.0, 10.0, windows=windows[:7])
+    assert not any("unresolved" in note for note in alone.notes)
+    assert rep.classification == alone.classification == "grows"
+    assert rep.notes[1:] == alone.notes
+    # fewer than three resolved windows give no classification
+    few = null_probe(c, -1.0, 10.0, windows=(1.25, 2.5, 5.0, 10.0))
+    assert few.classification == "inconclusive"
+    assert few.notes == (rep.notes[0],)
+
+
+@pytest.mark.parametrize("tmax", [10, 20])
+@pytest.mark.parametrize("lam", [-1, [-0.5, 0.5]], ids=["-1", "-0.5+0.5i"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1], ids=["+i", "-i"])
+def test_probe_of_a_polynomial_drift_ends_with_a_documented_exit_code(tmp_path, capsys, sign, p, lam, tmax):
+    import json
+
+    from qschro.cli import main
+
+    problem = {"task": "probe", "coefficients": {"r": {"pieces": [[0] * p + [[0, sign]]]}},
+               "params": {"lambda": lam, "tmax": tmax}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code = main(["probe", "--input", str(path), "--out", str(tmp_path)])
+    # 0 grows, 2 bounded or inconclusive, 70 a numeric error (README)
+    assert code in (0, 2, 70), capsys.readouterr().err
+    report = (tmp_path / "report.txt").read_text()
+    verdict = {"grows": 0, "bounded": 2, "inconclusive": 2}
+    assert code == verdict[report.split("verdict: ")[1].split()[0]]
+
+
 def test_probe_gram_nesting():
     rep = null_probe(FREE, 0.5, 20.0)
     assert rep.monotone

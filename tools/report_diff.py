@@ -1,10 +1,12 @@
 """Compare the reports of two source trees, task by task.
 
-    python3 tools/report_diff.py ROOT_A ROOT_B
+    python3 tools/report_diff.py ROOT_A ROOT_B [--workloads gram,shoot] [--seeds 1-12]
 
 Each ROOT is the root of a source checkout (it holds ``src/qschro``).  The
 tasks are every task of the benchmark's ``shoot``, ``gram`` and ``algebra``
-workloads for seeds 1-5, and every ``problems/*.json``.  Their problem
+workloads for seeds 1-5, and every ``problems/*.json``; ``--workloads``
+(a comma-separated list) and ``--seeds`` (a list of seeds and ranges such
+as ``1-3,7``) choose other workloads and seeds.  Their problem
 files are written once, from this checkout's ``bench/workloads.py`` and
 ``problems/``, so both trees read the same bytes.  Each tree runs all of
 them through ``qschro.cli.main`` in one fresh interpreter, with that
@@ -43,11 +45,31 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def write_problems(folder: str, workloads) -> list[dict]:
+def seed_list(text: str) -> list[int]:
+    """The seeds of a list such as ``1-3,7``."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise ValueError("no seed")
+    return seeds
+
+
+def workload_list(text: str) -> list[str]:
+    """The workloads of a comma-separated list, each one of WORKLOADS."""
+    names = text.split(",")
+    for name in names:
+        if name not in WORKLOADS:
+            raise ValueError(f"unknown workload {name!r}")
+    return names
+
+
+def write_problems(folder: str, workloads, names=WORKLOADS, seeds=SEEDS) -> list[dict]:
     """Write every problem file under folder; one entry per task."""
     texts = []
-    for name in WORKLOADS:
-        for seed in SEEDS:
+    for name in names:
+        for seed in seeds:
             for t in workloads.generate(name, seed):
                 text = t.raw_text if t.raw_text is not None else json.dumps(t.problem, indent=1)
                 texts.append((f"{name}-seed{seed}/{t.id}", t.task, text))
@@ -195,6 +217,9 @@ def _cut(line: str, other: str = "") -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="*", metavar="ROOT")
+    parser.add_argument("--workloads", type=workload_list, default=list(WORKLOADS),
+                        help="comma-separated workloads, default shoot,gram,algebra")
+    parser.add_argument("--seeds", type=seed_list, default=list(SEEDS), help="seeds and ranges such as 1-3,7; default 1-5")
     parser.add_argument("--child", nargs=2, metavar=("ENTRIES", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -208,7 +233,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         folder = os.path.join(scratch, "problems")
         os.makedirs(folder)
-        entries = write_problems(folder, workloads)
+        entries = write_problems(folder, workloads, args.workloads, args.seeds)
         entries_path = os.path.join(scratch, "entries.json")
         with open(entries_path, "w", encoding="utf-8") as fh:
             json.dump(entries, fh)
