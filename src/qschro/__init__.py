@@ -37,17 +37,15 @@ from .errors import (
 )
 from .lagrange_forms import (
     BracketValue,
-    FormValue,
     Sector,
     bracket,
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
-    quadratic_form,
     range_verdict,
     sample_forms,
 )
-from .propagate import FundamentalSystem, Trajectory, endpoint, fundamental, integrate, pair_integral
+from .propagate import FundamentalSystem, Trajectory, fundamental, integrate, pair_integral
 from .quasi import (
     ADJOINT,
     DIRECT,
@@ -89,17 +87,14 @@ __all__ = [
     "Trajectory",
     "FundamentalSystem",
     "integrate",
-    "endpoint",
     "fundamental",
     "pair_integral",
     # brackets and forms
     "BracketValue",
-    "FormValue",
     "Sector",
     "bracket",
     "bracket_constancy_residual",
     "lagrange_residual",
-    "quadratic_form",
     "form_vs_operator_check",
     "sample_forms",
     "range_verdict",

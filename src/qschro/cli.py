@@ -45,11 +45,11 @@ from .errors import FamilyMemberError, NonRealError, NonRealScanError, QschroErr
 from .lagrange_forms import (
     Sector,
     _form_columns,
-    _w_verdict,
     bracket,
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
+    range_verdict,
 )
 from .propagate import integrate
 from .quasi import ADJOINT, DIRECT, QuasiState, assemble
@@ -551,7 +551,7 @@ def run_form(field, params, rep):
         lines,
         source="gauss-legendre-quadrature",
     )
-    cond = _w_verdict(ws, sector=params["sector"])
+    cond = range_verdict(ws, sector=params["sector"])
     _report_condition(rep, "range", cond)
     rep.verdict(cond.verdict)
 

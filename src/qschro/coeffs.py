@@ -202,8 +202,8 @@ class PiecewisePoly:
     tail.  With no breakpoints a single polynomial covers the line.
     ``coeffs[i]`` holds region i in ascending powers of ``x - centers[i]``.
 
-    Closed under +, -, *, conjugation, real/imaginary part, derivative and
-    antiderivative; all coefficient arithmetic, no sampling.
+    Closed under +, -, *, conjugation, real/imaginary part and derivative;
+    all coefficient arithmetic, no sampling.
     """
 
     __slots__ = ("breakpoints", "centers", "coeffs", "_meshes", "_canon")
@@ -254,10 +254,6 @@ class PiecewisePoly:
         """Piecewise constant with one jump: ``left`` below, ``right`` above."""
         return cls([location], [[left], [right]], degree_cap=None)
 
-    @classmethod
-    def heaviside(cls, height=1.0, location: float = 0.0) -> "PiecewisePoly":
-        return cls.step(location, 0.0, height)
-
     # ------------------------------------------------------------------
     # basic queries
 
@@ -283,7 +279,7 @@ class PiecewisePoly:
         i = self._region(flat, side)
         return _dense(self.coeffs[i], flat - self.centers[i]).reshape(xs.shape)
 
-    def sample_bounded(self, xs, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+    def sample_bounded(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Real part at an array of x, and a bound on its rounding error.
 
         Horner's rule on a degree-n row is within 2n eps p~ of the exact
@@ -298,7 +294,7 @@ class PiecewisePoly:
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
-        i = self._region(flat, side)
+        i = self._region(flat, "right")
         rows, centers = self.coeffs[i].real, self.centers[i]
         t = flat - centers
         value, size = _dense(rows, t), _dense(np.abs(rows), np.abs(t))
@@ -442,29 +438,6 @@ class PiecewisePoly:
         ``self.jumps`` before differentiating.
         """
         return self._same(_derivative_rows(self.coeffs))
-
-    def antiderivative(self, anchor: float = 0.0) -> "PiecewisePoly":
-        """Continuous F with F' = self region-wise and F(anchor) = 0.
-
-        Jumps of the integrand become kinks of F; F itself is continuous.
-        """
-        F = _primitive_rows(self.coeffs)
-        bp, c = self.breakpoints, self.centers
-        below = _dense(F[:-1], bp - c[:-1])  # region i at breakpoint i
-        above = _dense(F[1:], bp - c[1:])  # region i + 1 at breakpoint i
-        i0 = self._region(anchor, "right")
-        start = -_dense(F[i0, None], anchor - c[i0])
-        # Offsets chain outward from the anchor's region, each one the
-        # previous plus the value gap at the shared breakpoint, added in
-        # that order: cumsum over the interleaved terms.
-        right = np.column_stack([below[i0:], -above[i0:]]).ravel()
-        left = np.column_stack([above[:i0][::-1], -below[:i0][::-1]]).ravel()
-        offsets = np.concatenate([
-            np.cumsum(np.concatenate([start, left]))[2::2][::-1],
-            np.cumsum(np.concatenate([start, right]))[::2],
-        ])
-        F[:, 0] += offsets
-        return PiecewisePoly._from_local(bp, c, F)
 
     def integrate(self, a: float, b: float) -> complex:
         """Exact definite integral over [a, b]."""
@@ -1000,5 +973,5 @@ class CoefficientField:
     def delta_well(cls, strength: float = -2.0, location: float = 0.0) -> "CoefficientField":
         """q = strength * delta at ``location``, encoded as a step of Q."""
         z = PiecewisePoly.zero()
-        return cls(z, PiecewisePoly.heaviside(strength, location), z)
+        return cls(z, PiecewisePoly.step(location, 0.0, strength), z)
 

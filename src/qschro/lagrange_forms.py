@@ -8,9 +8,10 @@ Both integrals of the identity go through ``propagate.pair_integral``,
 whichever mix of trajectories and piecewise polynomials the data is, and
 brackets along a trajectory come from its array evaluator.  The
 quadratic form of the compactly supported restriction splits into
-kinetic, coupling and potential parts; sampling its normalized values
-over a test family gives numerical-range evidence (never a proof) for
-accretivity or sector membership.
+kinetic, coupling and potential parts, one array each over a test family
+(``sample_forms``); its normalized values w(u) = t(u)/||u||^2 give
+numerical-range evidence (never a proof) for accretivity or sector
+membership (``range_verdict``).
 """
 
 from __future__ import annotations
@@ -33,19 +34,6 @@ class BracketValue:
     x: float
     value: complex
     logscale: float = 0.0
-
-
-@dataclass(frozen=True)
-class FormValue:
-    """Quadratic form split into its three integrals; value is their sum."""
-
-    kinetic: complex
-    coupling: complex
-    potential: complex
-
-    @property
-    def value(self) -> complex:
-        return self.kinetic + self.coupling + self.potential
 
 
 @dataclass(frozen=True)
@@ -180,33 +168,6 @@ def lagrange_residual(
     return resid / scale
 
 
-def _check_test_function(u: PiecewisePoly, a: float, b: float) -> None:
-    """Refuse a test function that jumps or is not supported inside [a, b]."""
-    lo, hi = u.support_bounds()
-    if lo < a - 1e-12 or hi > b + 1e-12:
-        raise UnsupportedTestFunctionError(
-            f"test function supported on [{lo}, {hi}], outside [{a}, {b}]"
-        )
-    scale = u.coeff_scale() or 1.0
-    for p, h in u.jumps.items():
-        if abs(h) > 1e-10 * scale:
-            raise UnsupportedTestFunctionError(f"test function jumps at x={p}")
-
-
-def quadratic_form(
-    c: CoefficientField,
-    u: PiecewisePoly,
-    support: tuple[float, float],
-) -> FormValue:
-    """The pre-minimal form t(u), split into its three parts.
-
-    ``sample_forms`` of the family [u]; u must be continuous, with compact
-    support inside ``support``.
-    """
-    _check_test_function(u, float(support[0]), float(support[1]))
-    return sample_forms(c, [u])[0][0]
-
-
 def form_vs_operator_check(
     c: CoefficientField,
     family,
@@ -216,32 +177,30 @@ def form_vs_operator_check(
     of a family.
 
     Both sides are computed independently: the forms by one Gauss-Legendre
-    pass over the family (``sample_forms``), the operator side by applying
-    the expression to the whole family in one stacked pass
-    (``quasi._apply_stacked``) and integrating against conj(u), Dirac atoms
-    included.  Every test function is checked as ``quadratic_form`` checks
-    it, then screened for jumps as ``apply_l_atoms`` screens it.
+    pass over the family (``sample_forms``, which refuses a test that
+    jumps), with t(u) the sum of its three parts in Python complex, and the
+    operator side by applying the expression to the whole family in one
+    stacked pass (``quasi._apply_stacked``) and integrating against
+    conj(u), Dirac atoms included.  A test supported outside ``support`` is
+    refused first, and every test is screened for jumps as
+    ``apply_l_atoms`` screens it.
     """
     a, b = float(support[0]), float(support[1])
     for u in family:
-        _check_test_function(u, a, b)
-    forms = sample_forms(c, family)
+        lo, hi = u.support_bounds()
+        if lo < a - 1e-12 or hi > b + 1e-12:
+            raise UnsupportedTestFunctionError(f"test function supported on [{lo}, {hi}], outside [{a}, {b}]")
+    kinetic, coupling, potential, _ = (col.tolist() for col in sample_forms(c, family))
     _screen(family, (a, b))
     on, dfs = _on_field_mesh(c, family)
     applied = _apply_stacked([assemble(c, DIRECT)] * len(family), on, dfs, (a, b))
     out = []
-    for u, v, (form, _), (expr, atoms) in zip(family, on, forms, applied):
-        t = form.value
+    for u, v, kin, cpl, pot, (expr, atoms) in zip(family, on, kinetic, coupling, potential, applied):
+        t = kin + cpl + pot
         op = (expr * v.conj()).integrate(a, b)
         op += sum(w * u.eval(p).conjugate() for p, w in atoms.items() if a <= p <= b)
         out.append(abs(t - op) / (1.0 + abs(t) + abs(op)))
     return out
-
-
-def _check_norm(i: int, norm2: float) -> float:
-    if norm2 <= 1e-300:
-        raise ZeroNormError(f"test function {i} has zero L2 norm")
-    return norm2
 
 
 def _ranks(values, value_owner, queries, query_owner):
@@ -306,28 +265,30 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
     bad = (norm2 <= 1e-300) | ~finite.all(axis=0)
     if bad.any():
         i = int(bad.argmax())
-        _check_norm(i, norm2[i])
+        if norm2[i] <= 1e-300:
+            raise ZeroNormError(f"test function {i} has zero L2 norm")
         raise OverflowUnrecoverableError(f"test function {i}: its form or norm is not finite", index=i)
     return kinetic, coupling, potential, norm2
 
 
-def sample_forms(c: CoefficientField, family) -> list[tuple[FormValue, float]]:
-    """(t(u), ||u||^2) for each test function of a family, in one Gauss-Legendre
-    pass: ``_form_columns`` of the family stacked by ``coeffs._stack``."""
+def sample_forms(c: CoefficientField, family) -> tuple:
+    """The kinetic, coupling and potential parts of t(u) and ||u||^2, one array
+    each over a family, in one Gauss-Legendre pass: ``_form_columns`` of the
+    family stacked by ``coeffs._stack``.  Every test must be continuous: after
+    what ``_form_columns`` refuses, the first test with a jump above 1e-10
+    times its largest coefficient is refused by its index."""
     if not family:
         raise ValueError("test family must be nonempty")
-    columns = (a.tolist() for a in _form_columns(c, _stack(family)))
-    return [(FormValue(k, cp, p), n2) for k, cp, p, n2 in zip(*columns)]
+    columns = _form_columns(c, _stack(family))
+    for i, u in enumerate(family):
+        scale = u.coeff_scale() or 1.0
+        for p, h in u.jumps.items():
+            if abs(h) > 1e-10 * scale:
+                raise UnsupportedTestFunctionError(f"test function {i} jumps at x={p}")
+    return columns
 
 
-def range_verdict(forms, sector: Sector | None = None) -> ConditionReport:
-    """Verdict on sampled forms, given as ``sample_forms`` returns them:
-    ``_w_verdict`` of w(u) = t(u)/||u||^2.  A norm as small as
-    ``sample_forms`` refuses raises ZeroNormError."""
-    return _w_verdict((form.value / _check_norm(i, norm2) for i, (form, norm2) in enumerate(forms)), sector)
-
-
-def _w_verdict(ws, sector: Sector | None = None) -> ConditionReport:
+def range_verdict(ws, sector: Sector | None = None) -> ConditionReport:
     """Verdict on sampled normalized values w(u) = t(u)/||u||^2, read in one pass.
 
     Reports min Re w and max |arg w|; ``fails`` carries the witness index

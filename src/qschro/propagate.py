@@ -5,11 +5,11 @@ mesh node; the state (y0, y1) passes through them unchanged, which is
 exactly the absolute continuity the quasi-derivative buys.  States growing
 past 1e100 are renormalized and the exponent ledger travels with them.
 
-``endpoint`` and ``integrate`` walk the segments the same way (``_walk``),
-from one lambda-free plan per field, side and interval (``_plan``): the
-segments, each segment's rows as Python complex with its kind and, on a
-constant segment, the invariants of its exponential, and the step floor.
-It is built on the first walk and kept with the field
+A shot (``spectral.characteristic``) and ``integrate`` walk the segments
+the same way (``_walk``), from one lambda-free plan per field, side and
+interval (``_plan``): the segments, each segment's rows as Python complex
+with its kind and, on a constant segment, the invariants of its
+exponential, and the step floor.  It is built on the first walk and kept with the field
 (``CoefficientField.direct_plans``/``adjoint_plans``, at most _PLANS
 intervals per side), so a shot only subtracts lambda from each segment's
 a21 constant and steps; ``spectral.characteristic`` walks the plan from
@@ -29,14 +29,13 @@ operations in the same order.  One loop sums a step's two series
 Z = dY/dlambda at h, each with the bits of ``coeffs._horner``.  Both
 kinds of step are accurate to rounding at any lambda, so there is no
 tolerance to choose.
-``endpoint`` keeps the end state and log sup|Y| only, and on request
+A shot keeps the end state and log sup|Y| only, and on request
 dY/dlambda along the same steps; ``integrate`` also records each
 sub-step or step as a row of dense output, the Taylor series of the
 state on it.  The rows of a segment are built in one array pass at its
 end, from the start states of its sub-steps (``_exact_rows``) or from the
 series of its Taylor steps (``_taylor_rows``); a dense walk sums a Taylor
-series at the step end only, as ``Trajectory.log_sup`` reads the rows
-themselves.
+series at the step end only and keeps no log sup.
 The plans read the entries' pieces per segment from
 ``ShinZettlSystem.rows``, built once per field and side.
 
@@ -128,23 +127,12 @@ class Trajectory:
         y, ls = self.sample([x])
         return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), self.system.side, float(ls[0]))
 
-    def log_sup(self) -> float:
-        """log of sup |Y| over the trajectory (sampled at step ends and midpoints)."""
-        s = self.steps
-        xs = (s["x0"][:, None] + np.array([0.0, 0.5, 1.0]) * s["h"][:, None]).ravel()
-        y, ls = self.sample(xs)
-        m = np.max(np.abs(y), axis=1)
-        pos = m > 0
-        return float(np.max(np.log(m[pos]) + ls[pos])) if np.any(pos) else -math.inf
-
-    def to_piecewise(self, lo: float | None = None, hi: float | None = None) -> PiecewisePoly:
-        """Re-fit the dense output's y0 as a PiecewisePoly (absolute scale).
+    def to_piecewise(self, lo: float, hi: float) -> PiecewisePoly:
+        """Re-fit the dense output's y0 on [lo, hi] as a PiecewisePoly (absolute scale).
 
         End pieces extend into the tails.  Only valid when exp(logscale)
         is representable; refits are meant for desk-scale windows.
         """
-        lo = self.a if lo is None else lo
-        hi = self.b if hi is None else hi
         s_lo, s_hi = self.edges()
         keep = (s_hi > lo + 1e-14) & (s_lo < hi - 1e-14)
         s = self.steps[keep]
@@ -197,14 +185,14 @@ class FundamentalSystem:
 def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     """Propagate a state to ``to`` with dense output, breakpoints as hard mesh nodes.
 
-    The walk of ``endpoint``, with one row per exact sub-step or Taylor
-    step: the Taylor series of the state on it, whose terms past the last
-    column are below rounding.  The rows of a system all have
+    The walk of a shot (``_walk``), with one row per exact sub-step or
+    Taylor step: the Taylor series of the state on it, whose terms past
+    the last column are below rounding.  The rows of a system all have
     _TAYLOR_ORDER + d columns, d the largest degree of its entries, so the
     two halves of a ``fundamental`` pair concatenate.  The state is
     renormalized whenever |Y| exceeds 1e100 and the exponent is recorded
-    per row.  Raises StepUnderflowError and StepBudgetError as
-    ``endpoint`` does.
+    per row.  Raises StepUnderflowError and StepBudgetError as ``_walk``
+    does.
     """
     plan = _plan(sys.plans, y0.x, to, lambda: sys)
     blocks: list[tuple] = []
@@ -225,38 +213,17 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=_by_position(steps))
 
 
-def endpoint(sys: ShinZettlSystem, y0: QuasiState, to: float, derivative: bool = False):
-    """End state at ``to`` and log of sup |Y| along the way, no dense output.
-
-    A segment whose system matrix is constant is crossed by exact
-    exponentials (``_exact_segment``), any other by Taylor steps of the
-    exact recurrence of its polynomial entries (``_taylor_segment``);
-    log|Y| is sampled at the segment starts and at every sub-step end, and
-    at Taylor step midpoints.  Both kinds of step are accurate to
-    rounding.  Raises StepUnderflowError when a step falls below 1e-14
-    times the interval length, and StepBudgetError when the walk would take
-    more than MAX_WALK_STEPS sub-steps and steps in all.
-
-    With ``derivative`` a third item is returned: Z = dY/dlambda at ``to``
-    on the logscale of the end state.  Z starts at 0 (the start state does
-    not depend on lambda) and solves Z' = AZ + EY, E = dA/dlambda =
-    [[0, 0], [-1, 0]], along the same steps as Y.
-    """
-    plan = _plan(sys.plans, y0.x, to, lambda: sys)
-    y, ls, sup = _walk(plan, sys.lam, (y0.y0, y0.y1, y0.logscale), derivative=derivative)
-    end = QuasiState(to, y[0], y[1], sys.side, ls)
-    if not derivative:
-        return end, sup
-    return end, sup, QuasiState(to, y[2], y[3], sys.side, ls)
-
-
 def _walk(plan, lam, start, out=None, derivative=False):
     """(state, logscale, log sup) at the end of the ``plan`` (``_plan``)
     from the state (y0, y1) times exp(logscale) of ``start`` at its start;
     each segment appends its rows of dense output to ``out`` when one is
     given, and then the log sup leaves out the Taylor segments
     (``integrate`` does not read it).  With ``derivative`` the state is
-    (y0, y1, z0, z1), Z on the logscale of Y.  Lambda is subtracted from
+    (y0, y1, z0, z1): Z = dY/dlambda on the logscale of Y, which starts at
+    0 (the start state does not depend on lambda) and solves Z' = AZ + EY,
+    E = dA/dlambda = [[0, 0], [-1, 0]], along the same steps as Y.  A step
+    below the plan's floor, MIN_STEP_FRACTION of the interval, raises
+    StepUnderflowError.  Lambda is subtracted from
     the constant term of each segment's a21 row here, which gives the bits
     of ``sys.a21_0 - sys.lam`` on it (``a21_0`` is a sum, so never -0.0).
     The segments share one budget of MAX_WALK_STEPS sub-steps and steps:
@@ -281,7 +248,8 @@ def _walk(plan, lam, start, out=None, derivative=False):
 # lambda-free plans kept per field and side (``_plan``)
 _PLANS = 8
 # exact rows multiplied out at once by ``integrate``: 3 MB of temporaries,
-# where an einsum straight into the strided dense output runs 4x slower
+# where an einsum straight into the strided dense output runs 4x slower;
+# also the panels of a trajectory that ``_panel_values`` sums at once
 _ROWS_CHUNK = 4096
 
 
@@ -618,9 +586,8 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     last.  The state is rescaled at step ends past RESCALE_THRESHOLD.  A
     zero state crosses unchanged.
 
-    Without ``out`` (an endpoint shot), log|Y| is sampled at the segment
-    start and at every step end and midpoint, the points
-    ``Trajectory.log_sup`` samples, so the series are also summed at the
+    Without ``out`` (a shot), log|Y| is sampled at the segment start and
+    at every step end and midpoint, so the series are also summed at the
     midpoint.  With ``out`` neither is done and ``sup`` is returned as
     given; the steps are kept and their rows of dense output built in one
     array pass at the end of the segment (``_taylor_rows``), then appended
@@ -755,13 +722,19 @@ def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
 def _panel_values(f, mid: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of f at the nodes xs of panels with midpoints mid, with logscales.
 
-    A Trajectory contributes its y0 component; a PiecewisePoly is one row
-    per region (x0 = center, h = 1) with logscale 0.
+    A Trajectory contributes its y0 component, read by index from its rows
+    and summed _ROWS_CHUNK panels at a time, so that no copy of all its
+    panels' rows is made; a PiecewisePoly is one row per region (x0 =
+    center, h = 1) with logscale 0.
     """
     if isinstance(f, Trajectory):
-        rows = f.steps[f._locate(mid)]
-        theta = (xs - rows["x0"][:, None]) / rows["h"][:, None]
-        return _dense(rows["coef"][:, :, 0, None], theta), rows["logscale"]
+        i = f._locate(mid)
+        x0, h, coef = f.steps["x0"][i], f.steps["h"][i], f.steps["coef"][:, :, 0]
+        values = np.empty(xs.shape, dtype=complex)
+        for j in range(0, len(i), _ROWS_CHUNK):
+            at = slice(j, j + _ROWS_CHUNK)
+            values[at] = _dense(coef[i[at], :, None], (xs[at] - x0[at, None]) / h[at, None])
+        return values, f.steps["logscale"][i]
     if isinstance(f, PiecewisePoly):
         i = f._region(mid, "right")
         return _dense(f.coeffs[i, :, None], xs - f.centers[i, None]), np.zeros(len(mid))

@@ -9,9 +9,8 @@ acceptance test is phrased that way.  Every shot is one ``characteristic``
 call: the walk (``propagate._walk``) of the field side's lambda-free plan
 for the interval from the left condition's state, and the CharValue of
 its end; it builds a system only when it plans a new interval.  A shot
-and the dense shot of a root's trajectory take the same steps
-(``propagate``), so both are accurate to rounding and neither has a
-tolerance.  A shot may also carry the exact D'(lambda), from Z =
+takes the steps of ``propagate.integrate``, so it is accurate to
+rounding and has no tolerance.  A shot may also carry the exact D'(lambda), from Z =
 dY/dlambda along the same steps (Pryce, Numerical Solution of
 Sturm-Liouville Problems, 1993): it drives the Newton refinement of every
 root, bracketed for scan roots, and gives each its noise floor, the
@@ -29,17 +28,16 @@ hypotheses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import config
 from .coeffs import CoefficientField
 from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import FundamentalSystem, Trajectory, _pair_sums, _plan, _walk, fundamental, integrate
-from .quasi import ADJOINT, DIRECT, QuasiState, _check_side, assemble
+from .propagate import FundamentalSystem, _pair_sums, _plan, _walk, fundamental
+from .quasi import ADJOINT, DIRECT, _check_side, assemble
 
 _EPS = float(np.finfo(float).eps)
 
@@ -107,14 +105,6 @@ class EigenResult:
     message: str = ""
     shots: int = 0  # shots spent on this root past the scan grid
     floor: float | None = None  # noise floor of the residual, None for a node or a D' that is not finite
-    # the dense shot at lam, run by ``trajectory`` on first read
-    shot: Callable[[], Trajectory] | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def trajectory(self) -> Trajectory | None:
-        """Dense-output shot at ``lam`` (one ``integrate``, then cached), or
-        None for a result that keeps none."""
-        return None if self.shot is None else self.shot()
 
 
 @dataclass
@@ -147,13 +137,12 @@ def characteristic(
 ) -> CharValue:
     """Shoot from the left condition and evaluate the right one.
 
-    The shot is the walk of ``propagate.endpoint`` with its bits, without
-    the system and states around it: the field side's plan for the
-    interval (built from ``assemble`` on its first shot only) walked from
-    the left state (-beta, alpha).  It keeps no dense output;
-    ``_dense_shot`` is the same shot with it.  With ``derivative`` the shot
-    also carries dY/dlambda, and ``slope`` is D'(lambda) on the logscale
-    of D.
+    The shot is the walk (``propagate._walk``) of the field side's plan
+    for the interval (built from ``assemble`` on its first shot only) from
+    the left state (-beta, alpha), with no system or state around it.  It
+    keeps no dense output; ``propagate.integrate`` from that state takes
+    the same steps with it.  With ``derivative`` the shot also carries
+    dY/dlambda, and ``slope`` is D'(lambda) on the logscale of D.
     """
     a, b = float(interval[0]), float(interval[1])
     plans = c.direct_plans if _check_side(side) == DIRECT else c.adjoint_plans
@@ -163,15 +152,6 @@ def characteristic(
     ar, br = bc.right
     slope = ar * y[2] + br * y[3] if derivative else None
     return CharValue(ar * y[0] + br * y[1], ls, log_sup, slope)
-
-
-def _left_state(interval, bc: BoundaryCondition, side: str) -> QuasiState:
-    al, be = bc.left
-    return QuasiState(x=float(interval[0]), y0=-be, y1=al, side=side)
-
-
-def _dense_shot(c, interval, bc, lam, side) -> Trajectory:
-    return integrate(assemble(c, side, lam), _left_state(interval, bc, side), float(interval[1]))
 
 
 def eigenvalues(
@@ -200,7 +180,6 @@ def eigenvalues(
     the roots are then sorted by (Re lambda, Im lambda).
     """
     shoot = partial(characteristic, c, interval, bc, side=side)
-    dense = partial(_dense_shot, c, interval, bc, side=side)
     results: list[EigenResult] = []
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
@@ -223,15 +202,13 @@ def eigenvalues(
             )
         signs = [math.copysign(1.0, v.real) if v.real != 0 else 0.0 for v in vals]
         for i, cv in nodes.items():
-            results.append(EigenResult(
-                lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,
-                method="shooting-scan-node", shot=partial(dense, float(lams[i])),
-            ))
+            results.append(EigenResult(lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,
+                                       method="shooting-scan-node"))
         for i in range(len(lams) - 1):
             if signs[i] * signs[i + 1] < 0:
-                results.append(_bracket_root(shoot, dense, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
+                results.append(_bracket_root(shoot, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
     for seed in seeds:
-        results.append(_newton(shoot, dense, complex(seed)))
+        results.append(_newton(shoot, complex(seed)))
     merged: list[EigenResult] = []
     for r in results:
         dup = next(
@@ -250,7 +227,7 @@ def eigenvalues(
     return sorted(merged, key=lambda t: (t.lam.real, t.lam.imag))
 
 
-def _bracket_root(shoot, dense, lams, vals, scales):
+def _bracket_root(shoot, lams, vals, scales):
     """Refine a sign change of Re D between two scan nodes by Newton steps on
     Re D/Re D', one shot with D' per iterate, kept inside the bracket that
     every iterate narrows by its sign (``rtsafe``, Numerical Recipes 9.4).
@@ -295,11 +272,11 @@ def _bracket_root(shoot, dense, lams, vals, scales):
         if nxt == t:
             break
         last, t = step, nxt
-    return _root(dense, "shooting-scan-bracket", t, cv, it,
+    return _root("shooting-scan-bracket", t, cv, it,
                  "sign change with a residual above CHAR_TOL and the noise floor")
 
 
-def _newton(shoot, dense, seed):
+def _newton(shoot, seed):
     """Newton steps lambda <- lambda - D/D' from ``seed``, one shot with D' per
     iterate.  The iteration stops when D = 0, when the residual is within
     its noise floor (``CharValue.floor``), or one step after the first
@@ -318,15 +295,15 @@ def _newton(shoot, dense, seed):
         prev, lam = (lam, cv), lam - cv.value / cv.slope
     if prev is not None and prev[1].residual <= cv.residual:
         lam, cv = prev  # the better of the last two iterates
-    return _root(dense, "shooting-newton", lam, cv, it, message)
+    return _root("shooting-newton", lam, cv, it, message)
 
 
-def _root(dense, method, lam, cv, shots, message):
+def _root(method, lam, cv, shots, message):
     """The root at lam with its shot cv, converged when its residual is at most
     CHAR_TOL or at most its noise floor; ``message`` says why one is not."""
     ok = cv.residual <= config.CHAR_TOL or cv.at_floor(lam)
     return EigenResult(lam=complex(lam), residual=cv.residual, iterations=shots, converged=ok, method=method,
-                       message="" if ok else message, shots=shots, floor=cv.floor(lam), shot=partial(dense, lam))
+                       message="" if ok else message, shots=shots, floor=cv.floor(lam))
 
 
 # ----------------------------------------------------------------------

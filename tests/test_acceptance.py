@@ -79,8 +79,9 @@ def test_criterion_02_delta_measure_oracle():
     ok = len(good) == 1 and abs(good[0].lam.real + 1.0) <= 1e-6
     msgs = [f"ground={good[0].lam.real!r}"]
 
-    # eigenfunction vs e^{-|x|}, normalized at 0
-    traj = good[0].trajectory
+    # eigenfunction vs e^{-|x|}, normalized at 0: the dense shot at the
+    # root from the left state (-beta, alpha) = (-0.0, 1.0)
+    traj = integrate(assemble(DELTA, DIRECT, good[0].lam), QuasiState(-20.0, -0.0, 1.0), 20.0)
     u0 = traj.state_at(0.0).y0
     sup = max(
         abs(traj.state_at(float(x)).y0 / u0 - math.exp(-abs(float(x))))

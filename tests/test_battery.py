@@ -24,7 +24,7 @@ from qschro.coeffs import (
 )
 from qschro.config import JUMP_TOL
 from qschro.errors import DiscontinuousQuasiDerivativeError
-from qschro.lagrange_forms import form_vs_operator_check, quadratic_form
+from qschro.lagrange_forms import form_vs_operator_check, sample_forms
 from qschro.propagate import integrate
 from qschro.quasi import ADJOINT, DIRECT, QuasiState, assemble, product_rule_check
 
@@ -112,7 +112,8 @@ def o_product_rule(c, phi, u, window):
 
 def o_form_vs_operator(c, u, support):
     a, b = float(support[0]), float(support[1])
-    form = quadratic_form(c, u, support).value
+    kinetic, coupling, potential, _ = (col.tolist()[0] for col in sample_forms(c, [u]))
+    form = kinetic + coupling + potential
     o_screen(u, (a, b))
     expr, atoms = o_apply(assemble(c, DIRECT), u, (a, b))
     op = o_mul(expr, u.conj()).integrate(a, b)

@@ -129,8 +129,8 @@ def test_inverse_weight_integral_stops_at_its_panel_budget(monkeypatch):
     sample = PiecewisePoly.sample_bounded
     nodes = []
 
-    def noisy(self, xs, side="right"):
-        vals, _ = sample(self, xs, side)
+    def noisy(self, xs):
+        vals, _ = sample(self, xs)
         nodes.append(vals.size)
         return vals * (1 + 1e-12 * rng.standard_normal(vals.shape)), np.zeros(vals.shape)
 
@@ -371,8 +371,8 @@ def test_inverse_weight_integrals_keep_a_panel_budget_each(monkeypatch):
     sample = PiecewisePoly.sample_bounded
     nodes = {"noisy": 0, "smooth": 0}
 
-    def noisy(self, xs, side="right"):
-        vals, bound = sample(self, xs, side)
+    def noisy(self, xs):
+        vals, bound = sample(self, xs)
         inside = (xs >= 0.0) & (xs <= 10.0)
         nodes["noisy"] += int(inside.sum())
         nodes["smooth"] += int((~inside).sum())

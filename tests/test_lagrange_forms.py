@@ -15,13 +15,11 @@ from qschro.errors import (
     ZeroNormError,
 )
 from qschro.lagrange_forms import (
-    FormValue,
     Sector,
     bracket,
     bracket_constancy_residual,
     form_vs_operator_check,
     lagrange_residual,
-    quadratic_form,
     range_verdict,
     sample_forms,
 )
@@ -127,11 +125,17 @@ def test_bracket_constancy_conjugate_pairs_random():
         assert bracket_constancy_residual(ut, vt, (-3, 3)) <= 1e-8
 
 
+def form_of(c, u):
+    """(t(u), kinetic, coupling, potential) of one test, t(u) summed in Python complex."""
+    kinetic, coupling, potential, _ = (col[0] for col in sample_forms(c, [u]))
+    return complex(kinetic + coupling + potential), kinetic, coupling, potential
+
+
 def test_quadratic_form_kinetic_only():
-    fv = quadratic_form(FREE, ARCH, (0, math.pi))
-    assert fv.value == pytest.approx(math.pi**3 / 3, abs=1e-8)  # int (pi - 2x)^2
-    assert fv.coupling == 0
-    assert fv.potential == 0
+    value, _, coupling, potential = form_of(FREE, ARCH)
+    assert value == pytest.approx(math.pi**3 / 3, abs=1e-8)  # int (pi - 2x)^2
+    assert coupling == 0
+    assert potential == 0
 
 
 def test_quadratic_form_with_potential():
@@ -140,42 +144,62 @@ def test_quadratic_form_with_potential():
     )
     # int (pi - 2x)^2 + int x^2 (pi - x)^2
     want = math.pi**3 / 3 + math.pi**5 / 30
-    assert quadratic_form(c, ARCH, (0, math.pi)).value == pytest.approx(want, abs=1e-8)
+    assert form_of(c, ARCH)[0] == pytest.approx(want, abs=1e-8)
 
 
 def test_quadratic_form_real_r_real_u_no_coupling():
     c = CoefficientField(
         PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.constant(1.0)
     )
-    u = bump(0.0, 1.0, 0.7)
-    fv = quadratic_form(c, u, (-3, 3))
-    assert abs(fv.coupling) <= 1e-12
-    assert fv.value == pytest.approx(fv.kinetic)
+    value, kinetic, coupling, _ = form_of(c, bump(0.0, 1.0, 0.7))
+    assert abs(coupling) <= 1e-12
+    assert value == pytest.approx(kinetic)
 
 
 def test_quadratic_form_parts_sum_identity():
-    c = random_jumpy_field(RNG)
-    u = bump(0.3, 1.2, 0.8)
-    fv = quadratic_form(c, u, (-4, 4))
-    assert fv.value == fv.kinetic + fv.coupling + fv.potential
+    # the form task's t(u) is the sum of the three parts of sample_forms in
+    # Python complex, bit for bit, on a field with jumps in Q and r
+    field = {"s": {"pieces": [[0.4, 0.1]]}, "Q": {"breakpoints": [0.5], "pieces": [[0.2], [1.1, -0.3]]},
+             "r": {"breakpoints": [-0.7], "pieces": [[0.0, 0.3], [0.5, -0.2]]}}
+    shapes = [(0.3, 1.2, 0.8), (-1.0, 0.0, 0.5)]
+    _, text, _ = run_problem({"task": "form", "coefficients": field,
+                              "params": {"tests": [dict(zip(("center", "plateau", "ramp"), t)) for t in shapes]}})
+    lines = text.splitlines()
+    top = lines.index("[table form_values]  (source: gauss-legendre-quadrature)")
+    rows = [row.split(",") for row in lines[top + 2 : lines.index("[/table]", top)]]
+    c = CoefficientField(PiecewisePoly([], [[0.4, 0.1]]), PiecewisePoly([0.5], [[0.2], [1.1, -0.3]]),
+                         PiecewisePoly([-0.7], [[0.0, 0.3], [0.5, -0.2]]))
+    for row, k, cp, p in zip(rows, *(col.tolist() for col in sample_forms(c, [bump(*t) for t in shapes])[:3])):
+        value = k + cp + p
+        assert row[6:8] == [repr(value.real), repr(value.imag)]
 
 
 def test_quadratic_form_hermitian_real_data():
     # real s, Q, r and real u: form value is real
     c = CoefficientField(
         PiecewisePoly.from_coeffs([0.5, 0.2]),
-        PiecewisePoly.heaviside(1.5),
+        PiecewisePoly.step(0.0, 0.0, 1.5),
         PiecewisePoly.from_coeffs([0.0, 0.3]),
     )
-    u = bump(0.0, 2.0, 1.0)
-    fv = quadratic_form(c, u, (-4, 4))
-    assert abs(fv.value.imag) <= 1e-10 * (1 + abs(fv.value))
+    value = form_of(c, bump(0.0, 2.0, 1.0))[0]
+    assert abs(value.imag) <= 1e-10 * (1 + abs(value))
 
 
 def test_quadratic_form_rejects_unsupported():
     u = PiecewisePoly.constant(1.0)
     with pytest.raises(UnsupportedTestFunctionError):
-        quadratic_form(FREE, u, (-1, 1))
+        sample_forms(FREE, [u])
+
+
+def test_sample_forms_refuses_a_test_that_jumps():
+    # 1 on [0, 1] and 0 outside: its pieces give t = 0 and ||u||^2 = 1, so
+    # the form of a jumping test would pass any sector
+    jump = PiecewisePoly([0.0, 1.0], [[0], [1], [0]])
+    with pytest.raises(UnsupportedTestFunctionError, match=r"^test function 1 jumps at x=0\.0$"):
+        sample_forms(FREE, [bump(3.0, 1.0, 1.0), jump])
+    # a jump below 1e-10 of the largest coefficient is rounding
+    nearly = PiecewisePoly([0.0, 1.0], [[0.0], [1e-11, 1.0, -1.0], [0.0]])
+    assert sample_forms(FREE, [nearly])[3][0] > 0
 
 
 def exact_forms(c, u):
@@ -217,10 +241,9 @@ def form_cases():
 
 @pytest.mark.parametrize("c, family", form_cases())
 def test_sample_forms_match_the_exact_algebra(c, family):
-    for (form, norm2), u in zip(sample_forms(c, family), family):
+    for *got, norm2, u in zip(*sample_forms(c, family), family):
         parts, exact_norm2 = exact_forms(c, u)
         scale = sum(map(abs, parts))
-        got = (form.kinetic, form.coupling, form.potential)
         for g, want in zip(got, parts):
             assert abs(g - want) <= 1e-13 * scale
         assert abs(norm2 - exact_norm2) <= 1e-13 * exact_norm2
@@ -255,12 +278,12 @@ def looped_forms(c, family):
             parts = half * (np.array(integrands) @ weights)
             k, cp, p, n2 = (complex(np.bincount(np.zeros(len(mid), int), q.real, 1)[0]
                                     + 1j * np.bincount(np.zeros(len(mid), int), q.imag, 1)[0]) for q in parts)
-            out.append((FormValue(k, cp, p), n2.real))
-    return out
+            out.append((k, cp, p, n2.real))
+    return np.array(out).T
 
 
 def form_bits(forms):
-    return np.array([[f.kinetic, f.coupling, f.potential, n2] for f, n2 in forms]).tobytes()
+    return np.array(forms, dtype=complex).T.tobytes()
 
 
 def batched_form_cases():
@@ -291,7 +314,7 @@ def test_batched_forms_are_the_per_test_loop_bit_for_bit(c, family):
     assert form_bits(sample_forms(c, family)) == form_bits(looped_forms(c, family))
     if len({u.degree for u in family}) == 1:  # the same nodes for a one-member family
         for k, u in enumerate(family):
-            assert form_bits(sample_forms(c, [u])) == form_bits(sample_forms(c, family)[k : k + 1])
+            assert form_bits(sample_forms(c, [u])) == form_bits([col[k : k + 1] for col in sample_forms(c, family)])
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])
@@ -347,8 +370,13 @@ def test_form_vs_operator_linear_drift():
     assert form_vs_operator_check(c, [bump(0, 1, 1)], (-3, 3))[0] <= 1e-8
 
 
+def normalized(forms):
+    """w(u) = t(u)/||u||^2 of ``sample_forms`` columns, in Python complex."""
+    return [(k + cp + p) / n2 for k, cp, p, n2 in zip(*(col.tolist() for col in forms))]
+
+
 def test_numerical_range_free_accretive():
-    rep = range_verdict(sample_forms(FREE, [bump(0, 1, 1), bump(1, 2, 0.5)]))
+    rep = range_verdict(normalized(sample_forms(FREE, [bump(0, 1, 1), bump(1, 2, 0.5)])))
     assert rep.verdict == "holds-on-sample"
     assert rep.witnesses["min_re_w"] >= 0
     assert rep.witnesses["max_abs_arg_w"] <= 1e-12
@@ -358,7 +386,7 @@ def test_numerical_range_negative_potential_witness():
     c = CoefficientField(
         PiecewisePoly.constant(-1.0), PiecewisePoly.zero(), PiecewisePoly.zero()
     )
-    rep = range_verdict(sample_forms(c, [bump(0, 20, 3)]))
+    rep = range_verdict(normalized(sample_forms(c, [bump(0, 20, 3)])))
     assert rep.verdict == "fails"
     assert rep.witnesses["witness_value"].real < 0
 
@@ -369,7 +397,7 @@ def test_numerical_range_sector_report():
     )
     shapes = [(0, 1, 1), (0.5, 2, 1), (-1, 3, 2)]
     forms = sample_forms(c, [bump(*t) for t in shapes])
-    rep = range_verdict(forms, sector=Sector(math.pi / 4))
+    rep = range_verdict(normalized(forms), sector=Sector(math.pi / 4))
     assert rep.verdict in ("holds-on-sample", "fails")
     # the samples are the rows of the form task's report, one norm2 each
     # and no table of their own
@@ -383,18 +411,13 @@ def test_numerical_range_sector_report():
     lines = text.splitlines()
     top = lines.index("[table form_values]  (source: gauss-legendre-quadrature)")
     rows = [row.split(",") for row in lines[top + 2 : lines.index("[/table]", top)]]
-    assert [float(row[-1]) for row in rows] == [n2 for _, n2 in forms]
+    assert [float(row[-1]) for row in rows] == forms[3].tolist()
     assert f"range.verdict: {rep.verdict}" in lines and "[table range.samples]" not in text
 
 
 def test_zero_norm_rejected():
     with pytest.raises(ZeroNormError):
-        range_verdict(sample_forms(FREE, [PiecewisePoly.zero()]))
-
-
-def test_range_verdict_refuses_a_zero_norm():
-    with pytest.raises(ZeroNormError, match="test function 1 has zero L2 norm"):
-        range_verdict([(FormValue(1, 0, 0), 1.0), (FormValue(1, 0, 0), 0.0)])
+        sample_forms(FREE, [PiecewisePoly.zero()])
 
 
 def test_sector_membership():
@@ -411,7 +434,7 @@ def test_sector_membership():
 def test_range_verdict_takes_the_argument_of_w_where_atan2_underflows():
     # the w of a form fuzz example: cmath.phase raises OverflowError on it
     w = complex(2.69e192, -1.94e-317)
-    rep = range_verdict([(FormValue(w, 0, 0), 1.0)])
+    rep = range_verdict([w])
     assert rep.verdict == "holds-on-sample"
     assert rep.witnesses["max_abs_arg_w"] == 0.0
 
@@ -419,5 +442,5 @@ def test_range_verdict_takes_the_argument_of_w_where_atan2_underflows():
 @pytest.mark.parametrize("w", [complex("nan"), complex(1.0, math.nan), complex(math.inf, 0.0)])
 def test_range_verdict_refuses_a_value_that_is_not_finite(w):
     with pytest.raises(OverflowUnrecoverableError, match="test function 1") as err:
-        range_verdict([(FormValue(1.0, 0, 0), 1.0), (FormValue(w, 0, 0), 1.0)])
+        range_verdict([1.0, w])
     assert err.value.index == 1

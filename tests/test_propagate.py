@@ -13,14 +13,27 @@ from operator import mul
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, aligned
+from qschro.coeffs import CoefficientField, PiecewisePoly, _dense, aligned
 from qschro.errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from qschro import propagate
-from qschro.propagate import endpoint, fundamental, integrate, pair_integral
+from qschro.propagate import fundamental, integrate, pair_integral
 from qschro.quasi import QuasiState, assemble
+from qschro.spectral import BoundaryCondition, characteristic
 
 
 FREE = CoefficientField.free()
+BC = BoundaryCondition.dirichlet()
+
+
+def walk_end(sys, start, to, derivative=False):
+    """(end state, log sup|Y|) at ``to``, and with ``derivative`` dY/dlambda
+    there: the walk (``_plan``, ``_walk``) that ``integrate`` takes from
+    ``start``, without its rows.  A shot (``characteristic``) is this walk
+    from a boundary state at logscale 0."""
+    plan = propagate._plan(sys.plans, start.x, to, lambda: sys)
+    y, ls, sup = propagate._walk(plan, sys.lam, (start.y0, start.y1, start.logscale), derivative=derivative)
+    end = QuasiState(to, y[0], y[1], sys.side, ls)
+    return (end, sup, QuasiState(to, y[2], y[3], sys.side, ls)) if derivative else (end, sup)
 
 
 def _dop853(c, lam, a, b, init, points=65):
@@ -208,7 +221,7 @@ def test_step_underflow_signaled():
 def test_step_underflow_signaled_on_the_exact_path():
     # the same constant field on the exact path: the sub-steps that keep
     # |h mu| <= 1 would be 1e-15 long, so it stops before any product
-    assert _stiff_shot(endpoint).h == pytest.approx(1e-15)
+    assert _stiff_shot(walk_end).h == pytest.approx(1e-15)
 
 
 def test_pair_integral_exponential_mass():
@@ -243,11 +256,11 @@ def test_to_piecewise_matches_dense_output():
     # per step, equal to the dense output at every step midpoint
     c = CoefficientField(
         PiecewisePoly([-0.5, 0.7], [[0.3, 1.0], [1.0, -0.5, 0.4], [0.2]]),
-        PiecewisePoly.heaviside(-1.5, 0.1),
+        PiecewisePoly.step(0.1, 0.0, -1.5),
         PiecewisePoly([0.4], [[0.0, 0.2], [0.3]]),
     )
     t = integrate(assemble(c, "direct", 2.0 + 0.5j), QuasiState(-2.0, 0.3, 1.0), 2.0)
-    pw = t.to_piecewise()
+    pw = t.to_piecewise(t.a, t.b)
     mids = t.steps["x0"] + 0.5 * t.steps["h"]
     y, ls = t.sample(mids)
     want = y[:, 0] * np.exp(ls)
@@ -257,7 +270,7 @@ def test_to_piecewise_matches_dense_output():
 
 def test_to_piecewise_roundtrip():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
-    pw = t.to_piecewise()
+    pw = t.to_piecewise(t.a, t.b)
     for x in np.linspace(0, 1, 101):
         assert abs(pw.eval(float(x)) - t.state_at(float(x)).y0) <= 1e-13 * math.e
 
@@ -268,7 +281,7 @@ def test_to_piecewise_past_the_float_range_raises():
     top = float(np.max(t.steps["logscale"]))
     assert top > 709
     with pytest.raises(OverflowUnrecoverableError, match=f"{top:.6g}"):
-        t.to_piecewise()
+        t.to_piecewise(t.a, t.b)
 
 
 def test_refit_overflow_carries_its_logscale():
@@ -276,14 +289,14 @@ def test_refit_overflow_carries_its_logscale():
     t = integrate(assemble(FREE, "direct", -16.0), QuasiState(0.0, 1.0, 4.0), 240.0)
     top = float(np.max(t.steps["logscale"]))
     with pytest.raises(OverflowUnrecoverableError) as err:
-        t.to_piecewise()
+        t.to_piecewise(t.a, t.b)
     assert str(err.value) == f"re-fit at absolute scale: logscale {top:.6g} overflows"
     assert err.value.logscale == top
     assert err.value.window is None and err.value.index is None
 
 
 # ----------------------------------------------------------------------
-# endpoint shots: exact exponentials on constant segments
+# shots: exact exponentials on constant segments
 
 
 @pytest.mark.parametrize("inv", [
@@ -305,7 +318,7 @@ def test_exact_step_matches_expm(inv):
 # constant pieces around one linear piece of s and one jump of Q
 MIXED = CoefficientField(
     PiecewisePoly([-1.0, 1.0], [[0.5], [0.0, 0.8], [-0.3]]),
-    PiecewisePoly.heaviside(-1.5, 1.7),
+    PiecewisePoly.step(1.7, 0.0, -1.5),
     PiecewisePoly.zero(),
 )
 
@@ -313,7 +326,7 @@ MIXED = CoefficientField(
 def test_exact_shot_matches_dormand_prince_on_mixed_field():
     # the linear segment takes Taylor steps, the others are exact
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
-        end, esup = endpoint(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
+        end, esup = walk_end(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
         ref, dsup, _ = _dop853(MIXED, lam, -3.0, 3.0, (0.0, 1.0))
         scale = math.exp(dsup)
         assert abs(end.y0 * math.exp(end.logscale) - ref[0]) <= 1e-9 * scale
@@ -327,7 +340,7 @@ def test_exact_shot_rescales_like_dormand_prince():
     # e^x growth on [0, 300] passes 1e100 twice; both paths rescale at the
     # threshold and end with the true size, sinh(300)
     sys = assemble(FREE, "direct", -1.0)
-    end, esup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), 300.0)
+    end, esup = walk_end(sys, QuasiState(0.0, 0.0, 1.0), 300.0)
     dense = integrate(sys, QuasiState(0.0, 0.0, 1.0), 300.0).state_at(300.0)
     assert end.logscale > 0 and dense.logscale > 0
     want = 300.0 - math.log(2.0)  # log sinh(300) to rounding
@@ -357,17 +370,17 @@ def _airy_end(lam, b):
 def test_taylor_shot_matches_the_airy_closed_form(lam):
     # s = i x has no constant segment: the whole shot is Taylor steps.  At
     # larger lambda the Ai/Bi combination cancels, so it is no reference
-    end, _ = endpoint(assemble(IX, "direct", lam), QuasiState(0.0, 0.0, 1.0), math.pi)
+    end, _ = walk_end(assemble(IX, "direct", lam), QuasiState(0.0, 0.0, 1.0), math.pi)
     got = np.array([end.y0, end.y1]) * math.exp(end.logscale)
     want = _airy_end(lam, math.pi)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _against_tight_dormand_prince(c, lam, a, b, init=(0.0, 1.0)):
-    """endpoint against scipy's DOP853 at rtol 1e-13 (``_dop853``): asserts
+    """A shot against scipy's DOP853 at rtol 1e-13 (``_dop853``): asserts
     the end states agree within 1e-11 of exp(log sup) and returns the (end
     logscale, log sup) of each."""
-    end, sup = endpoint(assemble(c, "direct", lam), QuasiState(a, *init), b)
+    end, sup = walk_end(assemble(c, "direct", lam), QuasiState(a, *init), b)
     ref, ref_sup, _ = _dop853(c, lam, a, b, init)
     for got, want in ((end.y0, ref[0]), (end.y1, ref[1])):
         assert abs(got * math.exp(end.logscale - sup) - want * math.exp(-sup)) <= 1e-11
@@ -428,7 +441,7 @@ def test_taylor_shot_stops_on_coefficients_past_the_float_range():
     # is refused before the state turns to nan
     c = CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(StepUnderflowError, match=r"below floor at x=0 ") as err:
-        endpoint(assemble(c, "direct", 2.0), QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
+        walk_end(assemble(c, "direct", 2.0), QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
     e = err.value
     assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 0.0, 1.0, 0.5, 3.0)
 
@@ -438,7 +451,7 @@ def test_taylor_step_below_the_floor_raises():
     # 1e-12 of an interval of length 100
     c = CoefficientField(PiecewisePoly([], [[1e26, 1.0]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(StepUnderflowError) as err:
-        endpoint(assemble(c, "direct", 0.0), QuasiState(0.0, 1.0, 0.0), 100.0)
+        walk_end(assemble(c, "direct", 0.0), QuasiState(0.0, 1.0, 0.0), 100.0)
     assert err.value.x == 0.0 and 0 < err.value.h < 1e-12
 
 
@@ -446,7 +459,7 @@ def test_taylor_step_whose_sum_is_not_finite_raises(monkeypatch):
     # a step the length of the segment, 1e300: the series sum overflows
     monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v, window: math.inf)
     with pytest.raises(StepUnderflowError) as err:
-        endpoint(assemble(IX, "direct", 2.0), QuasiState(0.0, 1.0, 0.0), 1e300)
+        walk_end(assemble(IX, "direct", 2.0), QuasiState(0.0, 1.0, 0.0), 1e300)
     e = err.value
     assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 1e300, 1.0, 0.0, 0.0)
 
@@ -463,8 +476,7 @@ def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
         return hs[-1]
 
     monkeypatch.setattr(propagate, "_jorba_zou", recorded)
-    sys = assemble(IX, "direct", 12.0)
-    _, sup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), math.pi)
+    sup = characteristic(IX, (0.0, math.pi), BC, 12.0).log_sup
     ends = np.minimum(np.cumsum(hs), math.pi)
     starts = np.concatenate([[0.0], ends[:-1]])
     (_, _, dense), = _dop853(IX, 12.0, 0.0, math.pi, (0.0, 1.0))[2]
@@ -473,40 +485,36 @@ def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
 
 
 def test_zero_state_crosses_a_taylor_segment_unchanged():
-    end, sup = endpoint(assemble(IX, "direct", 2.0), QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
+    end, sup = walk_end(assemble(IX, "direct", 2.0), QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
     assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 1.5, -math.inf)
     # r = i (50 + x/1000) at lambda = 2500: both solutions decay like
     # e^(-50 x), so the state underflows to zero on the way and stays there
     z = PiecewisePoly.zero()
     decay = CoefficientField(z, z, PiecewisePoly([], [[50j, 0.001j]]))
-    end, sup = endpoint(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
+    end, sup = walk_end(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
     assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_shots_keep_no_dense_output(monkeypatch):
-    # scans, Newton seeds and mixed fields shoot with no dense output; the
-    # dense shot runs once, when a root's trajectory is read
+    # scans, Newton seeds and mixed fields shoot with no dense output
     from qschro import spectral
     from qschro.errors import NonRealScanError
 
-    dense = spectral.integrate
+    dense = propagate.integrate
     integrate_calls = []
 
     def counted(*args, **kw):
         integrate_calls.append(args)
         return dense(*args, **kw)
 
-    monkeypatch.setattr(spectral, "integrate", counted)
-    bc = spectral.BoundaryCondition.dirichlet()
+    monkeypatch.setattr(propagate, "integrate", counted)
     with pytest.raises(NonRealScanError):
-        spectral.eigenvalues(IX, (0, math.pi), bc, scan=(0.5, 12), grid=40)
-    res = spectral.eigenvalues(IX, (0, math.pi), bc, seeds=[1.2 + 1.6j, 3.9 + 1.5j])
+        spectral.eigenvalues(IX, (0, math.pi), BC, scan=(0.5, 12), grid=40)
+    res = spectral.eigenvalues(IX, (0, math.pi), BC, seeds=[1.2 + 1.6j, 3.9 + 1.5j])
     assert [r.converged for r in res] == [True, True]
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
-        endpoint(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
+        characteristic(MIXED, (-3.0, 3.0), BC, lam)
     assert not integrate_calls
-    traj = res[0].trajectory
-    assert res[0].trajectory is traj and len(integrate_calls) == 1
 
 
 def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
@@ -520,12 +528,11 @@ def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
         return step(inv, h)
 
     monkeypatch.setattr(propagate, "_exact_step", recorded)
-    sys = assemble(FREE, "direct", 2500.0)
-    endpoint(sys, QuasiState(0.0, 0.0, 1.0), math.pi)
+    characteristic(FREE, (0.0, math.pi), BC, 2500.0)
     assert len(hs) == 1
     substeps = round(math.pi / hs[0])
     assert substeps == math.ceil(50 * math.pi)
-    assert len(integrate(sys, QuasiState(0.0, 0.0, 1.0), math.pi).steps) == substeps
+    assert len(integrate(assemble(FREE, "direct", 2500.0), QuasiState(0.0, 0.0, 1.0), math.pi).steps) == substeps
 
 
 # ----------------------------------------------------------------------
@@ -541,10 +548,10 @@ def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
     (IX, 12.0, 0.0, math.pi),
 ], ids=["free-growth", "free-osc", "free-backward", "delta-well", "mixed", "ix"])
 def test_dense_end_state_is_the_shot(field, lam, a, b):
-    # integrate crosses the segments as endpoint does, so its last row at
+    # integrate crosses the segments as a shot does, so its last row at
     # theta = 1 is the shot's end state to rounding, at the same logscale
     sys = assemble(field, "direct", lam)
-    end, _ = endpoint(sys, QuasiState(a, 0.3, 1.0), b)
+    end, _ = walk_end(sys, QuasiState(a, 0.3, 1.0), b)
     dense = integrate(sys, QuasiState(a, 0.3, 1.0), b).state_at(b)
     assert dense.logscale == end.logscale
     scale = max(abs(end.y0), abs(end.y1))
@@ -628,6 +635,31 @@ def test_pair_sums_of_an_empty_window_are_zero_on_logscale_zero():
     sums, L = propagate._pair_sums((u,), ((0, 0),), [0.5, 0.0], [0.5, 1.0])
     assert sums[0, 0] == 0 and L[0] == 0.0
     assert abs(sums[1, 0] - 13 / 3) <= 1e-15 * 13 and L[1] == 0.0  # int_0^1 (1 + 2x)^2 dx
+
+
+def _one_pass_panel_values(f, mid, xs):
+    """A trajectory's values at the panel nodes from one copy of every
+    panel's row and one Horner pass over all of them."""
+    rows = f.steps[f._locate(mid)]
+    theta = (xs - rows["x0"][:, None]) / rows["h"][:, None]
+    return _dense(rows["coef"][:, :, 0, None], theta), rows["logscale"]
+
+
+@pytest.mark.parametrize("lam", [400.0, -400.0])
+def test_pair_sums_over_more_panels_than_a_chunk_are_the_one_pass_sums(monkeypatch, lam):
+    # free field: 6000 exact sub-steps on (0, 300), where every panel adds
+    # to the sums at lambda = 400, and the state grows like e^(20 x) and
+    # is rescaled every few units at lambda = -400
+    sys = assemble(FREE, "direct", lam)
+    u = integrate(sys, QuasiState(0.0, 1.0, 0.0), 300.0)
+    v = integrate(sys, QuasiState(0.0, 0.3, 1.0j), 300.0)
+    assert len(u.steps) > propagate._ROWS_CHUNK
+    assert len(set(u.steps["logscale"].tolist())) == (1 if lam > 0 else 26)
+    args = (u, v), ((0, 0), (0, 1), (1, 1)), [0.0, 10.0, 0.0, 150.0], [300.0, 250.0, 5.0, 150.0]
+    got = propagate._pair_sums(*args)
+    monkeypatch.setattr(propagate, "_panel_values", _one_pass_panel_values)
+    want = propagate._pair_sums(*args)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_pair_integral_of_two_degree_24_rows_is_exact():
@@ -841,7 +873,7 @@ def test_shots_and_rows_keep_the_bits_of_the_list_recurrence(monkeypatch, field,
     sys = assemble(field, "direct", lam)
     start = QuasiState(a, 0.3 - 0.1j, 1.0)
     for derivative in (False, True):
-        got, want = _both_segments(monkeypatch, lambda: endpoint(sys, start, b, derivative=derivative))
+        got, want = _both_segments(monkeypatch, lambda: walk_end(sys, start, b, derivative=derivative))
         assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                           [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
     got, want = _both_segments(monkeypatch, lambda: integrate(sys, start, b).steps)
@@ -857,7 +889,7 @@ def test_degree_100_entries_shoot_through_a_kernel_of_o_window_lines(monkeypatch
     sys = assemble(field, "direct", 1.0 + 0.5j)
     assert [len(p) for _, p in sys.rows[0]] == [101, 201, 101]
     got, want = _both_segments(
-        monkeypatch, lambda: endpoint(sys, QuasiState(0.0, 1.0, 0.2j), 1.0, derivative=True))
+        monkeypatch, lambda: walk_end(sys, QuasiState(0.0, 1.0, 0.2j), 1.0, derivative=True))
     assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                       [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
     for shape, window in (((1, 2, 1), 2), ((101, 201, 101), 201)):
@@ -949,15 +981,15 @@ def test_a_scan_and_its_roots_dense_shot_share_one_plan(monkeypatch):
 
     built = _counted_plans(monkeypatch)
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    bc = spectral.BoundaryCondition.dirichlet()
     with pytest.raises(NonRealScanError):
-        spectral.eigenvalues(ix, (0, math.pi), bc, scan=(0.5, 12), grid=40)
+        spectral.eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
     assert built == [("direct", 0.0, math.pi)]
     (plan,) = ix.direct_plans.values()
-    # Newton shots with D' and the dense shot of the root read it too
-    (root,) = spectral.eigenvalues(ix, (0, math.pi), bc, seeds=[1.2 + 1.5j])
+    # Newton shots with D' and the dense shot of the root from the left state read it too
+    (root,) = spectral.eigenvalues(ix, (0, math.pi), BC, seeds=[1.2 + 1.5j])
     assert root.converged and abs(root.lam - (1.1090679488224868 + 1.5707963267948712j)) < 1e-9
-    assert root.trajectory.b == math.pi and len(root.trajectory.steps) > 1
+    dense = integrate(assemble(ix, "direct", root.lam), QuasiState(0.0, -0.0, 1.0), math.pi)
+    assert dense.b == math.pi and len(dense.steps) > 1
     assert built == [("direct", 0.0, math.pi)]
     assert list(ix.direct_plans.values()) == [plan] and ix.adjoint_plans == {}
 
@@ -970,7 +1002,7 @@ def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
     start = QuasiState(0.0, 0.0, 1.0)
     for c, side, b in ((field, "direct", 2.0), (field, "direct", 2.0), (field, "direct", 3.0),
                        (field, "adjoint", 2.0), (twin, "direct", 2.0)):
-        endpoint(assemble(c, side, 2.0 - 0.5j), QuasiState(0.0, 0.0, 1.0, side), b)
+        walk_end(assemble(c, side, 2.0 - 0.5j), QuasiState(0.0, 0.0, 1.0, side), b)
     assert built == [("direct", 0.0, 2.0), ("direct", 0.0, 3.0), ("adjoint", 0.0, 2.0), ("direct", 0.0, 2.0)]
     assert (len(field.direct_plans), len(field.adjoint_plans), len(twin.direct_plans)) == (2, 1, 1)
     # a plan holds no lambda: another lambda shoots through it to the bits
@@ -981,7 +1013,7 @@ def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
         return dataclasses.replace(sys, plans={})
 
     for derivative in (False, True):
-        got, want = endpoint(sys, start, 3.0, derivative), endpoint(alone(), start, 3.0, derivative)
+        got, want = walk_end(sys, start, 3.0, derivative), walk_end(alone(), start, 3.0, derivative)
         assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                           [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
     assert integrate(sys, start, 3.0).steps.tobytes() == integrate(alone(), start, 3.0).steps.tobytes()
@@ -998,13 +1030,13 @@ def test_shooting_many_intervals_keeps_a_bounded_number_of_plans():
     import tracemalloc
 
     field = CoefficientField(PiecewisePoly([0.5, 1.0], [[0.2], [0.3], [0.1]]),
-                             PiecewisePoly.heaviside(-1.0, 0.75), PiecewisePoly.zero())
+                             PiecewisePoly.step(0.75, 0.0, -1.0), PiecewisePoly.zero())
     starts = (QuasiState(0.0, 0.0, 1.0), QuasiState(0.0, 0.0, 1.0, "adjoint"))
 
     def shoot(first, n):
         for k in range(first, first + n):
             for start in starts:
-                endpoint(assemble(field, start.side, 1.0), start, 1.5 + k / 1000)
+                walk_end(assemble(field, start.side, 1.0), start, 1.5 + k / 1000)
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 
@@ -1031,7 +1063,7 @@ _UNDERFLOW_CASES = {
               {None: (1.0, 1e-15, 0.7234485101921629 - 0.13487786162656556j,
                       -0.30196744010410936 - 0.09556642516743351j, 0.5)}),
     # backward across a step of Q and a constant piece of s, then s = 1e30
-    "exact-backward": ((PiecewisePoly([-1.0, 1.0], [[1e30], [0.5], [0.0]]), PiecewisePoly.heaviside(-1.5, 0.25)),
+    "exact-backward": ((PiecewisePoly([-1.0, 1.0], [[1e30], [0.5], [0.0]]), PiecewisePoly.step(0.25, 0.0, -1.5)),
                        -3.0, 2.5, -2.0,
                        {None: (-1.0, -1e-15, -2.881000076889406 - 30.643256933385068j,
                                5.325758369437134 + 56.611793726810426j, 0.5)}),
@@ -1054,8 +1086,8 @@ def test_a_planned_segment_raises_the_step_underflow_of_the_walk_before_plans(ca
     (s, q), lam, a, b, want = _UNDERFLOW_CASES[case]
     sys = assemble(CoefficientField(s, q, PiecewisePoly.zero()), "direct", lam)
     start = QuasiState(a, 0.3 - 0.1j, 1.0, logscale=0.5)
-    for kind, run in ((None, lambda: endpoint(sys, start, b)),
-                      ("D'", lambda: endpoint(sys, start, b, derivative=True)),
+    for kind, run in ((None, lambda: walk_end(sys, start, b)),
+                      ("D'", lambda: walk_end(sys, start, b, derivative=True)),
                       (None, lambda: integrate(sys, start, b))):
         for _ in range(2):  # the walk that builds the plan and one that reuses it
             with pytest.raises(StepUnderflowError) as err:
@@ -1115,7 +1147,7 @@ def test_a_row_that_is_not_finite_raises_before_a_later_error_of_the_walk(monkey
     # the shot keeps no rows: it stops at the refused second step
     hs = iter([1e9, 0.0])
     with pytest.raises(StepUnderflowError) as err:
-        endpoint(sys, QuasiState(0.0, 1e99, 0.0), 2e9)
+        walk_end(sys, QuasiState(0.0, 1e99, 0.0), 2e9)
     assert (err.value.x, err.value.h) == (1e9, 0.0)
 
 
@@ -1148,12 +1180,14 @@ def test_a_zero_state_keeps_a_zero_row_to_the_segment_end():
 
 @pytest.mark.parametrize("lam, b", [(cmath.exp(0.7j), 22.0), (cmath.exp(2.5j), -22.0), (-1.0, 22.0)])
 def test_dense_log_sup_is_the_shots_log_sup_on_the_drift_field(lam, b):
-    # the dense walk no longer tracks the log sup; Trajectory.log_sup reads
-    # it from the rows at the points the shot samples
+    # the dense walk does not track the log sup; its rows at the points the
+    # shot samples, each step's ends and midpoint, give the shot's
     drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly([], [[0, -1j]]))
-    sys = assemble(drift, "direct", lam)
-    _, sup = endpoint(sys, QuasiState(0.0, 0.0, 1.0), b)
-    dense = integrate(sys, QuasiState(0.0, 0.0, 1.0), b).log_sup()
+    sup = characteristic(drift, (0.0, b), BC, lam).log_sup
+    t = integrate(assemble(drift, "direct", lam), QuasiState(0.0, -0.0, 1.0), b)
+    y, ls = t.sample((t.steps["x0"][:, None] + np.array([0.0, 0.5, 1.0]) * t.steps["h"][:, None]).ravel())
+    m = np.max(np.abs(y), axis=1)
+    dense = float(np.max(np.log(m[m > 0]) + ls[m > 0]))
     assert sup > 10.0
     assert abs(dense - sup) <= 1e-12 * sup
 
@@ -1164,7 +1198,7 @@ def test_dense_log_sup_is_the_shots_log_sup_on_the_drift_field(lam, b):
 
 def _budget_walks(sys, start, b):
     """Each walk of a system: the shot, the shot with D' and the dense walk."""
-    return (lambda: endpoint(sys, start, b), lambda: endpoint(sys, start, b, derivative=True),
+    return (lambda: walk_end(sys, start, b), lambda: walk_end(sys, start, b, derivative=True),
             lambda: integrate(sys, start, b))
 
 
@@ -1185,7 +1219,7 @@ def test_exact_segments_share_the_step_budget_of_their_walk(monkeypatch):
             assert got.steps.tobytes() == want.steps.tobytes()
     # one fewer: the second segment is refused before its first sub-step,
     # with the state the first one left at 0
-    half, _ = endpoint(sys, start, 0.0)
+    half, _ = walk_end(sys, start, 0.0)
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", 9)
     for run in _budget_walks(sys, start, 5.0):
         with pytest.raises(StepBudgetError, match="walk needs more than 9 steps") as err:
@@ -1205,7 +1239,7 @@ def test_taylor_steps_count_against_the_step_budget(monkeypatch):
     assert n > 3
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", n)
     assert integrate(sys, start, math.pi).steps.tobytes() == rows.tobytes()
-    endpoint(sys, start, math.pi, derivative=True)
+    walk_end(sys, start, math.pi, derivative=True)
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", n - 1)
     raised = []
     for run in _budget_walks(sys, start, math.pi):

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qschro import spectral
+from qschro import propagate, spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import NonRealScanError, QschroError
 from qschro.propagate import fundamental, integrate, pair_integral
@@ -87,28 +87,21 @@ def test_characteristic_delta_well_matches_closed_form(lam):
 
 def _counting_integrate(monkeypatch):
     calls = []
-    run = spectral.integrate
+    run = propagate.integrate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "integrate", counted)
+    monkeypatch.setattr(propagate, "integrate", counted)
     return calls
 
 
 def test_scan_of_constant_field_keeps_no_dense_output(monkeypatch):
-    # the scan and Brent's shots are exact endpoint shots; the dense shot
-    # is run once, when the eigenfunction is first read, and then kept
+    # the scan and the bracket refinements are shots without dense output
     calls = _counting_integrate(monkeypatch)
     res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
     assert len(res) == 5 and not calls
-    r = res[1]
-    traj = r.trajectory
-    assert len(calls) == 1
-    assert r.trajectory is traj and len(calls) == 1
-    want = integrate(assemble(FREE, "direct", r.lam), QuasiState(0.0, -0.0, 1.0), math.pi)
-    assert np.array_equal(traj.steps, want.steps)
 
 
 def test_characteristic_delta_well_truncated_bound_state():
@@ -264,7 +257,7 @@ def test_root_on_a_scan_node_is_kept():
     neumann = BoundaryCondition((0, 1), (0, 1))
     res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 1), grid=3)
     assert [(r.lam, r.converged, r.method) for r in res] == [(0j, True, "shooting-scan-node")]
-    assert res[0].residual == 0.0 and res[0].trajectory is not None
+    assert res[0].residual == 0.0
 
 
 def test_delta_well_ground_state():
@@ -286,14 +279,20 @@ def test_delta_well_truncation_convergence():
     assert errs[0] / max(errs[1], 1e-300) >= 1e4
 
 
+def _eigenfunction(c, interval, lam):
+    """The dense shot at lam from the Dirichlet left state, as a shot starts it."""
+    return integrate(assemble(c, DIRECT, lam), QuasiState(float(interval[0]), -0.0, 1.0), float(interval[1]))
+
+
 def test_delta_well_eigenfunction_matches_exponential():
     dw = CoefficientField.delta_well(-2.0)
     res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10)
     r = [t for t in res if t.converged][0]
-    u0 = r.trajectory.state_at(0.0).y0
+    u = _eigenfunction(dw, (-20, 20), r.lam)
+    u0 = u.state_at(0.0).y0
     worst = 0.0
     for x in np.linspace(-5, 5, 101):
-        got = r.trajectory.state_at(float(x)).y0 / u0
+        got = u.state_at(float(x)).y0 / u0
         want = math.exp(-abs(float(x)))
         worst = max(worst, abs(got - want) / want)
     assert worst <= 1e-4
@@ -304,7 +303,7 @@ def test_delta_well_eigenfunction_refit_solves_the_equation_in_l2():
     dw = CoefficientField.delta_well(-2.0)
     res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10)
     r = [t for t in res if t.converged][0]
-    u = r.trajectory.to_piecewise(-20, 20)
+    u = _eigenfunction(dw, (-20, 20), r.lam).to_piecewise(-20, 20)
     lu, atoms = apply_l_atoms(dw, DIRECT, u, (-20, 20))
     assert atoms == {}
     diff = lu - r.lam * u
@@ -624,7 +623,7 @@ def test_probe_grams_match_the_windows_one_at_a_time(monkeypatch, c, lam, tmax, 
 
 
 # ----------------------------------------------------------------------
-# a shot is the walk of its plan: the bits of ``propagate.endpoint``
+# a shot is the walk of its plan: the bits of a walk from a start state
 
 
 def _bits(x):
@@ -636,21 +635,21 @@ def _bits(x):
 
 
 def _endpoint_shot(c, interval, bc, lam, side, derivative):
-    """The shot through ``assemble``, a start state and ``endpoint``, as a
-    CharValue was formed before shots walked their plans."""
-    from qschro.propagate import endpoint
-
+    """The shot through ``assemble``, a start state and the walk of the
+    system's plan, as a CharValue was formed before shots walked their
+    plans from a plain start."""
     al, be = bc.left
-    start = QuasiState(float(interval[0]), -be, al, side)
-    end, log_sup, *dend = endpoint(assemble(c, side, lam), start, float(interval[1]), derivative)
+    sys, start = assemble(c, side, lam), QuasiState(float(interval[0]), -be, al, side)
+    plan = propagate._plan(sys.plans, start.x, float(interval[1]), lambda: sys)
+    y, ls, log_sup = propagate._walk(plan, sys.lam, (start.y0, start.y1, start.logscale), derivative=derivative)
     ar, br = bc.right
-    slope = ar * dend[0].y0 + br * dend[0].y1 if derivative else None
-    return ar * end.y0 + br * end.y1, end.logscale, log_sup, slope
+    slope = ar * y[2] + br * y[3] if derivative else None
+    return ar * y[0] + br * y[1], ls, log_sup, slope
 
 
 def _jumpy():
     return CoefficientField(PiecewisePoly([-1.0, 0.5], [[0.2], [0.3 + 0.1j, 0.4], [-0.1]]),
-                            PiecewisePoly.heaviside(-1.5, 0.25),
+                            PiecewisePoly.step(0.25, 0.0, -1.5),
                             PiecewisePoly([-0.5], [[0.0], [0.2, 0.1]]))
 
 
@@ -695,7 +694,7 @@ def test_a_shot_from_minus_zero_walks_its_own_plan():
     # s = 1e300 x past x = 1: a Taylor series past the float range
     ((PiecewisePoly([1.0], [[0, 1j], [0, 1e300]]), PiecewisePoly.zero()), (0.0, 2.0), 2.0, "StepUnderflowError"),
     # 1e9 long at lambda 2: about 1.4e9 exact sub-steps, past the step budget
-    ((PiecewisePoly.zero(), PiecewisePoly.heaviside(-1.0, 1.0)), (0.0, 1e9), 2.0, "StepBudgetError"),
+    ((PiecewisePoly.zero(), PiecewisePoly.step(1.0, 0.0, -1.0)), (0.0, 1e9), 2.0, "StepBudgetError"),
 ], ids=["exact-floor", "taylor-overflow", "budget"])
 def test_a_refused_shot_raises_the_error_of_the_endpoint_shot(coeffs, interval, lam, error):
     c = CoefficientField(*coeffs, PiecewisePoly.zero())
@@ -731,8 +730,6 @@ def test_a_scan_assembles_a_system_once_per_field_and_side(monkeypatch):
     assert built == [DIRECT, ADJOINT]
     res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, seeds=[-0.9 + 0.1j])
     assert built == [DIRECT, ADJOINT]
-    res[0].trajectory  # the dense shot of a root builds its system
-    assert built == [DIRECT, ADJOINT, DIRECT]
 
 
 def test_a_shot_refuses_an_unknown_side():

@@ -1,4 +1,4 @@
-"""The report set run in one process in either order, and tools/report_diff.py."""
+"""The report set run in one process in either order, tools/report_diff.py and tools/reach.py."""
 
 import contextlib
 import io
@@ -47,3 +47,13 @@ def test_report_diff_finds_no_difference_between_a_checkout_and_itself():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 of 13 tasks differ"
+
+
+def test_reach_lists_what_the_gram_tasks_never_call():
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "tools", "reach.py"), REPO,
+                           "--workloads", "gram", "--seeds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = [line.split()[0] for line in proc.stdout.splitlines()[:-1]]
+    assert "cli._usage_error" in names and "spectral.null_probe" not in names
+    assert proc.stdout.splitlines()[-1].endswith(" lines") and "by 13 tasks" in proc.stdout.splitlines()[-1]
