@@ -416,6 +416,10 @@ class Report:
 
     def verdict(self, verdict: str):
         self.kv("verdict", verdict)
+        self.judge(verdict)
+
+    def judge(self, verdict: str):
+        """The exit code of a verdict, without its line: a chained probe's."""
         if verdict not in OK_VERDICTS:
             self.exit_code = EXIT_FAILS
 
@@ -584,6 +588,9 @@ def run_check_b(field, params, rep):
 
 
 def run_probe(field, params, rep, prefix=""):
+    """A probe task, or with ``prefix`` one chained to a check that holds:
+    its classification then sets the exit code without a verdict line, as
+    the task's one verdict line is the check's."""
     out = null_probe(field, params["lambda"], params["tmax"], windows=params["windows"])
     rep.kv(prefix + "probe.lambda", out.lam, source="null-probe")
     rep.kv(prefix + "probe.classification", out.classification, source="null-probe")
@@ -594,7 +601,7 @@ def run_probe(field, params, rep, prefix=""):
     rep.table(prefix + "probe_gram", ["T", "N", "log_N"], rows, source="gram-quadrature")
     for note in out.notes:
         rep.kv(prefix + "probe.note", note)
-    rep.verdict(out.classification)
+    (rep.judge if prefix else rep.verdict)(out.classification)
 
 
 def run_verify(field, params, rep):

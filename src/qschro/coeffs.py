@@ -18,7 +18,6 @@ once, looping only over the degree.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import operator
@@ -72,11 +71,11 @@ def _shift_rows(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
     2n - 3 array updates, the parallel Horner shift of von zur Gathen and
     Gerhard (ISSAC 1997); every coefficient gets the operations of the
     nested loop in the same order, so the result is the same bits.  Rows
-    with delta 0 keep their coefficients; with no row to move, the input
-    array itself is returned.
+    with delta 0, and rows of one coefficient, keep their coefficients;
+    with no row to move, the input array itself is returned.
     """
     moved = delta.nonzero()[0]
-    if not len(moved):
+    if not len(moved) or coeffs.shape[1] < 2:
         return coeffs
     out = coeffs.copy()
     b, d = out[moved], delta[moved, None]
@@ -354,15 +353,11 @@ class PiecewisePoly:
         if key in kept:
             return kept[key]
         centers = _canonical_centers(mesh)
-        if key == self.breakpoints.tobytes() and centers.tobytes() == self.centers.tobytes():
+        coeffs = _recentre(self, self.coeffs, mesh, centers)
+        if coeffs is self.coeffs:
             self._canon = True
             return self
-        inside = centers.copy()  # a point strictly inside each region
-        if len(mesh):
-            inside[0] -= 1.0
-            inside[-1] += 1.0
-        src = self._region(inside, "right")
-        out = _poly(mesh, centers, _trim_cols(_shift_rows(self.coeffs[src], centers - self.centers[src])), True)
+        out = _poly(mesh, centers, coeffs, True)
         if len(kept) >= _MESHES:
             del kept[next(iter(kept))]
         kept[key] = out
@@ -580,6 +575,20 @@ def _poly(breakpoints, centers, coeffs, canon: bool = False) -> PiecewisePoly:
     return f
 
 
+def _recentre(f: PiecewisePoly, rows: np.ndarray, mesh: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``rows`` on f's regions and centers (f's own, negated or conjugated) re-centred on
+    a mesh that refines f's, with its canonical ``centers``, and trimmed: ``rows`` itself
+    where those are f's own mesh and centers, a new array elsewhere."""
+    if mesh.tobytes() == f.breakpoints.tobytes() and centers.tobytes() == f.centers.tobytes():
+        return rows
+    inside = centers.copy()  # a point strictly inside each region
+    if len(mesh):
+        inside[0] -= 1.0
+        inside[-1] += 1.0
+    src = f._region(inside, "right")
+    return _trim_cols(_shift_rows(rows[src], centers - f.centers[src]))
+
+
 def _stack(polys) -> tuple:
     """Piecewise polynomials as one set of arrays: (breakpoints, centers, coeffs, first, widths).
 
@@ -795,20 +804,13 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     return bumps([center], [plateau], [ramp])[0]
 
 
-# A field's set-up works on a handful of short rows, where one array call
-# costs more than the arithmetic it holds.  So it works on lists of Python
-# complex, one per region, with the bits of the array operations: Python
-# adds, negates, conjugates and multiplies by a float or by 1j as numpy
-# does, and only a product of two complex arrays is left to numpy, whose
-# rounding of it is not Python's.
-
-
 def pieces_and_jumps(polys) -> list:
     """(pieces, jumps) of each function: its pieces in plain powers of x, as
     the constructor takes them, without trailing zeros, and its (breakpoint,
     right minus left value) pairs, with the bits of ``_shift_rows`` and of
     ``jumps``.  Breakpoints must increase strictly, as the constructor makes
-    them."""
+    them.  The problem echo reads each row once, where one array call costs
+    more than the arithmetic in it, so this works on lists of Python complex."""
     out = []
     for f in polys:
         bp, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
@@ -826,70 +828,16 @@ def _value(row: list, t: float) -> complex:
     return acc
 
 
-def _cols(rows: list) -> list:
-    """Rows without the trailing columns that are zero in every row, keeping one (``_trim_cols``)."""
-    n = len(rows[0])
-    while n > 1 and not any(row[n - 1] for row in rows):
-        n -= 1
-    return [row[:n] for row in rows]
-
-
-def _sum(a: list, b: list) -> list:
-    """Rows of a + b on one mesh, 0 + a_k + b_k as ``PiecewisePoly.__add__``
-    forms them: a zero past a row's end adds nothing, as 0 + a_k is never -0."""
-    pad = [0j] * max(len(a[0]), len(b[0]))
-    return _cols([[0j + x + y for x, y in zip(ra + pad[len(ra):], rb + pad[len(rb):])] for ra, rb in zip(a, b)])
-
-
-def _product(p: np.ndarray, q: np.ndarray) -> list:
-    """Rows of p q on one mesh, as ``_convolve_rows`` adds its products."""
-    if p.shape[1] < q.shape[1]:
-        p, q = q, p
-    terms = [(p * q[:, k, None]).tolist() for k in range(q.shape[1])]
-    out = []
-    for i in range(len(p)):
-        row = [0j] * (p.shape[1] + q.shape[1] - 1)
-        for k, term in enumerate(terms):
-            for j, z in enumerate(term[i]):
-                row[j + k] += z
-        out.append(row)
-    return _cols(out)
-
-
-def _rows_on(f, mesh: np.ndarray, centers: np.ndarray, rows: list) -> list:
-    """Rows on f's regions re-centred on a finer mesh with its canonical
-    ``centers``, as ``PiecewisePoly._on_mesh`` re-centres f."""
-    if mesh.tobytes() == f.breakpoints.tobytes() and centers.tobytes() == f.centers.tobytes():
-        return rows
-    bp, own, at = f.breakpoints.tolist(), f.centers.tolist(), centers.tolist()
-    inside = [at[0] - 1.0, *at[1:-1], at[-1] + 1.0] if len(mesh) else at  # a point strictly inside each region
-    src = [bisect.bisect_right(bp, x) for x in inside]
-    return _cols([_recentred(rows[i], c - own[i]) if c - own[i] else rows[i] for i, c in zip(src, at)])
-
-
-def _side(g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: list, mesh: np.ndarray) -> tuple:
-    """(a11, a21_0, a22, rows) of one side of the system, in one pass.
-
-    The entries a11 = g1, a21_0 = -(g1 g2) + s and a22 = -g2, for g2 on
-    g1's regions and the rows of s, have the bits of the operators.  The
-    rows hold, for each region between the field's breakpoints ``mesh``
-    (both tails included), each entry's (center, ascending coefficients
-    as Python complex without trailing zeros) at the region's midpoint, or
-    at -inf and +inf for the tails: what every shot of the side reads.
-    """
+def _side(g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: np.ndarray) -> tuple:
+    """(a11, a21_0, a22) of one side of the system, with the bits of the
+    operators and no intermediate function: a11 = g1, a21_0 = -(g1 g2) + s
+    and a22 = -g2, for the rows g2 on g1's regions and the rows ``s_rows``
+    on s's (s's own, or their conjugate)."""
     joint = _merge_breakpoints(g1.breakpoints, s.breakpoints)
     centers = _canonical_centers(joint)
-    neg = [[-z for z in row] for row in _product(g1.coeffs, g2)]
-    a21 = _sum(_rows_on(g1, joint, centers, neg), _rows_on(s, joint, centers, s_rows))
-    a22 = [[-z for z in row] for row in g2.tolist()]
-    entries = g1, _poly(joint, centers, np.array(a21), True), _poly(g1.breakpoints, g1.centers, np.array(a22), g1._canon)
-    pts = mesh.tolist()
-    reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(pts, pts[1:])), math.inf] if pts else [0.0]
-    per_entry = []
-    for f, rows in zip(entries, (g1.coeffs.tolist(), a21, a22)):
-        bp, own = f.breakpoints.tolist(), f.centers.tolist()
-        per_entry.append([(own[i], tuple(_trimmed(rows[i]))) for i in (bisect.bisect_right(bp, x) for x in reps)])
-    return *entries, tuple(zip(*per_entry))
+    neg = -_trim_cols(_convolve_rows(g1.coeffs, g2))
+    a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s_rows, joint, centers)))
+    return g1, _poly(joint, centers, a21, True), _poly(g1.breakpoints, g1.centers, -g2, g1._canon)
 
 
 # ----------------------------------------------------------------------
@@ -911,16 +859,14 @@ class CoefficientField:
     # computed once per field: every system, shot and form reads them
     @cached_property
     def _gauge(self) -> tuple:
-        """(G1, G2) = (Q + i r, Q - i r) in one pass, with the bits of the
-        operators: i r and -(i r) re-centred on the union of the meshes of Q
-        and r, each added to Q re-centred there."""
+        """(G1, G2) = (Q + i r, Q - i r), with the bits of the operators:
+        i r re-centred on the union of the meshes of Q and r, added to and
+        subtracted from Q re-centred there."""
         Q, r = self.Q, self.r
         mesh = _merge_breakpoints(Q.breakpoints, r.breakpoints)
         centers = _canonical_centers(mesh)
-        q = _rows_on(Q, mesh, centers, Q.coeffs.tolist())
-        ir = [[z * 1j for z in row] for row in r.coeffs.tolist()]
-        nir = [[-z for z in row] for row in ir]
-        return tuple(_poly(mesh, centers, np.array(_sum(q, _rows_on(r, mesh, centers, g))), True) for g in (ir, nir))
+        q, ir = _recentre(Q, Q.coeffs, mesh, centers), _recentre(r, r.coeffs * 1j, mesh, centers)
+        return tuple(_poly(mesh, centers, _trim_cols(_sum_rows(q, ir, op)), True) for op in (np.add, np.subtract))
 
     G1 = property(lambda self: self._gauge[0])
     G2 = property(lambda self: self._gauge[1])
@@ -930,21 +876,18 @@ class CoefficientField:
         return self.r.imag
 
     # the lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22) of
-    # each side and their rows on each region between the field's
-    # breakpoints (``_side``); the adjoint side swaps and conjugates
-    # (G1, G2, s)
+    # each side (``_side``); the adjoint side swaps and conjugates (G1, G2, s)
     @cached_property
     def direct_side(self) -> tuple:
         G1, G2 = self._gauge
-        return _side(G1, G2.coeffs, self.s, self.s.coeffs.tolist(), self.breakpoints())
+        return _side(G1, G2.coeffs, self.s, self.s.coeffs)
 
     @cached_property
     def adjoint_side(self) -> tuple:
         G1, G2 = self._gauge
-        s_rows = [[z.conjugate() for z in row] for row in self.s.coeffs.tolist()]
-        return _side(G2.conj(), np.conj(G1.coeffs), self.s, s_rows, self.breakpoints())
+        return _side(G2.conj(), np.conj(G1.coeffs), self.s, np.conj(self.s.coeffs))
 
-    # the lambda-free shot plans over those rows, by interval: filled and
+    # the lambda-free shot plans over those entries, by interval: filled and
     # bounded by ``propagate._plan``, so they live as long as the field
     @cached_property
     def direct_plans(self) -> dict:

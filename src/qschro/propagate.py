@@ -36,8 +36,8 @@ state on it.  The rows of a segment are built in one array pass at its
 end, from the start states of its sub-steps (``_exact_rows``) or from the
 series of its Taylor steps (``_taylor_rows``); a dense walk sums a Taylor
 series at the step end only and keeps no log sup.
-The plans read the entries' pieces per segment from
-``ShinZettlSystem.rows``, built once per field and side.
+A plan reads each segment's rows from the system's entries when it is
+built (``_build_plan``), once per field, side and interval.
 
 A trajectory stores its rows as one structured array sorted by position
 (fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense output goes
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -62,7 +63,7 @@ from operator import mul
 import numpy as np
 
 from .config import MAX_WALK_STEPS, MIN_STEP_FRACTION, RESCALE_THRESHOLD
-from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut, _recentred
+from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut, _recentred, _trimmed
 from .errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
@@ -236,7 +237,7 @@ def _walk(plan, lam, start, out=None, derivative=False):
     sup = -math.inf
     left = MAX_WALK_STEPS
     for xa, xb, rows, consts in segments:
-        if rows is None:
+        if consts:
             y, ls, sup, left = _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out)
         else:
             r11, (c21, p21), r22 = rows
@@ -277,33 +278,37 @@ def _plan(plans, x_from, to, system):
 
 def _build_plan(sys, x_from, to):
     """(segments, step floor, row width) of a walk of ``sys`` from x_from
-    to ``to``.  A segment is (start, end, rows, consts), the rows of the
-    system on it at lambda = 0 (``ShinZettlSystem.rows``, whose
-    coefficients are Python complex).  A segment whose rows are all constant
-    is crossed by exact exponentials and has rows None and the invariants
+    to ``to``.  A segment is (start, end, rows, consts).  Its rows are
+    those of the entries (a11, a21_0, a22) of the system: each one's
+    (center, ascending coefficients as Python complex without trailing
+    zeros) at the midpoint of the segment's region of the field, or at
+    -inf and +inf in the tails.  A segment whose rows are all constant is
+    crossed by exact exponentials, with the invariants
     consts = (a21_0, d, tau, d^2, |tau|/2) of ``_exact_segment``; any
-    other takes Taylor steps and has consts None.  Every row of the
-    system, not only the segments', sets the width, so that the two
-    halves of a ``fundamental`` pair concatenate."""
+    other takes Taylor steps and has consts None.  The widest entry, not
+    only the segments' rows, sets the width, so that the two halves of a
+    ``fundamental`` pair concatenate."""
     if to == x_from:
         raise ValueError("empty integration interval")
     lo, hi = min(x_from, to), max(x_from, to)
-    bp = sys.breakpoints()
-    bps = sorted((float(t) for t in bp if lo < t < hi), reverse=to < x_from)
-    nodes = [x_from, *bps, to]
+    pts = sys.breakpoints().tolist()
+    nodes = [x_from, *sorted((t for t in pts if lo < t < hi), reverse=to < x_from), to]
     ends = list(zip(nodes[:-1], nodes[1:]))
-    regions = np.searchsorted(bp, [0.5 * (a + b) for a, b in ends], side="right")
+    reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(pts, pts[1:])), math.inf] if pts else [0.0]
+    at = [reps[bisect_right(pts, 0.5 * (a + b))] for a, b in ends]
+    entries, per_entry = (sys.a11, sys.a21_0, sys.a22), []
+    for f in entries:  # a few short rows: lists, where one numpy call costs more than their arithmetic
+        own, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
+        per_entry.append([(centers[i], tuple(_trimmed(rows[i]))) for i in (bisect_right(own, x) for x in at)])
     segments = []
-    for (a, b), i in zip(ends, regions.tolist()):
-        rows = sys.rows[i]
-        if any(len(p) > 1 for _, p in rows):
-            segments.append((a, b, rows, None))
-            continue
-        (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
-        d = 0.5 * (a11 - a22)
-        tau = a11 + a22
-        segments.append((a, b, None, (a21, d, tau, d * d, 0.5 * abs(tau))))
-    width = _TAYLOR_ORDER + max(len(p) for row in sys.rows for _, p in row) - 1
+    for (a, b), rows in zip(ends, zip(*per_entry)):
+        consts = None
+        if all(len(p) == 1 for _, p in rows):
+            (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
+            d, tau = 0.5 * (a11 - a22), a11 + a22
+            consts = (a21, d, tau, d * d, 0.5 * abs(tau))
+        segments.append((a, b, rows, consts))
+    width = _TAYLOR_ORDER + max(f.coeffs.shape[1] for f in entries) - 1
     return tuple(segments), MIN_STEP_FRACTION * (hi - lo), width
 
 
@@ -359,9 +364,11 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
     mu^2 = d^2 + a21.  n keeps |h mu| and |h tau|/2 at most 1, so each
     sub-step grows |Y| by a bounded factor; a sub-step below h_floor
     raises StepUnderflowError, and n past the ``left`` of the walk's step
-    budget StepBudgetError, both before the first sub-step; the budget
-    left after the n is returned last.  The state is rescaled past
-    RESCALE_THRESHOLD.  ``peak`` is the largest
+    budget StepBudgetError, both before the first sub-step, and an end
+    state that is not finite (w = h^2 mu^2 past the float range) raises
+    StepUnderflowError too, all with the segment start, its sub-step and
+    the state there; the budget left after the n is returned last.  The
+    state is rescaled past RESCALE_THRESHOLD.  ``peak`` is the largest
     mantissa since the last rescale, and a rescale fires at the first
     mantissa past the threshold, so log(peak) + ls at the end is the
     largest log|Y| over the segment start, every sub-step end and ``sup``.
@@ -377,8 +384,9 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
     if not n * h_floor <= abs(seg_len):  # also a rate that is not finite
         raise StepUnderflowError(xa, seg_len / n, y[0], y[1], ls)
     n = max(1, math.ceil(n))
+    start = (xa, seg_len / n, y[0], y[1], ls)
     if n > left:
-        raise StepBudgetError(xa, seg_len / n, y[0], y[1], ls, MAX_WALK_STEPS)
+        raise StepBudgetError(*start, MAX_WALK_STEPS)
     e11, e12, e21, e22 = _exact_step((a21, d, tau, mu2), seg_len / n)
     if len(y) == 4:
         f11, f12, f21, f22 = _exact_step_dlam((a21, d, tau, mu2), seg_len / n)
@@ -398,6 +406,8 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
                 if m > RESCALE_THRESHOLD:
                     y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
                     ls += math.log(m)
+        if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
+            raise StepUnderflowError(*start)
         return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
     y0, y1 = y
     peak = max(abs(y0), abs(y1))
@@ -419,6 +429,8 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
                 y0, y1, peak = y0 / m, y1 / m, 1.0
                 ls += math.log(m)
                 logscales.append((i + 1, ls))
+    if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
+        raise StepUnderflowError(*start)
     if out is not None:
         out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, starts, logscales))
     return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n

@@ -56,12 +56,10 @@ class ShinZettlSystem:
     is the same matrix built from (conj G2, conj G1, conj s); its solutions
     carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
     shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
-    ``rows`` holds the pieces of (a11, a21_0, a22) on each region between
-    the field's breakpoints, with Python complex coefficients
-    (``coeffs._side``).  ``plans`` is the
-    field's dict of the side's lambda-free shot plans
-    (``propagate._plan``); a system built with rows of its own takes a
-    dict of its own, so that it never shares the field's plans.
+    ``plans`` is the field's dict of the side's lambda-free shot plans
+    (``propagate._plan``), which read their rows from these entries; a
+    system built with entries of its own takes a dict of its own, so that
+    it never shares the field's plans.
     """
 
     field_data: CoefficientField
@@ -70,7 +68,6 @@ class ShinZettlSystem:
     a11: PiecewisePoly = field(repr=False)
     a21_0: PiecewisePoly = field(repr=False)
     a22: PiecewisePoly = field(repr=False)
-    rows: tuple = field(repr=False, compare=False)
     plans: dict = field(repr=False, compare=False)
 
     def breakpoints(self) -> np.ndarray:
@@ -79,8 +76,8 @@ class ShinZettlSystem:
 
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
     """The Shin-Zettl matrix for l - lambda (or its adjoint); its
-    lambda-free entries, their rows and the shot plans over them are
-    built once per field and side."""
+    lambda-free entries and the shot plans over them are built once per
+    field and side."""
     if _check_side(side) == DIRECT:
         return ShinZettlSystem(c, side, complex(lam), *c.direct_side, c.direct_plans)
     return ShinZettlSystem(c, side, complex(lam), *c.adjoint_side, c.adjoint_plans)

@@ -213,6 +213,48 @@ def test_check_b_task(tmp_path):
     assert "intervals.C: 0.0" in text
 
 
+def _run_lines(tmp_path, problem) -> tuple[int, list]:
+    """(exit code, report lines) of a problem run through main."""
+    out = tmp_path / "out"
+    code = main([problem["task"], "--input", write(tmp_path, "p.json", problem), "--out", str(out)])
+    return code, (out / "report.txt").read_text().splitlines()
+
+
+LINEAR_DRIFT = json.loads((pathlib.Path(__file__).parents[1] / "problems" / "check_a_linear_drift.json").read_text())
+
+
+@pytest.mark.parametrize("coeffs, tmax, classification, exit_code", [
+    (LINEAR_DRIFT["coefficients"], 10, "grows", EXIT_OK),
+    (DELTA_COEFFS, 12, "bounded", EXIT_FAILS),
+], ids=["linear-drift", "delta-well"])
+def test_a_chained_probe_writes_no_second_verdict_line(tmp_path, coeffs, tmax, classification, exit_code):
+    # the check's verdict is the task's; the probe's is its classification
+    # and its exit code
+    params = dict(LINEAR_DRIFT["params"], with_probe={"lambda": -1, "tmax": tmax})
+    code, lines = _run_lines(tmp_path, {"task": "check-a", "coefficients": coeffs, "params": params})
+    assert code == exit_code and lines[-1] == f"exit: {exit_code}"
+    assert [line for line in lines if line.startswith("verdict:")] == ["verdict: holds-on-horizon"]
+    assert f"chained_probe.classification: {classification}  (source: null-probe)" in lines
+
+
+def test_a_failing_check_b_chains_no_probe(tmp_path):
+    params = {"scheme": {"delta": 2, "intervals": [[1, 2, 3]]}, "with_probe": {"lambda": -1, "tmax": 10}}
+    code, lines = _run_lines(tmp_path, {"task": "check-b", "coefficients": FREE_COEFFS, "params": params})
+    assert code == EXIT_FAILS
+    assert [line for line in lines if line.startswith("verdict:")] == ["verdict: fails"]
+    assert not [line for line in lines if line.startswith("chained_")]
+
+
+def test_a_solve_whose_exact_step_overflows_is_a_numeric_error(tmp_path, capsys):
+    # one sub-step of h = 1e308 on the free field: w = h^2 mu^2 overflows
+    # and the state is NaN, which must exit 70, not report success
+    problem = {"task": "solve", "coefficients": FREE_COEFFS, "params": {"from": 0, "to": 1e308, "initial": [1, 1]}}
+    path = write(tmp_path, "p.json", problem)
+    assert main(["solve", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "StepUnderflowError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bracket_task(tmp_path):
     problem = {
         "task": "bracket",

@@ -887,7 +887,8 @@ def test_degree_100_entries_shoot_through_a_kernel_of_o_window_lines(monkeypatch
     r = PiecewisePoly([], [[0.0] * 100 + [1e-3j]], degree_cap=100)
     field = CoefficientField(PiecewisePoly([], [[0.0, 1.0]]), PiecewisePoly.zero(), r)
     sys = assemble(field, "direct", 1.0 + 0.5j)
-    assert [len(p) for _, p in sys.rows[0]] == [101, 201, 101]
+    rows = propagate._plan(sys.plans, 0.0, 1.0, lambda: sys)[0][0][2]
+    assert [len(p) for _, p in rows] == [101, 201, 101]
     got, want = _both_segments(
         monkeypatch, lambda: walk_end(sys, QuasiState(0.0, 1.0, 0.2j), 1.0, derivative=True))
     assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],

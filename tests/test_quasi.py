@@ -309,6 +309,16 @@ def _rows_bits(rows) -> bytes:
     return np.array([z for region in rows for c, p in region for z in (c, *p)], dtype=complex).tobytes()
 
 
+def plan_rows(A) -> list:
+    """The rows of each segment of a plan of the system A over every
+    region of its field, in order."""
+    bp = A.breakpoints()
+    ends = (float(bp[0]) - 1.0, float(bp[-1]) + 1.0) if len(bp) else (-1.0, 1.0)
+    segments = propagate._build_plan(A, *ends)[0]
+    assert len(segments) == len(bp) + 1
+    return [rows for _, _, rows, _ in segments]
+
+
 def reference_echo(f) -> dict:
     """The echo of one function as ``pieces()`` and ``jumps`` gave it."""
     pieces = [_trim(row) for row in _shift_rows(f.coeffs, -f.centers)]
@@ -348,8 +358,8 @@ ONE_PASS_FIELDS = {
 @pytest.mark.parametrize("case", list(ONE_PASS_FIELDS))
 def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
     # reference: the PiecewisePoly operators, region_rows on their entries
-    # and the echo of pieces() and jumps, as in
-    # test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry
+    # for the rows of the side's plans, and the echo of pieces() and jumps,
+    # as in test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry
     import json
 
     from qschro.cli import normalize_problem
@@ -363,7 +373,7 @@ def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
             A, want = assemble(c, side), operator_entries(c, side)
             for got, ref in zip((A.a11, A.a21_0, A.a22), want):
                 assert _poly_bits(got) == _poly_bits(ref)
-            assert _rows_bits(A.rows) == _rows_bits(region_rows(want, c.breakpoints()))
+            assert _rows_bits(plan_rows(A)) == _rows_bits(region_rows(want, c.breakpoints()))
         ref = {k: reference_echo(f) for k, f in zip("sQr", (c.s, c.Q, c.r))}
         got = normalize_problem("eig", c, {})["coefficients"]
         assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
@@ -429,7 +439,8 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
         for lam in (0, -1, 2 + 1j, 400):
             sys = assemble(c, side, lam)
             entries = (g1, -(g1 * g2) + s - complex(lam), -g2)
-            ref = ShinZettlSystem(c, side, 0j, *entries, region_rows(entries, c.breakpoints()), {})
+            ref = ShinZettlSystem(c, side, 0j, *entries, {})
+            assert _rows_bits(plan_rows(ref)) == _rows_bits(region_rows(entries, c.breakpoints()))
             assert _bits(*_shot_end(sys, y0, 2.0)) == _bits(*_shot_end(ref, y0, 2.0))
             assert integrate(sys, y0, 2.0).steps.tobytes() == integrate(ref, y0, 2.0).steps.tobytes()
 

@@ -409,25 +409,23 @@ def test_scan_builds_the_system_once_per_field(monkeypatch):
 
 
 def test_scan_reads_the_segment_rows_once_per_field(monkeypatch):
-    # the pieces of the entries on each segment are read once per field
-    # and side, not once per shot
-    from qschro import coeffs
-
+    # the pieces of the entries on each segment are read once per field,
+    # side and interval, when the plan is built, not once per shot
     builds = []
-    side = coeffs._side
+    build = propagate._build_plan
 
-    def counted(*args):
-        builds.append(len(args[-1]))
-        return side(*args)
+    def counted(sys, x_from, to):
+        builds.append((sys.side, x_from, to))
+        return build(sys, x_from, to)
 
-    monkeypatch.setattr(coeffs, "_side", counted)
+    monkeypatch.setattr(propagate, "_build_plan", counted)
     counts = []
     for grid in (8, 32):
         builds.clear()
         res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid)
         assert [round(r.lam.real) for r in res if r.converged] == [-1]
-        counts.append(len(builds))
-    assert counts == [1, 1]
+        counts.append(builds[:])
+    assert counts == [[(DIRECT, -20.0, 20.0)]] * 2
 
 
 def test_newton_real_seed_stays_real():

@@ -57,3 +57,16 @@ def test_reach_lists_what_the_gram_tasks_never_call():
     names = [line.split()[0] for line in proc.stdout.splitlines()[:-1]]
     assert "cli._usage_error" in names and "spectral.null_probe" not in names
     assert proc.stdout.splitlines()[-1].endswith(" lines") and "by 13 tasks" in proc.stdout.splitlines()[-1]
+
+
+def test_reach_lists_the_lines_the_gram_tasks_never_run():
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "tools", "reach.py"), REPO,
+                           "--workloads", "gram", "--seeds", "1", "--lines"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [line.split()[0] for line in lines[:-1]]
+    # a called function with a branch no task takes; one never called is not listed
+    assert "propagate._exact_segment" in names and "cli._usage_error" not in names
+    assert all(" lines never run: " in line for line in lines[:-1])
+    assert lines[-1].endswith("called functions by 13 tasks")
