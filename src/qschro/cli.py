@@ -221,6 +221,8 @@ def _interval(value, field: str) -> tuple[float, float]:
     a, b = _list(_num, 2)(value, field)
     if not b > a:
         raise ValidationFailure(field, "needs a < b")
+    if not b - a < math.inf:
+        raise ValidationFailure(field, f"width b - a of [{a!r}, {b!r}] is not finite")
     return (a, b)
 
 
@@ -494,13 +496,16 @@ def run_eig(field, params, rep):
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
     args = field, params["interval"], params["bc"]
+    # the scan shoots every grid node, or the nodes up to the one that refuses it
+    scan_shots = params["grid"] if scan is not None else 0
     try:
         results = eigenvalues(*args, scan, seeds, params["grid"], params["side"])
         refused = False
     except NonRealScanError as exc:
         # the scan's sign changes are not roots; the Newton seeds still are
         rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
-        refused = True
+        rep.kv("scan_refused_at", exc.lam, source="shooting-scan")
+        refused, scan_shots = True, exc.shots
         results = eigenvalues(*args, None, seeds, side=params["side"]) if seeds else []
     rows = [(r.lam.real, r.lam.imag, r.residual, r.floor, r.iterations, r.converged, r.method) for r in results]
     rep.table(
@@ -511,8 +516,6 @@ def run_eig(field, params, rep):
     )
     good = [r for r in results if r.converged]
     rep.kv("found", len(good), source="shooting")
-    # the scan grid is shot whether or not the scan is refused
-    scan_shots = params["grid"] if scan is not None else 0
     rep.kv("shots", scan_shots + sum(r.shots for r in results), source="shooting")
     rep.verdict("inconclusive" if refused else "success" if good else "fails")
 

@@ -57,8 +57,9 @@ CHAR_TOL = 1e-9
 CHAR_FLOOR = 1.0
 
 # The real eigenvalue scan refines sign changes of Re D, which is valid only
-# when D is real along the scan: it refuses when max |Im D|/|D| over its
-# grid exceeds this.  Formally symmetric data give exactly 0.
+# when D is real along the scan: it refuses at the first grid node, in grid
+# order, where |Im D|/|D| exceeds this, and shoots no node past it.
+# Formally symmetric data give exactly 0.
 SCAN_REAL_TOL = 1e-8
 
 # Upper bound on the points of an eigenvalue scan grid or a bracket sample

@@ -10,12 +10,16 @@ class NonRealError(QschroError):
 
 
 class NonRealScanError(NonRealError):
-    """The real eigenvalue scan met a discriminant that is not real; ``ratio``
-    is max |Im D|/|D| over the scan grid."""
+    """The real eigenvalue scan met a discriminant that is not real.  The scan
+    stops at the first grid node where |Im D|/|D| exceeds its tolerance:
+    ``ratio`` is that node's |Im D|/|D|, ``lam`` its lambda and ``shots``
+    the number of nodes shot, that one included."""
 
-    def __init__(self, message: str, ratio: float):
+    def __init__(self, message: str, ratio: float, lam: float, shots: int):
         super().__init__(message)
         self.ratio = ratio
+        self.lam = lam
+        self.shots = shots
 
 
 class DiscontinuousQuasiDerivativeError(QschroError):
@@ -35,22 +39,23 @@ class DiscontinuousQuasiDerivativeError(QschroError):
 
 
 class StepUnderflowError(QschroError):
-    """A step fell below the integrator's floor (blow-up or pathology).
+    """A step fell below the integrator's floor, or a step of any size left a
+    state, series or row that is not finite (blow-up or pathology).
 
     Carries the position ``x`` the step would start from, the refused step
-    ``h``, and the state there: (y0, y1) times exp(logscale).
+    ``h``, and the state there: (y0, y1) times exp(logscale).  With
+    ``finite`` False the message says that the state is not finite after
+    the step, not that the step is below the floor.
     """
 
-    def __init__(self, x, h, y0, y1, logscale):
+    def __init__(self, x, h, y0, y1, logscale, *, finite=True):
         self.x = x
         self.h = h
         self.y0 = y0
         self.y1 = y1
         self.logscale = logscale
-        super().__init__(
-            f"step size {abs(h):.3e} below floor at x={x:.6g} "
-            "(solution blow-up or coefficient pathology)"
-        )
+        what = f"step size {abs(h):.3e} below floor" if finite else f"state not finite after a step of {abs(h):.3e}"
+        super().__init__(f"{what} at x={x:.6g} (solution blow-up or coefficient pathology)")
 
 
 class StepBudgetError(QschroError):

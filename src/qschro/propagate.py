@@ -287,10 +287,13 @@ def _build_plan(sys, x_from, to):
     consts = (a21_0, d, tau, d^2, |tau|/2) of ``_exact_segment``; any
     other takes Taylor steps and has consts None.  The widest entry, not
     only the segments' rows, sets the width, so that the two halves of a
-    ``fundamental`` pair concatenate."""
+    ``fundamental`` pair concatenate.  An empty interval, or one whose
+    length is not finite, raises ValueError."""
     if to == x_from:
         raise ValueError("empty integration interval")
     lo, hi = min(x_from, to), max(x_from, to)
+    if not hi - lo < math.inf:
+        raise ValueError(f"integration interval from {x_from!r} to {to!r} has a length that is not finite")
     pts = sys.breakpoints().tolist()
     nodes = [x_from, *sorted((t for t in pts if lo < t < hi), reverse=to < x_from), to]
     ends = list(zip(nodes[:-1], nodes[1:]))
@@ -407,7 +410,7 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
                     y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
                     ls += math.log(m)
         if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
-            raise StepUnderflowError(*start)
+            raise StepUnderflowError(*start, finite=False)
         return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
     y0, y1 = y
     peak = max(abs(y0), abs(y1))
@@ -430,7 +433,7 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
                 ls += math.log(m)
                 logscales.append((i + 1, ls))
     if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
-        raise StepUnderflowError(*start)
+        raise StepUnderflowError(*start, finite=False)
     if out is not None:
         out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, starts, logscales))
     return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
@@ -655,7 +658,7 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
                 e0, e1 = _step_sums(h, u, v, False)
                 size = abs(e0) + abs(e1)
             if not size < math.inf:
-                raise StepUnderflowError(x, h, y0, y1, ls)
+                raise StepUnderflowError(x, h, y0, y1, ls, finite=False)
             if not shot:
                 steps.append(((x, h, y0, y1, ls), m, (u, v)))
             if z:
@@ -698,7 +701,7 @@ def _taylor_rows(steps, width):
         coef = np.array(series, dtype=complex) * (np.array(scales)[:, None] * h[:, None] ** np.arange(width))[:, None]
     finite = np.isfinite(coef).all(axis=(1, 2))
     if not finite.all():
-        raise StepUnderflowError(*starts[int(np.argmin(finite))])
+        raise StepUnderflowError(*starts[int(np.argmin(finite))], finite=False)
     return x0, h, coef.transpose(0, 2, 1), ls
 
 

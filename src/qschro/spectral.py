@@ -169,9 +169,12 @@ def eigenvalues(
     each by Newton steps on Re D/Re D' kept inside the bracket
     (``_bracket_root``): valid when D is real along the scan (formally
     symmetric data).  A grid node where Re D is exactly 0 is itself a
-    root.  When max |Im D|/|D| over the grid exceeds
-    ``config.SCAN_REAL_TOL`` the scan refuses with a NonRealScanError
-    carrying that ratio; a scan with hi <= lo raises ValueError.
+    root.  The nodes are shot in grid order, and each is checked as soon
+    as it is shot: at the first one where D != 0 and |Im D|/|D| exceeds
+    ``config.SCAN_REAL_TOL`` the scan stops with a NonRealScanError
+    carrying that ratio, that node's lambda and the nodes shot, so an
+    accepted scan shoots every node and a refused one no node past it; a
+    scan with hi <= lo raises ValueError.
     Newton mode takes Newton steps on D/D' from each seed (``_newton``);
     non-converged seeds are reported with converged=False, never raised.
     Every refined root is accepted by one rule and keeps its noise floor
@@ -187,19 +190,21 @@ def eigenvalues(
             raise ValueError(f"scan range needs lo < hi, got ({lo:g}, {hi:g})")
         lams = np.linspace(lo, hi, grid)
         vals, scales, nodes = [], [], {}
-        for i, t in enumerate(lams):
-            cv = shoot(float(t))
-            vals.append(cv.value)
+        for i, t in enumerate(lams.tolist()):
+            cv = shoot(t)
+            v = cv.value
+            # the first node past the tolerance settles the refusal
+            ratio = abs(v.imag) / abs(v) if v != 0 else 0.0
+            if ratio > config.SCAN_REAL_TOL:
+                raise NonRealScanError(
+                    f"real scan refused at lambda = {t!r}: |Im D|/|D| = {ratio:.3e} exceeds "
+                    f"{config.SCAN_REAL_TOL:g}, so sign changes of Re D are not roots; use Newton seeds",
+                    ratio=ratio, lam=t, shots=i + 1,
+                )
+            vals.append(v)
             scales.append(cv.logscale)
-            if cv.value.real == 0:
+            if v.real == 0:
                 nodes[i] = cv
-        ratio = max((abs(v.imag) / abs(v) for v in vals if v != 0), default=0.0)
-        if ratio > config.SCAN_REAL_TOL:
-            raise NonRealScanError(
-                f"real scan refused: max |Im D|/|D| = {ratio:.3e} over the grid exceeds "
-                f"{config.SCAN_REAL_TOL:g}, so sign changes of Re D are not roots; use Newton seeds",
-                ratio=ratio,
-            )
         signs = [math.copysign(1.0, v.real) if v.real != 0 else 0.0 for v in vals]
         for i, cv in nodes.items():
             results.append(EigenResult(lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,

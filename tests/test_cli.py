@@ -29,6 +29,8 @@ from qschro.cli import (
     main,
     run_problem,
 )
+from qschro.coeffs import CoefficientField, PiecewisePoly
+from qschro.spectral import BoundaryCondition, characteristic, eigenvalues
 
 FREE_COEFFS = {
     "s": {"breakpoints": [], "pieces": [["0"]]},
@@ -255,6 +257,37 @@ def test_a_solve_whose_exact_step_overflows_is_a_numeric_error(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_a_solve_whose_state_is_not_finite_says_so(tmp_path, capsys):
+    # free field from 0 to 1e308 at lambda = 0: the floor is 1e294, so the
+    # one exact sub-step of 1e308 is not below it; its end state is NaN
+    problem = {"task": "solve", "coefficients": FREE_COEFFS, "params": {"from": 0, "to": 1e308}}
+    path = write(tmp_path, "p.json", problem)
+    assert main(["solve", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numeric error: StepUnderflowError: state not finite after a step of "
+                                       "1.000e+308 at x=0 (solution blow-up or coefficient pathology)\n")
+
+
+WIDE = [-1e308, 1e308]  # each end is finite, b - a is not
+
+
+@pytest.mark.parametrize("task, params, said", [
+    ("eig", {"interval": WIDE, "seeds": [[1, 0]]},
+     "params.interval: width b - a of [-1e+308, 1e+308] is not finite"),
+    ("eig", {"interval": [0, 1], "scan": WIDE}, "params.scan: width b - a of [-1e+308, 1e+308] is not finite"),
+    ("verify", {"window": WIDE}, "params.window: width b - a of [-1e+308, 1e+308] is not finite"),
+    ("bracket", {"window": WIDE}, "params.window: width b - a of [-1e+308, 1e+308] is not finite"),
+    ("solve", {"from": -1e308, "to": 1e308},
+     "integration interval from -1e+308 to 1e+308 has a length that is not finite"),
+], ids=["eig-interval", "eig-scan", "verify-window", "bracket-window", "solve-from-to"])
+def test_an_interval_whose_width_overflows_is_a_validation_error(tmp_path, capsys, task, params, said):
+    path = write(tmp_path, "p.json", {"task": task, "coefficients": FREE_COEFFS, "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([task, "--input", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {said}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bracket_task(tmp_path):
     problem = {
         "task": "bracket",
@@ -331,8 +364,11 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
     out = tmp_path / "out"
     assert main(["eig", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_FAILS
     lines = (out / "report.txt").read_text().splitlines()
-    ratio = next(l for l in lines if l.startswith("scan_imag_ratio: "))
-    assert float(ratio.split()[1]) > 0.99
+    # the first node, lambda = 0.5, refuses the scan after one shot
+    ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    v = characteristic(ix, (0, math.pi), BoundaryCondition.dirichlet(), 0.5).value
+    assert f"scan_imag_ratio: {abs(v.imag) / abs(v)!r}  (source: shooting-scan)" in lines
+    assert "scan_refused_at: 0.5  (source: shooting-scan)" in lines
     table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
     rows = lines[table + 2 : lines.index("[/table]", table)]
     assert len(rows) == len(seeds)
@@ -340,6 +376,9 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
         re, im, _, _, _, converged, method = row.split(",")
         assert abs(complex(float(re), float(im)) - (1.109 + 1.571j)) < 1e-3
         assert (converged, method) == ("true", "shooting-newton")
+    seed_shots = sum(r.shots for r in eigenvalues(ix, (0, math.pi), BoundaryCondition.dirichlet(),
+                                                  seeds=[complex(*z) for z in seeds]))
+    assert f"shots: {1 + seed_shots}  (source: shooting)" in lines
     assert f"found: {len(seeds)}  (source: shooting)" in lines
     assert "verdict: inconclusive" in lines
 

@@ -903,11 +903,13 @@ def test_degree_100_entries_shoot_through_a_kernel_of_o_window_lines(monkeypatch
 
 def test_a_scan_builds_one_kernel_per_shape_on_first_use():
     from qschro import spectral
-    from qschro.errors import NonRealScanError
 
+    # s = x: a real discriminant, so the scan shoots all 40 nodes and
+    # refines its roots with dY/dlambda
+    x = CoefficientField(PiecewisePoly([], [[0, 1]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     propagate._taylor_kernel.cache_clear()
-    with pytest.raises(NonRealScanError):
-        spectral.eigenvalues(IX, (0, math.pi), spectral.BoundaryCondition.dirichlet(), scan=(0.5, 12), grid=40)
+    roots = spectral.eigenvalues(x, (0, math.pi), spectral.BoundaryCondition.dirichlet(), scan=(0.5, 12), grid=40)
+    assert len(roots) == 3 and all(r.converged for r in roots)
     info = propagate._taylor_kernel.cache_info()
     assert info.misses == info.currsize <= 2  # (1, 2, 1), with and without dY/dlambda
     assert info.hits + info.misses >= 40  # one look-up per shot of the scan

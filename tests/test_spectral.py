@@ -247,7 +247,43 @@ def test_real_scan_refuses_a_complex_discriminant():
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(NonRealScanError) as err:
         eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
-    assert err.value.ratio > 0.99
+    # the first node, lambda = 0.5, already refuses the scan
+    v = characteristic(ix, (0, math.pi), BC, 0.5).value
+    assert err.value.ratio == abs(v.imag) / abs(v)
+    assert (err.value.lam, err.value.shots) == (0.5, 1)
+
+
+def test_real_scan_stops_at_its_first_node_that_is_not_real(monkeypatch):
+    # nodes 1-3 are real and node 4 is not: four shots, node 4's ratio,
+    # however many nodes follow and whatever they hold
+    values = iter([1.0 + 0j, -2.0 + 0j, 0j, 3.0 - 4.0j] + [1e-3j] * 16)
+    shot = []
+
+    def stub(c, interval, bc, lam, side=DIRECT, derivative=False):
+        shot.append(lam)
+        return spectral.CharValue(next(values), 0.0, 0.0)
+
+    monkeypatch.setattr(spectral, "characteristic", stub)
+    with pytest.raises(NonRealScanError) as err:
+        eigenvalues(FREE, (0, 1), BC, scan=(0, 19), grid=20)
+    assert shot == [0.0, 1.0, 2.0, 3.0]
+    assert (err.value.ratio, err.value.lam, err.value.shots) == (0.8, 3.0, 4)
+
+
+def test_an_accepted_scan_shoots_every_grid_node_first_in_order(monkeypatch):
+    # free field on (0, pi), roots 1, 4, 9 in the scan: the 60 grid nodes
+    # are shot before any refinement, each once and in grid order
+    shot = []
+
+    def recorded(*args, **kw):
+        shot.append((args[3], kw.get("derivative", False)))
+        return characteristic(*args, **kw)
+
+    monkeypatch.setattr(spectral, "characteristic", recorded)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 10), grid=60)
+    assert [round(r.lam.real, 9) for r in res if r.converged] == [1.0, 4.0, 9.0]
+    assert shot[:60] == [(t, False) for t in np.linspace(0.5, 10, 60).tolist()]
+    assert len(shot) > 60 and all(derivative for _, derivative in shot[60:])
 
 
 def test_root_on_a_scan_node_is_kept():
