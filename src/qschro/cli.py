@@ -709,6 +709,40 @@ def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
     return rep.exit_code, rep.text(), extra
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write(out_dir: str, name: str, data: bytes):
+    """Make the file ``name`` in out_dir hold exactly data: one open and
+    writes until all bytes are taken.  out_dir is created, with its
+    parents, only when the open finds no such directory."""
+    path = os.path.join(out_dir, name)
+    try:
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(out_dir, exist_ok=True)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+
+
+def _trajectory_csv(traj) -> bytes:
+    """The solve dump: a header and one row per step edge, both ends of the
+    interval included."""
+    lo, hi = traj.edges()
+    xs = np.append(lo, hi[-1])
+    ys, ls = traj.sample(xs)
+    rows = [
+        f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}"
+        for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist())
+    ]
+    return "\n".join(["x,y0_re,y0_im,y1_re,y1_im,logscale", *rows, ""]).encode("utf-8")
+
+
 USAGE = "usage: qschro TASK --input FILE [--out DIR]"
 HELP = f"""{USAGE}
 
@@ -803,24 +837,19 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     out_dir = out_dir or "."
-    report_path = os.path.join(out_dir, raw.get("output", "report.txt"))
+    name = raw.get("output", "report.txt")
+    report_path = os.path.join(out_dir, name)
     try:
-        if not os.path.isdir(out_dir):  # a stat, where makedirs would try mkdir too
-            os.makedirs(out_dir, exist_ok=True)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # encoded before any open, so a report that cannot be written leaves no
+        # file; an undecodable byte of an argv word, which Python holds as a
+        # lone surrogate, is that byte again in the report's argv: line
+        _write(out_dir, name, text.encode("utf-8", "surrogateescape"))
         if extra is not None:  # trajectory dump requested by a solve task
-            with open(os.path.join(out_dir, DUMP_NAME), "w", encoding="utf-8") as fh:
-                fh.write("x,y0_re,y0_im,y1_re,y1_im,logscale\n")
-                lo, hi = extra.edges()
-                xs = np.append(lo, hi[-1])  # every step edge, both ends of the interval
-                ys, ls = extra.sample(xs)
-                for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist()):
-                    fh.write(f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n")
-    except OSError as exc:
+            _write(out_dir, DUMP_NAME, _trajectory_csv(extra))
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"write error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CANTCREAT
-    print(f"report: {report_path}")
+    print(f"report: {os.fsencode(report_path).decode('utf-8', 'backslashreplace')}")
     print(f"exit: {code}")
     return code
 

@@ -355,6 +355,56 @@ def test_unwritable_output_is_a_write_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("write error: ")
 
 
+def test_report_file_is_the_report_text_in_utf8(tmp_path, monkeypatch):
+    import qschro.cli as cli
+
+    texts = []
+
+    def recorded(raw, argv=()):
+        code, text, extra = run_problem(raw, argv)
+        texts.append(text)
+        return code, text, extra
+
+    monkeypatch.setattr(cli, "run_problem", recorded)
+    out = tmp_path / "out"
+    assert main(["form", "--input", write(tmp_path, "p.json", FORM), "--out", str(out)]) == EXIT_OK
+    data = (out / "report.txt").read_bytes()
+    assert data == texts[0].encode("utf-8")
+    assert b"\r" not in data and data.endswith(b"\n")
+
+
+def test_out_naming_a_missing_nested_directory_creates_it(tmp_path, capsys):
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["solve", "--input", write(tmp_path, "p.json", SOLVE), "--out", str(out)]) == EXIT_OK
+    assert (out / "report.txt").read_bytes().endswith(b"verdict: success\nexit: 0\n")
+    assert capsys.readouterr().out == f"report: {out / 'report.txt'}\nexit: 0\n"
+
+
+@pytest.mark.parametrize("where", ["input", "out", "both"])
+def test_undecodable_path_bytes_stay_in_the_report(tmp_path, capsys, where):
+    # Python holds an argv byte that is not UTF-8 as a lone surrogate
+    folder = tmp_path / os.fsdecode(b"in\xff") if where != "out" else tmp_path
+    folder.mkdir(exist_ok=True)
+    path = write(folder, "p.json", SOLVE)
+    out = str(tmp_path / os.fsdecode(b"out\xfe")) if where != "input" else str(tmp_path / "out")
+    assert main(["solve", "--input", path, "--out", out]) == EXIT_OK
+    data = (pathlib.Path(out) / "report.txt").read_bytes()
+    argv = b"argv: solve --input " + os.fsencode(path) + b" --out " + os.fsencode(out) + b"\n"
+    assert argv in data
+    assert data.endswith(b"verdict: success\nexit: 0\n")
+    said = capsys.readouterr().out
+    assert said == f"report: {os.fsencode(out).decode('utf-8', 'backslashreplace')}/report.txt\nexit: 0\n"
+
+
+def test_unencodable_output_name_is_a_write_error(tmp_path, capsys):
+    # a JSON escape can name a lone surrogate, which no POSIX file name holds
+    path = write(tmp_path, "p.json", dict(SOLVE, output="\ud800"))
+    out = tmp_path / "out"
+    assert main(["solve", "--input", path, "--out", str(out)]) == EXIT_CANTCREAT
+    assert capsys.readouterr().err.startswith("write error: UnicodeEncodeError: ")
+    assert not out.exists() or not os.listdir(out)
+
+
 @pytest.mark.parametrize("seeds", [[], [[1, 1.5]]])
 def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
     # s = i x: the scan is refused, Newton seeds still run (root 1.109 + 1.571i)
@@ -543,6 +593,25 @@ def test_cli_writes_report_and_trajectory(tmp_path):
         if line.startswith("final."))}
     x, y0_re, y0_im, y1_re, y1_im, _ = (float(v) for v in csv[-1].split(","))
     assert (x, complex(y0_re, y0_im), complex(y1_re, y1_im)) == (final["final.x"], final["final.y0"], final["final.y1"])
+
+
+def test_trajectory_dump_bytes(tmp_path):
+    problem = {
+        "task": "solve",
+        "coefficients": DELTA_COEFFS,
+        "params": {"from": -1, "to": 2, "lambda": 0.5, "initial": [1, 0], "dump": True},
+    }
+    path = write(tmp_path, "p.json", problem)
+    out = tmp_path / "out"
+    assert main(["solve", "--input", path, "--out", str(out)]) == EXIT_OK
+    traj = run_problem(load_problem(path))[2]
+    lo, hi = traj.edges()
+    xs = [*lo.tolist(), float(hi[-1])]
+    ys, ls = traj.sample(xs)
+    rows = [f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n"
+            for x, (y0, y1), l in zip(xs, ys.tolist(), ls.tolist())]
+    assert len(rows) == len(traj.steps) + 1 > 2
+    assert (out / "trajectory.csv").read_bytes() == ("x,y0_re,y0_im,y1_re,y1_im,logscale\n" + "".join(rows)).encode()
 
 
 SOLVE = {"task": "solve", "coefficients": FREE_COEFFS, "params": {"to": 1}}

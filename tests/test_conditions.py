@@ -87,6 +87,61 @@ def test_check_growth_fails_monotone_in_horizon():
         assert rep.verdict == "fails"
 
 
+def _growth_envelope_by_block(r1, w):
+    """Reference: the envelope rows and worst point of ``check_growth``,
+    sampled block by block and side by side."""
+    X, nb = w.horizon, 8
+    edges = [X * k / nb for k in range(nb + 1)]
+    rows, worst = [], (0.0, 0.0)
+    bps = np.concatenate([r1.breakpoints, w.m.breakpoints])
+    for k in range(nb):
+        lo, hi = edges[k], edges[k + 1]
+        for side, sgn in (("left", -1.0), ("right", 1.0)):
+            a, b = sorted((sgn * lo, sgn * hi))
+            xs = np.concatenate([np.linspace(a, b, 64), bps[(bps > a) & (bps < b)]])
+            r = r1.sample(xs).real
+            ratio = np.maximum(r if side == "left" else -r, 0.0) / w.m.sample(xs).real
+            j = int(np.argmax(np.where(ratio > 0, ratio, 0.0)))
+            best, best_x = (float(ratio[j]), float(xs[j])) if ratio[j] > 0 else (0.0, a)
+            rows.append((side, lo, hi, best, best_x))
+            if best > worst[0]:
+                worst = (best, best_x)
+    return rows, worst
+
+
+@pytest.mark.parametrize("r1, m, X", [
+    # breakpoints of r1 and m inside blocks, one of them shared
+    (PiecewisePoly([-37.3, -5.1, 2.2, 19.7], [[2.0, 0.1], [-1.0, 0.0, 0.05], [3.0], [0.5, -2.0], [-4.0, 0.01]]),
+     PiecewisePoly([-11.1, 0.0, 19.7], [[1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]]), 60.0),
+    # r1 = x: no block has a positive ratio, every maximum falls back to a
+    (PiecewisePoly.from_coeffs([0.0, 1.0]), PiecewisePoly.constant(1.0), 40.0),
+    # r1 = 1: the right blocks fall back, the first left one peaks at its end -0.0
+    (PiecewisePoly.constant(1.0), M_ABS, 33.3),
+    # r1 = -2 against m = 1: every point of a right block ties, the first is a
+    (PiecewisePoly([3.1, 7.0], [[-2.0], [-2.0], [-2.0]]), PiecewisePoly.constant(1.0), 10.0),
+    # r1 and m overflow together on the outer blocks: inf / inf is never a maximum
+    pytest.param(PiecewisePoly.from_coeffs([0.0, 0.0, -1e300]), PiecewisePoly.from_coeffs([1.0, 0.0, 1e300]), 1e10,
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                                  "ignore:invalid value:RuntimeWarning")),
+    # the check-a-cubic field of the algebra workload, seed 1
+    (PiecewisePoly.from_coeffs([0, 0, 0, -1.54447810110904]), M_ABS, 64.11065803048879),
+])
+def test_check_growth_matches_block_by_block_sampling(r1, m, X):
+    w = WeightFunction(m, X)
+    rep = check_growth(r1, w)
+    rows, worst = _growth_envelope_by_block(r1, w)
+    assert repr(rep.tables["envelope"]) == repr(rows)
+    if rep.verdict == "fails":
+        assert repr((rep.witnesses["witness_ratio"], rep.witnesses["witness_x"])) == repr(worst)
+
+
+def test_check_growth_envelope_reaches_minus_zero():
+    rep = check_growth(PiecewisePoly.constant(1.0), WeightFunction(M_ABS, 33.3))
+    rows = rep.tables["envelope"]
+    assert repr(rows[0][4]) == "-0.0" and rows[0][3] == 1.0
+    assert all(row[3] == 0.0 and row[4] == row[1] for row in rows[1::2])
+
+
 def test_inverse_weight_integral_over_long_horizons():
     # closed forms: log(1 + X) for 1 + |x|, atan(sqrt(a) X)/sqrt(a) for 1 + a x^2
     for X in (1e-3, 1.0, 60.0, 1e6):
