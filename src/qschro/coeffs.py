@@ -31,7 +31,6 @@ from .config import DEGREE_CAP
 from .errors import FamilyMemberError, NonRealError
 
 _BP_MERGE_TOL = 1e-12
-_MESHES = 4  # re-centred copies kept per function (``PiecewisePoly._on_mesh``)
 _EPS = float(np.finfo(float).eps)
 _SPLIT = 2.0**27 + 1  # splits a double into two halves of 26 bits
 
@@ -205,7 +204,7 @@ class PiecewisePoly:
     all coefficient arithmetic, no sampling.
     """
 
-    __slots__ = ("breakpoints", "centers", "coeffs", "_meshes", "_canon")
+    __slots__ = ("breakpoints", "centers", "coeffs", "_canon")
 
     def __init__(self, breakpoints, pieces, degree_cap: int | None = DEGREE_CAP):
         """Build from global-coordinate coefficient arrays.
@@ -222,7 +221,7 @@ class PiecewisePoly:
         A refusal is a ValueError.
         """
         self.breakpoints, self.centers, self.coeffs = _member(breakpoints, pieces, degree_cap)
-        self._meshes, self._canon = None, False
+        self._canon = False
 
     @classmethod
     def _from_local(cls, breakpoints, centers, coeffs) -> "PiecewisePoly":
@@ -337,31 +336,21 @@ class PiecewisePoly:
         """This function re-centred on a finer mesh, one with no close pair
         (a ``_merge_breakpoints`` result).
 
-        A function already on the mesh with canonical centers is returned
-        as it is.  The last _MESHES results are kept by the mesh's bytes (so
-        -0.0 is not 0.0).  A computation that puts its factors on one mesh
-        first (``aligned``) forms every later product and sum on that mesh;
-        only operands from elsewhere, such as a field's entries, still meet
-        it, and each is re-centred once per mesh.  No operation writes to a
-        PiecewisePoly's arrays, so handing out a kept object is safe.  The
-        result is marked ``_canon``.
+        A function marked ``_canon`` on a mesh of the same bytes (so -0.0
+        is not 0.0), or one whose own mesh and centers are those of the
+        mesh, is returned as it is; any other result is a new function
+        marked ``_canon``.  Nothing is kept, and the function is not
+        written.  A computation that puts its factors on one mesh first
+        (``aligned``) forms every later product and sum on that mesh; only
+        operands from elsewhere, such as a field's entries, still meet it,
+        and the computation re-centres each once per mesh
+        (``quasi._apply_rows``).
         """
-        key = mesh.tobytes()
-        if self._canon and key == self.breakpoints.tobytes():
+        if self._canon and mesh.tobytes() == self.breakpoints.tobytes():
             return self
-        kept = self._meshes = self._meshes or {}
-        if key in kept:
-            return kept[key]
         centers = _canonical_centers(mesh)
         coeffs = _recentre(self, self.coeffs, mesh, centers)
-        if coeffs is self.coeffs:
-            self._canon = True
-            return self
-        out = _poly(mesh, centers, coeffs, True)
-        if len(kept) >= _MESHES:
-            del kept[next(iter(kept))]
-        kept[key] = out
-        return out
+        return self if coeffs is self.coeffs else _poly(mesh, centers, coeffs, True)
 
     def _with(self, other) -> tuple:
         """(self, other) on one mesh: ``aligned((self, other))``.  Two
@@ -571,7 +560,7 @@ def _poly(breakpoints, centers, coeffs, canon: bool = False) -> PiecewisePoly:
     nothing from one computation to the next.
     """
     f = object.__new__(PiecewisePoly)
-    f.breakpoints, f.centers, f.coeffs, f._meshes, f._canon = breakpoints, centers, coeffs, None, canon
+    f.breakpoints, f.centers, f.coeffs, f._canon = breakpoints, centers, coeffs, canon
     return f
 
 
@@ -634,9 +623,9 @@ def aligned(fs, *meshes) -> list:
     meshes and ``meshes``, merged from the left by ``_merge_breakpoints``
     (a lone mesh with itself, so no close pair is left).
 
-    Two functions give the mesh of their sum or product.  Each function
-    keeps this alignment (``PiecewisePoly._on_mesh``), so products and sums
-    of the results are formed on the mesh without re-centring again.
+    Two functions give the mesh of their sum or product.  The results are
+    marked ``_canon`` (``PiecewisePoly._on_mesh``), so products and sums of
+    them are formed on the mesh without re-centring again.
     """
     meshes = [f.breakpoints for f in fs] + list(meshes)
     mesh = meshes[0]

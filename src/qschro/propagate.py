@@ -330,33 +330,28 @@ _TAYLOR_ORDER = 24
 _TAYLOR_EPS = 1e-16
 
 
-def _exact_step(inv, h: float) -> tuple[complex, complex, complex, complex]:
-    """exp(hA) as (e11, e12, e21, e22), for |h mu| <= 1.
+def _exact_step(inv, h: float, dlam: bool) -> tuple:
+    """exp(hA) as (e11, e12, e21, e22), for |h mu| <= 1, and with ``dlam``
+    also d exp(hA)/dlambda as (f11, f12, f21, f22) after them.
 
     ``inv`` is (a21, d, tau, mu^2) of the constant A: tau = tr A,
     d = (a11 - a22)/2 and mu^2 = tau^2/4 - det A = d^2 + a21.
     Cayley-Hamilton: exp(hA) = e^(h tau/2) [cosh(h mu) I + sinhc(h mu) h B]
-    with B = A - tau/2 I, whose entries are d, 1, a21 and -d.
+    with B = A - tau/2 I, whose entries are d, 1, a21 and -d.  Its
+    derivative follows through w = h^2 mu^2 and a21, with dw/dlambda =
+    -h^2 and da21/dlambda = -1 (tau and d do not depend on lambda).
     """
     a21, d, tau, mu2 = inv
     w = h * h * mu2
     ch = _horner(_COSH, w)
     sh = h * _horner(_SINHC, w)
     g = cmath.exp(0.5 * h * tau)
-    return g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d)
-
-
-def _exact_step_dlam(inv, h: float) -> tuple[complex, complex, complex, complex]:
-    """d exp(hA)/dlambda as (f11, f12, f21, f22): ``_exact_step``
-    differentiated through w = h^2 mu^2 and a21, with dw/dlambda = -h^2
-    and da21/dlambda = -1 (tau and d do not depend on lambda)."""
-    a21, d, tau, mu2 = inv
-    w = h * h * mu2
-    sh = h * _horner(_SINHC, w)
+    e = (g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d))
+    if not dlam:
+        return e
     dch = -h * h * _horner(_DCOSH, w)
     dsh = -h * h * h * _horner(_DSINHC, w)
-    g = cmath.exp(0.5 * h * tau)
-    return g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d)
+    return (*e, g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d))
 
 
 def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
@@ -390,29 +385,10 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
     start = (xa, seg_len / n, y[0], y[1], ls)
     if n > left:
         raise StepBudgetError(*start, MAX_WALK_STEPS)
-    e11, e12, e21, e22 = _exact_step((a21, d, tau, mu2), seg_len / n)
-    if len(y) == 4:
-        f11, f12, f21, f22 = _exact_step_dlam((a21, d, tau, mu2), seg_len / n)
-        y0, y1, z0, z1 = y
-        peak = max(abs(y0), abs(y1))
-        for _ in range(n):
-            y0, y1, z0, z1 = (e11 * y0 + e12 * y1, e21 * y0 + e22 * y1,
-                              e11 * z0 + e12 * z1 + f11 * y0 + f12 * y1,
-                              e21 * z0 + e22 * z1 + f21 * y0 + f22 * y1)
-            # m = max(|y0|, |y1|) with max's choice, nan included, without
-            # a call per sub-step
-            m, m1 = abs(y0), abs(y1)
-            if m1 > m:
-                m = m1
-            if m > peak:
-                peak = m
-                if m > RESCALE_THRESHOLD:
-                    y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
-                    ls += math.log(m)
-        if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
-            raise StepUnderflowError(*start, finite=False)
-        return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
-    y0, y1 = y
+    dlam = len(y) == 4
+    e11, e12, e21, e22, *f = _exact_step((a21, d, tau, mu2), seg_len / n, dlam)
+    f11, f12, f21, f22 = f or (0j, 0j, 0j, 0j)
+    y0, y1, z0, z1 = y if dlam else (*y, 0j, 0j)
     peak = max(abs(y0), abs(y1))
     # a dense walk keeps the start state of each sub-step, flat, and the
     # (sub-step, logscale) of each rescale
@@ -422,21 +398,25 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
         if keep:
             keep(y0)
             keep(y1)
+        if dlam:
+            z0, z1 = e11 * z0 + e12 * z1 + f11 * y0 + f12 * y1, e21 * z0 + e22 * z1 + f21 * y0 + f22 * y1
         y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
+        # m = max(|y0|, |y1|) with max's choice, nan included, without a
+        # call per sub-step
         m, m1 = abs(y0), abs(y1)
         if m1 > m:
             m = m1
         if m > peak:
             peak = m
             if m > RESCALE_THRESHOLD:
-                y0, y1, peak = y0 / m, y1 / m, 1.0
+                y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
                 ls += math.log(m)
                 logscales.append((i + 1, ls))
     if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
         raise StepUnderflowError(*start, finite=False)
     if out is not None:
         out.append(_exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, starts, logscales))
-    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
+    return (y0, y1, z0, z1)[:len(y)], ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
 
 
 def _exact_rows(inv, xa, xb, h, starts, logscales):

@@ -153,15 +153,18 @@ def _apply_rows(systems, fs, dfs) -> tuple:
     for each (system, f, f') triple, in one pass over stacked rows.
 
     f and f' lie on one mesh with canonical centers, f's, and each system's
-    entries are re-centred on it; the products, sums and derivatives are
-    those of the ``PiecewisePoly`` operators, with their bits.  Returns
-    (``coeffs._stack`` of the f, u^[1] rows, l rows, width of each l).
+    entries are re-centred on it, once per (system, mesh) pair; the
+    products, sums and derivatives are those of the ``PiecewisePoly``
+    operators, with their bits.  Returns (``coeffs._stack`` of the f, u^[1]
+    rows, l rows, width of each l).
     """
     stack = _stack(fs)
     F, first, wf = stack[2:]
     DF = _stack(dfs)[2]
-    A11, A21, A22 = (_stack([getattr(A, e)._on_mesh(f.breakpoints) for A, f in zip(systems, fs)])[2::2]
-                     for e in ("a11", "a21_0", "a22"))
+    keys = [(id(A), f.breakpoints.tobytes()) for A, f in zip(systems, fs)]
+    pairs = dict(zip(keys, zip(systems, fs)))  # one (system, f) per (system, mesh)
+    on = {k: [e._on_mesh(f.breakpoints) for e in (A.a11, A.a21_0, A.a22)] for k, (A, f) in pairs.items()}
+    A11, A21, A22 = (_stack(column)[2::2] for column in zip(*map(on.get, keys)))
     U1 = _sum_rows(DF, _times(*A11, F, wf, first), np.subtract)
     t = _sum_rows(_derivative_rows(U1), _times(*A22, U1, _widths(U1, first), first), np.subtract)
     L = -_sum_rows(t, _times(*A21, F, wf, first), np.subtract)

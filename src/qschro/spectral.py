@@ -368,8 +368,10 @@ def null_probe(
     eigenvalue of its Gram matrix is unresolved: the pair is parallel to
     rounding there.  The classification reads only the windows below the
     first unresolved one, which a note names; with fewer than three of
-    them (or fewer than the ladder has) it is "inconclusive".  The printed
-    monotone flag, growth and tail ratio are those of the whole ladder.
+    them (or fewer than the ladder has) it is "inconclusive", and "grows"
+    also needs them to reach tmax/2: growth on small windows says nothing
+    of the solutions toward the horizon.  The printed monotone flag, growth
+    and tail ratio are those of the whole ladder.
     """
     if not lam.real < 1.0:
         raise ValueError("probe expects Re lambda < 1 (normalized setting)")
@@ -410,6 +412,7 @@ def null_probe(
         notes.append("Gram mass saturates: an L2 null direction is not excluded")
     elif (
         monotone_r
+        and windows[resolved - 1] >= 0.5 * tmax
         and growth_r >= math.log(config.PROBE_GROWTH_FACTOR)
         and tail_r >= 1.0 + config.PROBE_SUSTAINED_MIN
     ):

@@ -288,6 +288,52 @@ def test_an_interval_whose_width_overflows_is_a_validation_error(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def _drift_x2(sign: int) -> dict:
+    """r = sign i x^2, s = Q = 0."""
+    return {"r": {"breakpoints": [], "pieces": [[0, 0, [0, sign]]]}}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+i", "-i"])
+def test_probe_says_grows_only_from_windows_resolved_up_to_half_its_horizon(tmp_path, sign):
+    # r = +-i x^2 at lambda = -1 has a whole-line L2 solution of the adjoint
+    # equation; the windows from T = 5 on are unresolved, and those up to
+    # T = 2.5 grow, which says nothing about the solutions at tmax 10
+    problem = {"task": "probe", "coefficients": _drift_x2(sign), "params": {"lambda": -1, "tmax": 10}}
+    code = main(["probe", "--input", write(tmp_path, "p.json", problem), "--out", str(tmp_path)])
+    report = (tmp_path / "report.txt").read_text()
+    assert "N(5.0) is below its rounding floor" in report
+    assert "verdict: inconclusive\n" in report and code == EXIT_FAILS
+
+
+def test_check_b_visits_indices_without_a_partner_of_the_other_sign(tmp_path):
+    # only negative indices: sup of r1^+ = x^2 over [-9, -8] is 81 per unit length
+    intervals = [[-1, -3, -2], [-2, -5, -4], [-3, -7, -6], [-4, -9, -8]]
+    problem = {"task": "check-b", "coefficients": _drift_x2(1), "params": {"scheme": {"intervals": intervals}}}
+    code = main(["check-b", "--input", write(tmp_path, "p.json", problem), "--out", str(tmp_path)])
+    report = (tmp_path / "report.txt").read_text()
+    assert "intervals.C: 81.0  (source" in report and "intervals.witness_n: -4  (source" in report
+    assert "verdict: fails\n" in report and code == EXIT_FAILS
+
+
+@pytest.mark.parametrize("r, m, horizon, said", [
+    ([[0, 0, [0, -1e300]]], [[1, 0, 1e300]], 1e10,
+     "params.m: weight function takes values past the float range on the horizon [-10000000000.0, 10000000000.0]"),
+    ([[0, 0, [0, -1e300]]], [[1, 0, 1]], 1e10, "r1 takes values past the float range on the horizon [-10000000000.0, 10000000000.0]"),
+    ([[0, [0, -1]]], {"breakpoints": [0], "pieces": [[1, -1], [1, 1]]}, 3e307,
+     "horizon 3e+307 puts the edges of the 8 envelope blocks past the float range"),
+], ids=["m", "r", "horizon"])
+def test_check_a_refuses_values_past_the_float_range(tmp_path, capsys, r, m, horizon, said):
+    m = m if isinstance(m, dict) else {"breakpoints": [], "pieces": m}
+    problem = {"task": "check-a", "coefficients": {"r": {"breakpoints": [], "pieces": r}},
+               "params": {"horizon": horizon, "m": m}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-a", "--input", write(tmp_path, "p.json", problem), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {said}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bracket_task(tmp_path):
     problem = {
         "task": "bracket",

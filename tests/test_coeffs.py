@@ -497,36 +497,36 @@ def test_shift_is_as_accurate_as_the_nested_loop():
             assert all(e <= 2 * n * eps * s for e, s in zip(err, size))
 
 
-def test_alignment_to_an_equal_mesh_is_kept():
-    f = random_pw(np.random.default_rng(3), max_bp=3, max_deg=4)
-    mesh = np.array([-2.5, -0.5, 1.0, 3.0])
-    first = f._on_mesh(mesh)
-    assert f._on_mesh(mesh.copy()) is first
-    # a zero of the other sign, or one ulp, is another mesh
-    assert f._on_mesh(np.array([-2.5, -0.0, 1.0, 3.0])) is not f._on_mesh(np.array([-2.5, 0.0, 1.0, 3.0]))
-    second = f._on_mesh(np.nextafter(mesh, np.inf))
-    assert second is not f._on_mesh(mesh)
-    assert np.array_equal(f._on_mesh(mesh).coeffs, first.coeffs)
-
-
-def test_product_rule_factors_re_centre_u_once(monkeypatch):
+def test_product_rule_check_re_centres_u_once_and_each_sides_entries_once_per_mesh(monkeypatch):
+    # phi u and u lie on one mesh, so each side's entries are re-centred on
+    # it once, not once per function
     from qschro import coeffs
+    from qschro.quasi import assemble, product_rule_check
 
+    c = CoefficientField(
+        PiecewisePoly([-0.4, 1.3], [[0.5, 0.2], [1.0, -0.3, 0.1], [0.7]]),
+        PiecewisePoly([0.2], [[0.0, 0.4], [1.1, -0.2]]),
+        PiecewisePoly([0.9], [[0.3, 0.1j], [0.2 + 0.5j]]),
+    )
     phi = bump(0.5, 1.0, 0.75)
-    u = PiecewisePoly([-1.3, 0.2, 0.9, 2.2], [np.arange(1.0, 7.0) * (k + 1) for k in range(5)], degree_cap=None)
-    dphi = phi.derivative()
-    ddphi = dphi.derivative()
-    phi * u
-    widths = []
+    u = PiecewisePoly([0.2, 0.9], [[1.0, 2.0, 0.5, 0.3], [0.7, 3.5, 0.5, 0.3], [1.33, 2.8, 0.5, 0.3]])  # kinks only
+    entries = [getattr(assemble(c, side), e) for side in ("direct", "adjoint") for e in ("a11", "a21_0", "a22")]
+    moved = []
+    recentre = coeffs._recentre
 
-    def counting(rows, delta):
-        widths.append(rows.shape[1])
-        return _shift_rows(rows, delta)
+    def counting(f, rows, mesh, centers):
+        out = recentre(f, rows, mesh, centers)
+        if out is not rows:
+            moved.append((f, mesh.tobytes()))  # f is kept, so no id is reused
+        return out
 
-    monkeypatch.setattr(coeffs, "_shift_rows", counting)
-    ddphi * u
-    dphi * u
-    assert widths and u.coeffs.shape[1] not in widths  # only the factors' rows moved
+    monkeypatch.setattr(coeffs, "_recentre", counting)
+    product_rule_check(c, phi, u, (-3.0, 3.0))
+    keys = [(id(f), mesh) for f, mesh in moved]
+    assert len(keys) == len(set(keys))  # no function twice on one mesh
+    assert sum(f is u for f, _ in moved) == 1
+    assert all(sum(f is e for f, _ in moved) == 1 for e in entries)
+    assert len({mesh for _, mesh in moved}) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Weight checks, interval schemes, the null-energy identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qschro import conditions
 from qschro.coeffs import CoefficientField, PiecewisePoly, bump
 from qschro.conditions import (
     IntervalScheme,
@@ -119,10 +121,9 @@ def _growth_envelope_by_block(r1, w):
     (PiecewisePoly.constant(1.0), M_ABS, 33.3),
     # r1 = -2 against m = 1: every point of a right block ties, the first is a
     (PiecewisePoly([3.1, 7.0], [[-2.0], [-2.0], [-2.0]]), PiecewisePoly.constant(1.0), 10.0),
-    # r1 and m overflow together on the outer blocks: inf / inf is never a maximum
-    pytest.param(PiecewisePoly.from_coeffs([0.0, 0.0, -1e300]), PiecewisePoly.from_coeffs([1.0, 0.0, 1e300]), 1e10,
-                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                                  "ignore:invalid value:RuntimeWarning")),
+    # r1 and m of 1e160 on the outer blocks, still inside the float range
+    # (past it, check_growth refuses them: see the test below)
+    (PiecewisePoly.from_coeffs([0.0, 0.0, -1e140]), PiecewisePoly.from_coeffs([1.0, 0.0, 1e140]), 1e10),
     # the check-a-cubic field of the algebra workload, seed 1
     (PiecewisePoly.from_coeffs([0, 0, 0, -1.54447810110904]), M_ABS, 64.11065803048879),
 ])
@@ -133,6 +134,34 @@ def test_check_growth_matches_block_by_block_sampling(r1, m, X):
     assert repr(rep.tables["envelope"]) == repr(rows)
     if rep.verdict == "fails":
         assert repr((rep.witnesses["witness_ratio"], rep.witnesses["witness_x"])) == repr(worst)
+
+
+@pytest.mark.parametrize("r1, m, X, said", [
+    (PiecewisePoly.from_coeffs([0.0, 0.0, -1e300]), PiecewisePoly.from_coeffs([1.0, 0.0, 1e300]), 1e10,
+     "weight function takes values past the float range"),
+    (PiecewisePoly.from_coeffs([0.0, 0.0, -1e300]), PiecewisePoly.from_coeffs([1.0, 0.0, 1.0]), 1e10,
+     "r1 takes values past the float range"),
+    # only the far end of the right tail leaves the range
+    (PiecewisePoly([1e3], [[0.0], [0.0, 0.0, 0.0, 0.0, -1e100]]), PiecewisePoly.constant(1.0), 1e60,
+     "r1 takes values past the float range"),
+    (PiecewisePoly.from_coeffs([0.0, -1.0]), M_ABS, 3e307, "puts the edges of the 8 envelope blocks past the float range"),
+], ids=["m", "r1", "r1-tail", "horizon"])
+def test_check_growth_refuses_values_past_the_float_range(r1, m, X, said):
+    # an envelope of inf and nan once held, with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=said):
+            check_growth(r1, WeightFunction(m, X))
+
+
+def test_values_inside_the_float_range_are_not_refused():
+    # the largest values of x^2 and of a tail bound on the horizon are finite
+    assert not conditions._past_float_range(PiecewisePoly.from_coeffs([0.0, 0.0, 1.0]), 1e154)
+    assert conditions._past_float_range(PiecewisePoly.from_coeffs([0.0, 0.0, 1.0]), 1e155)
+    # a region outside the horizon is not read, however large
+    far = PiecewisePoly([-100.0, 100.0], [[1e300, 0.0, 1e300], [1.0], [0.0, 1e300, 1e300]])
+    assert not conditions._past_float_range(far, 60.0)
+    assert conditions._past_float_range(far, 1e300)
 
 
 def test_check_growth_envelope_reaches_minus_zero():

@@ -299,6 +299,96 @@ def test_refit_overflow_carries_its_logscale():
 # shots: exact exponentials on constant segments
 
 
+def _reference_exact_step_dlam(inv, h):
+    """d exp(hA)/dlambda as the exact-step kernel once formed it, apart from
+    exp(hA): w, sinhc and e^(h tau/2) computed again."""
+    a21, d, tau, mu2 = inv
+    w = h * h * mu2
+    sh = h * propagate._horner(propagate._SINHC, w)
+    dch = -h * h * propagate._horner(propagate._DCOSH, w)
+    dsh = -h * h * h * propagate._horner(propagate._DSINHC, w)
+    g = cmath.exp(0.5 * h * tau)
+    return g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d)
+
+
+def _reference_exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
+    """``propagate._exact_segment`` as it was with one loop for a shot with
+    D' and another for a shot or a dense walk: the reference of the one loop."""
+    a21_0, d, tau, dd, half_tau_abs = consts
+    a21 = a21_0 - lam
+    mu2 = dd + a21
+    seg_len = xb - xa
+    n = abs(seg_len) * max(math.sqrt(abs(mu2)), half_tau_abs)
+    if not n * h_floor <= abs(seg_len):
+        raise StepUnderflowError(xa, seg_len / n, y[0], y[1], ls)
+    n = max(1, math.ceil(n))
+    start = (xa, seg_len / n, y[0], y[1], ls)
+    if n > left:
+        raise StepBudgetError(*start, propagate.MAX_WALK_STEPS)
+    e11, e12, e21, e22 = propagate._exact_step((a21, d, tau, mu2), seg_len / n, False)
+    if len(y) == 4:
+        f11, f12, f21, f22 = _reference_exact_step_dlam((a21, d, tau, mu2), seg_len / n)
+        y0, y1, z0, z1 = y
+        peak = max(abs(y0), abs(y1))
+        for _ in range(n):
+            y0, y1, z0, z1 = (e11 * y0 + e12 * y1, e21 * y0 + e22 * y1,
+                              e11 * z0 + e12 * z1 + f11 * y0 + f12 * y1,
+                              e21 * z0 + e22 * z1 + f21 * y0 + f22 * y1)
+            m, m1 = abs(y0), abs(y1)
+            if m1 > m:
+                m = m1
+            if m > peak:
+                peak = m
+                if m > propagate.RESCALE_THRESHOLD:
+                    y0, y1, z0, z1, peak = y0 / m, y1 / m, z0 / m, z1 / m, 1.0
+                    ls += math.log(m)
+        if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
+            raise StepUnderflowError(*start, finite=False)
+        return (y0, y1, z0, z1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
+    y0, y1 = y
+    peak = max(abs(y0), abs(y1))
+    starts, logscales = [], [(0, ls)]
+    keep = None if out is None else starts.append
+    for i in range(n):
+        if keep:
+            keep(y0)
+            keep(y1)
+        y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
+        m, m1 = abs(y0), abs(y1)
+        if m1 > m:
+            m = m1
+        if m > peak:
+            peak = m
+            if m > propagate.RESCALE_THRESHOLD:
+                y0, y1, peak = y0 / m, y1 / m, 1.0
+                ls += math.log(m)
+                logscales.append((i + 1, ls))
+    if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
+        raise StepUnderflowError(*start, finite=False)
+    if out is not None:
+        out.append(propagate._exact_rows((a21, d, tau, mu2), xa, xb, seg_len / n, starts, logscales))
+    return (y0, y1), ls, max(sup, math.log(peak) + ls) if peak > 0 else sup, left - n
+
+
+def _bits(value):
+    """A nested result as hex strings and arrays' bytes, so -0.0, nan and
+    every last bit count."""
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _consts(a11, a21_0, a22):
+    d, tau = 0.5 * (a11 - a22), a11 + a22
+    return (a21_0, d, tau, d * d, 0.5 * abs(tau))
+
+
 @pytest.mark.parametrize("inv", [
     (2.0 + 1j, 0.3 - 0.2j, 0.5j, (0.3 - 0.2j) ** 2 + 2.0 + 1j),  # a21, d, tau, mu^2
     (-2500.0, 0.0, 0.0, -2500.0),
@@ -311,8 +401,54 @@ def test_exact_step_matches_expm(inv):
     a21, d, tau, mu2 = inv
     A = np.array([[tau / 2 + d, 1.0], [a21, tau / 2 - d]])
     h = 1.0 / max(abs(mu2) ** 0.5, abs(tau) / 2, 1.0)
-    got = np.array(propagate._exact_step(inv, h)).reshape(2, 2)
+    got = np.array(propagate._exact_step(inv, h, False)).reshape(2, 2)
     assert np.allclose(got, expm(h * A), rtol=1e-14, atol=1e-14 * np.abs(expm(h * A)).max())
+    # with its derivative: the same exp(hA), and the bits of the kernel of its own
+    both = propagate._exact_step(inv, h, True)
+    assert _bits(both[:4]) == _bits(propagate._exact_step(inv, h, False))
+    assert _bits(both[4:]) == _bits(_reference_exact_step_dlam(inv, h))
+
+
+# (consts, lam, xa, xb, start state, logscale): a segment that rescales
+# many times, one that oscillates backward from a -0.0 state, a complex
+# lambda with a drift, and a short one of a single sub-step
+SEGMENTS = [
+    (_consts(0.0, 0.0, 0.0), -400.0, 0.0, 30.0, (0.3 + 0j, 1.0 + 0j), 0.0),
+    (_consts(0.0, 0.0, 0.0), 900.0, 2.0, -1.5, (complex(-0.0, 0.0), complex(1.0, -0.0)), 2.5),
+    (_consts(0.7 - 0.2j, 1.5, -0.4), 3.0 + 2.0j, -1.0, 6.0, (1.0 - 2.0j, complex(-0.0, -0.0)), -4.0),
+    (_consts(0.1, 0.0, 0.1), 0.5, 0.0, 0.25, (0.2 + 0j, -0.7 + 0.1j), 0.0),
+]
+
+
+@pytest.mark.parametrize("kind", ["shot", "derivative", "dense"])
+@pytest.mark.parametrize("segment", SEGMENTS, ids=["rescales", "negative-zero", "complex", "one-substep"])
+def test_one_substep_loop_has_the_bits_of_the_two_loops(segment, kind):
+    consts, lam, xa, xb, y, ls = segment
+    y = (*y, 0j, complex(-0.0, 0.0)) if kind == "derivative" else y
+    args = (consts, lam, xa, xb, y, ls, -math.inf, 1e-9 * abs(xb - xa), propagate.MAX_WALK_STEPS)
+    got_rows, want_rows = ([] if kind == "dense" else None for _ in range(2))
+    got = propagate._exact_segment(*args, got_rows)
+    want = _reference_exact_segment(*args, want_rows)
+    assert _bits(got) == _bits(want)
+    assert _bits(got_rows) == _bits(want_rows)
+    if segment is SEGMENTS[0]:  # |Y| grows by e^600: the state was rescaled twice on the way
+        assert got[1] > 2 * math.log(propagate.RESCALE_THRESHOLD)
+
+
+@pytest.mark.parametrize("kind", ["shot", "derivative", "dense"])
+def test_one_substep_loop_refuses_a_state_that_is_not_finite_as_the_two_loops_did(kind):
+    # a start state near the float range that one growing sub-step takes past it
+    y = (1e308 + 0j, 1e308 + 0j)
+    y = (*y, 0j, 0j) if kind == "derivative" else y
+    args = (_consts(0.0, 0.0, 0.0), -4.0, 0.0, 3.0, y, 0.0, -math.inf, 1e-9, propagate.MAX_WALK_STEPS)
+    errors = []
+    for segment in (propagate._exact_segment, _reference_exact_segment):
+        with pytest.raises(StepUnderflowError, match="state not finite") as err:
+            segment(*args, [] if kind == "dense" else None)
+        errors.append(err.value)
+    got, want = errors
+    assert str(got) == str(want)
+    assert _bits((got.x, got.h, got.y0, got.y1, got.logscale)) == _bits((want.x, want.h, want.y0, want.y1, want.logscale))
 
 
 # constant pieces around one linear piece of s and one jump of Q
@@ -523,9 +659,9 @@ def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
     hs = []
     step = propagate._exact_step
 
-    def recorded(inv, h):
+    def recorded(inv, h, dlam):
         hs.append(h)
-        return step(inv, h)
+        return step(inv, h, dlam)
 
     monkeypatch.setattr(propagate, "_exact_step", recorded)
     characteristic(FREE, (0.0, math.pi), BC, 2500.0)

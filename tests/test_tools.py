@@ -1,9 +1,10 @@
-"""The report set run in one process in either order, tools/report_diff.py and tools/reach.py."""
+"""The report set run in one process in either order, tools/report_diff.py, tools/reach.py and tools/task_ab.py."""
 
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -32,7 +33,7 @@ def run_in_turn(tasks, folder) -> dict:
 
 
 def test_gram_reports_do_not_depend_on_the_tasks_run_before_them(tmp_path):
-    # what a function keeps (re-centred copies, the same-mesh mark, a field's
+    # what a function keeps (the same-mesh mark, a field's
     # plans) carries nothing from one task to the next
     tasks = workloads.generate("gram", 1)
     assert len(tasks) == 9
@@ -70,3 +71,18 @@ def test_reach_lists_the_lines_the_gram_tasks_never_run():
     assert "propagate._exact_segment" in names and "cli._usage_error" not in names
     assert all(" lines never run: " in line for line in lines[:-1])
     assert lines[-1].endswith("called functions by 13 tasks")
+
+
+def test_task_ab_gives_the_spread_of_the_pass_sums_of_a_checkout_against_itself():
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "tools", "task_ab.py"), REPO, REPO,
+                           "--rounds", "2", "--fresh", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "shoot seed 1: fastest of 2 interleaved warm passes per task"
+    assert lines[-2].startswith("sum ")
+    spread = re.fullmatch(r"pass sums: B faster in (\d) of 2 rounds; B/A median (\S+), quartiles (\S+) to (\S+)",
+                          lines[-1])
+    assert spread, lines[-1]
+    q1, median, q3 = map(float, spread.group(3, 2, 4))
+    assert int(spread.group(1)) <= 2 and 0 < q1 <= median <= q3

@@ -18,7 +18,11 @@ Warm times: one persistent child interpreter per tree runs a warm-up pass
 and then ``--rounds`` passes, the two trees taking turns (A first in odd
 rounds, B first in even ones); each task keeps its fastest time.  Taking
 the minimum of interleaved rounds leaves out most of the noise of a shared
-machine, which slows both trees alike.
+machine, which slows both trees alike, and so hides it: the sum of the
+fastest times can move by tens of percent between two runs of the same
+command.  So each round's two pass sums are also kept, and their ratio
+B/A shows the spread: the rounds in which B beat A, and the median and
+quartiles of B/A over the rounds.
 
 First pass: ``--fresh`` fresh interpreters per tree, taking turns, each
 timing the import of ``qschro.cli`` and then two passes; the first-pass
@@ -26,7 +30,8 @@ extra is pass 1 minus pass 2, the one-time work that every one-task run
 of the CLI pays (parser set-up, compiled kernels, lazy tables).
 
 Prints each task's fastest warm time in A and B with the change in
-percent, their sums, and the medians of the first-pass extra and of the
+percent, their sums, the rounds B won with the median and quartiles of
+B/A of the pass sums, and the medians of the first-pass extra and of the
 import time.  Exits 1 when the two trees give a task different exit codes.
 """
 
@@ -121,10 +126,11 @@ def answer(proc: subprocess.Popen, root: str) -> dict:
     return json.loads(line)
 
 
-def warm_times(roots, entries_path: str, scratch: str, rounds: int, mode: str) -> tuple[list, list]:
-    """Fastest time per task over interleaved passes, and the exit codes, per root."""
+def warm_times(roots, entries_path: str, scratch: str, rounds: int, mode: str) -> tuple[list, list, list]:
+    """Fastest time per task over interleaved passes, the sum of each
+    round's pass, and the exit codes, per root."""
     procs = [start(root, mode, entries_path, scratch, stdin=subprocess.PIPE) for root in roots]
-    best, codes = [None, None], [None, None]
+    best, sums, codes = [None, None], [[], []], [None, None]
     try:
         for r in range(rounds + 1):  # round 0 is the warm-up pass
             for k in ((0, 1) if r % 2 else (1, 0)):
@@ -134,11 +140,20 @@ def warm_times(roots, entries_path: str, scratch: str, rounds: int, mode: str) -
                 codes[k] = got["codes"]
                 if r:
                     best[k] = got["times"] if best[k] is None else list(map(min, best[k], got["times"]))
+                    sums[k].append(sum(got["times"]))
     finally:
         for proc in procs:
             proc.stdin.close()
             proc.wait()
-    return best, codes
+    return best, sums, codes
+
+
+def pass_ratios(sums_a: list, sums_b: list) -> tuple[int, float, float, float]:
+    """(rounds in which B's pass was faster, lower quartile, median, upper
+    quartile of B/A) over the rounds' pass sums."""
+    ratios = [b / a for a, b in zip(sums_a, sums_b)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return sum(b < a for a, b in zip(sums_a, sums_b)), q1, median, q3
 
 
 def first_pass(roots, entries_path: str, scratch: str, fresh: int) -> list[dict]:
@@ -179,7 +194,7 @@ def main(argv=None) -> int:
         with open(entries_path, "w", encoding="utf-8") as fh:
             json.dump(entries, fh)
         mode = "cold" if args.cold else "warm"
-        (best_a, best_b), (codes_a, codes_b) = warm_times(args.roots, entries_path, scratch, args.rounds, mode)
+        (best_a, best_b), sums, (codes_a, codes_b) = warm_times(args.roots, entries_path, scratch, args.rounds, mode)
         fresh = first_pass(args.roots, entries_path, scratch, args.fresh)
 
     print(f"{args.workload} seed {args.seed}: fastest of {args.rounds} interleaved {mode} passes per task")
@@ -188,6 +203,9 @@ def main(argv=None) -> int:
         print(f"{e['id']:28s} {1e3 * a:9.3f} {1e3 * b:9.3f} {100 * (b / a - 1):+8.1f}%")
     sa, sb = sum(best_a), sum(best_b)
     print(f"{'sum':28s} {1e3 * sa:9.3f} {1e3 * sb:9.3f} {100 * (sb / sa - 1):+8.1f}%")
+    wins, q1, median, q3 = pass_ratios(*sums)
+    print(f"pass sums: B faster in {wins} of {args.rounds} rounds; B/A median {median:.3f},"
+          f" quartiles {q1:.3f} to {q3:.3f}")
     if args.fresh:
         for name, key in (("first-pass extra (pass 1 - pass 2)", "extra_s"), ("import qschro.cli", "import_s")):
             a, b = (statistics.median(f[key]) for f in fresh)
