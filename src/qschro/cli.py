@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import __version__, config
-from .coeffs import CoefficientField, PiecewisePoly, _bump_stack, bumps, pieces_and_jumps
+from .coeffs import CoefficientField, PiecewisePoly, _bump_stack, _piece, bumps
 from .conditions import (
     IntervalScheme,
     WeightFunction,
@@ -256,10 +256,15 @@ def _poly(degree_cap: int):
 COEFFICIENTS = {"s": (_obj(), {}), "Q": (_obj(), {}), "r": (_obj(), {}), "degree_cap": (_int, config.DEGREE_CAP)}
 
 
-def _coefficients(value, field: str) -> CoefficientField:
+def _functions(value, field: str) -> dict:
+    """{name: (polynomial, its pieces as read)} of s, Q and r."""
     spec = _obj(COEFFICIENTS)(value, field)
-    poly = _poly(spec["degree_cap"])
-    return CoefficientField(**{k: poly(spec[k], f"{field}.{k}") for k in ("s", "Q", "r")})
+    read = _build(lambda f: (_piecewise(f, spec["degree_cap"]), f["pieces"]), _obj(POLY))
+    return {k: read(spec[k], f"{field}.{k}") for k in ("s", "Q", "r")}
+
+
+def _coefficients(value, field: str) -> CoefficientField:
+    return CoefficientField(*(f for f, _ in _functions(value, field).values()))
 
 
 PAIR = _list(_cnum, 2)
@@ -356,19 +361,19 @@ PARAMS = {
 # normalization (the canonical echo that re-runs identically)
 
 
-def normalize_problem(task: str, field: CoefficientField, params: dict) -> dict:
-    """The problem as it re-runs identically: the field's functions echoed
-    from one pass over their pieces and jumps (``coeffs.pieces_and_jumps``)."""
-    polys = (field.s, field.Q, field.r)
+def normalize_problem(task: str, functions: dict, params: dict) -> dict:
+    """The problem as it re-runs identically: each of the ``functions``
+    (``_functions``) with its breakpoints, its pieces as they were read,
+    without trailing zeros as the constructor drops them, and its jumps."""
     return {
         "task": task,
         "coefficients": {
             k: {
                 "breakpoints": f.breakpoints.tolist(),
-                "pieces": [[[z.real, z.imag] for z in piece] for piece in pieces],
-                "jumps": [[b, [h.real, h.imag]] for b, h in jumps],
+                "pieces": [[[z.real, z.imag] for z in _piece(p)] for p in pieces],
+                "jumps": [[b, [h.real, h.imag]] for b, h in f.jumps.items()],
             }
-            for k, f, (pieces, jumps) in zip("sQr", polys, pieces_and_jumps(polys))
+            for k, (f, pieces) in functions.items()
         },
         "params": params,
     }
@@ -696,13 +701,14 @@ def load_problem(path: str) -> dict:
 def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
     started = time.perf_counter()
     task = raw["task"]
-    field = _coefficients(raw["coefficients"], "coefficients")
+    functions = _functions(raw["coefficients"], "coefficients")
+    field = CoefficientField(*(f for f, _ in functions.values()))
     params = _obj(PARAMS[task])(raw.get("params", {}), "params")
     if params.get("dump") and raw.get("output") == DUMP_NAME:
         raise ValidationFailure("output", f"{DUMP_NAME!r} is the name of the trajectory dump")
     rep = Report(task)
     rep.metadata(list(argv))
-    rep.problem(normalize_problem(task, field, raw.get("params", {})))
+    rep.problem(normalize_problem(task, functions, raw.get("params", {})))
     parsed = time.perf_counter()
     extra = RUNNERS[task](field, params, rep)
     rep.phases(parse=parsed - started, compute=time.perf_counter() - parsed)

@@ -100,6 +100,14 @@ def _dense(coef: np.ndarray, theta) -> np.ndarray:
     return acc
 
 
+def _value(row: list, t: float) -> complex:
+    """A row at t by Horner's rule, as ``_dense`` sums it."""
+    acc = row[-1]
+    for c in reversed(row[:-1]):
+        acc = acc * t + c
+    return acc
+
+
 def _two_sum(a, b):
     """s + e = a + b exactly, s = fl(a + b) (Knuth)."""
     s = a + b
@@ -306,18 +314,19 @@ class PiecewisePoly:
 
     @property
     def jumps(self) -> dict[float, complex]:
-        """Right-minus-left value at every breakpoint."""
-        bp = self.breakpoints
-        if not len(bp):
-            return {}
-        return dict(zip(bp.tolist(), self.sample(bp, "right") - self.sample(bp, "left")))
+        """Right-minus-left value at every breakpoint, each side with the bits
+        of ``sample``: Horner's rule on lists (``_value``), as a few short rows
+        cost less there than in array calls."""
+        bp, centers, rows = self.breakpoints.tolist(), self.centers.tolist(), self.coeffs.tolist()
+        return {x: _value(rows[i + 1], x - centers[i + 1]) - _value(rows[i], x - centers[i]) for i, x in enumerate(bp)}
 
     def coeff_scale(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
+        """Whether no imaginary part exceeds 1e-10 of the largest coefficient."""
         scale = self.coeff_scale() or 1.0
-        return float(np.max(np.abs(self.coeffs.imag))) <= tol * scale
+        return float(np.max(np.abs(self.coeffs.imag))) <= 1e-10 * scale
 
     def support_bounds(self) -> tuple[float, float]:
         """Smallest (lo, hi) outside which the function is identically zero.
@@ -441,7 +450,7 @@ class PiecewisePoly:
     def real_roots(self, lo: float, hi: float) -> list[float]:
         """Real zeros of a real-valued piecewise polynomial in (lo, hi), a root
         within 1e-11 outside a piece's interval clipped onto it."""
-        if not self.is_real(1e-9):
+        if not self.is_real():
             raise NonRealError("real_roots requires a real-valued function")
         found: list[float] = []
         cuts = [lo] + [float(t) for t in self.breakpoints if lo < t < hi] + [hi]
@@ -460,7 +469,7 @@ class PiecewisePoly:
 
     def extreme_on(self, lo: float, hi: float, mode: str = "max") -> tuple[float, float]:
         """(value, location) of the max or min of a real poly on [lo, hi]."""
-        if not self.is_real(1e-9):
+        if not self.is_real():
             raise NonRealError("extreme_on requires a real-valued function")
         xs = {lo, hi}
         xs.update(t for t in map(float, self.breakpoints) if lo < t < hi)
@@ -791,30 +800,6 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     triple.
     """
     return bumps([center], [plateau], [ramp])[0]
-
-
-def pieces_and_jumps(polys) -> list:
-    """(pieces, jumps) of each function: its pieces in plain powers of x, as
-    the constructor takes them, without trailing zeros, and its (breakpoint,
-    right minus left value) pairs, with the bits of ``_shift_rows`` and of
-    ``jumps``.  Breakpoints must increase strictly, as the constructor makes
-    them.  The problem echo reads each row once, where one array call costs
-    more than the arithmetic in it, so this works on lists of Python complex."""
-    out = []
-    for f in polys:
-        bp, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
-        pieces = [_trimmed(_recentred(row, -c) if c else row) for row, c in zip(rows, centers)]
-        out.append((pieces, [(x, _value(rows[i + 1], x - centers[i + 1]) - _value(rows[i], x - centers[i]))
-                             for i, x in enumerate(bp)]))
-    return out
-
-
-def _value(row: list, t: float) -> complex:
-    """A row at t by Horner's rule, as ``_dense`` sums it."""
-    acc = row[-1]
-    for c in reversed(row[:-1]):
-        acc = acc * t + c
-    return acc
 
 
 def _side(g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: np.ndarray) -> tuple:

@@ -18,7 +18,7 @@ from . import config
 from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, aligned
 from .errors import BadSchemeError, NonRealError
 from .propagate import Trajectory
-from .quasi import ADJOINT, apply_l_atoms
+from .quasi import ADJOINT, _stack_jumps, apply_l_atoms
 from .reports import FAILS, HOLDS, INCONCLUSIVE, ConditionReport
 
 
@@ -26,24 +26,26 @@ from .reports import FAILS, HOLDS, INCONCLUSIVE, ConditionReport
 class WeightFunction:
     """Weight m >= 1 with a symmetric horizon [-X, X] for the checks.
 
-    Continuity (the W^1 proxy) is required: kinks are fine, jumps are not.
+    m must be real, and only its real part is kept.  On the horizon its
+    values must lie in the float range, and it must be continuous (the W^1
+    proxy: kinks are fine) by the jump rule of ``quasi._stack_jumps``.
     """
 
     m: PiecewisePoly
     horizon: float
 
     def __post_init__(self):
-        if not self.m.is_real(1e-10):
+        m, X = self.m, self.horizon
+        if not m.is_real():
             raise NonRealError("weight function must be real-valued")
-        if self.horizon <= 0:
+        if X <= 0:
             raise ValueError("horizon must be positive")
-        scale = self.m.coeff_scale() or 1.0
-        for p, h in self.m.jumps.items():
-            if abs(p) <= self.horizon and abs(h) > 1e-10 * scale:
-                raise ValueError(f"weight function jumps at x={p}")
-        if _past_float_range(self.m, self.horizon):
-            raise ValueError(f"weight function takes values past the float range on the horizon "
-                             f"[{-self.horizon!r}, {self.horizon!r}]")
+        if _past_float_range(m, X):
+            raise ValueError(f"weight function takes values past the float range on the horizon [{-X!r}, {X!r}]")
+        jumps = _stack_jumps((m.breakpoints, m.centers, m.coeffs, np.array([0, len(m.coeffs)])), (-X, X))[0]
+        if jumps:
+            raise ValueError(f"weight function jumps at x={next(iter(jumps))}")
+        object.__setattr__(self, "m", m.real)
 
 
 def _past_float_range(f: PiecewisePoly, X: float) -> bool:
@@ -223,7 +225,7 @@ def check_growth(r1: PiecewisePoly, w: WeightFunction) -> ConditionReport:
     sampled in one pass: one row per block, its even points then its
     breakpoints, in the order left, right for each block of |x|.
     """
-    if not r1.is_real(1e-10):
+    if not r1.is_real():
         raise NonRealError("r1 must be real-valued")
     X = w.horizon
     nb = config.ENVELOPE_BLOCKS
@@ -345,7 +347,7 @@ def check_intervals(r1: PiecewisePoly, scheme: IntervalScheme) -> ConditionRepor
     the stored range (no uniform C is evident), otherwise "holds-on-horizon"
     with the constant table.
     """
-    if not r1.is_real(1e-10):
+    if not r1.is_real():
         raise NonRealError("r1 must be real-valued")
     for n, (a, b) in sorted(scheme.intervals.items()):
         if b - a < scheme.delta - 1e-12:
@@ -415,7 +417,7 @@ def verify_caccioppoli(
     on one mesh with the field's breakpoints first, so no product of v,
     |v|^2 at twice its degree among them, is re-centred.
     """
-    if not phi.is_real(1e-9):
+    if not phi.is_real():
         raise NonRealError("cut-off must be real-valued")
     if v.system.side != ADJOINT:
         raise ValueError("the null solution must come from the adjoint system")

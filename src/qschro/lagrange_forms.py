@@ -25,7 +25,7 @@ import numpy as np
 from .coeffs import CoefficientField, PiecewisePoly, _dense, _gauss_legendre, _panels, _stack, _stacked_support
 from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, _panel_values, pair_integral
-from .quasi import ADJOINT, DIRECT, QuasiState, _apply_stacked, _on_field_mesh, _screen, apply_l_atoms, assemble
+from .quasi import ADJOINT, DIRECT, QuasiState, _apply_stacked, _on_field_mesh, _stack_jumps, apply_l_atoms, assemble
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
@@ -178,12 +178,11 @@ def form_vs_operator_check(
 
     Both sides are computed independently: the forms by one Gauss-Legendre
     pass over the family (``sample_forms``, which refuses a test that
-    jumps), with t(u) the sum of its three parts in Python complex, and the
-    operator side by applying the expression to the whole family in one
-    stacked pass (``quasi._apply_stacked``) and integrating against
-    conj(u), Dirac atoms included.  A test supported outside ``support`` is
-    refused first, and every test is screened for jumps as
-    ``apply_l_atoms`` screens it.
+    jumps by the rule with which ``apply_l_atoms`` screens it), with t(u)
+    the sum of its three parts in Python complex, and the operator side by
+    applying the expression to the whole family in one stacked pass
+    (``quasi._apply_stacked``) and integrating against conj(u), Dirac atoms
+    included.  A test supported outside ``support`` is refused first.
     """
     a, b = float(support[0]), float(support[1])
     for u in family:
@@ -191,7 +190,6 @@ def form_vs_operator_check(
         if lo < a - 1e-12 or hi > b + 1e-12:
             raise UnsupportedTestFunctionError(f"test function supported on [{lo}, {hi}], outside [{a}, {b}]")
     kinetic, coupling, potential, _ = (col.tolist() for col in sample_forms(c, family))
-    _screen(family, (a, b))
     on, dfs = _on_field_mesh(c, family)
     applied = _apply_stacked([assemble(c, DIRECT)] * len(family), on, dfs, (a, b))
     out = []
@@ -275,16 +273,16 @@ def sample_forms(c: CoefficientField, family) -> tuple:
     """The kinetic, coupling and potential parts of t(u) and ||u||^2, one array
     each over a family, in one Gauss-Legendre pass: ``_form_columns`` of the
     family stacked by ``coeffs._stack``.  Every test must be continuous: after
-    what ``_form_columns`` refuses, the first test with a jump above 1e-10
-    times its largest coefficient is refused by its index."""
+    what ``_form_columns`` refuses, the first test that jumps is refused by its
+    index, by the jump rule of ``apply_l_atoms`` (``quasi._stack_jumps``) on
+    the same stack."""
     if not family:
         raise ValueError("test family must be nonempty")
-    columns = _form_columns(c, _stack(family))
-    for i, u in enumerate(family):
-        scale = u.coeff_scale() or 1.0
-        for p, h in u.jumps.items():
-            if abs(h) > 1e-10 * scale:
-                raise UnsupportedTestFunctionError(f"test function {i} jumps at x={p}")
+    stack = _stack(family)
+    columns = _form_columns(c, stack)
+    for i, jumps in enumerate(_stack_jumps(stack, (-math.inf, math.inf))):
+        if jumps:
+            raise UnsupportedTestFunctionError(f"test function {i} jumps at x={next(iter(jumps))}")
     return columns
 
 

@@ -86,7 +86,9 @@ def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> Shi
 def _stack_jumps(stack, window: tuple[float, float]) -> list[dict[float, complex]]:
     """The jumps of each function of a stack (laid out as ``coeffs._stack``
     lays it out) at its breakpoints on the window, above JUMP_TOL * (1 +
-    scale), in one pass.
+    scale), in one pass: the one continuity rule, for u and u^[1] here and
+    for a weight m (``conditions.WeightFunction``) and a test family
+    (``lagrange_forms.sample_forms``).
 
     The scale at x is the larger of sum |c_k| |x - center|^k over the two
     adjacent rows: a value that is a sum of large cancelling terms (a
@@ -95,16 +97,16 @@ def _stack_jumps(stack, window: tuple[float, float]) -> list[dict[float, complex
     zero changes at most the sign of a zero in Horner's rule.
     """
     bp, centers, rows, first = stack[:4]
-    owner = np.repeat(np.arange(len(first) - 1), np.diff(first) - 1)
+    stop = first[1:] - np.arange(1, len(first))  # one past each function's last breakpoint
     j = np.flatnonzero((bp >= float(window[0])) & (bp <= float(window[1])))
     x, n = bp[j], len(j)
-    left_right = np.concatenate([j, j + 1]) + np.concatenate([owner[j], owner[j]])  # the regions beside each
-    t = np.concatenate([x, x]) - centers[left_right]
-    value = _dense(rows[left_right], t)
-    size = _dense(np.abs(rows[left_right]), np.abs(t))
+    left = j + stop.searchsorted(j, "right")  # the row left of breakpoint j is j plus its owner's index
+    beside = np.concatenate([left, left + 1])
+    r, t = rows[beside], np.concatenate([x, x]) - centers[beside]
+    value, size = _dense(r, t), _dense(np.abs(r), np.abs(t))
     h = value[n:] - value[:n]
     keep = np.abs(h) > JUMP_TOL * (1.0 + np.maximum(size[:n], size[n:]))
-    ends = np.cumsum(np.bincount(owner[j], minlength=len(first) - 1)).tolist()
+    ends = j.searchsorted(stop).tolist()
     return [dict(zip(x[i:k][keep[i:k]].tolist(), h[i:k][keep[i:k]])) for i, k in zip([0] + ends, ends)]
 
 
@@ -244,7 +246,7 @@ def product_rule_check(
     and the six sampled expressions in one batched Horner pass on one grid.
     """
     a, b = float(window[0]), float(window[1])
-    if not phi.is_real(1e-9):
+    if not phi.is_real():
         raise NonRealError("cut-off factor must be real-valued")
     lo, hi = phi.support_bounds()
     if lo < a - 1e-12 or hi > b + 1e-12:

@@ -393,6 +393,38 @@ def test_problem_echo_roundtrip(tmp_path):
     assert strip_metadata(text1).split("[/problem]")[1] == strip_metadata(text2).split("[/problem]")[1]
 
 
+def test_echo_of_pieces_far_from_their_centers_re_runs_to_its_own_report(tmp_path, capsys):
+    # pieces rebuilt from their re-centred rows, as the echo once wrote them,
+    # had other bits: re-run, their jump at 1.1 disagreed with the echoed one
+    # (exit 65)
+    pieces = [[-0.63, 0.24, -2.37, -2.53, 1.32, -0.88], [1.41, -0.5, -0.11, 0.03, 0.58, 0.66],
+              [-1.27, -0.57, -0.78, 0.31, 2.67, -0.68]]
+    problem = {"task": "solve", "coefficients": {"s": {"breakpoints": [-47.2, 1.1], "pieces": pieces}},
+               "params": {"from": 0, "to": 0.5}}
+    assert main(["solve", "--input", write(tmp_path, "p.json", problem), "--out", str(tmp_path / "a")]) == EXIT_OK
+    first = (tmp_path / "a" / "report.txt").read_text()
+    lines = first.splitlines()
+    (tmp_path / "echo.json").write_text(lines[lines.index("[problem]") + 1])
+    code = main(["solve", "--input", str(tmp_path / "echo.json"), "--out", str(tmp_path / "b")])
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    assert strip_metadata((tmp_path / "b" / "report.txt").read_text()) == strip_metadata(first)
+    echo = json.loads(lines[lines.index("[problem]") + 1])
+    assert echo["coefficients"]["s"]["pieces"] == [[[v, 0.0] for v in p] for p in pieces]
+
+
+def test_check_a_decides_once_that_m_is_real(tmp_path, capsys):
+    # m = 1e6 + x + (1 + 1e-5 i) x^2 is real to 1e-10 of its largest
+    # coefficient; its derivative, with a relative imaginary part of 1e-5,
+    # was tested again and refused (exit 70)
+    m = {"breakpoints": [], "pieces": [[[1000000, 0], [1, 0], [1, 0.00001]]]}
+    problem = {"task": "check-a", "coefficients": {"r": {"breakpoints": [], "pieces": [[0, [0, -1]]]}},
+               "params": {"horizon": 60, "m": m}}
+    assert main(["check-a", "--input", write(tmp_path, "p.json", problem), "--out", str(tmp_path)]) == EXIT_FAILS
+    report = (tmp_path / "report.txt").read_text()
+    assert "m_condition.verdict: holds-on-horizon\n" in report and "m_condition.min_m: 999999.75  (source" in report
+    assert capsys.readouterr().err == ""
+
+
 def test_unwritable_output_is_a_write_error(tmp_path, capsys):
     path = write(tmp_path, "p.json", SOLVE)
     blocker = tmp_path / "afile"

@@ -163,6 +163,7 @@ def test_jump_bookkeeping_matches_one_sided_values():
         f = random_pw(RNG)
         for b, h in f.jumps.items():
             assert f.eval(b, "right") - f.eval(b, "left") == h
+            assert np.array(f.sample([b], "right") - f.sample([b], "left")).tobytes() == np.array([h]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -53,6 +53,15 @@ def test_check_m_below_one_fails_with_witness():
     assert "witness_x" in rep.witnesses
 
 
+def test_weight_function_refuses_a_step_that_is_small_only_against_its_largest_coefficient():
+    # a step of 5e-5 where m is about 1 passed as rounding while the rule was
+    # 1e-10 of the largest coefficient (1e6); the jump rule scales by the
+    # values beside the breakpoint
+    m = PiecewisePoly([0.0], [[1, 0, 1e6], [1 + 5e-5, 0, 1e6]])
+    with pytest.raises(ValueError, match=r"^weight function jumps at x=0\.0$"):
+        WeightFunction(m, 60.0)
+
+
 def test_weight_function_rejects_complex():
     with pytest.raises(NonRealError):
         WeightFunction(PiecewisePoly.constant(1 + 1j), 10.0)

@@ -7,8 +7,9 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from qschro.cli import run_problem
-from qschro.coeffs import CoefficientField, PiecewisePoly, aligned, bump
+from qschro.coeffs import CoefficientField, PiecewisePoly, aligned, bump, bumps
 from qschro.errors import (
+    DiscontinuousQuasiDerivativeError,
     OverflowUnrecoverableError,
     SideMismatchError,
     UnsupportedTestFunctionError,
@@ -24,7 +25,7 @@ from qschro.lagrange_forms import (
     sample_forms,
 )
 from qschro.propagate import Trajectory, _gauss_legendre, _panel_values, integrate
-from qschro.quasi import QuasiState, assemble
+from qschro.quasi import DIRECT, QuasiState, apply_l_atoms, assemble
 
 FREE = CoefficientField.free()
 RNG = np.random.default_rng(99)
@@ -197,9 +198,25 @@ def test_sample_forms_refuses_a_test_that_jumps():
     jump = PiecewisePoly([0.0, 1.0], [[0], [1], [0]])
     with pytest.raises(UnsupportedTestFunctionError, match=r"^test function 1 jumps at x=0\.0$"):
         sample_forms(FREE, [bump(3.0, 1.0, 1.0), jump])
-    # a jump below 1e-10 of the largest coefficient is rounding
+    # a jump below JUMP_TOL (1 + the values beside it) is rounding
     nearly = PiecewisePoly([0.0, 1.0], [[0.0], [1e-11, 1.0, -1.0], [0.0]])
     assert sample_forms(FREE, [nearly])[3][0] > 0
+
+
+@pytest.mark.parametrize("h, jumps", [(5e-9, False), (1e-6, True)], ids=["rounding", "jump"])
+def test_sample_forms_and_apply_l_atoms_refuse_the_same_tests(h, jumps):
+    # a bump of height 1 times a step from 1 to 1 + h at 0.3: one jump rule
+    # for both, where sample_forms once refused h = 5e-9 (above 1e-10 of
+    # its largest coefficient) and apply_l_atoms took it as rounding
+    u = bumps([0.0], [2.0], [1.0])[0] * PiecewisePoly.step(0.3, 1.0, 1.0 + h)
+    if jumps:
+        with pytest.raises(UnsupportedTestFunctionError, match=r"^test function 0 jumps at x=0\.3$"):
+            sample_forms(FREE, [u])
+        with pytest.raises(DiscontinuousQuasiDerivativeError):
+            apply_l_atoms(FREE, DIRECT, u, (-2.0, 2.0))
+    else:
+        assert sample_forms(FREE, [u])[3][0] > 0
+        apply_l_atoms(FREE, DIRECT, u, (-2.0, 2.0))
 
 
 def exact_forms(c, u):

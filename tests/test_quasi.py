@@ -13,7 +13,6 @@ from qschro.coeffs import (
     _stack,
     aligned,
     bump,
-    pieces_and_jumps,
 )
 from qschro.conditions import verify_caccioppoli
 from qschro.config import JUMP_TOL
@@ -319,26 +318,28 @@ def plan_rows(A) -> list:
     return [rows for _, _, rows, _ in segments]
 
 
-def reference_echo(f) -> dict:
-    """The echo of one function as ``pieces()`` and ``jumps`` gave it."""
-    pieces = [_trim(row) for row in _shift_rows(f.coeffs, -f.centers)]
+def reference_echo(f, pieces) -> dict:
+    """The echo of one function: its breakpoints, the pieces it was built
+    from without their trailing zeros, and ``jumps``."""
     return {
         "breakpoints": [float(b) for b in f.breakpoints],
-        "pieces": [[[float(v.real), float(v.imag)] for v in piece] for piece in pieces],
+        "pieces": [[[float(v.real), float(v.imag)] for v in _trim(np.asarray(p))] for p in pieces],
         "jumps": [[float(b), [float(h.real), float(h.imag)]] for b, h in sorted(f.jumps.items())],
     }
 
 
-def _field_with_breakpoints(rng, s_bp, Q_bp, r_bp) -> CoefficientField:
-    """Complex pieces of degree 0 to 3, some of them holding zeros of either sign."""
-    def poly(bps):
-        pieces = []
+def _field_with_breakpoints(rng, s_bp, Q_bp, r_bp) -> tuple:
+    """Complex pieces of degree 0 to 3, some of them holding zeros of either
+    sign: (the field, {name: (breakpoints, pieces)})."""
+    def pieces(bps):
+        out = []
         for _ in range(len(bps) + 1):
             c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             c[rng.integers(0, 4)] = complex(-0.0, 0.0) if rng.random() < 0.5 else complex(0.0, -0.0)
-            pieces.append(c[: rng.integers(1, 5)])
-        return PiecewisePoly(bps, pieces)
-    return CoefficientField(poly(s_bp), poly(Q_bp), poly(r_bp))
+            out.append(c[: rng.integers(1, 5)])
+        return bps, out
+    data = dict(zip("sQr", map(pieces, (s_bp, Q_bp, r_bp))))
+    return CoefficientField(*(PiecewisePoly(*d) for d in data.values())), data
 
 
 ONE_PASS_FIELDS = {
@@ -358,15 +359,15 @@ ONE_PASS_FIELDS = {
 @pytest.mark.parametrize("case", list(ONE_PASS_FIELDS))
 def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
     # reference: the PiecewisePoly operators, region_rows on their entries
-    # for the rows of the side's plans, and the echo of pieces() and jumps,
-    # as in test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry
+    # for the rows of the side's plans, and for the echo the pieces as read
+    # and jumps, as in test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry
     import json
 
-    from qschro.cli import normalize_problem
+    from qschro.cli import _functions, normalize_problem
 
     rng = np.random.default_rng(list(ONE_PASS_FIELDS).index(case))
     for _ in range(4):
-        c = _field_with_breakpoints(rng, *ONE_PASS_FIELDS[case])
+        c, data = _field_with_breakpoints(rng, *ONE_PASS_FIELDS[case])
         assert _poly_bits(c.G1) == _poly_bits(c.Q + 1j * c.r)
         assert _poly_bits(c.G2) == _poly_bits(c.Q - 1j * c.r)
         for side in (DIRECT, ADJOINT):
@@ -374,8 +375,13 @@ def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
             for got, ref in zip((A.a11, A.a21_0, A.a22), want):
                 assert _poly_bits(got) == _poly_bits(ref)
             assert _rows_bits(plan_rows(A)) == _rows_bits(region_rows(want, c.breakpoints()))
-        ref = {k: reference_echo(f) for k, f in zip("sQr", (c.s, c.Q, c.r))}
-        got = normalize_problem("eig", c, {})["coefficients"]
+        spec = {k: {"breakpoints": list(bps), "pieces": [[[v.real, v.imag] for v in p] for p in ps]}
+                for k, (bps, ps) in data.items()}
+        functions = _functions(json.loads(json.dumps(spec)), "coefficients")
+        for (f, _), g in zip(functions.values(), (c.s, c.Q, c.r)):
+            assert _poly_bits(f) == _poly_bits(g)
+        ref = {k: reference_echo(f, data[k][1]) for k, f in zip("sQr", (c.s, c.Q, c.r))}
+        got = normalize_problem("eig", functions, {})["coefficients"]
         assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 

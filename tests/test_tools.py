@@ -1,4 +1,5 @@
-"""The report set run in one process in either order, tools/report_diff.py, tools/reach.py and tools/task_ab.py."""
+"""The report set run in one process in either order, echoes that re-run to their own reports,
+tools/report_diff.py, tools/reach.py and tools/task_ab.py."""
 
 import contextlib
 import io
@@ -8,12 +9,15 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "bench"))
 
 import workloads  # noqa: E402
 
 from qschro.cli import main  # noqa: E402
+from qschro.coeffs import _trimmed  # noqa: E402
 
 
 def run_in_turn(tasks, folder) -> dict:
@@ -42,12 +46,62 @@ def test_gram_reports_do_not_depend_on_the_tasks_run_before_them(tmp_path):
     assert forward == backward
 
 
+def _echo_cases() -> list:
+    """(id, task, problem text) of every task of gram and algebra seed 1 and every problems/*.json."""
+    cases = [(f"{name}/{t.id}", t.task, t.raw_text if t.raw_text is not None else json.dumps(t.problem))
+             for name in ("gram", "algebra") for t in workloads.generate(name, 1)]
+    folder = os.path.join(REPO, "problems")
+    for fname in sorted(os.listdir(folder)):
+        if fname.endswith(".json"):
+            with open(os.path.join(folder, fname), encoding="utf-8") as fh:
+                text = fh.read()
+            cases.append((f"problems/{fname}", json.loads(text)["task"], text))
+    return cases
+
+
+ECHO_CASES = _echo_cases()
+
+
+@pytest.mark.parametrize("task, text", [case[1:] for case in ECHO_CASES], ids=[case[0] for case in ECHO_CASES])
+def test_each_echo_re_runs_to_its_own_report(tmp_path, task, text):
+    # the [problem] line, as a problem file, gives the same exit code and
+    # the same report outside [metadata], its own [problem] line included
+    def run(text, name, output):
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([task, "--input", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+        return code, workloads.strip_metadata((tmp_path / name / output).read_text(encoding="utf-8"))
+
+    problem = json.loads(text)
+    code, report = run(text, "first", problem.get("output", "report.txt"))
+    lines = report.splitlines()
+    echo = lines[lines.index("[problem]") + 1]
+    assert run(echo, "echo", "report.txt") == (code, report)
+    # its pieces are the file's numbers, without trailing zeros
+    for k, f in json.loads(echo)["coefficients"].items():
+        read = [[complex(*map(float, v)) if isinstance(v, list) else complex(float(v)) for v in piece]
+                for piece in problem["coefficients"].get(k, {}).get("pieces", [[0]])]
+        assert [[complex(*v) for v in piece] for piece in f["pieces"]] == [_trimmed(piece) for piece in read]
+
+
 def test_report_diff_finds_no_difference_between_a_checkout_and_itself():
     proc = subprocess.run([sys.executable, os.path.join(REPO, "tools", "report_diff.py"), REPO, REPO,
                            "--workloads", "gram", "--seeds", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 of 13 tasks differ"
+    # a doctored echo: one number of s's pieces, and the params
+    sys.path.insert(0, os.path.join(REPO, "tools"))
+    import report_diff
+
+    report = "\n".join(["task: eig", "[problem]", json.dumps({
+        "task": "eig", "params": {"interval": [0, 1]},
+        "coefficients": {k: {"breakpoints": [0.5], "pieces": [[[1.0, 0.0]], [[2.0, 0.0]]], "jumps": [[0.5, [1.0, 0.0]]]}
+                         for k in "sQr"}}), "[/problem]", "verdict: success"])
+    doctored = report.replace("[[1.0, 0.0]], [[2.0", "[[1.0, 0.0]], [[2.5", 1).replace("[0, 1]", "[0, 2]")
+    assert [kind for kind, _ in report_diff.differences(report, doctored)] == [
+        "line '[problem] params' differs", "line '[problem] coefficients.s.pieces' differs"]
+    assert report_diff.differences(report, report) == []
 
 
 def test_reach_lists_what_the_gram_tasks_never_call():

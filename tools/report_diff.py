@@ -16,9 +16,11 @@ block (``bench/workloads.strip_metadata``).
 
 Prints every task whose exit code or report differs and, under it, what
 differs: each ``key:`` line (keyed by its key and its place among the lines
-of that key), table and table column that differs, and each one found on
-only one side.  A table column is compared row by row, and a changed one
-is shown by its count of changed rows and its first one.  Reports that
+of that key), entry of the ``[problem]`` echo (its task, its params and each
+``coefficients.<s|Q|r>.<breakpoints|pieces|jumps>``), table and table column
+that differs, and each one found on only one side.  A table column is
+compared row by row, and a changed one is shown by its count of changed rows
+and its first one.  Reports that
 differ only in the order of their lines show their first differing line.
 A long line is cut to 160 characters around its first difference.
 Then a tally: each kind of difference with the number of tasks that show
@@ -139,9 +141,10 @@ def reports_of(root: str, entries_path: str, scratch: str) -> dict:
 
 
 def parts(report: str) -> tuple[dict, dict]:
-    """({key: value} of the ``key:`` lines and the [problem] block, {name:
-    (title, columns)} of the tables).  A key seen before gets its count,
-    as ``key#2``; a table's columns are {header: [cell of each row]}."""
+    """({key: value} of the ``key:`` lines and the entries of the [problem]
+    echo (``echo_parts``), {name: (title, columns)} of the tables).  A key
+    seen before gets its count, as ``key#2``; a table's columns are {header:
+    [cell of each row]}."""
     lines, kv, tables, seen = report.splitlines(), {}, {}, collections.Counter()
     i = 0
     while i < len(lines):
@@ -155,7 +158,7 @@ def parts(report: str) -> tuple[dict, dict]:
             i = end
         elif line == "[problem]":
             end = lines.index("[/problem]", i)
-            kv["[problem]"] = "\n".join(lines[i + 1 : end])
+            kv.update(echo_parts("\n".join(lines[i + 1 : end])))
             i = end
         else:
             key = line.partition(": ")[0] if ": " in line else line
@@ -163,6 +166,19 @@ def parts(report: str) -> tuple[dict, dict]:
             kv[key if seen[key] == 1 else f"{key}#{seen[key]}"] = line
         i += 1
     return kv, tables
+
+
+def echo_parts(text: str) -> dict:
+    """{key: JSON text} of a [problem] echo: ``[problem] task``, ``[problem]
+    params`` and ``[problem] coefficients.<name>.<entry>`` for each function
+    and each of its entries; an echo that is not a JSON object is one entry."""
+    try:
+        echo = json.loads(text)
+        functions = echo.pop("coefficients", {})
+        entries = {f"coefficients.{name}.{key}": v for name, f in functions.items() for key, v in f.items()}
+    except (ValueError, AttributeError):
+        return {"[problem]": text}
+    return {f"[problem] {key}": json.dumps(v, sort_keys=True) for key, v in {**echo, **entries}.items()}
 
 
 def differences(a: str | None, b: str | None) -> list[tuple[str, str]]:
@@ -208,7 +224,7 @@ def differences(a: str | None, b: str | None) -> list[tuple[str, str]]:
 
 def _cut(line: str, other: str = "") -> str:
     """At most 160 characters of a line, from 40 before its first difference
-    from other: a [problem] echo is one long line."""
+    from other: an entry of the [problem] echo can be a long line."""
     n = next((k for k, (x, y) in enumerate(zip(line, other)) if x != y), min(len(line), len(other)))
     lo = max(0, n - 40)
     return ("..." if lo else "") + line[lo : lo + 160] + ("..." if len(line) > lo + 160 else "")
