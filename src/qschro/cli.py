@@ -361,22 +361,22 @@ PARAMS = {
 # normalization (the canonical echo that re-runs identically)
 
 
-def normalize_problem(task: str, functions: dict, params: dict) -> dict:
-    """The problem as it re-runs identically: each of the ``functions``
-    (``_functions``) with its breakpoints, its pieces as they were read,
-    without trailing zeros as the constructor drops them, and its jumps."""
-    return {
-        "task": task,
-        "coefficients": {
-            k: {
-                "breakpoints": f.breakpoints.tolist(),
-                "pieces": [[[z.real, z.imag] for z in _piece(p)] for p in pieces],
-                "jumps": [[b, [h.real, h.imag]] for b, h in f.jumps.items()],
-            }
-            for k, (f, pieces) in functions.items()
-        },
-        "params": params,
+def normalize_problem(raw: dict, functions: dict) -> dict:
+    """The problem ``raw`` as it re-runs identically: its task and params, each
+    of its ``functions`` (``_functions``) with its breakpoints, its pieces as
+    they were read, without trailing zeros as the constructor drops them, and
+    its jumps, and its degree cap when it sets one."""
+    coefficients = {
+        k: {
+            "breakpoints": f.breakpoints.tolist(),
+            "pieces": [[[z.real, z.imag] for z in _piece(p)] for p in pieces],
+            "jumps": [[b, [h.real, h.imag]] for b, h in f.jumps.items()],
+        }
+        for k, (f, pieces) in functions.items()
     }
+    if "degree_cap" in raw["coefficients"]:
+        coefficients["degree_cap"] = raw["coefficients"]["degree_cap"]
+    return {"task": raw["task"], "coefficients": coefficients, "params": raw.get("params", {})}
 
 
 # ----------------------------------------------------------------------
@@ -628,28 +628,17 @@ def run_verify(field, params, rep):
     n = max(1, int(min(-a, b)) - 1)
     # phi, which is also the first form test, the second form test and the
     # cut-off, 1 on [-n, n] and 0 outside [-n - 1, n + 1], built in one
-    # call; a refused one raises where it is first needed
-    shapes = ([mid, mid - (b - a) / 8, 0.0], [(b - a) / 4, (b - a) / 6, 2.0 * n], [(b - a) / 8] * 2 + [1.0])
-    try:
-        made = bumps(*shapes)
-    except FamilyMemberError as exc:
-        made = bumps(*(col[: exc.index] for col in shapes)) + [exc] * (3 - exc.index)
-
-    def built(k):
-        if isinstance(made[k], FamilyMemberError):
-            raise made[k]
-        return made[k]
-
-    phi = built(0)
+    # call that refuses the first member that cannot be built
+    phi, second, cut = bumps([mid, mid - (b - a) / 8, 0.0], [(b - a) / 4, (b - a) / 6, 2.0 * n],
+                             [(b - a) / 8] * 2 + [1.0])
     u_fit = u.to_piecewise(a, b)
     r3 = product_rule_check(field, phi, u_fit, window)
     for side in (DIRECT, ADJOINT):
         rows.append((f"product_rule_{side}", r3[side], 1e-9, r3[side] <= 1e-9, "cutoff-product-rule"))
 
-    for k, r4 in enumerate(form_vs_operator_check(field, [built(0), built(1)], window)):
+    for k, r4 in enumerate(form_vs_operator_check(field, [phi, second], window)):
         rows.append((f"form_vs_operator_{k}", r4, 1e-8, r4 <= 1e-8, "form-vs-operator"))
 
-    cut = built(2)
     lo, hi = cut.support_bounds()
     fits = a <= lo and hi <= b
     if fits:
@@ -708,7 +697,7 @@ def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
         raise ValidationFailure("output", f"{DUMP_NAME!r} is the name of the trajectory dump")
     rep = Report(task)
     rep.metadata(list(argv))
-    rep.problem(normalize_problem(task, functions, raw.get("params", {})))
+    rep.problem(normalize_problem(raw, functions))
     parsed = time.perf_counter()
     extra = RUNNERS[task](field, params, rep)
     rep.phases(parse=parsed - started, compute=time.perf_counter() - parsed)

@@ -161,9 +161,13 @@ def _sum_rows(a: np.ndarray, b: np.ndarray, op=np.add) -> np.ndarray:
 
 
 def _convolve_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial products of two coefficient arrays."""
-    if p.shape[1] < q.shape[1]:
-        p, q = q, p
+    """Row-wise polynomial products of two coefficient arrays, looping over
+    the columns of the narrower one (q's at equal widths)."""
+    return _product(q, p) if p.shape[1] < q.shape[1] else _product(p, q)
+
+
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise products p q, adding p times each column of q in turn to rows that start at zero."""
     out = np.zeros((len(p), p.shape[1] + q.shape[1] - 1), dtype=complex)
     for k in range(q.shape[1]):
         out[:, k : k + p.shape[1]] += p * q[:, k, None]

@@ -192,20 +192,13 @@ def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:
     }
     for T, v in probes.items():
         witnesses[f"I({T!r})"] = v
-    if diverging:
-        return ConditionReport(
-            check="inverse-weight-divergence",
-            verdict=HOLDS,
-            witnesses=witnesses,
-            tables=tables,
-            notes=("divergence-consistent: outer half still accumulates mass",),
-        )
     return ConditionReport(
         check="inverse-weight-divergence",
-        verdict=INCONCLUSIVE,
+        verdict=HOLDS if diverging else INCONCLUSIVE,
         witnesses=witnesses,
         tables=tables,
-        notes=("partial integrals saturate on the horizon (converging trend)",),
+        notes=("divergence-consistent: outer half still accumulates mass" if diverging
+               else "partial integrals saturate on the horizon (converging trend)",),
     )
 
 
@@ -215,9 +208,11 @@ def check_growth(r1: PiecewisePoly, w: WeightFunction) -> ConditionReport:
 
     The horizon is split into blocks by |x|; block maxima of the sampled
     ratio r1^{+-}/m form the growth envelope.  The estimated constant C is
-    the outer-half maximum; the verdict is "holds-on-horizon" when the
-    envelope stops increasing (within the configured slack) from some
-    block N0 on, otherwise "fails" with the worst point as witness.
+    the outer-half maximum.  On each side N0 is the start of the
+    non-increasing run (within the configured slack) that ends at the
+    horizon (``_n0``); the verdict is "holds-on-horizon" when both sides
+    have one that is longer than the last block alone, otherwise "fails"
+    with the worst point as witness.
 
     A block [a, b] is sampled at 64 even points and at the breakpoints of
     r1 and m strictly inside it; its maximum is the first largest positive
@@ -254,42 +249,31 @@ def check_growth(r1: PiecewisePoly, w: WeightFunction) -> ConditionReport:
     blocks = {"left": best[0::2].tolist(), "right": best[1::2].tolist()}
     k = int(np.argmax(best))
     worst = rows[k][3:] if best[k] > 0 else (0.0, 0.0)
-    tol = config.ENVELOPE_GROWTH_TOL
-    n0_blocks = {}
-    for side in ("left", "right"):
-        seq = blocks[side]
-        n0 = None
-        # need a nontrivial non-increasing tail, not just the last block
-        for start in range(nb - 1):
-            okay = all(
-                seq[j + 1] <= seq[j] * (1 + tol) + 1e-12 for j in range(start, nb - 1)
-            )
-            if okay:
-                n0 = start
-                break
-        n0_blocks[side] = n0
+    n0 = {side: _n0(seq) for side, seq in blocks.items()}
     C = max(max(blocks["left"][nb // 2 :]), max(blocks["right"][nb // 2 :]))
-    witnesses = {
-        "C": C,
-        "N0_left": None if n0_blocks["left"] is None else edges[n0_blocks["left"]],
-        "N0_right": None if n0_blocks["right"] is None else edges[n0_blocks["right"]],
-    }
-    if any(v is None for v in n0_blocks.values()):
+    witnesses = {"C": C} | {f"N0_{side}": None if k is None else edges[k] for side, k in n0.items()}
+    holds = None not in n0.values()
+    if not holds:
         witnesses["witness_x"] = worst[1]
         witnesses["witness_ratio"] = worst[0]
-        return ConditionReport(
-            check="growth-vs-weight",
-            verdict=FAILS,
-            witnesses=witnesses,
-            tables={"envelope": rows},
-            notes=("ratio envelope keeps increasing toward the horizon edge",),
-        )
     return ConditionReport(
         check="growth-vs-weight",
-        verdict=HOLDS,
+        verdict=HOLDS if holds else FAILS,
         witnesses=witnesses,
         tables={"envelope": rows},
+        notes=() if holds else ("ratio envelope keeps increasing toward the horizon edge",),
     )
+
+
+def _n0(seq) -> int | None:
+    """The block N0 of an envelope side: the start of the non-increasing run
+    (each block at most the one before it times 1 + ENVELOPE_GROWTH_TOL, plus
+    1e-12) that ends at the horizon, which is the last block that rises above
+    the one before it, or 0; None when that is the last block, as one block
+    alone is no trend."""
+    tol = config.ENVELOPE_GROWTH_TOL
+    last = max((j for j in range(len(seq) - 1) if not seq[j + 1] <= seq[j] * (1 + tol) + 1e-12), default=-1)
+    return last + 1 if last < len(seq) - 2 else None
 
 
 @dataclass(frozen=True)
@@ -386,18 +370,12 @@ def check_intervals(r1: PiecewisePoly, scheme: IntervalScheme) -> ConditionRepor
         witnesses["witness_n"] = worst[0]
         witnesses["witness_constant"] = worst[4]
         witnesses["witness_x"] = worst[5]
-        return ConditionReport(
-            check="interval-scheme",
-            verdict=FAILS,
-            witnesses=witnesses,
-            tables={"per_interval": rows},
-            notes=("per-interval constants grow through the range: no uniform C",),
-        )
     return ConditionReport(
         check="interval-scheme",
-        verdict=HOLDS,
+        verdict=FAILS if growing else HOLDS,
         witnesses=witnesses,
         tables={"per_interval": rows},
+        notes=("per-interval constants grow through the range: no uniform C",) if growing else (),
     )
 
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly, _dense, _gauss_legendre, _panels, _stack, _stacked_support
+from .coeffs import (
+    CoefficientField, PiecewisePoly, _dense, _derivative_rows, _gauss_legendre, _panels, _stack, _stacked_support,
+)
 from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, _panel_values, pair_integral
 from .quasi import ADJOINT, DIRECT, QuasiState, _apply_stacked, _on_field_mesh, _stack_jumps, apply_l_atoms, assemble
@@ -247,7 +249,7 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
         for w in groups:
             at = widths[owner] == w if len(groups) > 1 else slice(None)
             rows = coeffs[row[at], :w]
-            drows = rows[:, 1:] * np.arange(1, w) if w > 1 else np.zeros_like(rows)  # as u.derivative()
+            drows = _derivative_rows(rows)  # as u.derivative()
             fu[at], fdu[at] = (_dense(r[:, :, None], theta[at]) for r in (rows, drows))
         fg1, fg2, fs = (_panel_values(f, mid, xs)[0] for f in field)
         u2 = (fu * fu.conj()).real

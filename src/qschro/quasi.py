@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientField, PiecewisePoly, _dense, _derivative_rows, _poly, _stack, _sum_rows, aligned
+from .coeffs import (
+    CoefficientField, PiecewisePoly, _dense, _derivative_rows, _poly, _product, _stack, _sum_rows, aligned,
+)
 from .config import JUMP_TOL
 from .errors import DiscontinuousQuasiDerivativeError, NonRealError
 
@@ -129,24 +131,18 @@ def _widths(rows: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def _times(p: np.ndarray, wp: np.ndarray, q: np.ndarray, wq: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Rows of p q as ``coeffs._convolve_rows`` forms each function's: the
-    widths ``wp`` and ``wq`` are the functions' own, and each product loops
-    over the columns of its narrower factor (q's at equal widths), adding
-    in that order.  A padding zero adds a zero product to a sum that starts
-    at +0, so the rows have the bits of the unpadded ones.  It is not
-    ``PiecewisePoly.__mul__``'s kernel: with the same bits, it takes 22 us
-    against 6 for a 3x2 by 3x1 product (timeit, best of 5, 2-CPU Xeon)."""
-    out = np.zeros((len(p), p.shape[1] + q.shape[1] - 1), dtype=complex)
+    widths ``wp`` and ``wq`` are the functions' own, and each function's
+    rows go through ``coeffs._product`` looping over the columns of its
+    narrower factor (q's at equal widths).  A padding zero adds a zero
+    product to a sum that starts at +0, so the rows have the bits of the
+    unpadded ones."""
     swap = np.repeat(wp < wq, np.diff(first))
-    for rows, a, b in ((~swap, p, q), (swap, q, p)):
-        if not rows.any():
-            continue
-        whole = rows.all()
-        a, b = (a, b) if whole else (a[rows], b[rows])
-        part = np.zeros((len(a), out.shape[1]), dtype=complex) if not whole else out
-        for k in range(b.shape[1]):
-            part[:, k : k + a.shape[1]] += a * b[:, k, None]
-        if not whole:
-            out[rows] = part
+    if not swap.any():
+        return _product(p, q)
+    if swap.all():
+        return _product(q, p)
+    out = np.empty((len(p), p.shape[1] + q.shape[1] - 1), dtype=complex)
+    out[~swap], out[swap] = _product(p[~swap], q[~swap]), _product(q[swap], p[swap])
     return out
 
 

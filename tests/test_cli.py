@@ -782,10 +782,10 @@ def test_malformed_input_is_a_named_validation_error(tmp_path, capsys, problem, 
 
 
 
-def test_a_refused_verify_bump_is_raised_where_it_is_first_needed(monkeypatch):
+def test_a_refused_verify_bump_is_raised_when_the_family_is_built(monkeypatch):
     # on (-1e16, 1e16) the cut-off's ramp of width 1 rounds to nothing at
-    # x = -n - 1: verify builds it with phi and the form tests, but refuses
-    # it only after the checks that use those
+    # x = -n - 1: verify builds it with phi and the form tests in one call,
+    # which refuses it before the checks that use those run
     from qschro import cli
     from qschro.errors import FamilyMemberError
 
@@ -798,7 +798,15 @@ def test_a_refused_verify_bump_is_raised_where_it_is_first_needed(monkeypatch):
     params = {"window": (-1e16, 1e16), "lambda": 0j}
     with pytest.raises(FamilyMemberError, match="smoothstep needs a < b"):
         cli.run_verify(cli._coefficients(FREE_COEFFS, "coefficients"), params, cli.Report("verify"))
-    assert calls == ["product", "form"]
+    assert calls == []
+
+
+def test_a_verify_whose_cut_off_is_refused_exits_65_without_a_report(tmp_path, capsys):
+    problem = {"task": "verify", "coefficients": FREE_COEFFS, "params": {"window": [-1e16, 1e16], "lambda": 0}}
+    out = tmp_path / "out"
+    assert main(["verify", "--input", write(tmp_path, "p.json", problem), "--out", str(out)]) == EXIT_VALIDATION
+    assert "smoothstep needs a < b" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 _BAD_INCREASING = {"breakpoints": [1, 0], "pieces": [[0], [1], [2]]}

@@ -173,6 +173,30 @@ def test_values_inside_the_float_range_are_not_refused():
     assert conditions._past_float_range(far, 1e300)
 
 
+def _n0_by_search(seq):
+    """Reference: N0 as a search over starts, the first start before the
+    last block from which every later pair of blocks is non-increasing
+    within the slack."""
+    tol = conditions.config.ENVELOPE_GROWTH_TOL
+    for start in range(len(seq) - 1):
+        if all(seq[j + 1] <= seq[j] * (1 + tol) + 1e-12 for j in range(start, len(seq) - 1)):
+            return start
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_n0_is_the_first_start_of_a_non_increasing_tail(n):
+    rng = np.random.default_rng(n)
+    # ties, zeros, values at and around the slack, NaN and inf
+    values = np.array([0.0, 1e-12, 1.0, 1.05, 1.0500000000011, 1.06, 2.0, np.nan, np.inf])
+    cases = [[1.0] * n, [0.0] * n, [np.nan] * n, [float(k) for k in range(n)], [float(n - k) for k in range(n)],
+             [1.06**k for k in range(n)], [1.04**k for k in range(n)]]
+    cases += [rng.choice(values, n).tolist() for _ in range(4000)]
+    cases += [rng.exponential(size=n).tolist() for _ in range(1000)]
+    for seq in cases:
+        assert conditions._n0(seq) == _n0_by_search(seq), seq
+
+
 def test_check_growth_envelope_reaches_minus_zero():
     rep = check_growth(PiecewisePoly.constant(1.0), WeightFunction(M_ABS, 33.3))
     rows = rep.tables["envelope"]

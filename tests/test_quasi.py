@@ -381,7 +381,7 @@ def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
         for (f, _), g in zip(functions.values(), (c.s, c.Q, c.r)):
             assert _poly_bits(f) == _poly_bits(g)
         ref = {k: reference_echo(f, data[k][1]) for k, f in zip("sQr", (c.s, c.Q, c.r))}
-        got = normalize_problem("eig", functions, {})["coefficients"]
+        got = normalize_problem({"task": "eig", "coefficients": spec}, functions)["coefficients"]
         assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 

@@ -47,7 +47,8 @@ def test_gram_reports_do_not_depend_on_the_tasks_run_before_them(tmp_path):
 
 
 def _echo_cases() -> list:
-    """(id, task, problem text) of every task of gram and algebra seed 1 and every problems/*.json."""
+    """(id, task, problem text) of every task of gram and algebra seed 1, every problems/*.json
+    and a solve that raises the degree cap."""
     cases = [(f"{name}/{t.id}", t.task, t.raw_text if t.raw_text is not None else json.dumps(t.problem))
              for name in ("gram", "algebra") for t in workloads.generate(name, 1)]
     folder = os.path.join(REPO, "problems")
@@ -56,6 +57,10 @@ def _echo_cases() -> list:
             with open(os.path.join(folder, fname), encoding="utf-8") as fh:
                 text = fh.read()
             cases.append((f"problems/{fname}", json.loads(text)["task"], text))
+    # a degree cap above the default, which the echo must repeat
+    cases.append(("solve-degree-cap-10", "solve", json.dumps({
+        "task": "solve", "params": {"from": 0, "to": 1, "initial": [1, 0]},
+        "coefficients": {"degree_cap": 10, "s": {"breakpoints": [], "pieces": [[0] * 9 + [0.001]]}}})))
     return cases
 
 
@@ -77,8 +82,11 @@ def test_each_echo_re_runs_to_its_own_report(tmp_path, task, text):
     lines = report.splitlines()
     echo = lines[lines.index("[problem]") + 1]
     assert run(echo, "echo", "report.txt") == (code, report)
-    # its pieces are the file's numbers, without trailing zeros
-    for k, f in json.loads(echo)["coefficients"].items():
+    # its pieces are the file's numbers, without trailing zeros, and its
+    # degree cap is the file's when the file sets one
+    coefficients = json.loads(echo)["coefficients"]
+    assert coefficients.pop("degree_cap", None) == problem["coefficients"].get("degree_cap")
+    for k, f in coefficients.items():
         read = [[complex(*map(float, v)) if isinstance(v, list) else complex(float(v)) for v in piece]
                 for piece in problem["coefficients"].get(k, {}).get("pieces", [[0]])]
         assert [[complex(*v) for v in piece] for piece in f["pieces"]] == [_trimmed(piece) for piece in read]

@@ -156,9 +156,7 @@ def main(argv=None) -> int:
     if args.child:
         run_profiled(*args.child, args.lines)
         return 0
-    src = os.path.join(os.path.abspath(args.root), "src")
-    if not os.path.isdir(os.path.join(src, "qschro")):
-        raise SystemExit(f"{args.root}: no src/qschro")
+    src, env = report_diff.child_env(args.root)
     sys.path.insert(0, os.path.join(report_diff.REPO, "bench"))
     import workloads
 
@@ -170,8 +168,6 @@ def main(argv=None) -> int:
         with open(entries_path, "w", encoding="utf-8") as fh:
             json.dump(entries, fh)
         out_root = tempfile.mkdtemp(dir=scratch)
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-        env.update({var: "1" for var in report_diff.THREAD_VARS})
         proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", entries_path, out_root,
                                *["--lines"] * args.lines], env=env, cwd=out_root, capture_output=True, text=True)
         if proc.returncode != 0:

@@ -16,8 +16,9 @@ block (``bench/workloads.strip_metadata``).
 
 Prints every task whose exit code or report differs and, under it, what
 differs: each ``key:`` line (keyed by its key and its place among the lines
-of that key), entry of the ``[problem]`` echo (its task, its params and each
-``coefficients.<s|Q|r>.<breakpoints|pieces|jumps>``), table and table column
+of that key), entry of the ``[problem]`` echo (its task, its params, each
+``coefficients.<s|Q|r>.<breakpoints|pieces|jumps>`` and
+``coefficients.degree_cap``), table and table column
 that differs, and each one found on only one side.  A table column is
 compared row by row, and a changed one is shown by its count of changed rows
 and its first one.  Reports that
@@ -121,14 +122,21 @@ def run_all(entries_path: str, out_root: str) -> None:
         json.dump(results, fh)
 
 
-def reports_of(root: str, entries_path: str, scratch: str) -> dict:
-    """Run the entries in a fresh interpreter on root's src; {name: [code, report]}."""
+def child_env(root: str) -> tuple[str, dict]:
+    """(src, environment) of a child interpreter that runs root's src: that
+    src alone on PYTHONPATH, no bytecode written, BLAS pinned to one thread."""
     src = os.path.join(os.path.abspath(root), "src")
     if not os.path.isdir(os.path.join(src, "qschro")):
         raise SystemExit(f"{root}: no src/qschro")
-    out_root = tempfile.mkdtemp(dir=scratch)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in THREAD_VARS})
+    return src, env
+
+
+def reports_of(root: str, entries_path: str, scratch: str) -> dict:
+    """Run the entries in a fresh interpreter on root's src; {name: [code, report]}."""
+    src, env = child_env(root)
+    out_root = tempfile.mkdtemp(dir=scratch)
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", entries_path, out_root],
                           env=env, cwd=out_root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -170,12 +178,14 @@ def parts(report: str) -> tuple[dict, dict]:
 
 def echo_parts(text: str) -> dict:
     """{key: JSON text} of a [problem] echo: ``[problem] task``, ``[problem]
-    params`` and ``[problem] coefficients.<name>.<entry>`` for each function
-    and each of its entries; an echo that is not a JSON object is one entry."""
+    params``, ``[problem] coefficients.<name>.<entry>`` for each function
+    and each of its entries and ``[problem] coefficients.degree_cap`` when
+    the echo has one; an echo that is not a JSON object is one entry."""
     try:
         echo = json.loads(text)
         functions = echo.pop("coefficients", {})
-        entries = {f"coefficients.{name}.{key}": v for name, f in functions.items() for key, v in f.items()}
+        cap = {"coefficients.degree_cap": functions.pop("degree_cap")} if "degree_cap" in functions else {}
+        entries = {f"coefficients.{name}.{key}": v for name, f in functions.items() for key, v in f.items()} | cap
     except (ValueError, AttributeError):
         return {"[problem]": text}
     return {f"[problem] {key}": json.dumps(v, sort_keys=True) for key, v in {**echo, **entries}.items()}

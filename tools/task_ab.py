@@ -48,10 +48,10 @@ import sys
 import tempfile
 import time
 
+import report_diff
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def write_problems(folder: str, workload: str, seed: int) -> list[dict]:
@@ -109,11 +109,7 @@ def child(mode: str, entries_path: str, out_root: str) -> None:
 
 
 def start(root: str, mode: str, entries_path: str, scratch: str, **kwargs) -> subprocess.Popen:
-    src = os.path.join(os.path.abspath(root), "src")
-    if not os.path.isdir(os.path.join(src, "qschro")):
-        raise SystemExit(f"{root}: no src/qschro")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    env.update({var: "1" for var in THREAD_VARS})
+    _, env = report_diff.child_env(root)
     out_root = tempfile.mkdtemp(dir=scratch)
     return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--child", mode, entries_path, out_root],
                             env=env, cwd=out_root, stdout=subprocess.PIPE, text=True, **kwargs)
