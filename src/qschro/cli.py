@@ -263,10 +263,6 @@ def _functions(value, field: str) -> dict:
     return {k: read(spec[k], f"{field}.{k}") for k in ("s", "Q", "r")}
 
 
-def _coefficients(value, field: str) -> CoefficientField:
-    return CoefficientField(*(f for f, _ in _functions(value, field).values()))
-
-
 PAIR = _list(_cnum, 2)
 BUMP = {"center": (_num, 0.0), "plateau": (_num, 1.0), "ramp": (_num, 1.0)}
 
@@ -321,7 +317,7 @@ PARAMS = {
     },
     "eig": {
         "interval": (_interval, REQUIRED),
-        "bc": (_build(lambda d: BoundaryCondition(**d), _obj(BC)), BoundaryCondition.dirichlet()),
+        "bc": (_build(lambda d: BoundaryCondition(**d), _obj(BC)), BoundaryCondition()),
         "scan": (_interval, None),
         "seeds": (_list(_cnum), ()),
         "grid": (_int_in(2, config.MAX_GRID_POINTS), 120),
@@ -726,10 +722,9 @@ def _write(out_dir: str, name: str, data: bytes):
 
 
 def _trajectory_csv(traj) -> bytes:
-    """The solve dump: a header and one row per step edge, both ends of the
-    interval included."""
-    lo, hi = traj.edges()
-    xs = np.append(lo, hi[-1])
+    """The solve dump: a header and one row per knot of the trajectory, both
+    ends of the interval included."""
+    xs = traj.knots
     ys, ls = traj.sample(xs)
     rows = [
         f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}"

@@ -876,14 +876,9 @@ class CoefficientField:
         return {}
 
     @cached_property
-    def _breakpoints(self) -> np.ndarray:
-        return _merge_breakpoints(
-            _merge_breakpoints(self.s.breakpoints, self.Q.breakpoints),
-            self.r.breakpoints,
-        )
-
     def breakpoints(self) -> np.ndarray:
-        return self._breakpoints
+        """The breakpoints of s, Q and r, merged (``_merge_breakpoints``)."""
+        return _merge_breakpoints(_merge_breakpoints(self.s.breakpoints, self.Q.breakpoints), self.r.breakpoints)
 
     @classmethod
     def free(cls) -> "CoefficientField":

@@ -406,7 +406,7 @@ def verify_caccioppoli(
         raise ValueError("cut-off must be compactly supported")
     if lo < v.a - 1e-9 or hi > v.b + 1e-9:
         raise ValueError("null solution does not cover the cut-off support")
-    v_pw, phi, r1 = aligned((v.to_piecewise(lo, hi), phi, c.r1), c.breakpoints())
+    v_pw, phi, r1 = aligned((v.to_piecewise(lo, hi), phi, c.r1), c.breakpoints)
     phiv = phi * v_pw
     expr, atoms = apply_l_atoms(c, ADJOINT, phiv, (lo, hi))
     left_c = (phiv * expr.conj()).integrate(lo, hi)

@@ -40,10 +40,17 @@ A plan reads each segment's rows from the system's entries when it is
 built (``_build_plan``), once per field, side and interval.
 
 A trajectory stores its rows as one structured array sorted by position
-(fields ``x0``, ``h``, ``coef`` and ``logscale``).  All dense output goes
-through ``Trajectory.sample`` (row lookup plus batched Horner).
-``_panels`` cuts [a, b] at the step edges and breakpoints of its operands
-with ``coeffs._panels``, the one cutter of every quadrature of the package.
+(fields ``x0``, ``h``, ``coef`` and ``logscale``) and their spans as one
+knot array, computed once: row i lies between knots i and i + 1, and each
+inner knot is the start of the row that the walk entered there, so a
+sub-step boundary is one knot, not the end of one row and the start of
+the next an ulp apart.  The inner knots are the trajectory's
+``breakpoints``, and a row is looked up by the rule of a
+``PiecewisePoly``'s region (``_region``: ``breakpoints.searchsorted``).
+All dense output goes through ``Trajectory.sample`` (row lookup plus
+batched Horner).  ``_panels`` cuts [a, b] at the breakpoints of its
+operands with ``coeffs._panels``, the one cutter of every quadrature of
+the package.
 ``_pair_sums`` forms every Gauss-Legendre pair sum on dense output: index
 pairs of a few functions over a batch of windows, with as many nodes per
 panel as the operands' degrees need, over trajectories and piecewise
@@ -56,7 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -82,45 +89,52 @@ class Trajectory:
     ``steps`` is an array of ``_step_dtype`` rows sorted by position; the
     true solution on a row is its Taylor polynomial times exp(logscale).
     Rescaling never changes the direction of the state vector, only its
-    magnitude.
+    magnitude.  ``knots`` holds the rows' spans, computed once: row i lies
+    between knots i and i + 1.  An inner knot is the start of the row that
+    the walk entered there, the right one on a forward walk and the left
+    one on a backward walk; the ends are the outer ends of the first and
+    last rows.  ``breakpoints`` is the view of the inner knots, so that a
+    trajectory is looked up as a ``PiecewisePoly`` is (``_region``).
     """
 
     system: ShinZettlSystem
     a: float
     b: float
     steps: np.ndarray
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x0, h = self.steps["x0"], self.steps["h"]
+        inner = np.where(h[1:] > 0, x0[1:], x0[:-1])
+        self.knots = np.concatenate([[min(x0[0], x0[0] + h[0])], inner, [max(x0[-1], x0[-1] + h[-1])]])
+        self.breakpoints = self.knots[1:-1]
 
     @property
     def degree(self) -> int:
         """Degree in theta of the rows (zero-padded to one width)."""
         return self.steps.dtype["coef"].shape[0] - 1
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) of every step."""
-        return _edges(self.steps)
-
-    def _locate(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
+    def _region(self, xs, side: str):
+        """Row index (or indices, for an array) holding x on that side, by
+        the rule of ``PiecewisePoly._region``; x outside [a, b] raises
+        ValueError."""
         outside = (xs < self.a - 1e-12) | (xs > self.b + 1e-12)
         if np.any(outside):
             raise ValueError(
                 f"x={xs[outside][0]} outside trajectory interval [{self.a}, {self.b}]"
             )
-        lo, hi = self.edges()
-        if side == "right":
-            i = np.searchsorted(lo, xs, side="right") - 1
-        elif side == "left":
-            i = np.searchsorted(hi, xs, side="left")
-        else:
+        if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return np.clip(i, 0, len(self.steps) - 1)
+        return self.breakpoints.searchsorted(xs, side=side)
 
     def sample(self, xs, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
         """Dense output at an array of x: states (n, 2) and their logscales.
 
-        At a step edge ``side`` picks the step on that side of x.
+        At a knot ``side`` picks the row on that side of x.
         """
         xs = np.asarray(xs, dtype=float)
-        rows = self.steps[self._locate(xs, side)]
+        rows = self.steps[self._region(xs, side)]
         theta = (xs - rows["x0"]) / rows["h"]
         return _dense(rows["coef"], theta[:, None]), rows["logscale"]
 
@@ -134,7 +148,7 @@ class Trajectory:
         End pieces extend into the tails.  Only valid when exp(logscale)
         is representable; refits are meant for desk-scale windows.
         """
-        s_lo, s_hi = self.edges()
+        s_lo, s_hi = self.knots[:-1], self.knots[1:]
         keep = (s_hi > lo + 1e-14) & (s_lo < hi - 1e-14)
         s = self.steps[keep]
         ends = np.minimum(s_hi[keep], hi)
@@ -158,20 +172,6 @@ class Trajectory:
                 f"re-fit at absolute scale: logscale {top:.6g} overflows", logscale=top) from None
         # interior knots only; the first/last piece double as the tails
         return PiecewisePoly._from_local(ends[:-1], centers, sub * scale[:, None])
-
-
-def _edges(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x0, h = steps["x0"], steps["h"]
-    return x0 + np.minimum(h, 0.0), x0 + np.maximum(h, 0.0)
-
-
-def _by_position(steps: np.ndarray) -> np.ndarray:
-    """The steps sorted by position, stably; a walk's own order, or its
-    reverse, is kept as a view of the array rather than a copy."""
-    lo = _edges(steps)[0]
-    if (lo[1:] >= lo[:-1]).all():
-        return steps
-    return steps[::-1] if (lo[1:] < lo[:-1]).all() else steps[np.argsort(lo, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
             rows["coef"][:, :coef.shape[1]] = coef
         blocks[k] = None  # its rows are copied: let them go
         i += len(x0)
-    return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=_by_position(steps))
+    return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=steps if to > y0.x else steps[::-1])
 
 
 def _walk(plan, lam, start, out=None, derivative=False):
@@ -294,7 +294,7 @@ def _build_plan(sys, x_from, to):
     lo, hi = min(x_from, to), max(x_from, to)
     if not hi - lo < math.inf:
         raise ValueError(f"integration interval from {x_from!r} to {to!r} has a length that is not finite")
-    pts = sys.breakpoints().tolist()
+    pts = sys.field_data.breakpoints.tolist()
     nodes = [x_from, *sorted((t for t in pts if lo < t < hi), reverse=to < x_from), to]
     ends = list(zip(nodes[:-1], nodes[1:]))
     reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(pts, pts[1:])), math.inf] if pts else [0.0]
@@ -693,9 +693,8 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
     trajs = []
     for init in ((1.0, 0.0), (0.0, 1.0)):
         state = QuasiState(x=x0, y0=init[0], y1=init[1], side=sys.side)
-        parts = [integrate(sys, state, end) for end in (a, b) if end != x0]
-        steps = _by_position(np.concatenate([p.steps for p in parts]))
-        trajs.append(Trajectory(system=sys, a=a, b=b, steps=steps))
+        steps = [integrate(sys, state, end).steps for end in (a, b) if end != x0]
+        trajs.append(Trajectory(system=sys, a=a, b=b, steps=np.concatenate(steps)))
     return FundamentalSystem(y1=trajs[0], y2=trajs[1], x0=x0)
 
 
@@ -704,11 +703,8 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
 
 def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
     """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
-    of [a, b] between the step edges and breakpoints of the functions fs and ``cuts``."""
-    edges = [np.asarray(cuts, dtype=float)]
-    for f in fs:
-        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
-    left, right, _ = _cut([a], [b], np.concatenate(edges))
+    of [a, b] between the breakpoints of the functions fs (a trajectory's inner knots) and ``cuts``."""
+    left, right, _ = _cut([a], [b], np.concatenate([np.asarray(cuts, dtype=float), *(f.breakpoints for f in fs)]))
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     return mid, half, mid[:, None] + half[:, None] * nodes
@@ -717,23 +713,25 @@ def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
 def _panel_values(f, mid: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of f at the nodes xs of panels with midpoints mid, with logscales.
 
-    A Trajectory contributes its y0 component, read by index from its rows
-    and summed _ROWS_CHUNK panels at a time, so that no copy of all its
-    panels' rows is made; a PiecewisePoly is one row per region (x0 =
-    center, h = 1) with logscale 0.
+    Each panel reads the row of f that holds its midpoint (``_region``):
+    a Trajectory's row and its y0 component, or a PiecewisePoly's region
+    as a row with x0 = center, h = 1 and logscale 0.  The rows are read by
+    index and summed _ROWS_CHUNK panels at a time, so that no copy of all
+    the panels' rows is made.
     """
     if isinstance(f, Trajectory):
-        i = f._locate(mid)
-        x0, h, coef = f.steps["x0"][i], f.steps["h"][i], f.steps["coef"][:, :, 0]
-        values = np.empty(xs.shape, dtype=complex)
-        for j in range(0, len(i), _ROWS_CHUNK):
-            at = slice(j, j + _ROWS_CHUNK)
-            values[at] = _dense(coef[i[at], :, None], (xs[at] - x0[at, None]) / h[at, None])
-        return values, f.steps["logscale"][i]
-    if isinstance(f, PiecewisePoly):
-        i = f._region(mid, "right")
-        return _dense(f.coeffs[i, :, None], xs - f.centers[i, None]), np.zeros(len(mid))
-    raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
+        x0, h, coef, ls = f.steps["x0"], f.steps["h"], f.steps["coef"][:, :, 0], f.steps["logscale"]
+    elif isinstance(f, PiecewisePoly):
+        x0, h, coef, ls = f.centers, np.ones(len(f.centers)), f.coeffs, np.zeros(len(f.centers))
+    else:
+        raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
+    i = f._region(mid, "right")
+    x0, h = x0[i], h[i]
+    values = np.empty(xs.shape, dtype=complex)
+    for j in range(0, len(i), _ROWS_CHUNK):
+        at = slice(j, j + _ROWS_CHUNK)
+        values[at] = _dense(coef[i[at], :, None], (xs[at] - x0[at, None]) / h[at, None])
+    return values, ls[i]
 
 
 def _pair_sums(fs, pairs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -742,15 +740,19 @@ def _pair_sums(fs, pairs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
     Each function is a Trajectory (its y0, with the rows' logscales) or a
     PiecewisePoly (logscale 0).  The panels of [min lo, max hi] are cut once,
-    at the step edges and breakpoints of fs and at every window end, so each
+    at the breakpoints of fs and at every window end, so each
     panel lies inside or outside each window, and the functions are sampled
     there once.  floor((deg f_i + deg f_j)/2) + 1 Gauss-Legendre nodes per
     panel, the most any pair needs, integrate every product exactly.  Each
     window sums its panels' parts on its largest logscale, so exponentially
     large solutions never overflow; a window with no panel gives 0 on
-    logscale 0.  Windows need lo <= hi.
+    logscale 0.  Windows need lo <= hi, and a trajectory that does not
+    cover them all raises ValueError (``Trajectory._region``): no panel is
+    cut at its ends.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for f in fs:
+        f._region(np.array([lo.min(), hi.max()]), "right")
     nodes, weights = _gauss_legendre(max(fs[i].degree + fs[j].degree for i, j in pairs) // 2 + 1)
     mid, half, xs = _panels(fs, lo.min(), hi.max(), nodes, cuts=np.concatenate([lo, hi]))
     values, scales = zip(*(_panel_values(f, mid, xs) for f in fs))

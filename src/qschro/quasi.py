@@ -72,9 +72,6 @@ class ShinZettlSystem:
     a22: PiecewisePoly = field(repr=False)
     plans: dict = field(repr=False, compare=False)
 
-    def breakpoints(self) -> np.ndarray:
-        return self.field_data.breakpoints()
-
 
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
     """The Shin-Zettl matrix for l - lambda (or its adjoint); its
@@ -99,8 +96,10 @@ def _stack_jumps(stack, window: tuple[float, float]) -> list[dict[float, complex
     zero changes at most the sign of a zero in Horner's rule.
     """
     bp, centers, rows, first = stack[:4]
-    stop = first[1:] - np.arange(1, len(first))  # one past each function's last breakpoint
     j = np.flatnonzero((bp >= float(window[0])) & (bp <= float(window[1])))
+    if not len(j):
+        return [{} for _ in range(len(first) - 1)]
+    stop = first[1:] - np.arange(1, len(first))  # one past each function's last breakpoint
     x, n = bp[j], len(j)
     left = j + stop.searchsorted(j, "right")  # the row left of breakpoint j is j plus its owner's index
     beside = np.concatenate([left, left + 1])
@@ -181,7 +180,7 @@ def _apply_stacked(systems, fs, dfs, window) -> list:
 def _on_field_mesh(c: CoefficientField, fs) -> tuple[list, list]:
     """Each f, and f' formed on f's own mesh, re-centred on the union of f's
     mesh and the field's: the operands of ``_apply_stacked``."""
-    mesh = c.breakpoints()
+    mesh = c.breakpoints
     on = [aligned((f,), mesh)[0] for f in fs]
     return on, [f.derivative()._on_mesh(g.breakpoints) for f, g in zip(fs, on)]
 
@@ -249,7 +248,7 @@ def product_rule_check(
         raise ValueError(
             f"cut-off support [{lo}, {hi}] is not compact inside [{a}, {b}]"
         )
-    phi, u = aligned((phi, u), c.breakpoints())
+    phi, u = aligned((phi, u), c.breakpoints)
     dphi, du = phi.derivative(), u.derivative()
     ddphi = dphi.derivative()
     phi_u, dphi_u, ddphi_u = phi * u, dphi * u, ddphi * u

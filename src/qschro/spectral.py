@@ -47,7 +47,8 @@ class BoundaryCondition:
     """Separated conditions alpha*y0 + beta*y1 = 0 in quasi-derivative terms.
 
     y1 is the first quasi-derivative, not u': u' need not exist at an
-    endpoint that carries a coefficient jump.  Dirichlet is (1, 0).
+    endpoint that carries a coefficient jump.  Dirichlet is (1, 0), the
+    default at both ends.
     """
 
     left: tuple[complex, complex] = (1.0, 0.0)
@@ -57,10 +58,6 @@ class BoundaryCondition:
         for name, (al, be) in (("left", self.left), ("right", self.right)):
             if al == 0 and be == 0:
                 raise ValueError(f"{name} boundary pair must not be (0, 0)")
-
-    @classmethod
-    def dirichlet(cls) -> "BoundaryCondition":
-        return cls((1.0, 0.0), (1.0, 0.0))
 
 
 @dataclass(slots=True)

@@ -37,7 +37,7 @@ DELTA = CoefficientField.delta_well(-2.0)
 DRIFT = CoefficientField(
     PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0.0, -1j])
 )
-BC = BoundaryCondition.dirichlet()
+BC = BoundaryCondition()
 
 
 def report(n, ok, msg):

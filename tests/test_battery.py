@@ -82,7 +82,7 @@ def o_apply(A, u, window):
 
 def o_product_rule(c, phi, u, window):
     a, b = float(window[0]), float(window[1])
-    phi, u = aligned((phi, u), c.breakpoints())
+    phi, u = aligned((phi, u), c.breakpoints)
     dphi = phi.derivative()
     ddphi = dphi.derivative()
     phi_u, dphi_u, ddphi_u = o_mul(phi, u), o_mul(dphi, u), o_mul(ddphi, u)

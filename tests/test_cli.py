@@ -494,7 +494,7 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
     lines = (out / "report.txt").read_text().splitlines()
     # the first node, lambda = 0.5, refuses the scan after one shot
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    v = characteristic(ix, (0, math.pi), BoundaryCondition.dirichlet(), 0.5).value
+    v = characteristic(ix, (0, math.pi), BoundaryCondition(), 0.5).value
     assert f"scan_imag_ratio: {abs(v.imag) / abs(v)!r}  (source: shooting-scan)" in lines
     assert "scan_refused_at: 0.5  (source: shooting-scan)" in lines
     table = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
@@ -504,7 +504,7 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
         re, im, _, _, _, converged, method = row.split(",")
         assert abs(complex(float(re), float(im)) - (1.109 + 1.571j)) < 1e-3
         assert (converged, method) == ("true", "shooting-newton")
-    seed_shots = sum(r.shots for r in eigenvalues(ix, (0, math.pi), BoundaryCondition.dirichlet(),
+    seed_shots = sum(r.shots for r in eigenvalues(ix, (0, math.pi), BoundaryCondition(),
                                                   seeds=[complex(*z) for z in seeds]))
     assert f"shots: {1 + seed_shots}  (source: shooting)" in lines
     assert f"found: {len(seeds)}  (source: shooting)" in lines
@@ -683,8 +683,7 @@ def test_trajectory_dump_bytes(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--input", path, "--out", str(out)]) == EXIT_OK
     traj = run_problem(load_problem(path))[2]
-    lo, hi = traj.edges()
-    xs = [*lo.tolist(), float(hi[-1])]
+    xs = traj.knots.tolist()
     ys, ls = traj.sample(xs)
     rows = [f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}\n"
             for x, (y0, y1), l in zip(xs, ys.tolist(), ls.tolist())]
@@ -797,7 +796,8 @@ def test_a_refused_verify_bump_is_raised_when_the_family_is_built(monkeypatch):
     monkeypatch.setattr(cli, "form_vs_operator_check", lambda c, family, w: calls.append("form") or [0.0] * len(family))
     params = {"window": (-1e16, 1e16), "lambda": 0j}
     with pytest.raises(FamilyMemberError, match="smoothstep needs a < b"):
-        cli.run_verify(cli._coefficients(FREE_COEFFS, "coefficients"), params, cli.Report("verify"))
+        field = CoefficientField(*(f for f, _ in cli._functions(FREE_COEFFS, "coefficients").values()))
+        cli.run_verify(field, params, cli.Report("verify"))
     assert calls == []
 
 

@@ -649,13 +649,9 @@ def test_breakpoints_closer_than_the_merge_tolerance_are_refused():
 
 
 def _unique_panels(fs, a, b, nodes, cuts=()):
-    """``propagate._panels`` as it cut with ``np.unique``, verbatim."""
-    from qschro.propagate import Trajectory
-
-    edges = [np.asarray([a, b, *cuts], dtype=float)]
-    for f in fs:
-        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
-    ks = np.unique(np.concatenate(edges))
+    """``propagate._panels`` as it cut with ``np.unique``, at the breakpoints
+    of fs (a trajectory's inner knots)."""
+    ks = np.unique(np.concatenate([np.asarray([a, b, *cuts], dtype=float), *(f.breakpoints for f in fs)]))
     ks = ks[(ks >= a) & (ks <= b)]
     mid = 0.5 * (ks[:-1] + ks[1:])
     half = 0.5 * (ks[1:] - ks[:-1])

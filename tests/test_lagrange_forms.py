@@ -24,7 +24,7 @@ from qschro.lagrange_forms import (
     range_verdict,
     sample_forms,
 )
-from qschro.propagate import Trajectory, _gauss_legendre, _panel_values, integrate
+from qschro.propagate import _gauss_legendre, _panel_values, integrate
 from qschro.quasi import DIRECT, QuasiState, apply_l_atoms, assemble
 
 FREE = CoefficientField.free()
@@ -267,12 +267,10 @@ def test_sample_forms_match_the_exact_algebra(c, family):
 
 
 def unique_panels(fs, a, b, nodes, cuts=()):
-    """``propagate._panels`` as it cut with ``np.unique``, verbatim: the
-    reference shares no cutter with ``sample_forms``."""
-    edges = [np.asarray([a, b, *cuts], dtype=float)]
-    for f in fs:
-        edges.extend(f.edges() if isinstance(f, Trajectory) else [f.breakpoints])
-    ks = np.unique(np.concatenate(edges))
+    """``propagate._panels`` as it cut with ``np.unique``, at the breakpoints
+    of fs (a trajectory's inner knots): the reference shares no cutter with
+    ``sample_forms``."""
+    ks = np.unique(np.concatenate([np.asarray([a, b, *cuts], dtype=float), *(f.breakpoints for f in fs)]))
     ks = ks[(ks >= a) & (ks <= b)]
     mid = 0.5 * (ks[:-1] + ks[1:])
     half = 0.5 * (ks[1:] - ks[:-1])

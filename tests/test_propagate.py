@@ -22,7 +22,7 @@ from qschro.spectral import BoundaryCondition, characteristic
 
 
 FREE = CoefficientField.free()
-BC = BoundaryCondition.dirichlet()
+BC = BoundaryCondition()
 
 
 def walk_end(sys, start, to, derivative=False):
@@ -44,7 +44,7 @@ def _dop853(c, lam, a, b, init, points=65):
     from scipy.integrate import solve_ivp
 
     sys = assemble(c, "direct", lam)
-    nodes = [a, *sorted(float(t) for t in sys.breakpoints() if a < t < b), b]
+    nodes = [a, *sorted(float(t) for t in sys.field_data.breakpoints if a < t < b), b]
     y = np.array(init, dtype=complex)
     sup, segments = -math.inf, []
     for lo, hi in zip(nodes[:-1], nodes[1:]):
@@ -132,7 +132,7 @@ def test_linear_drift_self_convergence():
 
 def test_dense_output_matches_knots():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
-    knots = t.edges()[1][:-1]
+    knots = t.breakpoints
     for va, vb in zip(t.sample(knots, "left")[0], t.sample(knots, "right")[0]):
         assert abs(va[0] - vb[0]) <= 1e-13 * (1 + abs(va[0]))
         assert abs(va[1] - vb[1]) <= 1e-13 * (1 + abs(va[1]))
@@ -168,15 +168,15 @@ def _row_value(row, x):
 
 
 def _pointwise(t, x):
-    """Reference lookup: the last step starting at or before x."""
-    lo = list(t.edges()[0])
+    """Reference lookup: the last step whose span starts at or before x."""
+    lo = list(t.knots[:-1])
     return _row_value(t.steps[max(0, min(bisect.bisect_right(lo, x) - 1, len(lo) - 1))], x)
 
 
 def test_sample_matches_pointwise_across_rescale():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
     assert len(set(t.steps["logscale"])) > 1
-    xs = np.concatenate([np.linspace(0.0, 300.0, 601), t.edges()[0]])
+    xs = np.concatenate([np.linspace(0.0, 300.0, 601), t.knots])
     ys, ls = t.sample(xs)
     for x, y, l in zip(xs, ys, ls):
         y0, y1, lref = _pointwise(t, float(x))
@@ -189,7 +189,7 @@ def test_one_sided_values_at_knot_from_adjacent_rows():
     t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
     ls = t.steps["logscale"]
     i = int(np.flatnonzero(np.diff(ls))[0])  # the rescale happens at the end of step i
-    knot = t.edges()[1][i]
+    knot = t.knots[i + 1]
     (yl,), (ll,) = t.sample([knot], "left")
     (yr,), (lr,) = t.sample([knot], "right")
     assert (ll, lr) == (ls[i], ls[i + 1])
@@ -198,6 +198,28 @@ def test_one_sided_values_at_knot_from_adjacent_rows():
     # same state, two scales: 1e100-sized mantissa on the left, unit on the right
     assert max(abs(yl)) > 1e100 and max(abs(yr)) == pytest.approx(1.0)
     assert np.allclose(yl * math.exp(ll - lr), yr, rtol=1e-12, atol=0.0)
+
+
+def test_a_delta_well_solution_is_cut_into_one_panel_per_row():
+    # Q = -2 for x > 0 at lambda = -2.5: exact sub-steps on both sides of
+    # the mass, where a row's end x0 + h and the next row's start differ
+    # by ulps; each boundary is one knot, so no sliver panel lies between
+    sys = assemble(CoefficientField.delta_well(), "direct", -2.5)
+    t = integrate(sys, QuasiState(-22.0, 1.0, 0.0), 22.0)
+    mid, half, _ = propagate._panels((t,), -22.0, 22.0, np.zeros(1))
+    assert len(t.steps) == len(mid) == 70 and 2 * half.min() >= 1e-12
+    assert np.array_equal(t.knots[:-1], t.steps["x0"]) and t.knots[-1] == 22.0
+    # a window past the end is refused, though no panel is cut at the end
+    with pytest.raises(ValueError, match="outside trajectory interval"):
+        pair_integral(t, t, 0.0, 22.0 + 1e-9)
+    # a backward walk enters each row at its right end; a fundamental pair
+    # joins its two halves at the anchor
+    back = integrate(sys, QuasiState(22.0, 1.0, 0.0), -22.0)
+    assert back.knots[0] == -22.0 and np.array_equal(back.knots[1:], back.steps["x0"])
+    fs = fundamental(sys, 0.5, (-22.0, 22.0))
+    for f in (back, fs.y1, fs.y2):
+        assert len(f.knots) == len(f.steps) + 1 and np.all(np.diff(f.knots) > 0)
+    assert 0.5 in fs.y1.knots.tolist() and len(propagate._panels((fs.y1, fs.y2), -22.0, 22.0, np.zeros(1))[0]) == 70
 
 
 def _stiff_shot(shoot):
@@ -776,7 +798,7 @@ def test_pair_sums_of_an_empty_window_are_zero_on_logscale_zero():
 def _one_pass_panel_values(f, mid, xs):
     """A trajectory's values at the panel nodes from one copy of every
     panel's row and one Horner pass over all of them."""
-    rows = f.steps[f._locate(mid)]
+    rows = f.steps[f._region(mid, "right")]
     theta = (xs - rows["x0"][:, None]) / rows["h"][:, None]
     return _dense(rows["coef"][:, :, 0, None], theta), rows["logscale"]
 
@@ -1044,7 +1066,7 @@ def test_a_scan_builds_one_kernel_per_shape_on_first_use():
     # refines its roots with dY/dlambda
     x = CoefficientField(PiecewisePoly([], [[0, 1]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     propagate._taylor_kernel.cache_clear()
-    roots = spectral.eigenvalues(x, (0, math.pi), spectral.BoundaryCondition.dirichlet(), scan=(0.5, 12), grid=40)
+    roots = spectral.eigenvalues(x, (0, math.pi), spectral.BoundaryCondition(), scan=(0.5, 12), grid=40)
     assert len(roots) == 3 and all(r.converged for r in roots)
     info = propagate._taylor_kernel.cache_info()
     assert info.misses == info.currsize <= 2  # (1, 2, 1), with and without dY/dlambda
@@ -1310,8 +1332,9 @@ def test_a_zero_state_keeps_a_zero_row_to_the_segment_end():
     z = PiecewisePoly.zero()
     decay = CoefficientField(z, z, PiecewisePoly([], [[50j, 0.001j]]))
     t = integrate(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
-    lo, hi = t.edges()
-    assert lo[0] == 0.0 and np.array_equal(lo[1:], hi[:-1]) and hi[-1] == 20.0
+    x0, h = t.steps["x0"], t.steps["h"]
+    assert t.knots[0] == 0.0 and np.array_equal(t.knots[:-1], x0) and t.knots[-1] == 20.0
+    assert np.array_equal(t.knots[1:], x0 + h)  # each Taylor step ends where the next starts
     assert np.any(t.steps["coef"][-2]) and not np.any(t.steps["coef"][-1])
     end = t.state_at(20.0)
     assert (end.y0, end.y1) == (0.0, 0.0)

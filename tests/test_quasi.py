@@ -311,7 +311,7 @@ def _rows_bits(rows) -> bytes:
 def plan_rows(A) -> list:
     """The rows of each segment of a plan of the system A over every
     region of its field, in order."""
-    bp = A.breakpoints()
+    bp = A.field_data.breakpoints
     ends = (float(bp[0]) - 1.0, float(bp[-1]) + 1.0) if len(bp) else (-1.0, 1.0)
     segments = propagate._build_plan(A, *ends)[0]
     assert len(segments) == len(bp) + 1
@@ -374,7 +374,7 @@ def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
             A, want = assemble(c, side), operator_entries(c, side)
             for got, ref in zip((A.a11, A.a21_0, A.a22), want):
                 assert _poly_bits(got) == _poly_bits(ref)
-            assert _rows_bits(plan_rows(A)) == _rows_bits(region_rows(want, c.breakpoints()))
+            assert _rows_bits(plan_rows(A)) == _rows_bits(region_rows(want, c.breakpoints))
         spec = {k: {"breakpoints": list(bps), "pieces": [[[v.real, v.imag] for v in p] for p in ps]}
                 for k, (bps, ps) in data.items()}
         functions = _functions(json.loads(json.dumps(spec)), "coefficients")
@@ -446,7 +446,7 @@ def test_lambda_as_a_scalar_shoots_the_bits_of_the_full_entry(side):
             sys = assemble(c, side, lam)
             entries = (g1, -(g1 * g2) + s - complex(lam), -g2)
             ref = ShinZettlSystem(c, side, 0j, *entries, {})
-            assert _rows_bits(plan_rows(ref)) == _rows_bits(region_rows(entries, c.breakpoints()))
+            assert _rows_bits(plan_rows(ref)) == _rows_bits(region_rows(entries, c.breakpoints))
             assert _bits(*_shot_end(sys, y0, 2.0)) == _bits(*_shot_end(ref, y0, 2.0))
             assert integrate(sys, y0, 2.0).steps.tobytes() == integrate(ref, y0, 2.0).steps.tobytes()
 

@@ -24,7 +24,7 @@ from qschro.spectral import (
 )
 
 FREE = CoefficientField.free()
-BC = BoundaryCondition.dirichlet()
+BC = BoundaryCondition()
 
 
 def fd_drift_eigenvalues(n_mesh=4000, k=5):
