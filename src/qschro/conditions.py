@@ -112,7 +112,7 @@ def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
 
     whole, noise = panel_sums(lo, hi)
     evaluated = np.bincount(tag, minlength=len(ends))
-    parts, part_tags = [np.zeros(0)], [tag[:0]]
+    accepted = [[] for _ in range(len(ends))]  # the accepted halves of each integral
     while len(lo):
         # the left halves of all open panels, then their right halves
         n, mid = len(lo), 0.5 * (lo + hi)
@@ -124,18 +124,10 @@ def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
         spent = evaluated + 4 * np.bincount(tag[:n][~done], minlength=len(ends)) > _INV_M_PANELS
         done |= spent[tag[:n]]
         keep = np.concatenate([~done, ~done])
-        parts.append(sums[~keep])
-        part_tags.append(tag[~keep])
+        for k, part in zip(tag[~keep].tolist(), sums[~keep].tolist()):
+            accepted[k].append(part)
         lo, hi, tag, whole, noise = lo[keep], hi[keep], tag[keep], sums[keep], noises[keep]
-    tags = np.concatenate(part_tags)
-    flat = np.concatenate(parts)[np.argsort(tags, kind="stable")].tolist()
-    stops = np.cumsum(np.bincount(tags, minlength=len(ends))).tolist()
-    out, start = [], 0
-    for stop, minus in zip(stops, flip.tolist()):
-        total = math.fsum(flat[start:stop])
-        out.append(-total if minus else total)
-        start = stop
-    return out
+    return [-math.fsum(parts) if minus else math.fsum(parts) for parts, minus in zip(accepted, flip.tolist())]
 
 
 def check_m(w: WeightFunction, probe_points=()) -> ConditionReport:

@@ -223,11 +223,11 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
     support of u, on panels between the breakpoints of u and of the field, where
     floor(d/2) + 1 nodes are exact for d = 2 deg u + max(deg G1, deg G2, deg s).
     The panels of all members are cut at once (``coeffs._panels``), and u and u'
-    evaluated by one batched Horner pass for each coefficient width.  A value
-    that is not finite raises OverflowUnrecoverableError."""
+    evaluated at the stack's width, whose padding zeros change at most the sign of
+    a zero.  A value that is not finite raises OverflowUnrecoverableError."""
     field = (c.G1, c.G2, c.s)
-    bp, centers, coeffs, first, widths = stack
-    members = len(widths)
+    bp, centers, coeffs, first, _ = stack
+    members = len(first) - 1
     lo, hi = _stacked_support(bp, coeffs, first)
     unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
     if unbounded.any():
@@ -244,13 +244,8 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
         # u on each panel: its region at mid, as u._region(mid, "right") finds it
         row = first[owner] + _ranks(bp, bp_owner, mid, owner)
         theta = xs - centers[row, None]
-        fu, fdu = np.empty_like(xs, dtype=complex), np.empty_like(xs, dtype=complex)
-        groups = np.unique(widths).tolist()
-        for w in groups:
-            at = widths[owner] == w if len(groups) > 1 else slice(None)
-            rows = coeffs[row[at], :w]
-            drows = _derivative_rows(rows)  # as u.derivative()
-            fu[at], fdu[at] = (_dense(r[:, :, None], theta[at]) for r in (rows, drows))
+        rows = coeffs[row]
+        fu, fdu = (_dense(r[:, :, None], theta) for r in (rows, _derivative_rows(rows)))
         fg1, fg2, fs = (_panel_values(f, mid, xs)[0] for f in field)
         u2 = (fu * fu.conj()).real
         integrands = [(fdu * fdu.conj()).real, -(fg1 * fu * fdu.conj() + fg2 * fdu * fu.conj()), fs * u2, u2]

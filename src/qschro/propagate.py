@@ -703,8 +703,9 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
 
 def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
     """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
-    of [a, b] between the breakpoints of the functions fs (a trajectory's inner knots) and ``cuts``."""
-    left, right, _ = _cut([a], [b], np.concatenate([np.asarray(cuts, dtype=float), *(f.breakpoints for f in fs)]))
+    of [a, b] between the breakpoints of the distinct functions fs (a trajectory's inner knots) and ``cuts``."""
+    distinct = {id(f): f.breakpoints for f in fs}.values()
+    left, right, _ = _cut([a], [b], np.concatenate([np.asarray(cuts, dtype=float), *distinct]))
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     return mid, half, mid[:, None] + half[:, None] * nodes

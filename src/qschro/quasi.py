@@ -202,21 +202,6 @@ def apply_l_atoms(c: CoefficientField, side: str, u: PiecewisePoly, window: tupl
     return _apply_stacked([assemble(c, side)], *_on_field_mesh(c, [u]), window)[0]
 
 
-def _grid(a: float, b: float, mesh: np.ndarray) -> np.ndarray:
-    """200 points from a to b, without those that round to 12 decimals
-    (Python's ``round``) as a breakpoint does (numpy's).  Only a point
-    within 1e-9 (1 + |x|) of a breakpoint can, so only those are rounded."""
-    xs = np.linspace(a, b, 200)
-    if not len(mesh):
-        return xs
-    skip = set(np.round(mesh, 12))
-    j = np.clip(mesh.searchsorted(xs), 1, len(mesh))
-    gap = np.minimum(np.abs(xs - mesh[j - 1]), np.abs(xs - mesh[np.minimum(j, len(mesh) - 1)]))
-    near = (gap <= 1e-9 * (1.0 + np.abs(xs))).nonzero()[0]
-    drop = [k for k, x in zip(near.tolist(), xs[near].tolist()) if round(x, 12) in skip]
-    return np.delete(xs, drop)
-
-
 def product_rule_check(
     c: CoefficientField,
     phi: PiecewisePoly,
@@ -238,7 +223,8 @@ def product_rule_check(
     rows, with the bits of the ``PiecewisePoly`` operators: the four
     applications l[phi u] and l[u] of both sides in one pass
     (``_apply_rows``), then both sides' right-hand sides and differences,
-    and the six sampled expressions in one batched Horner pass on one grid.
+    and the six sampled expressions in one batched Horner pass on one grid,
+    where a point on a breakpoint reads the same region in all six.
     """
     a, b = float(window[0]), float(window[1])
     if not phi.is_real():
@@ -271,7 +257,7 @@ def product_rule_check(
         _times(*sums, dphi_u2, np.full(2, dphi_u2.shape[1]), pairs))
     lhs = np.concatenate([L[:n], L[2 * n : 3 * n]])
     diff = _sum_rows(lhs, rhs, np.subtract)
-    xs = _grid(a, b, phi.breakpoints)
+    xs = np.linspace(a, b, 200)
     i = phi._region(xs, "right")
     exprs = [(lhs, 0), (rhs, 0), (diff, 0), (lhs, n), (rhs, n), (diff, n)]
     width = max(e.shape[1] for e, _ in exprs)

@@ -97,8 +97,7 @@ def o_product_rule(c, phi, u, window):
         rhs = o_add(o_sub(o_sub(o_mul(phi, lu), ddphi_u), o_scale(dphi_du, 2.0)),
                     o_mul(o_add(A.a11, A.a22), dphi_u))
         diff = o_sub(lhs, rhs)
-        skip = set(np.round(diff.breakpoints, 12))
-        xs = np.array([x for x in np.linspace(a, b, 200) if round(float(x), 12) not in skip])
+        xs = np.linspace(a, b, 200)
         sup_diff = np.max(np.abs(diff.sample(xs)))
         sup_mag = max(np.max(np.abs(lhs.sample(xs))), np.max(np.abs(rhs.sample(xs))), 1.0)
         atom_err = 0.0
@@ -164,6 +163,22 @@ def test_stacked_battery_has_the_bits_of_the_per_side_operators(c, lam):
     family = [phi, second, bump(0.3, 0.5, 0.75)]
     got = form_vs_operator_check(c, family, (-5, 5))
     assert bits(got) == bits([o_form_vs_operator(c, v, (-5, 5)) for v in family])
+
+
+def test_the_product_rule_samples_the_breakpoints_on_its_grid():
+    # the grid of (0, 199) is the integers: every breakpoint of the field, the
+    # cut-off and u lies on it, and the adjoint residual's bits change when
+    # the points on breakpoints are left out
+    c = CoefficientField(PiecewisePoly.from_coeffs([0.5, 0.01]),
+                         PiecewisePoly([40, 150], [[0.2], [5.0, -0.02], [0.1j]]),
+                         PiecewisePoly([60, 120], [[0.3, 0.002], [1.1 + 0.4j, -0.005], [0.2j]]))
+    phi = bump(100, 100, 40)
+    u = PiecewisePoly.from_coeffs([0.3 + 1j, 0.01, -2e-4]) * bump(95, 60, 30) + PiecewisePoly.from_coeffs([0.5, 0.1j])
+    grid = set(np.linspace(0, 199, 200).tolist())
+    assert {10, 40, 50, 60, 120, 125, 150, 190} <= set(aligned((phi, u), c.breakpoints)[0].breakpoints.tolist()) <= grid
+    got, want = product_rule_check(c, phi, u, (0, 199)), o_product_rule(c, phi, u, (0, 199))
+    assert bits(list(got.values())) == bits(list(want.values()))
+    assert max(got.values()) < 1e-12
 
 
 def test_stacked_product_rule_refuses_the_jump_the_oracle_refuses():

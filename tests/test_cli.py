@@ -963,7 +963,9 @@ def test_input_and_out_take_their_value_after_an_equals_sign(tmp_path):
 # Walks that once ran out of memory or time: each needs far more than
 # config.MAX_WALK_STEPS sub-steps, so its first shot or integration stops
 # at once with exit 70.  The child runs under a 1 GiB address-space limit,
-# so that a walk without the budget fails fast too.
+# so that a walk without the budget fails fast too, and reports its peak
+# RSS as VmHWM, which starts afresh at exec (ru_maxrss would carry the
+# test process's RSS at fork across the exec).
 _LONG_WALKS = {
     "solve-to-1e6": ("solve", FREE_COEFFS, {"to": 1e6, "lambda": 1}),
     "probe-tmax-1e6": ("probe", FREE_COEFFS, {"lambda": -1, "tmax": 1e6}),
@@ -976,7 +978,9 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from qschro.cli import main
 t = time.perf_counter()
 code = main(sys.argv[1:])
-print(code, time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(code, time.perf_counter() - t, peak_kb / 1024)
 """
 
 
@@ -993,7 +997,7 @@ def test_a_walk_past_its_step_budget_is_a_numeric_error(tmp_path, case):
     assert "numeric error: StepBudgetError: walk needs more than 100000 steps" in proc.stderr, proc.stderr[-2000:]
     code, seconds, rss_mb = proc.stdout.split()[-3:]
     assert int(code) == EXIT_NUMERIC
-    # about 0.01 s and 60 MB here; the bounds leave room for a busy machine
+    # about 0.001 s and 31 MB on an x86-64 Xeon; the bounds leave room for a busy machine
     assert float(seconds) < 5 and float(rss_mb) < 300
 
 

@@ -222,6 +222,22 @@ def test_a_delta_well_solution_is_cut_into_one_panel_per_row():
     assert 0.5 in fs.y1.knots.tolist() and len(propagate._panels((fs.y1, fs.y2), -22.0, 22.0, np.zeros(1))[0]) == 70
 
 
+def test_a_self_pair_hands_the_cutter_its_knots_once(monkeypatch):
+    # the delta-well solution above has 69 inner knots; pair_integral(t, t)
+    # hands the cutter each once, besides the window's ends, and the sum
+    # has the bits of a pair of two objects
+    sys = assemble(CoefficientField.delta_well(), "direct", -2.5)
+    t = integrate(sys, QuasiState(-22.0, 1.0, 0.0), 22.0)
+    twin = dataclasses.replace(t)  # the same rows in another object
+    want = pair_integral(t, twin, -22.0, 22.0)
+    edges = []
+    cut = propagate._cut
+    monkeypatch.setattr(propagate, "_cut", lambda lo, hi, shared: edges.append(len(shared)) or cut(lo, hi, shared))
+    got = pair_integral(t, t, -22.0, 22.0)
+    assert len(t.breakpoints) == 69 and edges == [2 + 69]
+    assert got == want
+
+
 def _stiff_shot(shoot):
     """Shoot the s = 1e30 field from (1, 1) at logscale 2 and return its error."""
     z = PiecewisePoly.zero()
@@ -1427,15 +1443,20 @@ def test_a_walk_past_the_default_budget_stops_before_its_first_sub_step():
 
 
 # A dense walk at the step budget's scale: its rows are the only large
-# array it keeps.  The child reports its peak RSS before and after the walk.
+# array it keeps.  The child reports its peak RSS before and after the walk
+# as VmHWM, which starts afresh at exec; ru_maxrss would carry the parent's
+# RSS at fork across the exec, and the test process may be far larger.
 _LONG_DENSE_WALK = """
-import resource, sys
+import sys
 from qschro import CoefficientField
 from qschro.propagate import integrate
 from qschro.quasi import QuasiState, assemble
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+before = peak_mb()
 t = integrate(assemble(CoefficientField.free(), "direct", 1.0), QuasiState(0.0, 1.0, 0.0), float(sys.argv[1]))
-print(len(t.steps), t.steps.nbytes / 2**20, before / 1024, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(len(t.steps), t.steps.nbytes / 2**20, before, peak_mb())
 """
 
 
