@@ -471,6 +471,15 @@ def _report_condition(rep: Report, label: str, cond):
 # report; solve returns the trajectory to dump, if any
 
 
+_STATE_COLUMNS = ["x", "y0_re", "y0_im", "y1_re", "y1_im", "logscale"]
+
+
+def _state_rows(traj, xs) -> list:
+    """One row of _STATE_COLUMNS per x: the trajectory's state there, as floats."""
+    ys, ls = traj.sample(xs)
+    return [(x, y0.real, y0.imag, y1.real, y1.imag, l) for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist())]
+
+
 def run_solve(field, params, rep):
     x0, x1, side = params["from"], params["to"], params["side"]
     traj = integrate(assemble(field, side, params["lambda"]), QuasiState(x0, *params["initial"], side), x1)
@@ -481,13 +490,7 @@ def run_solve(field, params, rep):
     rep.kv("final.logscale", end.logscale, source="dense-output")
     rep.kv("steps", len(traj.steps), source="taylor-series")
     lo, hi = sorted((x0, x1))
-    xs = np.linspace(lo, hi, 21)
-    ys, ls = traj.sample(xs)
-    rows = [
-        (x, y0.real, y0.imag, y1.real, y1.imag, l)
-        for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist())
-    ]
-    rep.table("trajectory_samples", ["x", "y0_re", "y0_im", "y1_re", "y1_im", "logscale"], rows, source="dense-output")
+    rep.table("trajectory_samples", _STATE_COLUMNS, _state_rows(traj, np.linspace(lo, hi, 21)), source="dense-output")
     rep.verdict("success")
     return traj if params["dump"] else None
 
@@ -724,13 +727,8 @@ def _write(out_dir: str, name: str, data: bytes):
 def _trajectory_csv(traj) -> bytes:
     """The solve dump: a header and one row per knot of the trajectory, both
     ends of the interval included."""
-    xs = traj.knots
-    ys, ls = traj.sample(xs)
-    rows = [
-        f"{x!r},{y0.real!r},{y0.imag!r},{y1.real!r},{y1.imag!r},{l!r}"
-        for x, (y0, y1), l in zip(xs.tolist(), ys.tolist(), ls.tolist())
-    ]
-    return "\n".join(["x,y0_re,y0_im,y1_re,y1_im,logscale", *rows, ""]).encode("utf-8")
+    rows = (",".join(map(repr, row)) for row in _state_rows(traj, traj.knots))
+    return "\n".join([",".join(_STATE_COLUMNS), *rows, ""]).encode("utf-8")
 
 
 USAGE = "usage: qschro TASK --input FILE [--out DIR]"

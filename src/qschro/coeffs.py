@@ -180,12 +180,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panels(lo, hi, shared=(), owned=(), owned_by=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, owner) of the panels of the intervals [lo[i], hi[i]], by owner and position.
+def _panels(lo, hi, shared=(), owned=(), owned_by=()) -> tuple[np.ndarray, ...]:
+    """(left, right, owner, before) of the panels of the intervals [lo[i], hi[i]], by owner and position.
 
     Interval i is cut at the ``shared`` edges strictly inside it and at the ``owned`` ones
     whose ``owned_by`` is i.  Its ends are lo[i] and hi[i] themselves, no two of its edges
-    are equal, and an interval with hi <= lo has no panel."""
+    are equal, and an interval with hi <= lo has no panel.  ``before`` counts the owned
+    edges of a panel's interval strictly inside it and at or left of the panel."""
     lo = np.asarray(lo, dtype=float)
     hi = np.maximum(lo, hi)  # hi <= lo: the one edge lo
     shared = np.sort(shared)
@@ -201,7 +202,10 @@ def _panels(lo, hi, shared=(), owned=(), owned_by=()) -> tuple[np.ndarray, np.nd
     order = np.lexsort((edges, owner))
     edges, owner = edges[order], owner[order]
     i = ((owner[1:] == owner[:-1]) & (edges[1:] != edges[:-1])).nonzero()[0]
-    return edges[i], edges[i + 1], owner[i]
+    # the owned edges up to each panel, less those of the intervals before its own
+    passed = np.cumsum((order >= 2 * len(lo)) & (order < 2 * len(lo) + len(mine)))
+    own = np.bincount(owned_by[mine], minlength=len(lo))
+    return edges[i], edges[i + 1], owner[i], passed[i] - (own.cumsum() - own)[owner[i]]
 
 
 class PiecewisePoly:
@@ -339,7 +343,7 @@ class PiecewisePoly:
         function that is nonzero in a tail reports +-inf on that side, and
         the zero function (0, 0).
         """
-        lo, hi = _stacked_support(self.breakpoints, self.coeffs, np.array([0, len(self.coeffs)]))
+        lo, hi, _ = _stacked_support(self.breakpoints, self.coeffs, np.array([0, len(self.coeffs)]))
         return (float(lo[0]), float(hi[0]))
 
     # ------------------------------------------------------------------
@@ -442,7 +446,7 @@ class PiecewisePoly:
             return 0.0 + 0.0j
         if a > b:
             return -self.integrate(b, a)
-        lo, hi, _ = _panels([a], [b], self.breakpoints)
+        lo, hi = _panels([a], [b], self.breakpoints)[:2]
         i = self._region(0.5 * (lo + hi), "right")
         F, c = _primitive_rows(self.coeffs[i]), self.centers[i]
         ends = _dense(np.concatenate([F, F]), np.concatenate([hi - c, lo - c]))  # both ends in one pass
@@ -607,9 +611,9 @@ def _stack(polys) -> tuple:
     return breakpoints, np.concatenate([f.centers for f in polys]), coeffs, first, widths
 
 
-def _stacked_support(breakpoints, coeffs, first) -> tuple[np.ndarray, np.ndarray]:
-    """``PiecewisePoly.support_bounds`` of functions stacked as ``_stack``
-    lays them out, as (lo, hi) arrays."""
+def _stacked_support(breakpoints, coeffs, first) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``PiecewisePoly.support_bounds`` of functions stacked as ``_stack`` lays
+    them out, as (lo, hi) arrays, and the first nonzero row of each (or 0)."""
     members = np.arange(len(first) - 1)
     nz = np.flatnonzero(np.any(coeffs != 0, axis=1))
     nz_owner = np.searchsorted(first, nz, "right") - 1
@@ -620,7 +624,7 @@ def _stacked_support(breakpoints, coeffs, first) -> tuple[np.ndarray, np.ndarray
     lo = np.where(lo_row == first[:-1], -np.inf, bp.take(lo_row - members - 1, mode="clip"))
     hi = np.where(hi_row == first[1:] - 1, np.inf, bp.take(hi_row - members, mode="clip"))
     empty = start == stop
-    return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+    return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi), lo_row
 
 
 def _canonical_centers(bp: np.ndarray) -> np.ndarray:

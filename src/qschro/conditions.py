@@ -100,7 +100,7 @@ def _inv_m_integrals(m: PiecewisePoly, ends) -> list[float]:
     """
     ends = np.asarray(ends, dtype=float).reshape(-1, 2)
     flip = ends[:, 0] > ends[:, 1]
-    lo, hi, tag = _panels(ends.min(axis=1), ends.max(axis=1), m.breakpoints)  # the regions of m in each integral
+    lo, hi, tag = _panels(ends.min(axis=1), ends.max(axis=1), m.breakpoints)[:3]  # the regions of m in each integral
     nodes, weights = _gauss_legendre(_INV_M_NODES)
 
     def panel_sums(lo, hi):

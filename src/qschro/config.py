@@ -18,8 +18,8 @@ MIN_STEP_FRACTION = 1e-14
 # Most sub-steps and Taylor steps one walk (a shot or a dense integration)
 # may take; past it the walk stops with StepBudgetError instead of running
 # out of memory or time.  A dense walk of 1e5 exact sub-steps peaks near
-# 260 MB (75 MB of rows); the walks of the test suite and the benchmark
-# take at most about 1000.
+# 260 MB (75 MB of rows).  The benchmark's walks take at most 230 steps; a
+# test's 42,147 (a probe), but for the budget tests and one 49,000-step walk.
 MAX_WALK_STEPS = 100_000
 
 # Null-space probe: "grows" needs N(Tmax) >= GROWTH_FACTOR * N(T0) with a

@@ -120,10 +120,8 @@ def _applied(c: CoefficientField, f, side: str, window):
 def _state(c: CoefficientField, f, side: str, x: float, inner: str) -> QuasiState:
     """One-sided state of Trajectory or PiecewisePoly data at x."""
     if isinstance(f, Trajectory):
-        y, ls = f.sample([x], inner)
-        return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), side, float(ls[0]))
-    g1 = assemble(c, side).a11
-    return QuasiState(x, f.eval(x, inner), (f.derivative() - g1 * f).eval(x, inner), side)
+        return f.state_at(x, inner)
+    return QuasiState(x, f.eval(x, inner), (f.derivative() - assemble(c, side).a11 * f).eval(x, inner), side)
 
 
 def lagrange_residual(
@@ -203,18 +201,6 @@ def form_vs_operator_check(
     return out
 
 
-def _ranks(values, value_owner, queries, query_owner):
-    """For each query, the number of values of its owner at or below it:
-    ``np.searchsorted(v, q, "right")`` on the values v of each owner, with
-    ``value_owner`` sorted and each owner's values sorted."""
-    kind = np.concatenate([np.zeros(len(values)), np.ones(len(queries))])
-    order = np.lexsort((kind, np.concatenate([values, queries]), np.concatenate([value_owner, query_owner])))
-    is_query = order >= len(values)
-    out = np.empty(len(queries), dtype=int)
-    out[order[is_query] - len(values)] = np.cumsum(~is_query)[is_query]
-    return out - np.searchsorted(value_owner, query_owner, "left")
-
-
 def _form_columns(c: CoefficientField, stack) -> tuple:
     """The kinetic, coupling and potential parts of t(u) and ||u||^2, one
     array each over a family stacked as ``coeffs._stack`` lays it out.
@@ -228,7 +214,7 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
     field = (c.G1, c.G2, c.s)
     bp, centers, coeffs, first, _ = stack
     members = len(first) - 1
-    lo, hi = _stacked_support(bp, coeffs, first)
+    lo, hi, lo_row = _stacked_support(bp, coeffs, first)
     unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
     if unbounded.any():
         raise UnsupportedTestFunctionError(f"test function {int(unbounded.argmax())} is not compactly supported")
@@ -237,12 +223,12 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         # each member's panels: its support cut at its own breakpoints and at the field's
         bp_owner = np.repeat(np.arange(members), np.diff(first) - 1)
-        left, right, owner = _panels(lo, hi, np.concatenate([f.breakpoints for f in field]), bp, bp_owner)
+        left, right, owner, before = _panels(lo, hi, np.concatenate([f.breakpoints for f in field]), bp, bp_owner)
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
         xs = mid[:, None] + half[:, None] * nodes
-        # u on each panel: its region at mid, as u._region(mid, "right") finds it
-        row = first[owner] + _ranks(bp, bp_owner, mid, owner)
+        # u on each panel: its first nonzero row, moved on by its breakpoints the cutter passed
+        row = lo_row[owner] + before
         theta = xs - centers[row, None]
         rows = coeffs[row]
         fu, fdu = (_dense(r[:, :, None], theta) for r in (rows, _derivative_rows(rows)))

@@ -138,8 +138,9 @@ class Trajectory:
         theta = (xs - rows["x0"]) / rows["h"]
         return _dense(rows["coef"], theta[:, None]), rows["logscale"]
 
-    def state_at(self, x: float) -> QuasiState:
-        y, ls = self.sample([x])
+    def state_at(self, x: float, side: str = "right") -> QuasiState:
+        """The state at x with its logscale; at a knot, that of the row on ``side`` of x."""
+        y, ls = self.sample([x], side)
         return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), self.system.side, float(ls[0]))
 
     def to_piecewise(self, lo: float, hi: float) -> PiecewisePoly:
@@ -705,7 +706,7 @@ def _panels(fs, a: float, b: float, nodes: np.ndarray, cuts=()):
     """(mid, half, xs): midpoints, half-widths and Gauss-Legendre ``nodes`` of the panels
     of [a, b] between the breakpoints of the distinct functions fs (a trajectory's inner knots) and ``cuts``."""
     distinct = {id(f): f.breakpoints for f in fs}.values()
-    left, right, _ = _cut([a], [b], np.concatenate([np.asarray(cuts, dtype=float), *distinct]))
+    left, right = _cut([a], [b], np.concatenate([np.asarray(cuts, dtype=float), *distinct]))[:2]
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     return mid, half, mid[:, None] + half[:, None] * nodes

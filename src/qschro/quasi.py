@@ -6,8 +6,9 @@ matrix is locally integrable; the continuous state is (u, u') with the
 derivative replaced by u' - G1*u.  The Lagrange-adjoint side uses the
 same machinery with (G1, G2, s) replaced by their swapped conjugates.
 That swap is made in ``CoefficientField.adjoint_side`` only; ``assemble``'s
-matrix is the one representation of the expression, and every operation
-below applies it through one quasi-derivative ladder with one jump rule.
+matrix is the one representation of the expression.  ``_apply_rows`` applies
+it through one quasi-derivative ladder with one jump rule and finds its atoms;
+``lagrange_forms._state`` forms a polynomial's u^[1] by the operators instead.
 """
 
 from __future__ import annotations
@@ -145,15 +146,17 @@ def _times(p: np.ndarray, wp: np.ndarray, q: np.ndarray, wq: np.ndarray, first: 
     return out
 
 
-def _apply_rows(systems, fs, dfs) -> tuple:
-    """The rows of u^[1] = f' - a11 f and of l[f] = -(u^[1]' - a22 u^[1] - a21_0 f)
-    for each (system, f, f') triple, in one pass over stacked rows.
+def _apply_rows(systems, fs, dfs, window) -> tuple:
+    """The rows of l[f] = -(u^[1]' - a22 u^[1] - a21_0 f), u^[1] = f' - a11 f,
+    and its Dirac atoms on the window, for each (system, f, f') triple, in
+    one pass over stacked rows.
 
     f and f' lie on one mesh with canonical centers, f's, and each system's
     entries are re-centred on it, once per (system, mesh) pair; the
     products, sums and derivatives are those of the ``PiecewisePoly``
-    operators, with their bits.  Returns (``coeffs._stack`` of the f, u^[1]
-    rows, l rows, width of each l).
+    operators, with their bits.  An atom at a jump h of u^[1] has weight -h
+    (``_stack_jumps``).  Returns (``first`` of the f stacked by
+    ``coeffs._stack``, l rows, width of each l, atoms of each l).
     """
     stack = _stack(fs)
     F, first, wf = stack[2:]
@@ -165,15 +168,15 @@ def _apply_rows(systems, fs, dfs) -> tuple:
     U1 = _sum_rows(DF, _times(*A11, F, wf, first), np.subtract)
     t = _sum_rows(_derivative_rows(U1), _times(*A22, U1, _widths(U1, first), first), np.subtract)
     L = -_sum_rows(t, _times(*A21, F, wf, first), np.subtract)
-    return stack, U1, L, _widths(L, first)
+    atoms = [{x: -h for x, h in jumps.items()} for jumps in _stack_jumps((*stack[:2], U1, first), window)]
+    return first, L, _widths(L, first), atoms
 
 
 def _apply_stacked(systems, fs, dfs, window) -> list:
     """(l[f], atoms) of each (system, f, f') triple, as ``apply_l_atoms`` returns them."""
-    stack, U1, L, wl = _apply_rows(systems, fs, dfs)
-    atoms = _stack_jumps((*stack[:2], U1, stack[3]), window)
-    first = stack[3].tolist()
-    return [(_poly(f.breakpoints, f.centers, L[i:j, :w], True), {x: -h for x, h in a.items()})
+    first, L, wl, atoms = _apply_rows(systems, fs, dfs, window)
+    first = first.tolist()
+    return [(_poly(f.breakpoints, f.centers, L[i:j, :w], True), a)
             for f, i, j, w, a in zip(fs, first, first[1:], wl.tolist(), atoms)]
 
 
@@ -241,9 +244,8 @@ def product_rule_check(
     dphi_du = dphi * du
     _screen([phi_u, u], window)
     systems = [assemble(c, side) for side in (DIRECT, ADJOINT)]
-    stack, U1, L, wl = _apply_rows([A for A in systems for _ in range(2)], [phi_u, u] * 2,
-                                   [phi_u.derivative(), du] * 2)
-    atoms = _stack_jumps((*stack[:2], U1, stack[3]), window)  # of l[phi u] and l[u], each side
+    _, L, wl, atoms = _apply_rows([A for A in systems for _ in range(2)], [phi_u, u] * 2,
+                                  [phi_u.derivative(), du] * 2, window)  # l[phi u] and l[u], each side
     # the right-hand sides phi l[u] - phi'' u - 2 phi' u' + (a11 + a22) phi' u
     # and the differences of both sides, the direct side's rows first
     n = len(phi.coeffs)
@@ -269,7 +271,7 @@ def product_rule_check(
     for s, side in enumerate((DIRECT, ADJOINT)):
         sup_lhs, sup_rhs, sup_diff = (np.max(v) for v in values[3 * s : 3 * s + 3])
         sup_mag = max(sup_lhs, sup_rhs, 1.0)
-        lhs_atoms, lu_atoms = ({x: -h for x, h in jumps.items()} for jumps in atoms[2 * s : 2 * s + 2])
+        lhs_atoms, lu_atoms = atoms[2 * s : 2 * s + 2]
         atom_err = 0.0
         for loc in set(lhs_atoms) | set(lu_atoms):
             want = phi.eval(loc) * lu_atoms.get(loc, 0.0)

@@ -48,7 +48,9 @@ class BoundaryCondition:
 
     y1 is the first quasi-derivative, not u': u' need not exist at an
     endpoint that carries a coefficient jump.  Dirichlet is (1, 0), the
-    default at both ends.
+    default at both ends.  A pair is only a direction, kept divided by its
+    largest real or imaginary part: scaling it moves no root, residual or
+    floor, no finite pair overflows, and (1, 0) keeps its bits.
     """
 
     left: tuple[complex, complex] = (1.0, 0.0)
@@ -58,6 +60,8 @@ class BoundaryCondition:
         for name, (al, be) in (("left", self.left), ("right", self.right)):
             if al == 0 and be == 0:
                 raise ValueError(f"{name} boundary pair must not be (0, 0)")
+            scale = max(abs(v) for z in (al, be) for v in (z.real, z.imag))
+            object.__setattr__(self, name, (al / scale, be / scale))
 
 
 @dataclass(slots=True)

@@ -511,6 +511,27 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
     assert "verdict: inconclusive" in lines
 
 
+@pytest.mark.parametrize("bc, seed", [
+    ({"right": [[1e-12, 0], [0, 0]]}, 2.0),
+    ({"left": [[0, 0], [1e-310, 0]]}, 1.1),
+], ids=["tiny-right", "subnormal-left"])
+def test_eig_reads_a_boundary_pair_as_a_direction(tmp_path, bc, seed):
+    # the report of a scaled pair has the eigenvalues table of the unit one
+    def table(bc, name):
+        problem = {"task": "eig", "coefficients": FREE_COEFFS,
+                   "params": {"interval": [0, math.pi], "bc": bc, "seeds": [[seed, 0]]}}
+        out = tmp_path / name
+        code = main(["eig", "--input", write(tmp_path, f"{name}.json", problem), "--out", str(out)])
+        lines = (out / "report.txt").read_text().splitlines()
+        start = lines.index(next(l for l in lines if l.startswith("[table eigenvalues]")))
+        return code, lines[start : lines.index("[/table]", start)]
+
+    unit = {side: [[1 if v else 0 for v in z] for z in pair] for side, pair in bc.items()}
+    code, want = table(unit, "unit")
+    assert code == EXIT_OK and want[2].split(",")[5] == "true"
+    assert table(bc, "scaled") == (code, want)
+
+
 def test_eig_lists_each_root_with_its_method(tmp_path):
     # a scan with a Newton seed: the seed's root 4 is not a scan root
     problem = {"task": "eig", "coefficients": FREE_COEFFS,

@@ -727,19 +727,21 @@ def _same_panels(left, right, want_left, want_right):
 def test_panels_cut_each_interval_at_shared_and_its_own_edges():
     from qschro.coeffs import _panels
 
-    left, right, owner = _panels([0.0, 1.0, 5.0, 2.0], [2.0, 3.0, 5.0, 1.0], [1.5, 1.0, 1.5, 9.0],
-                                 [0.5, 1.5, 2.5, 4.0, 1.2], [0, 0, 1, 1, 3])
+    left, right, owner, before = _panels([0.0, 1.0, 5.0, 2.0], [2.0, 3.0, 5.0, 1.0], [1.5, 1.0, 1.5, 9.0],
+                                         [0.5, 1.5, 2.5, 4.0, 1.2], [0, 0, 1, 1, 3])
     assert left.tolist() == [0.0, 0.5, 1.0, 1.5, 1.0, 1.5, 2.5]
     assert right.tolist() == [0.5, 1.0, 1.5, 2.0, 1.5, 2.5, 3.0]
     assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1]  # lo == hi and hi < lo: no panel
+    assert before.tolist() == [0, 1, 1, 2, 0, 0, 1]  # 4.0 lies outside interval 1
     # the ends are lo and hi themselves; an edge strictly inside keeps its bits
-    left, right, _ = _panels([0.0, -1.0], [1.0, -0.0], [-0.0, 0.5])
+    left, right, _, before = _panels([0.0, -1.0], [1.0, -0.0], [-0.0, 0.5])
     assert [x.hex() for x in left] == ["0x0.0p+0", "0x1.0000000000000p-1", "-0x1.0000000000000p+0"]
     assert [x.hex() for x in right] == ["0x1.0000000000000p-1", "0x1.0000000000000p+0", "-0x0.0p+0"]
-    left, right, _ = _panels([0.0], [1.0], (), [-0.0, 1.0], [0, 0])
-    assert [x.hex() for x in left] == ["0x0.0p+0"] and right.tolist() == [1.0]
-    left, right, owner = _panels([0.0], [1.0])
-    assert (left.tolist(), right.tolist(), owner.tolist()) == ([0.0], [1.0], [0])
+    assert not before.any()  # no owned edges
+    left, right, _, before = _panels([0.0], [1.0], (), [-0.0, 1.0], [0, 0])
+    assert [x.hex() for x in left] == ["0x0.0p+0"] and right.tolist() == [1.0] and before.tolist() == [0]
+    left, right, owner, before = _panels([0.0], [1.0])
+    assert (left.tolist(), right.tolist(), owner.tolist(), before.tolist()) == ([0.0], [1.0], [0], [0])
 
 
 def test_panels_have_the_bits_of_the_unique_cutter_of_propagate():
@@ -772,7 +774,7 @@ def test_panels_have_the_bits_of_the_lexsort_block_of_sample_forms():
     from qschro.coeffs import _panels
 
     rng = np.random.default_rng(26)
-    no_edge_inside = owned_and_shared = 0
+    no_edge_inside = owned_and_shared = no_panel = negative_zero = 0
     for _ in range(300):
         n = int(rng.integers(1, 8))
         lo = _edges(rng, n)
@@ -781,13 +783,23 @@ def test_panels_have_the_bits_of_the_lexsort_block_of_sample_forms():
         bp = _edges(rng, int(counts.sum()))
         first = np.concatenate([[0], np.cumsum(counts + 1)])
         field = [_edges(rng, int(rng.integers(0, 6))) for _ in range(3)]
-        left, right, owner = _panels(lo, hi, np.concatenate(field), bp, np.repeat(np.arange(n), counts))
+        bp_owner = np.repeat(np.arange(n), counts)
+        left, right, owner, before = _panels(lo, hi, np.concatenate(field), bp, bp_owner)
         want_left, want_right, want_owner = _lexsort_panels(lo, hi, bp, first, field)
         _same_panels(left, right, want_left, want_right)
         assert np.array_equal(owner, want_owner)
+        # a member's region at a panel's midpoint: its breakpoints at or below lo
+        # (the first nonzero row of a stacked test) and those the cutter passed since
+        own = [np.sort(bp[bp_owner == i]) for i in range(n)]
+        at_lo = np.array([b.searchsorted(x, "right") for b, x in zip(own, lo)], dtype=int)
+        mid = 0.5 * (left + right)
+        want_row = [own[i].searchsorted(x, "right") for i, x in zip(owner.tolist(), mid.tolist())]
+        assert (at_lo[owner] + before).tolist() == want_row
         no_edge_inside += int(np.sum(np.bincount(owner, minlength=n) == 1))
         owned_and_shared += bool(np.isin(bp, np.concatenate(field)).any())
-    assert no_edge_inside > 100 and owned_and_shared > 100
+        no_panel += int(np.sum(np.bincount(owner, minlength=n) == 0))
+        negative_zero += bool(np.any(np.signbit(lo) & (lo == 0)) or np.any(np.signbit(bp) & (bp == 0)))
+    assert no_edge_inside > 100 and owned_and_shared > 100 and no_panel > 100 and negative_zero > 50
 
 
 def test_panels_have_the_bits_of_the_region_arithmetic_of_inv_m_integrals():
@@ -812,10 +824,10 @@ def test_panels_have_the_bits_of_the_cuts_of_integrate():
     for _ in range(400):
         a, b = _edges(rng, 2)
         bp = np.unique(_edges(rng, int(rng.integers(0, 12))))
-        left, right, owner = _panels([a], [b], bp)
+        left, right, owner, before = _panels([a], [b], bp)
         if a < b:
             want_left, want_right = _integrate_cuts(bp, a, b)
             assert left.tobytes() == want_left.tobytes() and right.tobytes() == want_right.tobytes()
-            assert not owner.any()
+            assert not owner.any() and not before.any()
         else:  # integrate returns before it cuts
             assert len(left) == len(right) == len(owner) == 0

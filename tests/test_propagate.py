@@ -195,6 +195,9 @@ def test_one_sided_values_at_knot_from_adjacent_rows():
     assert (ll, lr) == (ls[i], ls[i + 1])
     assert tuple(yl) + (ll,) == _row_value(t.steps[i], knot)
     assert tuple(yr) + (lr,) == _row_value(t.steps[i + 1], knot)
+    # state_at reads the same rows: the right one by default
+    for s, want in ((t.state_at(knot, "left"), (*yl, ll)), (t.state_at(knot), (*yr, lr))):
+        assert (s.x, s.y0, s.y1, s.logscale) == (knot, *want)
     # same state, two scales: 1e100-sized mantissa on the left, unit on the right
     assert max(abs(yl)) > 1e100 and max(abs(yr)) == pytest.approx(1.0)
     assert np.allclose(yl * math.exp(ll - lr), yr, rtol=1e-12, atol=0.0)

@@ -639,3 +639,26 @@ def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
     e = err.value
     assert e.location == 0.7 and abs(e.left - p) <= 1e-14 and abs(e.right - 3 * p) <= 1e-14
     assert len(screened) == 1
+
+
+def test_the_apply_pass_returns_the_atoms_of_a_scan_of_u1():
+    # _apply_rows scans u^[1] = f' - a11 f for jumps itself: its atoms are
+    # the jump rule's heights on u^[1], formed by the PiecewisePoly
+    # operators, negated, with their bits
+    from qschro.quasi import _apply_rows, _on_field_mesh
+
+    rng = np.random.default_rng(44)
+    window = (-4.0, 4.0)
+    seen = 0
+    for c in (CoefficientField.delta_well(-2.0), corpus_field(rng)):
+        fs = [bump(0.0, 2.0, 0.5), bump(-1.0, 3.0, 1.5), KINK * bump(0.0, 1.0, 0.5)]
+        on, dfs = _on_field_mesh(c, fs)
+        for side in (DIRECT, ADJOINT):
+            A = assemble(c, side)
+            atoms = _apply_rows([A] * len(fs), on, dfs, window)[3]
+            u1 = [df - A.a11._on_mesh(f.breakpoints) * f for f, df in zip(on, dfs)]
+            want = [{x: -h for x, h in jumps.items()} for jumps in _stack_jumps(_stack(u1), window)]
+            assert atoms == want
+            assert [_jumps(f, window) for f in u1] == [{x: -h for x, h in a.items()} for a in atoms]
+            seen += sum(map(len, atoms))
+    assert seen >= 8

@@ -770,3 +770,40 @@ def test_a_scan_assembles_a_system_once_per_field_and_side(monkeypatch):
 def test_a_shot_refuses_an_unknown_side():
     with pytest.raises(ValueError, match="side must be"):
         characteristic(FREE, (0, math.pi), BC, 5.0, side="Direct")
+
+
+def _roots(results) -> list:
+    return [(r.lam, r.residual, r.floor, r.iterations, r.converged, r.method, r.shots) for r in results]
+
+
+def test_a_boundary_pair_is_only_a_direction():
+    # a tiny right pair is not a small D: (1e-12, 0) finds the root that
+    # (1, 0) finds from the seed 2, not a "converged" -15.6 of residual
+    # 2.5e-13; a subnormal left pair overflows no residual
+    assert list(map(_bits, BoundaryCondition((1 + 0j, 0j)).left)) == [_bits(1.0), _bits(0.0)]
+    assert BoundaryCondition((2 + 1j, 1.0)).left == (1 + 0.5j, 0.5)
+    assert BoundaryCondition(right=(0j, 1e308 - 1e308j)).right == (0, 1 - 1j)
+    box = (0.0, math.pi)
+    want = eigenvalues(FREE, box, BC, seeds=[2.0])
+    assert want[0].converged and abs(want[0].lam - 1) <= 1e-15
+    assert _roots(eigenvalues(FREE, box, BoundaryCondition(right=(1e-12, 0.0)), seeds=[2.0])) == _roots(want)
+    neumann = eigenvalues(FREE, box, BoundaryCondition(left=(0.0, 1.0)), seeds=[1.1])
+    assert neumann[0].converged and neumann[0].lam == 6.25
+    assert _roots(eigenvalues(FREE, box, BoundaryCondition(left=(0.0, 1e-310)), seeds=[1.1])) == _roots(neumann)
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-12, 1e12, 1e300])
+def test_a_scaled_boundary_pair_moves_no_root_residual_or_floor(factor):
+    # a delta-well scan with a Newton seed, a Robin right end: either pair
+    # or both scaled by a power of ten give the roots of the pairs as given
+    dw = CoefficientField.delta_well(-2.0)
+    left, right = (1.0, 0.0), (2.0, -1.0)
+    scaled = (factor * left[0], factor * left[1]), (factor * right[0], factor * right[1])
+
+    def run(bc):
+        return _roots(eigenvalues(dw, (-20, 20), bc, scan=(-2, -0.5), grid=16, seeds=[-1.1 + 0.05j]))
+
+    want = run(BoundaryCondition(left, right))
+    assert want and all(r[4] for r in want)
+    for bc in (BoundaryCondition(scaled[0], right), BoundaryCondition(left, scaled[1]), BoundaryCondition(*scaled)):
+        assert run(bc) == want
