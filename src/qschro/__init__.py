@@ -26,7 +26,6 @@ from .errors import (
     DiscontinuousQuasiDerivativeError,
     FamilyMemberError,
     NonRealError,
-    NonRealScanError,
     OverflowUnrecoverableError,
     QschroError,
     SideMismatchError,
@@ -36,7 +35,6 @@ from .errors import (
     ZeroNormError,
 )
 from .lagrange_forms import (
-    BracketValue,
     Sector,
     bracket,
     bracket_constancy_residual,
@@ -45,7 +43,7 @@ from .lagrange_forms import (
     range_verdict,
     sample_forms,
 )
-from .propagate import FundamentalSystem, Trajectory, fundamental, integrate, pair_integral
+from .propagate import Trajectory, fundamental, integrate, pair_integral
 from .quasi import (
     ADJOINT,
     DIRECT,
@@ -60,6 +58,7 @@ from .spectral import (
     BoundaryCondition,
     CharValue,
     EigenResult,
+    EigenRun,
     ProbeReport,
     characteristic,
     eigenvalues,
@@ -85,12 +84,10 @@ __all__ = [
     "product_rule_check",
     # propagation
     "Trajectory",
-    "FundamentalSystem",
     "integrate",
     "fundamental",
     "pair_integral",
     # brackets and forms
-    "BracketValue",
     "Sector",
     "bracket",
     "bracket_constancy_residual",
@@ -110,6 +107,7 @@ __all__ = [
     "BoundaryCondition",
     "CharValue",
     "EigenResult",
+    "EigenRun",
     "ProbeReport",
     "characteristic",
     "eigenvalues",
@@ -117,7 +115,6 @@ __all__ = [
     # errors
     "QschroError",
     "NonRealError",
-    "NonRealScanError",
     "DiscontinuousQuasiDerivativeError",
     "FamilyMemberError",
     "StepUnderflowError",

@@ -41,7 +41,7 @@ from .conditions import (
     check_m,
     verify_caccioppoli,
 )
-from .errors import FamilyMemberError, NonRealError, NonRealScanError, QschroError
+from .errors import FamilyMemberError, NonRealError, QschroError
 from .lagrange_forms import (
     Sector,
     _form_columns,
@@ -499,29 +499,23 @@ def run_eig(field, params, rep):
     scan, seeds = params["scan"], params["seeds"]
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
-    args = field, params["interval"], params["bc"]
-    # the scan shoots every grid node, or the nodes up to the one that refuses it
-    scan_shots = params["grid"] if scan is not None else 0
-    try:
-        results = eigenvalues(*args, scan, seeds, params["grid"], params["side"])
-        refused = False
-    except NonRealScanError as exc:
+    run = eigenvalues(field, params["interval"], params["bc"], scan, seeds, params["grid"], params["side"])
+    if run.refusal is not None:
         # the scan's sign changes are not roots; the Newton seeds still are
-        rep.kv("scan_imag_ratio", exc.ratio, source="shooting-scan")
-        rep.kv("scan_refused_at", exc.lam, source="shooting-scan")
-        refused, scan_shots = True, exc.shots
-        results = eigenvalues(*args, None, seeds, side=params["side"]) if seeds else []
-    rows = [(r.lam.real, r.lam.imag, r.residual, r.floor, r.iterations, r.converged, r.method) for r in results]
+        lam, ratio = run.refusal
+        rep.kv("scan_imag_ratio", ratio, source="shooting-scan")
+        rep.kv("scan_refused_at", lam, source="shooting-scan")
+    rows = [(r.lam.real, r.lam.imag, r.residual, r.floor, r.iterations, r.converged, r.method) for r in run.roots]
     rep.table(
         "eigenvalues",
         ["lambda_re", "lambda_im", "char_residual", "char_floor", "iterations", "converged", "method"],
         rows,
         source="shooting",
     )
-    good = [r for r in results if r.converged]
+    good = [r for r in run.roots if r.converged]
     rep.kv("found", len(good), source="shooting")
-    rep.kv("shots", scan_shots + sum(r.shots for r in results), source="shooting")
-    rep.verdict("inconclusive" if refused else "success" if good else "fails")
+    rep.kv("shots", run.shots, source="shooting")
+    rep.verdict("inconclusive" if run.refusal is not None else "success" if good else "fails")
 
 
 def run_bracket(field, params, rep):
@@ -534,8 +528,8 @@ def run_bracket(field, params, rep):
     (yu, lu), (yv, lv) = u.sample(xs), v.sample(xs)
     rows = []
     for x, su, sv, l1, l2 in zip(xs, yu.tolist(), yv.tolist(), lu.tolist(), lv.tolist()):
-        br = bracket(QuasiState(x, *su, DIRECT, l1), QuasiState(x, *sv, ADJOINT, l2))
-        rows.append((x, br.value.real, br.value.imag, br.logscale))
+        value, logscale = bracket(QuasiState(x, *su, DIRECT, l1), QuasiState(x, *sv, ADJOINT, l2))
+        rows.append((x, value.real, value.imag, logscale))
     rep.table("bracket_values", ["x", "re", "im", "logscale"], rows, source="bracket[dense-output]")
     resid = bracket_constancy_residual(u, v, window, samples=max(n, 50))
     rep.kv("constancy_residual", resid, source="bracket-constancy")
@@ -691,7 +685,11 @@ def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
     task = raw["task"]
     functions = _functions(raw["coefficients"], "coefficients")
     field = CoefficientField(*(f for f, _ in functions.values()))
-    params = _obj(PARAMS[task])(raw.get("params", {}), "params")
+    spec = PARAMS[task]
+    if task == "check-a":  # m obeys the problem's degree cap, as s, Q and r do
+        cap = _int(raw["coefficients"].get("degree_cap", config.DEGREE_CAP), "coefficients.degree_cap")
+        spec = {**spec, "m": (_poly(cap), REQUIRED)}
+    params = _obj(spec)(raw.get("params", {}), "params")
     if params.get("dump") and raw.get("output") == DUMP_NAME:
         raise ValidationFailure("output", f"{DUMP_NAME!r} is the name of the trajectory dump")
     rep = Report(task)

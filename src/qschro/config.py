@@ -24,8 +24,9 @@ MAX_WALK_STEPS = 100_000
 
 # Null-space probe: "grows" needs N(Tmax) >= GROWTH_FACTOR * N(T0) with a
 # monotone trend AND the outermost window doubling still adding at least
-# SUSTAINED_MIN relative mass; "bounded" needs the last window increment
-# to stay within SATURATION_FRACTION of the final value.
+# SUSTAINED_MIN relative mass; "bounded" needs the increment over that
+# doubling to stay within SATURATION_FRACTION of the final value.  The
+# doubling runs from the largest window at most half of the last one.
 PROBE_GROWTH_FACTOR = 100.0
 PROBE_SATURATION_FRACTION = 0.01
 PROBE_SUSTAINED_MIN = 0.05
@@ -47,14 +48,9 @@ ENVELOPE_GROWTH_TOL = 0.05
 # Blocks used when scanning envelope trends over a horizon.
 ENVELOPE_BLOCKS = 8
 
-# Shooting acceptance: |D(lambda)| <= CHAR_TOL * (cancellation scale of D).
+# Shooting acceptance: |D(lambda)| <= CHAR_TOL * (cancellation scale of D);
+# a refined root is also accepted at its noise floor (CharValue.floor).
 CHAR_TOL = 1e-9
-
-# A refined root (scan bracket or Newton seed) is also accepted when its
-# residual is at most its noise floor, CHAR_FLOOR * |D'(lambda)| * eps *
-# (1 + |lambda|) on the same scale: about what rounding lambda to a float
-# moves D by.
-CHAR_FLOOR = 1.0
 
 # The real eigenvalue scan refines sign changes of Re D, which is valid only
 # when D is real along the scan: it refuses at the first grid node, in grid

@@ -9,19 +9,6 @@ class NonRealError(QschroError):
     """A real-valued function was required but the data has an imaginary part."""
 
 
-class NonRealScanError(NonRealError):
-    """The real eigenvalue scan met a discriminant that is not real.  The scan
-    stops at the first grid node where |Im D|/|D| exceeds its tolerance:
-    ``ratio`` is that node's |Im D|/|D|, ``lam`` its lambda and ``shots``
-    the number of nodes shot, that one included."""
-
-    def __init__(self, message: str, ratio: float, lam: float, shots: int):
-        super().__init__(message)
-        self.ratio = ratio
-        self.lam = lam
-        self.shots = shots
-
-
 class DiscontinuousQuasiDerivativeError(QschroError):
     """The first quasi-derivative jumps at a point where continuity is required.
 

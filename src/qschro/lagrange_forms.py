@@ -32,13 +32,6 @@ from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
 @dataclass(frozen=True)
-class BracketValue:
-    x: float
-    value: complex
-    logscale: float = 0.0
-
-
-@dataclass(frozen=True)
 class Sector:
     """Closed sector of the right half-plane with vertex 0, half-angle theta."""
 
@@ -60,8 +53,9 @@ class Sector:
         return abs(w.imag) <= math.tan(self.half_angle) * w.real + 1e-12 * scale
 
 
-def bracket(u: QuasiState, v: QuasiState) -> BracketValue:
-    """[u, v] at a common point; u direct-side, v adjoint-side."""
+def bracket(u: QuasiState, v: QuasiState) -> tuple[complex, float]:
+    """(mantissa, logscale) of [u, v] at a common point, as ``pair_integral``
+    gives an integral; u direct-side, v adjoint-side."""
     if u.side != DIRECT or v.side != ADJOINT:
         raise SideMismatchError(
             f"bracket needs (direct, adjoint) states, got ({u.side}, {v.side})"
@@ -69,7 +63,7 @@ def bracket(u: QuasiState, v: QuasiState) -> BracketValue:
     if abs(u.x - v.x) > 1e-12 * (1.0 + abs(u.x)):
         raise ValueError(f"states live at different points: {u.x} vs {v.x}")
     val = u.y0 * v.y1.conjugate() - u.y1 * v.y0.conjugate()
-    return BracketValue(x=u.x, value=val, logscale=u.logscale + v.logscale)
+    return val, u.logscale + v.logscale
 
 
 def bracket_constancy_residual(
@@ -160,7 +154,7 @@ def lagrange_residual(
     bra = bracket(_state(c, u, DIRECT, a, "right"), _state(c, v, ADJOINT, a, "right"))
     brb = bracket(_state(c, u, DIRECT, b, "left"), _state(c, v, ADJOINT, b, "left"))
 
-    groups = (terms1, terms2, [(brb.value, brb.logscale)], [(bra.value, bra.logscale)])
+    groups = (terms1, terms2, [brb], [bra])
     L = max(ls for g in groups for _, ls in g)
     z1, z2, zb, za = (sum(m * math.exp(ls - L) for m, ls in g) for g in groups)
     resid = abs(z1 - z2 - (zb - za))

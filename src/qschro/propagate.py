@@ -175,15 +175,6 @@ class Trajectory:
         return PiecewisePoly._from_local(ends[:-1], centers, sub * scale[:, None])
 
 
-@dataclass(frozen=True)
-class FundamentalSystem:
-    """Canonical solution pair with initial states (1,0) and (0,1) at x0."""
-
-    y1: Trajectory
-    y2: Trajectory
-    x0: float
-
-
 def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     """Propagate a state to ``to`` with dense output, breakpoints as hard mesh nodes.
 
@@ -686,8 +677,9 @@ def _taylor_rows(steps, width):
     return x0, h, coef.transpose(0, 2, 1), ls
 
 
-def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) -> FundamentalSystem:
-    """Canonical pair covering the window in both directions from x0."""
+def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) -> tuple[Trajectory, Trajectory]:
+    """The canonical pair (y1, y2) with initial states (1, 0) and (0, 1) at x0,
+    each covering the window in both directions from x0."""
     a, b = float(window[0]), float(window[1])
     if not (a <= x0 <= b):
         raise ValueError("anchor must lie inside the window")
@@ -696,7 +688,7 @@ def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) ->
         state = QuasiState(x=x0, y0=init[0], y1=init[1], side=sys.side)
         steps = [integrate(sys, state, end).steps for end in (a, b) if end != x0]
         trajs.append(Trajectory(system=sys, a=a, b=b, steps=np.concatenate(steps)))
-    return FundamentalSystem(y1=trajs[0], y2=trajs[1], x0=x0)
+    return trajs[0], trajs[1]
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config
 from .coeffs import CoefficientField
-from .errors import NonRealScanError, OverflowUnrecoverableError
-from .propagate import FundamentalSystem, _pair_sums, _plan, _walk, fundamental
+from .errors import OverflowUnrecoverableError
+from .propagate import _pair_sums, _plan, _walk, fundamental
 from .quasi import ADJOINT, DIRECT, _check_side, assemble
 
 _EPS = float(np.finfo(float).eps)
@@ -81,13 +82,12 @@ class CharValue:
         return abs(self.value) * math.exp(self.logscale - self.log_sup)
 
     def floor(self, lam: complex) -> float | None:
-        """Noise floor of the residual at lam: CHAR_FLOOR |D'| eps (1 + |lam|) on
-        the residual's scale, about what rounding lam to a float moves D by;
+        """Noise floor of the residual at lam: |D'| eps (1 + |lam|) on the
+        residual's scale, about what rounding lam to a float moves D by;
         None for a shot without a finite D'."""
         if self.slope is None:
             return None
-        rounding = config.CHAR_FLOOR * _EPS * (1 + abs(lam))
-        floor = abs(self.slope) * rounding * math.exp(self.logscale - self.log_sup)
+        floor = abs(self.slope) * (_EPS * (1 + abs(lam))) * math.exp(self.logscale - self.log_sup)
         return floor if math.isfinite(floor) else None
 
     def at_floor(self, lam: complex) -> bool:
@@ -106,6 +106,16 @@ class EigenResult:
     message: str = ""
     shots: int = 0  # shots spent on this root past the scan grid
     floor: float | None = None  # noise floor of the residual, None for a node or a D' that is not finite
+
+
+class EigenRun(NamedTuple):
+    """One ``eigenvalues`` call: its roots, the shots it took (the scan nodes
+    shot plus each root's), and the refusing node's (lambda, |Im D|/|D|) of
+    a refused real scan, else None."""
+
+    roots: list[EigenResult]
+    shots: int
+    refusal: tuple[float, float] | None
 
 
 @dataclass
@@ -163,7 +173,7 @@ def eigenvalues(
     seeds=(),
     grid: int = 120,
     side: str = DIRECT,
-) -> list[EigenResult]:
+) -> EigenRun:
     """Locate eigenvalues by real-interval scan or complex Newton seeds.
 
     Scan mode brackets sign changes of Re D on a real grid and refines
@@ -172,19 +182,21 @@ def eigenvalues(
     symmetric data).  A grid node where Re D is exactly 0 is itself a
     root.  The nodes are shot in grid order, and each is checked as soon
     as it is shot: at the first one where D != 0 and |Im D|/|D| exceeds
-    ``config.SCAN_REAL_TOL`` the scan stops with a NonRealScanError
-    carrying that ratio, that node's lambda and the nodes shot, so an
-    accepted scan shoots every node and a refused one no node past it; a
-    scan with hi <= lo raises ValueError.
-    Newton mode takes Newton steps on D/D' from each seed (``_newton``);
-    non-converged seeds are reported with converged=False, never raised.
+    ``config.SCAN_REAL_TOL`` the scan is refused, with that node's lambda
+    and ratio as the run's ``refusal``, no node past it shot and no root
+    of its own; a scan with hi <= lo raises ValueError.
+    Newton mode takes Newton steps on D/D' from each seed (``_newton``),
+    also after a refused scan; non-converged seeds are reported with
+    converged=False, never raised.
     Every refined root is accepted by one rule and keeps its noise floor
     (``_root``).  Duplicates within 1e-8 merge into the root found first
     (nodes, bracket roots, then seeds in order), which counts their shots;
-    the roots are then sorted by (Re lambda, Im lambda).
+    the roots are then sorted by (Re lambda, Im lambda).  The run's shots
+    are the nodes shot plus the roots' shots.
     """
     shoot = partial(characteristic, c, interval, bc, side=side)
     results: list[EigenResult] = []
+    nodes_shot, refusal = 0, None
     if scan is not None:
         lo, hi = float(scan[0]), float(scan[1])
         if not hi > lo:
@@ -197,22 +209,21 @@ def eigenvalues(
             # the first node past the tolerance settles the refusal
             ratio = abs(v.imag) / abs(v) if v != 0 else 0.0
             if ratio > config.SCAN_REAL_TOL:
-                raise NonRealScanError(
-                    f"real scan refused at lambda = {t!r}: |Im D|/|D| = {ratio:.3e} exceeds "
-                    f"{config.SCAN_REAL_TOL:g}, so sign changes of Re D are not roots; use Newton seeds",
-                    ratio=ratio, lam=t, shots=i + 1,
-                )
+                refusal = (t, ratio)
+                break
             vals.append(v)
             scales.append(cv.logscale)
             if v.real == 0:
                 nodes[i] = cv
-        signs = [math.copysign(1.0, v.real) if v.real != 0 else 0.0 for v in vals]
-        for i, cv in nodes.items():
-            results.append(EigenResult(lam=complex(lams[i]), residual=cv.residual, iterations=0, converged=True,
-                                       method="shooting-scan-node"))
-        for i in range(len(lams) - 1):
-            if signs[i] * signs[i + 1] < 0:
-                results.append(_bracket_root(shoot, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
+        nodes_shot = len(vals) + (refusal is not None)
+        if refusal is None:
+            signs = [math.copysign(1.0, v.real) if v.real != 0 else 0.0 for v in vals]
+            for i, cv in nodes.items():
+                results.append(EigenResult(lam=complex(lams[i]), residual=cv.residual, iterations=0,
+                                           converged=True, method="shooting-scan-node"))
+            for i in range(len(lams) - 1):
+                if signs[i] * signs[i + 1] < 0:
+                    results.append(_bracket_root(shoot, lams[i:i + 2], vals[i:i + 2], scales[i:i + 2]))
     for seed in seeds:
         results.append(_newton(shoot, complex(seed)))
     merged: list[EigenResult] = []
@@ -230,7 +241,8 @@ def eigenvalues(
             merged.append(r)
         else:
             dup.shots += r.shots
-    return sorted(merged, key=lambda t: (t.lam.real, t.lam.imag))
+    roots = sorted(merged, key=lambda t: (t.lam.real, t.lam.imag))
+    return EigenRun(roots, nodes_shot + sum(r.shots for r in roots), refusal)
 
 
 def _bracket_root(shoot, lams, vals, scales):
@@ -241,7 +253,7 @@ def _bracket_root(shoot, lams, vals, scales):
     The first iterate is the secant point of the two scan values.  A Newton
     step that leaves the bracket, or is not at most half the last step, is
     replaced by bisection.  A point within the rounding resolution
-    CHAR_FLOOR eps (1 + |lambda|) of an end moves onto it, as a root at a
+    eps (1 + |lambda|) of an end moves onto it, as a root at a
     scan node needs.  The refinement stops when Re D = 0 or when the next
     iterate is this one: a Newton step within that resolution means a
     residual within the noise floor (``CharValue.floor``).  The last
@@ -255,7 +267,7 @@ def _bracket_root(shoot, lams, vals, scales):
     ratio = abs(f_hi / f_lo) * math.exp(min(scales[1] - scales[0], 700.0))
 
     def snap(x):
-        slack = config.CHAR_FLOOR * _EPS * (1 + abs(x))
+        slack = _EPS * (1 + abs(x))
         return lo if x - lo <= slack else hi if hi - x <= slack else x
 
     t = snap(0.5 * (lo + hi) if math.isnan(ratio) else lo + (hi - lo) / (1.0 + ratio))
@@ -269,7 +281,7 @@ def _bracket_root(shoot, lams, vals, scales):
             lo = t
         else:
             hi = t
-        slack = config.CHAR_FLOOR * _EPS * (1 + abs(t))
+        slack = _EPS * (1 + abs(t))
         # a zero or non-finite D' gives no Newton step: bisect
         step = f / df if 0 < abs(df) < math.inf else math.nan
         if not (lo - slack <= t - step <= hi + slack and abs(step) <= 0.5 * abs(last)):
@@ -321,11 +333,12 @@ def default_windows(tmax: float) -> tuple:
     return tuple(tmax * 0.5 ** k for k in range(8, -1, -1))
 
 
-def _window_grams(fs: FundamentalSystem, windows) -> tuple[np.ndarray, np.ndarray]:
-    """(mantissas, logscales) of the Hermitian L2(-T, T) Gram matrices of the pair, one per
-    window T, from one ``_pair_sums`` call over all windows.  Entry (2, 1) is int y1 conj(y2)."""
+def _window_grams(pair, windows) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissas, logscales) of the Hermitian L2(-T, T) Gram matrices of the solution pair
+    (y1, y2), one per window T, from one ``_pair_sums`` call over all windows.  Entry (2, 1)
+    is int y1 conj(y2)."""
     T = np.asarray(windows, dtype=float)
-    sums, L = _pair_sums((fs.y1, fs.y2), ((0, 0), (0, 1), (1, 1)), -T, T)
+    sums, L = _pair_sums(pair, ((0, 0), (0, 1), (1, 1)), -T, T)
     g11, g12, g22 = sums.T
     return np.stack([g11, g12.conj(), g12, g22], axis=1).reshape(-1, 2, 2), L
 
@@ -338,15 +351,24 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _ladder(log_N: list) -> tuple:
+def _half_back(windows, n: int) -> int | None:
+    """Index of the largest of the first n windows that is at most half of
+    the n-th, None when none is: the window one doubling back."""
+    half = 0.5 * windows[n - 1]
+    return next((k for k in range(n - 2, -1, -1) if windows[k] <= half), None)
+
+
+def _ladder(log_N: list, ref: int | None) -> tuple:
     """(monotone, growth, tail ratio, last increment) of a ladder of log N:
     log N never falls by more than 1e-9 relative, the total growth in log,
-    N(T_last)/N(T_prev) and 1 - N(T_prev)/N(T_last).  Each ratio is e^ of a
-    log difference, inf past the float range, so no ratio overflows."""
+    N(T_last)/N(T_ref) and 1 - N(T_ref)/N(T_last) against the window
+    ``ref`` one doubling back (``_half_back``), inf and 1 without one.
+    Each ratio is e^ of a log difference, inf past the float range, so no
+    ratio overflows."""
     monotone = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(log_N[:-1], log_N[1:]))
-    if len(log_N) < 2:
+    if ref is None:
         return monotone, log_N[-1] - log_N[0], math.inf, 1.0
-    return monotone, log_N[-1] - log_N[0], _exp(log_N[-1] - log_N[-2]), 1.0 - _exp(log_N[-2] - log_N[-1])
+    return monotone, log_N[-1] - log_N[0], _exp(log_N[-1] - log_N[ref]), 1.0 - _exp(log_N[ref] - log_N[-1])
 
 
 def null_probe(
@@ -362,8 +384,11 @@ def null_probe(
     L2(-T, T) Gram matrix.  "grows" (no normalized null combination stays
     in L2 on the horizon) needs N(Tmax) >= 100 * N(T0) with a monotone
     trend; "bounded" needs a monotone trend that saturates within 1
-    percent.  For problems without accretivity evidence the verdict is
-    exploratory.
+    percent.  Saturation and sustained growth compare the last window with
+    the largest window at most half of it, one doubling back, so that a
+    ladder whose last windows (nearly) coincide reads neither; a ladder
+    without such a window is "inconclusive".  For problems without
+    accretivity evidence the verdict is exploratory.
 
     A window whose N is at most PROBE_FLOOR eps times the largest
     eigenvalue of its Gram matrix is unresolved: the pair is parallel to
@@ -399,8 +424,9 @@ def null_probe(
             continue
         log_N.append(math.log(nmin) + L)
         n_vals.append(nmin * math.exp(L) if abs(math.log(nmin) + L) < 700 else math.inf)
-    monotone, growth, tail_ratio, last_increment = _ladder(log_N)
-    monotone_r, growth_r, tail_r, increment_r = _ladder(log_N[: max(resolved, 1)])  # what the classification reads
+    monotone, growth, tail_ratio, _ = _ladder(log_N, _half_back(windows, len(windows)))
+    ref = _half_back(windows, max(resolved, 1))
+    monotone_r, growth_r, tail_r, increment_r = _ladder(log_N[: max(resolved, 1)], ref)  # what the classification reads
     notes = []
     if resolved < len(windows):
         T = windows[resolved]
@@ -408,6 +434,10 @@ def null_probe(
                      f"Gram eigenvalue: the windows from T={T!r} on are unresolved")
     if resolved < min(3, len(windows)):
         cls = "inconclusive"
+    elif ref is None:
+        cls = "inconclusive"
+        notes.append(f"no resolved window is at most half of T={windows[resolved - 1]!r}: "
+                     "saturation and growth need a window one doubling back")
     elif monotone_r and increment_r <= config.PROBE_SATURATION_FRACTION:
         cls = "bounded"
         notes.append("Gram mass saturates: an L2 null direction is not excluded")
@@ -418,8 +448,8 @@ def null_probe(
         and tail_r >= 1.0 + config.PROBE_SUSTAINED_MIN
     ):
         # total growth alone is not enough: a deep ladder always grows out
-        # of its smallest windows, so the outermost doubling must still add
-        # mass for the "grows" call
+        # of its smallest windows, so the outermost doubling (from the window
+        # ref) must still add mass for the "grows" call
         cls = "grows"
         notes.append(
             "no unit-norm combination of the solution pair stays bounded in L2"

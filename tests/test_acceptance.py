@@ -63,7 +63,7 @@ def random_corpus_field(rng, jump_Q=True, jump_r=True, scale=0.4):
 
 def test_criterion_01_free_spectrum_oracle():
     # oracle: u = sin(n x) solves -u'' = n^2 u with Dirichlet walls at 0, pi
-    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60).roots
     good = [r for r in res if r.converged]
     expected = [1.0, 4.0, 9.0, 16.0, 25.0]
     ok = len(good) == 5 and all(
@@ -74,7 +74,7 @@ def test_criterion_01_free_spectrum_oracle():
 
 
 def test_criterion_02_delta_measure_oracle():
-    res = eigenvalues(DELTA, (-20, 20), BC, scan=(-2, -0.5), grid=16)
+    res = eigenvalues(DELTA, (-20, 20), BC, scan=(-2, -0.5), grid=16).roots
     good = [r for r in res if r.converged]
     ok = len(good) == 1 and abs(good[0].lam.real + 1.0) <= 1e-6
     msgs = [f"ground={good[0].lam.real!r}"]

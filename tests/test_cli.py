@@ -334,6 +334,18 @@ def test_check_a_refuses_values_past_the_float_range(tmp_path, capsys, r, m, hor
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cap, m, r, code, said", [
+    (12, [1] + [0] * 9 + [1], [0], EXIT_FAILS, ""),
+    (2, [1, 0, 0, 0, 0, 1], [0], EXIT_VALIDATION, "validation error: params.m: piece degree 5 exceeds cap 2\n"),
+    (2, [1], [0, 0, 0, 1], EXIT_VALIDATION, "validation error: coefficients.r: piece degree 3 exceeds cap 2\n"),
+], ids=["m-under-a-raised-cap", "m-over-a-lowered-cap", "r-over-a-lowered-cap"])
+def test_check_a_reads_m_under_the_problems_degree_cap(tmp_path, capsys, cap, m, r, code, said):
+    coefficients = dict(FREE_COEFFS, r={"breakpoints": [], "pieces": [r]}, degree_cap=cap)
+    problem = {"task": "check-a", "coefficients": coefficients, "params": {"m": {"breakpoints": [], "pieces": [m]}}}
+    assert main(["check-a", "--input", write(tmp_path, "p.json", problem), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == said
+
+
 def test_bracket_task(tmp_path):
     problem = {
         "task": "bracket",
@@ -505,7 +517,7 @@ def test_eig_scan_of_complex_discriminant_is_inconclusive(tmp_path, seeds):
         assert abs(complex(float(re), float(im)) - (1.109 + 1.571j)) < 1e-3
         assert (converged, method) == ("true", "shooting-newton")
     seed_shots = sum(r.shots for r in eigenvalues(ix, (0, math.pi), BoundaryCondition(),
-                                                  seeds=[complex(*z) for z in seeds]))
+                                                  seeds=[complex(*z) for z in seeds]).roots)
     assert f"shots: {1 + seed_shots}  (source: shooting)" in lines
     assert f"found: {len(seeds)}  (source: shooting)" in lines
     assert "verdict: inconclusive" in lines

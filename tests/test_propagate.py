@@ -104,17 +104,17 @@ def test_delta_jump_law():
 
 
 def test_fundamental_free_lambda0():
-    fs = fundamental(assemble(FREE, "direct", 0.0), 0.0, (-2.0, 2.0))
+    y1, y2 = fundamental(assemble(FREE, "direct", 0.0), 0.0, (-2.0, 2.0))
     for x in (-1.5, 0.3, 2.0):
-        s1 = fs.y1.state_at(x)
-        s2 = fs.y2.state_at(x)
+        s1 = y1.state_at(x)
+        s2 = y2.state_at(x)
         assert abs(s1.y0 - 1.0) <= 1e-9 and abs(s1.y1) <= 1e-9
         assert abs(s2.y0 - x) <= 1e-9 and abs(s2.y1 - 1.0) <= 1e-9
 
 
 def test_fundamental_free_hyperbolic():
-    fs = fundamental(assemble(FREE, "direct", -1.0), 0.0, (-1.0, 1.0))
-    s = fs.y1.state_at(1.0)
+    y1, _ = fundamental(assemble(FREE, "direct", -1.0), 0.0, (-1.0, 1.0))
+    s = y1.state_at(1.0)
     assert abs(s.y0 - math.cosh(1.0)) <= 1e-9
     assert abs(s.y1 - math.sinh(1.0)) <= 1e-9
 
@@ -219,10 +219,10 @@ def test_a_delta_well_solution_is_cut_into_one_panel_per_row():
     # joins its two halves at the anchor
     back = integrate(sys, QuasiState(22.0, 1.0, 0.0), -22.0)
     assert back.knots[0] == -22.0 and np.array_equal(back.knots[1:], back.steps["x0"])
-    fs = fundamental(sys, 0.5, (-22.0, 22.0))
-    for f in (back, fs.y1, fs.y2):
+    y1, y2 = fundamental(sys, 0.5, (-22.0, 22.0))
+    for f in (back, y1, y2):
         assert len(f.knots) == len(f.steps) + 1 and np.all(np.diff(f.knots) > 0)
-    assert 0.5 in fs.y1.knots.tolist() and len(propagate._panels((fs.y1, fs.y2), -22.0, 22.0, np.zeros(1))[0]) == 70
+    assert 0.5 in y1.knots.tolist() and len(propagate._panels((y1, y2), -22.0, 22.0, np.zeros(1))[0]) == 70
 
 
 def test_a_self_pair_hands_the_cutter_its_knots_once(monkeypatch):
@@ -675,7 +675,6 @@ def test_zero_state_crosses_a_taylor_segment_unchanged():
 def test_shots_keep_no_dense_output(monkeypatch):
     # scans, Newton seeds and mixed fields shoot with no dense output
     from qschro import spectral
-    from qschro.errors import NonRealScanError
 
     dense = propagate.integrate
     integrate_calls = []
@@ -685,9 +684,8 @@ def test_shots_keep_no_dense_output(monkeypatch):
         return dense(*args, **kw)
 
     monkeypatch.setattr(propagate, "integrate", counted)
-    with pytest.raises(NonRealScanError):
-        spectral.eigenvalues(IX, (0, math.pi), BC, scan=(0.5, 12), grid=40)
-    res = spectral.eigenvalues(IX, (0, math.pi), BC, seeds=[1.2 + 1.6j, 3.9 + 1.5j])
+    assert spectral.eigenvalues(IX, (0, math.pi), BC, scan=(0.5, 12), grid=40).refusal is not None
+    res = spectral.eigenvalues(IX, (0, math.pi), BC, seeds=[1.2 + 1.6j, 3.9 + 1.5j]).roots
     assert [r.converged for r in res] == [True, True]
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
         characteristic(MIXED, (-3.0, 3.0), BC, lam)
@@ -768,8 +766,7 @@ GRAM_PAIRS = ((0, 0), (0, 1), (1, 1))
 
 def adjoint_pair(c, lam, tmax):
     """The adjoint fundamental pair at conj(lam) on [-tmax, tmax], as the probe builds it."""
-    fs = fundamental(assemble(c, "adjoint", complex(lam).conjugate()), 0.0, (-tmax, tmax))
-    return fs.y1, fs.y2
+    return fundamental(assemble(c, "adjoint", complex(lam).conjugate()), 0.0, (-tmax, tmax))
 
 
 @pytest.mark.parametrize("c", [FREE, CoefficientField.delta_well(-2.0)], ids=["free", "delta-well"])
@@ -1085,7 +1082,7 @@ def test_a_scan_builds_one_kernel_per_shape_on_first_use():
     # refines its roots with dY/dlambda
     x = CoefficientField(PiecewisePoly([], [[0, 1]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     propagate._taylor_kernel.cache_clear()
-    roots = spectral.eigenvalues(x, (0, math.pi), spectral.BoundaryCondition(), scan=(0.5, 12), grid=40)
+    roots = spectral.eigenvalues(x, (0, math.pi), spectral.BoundaryCondition(), scan=(0.5, 12), grid=40).roots
     assert len(roots) == 3 and all(r.converged for r in roots)
     info = propagate._taylor_kernel.cache_info()
     assert info.misses == info.currsize <= 2  # (1, 2, 1), with and without dY/dlambda
@@ -1157,16 +1154,14 @@ def _counted_plans(monkeypatch):
 
 def test_a_scan_and_its_roots_dense_shot_share_one_plan(monkeypatch):
     from qschro import spectral
-    from qschro.errors import NonRealScanError
 
     built = _counted_plans(monkeypatch)
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    with pytest.raises(NonRealScanError):
-        spectral.eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
+    assert spectral.eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40).refusal is not None
     assert built == [("direct", 0.0, math.pi)]
     (plan,) = ix.direct_plans.values()
     # Newton shots with D' and the dense shot of the root from the left state read it too
-    (root,) = spectral.eigenvalues(ix, (0, math.pi), BC, seeds=[1.2 + 1.5j])
+    (root,) = spectral.eigenvalues(ix, (0, math.pi), BC, seeds=[1.2 + 1.5j]).roots
     assert root.converged and abs(root.lam - (1.1090679488224868 + 1.5707963267948712j)) < 1e-9
     dense = integrate(assemble(ix, "direct", root.lam), QuasiState(0.0, -0.0, 1.0), math.pi)
     assert dense.b == math.pi and len(dense.steps) > 1

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from qschro import propagate, spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
-from qschro.errors import NonRealScanError, QschroError
+from qschro.errors import QschroError
 from qschro.propagate import fundamental, integrate, pair_integral
 from qschro.quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
 from qschro.spectral import (
@@ -100,7 +100,7 @@ def _counting_integrate(monkeypatch):
 def test_scan_of_constant_field_keeps_no_dense_output(monkeypatch):
     # the scan and the bracket refinements are shots without dense output
     calls = _counting_integrate(monkeypatch)
-    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60).roots
     assert len(res) == 5 and not calls
 
 
@@ -111,7 +111,7 @@ def test_characteristic_delta_well_truncated_bound_state():
 
 
 def test_free_spectrum_scan():
-    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60).roots
     good = [r for r in res if r.converged]
     assert [round(r.lam.real) for r in good] == [1, 4, 9, 16, 25]
     for r in good:
@@ -136,7 +136,7 @@ def test_free_spectrum_scan_shot_budget(monkeypatch):
     # 60 grid shots, then one shot with D' per Newton iterate of each root:
     # 5 for the five roots, where Brent's method took 10 and bisection 285
     shots = _counting_shots(monkeypatch)
-    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 30), grid=60).roots
     assert [round(r.lam.real) for r in res if r.converged] == [1, 4, 9, 16, 25]
     assert len(shots) <= 120
 
@@ -148,7 +148,7 @@ def test_scan_refinement_rescales_the_bracket(monkeypatch):
     # the cell, so Newton needs bisections of the bracket to start
     shots = _counting_shots(monkeypatch)
     dw = CoefficientField.delta_well(-20.0)
-    res = eigenvalues(dw, (-25, 25), BC, scan=(-110, -94), grid=2)
+    res = eigenvalues(dw, (-25, 25), BC, scan=(-110, -94), grid=2).roots
     assert len(res) == 1 and res[0].converged and res[0].method == "shooting-scan-bracket"
     assert abs(res[0].lam + 100) <= 1e-12 * 100
     assert len(shots) <= 14
@@ -203,7 +203,7 @@ def test_delta_well_root_is_accepted_at_its_noise_floor():
     # rounding lambda moves D by about |D'| eps, 10 times CHAR_TOL here, so
     # the root is accepted on its printed floor, not on a solver flag
     dw = CoefficientField.delta_well(-2.0)
-    res = eigenvalues(dw, (-20, 20), BC, scan=(-2, -0.5), grid=16)
+    res = eigenvalues(dw, (-20, 20), BC, scan=(-2, -0.5), grid=16).roots
     assert len(res) == 1
     r = res[0]
     assert r.lam == -1.0 and r.converged and r.method == "shooting-scan-bracket"
@@ -216,7 +216,7 @@ def test_bracket_root_shots_add_up(monkeypatch):
     # merges into the bracket root and adds its shots, a node has none
     shots = _counting_shots(monkeypatch)
     neumann = BoundaryCondition((0, 1), (0, 1))
-    res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 5), grid=7, seeds=[4.5 + 0.2j])
+    res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 5), grid=7, seeds=[4.5 + 0.2j]).roots
     assert [r.method for r in res] == ["shooting-scan-node"] + ["shooting-scan-bracket"] * 2
     assert len(shots) == 7 + sum(r.shots for r in res)
     assert (res[0].shots, res[0].floor) == (0, None)
@@ -232,7 +232,7 @@ def test_bracket_root_bisects_where_the_slope_is_not_finite(monkeypatch):
         return replace(cv, slope=complex(math.inf)) if derivative else cv
 
     monkeypatch.setattr(spectral, "characteristic", infinite_slope)
-    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 1.7), grid=2)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 1.7), grid=2).roots
     assert len(res) == 1
     r = res[0]
     assert r.floor is None and r.iterations > 1
@@ -245,12 +245,11 @@ def test_real_scan_refuses_a_complex_discriminant():
     # changes sign on the real axis, and refining it would report false
     # roots near 3.61 and 8.80 as converged.
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
-    with pytest.raises(NonRealScanError) as err:
-        eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
+    run = eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40)
     # the first node, lambda = 0.5, already refuses the scan
     v = characteristic(ix, (0, math.pi), BC, 0.5).value
-    assert err.value.ratio == abs(v.imag) / abs(v)
-    assert (err.value.lam, err.value.shots) == (0.5, 1)
+    assert run.refusal == (0.5, abs(v.imag) / abs(v))
+    assert (run.roots, run.shots) == ([], 1)
 
 
 def test_real_scan_stops_at_its_first_node_that_is_not_real(monkeypatch):
@@ -264,10 +263,35 @@ def test_real_scan_stops_at_its_first_node_that_is_not_real(monkeypatch):
         return spectral.CharValue(next(values), 0.0, 0.0)
 
     monkeypatch.setattr(spectral, "characteristic", stub)
-    with pytest.raises(NonRealScanError) as err:
-        eigenvalues(FREE, (0, 1), BC, scan=(0, 19), grid=20)
+    run = eigenvalues(FREE, (0, 1), BC, scan=(0, 19), grid=20)
     assert shot == [0.0, 1.0, 2.0, 3.0]
-    assert (err.value.ratio, err.value.lam, err.value.shots) == (0.8, 3.0, 4)
+    assert (run.refusal, run.roots, run.shots) == ((3.0, 0.8), [], 4)
+
+
+def test_a_refused_scan_runs_its_seeds_in_the_same_call():
+    # s = i x: the node lambda = 0.5 refuses the scan, and the seed near
+    # 1.109 + 1.571i is still refined; the run's shots are that node's one
+    # and the root's
+    ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
+    run = eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), seeds=[1.2 + 1.5j], grid=40)
+    v = characteristic(ix, (0, math.pi), BC, 0.5).value
+    assert run.refusal == (0.5, abs(v.imag) / abs(v))
+    (root,) = run.roots
+    assert root.converged and abs(root.lam - (1.109 + 1.571j)) < 1e-3
+    assert run.shots == 1 + root.shots
+
+
+@pytest.mark.parametrize("field, interval, bc, kwargs", [
+    # a node root at 0, two bracket roots and a seed that merges into one
+    (FREE, (0, 3), BoundaryCondition((0, 1), (0, 1)), {"scan": (-1, 5), "grid": 7, "seeds": [4.5 + 0.2j]}),
+    # a scan refused at its first node, and two seeds
+    (CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero()), (0, math.pi), BC,
+     {"scan": (0.5, 12), "grid": 40, "seeds": [1.2 + 1.5j, 3.9 + 1.5j]}),
+], ids=["accepted", "refused"])
+def test_a_run_counts_every_shot_it_takes(monkeypatch, field, interval, bc, kwargs):
+    shots = _counting_shots(monkeypatch)
+    run = eigenvalues(field, interval, bc, **kwargs)
+    assert run.shots == len(shots) > len(run.roots)
 
 
 def test_an_accepted_scan_shoots_every_grid_node_first_in_order(monkeypatch):
@@ -280,7 +304,7 @@ def test_an_accepted_scan_shoots_every_grid_node_first_in_order(monkeypatch):
         return characteristic(*args, **kw)
 
     monkeypatch.setattr(spectral, "characteristic", recorded)
-    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 10), grid=60)
+    res = eigenvalues(FREE, (0, math.pi), BC, scan=(0.5, 10), grid=60).roots
     assert [round(r.lam.real, 9) for r in res if r.converged] == [1.0, 4.0, 9.0]
     assert shot[:60] == [(t, False) for t in np.linspace(0.5, 10, 60).tolist()]
     assert len(shot) > 60 and all(derivative for _, derivative in shot[60:])
@@ -291,14 +315,14 @@ def test_root_on_a_scan_node_is_kept():
     # the grid -1, 0, 1, with no sign change on either side of it
     # (exactly 0 on the exact path too: exp(hA) = I + hA at lambda = 0)
     neumann = BoundaryCondition((0, 1), (0, 1))
-    res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 1), grid=3)
+    res = eigenvalues(FREE, (0, 3), neumann, scan=(-1, 1), grid=3).roots
     assert [(r.lam, r.converged, r.method) for r in res] == [(0j, True, "shooting-scan-node")]
     assert res[0].residual == 0.0
 
 
 def test_delta_well_ground_state():
     dw = CoefficientField.delta_well(-2.0)
-    res = eigenvalues(dw, (-20, 20), BC, scan=(-2, -0.5), grid=16)
+    res = eigenvalues(dw, (-20, 20), BC, scan=(-2, -0.5), grid=16).roots
     good = [r for r in res if r.converged]
     assert len(good) == 1
     assert good[0].lam.real == pytest.approx(-1.0, abs=1e-6)
@@ -308,7 +332,7 @@ def test_delta_well_truncation_convergence():
     dw = CoefficientField.delta_well(-2.0)
     errs = []
     for L in (10.0, 20.0):
-        res = eigenvalues(dw, (-L, L), BC, scan=(-1.3, -0.7), grid=10)
+        res = eigenvalues(dw, (-L, L), BC, scan=(-1.3, -0.7), grid=10).roots
         lam = [r for r in res if r.converged][0].lam.real
         errs.append(abs(lam + 1.0))
     assert errs[0] <= 5.0 * math.exp(-20.0)
@@ -322,7 +346,7 @@ def _eigenfunction(c, interval, lam):
 
 def test_delta_well_eigenfunction_matches_exponential():
     dw = CoefficientField.delta_well(-2.0)
-    res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10)
+    res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10).roots
     r = [t for t in res if t.converged][0]
     u = _eigenfunction(dw, (-20, 20), r.lam)
     u0 = u.state_at(0.0).y0
@@ -337,7 +361,7 @@ def test_delta_well_eigenfunction_matches_exponential():
 def test_delta_well_eigenfunction_refit_solves_the_equation_in_l2():
     # the re-fitted trajectory u: ||l[u] - lambda u|| / ||u|| / (1 + |lambda|)
     dw = CoefficientField.delta_well(-2.0)
-    res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10)
+    res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10).roots
     r = [t for t in res if t.converged][0]
     u = _eigenfunction(dw, (-20, 20), r.lam).to_piecewise(-20, 20)
     lu, atoms = apply_l_atoms(dw, DIRECT, u, (-20, 20))
@@ -354,7 +378,7 @@ def test_newton_complex_drift_vs_fd_oracle():
     c = CoefficientField(
         PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.constant(-1j)
     )
-    res = eigenvalues(c, (0, math.pi), BC, seeds=[1.0, 4.0, 9.0, 16.0, 25.0])
+    res = eigenvalues(c, (0, math.pi), BC, seeds=[1.0, 4.0, 9.0, 16.0, 25.0]).roots
     good = sorted((r for r in res if r.converged), key=lambda r: r.lam.real)
     assert len(good) == 5
     oracle = fd_drift_eigenvalues()
@@ -369,14 +393,14 @@ FREE_SEEDS = [1.03 + 0.2j, 3.9 - 0.15j, 9.2 + 0.1j, 15.6 - 0.2j]
 def test_newton_roots_reach_rounding():
     # Newton steps on the exact D' stop at the noise floor or one step
     # past CHAR_TOL, and every root keeps the floor of its shot
-    res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS)
+    res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS).roots
     assert [r.converged for r in res] == [True] * 4
     for n, r in enumerate(res, 1):
         assert abs(r.lam - n * n) <= 1e-14 * n * n
         assert abs(r.lam.imag) <= 1e-14
         assert math.isfinite(r.floor)
     drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.constant(-1j))
-    res = eigenvalues(drift, (0, math.pi), BC, seeds=[2.1, 5.2, 9.8, 17.3])
+    res = eigenvalues(drift, (0, math.pi), BC, seeds=[2.1, 5.2, 9.8, 17.3]).roots
     assert [r.converged for r in res] == [True] * 4
     for n, r in enumerate(res, 1):
         assert abs(r.lam - (n * n + 1)) <= 1e-14 * (n * n + 1)
@@ -387,7 +411,7 @@ def test_delta_well_seed_is_accepted_at_its_noise_floor():
     # the complex seed reaches the bound state -1 of the scan test above;
     # its residual is above CHAR_TOL but within the floor its D' shot gives
     dw = CoefficientField.delta_well(-2.0)
-    res = eigenvalues(dw, (-20, 20), BC, seeds=[-1.1 + 0.05j])
+    res = eigenvalues(dw, (-20, 20), BC, seeds=[-1.1 + 0.05j]).roots
     assert len(res) == 1
     r = res[0]
     assert r.converged and r.method == "shooting-newton"
@@ -401,9 +425,9 @@ def test_duplicate_roots_merge_into_the_first_found():
     # seed's root is kept, whatever the sign of its imaginary part, and
     # counts the other's shots
     for seeds in ([4.2 + 0.3j, 3.9 - 0.2j], [3.9 - 0.2j, 4.2 + 0.3j]):
-        alone = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds[:1])
-        other = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds[1:])
-        (r,) = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds)
+        alone = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds[:1]).roots
+        other = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds[1:]).roots
+        (r,) = eigenvalues(FREE, (0, math.pi), BC, seeds=seeds).roots
         assert (r.lam, r.iterations) == (alone[0].lam, alone[0].iterations)
         assert r.shots == alone[0].shots + other[0].shots
 
@@ -419,7 +443,7 @@ def test_newton_spends_one_shot_per_iterate(monkeypatch):
     # Newton steps on the exact D': one shot per iterate, the seed's
     # included (21 shots here); centred differences took 43
     shots = _counting_shots(monkeypatch)
-    res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS)
+    res = eigenvalues(FREE, (0, math.pi), BC, seeds=FREE_SEEDS).roots
     assert [round(r.lam.real) for r in res if r.converged] == [1, 4, 9, 16]
     assert len(shots) <= 32
 
@@ -438,7 +462,7 @@ def test_scan_builds_the_system_once_per_field(monkeypatch):
     counts = []
     for grid in (8, 32):
         products.clear()
-        res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid)
+        res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid).roots
         assert [round(r.lam.real) for r in res if r.converged] == [-1]
         counts.append(len(products))
     assert counts[0] == counts[1]
@@ -458,14 +482,14 @@ def test_scan_reads_the_segment_rows_once_per_field(monkeypatch):
     counts = []
     for grid in (8, 32):
         builds.clear()
-        res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid)
+        res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid).roots
         assert [round(r.lam.real) for r in res if r.converged] == [-1]
         counts.append(builds[:])
     assert counts == [[(DIRECT, -20.0, 20.0)]] * 2
 
 
 def test_newton_real_seed_stays_real():
-    res = eigenvalues(FREE, (0, math.pi), BC, seeds=[4.2 + 0.3j])
+    res = eigenvalues(FREE, (0, math.pi), BC, seeds=[4.2 + 0.3j]).roots
     good = [r for r in res if r.converged]
     assert len(good) == 1
     assert good[0].lam.real == pytest.approx(4.0, abs=1e-8)
@@ -473,7 +497,7 @@ def test_newton_real_seed_stays_real():
 
 
 def test_newton_duplicate_seeds_merge():
-    res = eigenvalues(FREE, (0, math.pi), BC, seeds=[3.9, 4.1])
+    res = eigenvalues(FREE, (0, math.pi), BC, seeds=[3.9, 4.1]).roots
     good = [r for r in res if r.converged]
     assert len(good) == 1
 
@@ -558,6 +582,34 @@ def test_probe_classifies_only_the_windows_below_the_first_unresolved_one():
     assert few.notes == (rep.notes[0],)
 
 
+@pytest.mark.parametrize("windows", [
+    (1.25, 2.5, 5.0, 10.0),
+    (1.25, 2.5, 5.0, 10.0, 10.0),  # the last two windows coincide
+    (1.25, 2.5, 5.0, 9.999, 10.0),  # or nearly
+])
+def test_probe_judges_its_last_window_against_the_one_a_doubling_back(windows):
+    # free field at lambda = -1: N rises by e^18 over the ladder, and the
+    # last window is read against T = 5, not against its neighbour
+    rep = null_probe(FREE, -1.0, 10.0, windows=windows)
+    assert rep.classification == "grows"
+    assert rep.tail_ratio == math.exp(rep.log_N[-1] - rep.log_N[2])
+
+
+def test_probe_of_a_bound_state_saturates_against_the_window_a_doubling_back():
+    # delta well q = -2 delta at its bound state lambda = -1
+    rep = null_probe(CoefficientField.delta_well(-2.0), -1.0, 10.0, windows=(2.5, 5.0, 9.999, 10.0))
+    assert rep.classification == "bounded"
+    assert rep.notes[-1] == "Gram mass saturates: an L2 null direction is not excluded"
+
+
+def test_probe_without_a_window_a_doubling_back_is_inconclusive():
+    rep = null_probe(FREE, -1.0, 10.0, windows=(6.0, 8.0, 10.0))
+    assert rep.classification == "inconclusive"
+    assert rep.notes == ("no resolved window is at most half of T=10.0: "
+                         "saturation and growth need a window one doubling back",)
+    assert rep.tail_ratio == math.inf
+
+
 @pytest.mark.parametrize("tmax", [10, 20])
 @pytest.mark.parametrize("lam", [-1, [-0.5, 0.5]], ids=["-1", "-0.5+0.5i"])
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -619,14 +671,14 @@ def test_default_windows_ladder():
     assert ws[0] == pytest.approx(40.0 / 256)
 
 
-def reference_window_grams(fs, windows):
+def reference_window_grams(pair, windows):
     """The Gram matrices window by window: three pair_integral calls each,
     put on the largest of their logscales and symmetrised."""
-    grams, scales = [], []
+    (y1, y2), grams, scales = pair, [], []
     for T in windows:
-        g11, l11 = pair_integral(fs.y1, fs.y1, -T, T)
-        g22, l22 = pair_integral(fs.y2, fs.y2, -T, T)
-        g12, l12 = pair_integral(fs.y1, fs.y2, -T, T)
+        g11, l11 = pair_integral(y1, y1, -T, T)
+        g22, l22 = pair_integral(y2, y2, -T, T)
+        g12, l12 = pair_integral(y1, y2, -T, T)
         L = max(l11, l22, l12)
         m12 = g12 * math.exp(l12 - L)
         M = np.array([[g11 * math.exp(l11 - L), m12.conjugate()], [m12, g22 * math.exp(l22 - L)]])
@@ -645,9 +697,9 @@ DRIFT = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePo
 ])
 def test_probe_grams_match_the_windows_one_at_a_time(monkeypatch, c, lam, tmax, windows):
     ws = tuple(sorted(windows)) if windows else default_windows(tmax)
-    fs = fundamental(assemble(c, ADJOINT, complex(lam).conjugate()), 0.0, (-tmax, tmax))
-    M, L = spectral._window_grams(fs, ws)
-    M_ref, L_ref = reference_window_grams(fs, ws)
+    pair = fundamental(assemble(c, ADJOINT, complex(lam).conjugate()), 0.0, (-tmax, tmax))
+    M, L = spectral._window_grams(pair, ws)
+    M_ref, L_ref = reference_window_grams(pair, ws)
     for T, m, m_ref, l, l_ref in zip(ws, M, M_ref, L, L_ref):
         assert l == l_ref, T  # the largest logscale of the steps inside the window
         assert np.max(np.abs(m - m_ref)) <= 1e-13 * np.max(np.abs(m_ref)), T
@@ -759,11 +811,11 @@ def test_a_scan_assembles_a_system_once_per_field_and_side(monkeypatch):
     monkeypatch.setattr(spectral, "assemble", counted)
     c = CoefficientField.delta_well(-2.0)
     for side in (DIRECT, ADJOINT):
-        res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, side=side)
+        res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, side=side).roots
         assert [round(r.lam.real) for r in res if r.converged] == [-1]
         assert res[0].shots > 0
     assert built == [DIRECT, ADJOINT]
-    res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, seeds=[-0.9 + 0.1j])
+    res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, seeds=[-0.9 + 0.1j]).roots
     assert built == [DIRECT, ADJOINT]
 
 
@@ -784,12 +836,12 @@ def test_a_boundary_pair_is_only_a_direction():
     assert BoundaryCondition((2 + 1j, 1.0)).left == (1 + 0.5j, 0.5)
     assert BoundaryCondition(right=(0j, 1e308 - 1e308j)).right == (0, 1 - 1j)
     box = (0.0, math.pi)
-    want = eigenvalues(FREE, box, BC, seeds=[2.0])
+    want = eigenvalues(FREE, box, BC, seeds=[2.0]).roots
     assert want[0].converged and abs(want[0].lam - 1) <= 1e-15
-    assert _roots(eigenvalues(FREE, box, BoundaryCondition(right=(1e-12, 0.0)), seeds=[2.0])) == _roots(want)
-    neumann = eigenvalues(FREE, box, BoundaryCondition(left=(0.0, 1.0)), seeds=[1.1])
+    assert _roots(eigenvalues(FREE, box, BoundaryCondition(right=(1e-12, 0.0)), seeds=[2.0]).roots) == _roots(want)
+    neumann = eigenvalues(FREE, box, BoundaryCondition(left=(0.0, 1.0)), seeds=[1.1]).roots
     assert neumann[0].converged and neumann[0].lam == 6.25
-    assert _roots(eigenvalues(FREE, box, BoundaryCondition(left=(0.0, 1e-310)), seeds=[1.1])) == _roots(neumann)
+    assert _roots(eigenvalues(FREE, box, BoundaryCondition(left=(0.0, 1e-310)), seeds=[1.1]).roots) == _roots(neumann)
 
 
 @pytest.mark.parametrize("factor", [1e-300, 1e-12, 1e12, 1e300])
@@ -801,7 +853,7 @@ def test_a_scaled_boundary_pair_moves_no_root_residual_or_floor(factor):
     scaled = (factor * left[0], factor * left[1]), (factor * right[0], factor * right[1])
 
     def run(bc):
-        return _roots(eigenvalues(dw, (-20, 20), bc, scan=(-2, -0.5), grid=16, seeds=[-1.1 + 0.05j]))
+        return _roots(eigenvalues(dw, (-20, 20), bc, scan=(-2, -0.5), grid=16, seeds=[-1.1 + 0.05j]).roots)
 
     want = run(BoundaryCondition(left, right))
     assert want and all(r[4] for r in want)
