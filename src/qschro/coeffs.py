@@ -84,9 +84,10 @@ def _shift_rows(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(rev_coeffs, t):
-    """One polynomial at one point; coefficients highest power first."""
-    acc = 0.0 + 0.0j
+def _horner(rev_coeffs, t, acc=0j):
+    """One polynomial at one point; coefficients highest power first.  The
+    sum starts from ``acc``: from a float zero, float coefficients at a
+    float t sum in floats."""
     for c in rev_coeffs:
         acc = acc * t + c
     return acc
@@ -502,10 +503,11 @@ class PiecewisePoly:
 def _recentred(row: list, d: float) -> list:
     """Ascending coefficients in t of sum_k row[k] (t + d)^k.
 
-    The synthetic division of ``_shift_rows`` on one row of Python complex,
-    with the same bits: each step multiplies by a float and adds, which
-    Python and numpy round alike.  It stays a loop over Python scalars: a
-    Taylor step shifts three rows of a few coefficients, three rows of three
+    The synthetic division of ``_shift_rows`` on one row of Python complex
+    (or of floats, in a float walk), with the same bits: each step
+    multiplies by a float and adds, which Python and numpy round alike.
+    It stays a loop over Python scalars: a Taylor step shifts three rows
+    of a few coefficients, three rows of three
     take about 3 us here and about 10 us in one array call of
     ``_shift_rows`` (x86-64, one core), and a shot makes a few hundred steps.
     """

@@ -55,7 +55,9 @@ CHAR_TOL = 1e-9
 # The real eigenvalue scan refines sign changes of Re D, which is valid only
 # when D is real along the scan: it refuses at the first grid node, in grid
 # order, where |Im D|/|D| exceeds this, and shoots no node past it.
-# Formally symmetric data give exactly 0.
+# Real s and Q with r = 0 give exactly 0; formally symmetric data with a
+# real r != 0 do not (r = 0.7 on (0, pi) gives 0.809 at lambda = 2), which
+# ROADMAP item 14 takes up.
 SCAN_REAL_TOL = 1e-8
 
 # Upper bound on the points of an eigenvalue scan grid or a bracket sample

@@ -9,15 +9,23 @@ A shot (``spectral.characteristic``) and ``integrate`` walk the segments
 the same way (``_walk``), from one lambda-free plan per field, side and
 interval (``_plan``): the segments, each segment's rows as Python complex
 with its kind and, on a constant segment, the invariants of its
-exponential, and the step floor.  It is built on the first walk and kept with the field
+exponential, the step floor, and the same segments in Python floats when
+every row is real.  It is built on the first walk and kept with the field
 (``CoefficientField.direct_plans``/``adjoint_plans``, at most _PLANS
 intervals per side), so a shot only subtracts lambda from each segment's
 a21 constant and steps; ``spectral.characteristic`` walks the plan from
 a plain (y0, y1, logscale) start, with no system or state around it.
-Every walk has one budget of MAX_WALK_STEPS sub-steps and Taylor steps,
-past which it raises StepBudgetError.  On a segment where the system
-matrix A is constant the state is multiplied by the exact exp(hA) in
-equal sub-steps; on any other it takes Taylor steps of order 23 + d
+One type rule holds for every walk: real rows, a real lambda and a real
+start walk the float segments, anything else the complex ones, so a walk
+is all-float or all-complex, never mixed, and a float walk has the bits
+of the real parts of the complex one (on CPython 3.10-3.13, which widen
+a float operand of complex arithmetic to complex(x, 0.0); 3.14 does not,
+which can change the sign of a zero part).  Dense output is complex128
+either way: a float walk forms its rows in float arrays and stores them
+there.  Every walk has one budget of MAX_WALK_STEPS sub-steps and Taylor
+steps, past which it raises StepBudgetError.  On a segment where the
+system matrix A is constant the state is multiplied by the exact exp(hA)
+in equal sub-steps; on any other it takes Taylor steps of order 23 + d
 from the exact recurrence of the entries of degree d (classical
 high-order Taylor method, Corliss & Chang 1982), each as long as Jorba &
 Zou's rule (2005) allows.  The recurrence of each entry
@@ -219,12 +227,19 @@ def _walk(plan, lam, start, out=None, derivative=False):
     StepUnderflowError.  Lambda is subtracted from
     the constant term of each segment's a21 row here, which gives the bits
     of ``sys.a21_0 - sys.lam`` on it (``a21_0`` is a sum, so never -0.0).
+    A plan with float segments, a lambda and a start whose imaginary parts
+    are zero (of either sign) walk those segments in Python floats, with
+    Z starting at 0.0; any other walk is in Python complex.
     The segments share one budget of MAX_WALK_STEPS sub-steps and steps:
     a walk that needs more raises StepBudgetError before its memory or
     time runs away."""
-    segments, h_floor, _ = plan
+    segments, h_floor, _, real = plan
     y0, y1, ls = start
-    y = (complex(y0), complex(y1), 0j, 0j) if derivative else (complex(y0), complex(y1))
+    if real and not (lam.imag or y0.imag or y1.imag):
+        segments, zero, lam, y0, y1 = real, 0.0, float(lam.real), float(y0.real), float(y1.real)
+    else:
+        zero, lam, y0, y1 = 0j, complex(lam), complex(y0), complex(y1)
+    y = (y0, y1, zero, zero) if derivative else (y0, y1)
     ls = float(ls)
     sup = -math.inf
     left = MAX_WALK_STEPS
@@ -269,15 +284,17 @@ def _plan(plans, x_from, to, system):
 
 
 def _build_plan(sys, x_from, to):
-    """(segments, step floor, row width) of a walk of ``sys`` from x_from
-    to ``to``.  A segment is (start, end, rows, consts).  Its rows are
-    those of the entries (a11, a21_0, a22) of the system: each one's
-    (center, ascending coefficients as Python complex without trailing
-    zeros) at the midpoint of the segment's region of the field, or at
-    -inf and +inf in the tails.  A segment whose rows are all constant is
-    crossed by exact exponentials, with the invariants
-    consts = (a21_0, d, tau, d^2, |tau|/2) of ``_exact_segment``; any
-    other takes Taylor steps and has consts None.  The widest entry, not
+    """(segments, step floor, row width, float segments) of a walk of
+    ``sys`` from x_from to ``to``.  A segment is (start, end, rows,
+    consts).  Its rows are those of the entries (a11, a21_0, a22) of the
+    system: each one's (center, ascending coefficients as Python complex
+    without trailing zeros) at the midpoint of the segment's region of the
+    field, or at -inf and +inf in the tails.  When every row is real the
+    float segments are the same segments with the real parts of the rows,
+    as Python floats, and their own consts; else they are None.  A
+    segment whose rows are all constant is crossed by exact exponentials,
+    with the invariants consts = (a21_0, d, tau, d^2, |tau|/2) of
+    ``_exact_segment``; any other takes Taylor steps and has consts None.  The widest entry, not
     only the segments' rows, sets the width, so that the two halves of a
     ``fundamental`` pair concatenate.  An empty interval, or one whose
     length is not finite, raises ValueError."""
@@ -295,16 +312,25 @@ def _build_plan(sys, x_from, to):
     for f in entries:  # a few short rows: lists, where one numpy call costs more than their arithmetic
         own, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
         per_entry.append([(centers[i], tuple(_trimmed(rows[i]))) for i in (bisect_right(own, x) for x in at)])
-    segments = []
-    for (a, b), rows in zip(ends, zip(*per_entry)):
-        consts = None
-        if all(len(p) == 1 for _, p in rows):
-            (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
-            d, tau = 0.5 * (a11 - a22), a11 + a22
-            consts = (a21, d, tau, d * d, 0.5 * abs(tau))
-        segments.append((a, b, rows, consts))
+    segments = tuple(_segment(a, b, rows) for (a, b), rows in zip(ends, zip(*per_entry)))
+    real = None
+    if not any(z.imag for *_, rows, _ in segments for _, p in rows for z in p):
+        real = tuple(_segment(a, b, tuple((c, tuple(z.real for z in p)) for c, p in rows))
+                     for a, b, rows, _ in segments)
     width = _TAYLOR_ORDER + max(f.coeffs.shape[1] for f in entries) - 1
-    return tuple(segments), MIN_STEP_FRACTION * (hi - lo), width
+    return segments, MIN_STEP_FRACTION * (hi - lo), width, real
+
+
+def _segment(a, b, rows):
+    """The plan's segment (a, b, rows, consts) of rows (``_build_plan``):
+    consts are the invariants of ``_exact_segment`` when every row is
+    constant, else None."""
+    consts = None
+    if all(len(p) == 1 for _, p in rows):
+        (_, (a11,)), (_, (a21,)), (_, (a22,)) = rows
+        d, tau = 0.5 * (a11 - a22), a11 + a22
+        consts = (a21, d, tau, d * d, 0.5 * abs(tau))
+    return a, b, rows, consts
 
 
 # 1/(2k)! and 1/(2k+1)!, highest power first: cosh(z) and sinh(z)/z as
@@ -324,7 +350,9 @@ _TAYLOR_EPS = 1e-16
 
 def _exact_step(inv, h: float, dlam: bool) -> tuple:
     """exp(hA) as (e11, e12, e21, e22), for |h mu| <= 1, and with ``dlam``
-    also d exp(hA)/dlambda as (f11, f12, f21, f22) after them.
+    also d exp(hA)/dlambda as (f11, f12, f21, f22) after them.  Invariants
+    that are all Python floats (a float walk's) give floats, by math.exp
+    and Horner sums that start from 0.0.
 
     ``inv`` is (a21, d, tau, mu^2) of the constant A: tau = tr A,
     d = (a11 - a22)/2 and mu^2 = tau^2/4 - det A = d^2 + a21.
@@ -334,15 +362,18 @@ def _exact_step(inv, h: float, dlam: bool) -> tuple:
     -h^2 and da21/dlambda = -1 (tau and d do not depend on lambda).
     """
     a21, d, tau, mu2 = inv
+    # a float walk's invariants are all float; any complex one takes the complex kernel
+    real = float is type(a21) is type(d) is type(tau) is type(mu2)
+    exp, zero = (math.exp, 0.0) if real else (cmath.exp, 0j)
     w = h * h * mu2
-    ch = _horner(_COSH, w)
-    sh = h * _horner(_SINHC, w)
-    g = cmath.exp(0.5 * h * tau)
+    ch = _horner(_COSH, w, zero)
+    sh = h * _horner(_SINHC, w, zero)
+    g = exp(0.5 * h * tau)
     e = (g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d))
     if not dlam:
         return e
-    dch = -h * h * _horner(_DCOSH, w)
-    dsh = -h * h * h * _horner(_DSINHC, w)
+    dch = -h * h * _horner(_DCOSH, w, zero)
+    dsh = -h * h * h * _horner(_DSINHC, w, zero)
     return (*e, g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d))
 
 
@@ -379,8 +410,8 @@ def _exact_segment(consts, lam, xa, xb, y, ls, sup, h_floor, left, out=None):
         raise StepBudgetError(*start, MAX_WALK_STEPS)
     dlam = len(y) == 4
     e11, e12, e21, e22, *f = _exact_step((a21, d, tau, mu2), seg_len / n, dlam)
-    f11, f12, f21, f22 = f or (0j, 0j, 0j, 0j)
-    y0, y1, z0, z1 = y if dlam else (*y, 0j, 0j)
+    f11, f12, f21, f22 = f or (0.0, 0.0, 0.0, 0.0)
+    y0, y1, z0, z1 = y if dlam else (*y, 0.0, 0.0)
     peak = max(abs(y0), abs(y1))
     # a dense walk keeps the start state of each sub-step, flat, and the
     # (sub-step, logscale) of each rescale
@@ -424,20 +455,24 @@ def _exact_rows(inv, xa, xb, h, starts, logscales):
     2^k/k! of |Y| + |hBY|, so the rest is below 2^24/24!, 3e-17.  The
     last row ends at xb exactly.  The coefficients are returned as the
     factors (p_k, q_k) and (Y, hBY) of their einsum, which ``integrate``
-    forms into the dense output."""
+    forms into the dense output; a float walk's are float arrays, with the
+    bits of the real parts of complex ones."""
     a21, d, tau, mu2 = inv
     half_tau, w = 0.5 * h * tau, h * h * mu2
     pq = [(1.0, 0.0)]
     for k in range(1, _TAYLOR_ORDER):
         p, q = pq[-1]
         pq.append(((half_tau * p + w * q) / k, (half_tau * q + p) / k))
-    y = np.array(starts, dtype=complex).reshape(-1, 2)
+    kind = type(starts[0])  # the walk's type: a float walk's factors are float
+    y = np.array(starts, dtype=kind).reshape(-1, 2)
     hby = h * np.stack([d * y[:, 0] + y[:, 1], a21 * y[:, 0] - d * y[:, 1]], axis=1)
     x0 = xa + h * np.arange(len(y))
     hs = np.full(len(y), h)
     hs[-1] = xb - x0[-1]
     at, ls = zip(*logscales)
-    return x0, hs, (np.array(pq), np.array([y, hby])), np.repeat(ls, np.diff([*at, len(y)]))
+    # pq of the walk's type too: einsum of a float and a complex operand
+    # casts on the fly and runs about 1.5x slower
+    return x0, hs, (np.array(pq, dtype=kind), np.array([y, hby])), np.repeat(ls, np.diff([*at, len(y)]))
 
 
 def _jorba_zou(u: list, v: list, window: int, size: float = 1.0) -> float:
@@ -533,18 +568,20 @@ def _taylor_kernel(n11: int, n21: int, n22: int, derivative: bool):
     return namespace["taylor"]
 
 
-def _step_sums(h, u, v, half):
+def _step_sums(h, u, v, half, zero=0j):
     """The Horner sums of a Taylor step: the series u and v (lowest power
     first) at h and, with ``half``, at h/2 too, all in one loop, each with
-    the operations and bits of ``_horner(reversed(series), t)``."""
-    a = b = 0j
+    the operations and bits of ``_horner(reversed(series), t)``.  The sums
+    start from ``zero``, that of the walk's type: 0.0 sums a float walk's
+    series in floats, 0j a complex walk's."""
+    a = b = zero
     if not half:
         for cu, cv in zip(reversed(u), reversed(v)):
             a = a * h + cu
             b = b * h + cv
         return a, b
     hm = 0.5 * h
-    c = d = 0j
+    c = d = zero
     for cu, cv in zip(reversed(u), reversed(v)):
         a = a * h + cu
         b = b * h + cv
@@ -557,7 +594,8 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     """Cross a segment with polynomial entries by Taylor steps.
 
     ``rows`` are the segment's lambda-shifted rows, of degree at most d,
-    with coefficients as Python complex (``_build_plan``).  At each step
+    with coefficients as Python complex, or all as Python floats with the
+    state in a float walk (``_build_plan``).  At each step
     start x the rows are re-centred at x, and the Taylor
     coefficients of the state scaled to unit size follow from
     (k+1) Y_{k+1} = sum_{j<=d} A_j Y_{k-j} with a12 = 1, up to order
@@ -594,6 +632,7 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     y0, y1, *z = y
     shot = out is None
     series = _taylor_kernel(len(p11), len(p21), len(p22), bool(z))
+    zero = type(y0)()  # 0.0 in a float walk, 0j in a complex one
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
@@ -622,19 +661,19 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
                 raise StepBudgetError(x, h, y0, y1, ls, MAX_WALK_STEPS)
             left -= 1
             if shot:
-                e0, e1, f0, f1 = _step_sums(h, u, v, True)
+                e0, e1, f0, f1 = _step_sums(h, u, v, True, zero)
                 f0, f1 = abs(f0), abs(f1)  # only the midpoint's size is read
                 size = abs(e0) + abs(e1) + f0 + f1
                 mid = m * max(f0, f1)
             else:
-                e0, e1 = _step_sums(h, u, v, False)
+                e0, e1 = _step_sums(h, u, v, False, zero)
                 size = abs(e0) + abs(e1)
             if not size < math.inf:
                 raise StepUnderflowError(x, h, y0, y1, ls, finite=False)
             if not shot:
                 steps.append(((x, h, y0, y1, ls), m, (u, v)))
             if z:
-                g0, g1 = _step_sums(h, p, q, False)
+                g0, g1 = _step_sums(h, p, q, False, zero)
                 z = [m * g0, m * g1]
             y0, y1 = m * e0, m * e1
             m = max(abs(y0), abs(y1))
@@ -666,11 +705,14 @@ def _taylor_rows(steps, width):
     scaled to unit size; its row is m Y_k h^k for k < ``width``, the terms
     of the series of the state on the step in theta = (x - x0)/h.  The
     first row that is not finite raises StepUnderflowError with its start.
+    A float walk's rows are float arrays (``integrate`` stores them as
+    complex), with the bits of the real parts of complex ones.
     """
     starts, scales, series = zip(*steps)
-    x0, h, _, _, ls = np.array(starts, dtype=complex).real.T
+    kind = type(starts[0][2])  # the walk's type: that of its states
+    x0, h, _, _, ls = np.array(starts, dtype=kind).real.T
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = np.array(series, dtype=complex) * (np.array(scales)[:, None] * h[:, None] ** np.arange(width))[:, None]
+        coef = np.array(series, dtype=kind) * (np.array(scales)[:, None] * h[:, None] ** np.arange(width))[:, None]
     finite = np.isfinite(coef).all(axis=(1, 2))
     if not finite.all():
         raise StepUnderflowError(*starts[int(np.argmin(finite))], finite=False)

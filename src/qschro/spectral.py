@@ -71,10 +71,10 @@ class CharValue:
     one, and a plain dataclass with slots takes about a third of the time
     of a frozen one to build."""
 
-    value: complex  # mantissa; true D = value * exp(logscale)
+    value: complex | float  # mantissa; true D = value * exp(logscale); a float walk's is a float
     logscale: float
     log_sup: float  # log of sup |Y| along the shot
-    slope: complex | None = None  # mantissa of D'(lambda) on the same logscale, if shot with it
+    slope: complex | float | None = None  # mantissa of D'(lambda) on the same logscale, if shot with it
 
     @property
     def residual(self) -> float:
@@ -159,7 +159,7 @@ def characteristic(
     plans = c.direct_plans if _check_side(side) == DIRECT else c.adjoint_plans
     plan = _plan(plans, a, b, lambda: assemble(c, side, lam))
     al, be = bc.left
-    y, ls, log_sup = _walk(plan, complex(lam), (-be, al, 0.0), derivative=derivative)
+    y, ls, log_sup = _walk(plan, lam, (-be, al, 0.0), derivative=derivative)
     ar, br = bc.right
     slope = ar * y[2] + br * y[3] if derivative else None
     return CharValue(ar * y[0] + br * y[1], ls, log_sup, slope)
@@ -178,8 +178,9 @@ def eigenvalues(
 
     Scan mode brackets sign changes of Re D on a real grid and refines
     each by Newton steps on Re D/Re D' kept inside the bracket
-    (``_bracket_root``): valid when D is real along the scan (formally
-    symmetric data).  A grid node where Re D is exactly 0 is itself a
+    (``_bracket_root``): valid when D is real along the scan, as it is for
+    real s and Q with r = 0 (a real r != 0 makes D complex: ROADMAP item
+    14).  A grid node where Re D is exactly 0 is itself a
     root.  The nodes are shot in grid order, and each is checked as soon
     as it is shot: at the first one where D != 0 and |Im D|/|D| exceeds
     ``config.SCAN_REAL_TOL`` the scan is refused, with that node's lambda

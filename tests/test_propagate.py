@@ -447,7 +447,14 @@ def test_exact_step_matches_expm(inv):
     # with its derivative: the same exp(hA), and the bits of the kernel of its own
     both = propagate._exact_step(inv, h, True)
     assert _bits(both[:4]) == _bits(propagate._exact_step(inv, h, False))
-    assert _bits(both[4:]) == _bits(_reference_exact_step_dlam(inv, h))
+    if all(type(v) is float for v in inv):
+        # a float walk's step: floats with the bits of the real parts of
+        # the step of the same invariants as complex
+        forced = tuple(map(complex, inv))
+        assert _bits(both) == _bits(tuple(z.real for z in propagate._exact_step(forced, h, True)))
+        assert _bits(both[4:]) == _bits(tuple(z.real for z in _reference_exact_step_dlam(forced, h)))
+    else:
+        assert _bits(both[4:]) == _bits(_reference_exact_step_dlam(inv, h))
 
 
 # (consts, lam, xa, xb, start state, logscale): a segment that rescales
@@ -1133,6 +1140,105 @@ def test_step_sums_are_horner_bit_for_bit():
                 at_half = [propagate._horner(reversed(x), 0.5 * h) for x in (u, v)]
                 assert _same_bits(list(propagate._step_sums(h, u, v, True)), at_h + at_half), (width, h)
                 assert _same_bits(list(propagate._step_sums(h, u, v, False)), at_h), (width, h)
+
+
+# ----------------------------------------------------------------------
+# float walks: real rows, lambda and start walk in Python floats
+
+
+def _forced_complex(monkeypatch, run):
+    """run() as it is, and with every walk forced complex: each plan is
+    walked without its float segments, so its complex rows, lambda and
+    start take the complex arithmetic."""
+    from qschro import spectral
+
+    got = run()
+    walk = propagate._walk
+    with monkeypatch.context() as patch:
+        for module in (propagate, spectral):
+            patch.setattr(module, "_walk", lambda plan, *args, **kwargs: walk((*plan[:3], None), *args, **kwargs))
+        want = run()
+    return got, want
+
+
+def _real_parts(value):
+    """A nested result with each complex number replaced by its real part."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(_real_parts(v) for v in value)
+    if isinstance(value, QuasiState):
+        return [value.x, *_real_parts([value.y0, value.y1]), value.logscale]
+    return value.real if isinstance(value, complex) else value
+
+
+def _dense_bits(steps):
+    """The rows of dense output bit for bit, their coefficients' real parts apart."""
+    return [steps[k].tobytes() for k in ("x0", "h", "logscale")] + [steps["coef"].real.tobytes()]
+
+
+R_MINUS_IX = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly([], [[0, -1j]]))
+# (field, side, lambda, interval): exact sub-steps that rescale, a jump
+# between exact segments, Taylor steps with zero a11 and a22, and the
+# probe's drift r = -i x on its adjoint side at conj(-1), whose
+# G1 = x and G2 = -x are real
+FLOAT_WALKS = [
+    (FREE, "direct", -16.0, (0.0, 60.0)),
+    (CoefficientField.delta_well(-2.0), "direct", -0.7, (-8.0, 8.0)),
+    (CoefficientField(PiecewisePoly([], [[0, 0, 1]]), PiecewisePoly.zero(), PiecewisePoly.zero()),
+     "direct", 2.0, (3.5, -3.0)),
+    (R_MINUS_IX, "adjoint", complex(-1.0).conjugate(), (-6.0, 6.0)),
+]
+
+
+@pytest.mark.parametrize("field, side, lam, ends", FLOAT_WALKS, ids=["free", "delta-well", "s=x^2", "r=-ix"])
+def test_a_float_walk_has_the_bits_of_the_walk_forced_complex(monkeypatch, field, side, lam, ends):
+    sys = assemble(field, side, lam)
+    start = QuasiState(ends[0], 0.3, -1.0, side)
+    for derivative in (False, True):
+        got, want = _forced_complex(monkeypatch, lambda: walk_end(sys, start, ends[1], derivative=derivative))
+        assert all(type(v) is float for s in got[::2] for v in (s.y0, s.y1))
+        assert _bits(_real_parts(got)) == _bits(_real_parts(want))
+        assert all(type(v) is complex for s in want[::2] for v in (s.y0, s.y1))
+    got, want = _forced_complex(monkeypatch, lambda: integrate(sys, start, ends[1]).steps)
+    assert len(got) > 1 and _dense_bits(got) == _dense_bits(want)
+    assert not got["coef"].imag.any()
+    got, want = _forced_complex(monkeypatch, lambda: [y.steps for y in fundamental(sys, 0.0, (-3.0, 3.0))])
+    assert all(_dense_bits(g) == _dense_bits(w) for g, w in zip(got, want))
+
+
+# a field whose rows are real on (0, 1) and complex past 1
+PART_COMPLEX = CoefficientField(PiecewisePoly([], [[0, 0, 1]]), PiecewisePoly.zero(),
+                                PiecewisePoly([1.0], [[0.0], [0.3]]))
+
+
+@pytest.mark.parametrize("field, lam, y0, b", [
+    (FLOAT_WALKS[2][0], 2.0 + 0.5j, 0.3, 3.0),  # a complex lambda
+    (FLOAT_WALKS[2][0], 2.0, 0.3 + 0.1j, 3.0),  # a complex start
+    (PART_COMPLEX, 2.0, 0.3, 2.0),  # one complex row
+], ids=["lambda", "start", "row"])
+def test_complex_data_never_take_the_float_segments(monkeypatch, field, lam, y0, b):
+    sys = assemble(field, "direct", lam)
+    start = QuasiState(-1.0, y0, -1.0)
+    plan = propagate._plan(sys.plans, start.x, b, lambda: sys)
+    assert (plan[3] is None) == (field is PART_COMPLEX)
+    for derivative in (False, True):
+        got, want = _forced_complex(monkeypatch, lambda: walk_end(sys, start, b, derivative=derivative))
+        if lam.imag or y0.imag or field is PART_COMPLEX:
+            assert all(type(v) is complex for s in got[::2] for v in (s.y0, s.y1))
+        assert _bits([_state_bits(s) for s in got[::2]]) == _bits([_state_bits(s) for s in want[::2]])
+    got, want = _forced_complex(monkeypatch, lambda: integrate(sys, start, b).steps)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_shot_at_a_real_lambda_walks_in_floats(monkeypatch):
+    # characteristic takes lambda as given; a lambda whose imaginary part
+    # is zero, of either sign, is real
+    x2 = FLOAT_WALKS[2][0]
+    for lam in (3.0, 3.0 + 0j, complex(3.0, -0.0)):
+        got, want = _forced_complex(monkeypatch, lambda: characteristic(x2, (0.0, 2.0), BC, lam, derivative=True))
+        assert type(got.value) is float and type(got.slope) is float and type(want.value) is complex
+        assert _bits([got.value, got.slope, got.logscale, got.log_sup]) == _bits(
+            [want.value.real, want.slope.real, want.logscale, want.log_sup])
+    assert type(characteristic(x2, (0.0, 2.0), BC, 3.0 + 1e-300j).value) is complex
 
 
 # ----------------------------------------------------------------------

@@ -252,6 +252,22 @@ def test_real_scan_refuses_a_complex_discriminant():
     assert (run.roots, run.shots) == ([], 1)
 
 
+def test_a_real_r_makes_the_real_scan_refuse_at_its_first_node():
+    # r = 0.7 is real and the data formally symmetric, but D = e^(i int r)
+    # times a real number at real lambda (ROADMAP item 14): |Im D|/|D| is
+    # |sin(0.7 pi)| = 0.809, and the scan refuses at its first node.  Real
+    # s and Q with r = 0 give exactly 0 there.
+    drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.constant(0.7))
+    v = characteristic(drift, (0, math.pi), BC, 2.0).value
+    ratio = abs(v.imag) / abs(v)
+    assert abs(ratio - abs(math.sin(0.7 * math.pi))) <= 1e-12 and round(ratio, 3) == 0.809
+    run = eigenvalues(drift, (0, math.pi), BC, scan=(2.0, 12), grid=40)
+    assert (run.refusal, run.roots, run.shots) == ((2.0, ratio), [], 1)
+    real = CoefficientField(PiecewisePoly([], [[0, 0, 0.5]]), PiecewisePoly([], [[0, 1]]), PiecewisePoly.zero())
+    assert characteristic(real, (0, math.pi), BC, 2.0).value.imag == 0
+    assert eigenvalues(real, (0, math.pi), BC, scan=(2.0, 12), grid=40).refusal is None
+
+
 def test_real_scan_stops_at_its_first_node_that_is_not_real(monkeypatch):
     # nodes 1-3 are real and node 4 is not: four shots, node 4's ratio,
     # however many nodes follow and whatever they hold
