@@ -84,15 +84,6 @@ def _shift_rows(coeffs: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(rev_coeffs, t, acc=0j):
-    """One polynomial at one point; coefficients highest power first.  The
-    sum starts from ``acc``: from a float zero, float coefficients at a
-    float t sum in floats."""
-    for c in rev_coeffs:
-        acc = acc * t + c
-    return acc
-
-
 def _dense(coef: np.ndarray, theta) -> np.ndarray:
     """Batched Horner: rows of ascending coefficients (axis 1) at theta."""
     acc = coef[:, -1]
@@ -101,10 +92,14 @@ def _dense(coef: np.ndarray, theta) -> np.ndarray:
     return acc
 
 
-def _value(row: list, t: float) -> complex:
-    """A row at t by Horner's rule, as ``_dense`` sums it."""
-    acc = row[-1]
-    for c in reversed(row[:-1]):
+def _value(row, t: float | complex) -> float | complex:
+    """A row of ascending coefficients at t by Horner's rule, as ``_dense``
+    sums it: from the top coefficient, so the sum takes the type of its
+    operands (floats at a float t sum in floats).  The one scalar Horner
+    rule of the package."""
+    terms = reversed(row)
+    acc = next(terms)
+    for c in terms:
         acc = acc * t + c
     return acc
 
@@ -283,9 +278,10 @@ class PiecewisePoly:
         return self.breakpoints.searchsorted(x, side=side)
 
     def eval(self, x: float, side: str = "right") -> complex:
-        """One-sided value at x; sides agree away from jump locations."""
+        """One-sided value at x, with the bits of ``sample``; sides agree
+        away from jump locations."""
         i = self._region(x, side)
-        return _horner(self.coeffs[i, ::-1], x - self.centers[i])
+        return _value(self.coeffs[i], x - self.centers[i])
 
     def sample(self, xs, side: str = "right") -> np.ndarray:
         """One-sided values at an array of x, equal to ``eval`` at each."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, aligned
+from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, _value, aligned
 from .errors import BadSchemeError, NonRealError
 from .propagate import Trajectory
 from .quasi import ADJOINT, _stack_jumps, apply_l_atoms
@@ -58,10 +58,8 @@ def _past_float_range(f: PiecewisePoly, X: float) -> bool:
     for lo, hi, center, row in zip([-X, *bp], [*bp, X], f.centers.tolist(), f.coeffs.tolist()):
         lo, hi = max(lo, -X), min(hi, X)
         if lo < hi:
-            t, size = max(abs(lo - center), abs(hi - center)), 0.0
-            for c in reversed(row):
-                size = size * t + abs(c)
-            if not size < math.inf:
+            t = max(abs(lo - center), abs(hi - center))
+            if not _value([abs(c) for c in row], t) < math.inf:
                 return True
     return False
 

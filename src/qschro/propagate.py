@@ -7,23 +7,25 @@ past 1e100 are renormalized and the exponent ledger travels with them.
 
 A shot (``spectral.characteristic``) and ``integrate`` walk the segments
 the same way (``_walk``), from one lambda-free plan per field, side and
-interval (``_plan``): the segments, each segment's rows as Python complex
-with its kind and, on a constant segment, the invariants of its
-exponential, the step floor, and the same segments in Python floats when
-every row is real.  It is built on the first walk and kept with the field
-(``CoefficientField.direct_plans``/``adjoint_plans``, at most _PLANS
-intervals per side), so a shot only subtracts lambda from each segment's
-a21 constant and steps; ``spectral.characteristic`` walks the plan from
-a plain (y0, y1, logscale) start, with no system or state around it.
-One type rule holds for every walk: real rows, a real lambda and a real
-start walk the float segments, anything else the complex ones, so a walk
-is all-float or all-complex, never mixed, and a float walk has the bits
-of the real parts of the complex one (on CPython 3.10-3.13, which widen
-a float operand of complex arithmetic to complex(x, 0.0); 3.14 does not,
-which can change the sign of a zero part).  Dense output is complex128
-either way: a float walk forms its rows in float arrays and stores them
-there.  Every walk has one budget of MAX_WALK_STEPS sub-steps and Taylor
-steps, past which it raises StepBudgetError.  On a segment where the
+interval (``_plan``): the segments, each with its rows and, on a constant
+segment, the invariants of its exponential, the step floor, and whether
+every row is real.  A plan holds one row set: Python floats when every
+row is real, else Python complex.  It is built on the first walk and kept
+with the field (``CoefficientField.direct_plans``/``adjoint_plans``, at
+most _PLANS intervals per side), so a shot only subtracts lambda from each
+segment's a21 constant and steps; ``spectral.characteristic`` walks the
+plan from a plain (y0, y1, logscale) start, with no system or state
+around it.  A walk's number type follows from its data: real rows, a real
+lambda and a real start walk in Python floats, anything else in Python
+complex, the same rows either way, so a walk is all-float or
+all-complex.  A float walk has the bits of the real parts of the complex
+walk, and a complex walk of float rows those of the walk of the same rows
+as complex, on CPython 3.10-3.13, which widen a float operand of complex
+arithmetic to complex(x, 0.0); 3.14 does not, which can change the sign
+of a zero part.  Dense output is complex128 either way: a float walk
+forms its rows in float arrays and stores them there.  Every walk has
+one budget of MAX_WALK_STEPS sub-steps and Taylor steps, past which it
+raises StepBudgetError.  On a segment where the
 system matrix A is constant the state is multiplied by the exact exp(hA)
 in equal sub-steps; on any other it takes Taylor steps of order 23 + d
 from the exact recurrence of the entries of degree d (classical
@@ -32,9 +34,10 @@ Zou's rule (2005) allows.  The recurrence of each entry
 shape runs in one function compiled from generated source on first use
 (``_taylor_kernel``), whose later orders read the last coefficients from
 rolling locals instead of summing over reversed lists, with the same
-operations in the same order.  One loop sums a step's two series
-(``_step_sums``): Y at h and h/2 in a shot, Y at h in a dense walk and
-Z = dY/dlambda at h, each with the bits of ``coeffs._horner``.  Both
+operations in the same order.  Every series, of a Taylor step
+(``_step_sums``: Y at h and h/2 in a shot, Y at h in a dense walk and
+Z = dY/dlambda at h) and of an exact step, is summed by the one Horner
+rule of the package, ``coeffs._value``.  Both
 kinds of step are accurate to rounding at any lambda, so there is no
 tolerance to choose.
 A shot keeps the end state and log sup|Y| only, and on request
@@ -78,7 +81,7 @@ from operator import mul
 import numpy as np
 
 from .config import MAX_WALK_STEPS, MIN_STEP_FRACTION, RESCALE_THRESHOLD
-from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _horner, _panels as _cut, _recentred, _trimmed
+from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _panels as _cut, _recentred, _trimmed, _value
 from .errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
@@ -227,16 +230,17 @@ def _walk(plan, lam, start, out=None, derivative=False):
     StepUnderflowError.  Lambda is subtracted from
     the constant term of each segment's a21 row here, which gives the bits
     of ``sys.a21_0 - sys.lam`` on it (``a21_0`` is a sum, so never -0.0).
-    A plan with float segments, a lambda and a start whose imaginary parts
-    are zero (of either sign) walk those segments in Python floats, with
-    Z starting at 0.0; any other walk is in Python complex.
-    The segments share one budget of MAX_WALK_STEPS sub-steps and steps:
-    a walk that needs more raises StepBudgetError before its memory or
-    time runs away."""
+    The walk's type follows from its data: a real plan, a lambda and a
+    start whose imaginary parts are zero (of either sign) walk in Python
+    floats, with Z starting at 0.0; any other walk converts lambda and the
+    start to Python complex and walks the same rows, float or complex, in
+    complex arithmetic.  The segments share one budget of MAX_WALK_STEPS
+    sub-steps and steps: a walk that needs more raises StepBudgetError
+    before its memory or time runs away."""
     segments, h_floor, _, real = plan
     y0, y1, ls = start
     if real and not (lam.imag or y0.imag or y1.imag):
-        segments, zero, lam, y0, y1 = real, 0.0, float(lam.real), float(y0.real), float(y1.real)
+        zero, lam, y0, y1 = 0.0, float(lam.real), float(y0.real), float(y1.real)
     else:
         zero, lam, y0, y1 = 0j, complex(lam), complex(y0), complex(y1)
     y = (y0, y1, zero, zero) if derivative else (y0, y1)
@@ -284,17 +288,18 @@ def _plan(plans, x_from, to, system):
 
 
 def _build_plan(sys, x_from, to):
-    """(segments, step floor, row width, float segments) of a walk of
-    ``sys`` from x_from to ``to``.  A segment is (start, end, rows,
-    consts).  Its rows are those of the entries (a11, a21_0, a22) of the
-    system: each one's (center, ascending coefficients as Python complex
-    without trailing zeros) at the midpoint of the segment's region of the
-    field, or at -inf and +inf in the tails.  When every row is real the
-    float segments are the same segments with the real parts of the rows,
-    as Python floats, and their own consts; else they are None.  A
-    segment whose rows are all constant is crossed by exact exponentials,
-    with the invariants consts = (a21_0, d, tau, d^2, |tau|/2) of
-    ``_exact_segment``; any other takes Taylor steps and has consts None.  The widest entry, not
+    """(segments, step floor, row width, real) of a walk of ``sys`` from
+    x_from to ``to``: one row set, built once.  A segment is (start, end,
+    rows, consts).  Its rows are those of the entries (a11, a21_0, a22) of
+    the system: each one's (center, ascending coefficients without
+    trailing zeros) at the midpoint of the segment's region of the field,
+    or at -inf and +inf in the tails.  ``real`` says that no coefficient
+    of the plan has an imaginary part (zeros of either sign are none);
+    then the coefficients are their real parts as Python floats, with
+    their bits, else Python complex.  A segment whose rows are all
+    constant is crossed by exact exponentials, with the invariants
+    consts = (a21_0, d, tau, d^2, |tau|/2) of ``_exact_segment``; any
+    other takes Taylor steps and has consts None.  The widest entry, not
     only the segments' rows, sets the width, so that the two halves of a
     ``fundamental`` pair concatenate.  An empty interval, or one whose
     length is not finite, raises ValueError."""
@@ -312,11 +317,10 @@ def _build_plan(sys, x_from, to):
     for f in entries:  # a few short rows: lists, where one numpy call costs more than their arithmetic
         own, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
         per_entry.append([(centers[i], tuple(_trimmed(rows[i]))) for i in (bisect_right(own, x) for x in at)])
+    real = not any(z.imag for rows in per_entry for _, p in rows for z in p)
+    if real:
+        per_entry = [[(c, tuple(z.real for z in p)) for c, p in rows] for rows in per_entry]
     segments = tuple(_segment(a, b, rows) for (a, b), rows in zip(ends, zip(*per_entry)))
-    real = None
-    if not any(z.imag for *_, rows, _ in segments for _, p in rows for z in p):
-        real = tuple(_segment(a, b, tuple((c, tuple(z.real for z in p)) for c, p in rows))
-                     for a, b, rows, _ in segments)
     width = _TAYLOR_ORDER + max(f.coeffs.shape[1] for f in entries) - 1
     return segments, MIN_STEP_FRACTION * (hi - lo), width, real
 
@@ -333,13 +337,13 @@ def _segment(a, b, rows):
     return a, b, rows, consts
 
 
-# 1/(2k)! and 1/(2k+1)!, highest power first: cosh(z) and sinh(z)/z as
+# 1/(2k)! and 1/(2k+1)!, lowest power first: cosh(z) and sinh(z)/z as
 # series in w = z^2, exact to rounding for |w| <= 1
-_COSH = tuple(1 / math.factorial(2 * k) for k in range(11, -1, -1))
-_SINHC = tuple(1 / math.factorial(2 * k + 1) for k in range(11, -1, -1))
+_COSH = tuple(1 / math.factorial(2 * k) for k in range(12))
+_SINHC = tuple(1 / math.factorial(2 * k + 1) for k in range(12))
 # their derivatives in w, k w^(k-1)/(2k)! and k w^(k-1)/(2k+1)!
-_DCOSH = tuple(k / math.factorial(2 * k) for k in range(11, 0, -1))
-_DSINHC = tuple(k / math.factorial(2 * k + 1) for k in range(11, 0, -1))
+_DCOSH = tuple(k / math.factorial(2 * k) for k in range(1, 12))
+_DSINHC = tuple(k / math.factorial(2 * k + 1) for k in range(1, 12))
 
 # Taylor steps on polynomial segments of degree d: series order at d = 1
 # (d - 1 more above), and the size of the last d + 1 terms relative to
@@ -350,9 +354,12 @@ _TAYLOR_EPS = 1e-16
 
 def _exact_step(inv, h: float, dlam: bool) -> tuple:
     """exp(hA) as (e11, e12, e21, e22), for |h mu| <= 1, and with ``dlam``
-    also d exp(hA)/dlambda as (f11, f12, f21, f22) after them.  Invariants
-    that are all Python floats (a float walk's) give floats, by math.exp
-    and Horner sums that start from 0.0.
+    also d exp(hA)/dlambda as (f11, f12, f21, f22) after them.  The series
+    are summed by ``coeffs._value`` and take the type of their operands.
+    tau is free of lambda, so a float tau (a real plan's, in any walk)
+    takes math.exp and a complex one cmath.exp: a float walk's step is
+    all float, and a complex walk of a real plan has the bits of the step
+    of the same invariants as complex.
 
     ``inv`` is (a21, d, tau, mu^2) of the constant A: tau = tr A,
     d = (a11 - a22)/2 and mu^2 = tau^2/4 - det A = d^2 + a21.
@@ -362,18 +369,15 @@ def _exact_step(inv, h: float, dlam: bool) -> tuple:
     -h^2 and da21/dlambda = -1 (tau and d do not depend on lambda).
     """
     a21, d, tau, mu2 = inv
-    # a float walk's invariants are all float; any complex one takes the complex kernel
-    real = float is type(a21) is type(d) is type(tau) is type(mu2)
-    exp, zero = (math.exp, 0.0) if real else (cmath.exp, 0j)
     w = h * h * mu2
-    ch = _horner(_COSH, w, zero)
-    sh = h * _horner(_SINHC, w, zero)
-    g = exp(0.5 * h * tau)
+    ch = _value(_COSH, w)
+    sh = h * _value(_SINHC, w)
+    g = (math.exp if type(tau) is float else cmath.exp)(0.5 * h * tau)
     e = (g * (ch + sh * d), g * sh, g * sh * a21, g * (ch - sh * d))
     if not dlam:
         return e
-    dch = -h * h * _horner(_DCOSH, w, zero)
-    dsh = -h * h * h * _horner(_DSINHC, w, zero)
+    dch = -h * h * _value(_DCOSH, w)
+    dsh = -h * h * h * _value(_DSINHC, w)
     return (*e, g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d))
 
 
@@ -568,35 +572,23 @@ def _taylor_kernel(n11: int, n21: int, n22: int, derivative: bool):
     return namespace["taylor"]
 
 
-def _step_sums(h, u, v, half, zero=0j):
-    """The Horner sums of a Taylor step: the series u and v (lowest power
-    first) at h and, with ``half``, at h/2 too, all in one loop, each with
-    the operations and bits of ``_horner(reversed(series), t)``.  The sums
-    start from ``zero``, that of the walk's type: 0.0 sums a float walk's
-    series in floats, 0j a complex walk's."""
-    a = b = zero
+def _step_sums(h, u, v, half):
+    """The sums of a Taylor step by the one Horner rule (``coeffs._value``):
+    the series u and v (lowest power first) at h and, with ``half``, at
+    h/2 too; they take the walk's type, that of the series."""
     if not half:
-        for cu, cv in zip(reversed(u), reversed(v)):
-            a = a * h + cu
-            b = b * h + cv
-        return a, b
-    hm = 0.5 * h
-    c = d = zero
-    for cu, cv in zip(reversed(u), reversed(v)):
-        a = a * h + cu
-        b = b * h + cv
-        c = c * hm + cu
-        d = d * hm + cv
-    return a, b, c, d
+        return _value(u, h), _value(v, h)
+    return _value(u, h), _value(v, h), _value(u, 0.5 * h), _value(v, 0.5 * h)
 
 
 def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     """Cross a segment with polynomial entries by Taylor steps.
 
     ``rows`` are the segment's lambda-shifted rows, of degree at most d,
-    with coefficients as Python complex, or all as Python floats with the
-    state in a float walk (``_build_plan``).  At each step
-    start x the rows are re-centred at x, and the Taylor
+    with coefficients as Python floats or complex (``_build_plan``); a
+    float walk has float rows and state, a complex walk a complex state
+    and either rows, and every sum takes the type of its operands.  At
+    each step start x the rows are re-centred at x, and the Taylor
     coefficients of the state scaled to unit size follow from
     (k+1) Y_{k+1} = sum_{j<=d} A_j Y_{k-j} with a12 = 1, up to order
     _TAYLOR_ORDER + d - 1, by the kernel of the rows' shape
@@ -632,7 +624,6 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     y0, y1, *z = y
     shot = out is None
     series = _taylor_kernel(len(p11), len(p21), len(p22), bool(z))
-    zero = type(y0)()  # 0.0 in a float walk, 0j in a complex one
     m = max(abs(y0), abs(y1))
     direction = 1.0 if xb > xa else -1.0
     peak = m
@@ -661,19 +652,19 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
                 raise StepBudgetError(x, h, y0, y1, ls, MAX_WALK_STEPS)
             left -= 1
             if shot:
-                e0, e1, f0, f1 = _step_sums(h, u, v, True, zero)
+                e0, e1, f0, f1 = _step_sums(h, u, v, True)
                 f0, f1 = abs(f0), abs(f1)  # only the midpoint's size is read
                 size = abs(e0) + abs(e1) + f0 + f1
                 mid = m * max(f0, f1)
             else:
-                e0, e1 = _step_sums(h, u, v, False, zero)
+                e0, e1 = _step_sums(h, u, v, False)
                 size = abs(e0) + abs(e1)
             if not size < math.inf:
                 raise StepUnderflowError(x, h, y0, y1, ls, finite=False)
             if not shot:
                 steps.append(((x, h, y0, y1, ls), m, (u, v)))
             if z:
-                g0, g1 = _step_sums(h, p, q, False, zero)
+                g0, g1 = _step_sums(h, p, q, False)
                 z = [m * g0, m * g1]
             y0, y1 = m * e0, m * e1
             m = max(abs(y0), abs(y1))

@@ -64,6 +64,28 @@ def test_eval_global_piece():
     assert f.eval(3, "right") == pytest.approx(9)
 
 
+def test_eval_has_the_bits_of_sample_at_every_point():
+    # one Horner rule, from the top coefficient: zero values of either
+    # sign included, at region centers (t = 0), breakpoints and random points
+    cases = [(PiecewisePoly([], [[-0.0]]), [1.0]),
+             (PiecewisePoly([0.0], [[0.0], [complex(-0.0, -0.0), 0.0]]), [0.5])]
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        bps = np.sort(rng.uniform(-3, 3, rng.integers(0, 3)))
+        pieces = []
+        for _ in range(len(bps) + 1):
+            p = (rng.standard_normal(4) + 1j * rng.standard_normal(4))[: rng.integers(1, 5)]
+            p[rng.random(len(p)) < 0.5] = complex(-0.0, -0.0) if rng.random() < 0.5 else complex(0.0, -0.0)
+            pieces.append(p)
+        f = PiecewisePoly(bps, pieces)
+        cases.append((f, [*f.centers[np.isfinite(f.centers)], *bps, *rng.uniform(-4, 4, 5)]))
+    for f, xs in cases:
+        for x in xs:
+            for side in ("left", "right"):
+                got = np.array([f.eval(float(x), side)], dtype=complex)
+                assert got.tobytes() == f.sample([float(x)], side).tobytes(), (f.coeffs, x, side)
+
+
 def _exact_row_values(f, xs):
     """Real part of each stored row at x - center, in exact rationals."""
     out = []

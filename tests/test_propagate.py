@@ -13,7 +13,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from qschro.coeffs import CoefficientField, PiecewisePoly, _dense, aligned
+from qschro.coeffs import CoefficientField, PiecewisePoly, _dense, _value, aligned
 from qschro.errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from qschro import propagate
 from qschro.propagate import fundamental, integrate, pair_integral
@@ -341,13 +341,14 @@ def test_refit_overflow_carries_its_logscale():
 
 
 def _reference_exact_step_dlam(inv, h):
-    """d exp(hA)/dlambda as the exact-step kernel once formed it, apart from
-    exp(hA): w, sinhc and e^(h tau/2) computed again."""
+    """d exp(hA)/dlambda of complex invariants as the exact-step kernel once
+    formed it, apart from exp(hA): w, sinhc and e^(h tau/2) computed again,
+    the series by the one Horner rule."""
     a21, d, tau, mu2 = inv
     w = h * h * mu2
-    sh = h * propagate._horner(propagate._SINHC, w)
-    dch = -h * h * propagate._horner(propagate._DCOSH, w)
-    dsh = -h * h * h * propagate._horner(propagate._DSINHC, w)
+    sh = h * _value(propagate._SINHC, w)
+    dch = -h * h * _value(propagate._DCOSH, w)
+    dsh = -h * h * h * _value(propagate._DSINHC, w)
     g = cmath.exp(0.5 * h * tau)
     return g * (dch + dsh * d), g * dsh, g * (dsh * a21 - sh), g * (dch - dsh * d)
 
@@ -430,11 +431,16 @@ def _consts(a11, a21_0, a22):
     return (a21_0, d, tau, d * d, 0.5 * abs(tau))
 
 
+# (a21, d, tau, mu^2) of the three kinds a walk builds: all complex (a
+# complex plan), all float (a float walk) and float d and tau with complex
+# a21 and mu^2 (a complex walk of a real plan)
 @pytest.mark.parametrize("inv", [
-    (2.0 + 1j, 0.3 - 0.2j, 0.5j, (0.3 - 0.2j) ** 2 + 2.0 + 1j),  # a21, d, tau, mu^2
+    (2.0 + 1j, 0.3 - 0.2j, 0.5j, (0.3 - 0.2j) ** 2 + 2.0 + 1j),
     (-2500.0, 0.0, 0.0, -2500.0),
-    (-(0.7j ** 2) + 1e-9, 0.7j, -1.1, 1e-9),  # mu^2 near 0: sinhc series
+    (-(0.7j ** 2) + 1e-9, 0.7j, -1.1 + 0j, 1e-9 + 0j),  # mu^2 near 0: sinhc series
     (0.0, 0.0, 0.0, 0.0),  # nilpotent: exp(hA) = I + hA
+    (-2500.0 - 3.0j, 0.5, -0.2, 0.25 + (-2500.0 - 3.0j)),
+    (0.6 - 1e-9j, -0.8, 0.4, 0.64 + (0.6 - 1e-9j)),
 ])
 def test_exact_step_matches_expm(inv):
     from scipy.linalg import expm
@@ -447,14 +453,16 @@ def test_exact_step_matches_expm(inv):
     # with its derivative: the same exp(hA), and the bits of the kernel of its own
     both = propagate._exact_step(inv, h, True)
     assert _bits(both[:4]) == _bits(propagate._exact_step(inv, h, False))
+    # reference: the step of the same invariants all complex, as a walk of
+    # complex rows forms it
+    forced = tuple(map(complex, inv))
+    want, want_dlam = propagate._exact_step(forced, h, True), _reference_exact_step_dlam(forced, h)
     if all(type(v) is float for v in inv):
-        # a float walk's step: floats with the bits of the real parts of
-        # the step of the same invariants as complex
-        forced = tuple(map(complex, inv))
-        assert _bits(both) == _bits(tuple(z.real for z in propagate._exact_step(forced, h, True)))
-        assert _bits(both[4:]) == _bits(tuple(z.real for z in _reference_exact_step_dlam(forced, h)))
-    else:
-        assert _bits(both[4:]) == _bits(_reference_exact_step_dlam(inv, h))
+        # a float walk's step: floats with the bits of the real parts
+        assert all(type(v) is float for v in both)
+        want, want_dlam = (tuple(z.real for z in x) for x in (want, want_dlam))
+    assert _bits(both) == _bits(want)
+    assert _bits(both[4:]) == _bits(want_dlam)
 
 
 # (consts, lam, xa, xb, start state, logscale): a segment that rescales
@@ -1114,51 +1122,94 @@ def test_importing_the_cli_builds_no_kernel():
 
 def _sums_inputs(rng, width):
     """Four series of ``width`` coefficients: random complex values, the
-    same with -0.0 parts (a top coefficient of -0.0 - 0.0j among them,
-    which 0j*h + c turns to +0.0 for h > 0), and with an inf and a nan."""
+    same with -0.0 parts (a top coefficient of -0.0 - 0.0j among them),
+    and with an inf and a nan; and the real parts of each as Python
+    floats, a float walk's series."""
     series = [[complex(*rng.standard_normal(2)) for _ in range(width)] for _ in range(4)]
-    yield series
     signed = [[complex(-0.0 if (j + k) % 2 else t.real, -0.0 if (j + k) % 3 else t.imag) for k, t in enumerate(x)]
               for j, x in enumerate(series)]
     signed[0][-1] = signed[2][-1] = complex(-0.0, -0.0)
-    yield signed
     wild = [list(x) for x in series]
     wild[0][width // 2], wild[3][0] = complex(math.inf, 1.0), complex(0.5, math.nan)
-    yield wild
+    for case in (series, signed, wild):
+        yield case
+        yield [[t.real for t in x] for x in case]
 
 
 def test_step_sums_are_horner_bit_for_bit():
     # every width up to that of degree-200 entries (24 + 201 - 1) and
     # past it, forward and backward steps: two series at h and at h/2,
     # the sums of a shot, and at h only, the sums of a dense walk and of
-    # Z, against _horner over the reversed series
+    # Z, against the batched Horner rule of dense output (``_dense``) on
+    # arrays of the series; float series sum in floats
     rng = np.random.default_rng(28)
     for width in range(1, 231):
         for series in _sums_inputs(rng, width):
+            kind = type(series[0][0])
             for (u, v), h in itertools.product((series[:2], series[2:]), (0.37, -0.37)):
-                at_h = [propagate._horner(reversed(x), h) for x in (u, v)]
-                at_half = [propagate._horner(reversed(x), 0.5 * h) for x in (u, v)]
-                assert _same_bits(list(propagate._step_sums(h, u, v, True)), at_h + at_half), (width, h)
-                assert _same_bits(list(propagate._step_sums(h, u, v, False)), at_h), (width, h)
+                with np.errstate(all="ignore"):
+                    at_h, at_half = (_dense(np.array([u, v]), t).tolist() for t in (h, 0.5 * h))
+                shot, dense = propagate._step_sums(h, u, v, True), propagate._step_sums(h, u, v, False)
+                assert all(type(x) is kind for x in (*shot, *dense)), (width, h)
+                assert _same_bits(list(shot), at_h + at_half), (width, h)
+                assert _same_bits(list(dense), at_h), (width, h)
 
 
 # ----------------------------------------------------------------------
 # float walks: real rows, lambda and start walk in Python floats
 
 
+def _complex_plan(sys, x_from, to):
+    """The plan of ``sys`` from x_from to ``to`` with every row as Python
+    complex, read from the entries at each segment's region of the field
+    (its midpoint, or -inf and +inf in the tails) with its trailing zeros
+    trimmed, and marked not real: a plan as a walk of complex rows takes it,
+    whatever its data."""
+    segments, h_floor, width, _ = propagate._build_plan(sys, x_from, to)
+    bp = sys.field_data.breakpoints.tolist()
+    reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(bp, bp[1:])), math.inf] if bp else [0.0]
+    out = []
+    for a, b, _, _ in segments:
+        at = reps[bisect.bisect_right(bp, 0.5 * (a + b))]
+        rows = []
+        for f in (sys.a11, sys.a21_0, sys.a22):
+            i = int(f._region(at, "right"))
+            row = [complex(z) for z in f.coeffs[i]]
+            while len(row) > 1 and not row[-1]:
+                row.pop()
+            rows.append((float(f.centers[i]), tuple(row)))
+        out.append(propagate._segment(a, b, tuple(rows)))
+    return tuple(out), h_floor, width, False
+
+
 def _forced_complex(monkeypatch, run):
     """run() as it is, and with every walk forced complex: each plan is
-    walked without its float segments, so its complex rows, lambda and
-    start take the complex arithmetic."""
+    built by ``_complex_plan``, so its complex rows, lambda and start take
+    the complex arithmetic."""
     from qschro import spectral
 
     got = run()
-    walk = propagate._walk
     with monkeypatch.context() as patch:
         for module in (propagate, spectral):
-            patch.setattr(module, "_walk", lambda plan, *args, **kwargs: walk((*plan[:3], None), *args, **kwargs))
+            patch.setattr(module, "_plan", lambda plans, x_from, to, system: _complex_plan(system(), x_from, to))
         want = run()
     return got, want
+
+
+def _assert_one_row_set(sys, plan):
+    """A plan holds one row set: Python floats with the bits of the real
+    parts of the entries' complex rows when none has an imaginary part,
+    else the complex rows themselves."""
+    segments, h_floor, width, real = plan
+    ref, *same = _complex_plan(sys, segments[0][0], segments[-1][1])
+    assert same == [h_floor, width, False] and type(real) is bool
+    assert real == (not any(z.imag for *_, rows, _ in ref for _, p in rows for z in p))
+    kind = float if real else complex
+    for (a, b, rows, _), (a_ref, b_ref, rows_ref, _) in zip(segments, ref, strict=True):
+        assert (a, b) == (a_ref, b_ref) and [c for c, _ in rows] == [c for c, _ in rows_ref]
+        assert all(type(z) is kind for _, p in rows for z in p)
+        got, want = ([z for _, p in r for z in p] for r in (rows, rows_ref))
+        assert _bits(got) == _bits([z.real for z in want] if real else want)
 
 
 def _real_parts(value):
@@ -1201,6 +1252,7 @@ def test_a_float_walk_has_the_bits_of_the_walk_forced_complex(monkeypatch, field
     got, want = _forced_complex(monkeypatch, lambda: integrate(sys, start, ends[1]).steps)
     assert len(got) > 1 and _dense_bits(got) == _dense_bits(want)
     assert not got["coef"].imag.any()
+    _assert_one_row_set(sys, propagate._plan(sys.plans, *ends, lambda: sys))
     got, want = _forced_complex(monkeypatch, lambda: [y.steps for y in fundamental(sys, 0.0, (-3.0, 3.0))])
     assert all(_dense_bits(g) == _dense_bits(w) for g, w in zip(got, want))
 
@@ -1219,7 +1271,8 @@ def test_complex_data_never_take_the_float_segments(monkeypatch, field, lam, y0,
     sys = assemble(field, "direct", lam)
     start = QuasiState(-1.0, y0, -1.0)
     plan = propagate._plan(sys.plans, start.x, b, lambda: sys)
-    assert (plan[3] is None) == (field is PART_COMPLEX)
+    assert plan[3] is (field is not PART_COMPLEX)
+    _assert_one_row_set(sys, plan)
     for derivative in (False, True):
         got, want = _forced_complex(monkeypatch, lambda: walk_end(sys, start, b, derivative=derivative))
         if lam.imag or y0.imag or field is PART_COMPLEX:
