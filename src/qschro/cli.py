@@ -256,11 +256,12 @@ def _poly(degree_cap: int):
 COEFFICIENTS = {"s": (_obj(), {}), "Q": (_obj(), {}), "r": (_obj(), {}), "degree_cap": (_int, config.DEGREE_CAP)}
 
 
-def _functions(value, field: str) -> dict:
-    """{name: (polynomial, its pieces as read)} of s, Q and r."""
+def _functions(value, field: str) -> tuple[dict, int]:
+    """{name: (polynomial, its pieces as read)} of s, Q and r, and the
+    problem's degree cap, which they were read under."""
     spec = _obj(COEFFICIENTS)(value, field)
     read = _build(lambda f: (_piecewise(f, spec["degree_cap"]), f["pieces"]), _obj(POLY))
-    return {k: read(spec[k], f"{field}.{k}") for k in ("s", "Q", "r")}
+    return {k: read(spec[k], f"{field}.{k}") for k in ("s", "Q", "r")}, spec["degree_cap"]
 
 
 PAIR = _list(_cnum, 2)
@@ -305,7 +306,8 @@ def _bumps(value, field: str) -> tuple:
     return family
 
 
-# task -> {key: (kind, default or REQUIRED)}; a runner reads exactly these keys
+# task -> {key: (kind, default or REQUIRED)}; a runner reads exactly these keys.
+# The kind _poly reads a polynomial under the problem's degree cap (run_problem).
 PARAMS = {
     "solve": {
         "from": (_num, 0.0),
@@ -336,7 +338,7 @@ PARAMS = {
     },
     "check-a": {
         "horizon": (_pos, 60.0),
-        "m": (_poly(config.DEGREE_CAP), REQUIRED),
+        "m": (_poly, REQUIRED),
         "probe_points": (_list(_num), ()),
         "with_probe": (_obj(PROBE), None),
     },
@@ -683,12 +685,9 @@ def load_problem(path: str) -> dict:
 def run_problem(raw: dict, argv=()) -> tuple[int, str, object]:
     started = time.perf_counter()
     task = raw["task"]
-    functions = _functions(raw["coefficients"], "coefficients")
+    functions, cap = _functions(raw["coefficients"], "coefficients")
     field = CoefficientField(*(f for f, _ in functions.values()))
-    spec = PARAMS[task]
-    if task == "check-a":  # m obeys the problem's degree cap, as s, Q and r do
-        cap = _int(raw["coefficients"].get("degree_cap", config.DEGREE_CAP), "coefficients.degree_cap")
-        spec = {**spec, "m": (_poly(cap), REQUIRED)}
+    spec = {k: (_poly(cap) if kind is _poly else kind, default) for k, (kind, default) in PARAMS[task].items()}
     params = _obj(spec)(raw.get("params", {}), "params")
     if params.get("dump") and raw.get("output") == DUMP_NAME:
         raise ValidationFailure("output", f"{DUMP_NAME!r} is the name of the trajectory dump")

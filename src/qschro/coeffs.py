@@ -808,15 +808,19 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     return bumps([center], [plateau], [ramp])[0]
 
 
-def _side(g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: np.ndarray) -> tuple:
+def _side(side: str, g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: np.ndarray) -> tuple:
     """(a11, a21_0, a22) of one side of the system, with the bits of the
     operators and no intermediate function: a11 = g1, a21_0 = -(g1 g2) + s
     and a22 = -g2, for the rows g2 on g1's regions and the rows ``s_rows``
-    on s's (s's own, or their conjugate)."""
+    on s's (s's own, or their conjugate).  An a21_0 past the float range
+    is refused with ValueError naming the ``side``."""
     joint = _merge_breakpoints(g1.breakpoints, s.breakpoints)
     centers = _canonical_centers(joint)
-    neg = -_trim_cols(_convolve_rows(g1.coeffs, g2))
-    a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s_rows, joint, centers)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg = -_trim_cols(_convolve_rows(g1.coeffs, g2))
+        a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s_rows, joint, centers)))
+    if not all(map(cmath.isfinite, a21.ravel().tolist())):
+        raise ValueError(f"entry a21 = s - G1 G2 of the {side} side has coefficients outside the float range")
     return g1, _poly(joint, centers, a21, True), _poly(g1.breakpoints, g1.centers, -g2, g1._canon)
 
 
@@ -841,12 +845,18 @@ class CoefficientField:
     def _gauge(self) -> tuple:
         """(G1, G2) = (Q + i r, Q - i r), with the bits of the operators:
         i r re-centred on the union of the meshes of Q and r, added to and
-        subtracted from Q re-centred there."""
+        subtracted from Q re-centred there.  One past the float range is
+        refused with ValueError naming it."""
         Q, r = self.Q, self.r
         mesh = _merge_breakpoints(Q.breakpoints, r.breakpoints)
         centers = _canonical_centers(mesh)
-        q, ir = _recentre(Q, Q.coeffs, mesh, centers), _recentre(r, r.coeffs * 1j, mesh, centers)
-        return tuple(_poly(mesh, centers, _trim_cols(_sum_rows(q, ir, op)), True) for op in (np.add, np.subtract))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, ir = _recentre(Q, Q.coeffs, mesh, centers), _recentre(r, r.coeffs * 1j, mesh, centers)
+            rows = [_trim_cols(_sum_rows(q, ir, op)) for op in (np.add, np.subtract)]
+        for g, name in zip(rows, ("G1 = Q + i r", "G2 = Q - i r")):
+            if not all(map(cmath.isfinite, g.ravel().tolist())):
+                raise ValueError(f"entry {name} of both sides has coefficients outside the float range")
+        return tuple(_poly(mesh, centers, g, True) for g in rows)
 
     G1 = property(lambda self: self._gauge[0])
     G2 = property(lambda self: self._gauge[1])
@@ -860,12 +870,12 @@ class CoefficientField:
     @cached_property
     def direct_side(self) -> tuple:
         G1, G2 = self._gauge
-        return _side(G1, G2.coeffs, self.s, self.s.coeffs)
+        return _side("direct", G1, G2.coeffs, self.s, self.s.coeffs)
 
     @cached_property
     def adjoint_side(self) -> tuple:
         G1, G2 = self._gauge
-        return _side(G2.conj(), np.conj(G1.coeffs), self.s, np.conj(self.s.coeffs))
+        return _side("adjoint", G2.conj(), np.conj(G1.coeffs), self.s, np.conj(self.s.coeffs))
 
     # the lambda-free shot plans over those entries, by interval: filled and
     # bounded by ``propagate._plan``, so they live as long as the field

@@ -32,12 +32,12 @@ from the exact recurrence of the entries of degree d (classical
 high-order Taylor method, Corliss & Chang 1982), each as long as Jorba &
 Zou's rule (2005) allows.  The recurrence of each entry
 shape runs in one function compiled from generated source on first use
-(``_taylor_kernel``), whose later orders read the last coefficients from
-rolling locals instead of summing over reversed lists, with the same
-operations in the same order.  Every series, of a Taylor step
-(``_step_sums``: Y at h and h/2 in a shot, Y at h in a dense walk and
-Z = dY/dlambda at h) and of an exact step, is summed by the one Horner
-rule of the package, ``coeffs._value``.  Both
+(``_taylor_kernel``): one loop over every order, whose rolling locals
+hold the last coefficients of each series and start at the state and
+zeros, with the bits of sums over reversed lists for finite rows.  Every
+series, of a Taylor step (Y at h and h/2 in a shot, Y at h in a dense
+walk and Z = dY/dlambda at h) and of an exact step, is summed by the one
+Horner rule of the package, ``coeffs._value``.  Both
 kinds of step are accurate to rounding at any lambda, so there is no
 tolerance to choose.
 A shot keeps the end state and log sup|Y| only, and on request
@@ -76,7 +76,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -499,11 +498,11 @@ def _jorba_zou(u: list, v: list, window: int, size: float = 1.0) -> float:
 
 
 def _sum_lines(name: str, coefs: list, terms: list) -> list:
-    """Source lines that set ``name`` to sum(map(mul, coefs, terms)), with
-    the same additions in the same order: 0 + c0*t0 + c1*t1 + ..., carried
-    on to a new line every 32 terms, so that no expression of a wide entry
-    nests deeper than the compiler allows."""
-    products = [f"{c}*{t}" for c, t in zip(coefs, terms)]
+    """Source lines that set ``name`` to 0 + t0*c0 + t1*c1 + ... of the
+    ``terms`` and ``coefs``, each product series first, carried on to a
+    new line every 32 terms, so that no expression of a wide entry nests
+    deeper than the compiler allows."""
+    products = [f"{t}*{c}" for c, t in zip(coefs, terms)]
     return [f"{name} = {name if i else 0} + " + " + ".join(products[i:i + 32])
             for i in range(0, len(products), 32)]
 
@@ -512,13 +511,15 @@ def _taylor_source(n11: int, n21: int, n22: int, derivative: bool) -> str:
     """Source of the Taylor recurrence for entries of n11, n21 and n22
     coefficients (``_taylor_kernel``).
 
-    It runs the orders k below the widest entry, where ``map`` stops at the
-    shorter operand, as sum(map(mul, a, reversed(u))) over lists, and every
-    later order in one loop over rolling locals u1 = u[k-1], u2 = u[k-2],
-    ..., with the products written out in the order ``sum`` adds them.
-    So every coefficient takes the same operations in the same order as
-    the list form, and the source grows with the window, not with the
-    number of orders.
+    Every order k runs in one loop over rolling locals u1 = u[k-1],
+    u2 = u[k-2], ..., which start at the state and zeros, with the
+    products written out series first (complex times float is cheaper
+    than float times complex) in the order sum(map(mul, a, reversed(u)))
+    adds them.  For finite rows that is the list form bit for bit: a zero
+    before the start of a series adds a zero to a sum that starts at 0,
+    so is never -0.0, and products commute.  An inf or nan coefficient
+    makes both forms non-finite in the last ``window`` orders, where
+    ``_jorba_zou`` reads them.  The source grows with the window.
     """
     window = max(n11, n21, n22)
     reach = max(n11, n21)  # how far back the recurrence reads u (and p)
@@ -527,28 +528,22 @@ def _taylor_source(n11: int, n21: int, n22: int, derivative: bool) -> str:
     def back(x, n):
         return [f"{x}{j}" for j in range(1, n + 1)]
 
-    # (Y, Z) series; Z's second row also subtracts u[k-1], read from the
-    # list in the early orders and from the rolling local u1 later
-    pairs = [("u", "v", "", "")] + [("p", "q", " - u[-1]", " - u1")] * derivative
+    # (Y, Z) series; Z's second row also subtracts u[k-1], the rolling u1
+    pairs = [("u", "v", "")] + [("p", "q", " - u1")] * derivative
     names = [x for pair in pairs for x in pair[:2]]
     src = [f"def taylor(a11, a21, a22, {', '.join(f'{x}0' for x in names)}):",
-           f"    {', '.join(names)} = {', '.join(f'[{x}0]' for x in names)}",
-           f"    for k in range(1, {window}):"]
-    for y, z, tail, _ in pairs:
-        src += [f"        d{y} = {z}[-1] + sum(map(mul, a11, reversed({y})))",
-                f"        d{z} = sum(map(mul, a21, reversed({y}))) + sum(map(mul, a22, reversed({z}))){tail}"]
-    src += [f"        {x}.append(d{x} / k)" for x in names]
+           f"    {', '.join(names)} = {', '.join(f'[{x}0]' for x in names)}"]
     src += [f"    {', '.join(coefs)}, = {entry}" for coefs, entry in ((a, "a11"), (b, "a21"), (c, "a22"))]
     lhs, rhs = [], []
-    for y, z, _, tail in pairs:
+    for y, z, tail in pairs:
         for x, n in ((y, reach), (z, n22)):
-            src.append(f"    {', '.join(back(x, n)[::-1])}, = {x}[-{n}:]")
+            src.append(f"    {', '.join(back(x, n))} = {', '.join([f'{x}0'] + ['0.0'] * (n - 1))}")
         lhs += back(y, reach)[::-1] + back(z, n22)[::-1]
         rhs += (back(y, reach)[-2::-1] + [f"({z}1 + s{y}) / k"]
                 + back(z, n22)[-2::-1] + [f"(t{y} + t{z}{tail}) / k"])
     src += [f"    {x}_append = {x}.append" for x in names]
-    src.append(f"    for k in range({window}, {_TAYLOR_ORDER + window - 1}):")
-    for y, z, *_ in pairs:
+    src.append(f"    for k in range(1, {_TAYLOR_ORDER + window - 1}):")
+    for y, z, _ in pairs:
         src += ["        " + line for line in _sum_lines(f"s{y}", a, back(y, n11))
                 + _sum_lines(f"t{y}", b, back(y, n21)) + _sum_lines(f"t{z}", c, back(z, n22))]
     src.append(f"        {', '.join(lhs)} = {', '.join(rhs)}")
@@ -560,25 +555,17 @@ def _taylor_source(n11: int, n21: int, n22: int, derivative: bool) -> str:
 @lru_cache(maxsize=64)
 def _taylor_kernel(n11: int, n21: int, n22: int, derivative: bool):
     """The Taylor recurrence of ``_taylor_segment`` for one entry shape,
-    compiled from ``_taylor_source`` on first use.
+    compiled from ``_taylor_source`` on first use: one loop over the
+    orders 1 to _TAYLOR_ORDER + window - 2.
 
     kernel(a11, a21, a22, y0, y1) returns the lists (u, v) of the Taylor
     coefficients Y_0..Y_order of the state from the re-centred rows;
     with ``derivative`` it takes z0, z1 as well and also returns (p, q),
     those of Z = dY/dlambda.
     """
-    namespace = {"mul": mul}
+    namespace = {}
     exec(compile(_taylor_source(n11, n21, n22, derivative), "<taylor kernel>", "exec"), namespace)
     return namespace["taylor"]
-
-
-def _step_sums(h, u, v, half):
-    """The sums of a Taylor step by the one Horner rule (``coeffs._value``):
-    the series u and v (lowest power first) at h and, with ``half``, at
-    h/2 too; they take the walk's type, that of the series."""
-    if not half:
-        return _value(u, h), _value(v, h)
-    return _value(u, h), _value(v, h), _value(u, 0.5 * h), _value(v, 0.5 * h)
 
 
 def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
@@ -592,11 +579,11 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
     coefficients of the state scaled to unit size follow from
     (k+1) Y_{k+1} = sum_{j<=d} A_j Y_{k-j} with a12 = 1, up to order
     _TAYLOR_ORDER + d - 1, by the kernel of the rows' shape
-    (``_taylor_kernel``, with the bits of sums over lists).  The step is
+    (``_taylor_kernel``, one loop over every order).  The step is
     ``_jorba_zou``'s over the last d + 1 orders, the reach of the
     recurrence, so that a sparse series (a monomial entry re-centred at
     its center) is never read as ended; it is clipped to the segment end.
-    The series are summed at the step end (``_step_sums``).  A step below
+    The series are summed at the step end by ``coeffs._value``.  A step below
     h_floor, or a coefficient, step or state that is not finite, raises
     StepUnderflowError with the state at x, and a step past the ``left`` of
     the walk's step budget StepBudgetError; the budget left is returned
@@ -651,21 +638,18 @@ def _taylor_segment(rows, xa, xb, y, ls, sup, h_floor, left, out=None):
             if not left:
                 raise StepBudgetError(x, h, y0, y1, ls, MAX_WALK_STEPS)
             left -= 1
+            e0, e1 = _value(u, h), _value(v, h)
+            size = abs(e0) + abs(e1)
             if shot:
-                e0, e1, f0, f1 = _step_sums(h, u, v, True)
-                f0, f1 = abs(f0), abs(f1)  # only the midpoint's size is read
-                size = abs(e0) + abs(e1) + f0 + f1
+                f0, f1 = abs(_value(u, 0.5 * h)), abs(_value(v, 0.5 * h))  # only the midpoint's size is read
+                size = size + f0 + f1
                 mid = m * max(f0, f1)
-            else:
-                e0, e1 = _step_sums(h, u, v, False)
-                size = abs(e0) + abs(e1)
             if not size < math.inf:
                 raise StepUnderflowError(x, h, y0, y1, ls, finite=False)
             if not shot:
                 steps.append(((x, h, y0, y1, ls), m, (u, v)))
             if z:
-                g0, g1 = _step_sums(h, p, q, False)
-                z = [m * g0, m * g1]
+                z = [m * _value(p, h), m * _value(q, h)]
             y0, y1 = m * e0, m * e1
             m = max(abs(y0), abs(y1))
             x = xb if last else x + h

@@ -669,6 +669,25 @@ def test_eig_on_a_steep_linear_field_is_a_numeric_error(tmp_path, capsys, slope)
     assert not re.search(r"\bnan\b", said.out + said.err + report)
 
 
+@pytest.mark.parametrize("coefficients, side, entry", [
+    ({"Q": {"breakpoints": [], "pieces": [[0, "1e200"]]}}, "direct", "entry a21 = s - G1 G2 of the direct side"),
+    ({"Q": {"breakpoints": [], "pieces": [[0, "1e200"]]}}, "adjoint", "entry a21 = s - G1 G2 of the adjoint side"),
+    ({"Q": {"breakpoints": [], "pieces": [["1e308"]]}, "r": {"breakpoints": [], "pieces": [[[0, "-1e308"]]]}},
+     "direct", "entry G1 = Q + i r of both sides"),
+], ids=["Q=1e200x", "Q=1e200x-adjoint", "G1-overflows"])
+def test_system_entries_past_the_float_range_are_a_validation_error(tmp_path, coefficients, side, entry):
+    # Q = 1e200 x makes a21 = s - G1 G2 = -1e400 x^2: refused where it is
+    # formed, in a child interpreter with the default warning filters, so
+    # that a numpy overflow warning would show on its stderr
+    problem = {"task": "solve", "coefficients": coefficients, "params": {"to": 1, "side": side}}
+    path = write(tmp_path, "p.json", problem)
+    argv = [sys.executable, "-m", "qschro.cli", "solve", "--input", path, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == f"validation error: {entry} has coefficients outside the float range\n"
+    assert not (tmp_path / "out").exists()
+
+
 LINEAR_MAGNITUDES = st.sampled_from((0, 1e-200, -1e-200, 1, -1, 1e100, -1e100, 1e300, -1e300))
 
 
@@ -829,7 +848,7 @@ def test_a_refused_verify_bump_is_raised_when_the_family_is_built(monkeypatch):
     monkeypatch.setattr(cli, "form_vs_operator_check", lambda c, family, w: calls.append("form") or [0.0] * len(family))
     params = {"window": (-1e16, 1e16), "lambda": 0j}
     with pytest.raises(FamilyMemberError, match="smoothstep needs a < b"):
-        field = CoefficientField(*(f for f, _ in cli._functions(FREE_COEFFS, "coefficients").values()))
+        field = CoefficientField(*(f for f, _ in cli._functions(FREE_COEFFS, "coefficients")[0].values()))
         cli.run_verify(field, params, cli.Report("verify"))
     assert calls == []
 

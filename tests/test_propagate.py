@@ -978,12 +978,17 @@ def _same_bits(got, want):
 
 def _kernel_inputs(rng, shape):
     """Rows of the given lengths and a start state: random complex values,
-    with -0.0 parts, zero rows, and an inf and a nan coefficient."""
+    the same rows as floats (a complex walk of a real plan) and the whole
+    input as floats (a float walk), with -0.0 parts, zero rows, and an inf
+    and a nan coefficient."""
     def draw(n):
         return [complex(*rng.standard_normal(2)) for _ in range(n)]
 
     rows, start = [draw(n) for n in shape], draw(4)
     yield rows, start
+    real = [[t.real for t in r] for r in rows]
+    yield real, start
+    yield real, [t.real for t in start]
     signed = [[complex(-0.0 if i % 2 else t.real, -0.0 if i % 3 else t.imag) for i, t in enumerate(r)]
               for r in rows]
     yield signed, [complex(-0.0, t.imag) for t in start]
@@ -998,15 +1003,56 @@ def _kernel_inputs(rng, shape):
 
 @pytest.mark.parametrize("derivative", [False, True])
 def test_taylor_kernel_is_the_list_recurrence_bit_for_bit(derivative):
+    # every finite input keeps the bits of the list loops; an inf or nan
+    # coefficient times a zero before the start of a series is nan where
+    # the list form has no product, so the early orders differ, but both
+    # forms are non-finite in each of the last window orders, where
+    # _jorba_zou reads them and gives the step 0 either way
     rng = np.random.default_rng(21)
     for shape in itertools.product(range(1, 6), repeat=3):
         kernel = propagate._taylor_kernel(*shape, derivative)
+        window = max(shape)
         for rows, start in _kernel_inputs(rng, shape):
             z = start[2:] if derivative else None
             want = _list_recurrence(*rows, *start[:2], z)
             got = kernel(*rows, *start[:2], *(z or ()))
             assert len(got) == len(want)
-            assert all(_same_bits(g, w) for g, w in zip(got, want)), (shape, rows, start)
+            if all(map(cmath.isfinite, itertools.chain(*rows))):
+                assert all(_same_bits(g, w) for g, w in zip(got, want)), (shape, rows, start)
+                continue
+            for series in (got, want):
+                for u, v in zip(series[::2], series[1::2]):
+                    assert not any(abs(a) + abs(b) < math.inf for a, b in zip(u[-window:], v[-window:]))
+                    assert propagate._jorba_zou(u, v, window) == 0.0
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_row_past_the_float_range_raises_as_the_list_walk_did(derivative, dense):
+    # rows of the shape of Q = 1e200 x with a21 = s - G1 G2 past the float
+    # range, built by hand as assembly refuses such entries: the kernel
+    # walk and the list walk stop at the first step with the same error
+    start = (0.3 - 0.1j, 1.0 + 0.2j, *((0.1j, 0j) if derivative else ()))
+    for a21 in ([complex(math.inf, 0.0), 1 + 0j, complex(-math.inf, math.nan)],
+                [1 + 0j, 0.5 + 0j, complex(math.inf, 0.0)]):
+        rows = ((0.0, [0j, 1e200 + 0j]), (0.5, a21), (0.0, [0j, -1e200 + 0j]))
+        raised = []
+        for segment in (propagate._taylor_segment, _list_taylor_segment):
+            with pytest.raises(StepUnderflowError) as e:
+                segment(rows, 0.0, 1.0, start, 0.0, -math.inf, 1e-12, 10, [] if dense else None)
+            raised.append((str(e.value), e.value.x, e.value.h, e.value.y0, e.value.y1, e.value.logscale))
+        assert raised[0] == raised[1]
+        assert raised[0][:3] == ("step size 0.000e+00 below floor at x=0 (solution blow-up or coefficient pathology)",
+                                 0.0, 0.0)
+
+
+def test_no_kernel_has_a_list_phase():
+    # one loop over every order: no sums over lists, even for wide entries
+    for shape in ((1, 2, 1), (2, 3, 2), (9, 17, 9)):
+        for derivative in (False, True):
+            source = propagate._taylor_source(*shape, derivative)
+            assert "sum(map(" not in source and "reversed(" not in source
+            assert source.count("for k in range(1, ") == 1
 
 
 def _degree_8_field():
@@ -1138,10 +1184,10 @@ def _sums_inputs(rng, width):
 
 def test_step_sums_are_horner_bit_for_bit():
     # every width up to that of degree-200 entries (24 + 201 - 1) and
-    # past it, forward and backward steps: two series at h and at h/2,
-    # the sums of a shot, and at h only, the sums of a dense walk and of
-    # Z, against the batched Horner rule of dense output (``_dense``) on
-    # arrays of the series; float series sum in floats
+    # past it, forward and backward steps: the sums of a Taylor step, two
+    # series at h and at h/2 by the one scalar Horner rule
+    # (``coeffs._value``), against the batched Horner rule of dense output
+    # (``_dense``) on arrays of the series; float series sum in floats
     rng = np.random.default_rng(28)
     for width in range(1, 231):
         for series in _sums_inputs(rng, width):
@@ -1149,10 +1195,9 @@ def test_step_sums_are_horner_bit_for_bit():
             for (u, v), h in itertools.product((series[:2], series[2:]), (0.37, -0.37)):
                 with np.errstate(all="ignore"):
                     at_h, at_half = (_dense(np.array([u, v]), t).tolist() for t in (h, 0.5 * h))
-                shot, dense = propagate._step_sums(h, u, v, True), propagate._step_sums(h, u, v, False)
-                assert all(type(x) is kind for x in (*shot, *dense)), (width, h)
-                assert _same_bits(list(shot), at_h + at_half), (width, h)
-                assert _same_bits(list(dense), at_h), (width, h)
+                sums = [_value(x, t) for t in (h, 0.5 * h) for x in (u, v)]
+                assert all(type(x) is kind for x in sums), (width, h)
+                assert _same_bits(sums, at_h + at_half), (width, h)
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,20 @@ def test_assemble_delta_well_entries():
     assert a21(A).eval(-1.0) == 0
 
 
+@pytest.mark.parametrize("side", [DIRECT, ADJOINT])
+def test_assemble_refuses_entries_past_the_float_range(side):
+    # Q = 1e200 x: G1 = G2 = 1e200 x are finite, a21 = s - G1 G2 is not
+    z = PiecewisePoly.zero()
+    steep = CoefficientField(z, PiecewisePoly([], [[0.0, 1e200]]), z)
+    with pytest.raises(ValueError, match=f"entry a21 = s - G1 G2 of the {side} side has coefficients outside"):
+        assemble(steep, side)
+    # Q + i r past the float range; s = 1e300 x alone stays finite
+    wide = CoefficientField(z, PiecewisePoly([], [[1e308]]), PiecewisePoly([], [[-1e308j]]))
+    with pytest.raises(ValueError, match="entry G1 = Q [+] i r of both sides has coefficients outside"):
+        assemble(wide, side)
+    assemble(CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), z, z), side)
+
+
 def test_adjoint_entries_are_conjugate_swapped_direct():
     for _ in range(5):
         c = random_field(RNG)
@@ -388,7 +402,7 @@ def test_one_pass_entries_rows_and_echo_have_the_bits_of_the_operators(case):
             assert got == ref
         spec = {k: {"breakpoints": list(bps), "pieces": [[[v.real, v.imag] for v in p] for p in ps]}
                 for k, (bps, ps) in data.items()}
-        functions = _functions(json.loads(json.dumps(spec)), "coefficients")
+        functions, _ = _functions(json.loads(json.dumps(spec)), "coefficients")
         for (f, _), g in zip(functions.values(), (c.s, c.Q, c.r)):
             assert _poly_bits(f) == _poly_bits(g)
         ref = {k: reference_echo(f, data[k][1]) for k, f in zip("sQr", (c.s, c.Q, c.r))}
