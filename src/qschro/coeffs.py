@@ -580,7 +580,7 @@ def _poly(breakpoints, centers, coeffs, canon: bool = False) -> PiecewisePoly:
 
 
 def _recentre(f: PiecewisePoly, rows: np.ndarray, mesh: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``rows`` on f's regions and centers (f's own, negated or conjugated) re-centred on
+    """``rows`` on f's regions and centers (f's own or formed from them) re-centred on
     a mesh that refines f's, with its canonical ``centers``, and trimmed: ``rows`` itself
     where those are f's own mesh and centers, a new array elsewhere."""
     if mesh.tobytes() == f.breakpoints.tobytes() and centers.tobytes() == f.centers.tobytes():
@@ -808,20 +808,19 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     return bumps([center], [plateau], [ramp])[0]
 
 
-def _side(side: str, g1: PiecewisePoly, g2: np.ndarray, s: PiecewisePoly, s_rows: np.ndarray) -> tuple:
-    """(a11, a21_0, a22) of one side of the system, with the bits of the
-    operators and no intermediate function: a11 = g1, a21_0 = -(g1 g2) + s
-    and a22 = -g2, for the rows g2 on g1's regions and the rows ``s_rows``
-    on s's (s's own, or their conjugate).  An a21_0 past the float range
-    is refused with ValueError naming the ``side``."""
+def _side(g1: PiecewisePoly, g2: PiecewisePoly, s: PiecewisePoly) -> tuple:
+    """(a11, a21_0, a22) = (g1, -(g1 g2) + s, -g2) of the system, with the
+    bits of the operators and no intermediate function, for g1 and g2 on
+    one mesh (``CoefficientField._gauge``).  An a21_0 past the float range
+    is refused with ValueError naming it."""
     joint = _merge_breakpoints(g1.breakpoints, s.breakpoints)
     centers = _canonical_centers(joint)
     with np.errstate(over="ignore", invalid="ignore"):
-        neg = -_trim_cols(_convolve_rows(g1.coeffs, g2))
-        a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s_rows, joint, centers)))
+        neg = -_trim_cols(_convolve_rows(g1.coeffs, g2.coeffs))
+        a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s.coeffs, joint, centers)))
     if not all(map(cmath.isfinite, a21.ravel().tolist())):
-        raise ValueError(f"entry a21 = s - G1 G2 of the {side} side has coefficients outside the float range")
-    return g1, _poly(joint, centers, a21, True), _poly(g1.breakpoints, g1.centers, -g2, g1._canon)
+        raise ValueError("entry a21 = s - G1 G2 has coefficients outside the float range")
+    return g1, _poly(joint, centers, a21, True), -g2
 
 
 # ----------------------------------------------------------------------
@@ -833,7 +832,8 @@ class CoefficientField:
     """The data (s, Q, r) of the expression -u'' + (s + Q')u + i[(ru)' + ru'].
 
     Jumps of Q encode Dirac masses of the potential; jumps of r are allowed
-    since only the combinations G1, G2 enter the first-order system.
+    since only the combinations G1, G2 enter the first-order system.  A
+    field holds the system of one side: the adjoint's is that of ``adjoint``.
     """
 
     s: PiecewisePoly
@@ -855,7 +855,7 @@ class CoefficientField:
             rows = [_trim_cols(_sum_rows(q, ir, op)) for op in (np.add, np.subtract)]
         for g, name in zip(rows, ("G1 = Q + i r", "G2 = Q - i r")):
             if not all(map(cmath.isfinite, g.ravel().tolist())):
-                raise ValueError(f"entry {name} of both sides has coefficients outside the float range")
+                raise ValueError(f"entry {name} has coefficients outside the float range")
         return tuple(_poly(mesh, centers, g, True) for g in rows)
 
     G1 = property(lambda self: self._gauge[0])
@@ -865,27 +865,23 @@ class CoefficientField:
     def r1(self) -> PiecewisePoly:
         return self.r.imag
 
-    # the lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22) of
-    # each side (``_side``); the adjoint side swaps and conjugates (G1, G2, s)
-    @cached_property
-    def direct_side(self) -> tuple:
-        G1, G2 = self._gauge
-        return _side("direct", G1, G2.coeffs, self.s, self.s.coeffs)
-
-    @cached_property
-    def adjoint_side(self) -> tuple:
-        G1, G2 = self._gauge
-        return _side("adjoint", G2.conj(), np.conj(G1.coeffs), self.s, np.conj(self.s.coeffs))
-
-    # the lambda-free shot plans over those entries, by interval: filled and
+    # the lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22)
+    # (``_side``), and the shot plans over them by interval: filled and
     # bounded by ``propagate._plan``, so they live as long as the field
     @cached_property
-    def direct_plans(self) -> dict:
+    def entries(self) -> tuple:
+        return _side(*self._gauge, self.s)
+
+    @cached_property
+    def plans(self) -> dict:
         return {}
 
     @cached_property
-    def adjoint_plans(self) -> dict:
-        return {}
+    def adjoint(self) -> "CoefficientField":
+        """The conjugate field: the Lagrange adjoint expression l+[s, Q, r] is
+        l[conj s, conj Q, conj r], since i[(ru)' + ru'] conj(v) and
+        u conj(i[(conj(r) v)' + conj(r) v']) differ by a derivative."""
+        return CoefficientField(self.s.conj(), self.Q.conj(), self.r.conj())
 
     @cached_property
     def breakpoints(self) -> np.ndarray:

@@ -67,7 +67,7 @@ class StepBudgetError(QschroError):
 
 
 class SideMismatchError(QschroError):
-    """Bracket arguments must pair one direct-side and one adjoint-side state."""
+    """A state of one side met a system, trajectory or bracket slot of the other."""
 
 
 class ZeroNormError(QschroError):

@@ -6,16 +6,16 @@ exactly the absolute continuity the quasi-derivative buys.  States growing
 past 1e100 are renormalized and the exponent ledger travels with them.
 
 A shot (``spectral.characteristic``) and ``integrate`` walk the segments
-the same way (``_walk``), from one lambda-free plan per field, side and
+the same way (``_walk``), from one lambda-free plan per field and
 interval (``_plan``): the segments, each with its rows and, on a constant
 segment, the invariants of its exponential, the step floor, and whether
 every row is real.  A plan holds one row set: Python floats when every
 row is real, else Python complex.  It is built on the first walk and kept
-with the field (``CoefficientField.direct_plans``/``adjoint_plans``, at
-most _PLANS intervals per side), so a shot only subtracts lambda from each
-segment's a21 constant and steps; ``spectral.characteristic`` walks the
-plan from a plain (y0, y1, logscale) start, with no system or state
-around it.  A walk's number type follows from its data: real rows, a real
+with the field (``CoefficientField.plans``, at most _PLANS intervals; the
+adjoint side's with ``CoefficientField.adjoint``), so a shot only
+subtracts lambda from each segment's a21 constant and steps;
+``spectral.characteristic`` walks the plan from a plain (y0, y1,
+logscale) start, with no system or state around it.  A walk's number type follows from its data: real rows, a real
 lambda and a real start walk in Python floats, anything else in Python
 complex, the same rows either way, so a walk is all-float or
 all-complex.  A float walk has the bits of the real parts of the complex
@@ -81,7 +81,7 @@ import numpy as np
 
 from .config import MAX_WALK_STEPS, MIN_STEP_FRACTION, RESCALE_THRESHOLD
 from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _panels as _cut, _recentred, _trimmed, _value
-from .errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
+from .errors import OverflowUnrecoverableError, SideMismatchError, StepBudgetError, StepUnderflowError
 from .quasi import QuasiState, ShinZettlSystem
 
 
@@ -194,9 +194,11 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
     _TAYLOR_ORDER + d columns, d the largest degree of its entries, so the
     two halves of a ``fundamental`` pair concatenate.  The state is
     renormalized whenever |Y| exceeds 1e100 and the exponent is recorded
-    per row.  Raises StepUnderflowError and StepBudgetError as ``_walk``
-    does.
+    per row.  A start state of the other side raises SideMismatchError before
+    the walk, which raises StepUnderflowError and StepBudgetError (``_walk``).
     """
+    if y0.side != sys.side:
+        raise SideMismatchError(f"a {y0.side}-side state cannot start a {sys.side}-side walk")
     plan = _plan(sys.plans, y0.x, to, lambda: sys)
     blocks: list[tuple] = []
     _walk(plan, sys.lam, (y0.y0, y0.y1, y0.logscale), blocks)
@@ -256,7 +258,7 @@ def _walk(plan, lam, start, out=None, derivative=False):
     return y, ls, sup
 
 
-# lambda-free plans kept per field and side (``_plan``)
+# lambda-free plans kept per field (``_plan``)
 _PLANS = 8
 # exact rows multiplied out at once by ``integrate``: 3 MB of temporaries,
 # where an einsum straight into the strided dense output runs 4x slower;
@@ -268,11 +270,11 @@ def _plan(plans, x_from, to, system):
     """The lambda-free shot plan from x_from to ``to`` in ``plans``: its
     segments, the step floor and the width of its dense rows.
 
-    ``plans`` is the dict of one field and side
-    (``CoefficientField.direct_plans``/``adjoint_plans``, which is
-    ``ShinZettlSystem.plans``), holding the last _PLANS intervals shot.
-    On a miss the plan is built from ``system()``, the side's
-    ShinZettlSystem, and kept there, so a shot on a known interval builds
+    ``plans`` is the dict of one field (``CoefficientField.plans``, which
+    is ``ShinZettlSystem.plans``; the adjoint side's is that of
+    ``CoefficientField.adjoint``), holding the last _PLANS intervals shot.
+    On a miss the plan is built from ``system()``, a ShinZettlSystem over
+    that field's entries, and kept there, so a shot on a known interval builds
     no system.  -0.0 and 0.0 are one key of a dict, so an end at zero also
     keys its sign: a segment starts its rows at its own bits.
     """

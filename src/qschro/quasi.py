@@ -3,10 +3,10 @@
 In quasi-derivative coordinates the second-order expression with
 distributional coefficients becomes a first-order linear system whose
 matrix is locally integrable; the continuous state is (u, u') with the
-derivative replaced by u' - G1*u.  The Lagrange-adjoint side uses the
-same machinery with (G1, G2, s) replaced by their swapped conjugates.
-That swap is made in ``CoefficientField.adjoint_side`` only; ``assemble``'s
-matrix is the one representation of the expression.  ``_apply_rows`` applies
+derivative replaced by u' - G1*u.  The Lagrange adjoint of l[s, Q, r] is
+l[conj s, conj Q, conj r], so the adjoint side is the direct matrix of the
+conjugate field ``CoefficientField.adjoint``; ``assemble``'s matrix is the
+one representation of the expression.  ``_apply_rows`` applies
 it through one quasi-derivative ladder with one jump rule and finds its atoms;
 ``lagrange_forms._state`` forms a polynomial's u^[1] by the operators instead.
 """
@@ -55,14 +55,13 @@ class QuasiState:
 class ShinZettlSystem:
     """The 2x2 system matrix A(x; lambda), entries as piecewise polynomials.
 
-    Direct side: [[G1, 1], [-G1*G2 + s - lambda, -G2]].  The adjoint side
-    is the same matrix built from (conj G2, conj G1, conj s); its solutions
-    carry the adjoint quasi-derivative y1 = v' - conj(G2) v.  The spectral
-    shift enters entry (2,1) only, stored at lambda = 0 as ``a21_0``.
-    ``plans`` is the field's dict of the side's lambda-free shot plans
-    (``propagate._plan``), which read their rows from these entries; a
-    system built with entries of its own takes a dict of its own, so that
-    it never shares the field's plans.
+    [[G1, 1], [-G1*G2 + s - lambda, -G2]] of the field, or on the adjoint
+    side of the conjugate field ``field_data.adjoint``, whose G1 is conj G2:
+    its solutions carry y1 = v' - conj(G2) v.  The spectral shift enters
+    entry (2,1) only, stored at lambda = 0 as ``a21_0``.  ``plans`` is that
+    field's dict of lambda-free shot plans (``propagate._plan``), which
+    read their rows from these entries; a system built with entries of its
+    own takes a dict of its own, so that it never shares a field's plans.
     """
 
     field_data: CoefficientField
@@ -75,12 +74,12 @@ class ShinZettlSystem:
 
 
 def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
-    """The Shin-Zettl matrix for l - lambda (or its adjoint); its
+    """The Shin-Zettl matrix for l - lambda, or for the adjoint expression
+    minus lambda: the matrix of the conjugate field ``c.adjoint``.  Its
     lambda-free entries and the shot plans over them are built once per
-    field and side."""
-    if _check_side(side) == DIRECT:
-        return ShinZettlSystem(c, side, complex(lam), *c.direct_side, c.direct_plans)
-    return ShinZettlSystem(c, side, complex(lam), *c.adjoint_side, c.adjoint_plans)
+    field."""
+    f = c if _check_side(side) == DIRECT else c.adjoint
+    return ShinZettlSystem(c, side, complex(lam), *f.entries, f.plans)
 
 
 def _stack_jumps(stack, window: tuple[float, float]) -> list[dict[float, complex]]:

@@ -156,8 +156,7 @@ def characteristic(
     dY/dlambda, and ``slope`` is D'(lambda) on the logscale of D.
     """
     a, b = float(interval[0]), float(interval[1])
-    plans = c.direct_plans if _check_side(side) == DIRECT else c.adjoint_plans
-    plan = _plan(plans, a, b, lambda: assemble(c, side, lam))
+    plan = _plan((c if _check_side(side) == DIRECT else c.adjoint).plans, a, b, lambda: assemble(c, side, lam))
     al, be = bc.left
     y, ls, log_sup = _walk(plan, lam, (-be, al, 0.0), derivative=derivative)
     ar, br = bc.right

@@ -544,6 +544,61 @@ def test_eig_reads_a_boundary_pair_as_a_direction(tmp_path, bc, seed):
     assert table(bc, "scaled") == (code, want)
 
 
+# s = (0.4 + 0.3i) + (0.2 - 0.1i) x, Q = 0.3 + 0.2i with a step of 0.1 and
+# slope 0.3 + 0.2i past x = 1, r = 0.2 + 0.1i
+COMPLEX_COEFFS = {
+    "s": {"breakpoints": [], "pieces": [[[0.4, 0.3], [0.2, -0.1]]]},
+    "Q": {"breakpoints": [1], "pieces": [[[0.3, 0.2]], [0.1, [0.3, 0.2]]]},
+    "r": {"breakpoints": [], "pieces": [[[0.2, 0.1]]]},
+}
+
+
+def test_eig_on_the_adjoint_side_under_the_conjugated_pairs_gives_the_conjugate_roots():
+    def roots(side, left, right):
+        problem = {"task": "eig", "coefficients": COMPLEX_COEFFS,
+                   "params": {"interval": [0, math.pi], "bc": {"left": left, "right": right},
+                              "seeds": [1.5, 4.5, 9.5], "side": side}}
+        code, text, _ = run_problem(problem)
+        rows = report_table(text, "eigenvalues")
+        assert code == EXIT_OK and [row["converged"] for row in rows] == ["true"] * 3
+        return [complex(float(row["lambda_re"]), float(row["lambda_im"])) for row in rows]
+
+    direct = roots("direct", [1, [0.5, 0.2]], [[0.7, -0.3], 1])
+    adjoint = roots("adjoint", [1, [0.5, -0.2]], [[0.7, 0.3], 1])
+    same = roots("adjoint", [1, [0.5, 0.2]], [[0.7, -0.3], 1])
+    for d, a, s in zip(direct, adjoint, same):
+        assert abs(a - d.conjugate()) <= 1e-12 * (1 + abs(d))
+        assert abs(s - d.conjugate()) > 0.05
+
+
+@pytest.mark.parametrize("task, params, builds", [
+    ("eig", {"interval": [0, math.pi], "scan": [0.5, 12], "grid": 20, "seeds": [1.5, [4.5, 0.2]]}, 0),
+    ("eig", {"interval": [0, math.pi], "scan": [0.5, 12], "grid": 20, "seeds": [1.5, [4.5, 0.2]],
+             "side": "adjoint"}, 1),
+    ("solve", {"from": 0, "to": 2, "initial": [0, 1]}, 0),
+    ("solve", {"from": 0, "to": 2, "initial": [0, 1], "side": "adjoint"}, 1),
+    ("form", {"tests": [{"center": 0, "plateau": 1, "ramp": 1}, {"center": 2, "plateau": 0, "ramp": 0.5}]}, 0),
+], ids=["eig", "eig-adjoint", "solve", "solve-adjoint", "form"])
+def test_a_direct_task_never_builds_the_conjugate_field(monkeypatch, task, params, builds):
+    # the adjoint side is the conjugate field, built once per field and
+    # only by a task that uses that side
+    import functools
+
+    built = []
+    make = CoefficientField.adjoint.func
+
+    def counted(self):
+        built.append(self)
+        return make(self)
+
+    adjoint = functools.cached_property(counted)
+    adjoint.__set_name__(CoefficientField, "adjoint")
+    monkeypatch.setattr(CoefficientField, "adjoint", adjoint)
+    code, _, _ = run_problem({"task": task, "coefficients": COMPLEX_COEFFS, "params": params})
+    assert code in (EXIT_OK, EXIT_FAILS)
+    assert len(built) == builds
+
+
 def test_eig_lists_each_root_with_its_method(tmp_path):
     # a scan with a Newton seed: the seed's root 4 is not a scan root
     problem = {"task": "eig", "coefficients": FREE_COEFFS,
@@ -669,16 +724,21 @@ def test_eig_on_a_steep_linear_field_is_a_numeric_error(tmp_path, capsys, slope)
     assert not re.search(r"\bnan\b", said.out + said.err + report)
 
 
+WIDE_GAUGE = {"Q": {"breakpoints": [], "pieces": [["1e308"]]}, "r": {"breakpoints": [], "pieces": [[[0, "-1e308"]]]}}
+
+
 @pytest.mark.parametrize("coefficients, side, entry", [
-    ({"Q": {"breakpoints": [], "pieces": [[0, "1e200"]]}}, "direct", "entry a21 = s - G1 G2 of the direct side"),
-    ({"Q": {"breakpoints": [], "pieces": [[0, "1e200"]]}}, "adjoint", "entry a21 = s - G1 G2 of the adjoint side"),
-    ({"Q": {"breakpoints": [], "pieces": [["1e308"]]}, "r": {"breakpoints": [], "pieces": [[[0, "-1e308"]]]}},
-     "direct", "entry G1 = Q + i r of both sides"),
-], ids=["Q=1e200x", "Q=1e200x-adjoint", "G1-overflows"])
+    ({"Q": {"breakpoints": [], "pieces": [[0, "1e200"]]}}, "direct", "entry a21 = s - G1 G2"),
+    ({"Q": {"breakpoints": [], "pieces": [[0, "1e200"]]}}, "adjoint", "entry a21 = s - G1 G2"),
+    (WIDE_GAUGE, "direct", "entry G1 = Q + i r"),
+    (WIDE_GAUGE, "adjoint", "entry G2 = Q - i r"),
+], ids=["Q=1e200x", "Q=1e200x-adjoint", "G1-overflows", "G2-of-the-conjugate-overflows"])
 def test_system_entries_past_the_float_range_are_a_validation_error(tmp_path, coefficients, side, entry):
     # Q = 1e200 x makes a21 = s - G1 G2 = -1e400 x^2: refused where it is
     # formed, in a child interpreter with the default warning filters, so
-    # that a numpy overflow warning would show on its stderr
+    # that a numpy overflow warning would show on its stderr.  The adjoint
+    # side assembles the conjugate field (conj s, conj Q, conj r), whose
+    # G2 is conj G1 of the field: where G1 overflows, that G2 is named
     problem = {"task": "solve", "coefficients": coefficients, "params": {"to": 1, "side": side}}
     path = write(tmp_path, "p.json", problem)
     argv = [sys.executable, "-m", "qschro.cli", "solve", "--input", path, "--out", str(tmp_path / "out")]

@@ -77,7 +77,7 @@ def test_bracket_side_mismatch():
 def test_bracket_hyperbolic_pair_constant():
     # u = e^x, v = e^{-x}: [u,v](x) = -2 for all x
     ut = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 3.0)
-    vt = integrate(assemble(FREE, "adjoint", -1.0), QuasiState(0.0, 1.0, -1.0), 3.0)
+    vt = integrate(assemble(FREE, "adjoint", -1.0), QuasiState(0.0, 1.0, -1.0, "adjoint"), 3.0)
     for x in (0.5, 1.7, 3.0):
         value, logscale = bracket(ut.state_at(x), vt.state_at(x))
         assert value * math.exp(logscale) == pytest.approx(-2.0, rel=1e-8)
@@ -86,7 +86,7 @@ def test_bracket_hyperbolic_pair_constant():
 
 def test_lagrange_identity_solutions():
     ut = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 3.0)
-    vt = integrate(assemble(FREE, "adjoint", -1.0), QuasiState(0.0, 1.0, -1.0), 3.0)
+    vt = integrate(assemble(FREE, "adjoint", -1.0), QuasiState(0.0, 1.0, -1.0, "adjoint"), 3.0)
     assert lagrange_residual(FREE, ut, vt, (0.2, 2.7)) <= 1e-9
 
 
@@ -99,7 +99,7 @@ def test_lagrange_identity_nonsolutions_by_hand():
 
 def test_lagrange_identity_with_dirac_masses():
     dw = CoefficientField.delta_well(-2.0)
-    v = integrate(assemble(dw, "adjoint", 0.3 + 0.2j), QuasiState(-1.0, 0.7, 0.1j), 1.0)
+    v = integrate(assemble(dw, "adjoint", 0.3 + 0.2j), QuasiState(-1.0, 0.7, 0.1j, "adjoint"), 1.0)
     assert lagrange_residual(dw, KINK, v, (-0.9, 0.9)) <= 1e-8
 
 
@@ -111,7 +111,7 @@ def test_lagrange_identity_random_fields():
         ut = integrate(
             assemble(c, "direct", lam), QuasiState(-3.0, 1.0, 0.5 + 0.1j), 3.0
         )
-        vt = integrate(assemble(c, "adjoint", mu), QuasiState(-3.0, 0.3j, 1.0), 3.0)
+        vt = integrate(assemble(c, "adjoint", mu), QuasiState(-3.0, 0.3j, 1.0, "adjoint"), 3.0)
         assert lagrange_residual(c, ut, vt, (-3, 3)) <= 1e-8
 
 
@@ -121,7 +121,7 @@ def test_bracket_constancy_conjugate_pairs_random():
         lam = complex(RNG.standard_normal(), RNG.standard_normal())
         ut = integrate(assemble(c, "direct", lam), QuasiState(-3.0, 1.0, 0.2), 3.0)
         vt = integrate(
-            assemble(c, "adjoint", lam.conjugate()), QuasiState(-3.0, 0.5, 1.0), 3.0
+            assemble(c, "adjoint", lam.conjugate()), QuasiState(-3.0, 0.5, 1.0, "adjoint"), 3.0
         )
         assert bracket_constancy_residual(ut, vt, (-3, 3)) <= 1e-8
 

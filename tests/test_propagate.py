@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly, _dense, _value, aligned
-from qschro.errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
+from qschro.errors import OverflowUnrecoverableError, SideMismatchError, StepBudgetError, StepUnderflowError
 from qschro import propagate
 from qschro.propagate import fundamental, integrate, pair_integral
 from qschro.quasi import QuasiState, assemble
@@ -1363,14 +1363,14 @@ def test_a_scan_and_its_roots_dense_shot_share_one_plan(monkeypatch):
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     assert spectral.eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40).refusal is not None
     assert built == [("direct", 0.0, math.pi)]
-    (plan,) = ix.direct_plans.values()
+    (plan,) = ix.plans.values()
     # Newton shots with D' and the dense shot of the root from the left state read it too
     (root,) = spectral.eigenvalues(ix, (0, math.pi), BC, seeds=[1.2 + 1.5j]).roots
     assert root.converged and abs(root.lam - (1.1090679488224868 + 1.5707963267948712j)) < 1e-9
     dense = integrate(assemble(ix, "direct", root.lam), QuasiState(0.0, -0.0, 1.0), math.pi)
     assert dense.b == math.pi and len(dense.steps) > 1
     assert built == [("direct", 0.0, math.pi)]
-    assert list(ix.direct_plans.values()) == [plan] and ix.adjoint_plans == {}
+    assert list(ix.plans.values()) == [plan] and "adjoint" not in ix.__dict__
 
 
 def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
@@ -1383,7 +1383,7 @@ def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
                        (field, "adjoint", 2.0), (twin, "direct", 2.0)):
         walk_end(assemble(c, side, 2.0 - 0.5j), QuasiState(0.0, 0.0, 1.0, side), b)
     assert built == [("direct", 0.0, 2.0), ("direct", 0.0, 3.0), ("adjoint", 0.0, 2.0), ("direct", 0.0, 2.0)]
-    assert (len(field.direct_plans), len(field.adjoint_plans), len(twin.direct_plans)) == (2, 1, 1)
+    assert (len(field.plans), len(field.adjoint.plans), len(twin.plans)) == (2, 1, 1)
     # a plan holds no lambda: another lambda shoots through it to the bits
     # of a system that plans anew (a fresh dict of plans per walk)
     sys = assemble(field, "direct", 7.0 + 1.0j)
@@ -1402,6 +1402,18 @@ def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
     for x0, sign in ((0.0, 1.0), (-0.0, -1.0)):
         back = integrate(assemble(field, "direct", 2.0), QuasiState(x0, 0.0, 1.0), -1.0)
         assert math.copysign(1.0, back.steps["x0"][-1]) == sign
+
+
+@pytest.mark.parametrize("side, other", [("adjoint", "direct"), ("direct", "adjoint")])
+def test_integrate_refuses_a_start_state_of_the_other_side(side, other):
+    # a direct y1 = u' - G1 u is not the adjoint quasi-derivative
+    # v' - conj(G2) v: the walk is refused before it is planned
+    c = CoefficientField.delta_well()
+    sys = assemble(c, side, 0.5)
+    with pytest.raises(SideMismatchError, match=f"^a {other}-side state cannot start a {side}-side walk$"):
+        integrate(sys, QuasiState(-1.0, 1.0, 0.0, other), 1.0)
+    assert sys.plans == {}
+    assert integrate(sys, QuasiState(-1.0, 1.0, 0.0, side), 1.0).state_at(1.0).side == side
 
 
 def test_shooting_many_intervals_keeps_a_bounded_number_of_plans():
@@ -1425,8 +1437,8 @@ def test_shooting_many_intervals_keeps_a_bounded_number_of_plans():
         held = [shoot(first, 300) for first in (50, 350, 650)]
     finally:
         tracemalloc.stop()
-    assert len(field.direct_plans) == len(field.adjoint_plans) == propagate._PLANS
-    assert [key[1] for key in field.direct_plans][-1] == 1.5 + 949 / 1000
+    assert len(field.plans) == len(field.adjoint.plans) == propagate._PLANS
+    assert [key[1] for key in field.plans][-1] == 1.5 + 949 / 1000
     # the first round fills the interpreter's free lists; then 600 more
     # plans, which would hold about 1 MB if they were all kept, add next
     # to nothing

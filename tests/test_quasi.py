@@ -94,31 +94,55 @@ def test_assemble_delta_well_entries():
 
 @pytest.mark.parametrize("side", [DIRECT, ADJOINT])
 def test_assemble_refuses_entries_past_the_float_range(side):
-    # Q = 1e200 x: G1 = G2 = 1e200 x are finite, a21 = s - G1 G2 is not
+    # Q = 1e200 x: G1 = G2 = 1e200 x are finite, a21 = s - G1 G2 is not,
+    # on the field and on its conjugate
     z = PiecewisePoly.zero()
     steep = CoefficientField(z, PiecewisePoly([], [[0.0, 1e200]]), z)
-    with pytest.raises(ValueError, match=f"entry a21 = s - G1 G2 of the {side} side has coefficients outside"):
+    with pytest.raises(ValueError, match="^entry a21 = s - G1 G2 has coefficients outside"):
         assemble(steep, side)
-    # Q + i r past the float range; s = 1e300 x alone stays finite
+    # G1 = Q + i r = 2e308 past the float range, G2 = 0; the adjoint side
+    # assembles the conjugate field, whose G2 = conj G1 overflows.  s =
+    # 1e300 x alone stays finite
     wide = CoefficientField(z, PiecewisePoly([], [[1e308]]), PiecewisePoly([], [[-1e308j]]))
-    with pytest.raises(ValueError, match="entry G1 = Q [+] i r of both sides has coefficients outside"):
+    entry = "G1 = Q [+] i r" if side == DIRECT else "G2 = Q - i r"
+    with pytest.raises(ValueError, match=f"^entry {entry} has coefficients outside"):
         assemble(wide, side)
     assemble(CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), z, z), side)
 
 
+def test_the_adjoint_side_is_the_direct_side_of_the_conjugate_field():
+    # one set of entries and one plan dict per field: the adjoint side's
+    # are the conjugate field's, built once
+    for c in (random_field(RNG), CoefficientField.delta_well(-2.0)):
+        conj = c.adjoint
+        assert c.adjoint is conj
+        for f, g in zip((conj.s, conj.Q, conj.r), (c.s.conj(), c.Q.conj(), c.r.conj())):
+            assert _poly_bits(f) == _poly_bits(g)
+        for lam in (0.0, 1.5 - 0.5j):
+            A = assemble(c, ADJOINT, lam)
+            assert A.field_data is c and A.side == ADJOINT and A.lam == lam
+            assert all(e is f for e, f in zip((A.a11, A.a21_0, A.a22), conj.entries))
+            assert A.plans is conj.plans and A.plans is not c.plans
+            assert "entries" not in c.__dict__
+
+
 def test_adjoint_entries_are_conjugate_swapped_direct():
-    for _ in range(5):
-        c = random_field(RNG)
-        lam = complex(RNG.standard_normal(), RNG.standard_normal())
-        adj = assemble(c, ADJOINT, lam)
-        swapped = assemble(CoefficientField(c.s.conj(), c.Q.conj(), c.r.conj()), DIRECT, lam)
-        xs = RNG.uniform(-4, 4, 100)
-        for x in xs:
-            x = float(x)
-            for ea, es in zip((adj.a11, a21(adj), adj.a22), (swapped.a11, a21(swapped), swapped.a22)):
-                va = ea.eval(x)
-                vs = es.eval(x)
-                assert abs(va - vs) <= 1e-12 * (1 + abs(va))
+    # the adjoint side shoots, with and without D', and walks with dense
+    # output to the bits of the direct side of a conjugate field built
+    # anew, with entries and plans of its own
+    rng = np.random.default_rng(17)
+    for c in (random_field(rng), random_field(rng), CoefficientField.delta_well(-2.0, 0.3)):
+        twin = CoefficientField(c.s.conj(), c.Q.conj(), c.r.conj())
+        for lam in (0.0, -1.0, 2.0 + 1.0j):
+            adj, ref = assemble(c, ADJOINT, lam), assemble(twin, DIRECT, lam)
+            assert adj.plans is not ref.plans
+            for derivative in (False, True):
+                ends = [propagate._walk(propagate._plan(A.plans, -2.0, 2.0, lambda: A), A.lam,
+                                        (1.0, 0.2 + 0.1j, 0.0), derivative=derivative) for A in (adj, ref)]
+                assert _bits(*ends[0][0], *ends[0][1:]) == _bits(*ends[1][0], *ends[1][1:])
+            got = integrate(adj, QuasiState(-2.0, 1.0, 0.2 + 0.1j, ADJOINT), 2.0)
+            want = integrate(ref, QuasiState(-2.0, 1.0, 0.2 + 0.1j), 2.0)
+            assert got.steps.tobytes() == want.steps.tobytes() and len(got.steps) > 1
 
 
 def test_real_field_self_adjoint_system():
@@ -304,12 +328,13 @@ def region_rows(fs, breakpoints) -> tuple:
 
 
 def operator_entries(c, side) -> tuple:
-    """Reference entries (a11, a21_0, a22) of a side by the PiecewisePoly operators."""
+    """Reference entries (a11, a21_0, a22) of a side by the PiecewisePoly
+    operators: those of the field, or of the conjugate field on the
+    adjoint side."""
+    if side == ADJOINT:
+        c = CoefficientField(c.s.conj(), c.Q.conj(), c.r.conj())
     G1, G2 = c.Q + 1j * c.r, c.Q - 1j * c.r
-    if side == DIRECT:
-        return G1, -(G1 * G2) + c.s, -G2
-    g1, g2 = G2.conj(), G1.conj()
-    return g1, -(g1 * g2) + c.s.conj(), -g2
+    return G1, -(G1 * G2) + c.s, -G2
 
 
 def _poly_bits(f) -> tuple:
@@ -430,9 +455,10 @@ def test_the_list_constructor_has_the_bits_of_the_array_shift():
         assert f.centers.tobytes() == _canonical_centers(bps).tobytes()
 
 
-def test_both_sides_of_the_free_field_create_only_their_seven_entries(monkeypatch):
-    # G1, G2, and a21_0, a22 of the direct side, a11, a21_0, a22 of the
-    # adjoint one; no intermediate function is built
+def test_each_side_of_the_free_field_creates_only_its_entries(monkeypatch):
+    # the direct side makes G1, G2, a21_0 and a22 (a11 is G1); the adjoint
+    # side the conjugate field's s, Q and r and its own four; no
+    # intermediate function is built
     made = []
     new, init = coeffs._poly, PiecewisePoly.__init__
 
@@ -447,11 +473,14 @@ def test_both_sides_of_the_free_field_create_only_their_seven_entries(monkeypatc
     c = CoefficientField.free()
     monkeypatch.setattr(coeffs, "_poly", counted_poly)
     monkeypatch.setattr(PiecewisePoly, "__init__", counted_init)
-    direct, adjoint = assemble(c, DIRECT), assemble(c, ADJOINT)
-    entries = {id(f) for f in (c.G1, c.G2, direct.a11, direct.a21_0, direct.a22,
-                                adjoint.a11, adjoint.a21_0, adjoint.a22)}
-    assert len(entries) == 7
-    assert len(made) == 7 and {id(f) for f in made} == entries
+    direct = assemble(c, DIRECT)
+    assert [id(f) for f in made] == [id(f) for f in (c.G1, c.G2, direct.a21_0, direct.a22)]
+    assert direct.a11 is c.G1
+    del made[:]
+    adjoint, conj = assemble(c, ADJOINT), c.adjoint
+    assert [id(f) for f in made] == [id(f) for f in (conj.s, conj.Q, conj.r, conj.G1, conj.G2,
+                                                     adjoint.a21_0, adjoint.a22)]
+    assert adjoint.a11 is conj.G1
 
 
 @pytest.mark.parametrize("side", [DIRECT, ADJOINT])

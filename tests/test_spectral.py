@@ -788,7 +788,7 @@ def test_a_shot_from_minus_zero_walks_its_own_plan():
         got = characteristic(c, (a, 2.0), BC, 3.0 - 0.5j, derivative=True)
         want = _endpoint_shot(c, (a, 2.0), BC, 3.0 - 0.5j, DIRECT, True)
         assert list(map(_bits, (got.value, got.logscale, got.log_sup, got.slope))) == list(map(_bits, want))
-    assert len(c.direct_plans) == 2
+    assert len(c.plans) == 2
 
 
 @pytest.mark.parametrize("coeffs, interval, lam, error", [
@@ -833,6 +833,31 @@ def test_a_scan_assembles_a_system_once_per_field_and_side(monkeypatch):
     assert built == [DIRECT, ADJOINT]
     res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, seeds=[-0.9 + 0.1j]).roots
     assert built == [DIRECT, ADJOINT]
+
+
+# s, Q and r complex, Q with a step at 1, and complex boundary pairs
+COMPLEX_FIELD = (PiecewisePoly([], [[0.4 + 0.3j, 0.2 - 0.1j]]),
+                 PiecewisePoly([1.0], [[0.3 + 0.2j], [0.1, 0.3 + 0.2j]]),
+                 PiecewisePoly([], [[0.2 + 0.1j]]))
+COMPLEX_PAIRS = ((1.0, 0.5 + 0.2j), (0.7 - 0.3j, 1.0))
+
+
+def test_the_adjoint_side_under_the_conjugated_pairs_has_the_conjugate_roots():
+    # the adjoint side solves l[conj s, conj Q, conj r] - lambda under the
+    # conditions it is given; the adjoint operator's conditions are the
+    # conjugated pairs, and its eigenvalues the conjugates of the direct ones
+    c = CoefficientField(*COMPLEX_FIELD)
+    conjugated = BoundaryCondition(*(tuple(z.conjugate() for z in pair) for pair in COMPLEX_PAIRS))
+    seeds = (1.5, 4.5, 9.5)
+    direct = eigenvalues(c, (0, math.pi), BoundaryCondition(*COMPLEX_PAIRS), seeds=seeds).roots
+    adjoint = eigenvalues(c, (0, math.pi), conjugated, seeds=seeds, side=ADJOINT).roots
+    same = eigenvalues(c, (0, math.pi), BoundaryCondition(*COMPLEX_PAIRS), seeds=seeds, side=ADJOINT).roots
+    assert len(direct) == len(adjoint) == len(same) == 3
+    assert all(r.converged for r in direct + adjoint + same)
+    assert all(abs(d.lam.imag) > 0.05 for d in direct)
+    for d, a, s in zip(direct, adjoint, same):
+        assert abs(a.lam - d.lam.conjugate()) <= 1e-12 * (1 + abs(d.lam))
+        assert abs(s.lam - d.lam.conjugate()) > 0.05
 
 
 def test_a_shot_refuses_an_unknown_side():
