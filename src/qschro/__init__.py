@@ -28,7 +28,6 @@ from .errors import (
     NonRealError,
     OverflowUnrecoverableError,
     QschroError,
-    SideMismatchError,
     StepBudgetError,
     StepUnderflowError,
     UnsupportedTestFunctionError,
@@ -44,15 +43,7 @@ from .lagrange_forms import (
     sample_forms,
 )
 from .propagate import Trajectory, fundamental, integrate, pair_integral
-from .quasi import (
-    ADJOINT,
-    DIRECT,
-    QuasiState,
-    ShinZettlSystem,
-    apply_l_atoms,
-    assemble,
-    product_rule_check,
-)
+from .quasi import QuasiState, apply_l_atoms, product_rule_check
 from .reports import ConditionReport
 from .spectral import (
     BoundaryCondition,
@@ -74,12 +65,8 @@ __all__ = [
     "CoefficientField",
     "bump",
     "bumps",
-    # system / quasi-derivatives
-    "DIRECT",
-    "ADJOINT",
-    "ShinZettlSystem",
+    # quasi-derivatives
     "QuasiState",
-    "assemble",
     "apply_l_atoms",
     "product_rule_check",
     # propagation
@@ -119,7 +106,6 @@ __all__ = [
     "FamilyMemberError",
     "StepUnderflowError",
     "StepBudgetError",
-    "SideMismatchError",
     "ZeroNormError",
     "UnsupportedTestFunctionError",
     "BadSchemeError",

@@ -52,8 +52,7 @@ from .lagrange_forms import (
     range_verdict,
 )
 from .propagate import integrate
-from .quasi import ADJOINT, DIRECT, QuasiState, assemble
-from .quasi import product_rule_check
+from .quasi import QuasiState, product_rule_check
 from .spectral import BoundaryCondition, eigenvalues, null_probe
 
 EXIT_OK = 0
@@ -140,7 +139,7 @@ def _one_of(*options):
     return parse
 
 
-_side = _one_of(DIRECT, ADJOINT)
+_side = _one_of("direct", "adjoint")
 
 
 def _filename(value, field: str) -> str:
@@ -313,7 +312,7 @@ PARAMS = {
         "from": (_num, 0.0),
         "to": (_num, REQUIRED),
         "lambda": (_cnum, 0j),
-        "side": (_side, DIRECT),
+        "side": (_side, "direct"),
         "initial": (PAIR, (1 + 0j, 0j)),
         "dump": (_bool, False),
     },
@@ -323,7 +322,7 @@ PARAMS = {
         "scan": (_interval, None),
         "seeds": (_list(_cnum), ()),
         "grid": (_int_in(2, config.MAX_GRID_POINTS), 120),
-        "side": (_side, DIRECT),
+        "side": (_side, "direct"),
     },
     "bracket": {
         "window": (_interval, REQUIRED),
@@ -483,8 +482,9 @@ def _state_rows(traj, xs) -> list:
 
 
 def run_solve(field, params, rep):
-    x0, x1, side = params["from"], params["to"], params["side"]
-    traj = integrate(assemble(field, side, params["lambda"]), QuasiState(x0, *params["initial"], side), x1)
+    x0, x1 = params["from"], params["to"]
+    expr = field if params["side"] == "direct" else field.adjoint
+    traj = integrate(expr, params["lambda"], QuasiState(x0, *params["initial"]), x1)
     end = traj.state_at(x1)
     rep.kv("final.x", x1, source="dense-output")
     rep.kv("final.y0", complex(end.y0), source="dense-output")
@@ -501,7 +501,8 @@ def run_eig(field, params, rep):
     scan, seeds = params["scan"], params["seeds"]
     if scan is None and not seeds:
         raise ValidationFailure("params", "need a scan range or Newton seeds")
-    run = eigenvalues(field, params["interval"], params["bc"], scan, seeds, params["grid"], params["side"])
+    expr = field if params["side"] == "direct" else field.adjoint
+    run = eigenvalues(expr, params["interval"], params["bc"], scan, seeds, params["grid"])
     if run.refusal is not None:
         # the scan's sign changes are not roots; the Newton seeds still are
         lam, ratio = run.refusal
@@ -523,14 +524,14 @@ def run_eig(field, params, rep):
 def run_bracket(field, params, rep):
     window = a, b = params["window"]
     lam = params["lambda"]
-    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, *params["u_initial"], DIRECT), b)
-    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, *params["v_initial"], ADJOINT), b)
+    u = integrate(field, lam, QuasiState(a, *params["u_initial"]), b)
+    v = integrate(field.adjoint, lam.conjugate(), QuasiState(a, *params["v_initial"]), b)
     n = params["samples"]
     xs = np.linspace(a, b, n).tolist()
     (yu, lu), (yv, lv) = u.sample(xs), v.sample(xs)
     rows = []
     for x, su, sv, l1, l2 in zip(xs, yu.tolist(), yv.tolist(), lu.tolist(), lv.tolist()):
-        value, logscale = bracket(QuasiState(x, *su, DIRECT, l1), QuasiState(x, *sv, ADJOINT, l2))
+        value, logscale = bracket(QuasiState(x, *su, l1), QuasiState(x, *sv, l2))
         rows.append((x, value.real, value.imag, logscale))
     rep.table("bracket_values", ["x", "re", "im", "logscale"], rows, source="bracket[dense-output]")
     resid = bracket_constancy_residual(u, v, window, samples=max(n, 50))
@@ -612,8 +613,8 @@ def run_verify(field, params, rep):
     lam = params["lambda"]
     rows = []
 
-    u = integrate(assemble(field, DIRECT, lam), QuasiState(a, 0.3, 1.0, DIRECT), b)
-    v = integrate(assemble(field, ADJOINT, lam.conjugate()), QuasiState(a, 1.0, -0.2, ADJOINT), b)
+    u = integrate(field, lam, QuasiState(a, 0.3, 1.0), b)
+    v = integrate(field.adjoint, lam.conjugate(), QuasiState(a, 1.0, -0.2), b)
     r1 = lagrange_residual(field, u, v, window)
     rows.append(("lagrange_identity", r1, 1e-8, r1 <= 1e-8, "integral-identity"))
     r2 = bracket_constancy_residual(u, v, window)
@@ -627,9 +628,8 @@ def run_verify(field, params, rep):
     phi, second, cut = bumps([mid, mid - (b - a) / 8, 0.0], [(b - a) / 4, (b - a) / 6, 2.0 * n],
                              [(b - a) / 8] * 2 + [1.0])
     u_fit = u.to_piecewise(a, b)
-    r3 = product_rule_check(field, phi, u_fit, window)
-    for side in (DIRECT, ADJOINT):
-        rows.append((f"product_rule_{side}", r3[side], 1e-9, r3[side] <= 1e-9, "cutoff-product-rule"))
+    for name, r3 in zip(("direct", "adjoint"), product_rule_check(field, phi, u_fit, window)):
+        rows.append((f"product_rule_{name}", r3, 1e-9, r3 <= 1e-9, "cutoff-product-rule"))
 
     for k, r4 in enumerate(form_vs_operator_check(field, [phi, second], window)):
         rows.append((f"form_vs_operator_{k}", r4, 1e-8, r4 <= 1e-8, "form-vs-operator"))
@@ -637,7 +637,7 @@ def run_verify(field, params, rep):
     lo, hi = cut.support_bounds()
     fits = a <= lo and hi <= b
     if fits:
-        v0 = integrate(assemble(field, ADJOINT, 0.0), QuasiState(a, 1.0, 0.1, ADJOINT), b)
+        v0 = integrate(field.adjoint, 0.0, QuasiState(a, 1.0, 0.1), b)
         r5 = verify_caccioppoli(field, v0, cut)
         rows.append(("caccioppoli_identity", r5, 1e-7, r5 <= 1e-7, "null-energy-identity"))
     else:

@@ -808,21 +808,6 @@ def bump(center: float, plateau: float, ramp: float) -> PiecewisePoly:
     return bumps([center], [plateau], [ramp])[0]
 
 
-def _side(g1: PiecewisePoly, g2: PiecewisePoly, s: PiecewisePoly) -> tuple:
-    """(a11, a21_0, a22) = (g1, -(g1 g2) + s, -g2) of the system, with the
-    bits of the operators and no intermediate function, for g1 and g2 on
-    one mesh (``CoefficientField._gauge``).  An a21_0 past the float range
-    is refused with ValueError naming it."""
-    joint = _merge_breakpoints(g1.breakpoints, s.breakpoints)
-    centers = _canonical_centers(joint)
-    with np.errstate(over="ignore", invalid="ignore"):
-        neg = -_trim_cols(_convolve_rows(g1.coeffs, g2.coeffs))
-        a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s.coeffs, joint, centers)))
-    if not all(map(cmath.isfinite, a21.ravel().tolist())):
-        raise ValueError("entry a21 = s - G1 G2 has coefficients outside the float range")
-    return g1, _poly(joint, centers, a21, True), -g2
-
-
 # ----------------------------------------------------------------------
 # coefficient field
 
@@ -833,14 +818,15 @@ class CoefficientField:
 
     Jumps of Q encode Dirac masses of the potential; jumps of r are allowed
     since only the combinations G1, G2 enter the first-order system.  A
-    field holds the system of one side: the adjoint's is that of ``adjoint``.
+    field is the one name of its expression: the Lagrange adjoint
+    expression is that of the field ``adjoint``.
     """
 
     s: PiecewisePoly
     Q: PiecewisePoly
     r: PiecewisePoly
 
-    # computed once per field: every system, shot and form reads them
+    # computed once per field: every walk, application and form reads them
     @cached_property
     def _gauge(self) -> tuple:
         """(G1, G2) = (Q + i r, Q - i r), with the bits of the operators:
@@ -865,12 +851,27 @@ class CoefficientField:
     def r1(self) -> PiecewisePoly:
         return self.r.imag
 
-    # the lambda-free Shin-Zettl entries (a11, a21 at lambda = 0, a22)
-    # (``_side``), and the shot plans over them by interval: filled and
-    # bounded by ``propagate._plan``, so they live as long as the field
     @cached_property
     def entries(self) -> tuple:
-        return _side(*self._gauge, self.s)
+        """The lambda-free entries (a11, a21_0, a22) = (G1, -(G1 G2) + s, -G2)
+        of the Shin-Zettl matrix [[G1, 1], [-G1*G2 + s - lambda, -G2]] of
+        l - lambda in the state (u, u^[1]), u^[1] = u' - G1 u: lambda enters
+        entry (2,1) only.  Formed with the bits of the operators and no
+        intermediate function, G1 and G2 on one mesh (``_gauge``); an a21_0
+        past the float range is refused with ValueError naming it."""
+        g1, g2 = self._gauge
+        s = self.s
+        joint = _merge_breakpoints(g1.breakpoints, s.breakpoints)
+        centers = _canonical_centers(joint)
+        with np.errstate(over="ignore", invalid="ignore"):
+            neg = -_trim_cols(_convolve_rows(g1.coeffs, g2.coeffs))
+            a21 = _trim_cols(_sum_rows(_recentre(g1, neg, joint, centers), _recentre(s, s.coeffs, joint, centers)))
+        if not all(map(cmath.isfinite, a21.ravel().tolist())):
+            raise ValueError("entry a21 = s - G1 G2 has coefficients outside the float range")
+        return g1, _poly(joint, centers, a21, True), -g2
+
+    # the shot plans over the entries by interval: filled and bounded by
+    # ``propagate._plan``, so they live as long as the field
 
     @cached_property
     def plans(self) -> dict:

@@ -18,7 +18,7 @@ from . import config
 from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, _value, aligned
 from .errors import BadSchemeError, NonRealError
 from .propagate import Trajectory
-from .quasi import ADJOINT, _stack_jumps, apply_l_atoms
+from .quasi import _stack_jumps, apply_l_atoms
 from .reports import FAILS, HOLDS, INCONCLUSIVE, ConditionReport
 
 
@@ -376,7 +376,8 @@ def verify_caccioppoli(
 ) -> float:
     """Residual of the null-solution energy identity, scale-normalized.
 
-    For v solving the adjoint equation at 0 and a real compactly
+    For v solving the adjoint equation at 0, a trajectory of ``c.adjoint``
+    (any other raises ValueError), and a real compactly
     supported phi, Re (phi v, l_adj[phi v]) equals
     int (phi')^2 |v|^2 + 2 int r1 phi' phi |v|^2.  The left side goes
     through the expression applied to the re-fitted product, the right
@@ -387,9 +388,9 @@ def verify_caccioppoli(
     """
     if not phi.is_real():
         raise NonRealError("cut-off must be real-valued")
-    if v.system.side != ADJOINT:
-        raise ValueError("the null solution must come from the adjoint system")
-    if abs(v.system.lam) > 1e-12:
+    if v.field is not c.adjoint:
+        raise ValueError("the null solution must be a trajectory of c.adjoint")
+    if abs(v.lam) > 1e-12:
         raise ValueError("the identity is for null solutions: lambda must be 0")
     lo, hi = phi.support_bounds()
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -398,7 +399,7 @@ def verify_caccioppoli(
         raise ValueError("null solution does not cover the cut-off support")
     v_pw, phi, r1 = aligned((v.to_piecewise(lo, hi), phi, c.r1), c.breakpoints)
     phiv = phi * v_pw
-    expr, atoms = apply_l_atoms(c, ADJOINT, phiv, (lo, hi))
+    expr, atoms = apply_l_atoms(c.adjoint, phiv, (lo, hi))
     left_c = (phiv * expr.conj()).integrate(lo, hi)
     left_c += sum(
         phiv.eval(p) * wt.conjugate() for p, wt in atoms.items() if lo <= p <= hi

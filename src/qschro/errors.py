@@ -66,10 +66,6 @@ class StepBudgetError(QschroError):
         )
 
 
-class SideMismatchError(QschroError):
-    """A state of one side met a system, trajectory or bracket slot of the other."""
-
-
 class ZeroNormError(QschroError):
     """A test function with zero L2 norm cannot be normalized."""
 

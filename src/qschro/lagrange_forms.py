@@ -4,6 +4,8 @@ The bracket [u, v](x) = u * conj(v_adj_quasi_deriv) - u_quasi_deriv * conj(v)
 plays the role of the Wronskian: its increment over a window equals the
 defect between the two integrals of the Green-type identity, and it is
 constant along solution pairs whose spectral parameters are conjugate.
+u belongs to the expression of a field c and v to that of ``c.adjoint``;
+a trajectory says which by its field, which is checked by identity.
 Both integrals of the identity go through ``propagate.pair_integral``,
 whichever mix of trajectories and piecewise polynomials the data is, and
 brackets along a trajectory come from its array evaluator.  The
@@ -25,9 +27,9 @@ import numpy as np
 from .coeffs import (
     CoefficientField, PiecewisePoly, _dense, _derivative_rows, _gauss_legendre, _panels, _stack, _stacked_support,
 )
-from .errors import OverflowUnrecoverableError, SideMismatchError, UnsupportedTestFunctionError, ZeroNormError
+from .errors import OverflowUnrecoverableError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, _panel_values, pair_integral
-from .quasi import ADJOINT, DIRECT, QuasiState, _apply_stacked, _on_field_mesh, _stack_jumps, apply_l_atoms, assemble
+from .quasi import QuasiState, _apply_stacked, _on_field_mesh, _stack_jumps, apply_l_atoms
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
@@ -55,11 +57,8 @@ class Sector:
 
 def bracket(u: QuasiState, v: QuasiState) -> tuple[complex, float]:
     """(mantissa, logscale) of [u, v] at a common point, as ``pair_integral``
-    gives an integral; u direct-side, v adjoint-side."""
-    if u.side != DIRECT or v.side != ADJOINT:
-        raise SideMismatchError(
-            f"bracket needs (direct, adjoint) states, got ({u.side}, {v.side})"
-        )
+    gives an integral: u a state of the expression of a field, v one of its
+    adjoint's."""
     if abs(u.x - v.x) > 1e-12 * (1.0 + abs(u.x)):
         raise ValueError(f"states live at different points: {u.x} vs {v.x}")
     val = u.y0 * v.y1.conjugate() - u.y1 * v.y0.conjugate()
@@ -71,16 +70,16 @@ def bracket_constancy_residual(
 ) -> float:
     """Sup of |[u,v](x) - [u,v](a)| over the window, scale-normalized.
 
-    Zero (to solver accuracy) whenever u solves the direct equation at
-    lambda and v the adjoint one at conj(lambda).  The scale is the sup of
-    the bracket's term magnitudes |u||v_quasi| + |u_quasi||v|: for growing
-    solution pairs the bracket is a tiny difference of huge products and
-    only that cancellation scale is numerically meaningful.
+    Zero (to solver accuracy) whenever u solves l[u] = lambda u for the
+    expression of its field c and v the adjoint one at conj(lambda).  The
+    scale is the sup of the bracket's term magnitudes |u||v_quasi| +
+    |u_quasi||v|: for growing solution pairs the bracket is a tiny
+    difference of huge products and only that cancellation scale is
+    numerically meaningful.  A v of any field but ``u.field.adjoint``
+    raises ValueError.
     """
-    if u.system.side != DIRECT or v.system.side != ADJOINT:
-        raise SideMismatchError(
-            f"bracket needs (direct, adjoint) states, got ({u.system.side}, {v.system.side})"
-        )
+    if v.field is not u.field.adjoint:
+        raise ValueError("v must be a trajectory of u.field.adjoint")
     xs = np.linspace(float(window[0]), float(window[1]), samples)
     yu, lu = u.sample(xs)
     yv, lv = v.sample(xs)
@@ -95,27 +94,32 @@ def bracket_constancy_residual(
     return float(np.max(np.abs(z - z[0]))) / scale
 
 
-def _applied(c: CoefficientField, f, side: str, window):
-    """(mu, g, atoms) with l[f] = mu * g + sum of atoms on the given side.
+def _applied(c: CoefficientField, name: str, f, window):
+    """(mu, g, atoms) with l[f] = mu * g + sum of atoms, l the expression
+    of c, which ``name`` names.
 
-    A trajectory solves the equation, so l[f] = lambda * f; a
-    PiecewisePoly gets the expression applied exactly.
+    A trajectory solves the equation, so l[f] = lambda * f, and one of
+    another field raises ValueError; a PiecewisePoly gets the expression
+    applied exactly.
     """
     if isinstance(f, Trajectory):
-        if f.system.side != side:
-            raise SideMismatchError(f"expected a {side}-side trajectory, got {f.system.side}")
-        return f.system.lam, f, {}
+        if f.field is not c:
+            raise ValueError(f"expected a trajectory of {name}, got one of another field")
+        return f.lam, f, {}
     if isinstance(f, PiecewisePoly):
-        expr, atoms = apply_l_atoms(c, side, f, window)
+        expr, atoms = apply_l_atoms(c, f, window)
         return 1.0, expr, atoms
     raise TypeError(f"expected Trajectory or PiecewisePoly, got {type(f)!r}")
 
 
-def _state(c: CoefficientField, f, side: str, x: float, inner: str) -> QuasiState:
-    """One-sided state of Trajectory or PiecewisePoly data at x."""
+def _state(c: CoefficientField, f):
+    """The one-sided state (x, "left" or "right") -> QuasiState of Trajectory or
+    PiecewisePoly data of the expression of c; a polynomial's
+    u^[1] = u' - G1 u is formed once."""
     if isinstance(f, Trajectory):
-        return f.state_at(x, inner)
-    return QuasiState(x, f.eval(x, inner), (f.derivative() - assemble(c, side).a11 * f).eval(x, inner), side)
+        return f.state_at
+    d = f.derivative() - c.G1 * f
+    return lambda x, inner: QuasiState(x, f.eval(x, inner), d.eval(x, inner))
 
 
 def lagrange_residual(
@@ -127,16 +131,18 @@ def lagrange_residual(
     """Defect of the integral identity over a window, scale-normalized.
 
     Computes |int l[u] conj(v) - int u conj(l_adj[v]) - ([u,v](b) - [u,v](a))|
-    relative to 1 + the magnitudes of the four terms.  u is direct-side
-    data (Trajectory of the direct system, or a PiecewisePoly to which the
-    expression is applied exactly); v is the adjoint-side counterpart.
+    relative to 1 + the magnitudes of the four terms.  u is data of the
+    expression of c (a Trajectory of c, or a PiecewisePoly to which the
+    expression is applied exactly); v is that of ``c.adjoint``.  A
+    trajectory of any other field raises ValueError.
     Both integrals go through pair_integral; for two trajectories they
     share one integral, scaled by u's lambda and by the conjugate of v's.
     Dirac atoms of either expression contribute their point terms.
     """
     a, b = float(window[0]), float(window[1])
-    mu_u, lu, atoms_u = _applied(c, u, DIRECT, (a, b))
-    mu_v, lv, atoms_v = _applied(c, v, ADJOINT, (a, b))
+    mu_u, lu, atoms_u = _applied(c, "c", u, (a, b))
+    mu_v, lv, atoms_v = _applied(c.adjoint, "c.adjoint", v, (a, b))
+    state_u, state_v = _state(c, u), _state(c.adjoint, v)
     i1, L1 = pair_integral(lu, v, a, b)
     i2, L2 = (i1, L1) if lu is u and lv is v else pair_integral(u, lv, a, b)
     terms1 = [(mu_u * i1, L1)]
@@ -144,15 +150,15 @@ def lagrange_residual(
     # atom contributions: int w*delta_p * conj(v) = w * conj(v(p))
     for p, w in atoms_u.items():
         if a <= p <= b:
-            sv = _state(c, v, ADJOINT, p, "right")
+            sv = state_v(p, "right")
             terms1.append((w * sv.y0.conjugate(), sv.logscale))
     for p, w in atoms_v.items():
         if a <= p <= b:
-            su = _state(c, u, DIRECT, p, "right")
+            su = state_u(p, "right")
             terms2.append((su.y0 * w.conjugate(), su.logscale))
 
-    bra = bracket(_state(c, u, DIRECT, a, "right"), _state(c, v, ADJOINT, a, "right"))
-    brb = bracket(_state(c, u, DIRECT, b, "left"), _state(c, v, ADJOINT, b, "left"))
+    bra = bracket(state_u(a, "right"), state_v(a, "right"))
+    brb = bracket(state_u(b, "left"), state_v(b, "left"))
 
     groups = (terms1, terms2, [brb], [bra])
     L = max(ls for g in groups for _, ls in g)
@@ -185,7 +191,7 @@ def form_vs_operator_check(
             raise UnsupportedTestFunctionError(f"test function supported on [{lo}, {hi}], outside [{a}, {b}]")
     kinetic, coupling, potential, _ = (col.tolist() for col in sample_forms(c, family))
     on, dfs = _on_field_mesh(c, family)
-    applied = _apply_stacked([assemble(c, DIRECT)] * len(family), on, dfs, (a, b))
+    applied = _apply_stacked([c] * len(family), on, dfs, (a, b))
     out = []
     for u, v, kin, cpl, pot, (expr, atoms) in zip(family, on, kinetic, coupling, potential, applied):
         t = kin + cpl + pot

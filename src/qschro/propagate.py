@@ -5,17 +5,19 @@ mesh node; the state (y0, y1) passes through them unchanged, which is
 exactly the absolute continuity the quasi-derivative buys.  States growing
 past 1e100 are renormalized and the exponent ledger travels with them.
 
-A shot (``spectral.characteristic``) and ``integrate`` walk the segments
-the same way (``_walk``), from one lambda-free plan per field and
-interval (``_plan``): the segments, each with its rows and, on a constant
+Every walk takes the field whose expression it solves: ``c`` for l and
+``c.adjoint`` for the Lagrange adjoint l+.  A shot
+(``spectral.characteristic``) and ``integrate`` walk the segments the
+same way (``_walk``), from one lambda-free plan per field and interval
+(``_plan``): the segments, each with its rows and, on a constant
 segment, the invariants of its exponential, the step floor, and whether
 every row is real.  A plan holds one row set: Python floats when every
-row is real, else Python complex.  It is built on the first walk and kept
-with the field (``CoefficientField.plans``, at most _PLANS intervals; the
-adjoint side's with ``CoefficientField.adjoint``), so a shot only
-subtracts lambda from each segment's a21 constant and steps;
-``spectral.characteristic`` walks the plan from a plain (y0, y1,
-logscale) start, with no system or state around it.  A walk's number type follows from its data: real rows, a real
+row is real, else Python complex.  It is built on the first walk from
+the field's entries and kept with the field (``CoefficientField.plans``,
+at most _PLANS intervals), so a shot only subtracts lambda from each
+segment's a21 constant and steps; ``spectral.characteristic`` walks the
+plan from a plain (y0, y1, logscale) start, with no state around it.
+A walk's number type follows from its data: real rows, a real
 lambda and a real start walk in Python floats, anything else in Python
 complex, the same rows either way, so a walk is all-float or
 all-complex.  A float walk has the bits of the real parts of the complex
@@ -47,8 +49,8 @@ state on it.  The rows of a segment are built in one array pass at its
 end, from the start states of its sub-steps (``_exact_rows``) or from the
 series of its Taylor steps (``_taylor_rows``); a dense walk sums a Taylor
 series at the step end only and keeps no log sup.
-A plan reads each segment's rows from the system's entries when it is
-built (``_build_plan``), once per field, side and interval.
+A plan reads each segment's rows from the field's entries when it is
+built (``_build_plan``), once per field and interval.
 
 A trajectory stores its rows as one structured array sorted by position
 (fields ``x0``, ``h``, ``coef`` and ``logscale``) and their spans as one
@@ -80,9 +82,9 @@ from functools import lru_cache
 import numpy as np
 
 from .config import MAX_WALK_STEPS, MIN_STEP_FRACTION, RESCALE_THRESHOLD
-from .coeffs import PiecewisePoly, _dense, _gauss_legendre, _panels as _cut, _recentred, _trimmed, _value
-from .errors import OverflowUnrecoverableError, SideMismatchError, StepBudgetError, StepUnderflowError
-from .quasi import QuasiState, ShinZettlSystem
+from .coeffs import CoefficientField, PiecewisePoly, _dense, _gauss_legendre, _panels as _cut, _recentred, _trimmed, _value
+from .errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
+from .quasi import QuasiState
 
 
 def _step_dtype(width: int) -> np.dtype:
@@ -94,7 +96,8 @@ def _step_dtype(width: int) -> np.dtype:
 
 @dataclass
 class Trajectory:
-    """Dense-output solution of one system over an interval.
+    """Dense-output solution of the expression of ``field`` minus ``lam``
+    over an interval.
 
     ``steps`` is an array of ``_step_dtype`` rows sorted by position; the
     true solution on a row is its Taylor polynomial times exp(logscale).
@@ -107,7 +110,8 @@ class Trajectory:
     trajectory is looked up as a ``PiecewisePoly`` is (``_region``).
     """
 
-    system: ShinZettlSystem
+    field: CoefficientField
+    lam: complex
     a: float
     b: float
     steps: np.ndarray
@@ -151,7 +155,7 @@ class Trajectory:
     def state_at(self, x: float, side: str = "right") -> QuasiState:
         """The state at x with its logscale; at a knot, that of the row on ``side`` of x."""
         y, ls = self.sample([x], side)
-        return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), self.system.side, float(ls[0]))
+        return QuasiState(x, complex(y[0, 0]), complex(y[0, 1]), float(ls[0]))
 
     def to_piecewise(self, lo: float, hi: float) -> PiecewisePoly:
         """Re-fit the dense output's y0 on [lo, hi] as a PiecewisePoly (absolute scale).
@@ -185,23 +189,22 @@ class Trajectory:
         return PiecewisePoly._from_local(ends[:-1], centers, sub * scale[:, None])
 
 
-def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
-    """Propagate a state to ``to`` with dense output, breakpoints as hard mesh nodes.
+def integrate(c: CoefficientField, lam: complex, start: QuasiState, to: float) -> Trajectory:
+    """Propagate a solution of l[u] = lam u, l the expression of c, from the
+    state ``start`` to ``to`` with dense output, breakpoints as hard mesh nodes.
 
     The walk of a shot (``_walk``), with one row per exact sub-step or
     Taylor step: the Taylor series of the state on it, whose terms past
-    the last column are below rounding.  The rows of a system all have
+    the last column are below rounding.  The rows of a field all have
     _TAYLOR_ORDER + d columns, d the largest degree of its entries, so the
     two halves of a ``fundamental`` pair concatenate.  The state is
     renormalized whenever |Y| exceeds 1e100 and the exponent is recorded
-    per row.  A start state of the other side raises SideMismatchError before
-    the walk, which raises StepUnderflowError and StepBudgetError (``_walk``).
+    per row.  The walk raises StepUnderflowError and StepBudgetError (``_walk``).
     """
-    if y0.side != sys.side:
-        raise SideMismatchError(f"a {y0.side}-side state cannot start a {sys.side}-side walk")
-    plan = _plan(sys.plans, y0.x, to, lambda: sys)
+    lam = complex(lam)
+    plan = _plan(c, start.x, to)
     blocks: list[tuple] = []
-    _walk(plan, sys.lam, (y0.y0, y0.y1, y0.logscale), blocks)
+    _walk(plan, lam, (start.y0, start.y1, start.logscale), blocks)
     steps = np.zeros(sum(len(x0) for x0, *_ in blocks), dtype=_step_dtype(plan[2]))
     i = 0
     for k, (x0, h, coef, ls) in enumerate(blocks):
@@ -215,7 +218,7 @@ def integrate(sys: ShinZettlSystem, y0: QuasiState, to: float) -> Trajectory:
             rows["coef"][:, :coef.shape[1]] = coef
         blocks[k] = None  # its rows are copied: let them go
         i += len(x0)
-    return Trajectory(system=sys, a=min(y0.x, to), b=max(y0.x, to), steps=steps if to > y0.x else steps[::-1])
+    return Trajectory(c, lam, min(start.x, to), max(start.x, to), steps if to > start.x else steps[::-1])
 
 
 def _walk(plan, lam, start, out=None, derivative=False):
@@ -230,7 +233,7 @@ def _walk(plan, lam, start, out=None, derivative=False):
     below the plan's floor, MIN_STEP_FRACTION of the interval, raises
     StepUnderflowError.  Lambda is subtracted from
     the constant term of each segment's a21 row here, which gives the bits
-    of ``sys.a21_0 - sys.lam`` on it (``a21_0`` is a sum, so never -0.0).
+    of ``a21_0 - lam`` on it (``a21_0`` is a sum, so never -0.0).
     The walk's type follows from its data: a real plan, a lambda and a
     start whose imaginary parts are zero (of either sign) walk in Python
     floats, with Z starting at 0.0; any other walk converts lambda and the
@@ -266,33 +269,32 @@ _PLANS = 8
 _ROWS_CHUNK = 4096
 
 
-def _plan(plans, x_from, to, system):
-    """The lambda-free shot plan from x_from to ``to`` in ``plans``: its
+def _plan(c, x_from, to):
+    """The lambda-free shot plan of the field c from x_from to ``to``: its
     segments, the step floor and the width of its dense rows.
 
-    ``plans`` is the dict of one field (``CoefficientField.plans``, which
-    is ``ShinZettlSystem.plans``; the adjoint side's is that of
-    ``CoefficientField.adjoint``), holding the last _PLANS intervals shot.
-    On a miss the plan is built from ``system()``, a ShinZettlSystem over
-    that field's entries, and kept there, so a shot on a known interval builds
-    no system.  -0.0 and 0.0 are one key of a dict, so an end at zero also
-    keys its sign: a segment starts its rows at its own bits.
+    Plans are kept in ``c.plans``, the last _PLANS intervals shot; on a
+    miss the plan is built from the field's entries (``_build_plan``) and
+    kept there, so a shot on a known interval reads no entry.  -0.0 and
+    0.0 are one key of a dict, so an end at zero also keys its sign: a
+    segment starts its rows at its own bits.
     """
+    plans = c.plans
     key = (x_from, to) if x_from and to else (x_from, to, math.copysign(1.0, x_from), math.copysign(1.0, to))
     plan = plans.get(key)
     if plan is None:
-        plan = _build_plan(system(), x_from, to)
+        plan = _build_plan(c, x_from, to)
         if len(plans) >= _PLANS:
             del plans[next(iter(plans))]
         plans[key] = plan
     return plan
 
 
-def _build_plan(sys, x_from, to):
-    """(segments, step floor, row width, real) of a walk of ``sys`` from
+def _build_plan(c, x_from, to):
+    """(segments, step floor, row width, real) of a walk of the field c from
     x_from to ``to``: one row set, built once.  A segment is (start, end,
     rows, consts).  Its rows are those of the entries (a11, a21_0, a22) of
-    the system: each one's (center, ascending coefficients without
+    the field: each one's (center, ascending coefficients without
     trailing zeros) at the midpoint of the segment's region of the field,
     or at -inf and +inf in the tails.  ``real`` says that no coefficient
     of the plan has an imaginary part (zeros of either sign are none);
@@ -309,12 +311,12 @@ def _build_plan(sys, x_from, to):
     lo, hi = min(x_from, to), max(x_from, to)
     if not hi - lo < math.inf:
         raise ValueError(f"integration interval from {x_from!r} to {to!r} has a length that is not finite")
-    pts = sys.field_data.breakpoints.tolist()
+    pts = c.breakpoints.tolist()
     nodes = [x_from, *sorted((t for t in pts if lo < t < hi), reverse=to < x_from), to]
     ends = list(zip(nodes[:-1], nodes[1:]))
     reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(pts, pts[1:])), math.inf] if pts else [0.0]
     at = [reps[bisect_right(pts, 0.5 * (a + b))] for a, b in ends]
-    entries, per_entry = (sys.a11, sys.a21_0, sys.a22), []
+    entries, per_entry = c.entries, []
     for f in entries:  # a few short rows: lists, where one numpy call costs more than their arithmetic
         own, centers, rows = f.breakpoints.tolist(), f.centers.tolist(), f.coeffs.tolist()
         per_entry.append([(centers[i], tuple(_trimmed(rows[i]))) for i in (bisect_right(own, x) for x in at)])
@@ -696,17 +698,17 @@ def _taylor_rows(steps, width):
     return x0, h, coef.transpose(0, 2, 1), ls
 
 
-def fundamental(sys: ShinZettlSystem, x0: float, window: tuple[float, float]) -> tuple[Trajectory, Trajectory]:
-    """The canonical pair (y1, y2) with initial states (1, 0) and (0, 1) at x0,
-    each covering the window in both directions from x0."""
+def fundamental(c: CoefficientField, lam: complex, x0: float, window: tuple[float, float]) -> tuple[Trajectory, Trajectory]:
+    """The canonical pair (y1, y2) of l[u] = lam u, l the expression of c, with
+    initial states (1, 0) and (0, 1) at x0, each covering the window in both
+    directions from x0."""
     a, b = float(window[0]), float(window[1])
     if not (a <= x0 <= b):
         raise ValueError("anchor must lie inside the window")
     trajs = []
     for init in ((1.0, 0.0), (0.0, 1.0)):
-        state = QuasiState(x=x0, y0=init[0], y1=init[1], side=sys.side)
-        steps = [integrate(sys, state, end).steps for end in (a, b) if end != x0]
-        trajs.append(Trajectory(system=sys, a=a, b=b, steps=np.concatenate(steps)))
+        steps = [integrate(c, lam, QuasiState(x0, *init), end).steps for end in (a, b) if end != x0]
+        trajs.append(Trajectory(c, complex(lam), a, b, np.concatenate(steps)))
     return trajs[0], trajs[1]
 
 

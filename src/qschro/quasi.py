@@ -1,19 +1,20 @@
-"""Shin-Zettl first-order systems and quasi-derivative evaluation.
+"""Quasi-derivative states and the application of the expression.
 
 In quasi-derivative coordinates the second-order expression with
 distributional coefficients becomes a first-order linear system whose
-matrix is locally integrable; the continuous state is (u, u') with the
-derivative replaced by u' - G1*u.  The Lagrange adjoint of l[s, Q, r] is
-l[conj s, conj Q, conj r], so the adjoint side is the direct matrix of the
-conjugate field ``CoefficientField.adjoint``; ``assemble``'s matrix is the
-one representation of the expression.  ``_apply_rows`` applies
-it through one quasi-derivative ladder with one jump rule and finds its atoms;
-``lagrange_forms._state`` forms a polynomial's u^[1] by the operators instead.
+matrix (``CoefficientField.entries``) is locally integrable; the
+continuous state is (u, u') with the derivative replaced by u' - G1*u.
+A field is the one name of its expression: the Lagrange adjoint of
+l[s, Q, r] is l[conj s, conj Q, conj r], the expression of the conjugate
+field ``CoefficientField.adjoint``, so every application takes the field
+whose expression it applies.  ``_apply_rows`` applies it through one
+quasi-derivative ladder with one jump rule and finds its atoms;
+``lagrange_forms`` forms a polynomial's u^[1] by the operators instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +24,6 @@ from .coeffs import (
 from .config import JUMP_TOL
 from .errors import DiscontinuousQuasiDerivativeError, NonRealError
 
-DIRECT = "direct"
-ADJOINT = "adjoint"
-
-
-def _check_side(side: str) -> str:
-    if side not in (DIRECT, ADJOINT):
-        raise ValueError(f"side must be 'direct' or 'adjoint', got {side!r}")
-    return side
-
 
 @dataclass(frozen=True)
 class QuasiState:
@@ -39,47 +31,14 @@ class QuasiState:
 
     The pair is continuous across coefficient jumps; ``logscale`` is the
     accumulated rescaling exponent, the true state is (y0, y1) * exp(logscale).
+    Plain numbers: which expression the state belongs to is the field of
+    the walk it starts or comes from.
     """
 
     x: float
     y0: complex
     y1: complex
-    side: str = DIRECT
     logscale: float = 0.0
-
-    def __post_init__(self):
-        _check_side(self.side)
-
-
-@dataclass(frozen=True)
-class ShinZettlSystem:
-    """The 2x2 system matrix A(x; lambda), entries as piecewise polynomials.
-
-    [[G1, 1], [-G1*G2 + s - lambda, -G2]] of the field, or on the adjoint
-    side of the conjugate field ``field_data.adjoint``, whose G1 is conj G2:
-    its solutions carry y1 = v' - conj(G2) v.  The spectral shift enters
-    entry (2,1) only, stored at lambda = 0 as ``a21_0``.  ``plans`` is that
-    field's dict of lambda-free shot plans (``propagate._plan``), which
-    read their rows from these entries; a system built with entries of its
-    own takes a dict of its own, so that it never shares a field's plans.
-    """
-
-    field_data: CoefficientField
-    side: str
-    lam: complex
-    a11: PiecewisePoly = field(repr=False)
-    a21_0: PiecewisePoly = field(repr=False)
-    a22: PiecewisePoly = field(repr=False)
-    plans: dict = field(repr=False, compare=False)
-
-
-def assemble(c: CoefficientField, side: str = DIRECT, lam: complex = 0.0) -> ShinZettlSystem:
-    """The Shin-Zettl matrix for l - lambda, or for the adjoint expression
-    minus lambda: the matrix of the conjugate field ``c.adjoint``.  Its
-    lambda-free entries and the shot plans over them are built once per
-    field."""
-    f = c if _check_side(side) == DIRECT else c.adjoint
-    return ShinZettlSystem(c, side, complex(lam), *f.entries, f.plans)
 
 
 def _stack_jumps(stack, window: tuple[float, float]) -> list[dict[float, complex]]:
@@ -145,13 +104,13 @@ def _times(p: np.ndarray, wp: np.ndarray, q: np.ndarray, wq: np.ndarray, first: 
     return out
 
 
-def _apply_rows(systems, fs, dfs, window) -> tuple:
+def _apply_rows(fields, fs, dfs, window) -> tuple:
     """The rows of l[f] = -(u^[1]' - a22 u^[1] - a21_0 f), u^[1] = f' - a11 f,
-    and its Dirac atoms on the window, for each (system, f, f') triple, in
+    and its Dirac atoms on the window, for each (field, f, f') triple, in
     one pass over stacked rows.
 
-    f and f' lie on one mesh with canonical centers, f's, and each system's
-    entries are re-centred on it, once per (system, mesh) pair; the
+    f and f' lie on one mesh with canonical centers, f's, and each field's
+    entries are re-centred on it, once per (field, mesh) pair; the
     products, sums and derivatives are those of the ``PiecewisePoly``
     operators, with their bits.  An atom at a jump h of u^[1] has weight -h
     (``_stack_jumps``).  Returns (``first`` of the f stacked by
@@ -160,9 +119,9 @@ def _apply_rows(systems, fs, dfs, window) -> tuple:
     stack = _stack(fs)
     F, first, wf = stack[2:]
     DF = _stack(dfs)[2]
-    keys = [(id(A), f.breakpoints.tobytes()) for A, f in zip(systems, fs)]
-    pairs = dict(zip(keys, zip(systems, fs)))  # one (system, f) per (system, mesh)
-    on = {k: [e._on_mesh(f.breakpoints) for e in (A.a11, A.a21_0, A.a22)] for k, (A, f) in pairs.items()}
+    keys = [(id(c), f.breakpoints.tobytes()) for c, f in zip(fields, fs)]
+    pairs = dict(zip(keys, zip(fields, fs)))  # one (field, f) per (field, mesh)
+    on = {k: [e._on_mesh(f.breakpoints) for e in c.entries] for k, (c, f) in pairs.items()}
     A11, A21, A22 = (_stack(column)[2::2] for column in zip(*map(on.get, keys)))
     U1 = _sum_rows(DF, _times(*A11, F, wf, first), np.subtract)
     t = _sum_rows(_derivative_rows(U1), _times(*A22, U1, _widths(U1, first), first), np.subtract)
@@ -171,9 +130,9 @@ def _apply_rows(systems, fs, dfs, window) -> tuple:
     return first, L, _widths(L, first), atoms
 
 
-def _apply_stacked(systems, fs, dfs, window) -> list:
-    """(l[f], atoms) of each (system, f, f') triple, as ``apply_l_atoms`` returns them."""
-    first, L, wl, atoms = _apply_rows(systems, fs, dfs, window)
+def _apply_stacked(fields, fs, dfs, window) -> list:
+    """(l[f], atoms) of each (field, f, f') triple, as ``apply_l_atoms`` returns them."""
+    first, L, wl, atoms = _apply_rows(fields, fs, dfs, window)
     first = first.tolist()
     return [(_poly(f.breakpoints, f.centers, L[i:j, :w], True), a)
             for f, i, j, w, a in zip(fs, first, first[1:], wl.tolist(), atoms)]
@@ -187,21 +146,22 @@ def _on_field_mesh(c: CoefficientField, fs) -> tuple[list, list]:
     return on, [f.derivative()._on_mesh(g.breakpoints) for f, g in zip(fs, on)]
 
 
-def apply_l_atoms(c: CoefficientField, side: str, u: PiecewisePoly, window: tuple[float, float]):
-    """Apply the expression, keeping Dirac atoms explicit.
+def apply_l_atoms(c: CoefficientField, u: PiecewisePoly, window: tuple[float, float]):
+    """Apply the expression of the field c, keeping Dirac atoms explicit;
+    the adjoint expression is that of ``c.adjoint``.
 
-    Returns (f, atoms): f is the absolutely continuous part of l[u] (or
-    the adjoint expression) on the window, atoms maps a location b to the
-    weight w of w*delta_b coming from a jump of the first quasi-derivative
-    there (w = -jump).  For u in the local domain the atom dict is empty.
+    Returns (f, atoms): f is the absolutely continuous part of l[u] on the
+    window, atoms maps a location b to the weight w of w*delta_b coming
+    from a jump of the first quasi-derivative there (w = -jump).  For u in
+    the local domain the atom dict is empty.
 
-    From the system at 0: u^[1] = u' - a11 u and
+    From the entries at 0: u^[1] = u' - a11 u and
     l[u] = -(u^[1]' - a22 u^[1] - a21 u), formed on the union of u's mesh
     and the field's (``_on_field_mesh``).  Raises
     DiscontinuousQuasiDerivativeError where u itself jumps.
     """
     _screen([u], window)
-    return _apply_stacked([assemble(c, side)], *_on_field_mesh(c, [u]), window)[0]
+    return _apply_stacked([c], *_on_field_mesh(c, [u]), window)[0]
 
 
 def product_rule_check(
@@ -209,22 +169,24 @@ def product_rule_check(
     phi: PiecewisePoly,
     u: PiecewisePoly,
     window: tuple[float, float],
-) -> dict[str, float]:
-    """Residual of the cut-off product rule on each side, sup-sampled on the window.
+) -> tuple[float, float]:
+    """Residual of the cut-off product rule for the expressions of c and of
+    ``c.adjoint``, sup-sampled on the window.
 
     Checks l[phi*u] against phi*l[u] - phi''*u - 2*phi'*u' + (g1-g2)*phi'*u,
-    with g1 - g2 = a11 + a22 of the side; a side's residual is the
+    with g1 - g2 = a11 + a22 of the field; a field's residual is the
     sup-norm of the difference over 200 sample points, normalized by 1 +
-    the sup of both sides.  Dirac atoms produced by jumps of u^[1] agree
-    on both sides and cancel; the comparison is between the absolutely
-    continuous parts.  Returns ``{DIRECT: residual, ADJOINT: residual}``.
+    the larger sup of l[phi*u] and of the right-hand expression.  Dirac
+    atoms produced by jumps of u^[1] agree in both and cancel; the
+    comparison is between the absolutely continuous parts.  Returns the
+    residuals of (c, c.adjoint).
 
     phi and u are re-centred once, on the union of their meshes and the
     field's, and both are screened for jumps (``apply_l_atoms``) once, in
     that order.  Everything after is formed on that one mesh in stacked
     rows, with the bits of the ``PiecewisePoly`` operators: the four
-    applications l[phi u] and l[u] of both sides in one pass
-    (``_apply_rows``), then both sides' right-hand sides and differences,
+    applications l[phi u] and l[u] of both fields in one pass
+    (``_apply_rows``), then both fields' right-hand expressions and differences,
     and the six sampled expressions in one batched Horner pass on one grid,
     where a point on a breakpoint reads the same region in all six.
     """
@@ -242,16 +204,16 @@ def product_rule_check(
     phi_u, dphi_u, ddphi_u = phi * u, dphi * u, ddphi * u
     dphi_du = dphi * du
     _screen([phi_u, u], window)
-    systems = [assemble(c, side) for side in (DIRECT, ADJOINT)]
-    _, L, wl, atoms = _apply_rows([A for A in systems for _ in range(2)], [phi_u, u] * 2,
-                                  [phi_u.derivative(), du] * 2, window)  # l[phi u] and l[u], each side
-    # the right-hand sides phi l[u] - phi'' u - 2 phi' u' + (a11 + a22) phi' u
-    # and the differences of both sides, the direct side's rows first
+    fields = (c, c.adjoint)
+    _, L, wl, atoms = _apply_rows([f for f in fields for _ in range(2)], [phi_u, u] * 2,
+                                  [phi_u.derivative(), du] * 2, window)  # l[phi u] and l[u], each field
+    # the right-hand expressions phi l[u] - phi'' u - 2 phi' u' + (a11 + a22) phi' u
+    # and the differences of both fields, c's rows first
     n = len(phi.coeffs)
     pairs = np.array([0, n, 2 * n])
     phi2, ddphi_u2, dphi_du2, dphi_u2 = (np.concatenate([f.coeffs, f.coeffs]) for f in (phi, ddphi_u, dphi_du, dphi_u))
     lu = np.concatenate([L[n : 2 * n], L[3 * n :]])
-    sums = _stack([(A.a11 + A.a22)._on_mesh(phi.breakpoints) for A in systems])[2::2]
+    sums = _stack([(f.entries[0] + f.entries[2])._on_mesh(phi.breakpoints) for f in fields])[2::2]
     rhs = _sum_rows(
         _sum_rows(_sum_rows(_times(phi2, np.full(2, phi2.shape[1]), lu, wl[1::2], pairs), ddphi_u2, np.subtract),
                   dphi_du2 * complex(2.0), np.subtract),
@@ -266,8 +228,8 @@ def product_rule_check(
     for k, (e, at) in enumerate(exprs):
         rows[k * len(xs) : (k + 1) * len(xs), : e.shape[1]] = e[at + i]
     values = np.abs(_dense(rows, np.tile(xs - phi.centers[i], len(exprs)))).reshape(len(exprs), -1)
-    out = {}
-    for s, side in enumerate((DIRECT, ADJOINT)):
+    out = []
+    for s in range(2):
         sup_lhs, sup_rhs, sup_diff = (np.max(v) for v in values[3 * s : 3 * s + 3])
         sup_mag = max(sup_lhs, sup_rhs, 1.0)
         lhs_atoms, lu_atoms = atoms[2 * s : 2 * s + 2]
@@ -276,5 +238,5 @@ def product_rule_check(
             want = phi.eval(loc) * lu_atoms.get(loc, 0.0)
             got = lhs_atoms.get(loc, 0.0)
             atom_err = max(atom_err, abs(got - want) / (1.0 + abs(want)))
-        out[side] = max(sup_diff / sup_mag, atom_err)
-    return out
+        out.append(max(sup_diff / sup_mag, atom_err))
+    return tuple(out)

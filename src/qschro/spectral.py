@@ -5,21 +5,24 @@ on the unique (up to scale) solution satisfying the left condition; its
 zeros are the eigenvalues of the restriction with separated quasi-boundary
 conditions.  Because solutions can traverse many orders of magnitude, D
 only vanishes *relative to the cancellation scale of the shot*, and every
-acceptance test is phrased that way.  Every shot is one ``characteristic``
-call: the walk (``propagate._walk``) of the field side's lambda-free plan
-for the interval from the left condition's state, and the CharValue of
-its end; it builds a system only when it plans a new interval.  A shot
-takes the steps of ``propagate.integrate``, so it is accurate to
-rounding and has no tolerance.  A shot may also carry the exact D'(lambda), from Z =
+acceptance test is phrased that way.  The spectrum of the adjoint
+expression is that of the conjugate field ``c.adjoint``, so every
+function here takes the field whose expression it solves.  Every shot is
+one ``characteristic`` call: the walk (``propagate._walk``) of the
+field's lambda-free plan for the interval from the left condition's
+state, and the CharValue of its end; it reads the field's entries only
+when it plans a new interval.  A shot takes the steps of
+``propagate.integrate``, so it is accurate to rounding and has no
+tolerance.  A shot may also carry the exact D'(lambda), from Z =
 dY/dlambda along the same steps (Pryce, Numerical Solution of
 Sturm-Liouville Problems, 1993): it drives the Newton refinement of every
 root, bracketed for scan roots, and gives each its noise floor, the
 residual that rounding lambda alone can leave.
 
-The probe integrates the adjoint equation's fundamental pair over growing
-symmetric windows and tracks the smallest eigenvalue N(T) of their L2
-Gram matrix, by Gauss-Legendre sums that are exact for the pair's Taylor
-rows.  Unbounded N(T) means no normalized combination stays
+The probe integrates the fundamental pair of the adjoint equation, that
+of ``c.adjoint`` at conj(lambda), over growing symmetric windows and
+tracks the smallest eigenvalue N(T) of their L2 Gram matrix, by
+Gauss-Legendre sums that are exact for the pair's Taylor rows.  Unbounded N(T) means no normalized combination stays
 square-integrable: desk-scale evidence that the adjoint null space is
 trivial, which is what the uniqueness theorems assert under their
 hypotheses.
@@ -38,7 +41,6 @@ from . import config
 from .coeffs import CoefficientField
 from .errors import OverflowUnrecoverableError
 from .propagate import _pair_sums, _plan, _walk, fundamental
-from .quasi import ADJOINT, DIRECT, _check_side, assemble
 
 _EPS = float(np.finfo(float).eps)
 
@@ -143,20 +145,20 @@ def characteristic(
     interval: tuple[float, float],
     bc: BoundaryCondition,
     lam: complex,
-    side: str = DIRECT,
     derivative: bool = False,
 ) -> CharValue:
-    """Shoot from the left condition and evaluate the right one.
+    """Shoot the expression of c minus lam from the left condition and
+    evaluate the right one.
 
-    The shot is the walk (``propagate._walk``) of the field side's plan
-    for the interval (built from ``assemble`` on its first shot only) from
-    the left state (-beta, alpha), with no system or state around it.  It
+    The shot is the walk (``propagate._walk``) of the field's plan for the
+    interval (built from its entries on its first shot only) from the left
+    state (-beta, alpha), with no state around it.  It
     keeps no dense output; ``propagate.integrate`` from that state takes
     the same steps with it.  With ``derivative`` the shot also carries
     dY/dlambda, and ``slope`` is D'(lambda) on the logscale of D.
     """
     a, b = float(interval[0]), float(interval[1])
-    plan = _plan((c if _check_side(side) == DIRECT else c.adjoint).plans, a, b, lambda: assemble(c, side, lam))
+    plan = _plan(c, a, b)
     al, be = bc.left
     y, ls, log_sup = _walk(plan, lam, (-be, al, 0.0), derivative=derivative)
     ar, br = bc.right
@@ -171,9 +173,9 @@ def eigenvalues(
     scan: tuple[float, float] | None = None,
     seeds=(),
     grid: int = 120,
-    side: str = DIRECT,
 ) -> EigenRun:
-    """Locate eigenvalues by real-interval scan or complex Newton seeds.
+    """Locate eigenvalues of the expression of c by real-interval scan or
+    complex Newton seeds.
 
     Scan mode brackets sign changes of Re D on a real grid and refines
     each by Newton steps on Re D/Re D' kept inside the bracket
@@ -194,7 +196,7 @@ def eigenvalues(
     the roots are then sorted by (Re lambda, Im lambda).  The run's shots
     are the nodes shot plus the roots' shots.
     """
-    shoot = partial(characteristic, c, interval, bc, side=side)
+    shoot = partial(characteristic, c, interval, bc)
     results: list[EigenResult] = []
     nodes_shot, refusal = 0, None
     if scan is not None:
@@ -379,9 +381,9 @@ def null_probe(
 ) -> ProbeReport:
     """Growth analysis of the adjoint solution pair: evidence for def = 0.
 
-    Builds the fundamental system of the adjoint equation at conj(lambda)
-    anchored at 0 and computes N(T), the smallest eigenvalue of the 2x2
-    L2(-T, T) Gram matrix.  "grows" (no normalized null combination stays
+    Builds the fundamental pair of the adjoint equation, that of
+    ``c.adjoint`` at conj(lambda), anchored at 0, and computes N(T), the
+    smallest eigenvalue of the 2x2 L2(-T, T) Gram matrix.  "grows" (no normalized null combination stays
     in L2 on the horizon) needs N(Tmax) >= 100 * N(T0) with a monotone
     trend; "bounded" needs a monotone trend that saturates within 1
     percent.  Saturation and sustained growth compare the last window with
@@ -408,8 +410,8 @@ def null_probe(
         raise ValueError("windows must be positive")
     if windows[-1] > tmax:
         raise ValueError("windows exceed tmax")
-    sys = assemble(c, ADJOINT, complex(lam).conjugate())
-    M, scales = _window_grams(fundamental(sys, 0.0, (-tmax, tmax)), windows)
+    pair = fundamental(c.adjoint, complex(lam).conjugate(), 0.0, (-tmax, tmax))
+    M, scales = _window_grams(pair, windows)
     log_N = []
     n_vals = []
     resolved = len(windows)  # the windows below the first unresolved one

@@ -29,7 +29,7 @@ from qschro.lagrange_forms import (
     lagrange_residual,
 )
 from qschro.propagate import integrate
-from qschro.quasi import ADJOINT, DIRECT, QuasiState, assemble, product_rule_check
+from qschro.quasi import QuasiState, product_rule_check
 from qschro.spectral import BoundaryCondition, eigenvalues, null_probe
 
 FREE = CoefficientField.free()
@@ -81,7 +81,7 @@ def test_criterion_02_delta_measure_oracle():
 
     # eigenfunction vs e^{-|x|}, normalized at 0: the dense shot at the
     # root from the left state (-beta, alpha) = (-0.0, 1.0)
-    traj = integrate(assemble(DELTA, DIRECT, good[0].lam), QuasiState(-20.0, -0.0, 1.0), 20.0)
+    traj = integrate(DELTA, good[0].lam, QuasiState(-20.0, -0.0, 1.0), 20.0)
     u0 = traj.state_at(0.0).y0
     sup = max(
         abs(traj.state_at(float(x)).y0 / u0 - math.exp(-abs(float(x))))
@@ -112,12 +112,10 @@ def test_criterion_03_lagrange_identity_suite():
         c = random_corpus_field(rng)
         lam = complex(rng.standard_normal(), rng.standard_normal())
         mu = complex(rng.standard_normal(), rng.standard_normal())
-        u = integrate(assemble(c, DIRECT, lam), QuasiState(-5.0, 1.0, 0.4 + 0.2j, DIRECT), 5.0)
-        v = integrate(assemble(c, ADJOINT, mu), QuasiState(-5.0, 0.8, 0.3j, ADJOINT), 5.0)
+        u = integrate(c, lam, QuasiState(-5.0, 1.0, 0.4 + 0.2j), 5.0)
+        v = integrate(c.adjoint, mu, QuasiState(-5.0, 0.8, 0.3j), 5.0)
         worst_resid = max(worst_resid, lagrange_residual(c, u, v, (-5, 5)))
-        vpair = integrate(
-            assemble(c, ADJOINT, lam.conjugate()), QuasiState(-5.0, 0.8, 0.3j, ADJOINT), 5.0
-        )
+        vpair = integrate(c.adjoint, lam.conjugate(), QuasiState(-5.0, 0.8, 0.3j), 5.0)
         worst_const = max(worst_const, bracket_constancy_residual(u, vpair, (-5, 5)))
     ok = worst_resid <= 1e-8 and worst_const <= 1e-8
     report(3, ok, f"identity residual<={worst_resid:.2e}, constancy<={worst_const:.2e} over 20 random jumpy problems")
@@ -127,7 +125,7 @@ def test_criterion_04_product_rule_suite():
     rng = np.random.default_rng(20240804)
     worst = 0.0
     for k in range(20):
-        side = DIRECT if k % 2 == 0 else ADJOINT
+        adjoint = k % 2  # the residual of c on even k, of c.adjoint on odd
         phi = bump(
             float(rng.uniform(-1.5, 1.5)),
             float(rng.uniform(0.5, 2.0)),
@@ -143,11 +141,9 @@ def test_criterion_04_product_rule_suite():
             # u from a propagated solution: quasi-derivative continuous
             c = random_corpus_field(rng)
             lam = complex(rng.standard_normal(), rng.standard_normal())
-            traj = integrate(
-                assemble(c, side, lam), QuasiState(-5.0, 1.0, 0.2, side), 5.0
-            )
+            traj = integrate(c.adjoint if adjoint else c, lam, QuasiState(-5.0, 1.0, 0.2), 5.0)
             u = traj.to_piecewise(-5, 5)
-        worst = max(worst, product_rule_check(c, phi, u, (-5, 5))[side])
+        worst = max(worst, product_rule_check(c, phi, u, (-5, 5))[adjoint])
     ok = worst <= 1e-9
     report(4, ok, f"product-rule residual<={worst:.2e} over 20 triples, both sides")
 
@@ -171,7 +167,7 @@ def test_criterion_05_form_consistency():
 def test_criterion_06_caccioppoli_identity():
     worst = 0.0
     for c in (FREE, DELTA, DRIFT):
-        v = integrate(assemble(c, ADJOINT, 0.0), QuasiState(-4.0, 1.0, 0.15, ADJOINT), 4.0)
+        v = integrate(c.adjoint, 0.0, QuasiState(-4.0, 1.0, 0.15), 4.0)
         for n in (1, 2):
             worst = max(worst, verify_caccioppoli(c, v, bump(0.0, 2.0 * n, 1.0)))
     ok = worst <= 1e-7
@@ -255,7 +251,7 @@ def test_criterion_09_solver_convergence():
     from scipy.special import airy
 
     xs = np.linspace(0.0, 2.0, 52)[1:]
-    t = integrate(assemble(FREE, DIRECT, -1.0), QuasiState(0.0, 1.0, 1.0, DIRECT), 2.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 2.0)
     y, ls = t.sample(xs)
     err_free = float(np.max(np.abs(y[:, 0] * np.exp(ls) - np.exp(xs)) / np.exp(xs)))
 
@@ -269,7 +265,7 @@ def test_criterion_09_solver_convergence():
     ab = np.linalg.solve(airy_pair(0.0), [0.0, 1.0])
     xs = np.linspace(0.0, math.pi, 52)[1:]
     want = np.array([(airy_pair(x) @ ab)[0] for x in xs])
-    t = integrate(assemble(ix, DIRECT, 2.0), QuasiState(0.0, 0.0, 1.0, DIRECT), math.pi)
+    t = integrate(ix, 2.0, QuasiState(0.0, 0.0, 1.0), math.pi)
     y, ls = t.sample(xs)
     err_ix = float(np.max(np.abs(y[:, 0] * np.exp(ls) - want)) / np.max(np.abs(want)))
     ok = err_free <= 1e-13 and err_ix <= 1e-13

@@ -524,7 +524,7 @@ def test_product_rule_check_re_centres_u_once_and_each_sides_entries_once_per_me
     # phi u and u lie on one mesh, so each side's entries are re-centred on
     # it once, not once per function
     from qschro import coeffs
-    from qschro.quasi import assemble, product_rule_check
+    from qschro.quasi import product_rule_check
 
     c = CoefficientField(
         PiecewisePoly([-0.4, 1.3], [[0.5, 0.2], [1.0, -0.3, 0.1], [0.7]]),
@@ -533,7 +533,7 @@ def test_product_rule_check_re_centres_u_once_and_each_sides_entries_once_per_me
     )
     phi = bump(0.5, 1.0, 0.75)
     u = PiecewisePoly([0.2, 0.9], [[1.0, 2.0, 0.5, 0.3], [0.7, 3.5, 0.5, 0.3], [1.33, 2.8, 0.5, 0.3]])  # kinks only
-    entries = [getattr(assemble(c, side), e) for side in ("direct", "adjoint") for e in ("a11", "a21_0", "a22")]
+    entries = [*c.entries, *c.adjoint.entries]
     moved = []
     recentre = coeffs._recentre
 
@@ -770,13 +770,13 @@ def test_panels_have_the_bits_of_the_unique_cutter_of_propagate():
     from types import SimpleNamespace
 
     from qschro.propagate import _gauss_legendre, _panels, integrate
-    from qschro.quasi import QuasiState, assemble
+    from qschro.quasi import QuasiState
 
     rng = np.random.default_rng(25)
     nodes = _gauss_legendre(3)[0]
     zero = PiecewisePoly.zero()
     field = CoefficientField(PiecewisePoly([0.5], [[0.0], [2.0]]), zero, zero)
-    traj = integrate(assemble(field, "direct", -1.0), QuasiState(-2.0, 1.0, 0.0), 2.0)
+    traj = integrate(field, -1.0, QuasiState(-2.0, 1.0, 0.0), 2.0)
     empty = 0
     for case in range(400):
         a, b = _edges(rng, 2)

@@ -19,7 +19,7 @@ from qschro.conditions import (
 )
 from qschro.errors import BadSchemeError, NonRealError
 from qschro.propagate import integrate
-from qschro.quasi import QuasiState, assemble
+from qschro.quasi import QuasiState
 
 M_ABS = PiecewisePoly([0.0], [[1.0, -1.0], [1.0, 1.0]])  # 1 + |x|
 
@@ -322,19 +322,19 @@ def test_check_intervals_length_bound():
 
 def test_caccioppoli_free_constant():
     free = CoefficientField.free()
-    v = integrate(assemble(free, "adjoint", 0.0), QuasiState(-4.0, 1.0, 0.0, "adjoint"), 4.0)
+    v = integrate(free.adjoint, 0.0, QuasiState(-4.0, 1.0, 0.0), 4.0)
     assert verify_caccioppoli(free, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-9
 
 
 def test_caccioppoli_free_linear():
     free = CoefficientField.free()
-    v = integrate(assemble(free, "adjoint", 0.0), QuasiState(-4.0, -4.0, 1.0, "adjoint"), 4.0)
+    v = integrate(free.adjoint, 0.0, QuasiState(-4.0, -4.0, 1.0), 4.0)
     assert verify_caccioppoli(free, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-8
 
 
 def test_caccioppoli_delta_well():
     dw = CoefficientField.delta_well(-2.0)
-    v = integrate(assemble(dw, "adjoint", 0.0), QuasiState(-4.0, 1.0, 0.2, "adjoint"), 4.0)
+    v = integrate(dw.adjoint, 0.0, QuasiState(-4.0, 1.0, 0.2), 4.0)
     assert verify_caccioppoli(dw, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-7
 
 
@@ -342,7 +342,7 @@ def test_caccioppoli_linear_drift():
     c = CoefficientField(
         PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0, -1j])
     )
-    v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-4.0, 1.0, 0.1, "adjoint"), 4.0)
+    v = integrate(c.adjoint, 0.0, QuasiState(-4.0, 1.0, 0.1), 4.0)
     assert verify_caccioppoli(c, v, bump(0.0, 2.0 * 2, 1.0)) <= 1e-7
 
 
@@ -352,14 +352,14 @@ def test_caccioppoli_large_solution_at_support_end():
     c = CoefficientField(
         PiecewisePoly.constant(6.0), PiecewisePoly.zero(), PiecewisePoly.zero()
     )
-    v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-5.0, 1.0, 0.1, "adjoint"), 5.0)
+    v = integrate(c.adjoint, 0.0, QuasiState(-5.0, 1.0, 0.1), 5.0)
     assert verify_caccioppoli(c, v, bump(0.0, 2.0 * 4, 1.0)) <= 1e-7
 
 
 def test_caccioppoli_rejects_direct_side():
     free = CoefficientField.free()
-    v = integrate(assemble(free, "direct", 0.0), QuasiState(-4.0, 1.0, 0.0), 4.0)
-    with pytest.raises(ValueError):
+    v = integrate(free, 0.0, QuasiState(-4.0, 1.0, 0.0), 4.0)
+    with pytest.raises(ValueError, match="^the null solution must be a trajectory of c.adjoint$"):
         verify_caccioppoli(free, v, bump(0.0, 2.0 * 2, 1.0))
 
 
@@ -369,7 +369,7 @@ def test_energy_inequality_audit_normalized_instance():
     c = CoefficientField(
         PiecewisePoly.constant(1.0), PiecewisePoly.zero(), PiecewisePoly.zero()
     )
-    v = integrate(assemble(c, "adjoint", 0.0), QuasiState(-4.0, 1.0, 1.0, "adjoint"), 4.0)
+    v = integrate(c.adjoint, 0.0, QuasiState(-4.0, 1.0, 1.0), 4.0)
     for n in (1, 2, 3):
         phi = bump(0.0, 2.0 * n, 1.0)
         lo, hi = phi.support_bounds()

@@ -11,7 +11,6 @@ from qschro.coeffs import CoefficientField, PiecewisePoly, aligned, bump, bumps
 from qschro.errors import (
     DiscontinuousQuasiDerivativeError,
     OverflowUnrecoverableError,
-    SideMismatchError,
     UnsupportedTestFunctionError,
     ZeroNormError,
 )
@@ -25,7 +24,7 @@ from qschro.lagrange_forms import (
     sample_forms,
 )
 from qschro.propagate import _gauss_legendre, _panel_values, integrate
-from qschro.quasi import DIRECT, QuasiState, apply_l_atoms, assemble
+from qschro.quasi import QuasiState, apply_l_atoms
 
 FREE = CoefficientField.free()
 RNG = np.random.default_rng(99)
@@ -57,27 +56,21 @@ def random_jumpy_field(rng, scale=0.6):
 
 
 def test_bracket_constant_against_linear():
-    u = QuasiState(0.5, 1.0, 0.0, "direct")
-    v = QuasiState(0.5, 0.5, 1.0, "adjoint")  # v = x, v^{1} = 1 at x=0.5
+    u = QuasiState(0.5, 1.0, 0.0)
+    v = QuasiState(0.5, 0.5, 1.0)  # v = x, v^{1} = 1 at x=0.5
     assert bracket(u, v) == (pytest.approx(1.0), 0.0)
 
 
 def test_bracket_selfpair_vanishes():
-    u = QuasiState(0.0, 1.0, 0.0, "direct")
-    v = QuasiState(0.0, 1.0, 0.0, "adjoint")
+    u = QuasiState(0.0, 1.0, 0.0)
+    v = QuasiState(0.0, 1.0, 0.0)
     assert bracket(u, v) == (0, 0.0)
-
-
-def test_bracket_side_mismatch():
-    u = QuasiState(0.0, 1.0, 0.0, "direct")
-    with pytest.raises(SideMismatchError):
-        bracket(u, u)
 
 
 def test_bracket_hyperbolic_pair_constant():
     # u = e^x, v = e^{-x}: [u,v](x) = -2 for all x
-    ut = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 3.0)
-    vt = integrate(assemble(FREE, "adjoint", -1.0), QuasiState(0.0, 1.0, -1.0, "adjoint"), 3.0)
+    ut = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 3.0)
+    vt = integrate(FREE.adjoint, -1.0, QuasiState(0.0, 1.0, -1.0), 3.0)
     for x in (0.5, 1.7, 3.0):
         value, logscale = bracket(ut.state_at(x), vt.state_at(x))
         assert value * math.exp(logscale) == pytest.approx(-2.0, rel=1e-8)
@@ -85,8 +78,8 @@ def test_bracket_hyperbolic_pair_constant():
 
 
 def test_lagrange_identity_solutions():
-    ut = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 3.0)
-    vt = integrate(assemble(FREE, "adjoint", -1.0), QuasiState(0.0, 1.0, -1.0, "adjoint"), 3.0)
+    ut = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 3.0)
+    vt = integrate(FREE.adjoint, -1.0, QuasiState(0.0, 1.0, -1.0), 3.0)
     assert lagrange_residual(FREE, ut, vt, (0.2, 2.7)) <= 1e-9
 
 
@@ -99,8 +92,55 @@ def test_lagrange_identity_nonsolutions_by_hand():
 
 def test_lagrange_identity_with_dirac_masses():
     dw = CoefficientField.delta_well(-2.0)
-    v = integrate(assemble(dw, "adjoint", 0.3 + 0.2j), QuasiState(-1.0, 0.7, 0.1j, "adjoint"), 1.0)
+    v = integrate(dw.adjoint, 0.3 + 0.2j, QuasiState(-1.0, 0.7, 0.1j), 1.0)
     assert lagrange_residual(dw, KINK, v, (-0.9, 0.9)) <= 1e-8
+
+
+def test_a_polynomial_pair_keeps_its_residual_with_one_quasi_derivative_each(monkeypatch):
+    # bumps against the delta well at 0.3: l[u] and the adjoint l+[v] carry
+    # an atom there, and a window that ends on it reads one-sided states.
+    # Each polynomial's u^[1] = u' - G1 u is formed once, however many atoms
+    # and ends read it: one derivative for its application and one for
+    # u^[1], four per residual; the residuals keep their bits
+    dw = CoefficientField.delta_well(-2.0, 0.3)
+    u, v = bump(0.0, 1.0, 1.0), bump(0.4, 1.5, 0.7) * (1 + 0.5j)
+    assert set(apply_l_atoms(dw, u, (-3, 3))[1]) == {0.3} == set(apply_l_atoms(dw.adjoint, v, (-3, 3))[1])
+    derivatives = []
+    derivative = PiecewisePoly.derivative
+    monkeypatch.setattr(PiecewisePoly, "derivative", lambda f: derivatives.append(f) or derivative(f))
+    got = [lagrange_residual(dw, u, v, w) for w in ((-3.0, 3.0), (-1.0, 0.3), (0.3, 2.0), (-0.5, 1.0))]
+    assert len(derivatives) == 4 * 4
+    want = [4.356443014522612e-16, 1.914845223904916e-16, 5.2197556506094823e-17, 1.8146728616851145e-16]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_trajectory_of_another_field_is_refused():
+    # a trajectory's slot is checked by the identity of its field: u of c
+    # and v of c.adjoint.  A delta-well trajectory given with the free field,
+    # or a pair the other way round, is refused, naming the field expected
+    from qschro.conditions import verify_caccioppoli
+
+    dw = CoefficientField.delta_well(-2.0)
+    u = integrate(dw, -1.0, QuasiState(-3.0, 1.0, 1.0), 3.0)
+    v = integrate(dw.adjoint, -1.0, QuasiState(-3.0, 1.0, -1.0), 3.0)
+    free_v = integrate(FREE.adjoint, -1.0, QuasiState(-3.0, 1.0, -1.0), 3.0)
+    null = integrate(dw.adjoint, 0.0, QuasiState(-3.0, 1.0, 0.1), 3.0)
+    phi = bump(0.0, 2.0, 0.5)
+    cases = [
+        ("^expected a trajectory of c, got one of another field$", lambda: lagrange_residual(FREE, u, free_v, (-3, 3))),
+        ("^expected a trajectory of c.adjoint, got one", lambda: lagrange_residual(FREE, ARCH, v, (-3, 3))),
+        ("^expected a trajectory of c.adjoint, got one", lambda: lagrange_residual(dw, u, u, (-3, 3))),
+        ("^expected a trajectory of c, got one", lambda: lagrange_residual(dw, v, v, (-3, 3))),
+        ("^v must be a trajectory of u.field.adjoint$", lambda: bracket_constancy_residual(u, free_v, (-3, 3))),
+        ("^v must be a trajectory of u.field.adjoint$", lambda: bracket_constancy_residual(u, u, (-3, 3))),
+        ("^the null solution must be a trajectory of c.adjoint$", lambda: verify_caccioppoli(FREE, null, phi)),
+    ]
+    for message, call in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert lagrange_residual(dw, u, v, (-3, 3)) <= 1e-8
+    assert bracket_constancy_residual(u, v, (-3, 3)) <= 1e-8
+    assert verify_caccioppoli(dw, null, phi) <= 1e-7
 
 
 def test_lagrange_identity_random_fields():
@@ -108,10 +148,8 @@ def test_lagrange_identity_random_fields():
         c = random_jumpy_field(RNG)
         lam = complex(RNG.standard_normal(), RNG.standard_normal())
         mu = complex(RNG.standard_normal(), RNG.standard_normal())
-        ut = integrate(
-            assemble(c, "direct", lam), QuasiState(-3.0, 1.0, 0.5 + 0.1j), 3.0
-        )
-        vt = integrate(assemble(c, "adjoint", mu), QuasiState(-3.0, 0.3j, 1.0, "adjoint"), 3.0)
+        ut = integrate(c, lam, QuasiState(-3.0, 1.0, 0.5 + 0.1j), 3.0)
+        vt = integrate(c.adjoint, mu, QuasiState(-3.0, 0.3j, 1.0), 3.0)
         assert lagrange_residual(c, ut, vt, (-3, 3)) <= 1e-8
 
 
@@ -119,10 +157,8 @@ def test_bracket_constancy_conjugate_pairs_random():
     for _ in range(4):
         c = random_jumpy_field(RNG)
         lam = complex(RNG.standard_normal(), RNG.standard_normal())
-        ut = integrate(assemble(c, "direct", lam), QuasiState(-3.0, 1.0, 0.2), 3.0)
-        vt = integrate(
-            assemble(c, "adjoint", lam.conjugate()), QuasiState(-3.0, 0.5, 1.0, "adjoint"), 3.0
-        )
+        ut = integrate(c, lam, QuasiState(-3.0, 1.0, 0.2), 3.0)
+        vt = integrate(c.adjoint, lam.conjugate(), QuasiState(-3.0, 0.5, 1.0), 3.0)
         assert bracket_constancy_residual(ut, vt, (-3, 3)) <= 1e-8
 
 
@@ -213,10 +249,10 @@ def test_sample_forms_and_apply_l_atoms_refuse_the_same_tests(h, jumps):
         with pytest.raises(UnsupportedTestFunctionError, match=r"^test function 0 jumps at x=0\.3$"):
             sample_forms(FREE, [u])
         with pytest.raises(DiscontinuousQuasiDerivativeError):
-            apply_l_atoms(FREE, DIRECT, u, (-2.0, 2.0))
+            apply_l_atoms(FREE, u, (-2.0, 2.0))
     else:
         assert sample_forms(FREE, [u])[3][0] > 0
-        apply_l_atoms(FREE, DIRECT, u, (-2.0, 2.0))
+        apply_l_atoms(FREE, u, (-2.0, 2.0))
 
 
 def exact_forms(c, u):

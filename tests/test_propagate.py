@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from qschro.coeffs import CoefficientField, PiecewisePoly, _dense, _value, aligned
-from qschro.errors import OverflowUnrecoverableError, SideMismatchError, StepBudgetError, StepUnderflowError
+from qschro.errors import OverflowUnrecoverableError, StepBudgetError, StepUnderflowError
 from qschro import propagate
 from qschro.propagate import fundamental, integrate, pair_integral
-from qschro.quasi import QuasiState, assemble
+from qschro.quasi import QuasiState
 from qschro.spectral import BoundaryCondition, characteristic
 
 
@@ -25,15 +25,15 @@ FREE = CoefficientField.free()
 BC = BoundaryCondition()
 
 
-def walk_end(sys, start, to, derivative=False):
+def walk_end(c, lam, start, to, derivative=False):
     """(end state, log sup|Y|) at ``to``, and with ``derivative`` dY/dlambda
     there: the walk (``_plan``, ``_walk``) that ``integrate`` takes from
     ``start``, without its rows.  A shot (``characteristic``) is this walk
     from a boundary state at logscale 0."""
-    plan = propagate._plan(sys.plans, start.x, to, lambda: sys)
-    y, ls, sup = propagate._walk(plan, sys.lam, (start.y0, start.y1, start.logscale), derivative=derivative)
-    end = QuasiState(to, y[0], y[1], sys.side, ls)
-    return (end, sup, QuasiState(to, y[2], y[3], sys.side, ls)) if derivative else (end, sup)
+    plan = propagate._plan(c, start.x, to)
+    y, ls, sup = propagate._walk(plan, complex(lam), (start.y0, start.y1, start.logscale), derivative=derivative)
+    end = QuasiState(to, y[0], y[1], ls)
+    return (end, sup, QuasiState(to, y[2], y[3], ls)) if derivative else (end, sup)
 
 
 def _dop853(c, lam, a, b, init, points=65):
@@ -43,13 +43,13 @@ def _dop853(c, lam, a, b, init, points=65):
     output) of each segment)."""
     from scipy.integrate import solve_ivp
 
-    sys = assemble(c, "direct", lam)
-    nodes = [a, *sorted(float(t) for t in sys.field_data.breakpoints if a < t < b), b]
+    nodes = [a, *sorted(float(t) for t in c.breakpoints if a < t < b), b]
+    a11, a21_0, a22 = c.entries
     y = np.array(init, dtype=complex)
     sup, segments = -math.inf, []
     for lo, hi in zip(nodes[:-1], nodes[1:]):
         pieces = []
-        for f in (sys.a11, sys.a21_0 - sys.lam, sys.a22):
+        for f in (a11, a21_0 - complex(lam), a22):
             i = f._region(0.5 * (lo + hi), "right")
             pieces.append((f.coeffs[i], f.centers[i]))
 
@@ -66,21 +66,21 @@ def _dop853(c, lam, a, b, init, points=65):
 
 
 def test_free_linear_solution():
-    t = integrate(assemble(FREE, "direct", 0.0), QuasiState(0.0, 0.0, 1.0), 2.0)
+    t = integrate(FREE, 0.0, QuasiState(0.0, 0.0, 1.0), 2.0)
     s = t.state_at(2.0)
     assert abs(s.y0 - 2.0) <= 1e-9
     assert abs(s.y1 - 1.0) <= 1e-9
 
 
 def test_free_exponential():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 1.0)
     assert abs(t.state_at(1.0).y0 - math.e) <= 1e-8
 
 
 def test_delta_well_bound_state_propagation():
     dw = CoefficientField.delta_well(-2.0)
     y0 = math.exp(-8.0)
-    t = integrate(assemble(dw, "direct", -1.0), QuasiState(-8.0, y0, y0), 8.0)
+    t = integrate(dw, -1.0, QuasiState(-8.0, y0, y0), 8.0)
     s = t.state_at(8.0)
     assert abs(s.y0 - math.exp(-8.0)) / math.exp(-8.0) <= 1e-5
     # u^[1] = u' + 2u = e^{-x} on x > 0
@@ -91,8 +91,7 @@ def test_delta_jump_law():
     # q = c*delta: u' = y1 + G1*y0 jumps by c*u(0); y1 itself is continuous
     c = -2.0
     dw = CoefficientField.delta_well(c)
-    sys = assemble(dw, "direct", -1.0)
-    t = integrate(sys, QuasiState(-3.0, 1.0, 0.3), 3.0)
+    t = integrate(dw, -1.0, QuasiState(-3.0, 1.0, 0.3), 3.0)
     # one dense mesh node sits exactly at 0; evaluate adjacent steps
     y0l, y1l = t.sample([0.0], "left")[0][0]
     y0r, y1r = t.sample([0.0], "right")[0][0]
@@ -104,7 +103,7 @@ def test_delta_jump_law():
 
 
 def test_fundamental_free_lambda0():
-    y1, y2 = fundamental(assemble(FREE, "direct", 0.0), 0.0, (-2.0, 2.0))
+    y1, y2 = fundamental(FREE, 0.0, 0.0, (-2.0, 2.0))
     for x in (-1.5, 0.3, 2.0):
         s1 = y1.state_at(x)
         s2 = y2.state_at(x)
@@ -113,7 +112,7 @@ def test_fundamental_free_lambda0():
 
 
 def test_fundamental_free_hyperbolic():
-    y1, _ = fundamental(assemble(FREE, "direct", -1.0), 0.0, (-1.0, 1.0))
+    y1, _ = fundamental(FREE, -1.0, 0.0, (-1.0, 1.0))
     s = y1.state_at(1.0)
     assert abs(s.y0 - math.cosh(1.0)) <= 1e-9
     assert abs(s.y1 - math.sinh(1.0)) <= 1e-9
@@ -123,7 +122,7 @@ def test_linear_drift_self_convergence():
     # r = -i x: no closed form; compare against scipy's DOP853 at rtol 1e-13
     z = PiecewisePoly.zero()
     c = CoefficientField(z, z, PiecewisePoly.from_coeffs([0.0, -1j]))
-    s = integrate(assemble(c, "direct", 0.0), QuasiState(0.0, 1.0, 0.5j), 3.0).state_at(3.0)
+    s = integrate(c, 0.0, QuasiState(0.0, 1.0, 0.5j), 3.0).state_at(3.0)
     ref, _, _ = _dop853(c, 0.0, 0.0, 3.0, (1.0, 0.5j))
     scale = max(abs(ref[0]), abs(ref[1]), 1.0)
     assert abs(s.y0 * math.exp(s.logscale) - ref[0]) / scale <= 1e-7
@@ -131,7 +130,7 @@ def test_linear_drift_self_convergence():
 
 
 def test_dense_output_matches_knots():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 1.0)
     knots = t.breakpoints
     for va, vb in zip(t.sample(knots, "left")[0], t.sample(knots, "right")[0]):
         assert abs(va[0] - vb[0]) <= 1e-13 * (1 + abs(va[0]))
@@ -144,14 +143,14 @@ def test_breakpoint_transparency():
     refined = CoefficientField(
         z, aligned([PiecewisePoly.constant(0.4)], np.array([0.37]))[0], z
     )
-    s0 = integrate(assemble(base, "direct", -1.0), QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
-    s1 = integrate(assemble(refined, "direct", -1.0), QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
+    s0 = integrate(base, -1.0, QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
+    s1 = integrate(refined, -1.0, QuasiState(0.0, 1.0, 0.0), 1.0).state_at(1.0)
     assert abs(s0.y0 - s1.y0) <= 10 * 1e-12 + 1e-10 * abs(s0.y0)
     assert abs(s0.y1 - s1.y1) <= 10 * 1e-12 + 1e-10 * abs(s0.y1)
 
 
 def test_rescaling_long_window():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 300.0)
     s = t.state_at(300.0)
     assert s.logscale > 0
     assert abs(math.log(abs(s.y0)) + s.logscale - 300.0) <= 1e-6 * 300
@@ -174,7 +173,7 @@ def _pointwise(t, x):
 
 
 def test_sample_matches_pointwise_across_rescale():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 300.0)
     assert len(set(t.steps["logscale"])) > 1
     xs = np.concatenate([np.linspace(0.0, 300.0, 601), t.knots])
     ys, ls = t.sample(xs)
@@ -186,7 +185,7 @@ def test_sample_matches_pointwise_across_rescale():
 
 
 def test_one_sided_values_at_knot_from_adjacent_rows():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 300.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 300.0)
     ls = t.steps["logscale"]
     i = int(np.flatnonzero(np.diff(ls))[0])  # the rescale happens at the end of step i
     knot = t.knots[i + 1]
@@ -207,8 +206,8 @@ def test_a_delta_well_solution_is_cut_into_one_panel_per_row():
     # Q = -2 for x > 0 at lambda = -2.5: exact sub-steps on both sides of
     # the mass, where a row's end x0 + h and the next row's start differ
     # by ulps; each boundary is one knot, so no sliver panel lies between
-    sys = assemble(CoefficientField.delta_well(), "direct", -2.5)
-    t = integrate(sys, QuasiState(-22.0, 1.0, 0.0), 22.0)
+    c = CoefficientField.delta_well()
+    t = integrate(c, -2.5, QuasiState(-22.0, 1.0, 0.0), 22.0)
     mid, half, _ = propagate._panels((t,), -22.0, 22.0, np.zeros(1))
     assert len(t.steps) == len(mid) == 70 and 2 * half.min() >= 1e-12
     assert np.array_equal(t.knots[:-1], t.steps["x0"]) and t.knots[-1] == 22.0
@@ -217,9 +216,9 @@ def test_a_delta_well_solution_is_cut_into_one_panel_per_row():
         pair_integral(t, t, 0.0, 22.0 + 1e-9)
     # a backward walk enters each row at its right end; a fundamental pair
     # joins its two halves at the anchor
-    back = integrate(sys, QuasiState(22.0, 1.0, 0.0), -22.0)
+    back = integrate(c, -2.5, QuasiState(22.0, 1.0, 0.0), -22.0)
     assert back.knots[0] == -22.0 and np.array_equal(back.knots[1:], back.steps["x0"])
-    y1, y2 = fundamental(sys, 0.5, (-22.0, 22.0))
+    y1, y2 = fundamental(c, -2.5, 0.5, (-22.0, 22.0))
     for f in (back, y1, y2):
         assert len(f.knots) == len(f.steps) + 1 and np.all(np.diff(f.knots) > 0)
     assert 0.5 in y1.knots.tolist() and len(propagate._panels((y1, y2), -22.0, 22.0, np.zeros(1))[0]) == 70
@@ -229,8 +228,8 @@ def test_a_self_pair_hands_the_cutter_its_knots_once(monkeypatch):
     # the delta-well solution above has 69 inner knots; pair_integral(t, t)
     # hands the cutter each once, besides the window's ends, and the sum
     # has the bits of a pair of two objects
-    sys = assemble(CoefficientField.delta_well(), "direct", -2.5)
-    t = integrate(sys, QuasiState(-22.0, 1.0, 0.0), 22.0)
+    c = CoefficientField.delta_well()
+    t = integrate(c, -2.5, QuasiState(-22.0, 1.0, 0.0), 22.0)
     twin = dataclasses.replace(t)  # the same rows in another object
     want = pair_integral(t, twin, -22.0, 22.0)
     edges = []
@@ -245,9 +244,8 @@ def _stiff_shot(shoot):
     """Shoot the s = 1e30 field from (1, 1) at logscale 2 and return its error."""
     z = PiecewisePoly.zero()
     stiff = CoefficientField(PiecewisePoly.constant(1e30), z, z)
-    sys = assemble(stiff, "direct", 0.0)
     with pytest.raises(StepUnderflowError, match=r"^step size .* below floor at x=0 \(solution") as err:
-        shoot(sys, QuasiState(0.0, 1.0, 1.0, logscale=2.0), 1.0)
+        shoot(stiff, 0.0, QuasiState(0.0, 1.0, 1.0, logscale=2.0), 1.0)
     e = err.value
     assert (e.x, e.y0, e.y1, e.logscale) == (0.0, 1.0, 1.0, 2.0)
     assert 0 < e.h < 1e-14
@@ -266,7 +264,7 @@ def test_step_underflow_signaled_on_the_exact_path():
 
 
 def test_pair_integral_exponential_mass():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 1.0)
     val, ls = pair_integral(t, t, 0.0, 1.0)
     want = (math.e**2 - 1) / 2
     assert abs(val * math.exp(ls) - want) <= 1e-9 * want
@@ -274,7 +272,7 @@ def test_pair_integral_exponential_mass():
 
 def test_pair_integral_with_weight():
     # a weight is a PiecewisePoly operand: int u * conj(w * u) for u = x, w = x
-    t = integrate(assemble(FREE, "direct", 0.0), QuasiState(0.0, 0.0, 1.0), 2.0)  # u = x
+    t = integrate(FREE, 0.0, QuasiState(0.0, 0.0, 1.0), 2.0)  # u = x
     wu = PiecewisePoly([1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])  # x^2, spurious breakpoint at 1
     val, ls = pair_integral(t, wu, 0.0, 2.0)
     want = 4.0  # int_0^2 x * x * x dx
@@ -286,7 +284,7 @@ def test_pair_integral_with_reversed_bounds_is_minus_the_integral():
     u, v = PiecewisePoly.from_coeffs([1.0, 2.0]), PiecewisePoly.constant(3.0)
     assert (u * v.conj()).integrate(1.0, 0.0) == -6.0
     assert pair_integral(u, v, 1.0, 0.0) == (-6.0, 0.0)
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 1.0)
     val, ls = pair_integral(t, t, 0.25, 1.0)
     assert val != 0
     assert pair_integral(t, t, 1.0, 0.25) == (-val, ls)
@@ -300,7 +298,7 @@ def test_to_piecewise_matches_dense_output():
         PiecewisePoly.step(0.1, 0.0, -1.5),
         PiecewisePoly([0.4], [[0.0, 0.2], [0.3]]),
     )
-    t = integrate(assemble(c, "direct", 2.0 + 0.5j), QuasiState(-2.0, 0.3, 1.0), 2.0)
+    t = integrate(c, 2.0 + 0.5j, QuasiState(-2.0, 0.3, 1.0), 2.0)
     pw = t.to_piecewise(t.a, t.b)
     mids = t.steps["x0"] + 0.5 * t.steps["h"]
     y, ls = t.sample(mids)
@@ -310,7 +308,7 @@ def test_to_piecewise_matches_dense_output():
 
 
 def test_to_piecewise_roundtrip():
-    t = integrate(assemble(FREE, "direct", -1.0), QuasiState(0.0, 1.0, 1.0), 1.0)
+    t = integrate(FREE, -1.0, QuasiState(0.0, 1.0, 1.0), 1.0)
     pw = t.to_piecewise(t.a, t.b)
     for x in np.linspace(0, 1, 101):
         assert abs(pw.eval(float(x)) - t.state_at(float(x)).y0) <= 1e-13 * math.e
@@ -318,7 +316,7 @@ def test_to_piecewise_roundtrip():
 
 def test_to_piecewise_past_the_float_range_raises():
     # e^(4x) on [0, 240]: the rows carry logscales up to 921, past exp's range
-    t = integrate(assemble(FREE, "direct", -16.0), QuasiState(0.0, 1.0, 4.0), 240.0)
+    t = integrate(FREE, -16.0, QuasiState(0.0, 1.0, 4.0), 240.0)
     top = float(np.max(t.steps["logscale"]))
     assert top > 709
     with pytest.raises(OverflowUnrecoverableError, match=f"{top:.6g}"):
@@ -327,7 +325,7 @@ def test_to_piecewise_past_the_float_range_raises():
 
 def test_refit_overflow_carries_its_logscale():
     # the error names the logscale that overflows, as an attribute too
-    t = integrate(assemble(FREE, "direct", -16.0), QuasiState(0.0, 1.0, 4.0), 240.0)
+    t = integrate(FREE, -16.0, QuasiState(0.0, 1.0, 4.0), 240.0)
     top = float(np.max(t.steps["logscale"]))
     with pytest.raises(OverflowUnrecoverableError) as err:
         t.to_piecewise(t.a, t.b)
@@ -518,7 +516,7 @@ MIXED = CoefficientField(
 def test_exact_shot_matches_dormand_prince_on_mixed_field():
     # the linear segment takes Taylor steps, the others are exact
     for lam in (-2.0, 3.0 + 0.5j, 40.0):
-        end, esup = walk_end(assemble(MIXED, "direct", lam), QuasiState(-3.0, 0.0, 1.0), 3.0)
+        end, esup = walk_end(MIXED, lam, QuasiState(-3.0, 0.0, 1.0), 3.0)
         ref, dsup, _ = _dop853(MIXED, lam, -3.0, 3.0, (0.0, 1.0))
         scale = math.exp(dsup)
         assert abs(end.y0 * math.exp(end.logscale) - ref[0]) <= 1e-9 * scale
@@ -531,9 +529,8 @@ def test_exact_shot_matches_dormand_prince_on_mixed_field():
 def test_exact_shot_rescales_like_dormand_prince():
     # e^x growth on [0, 300] passes 1e100 twice; both paths rescale at the
     # threshold and end with the true size, sinh(300)
-    sys = assemble(FREE, "direct", -1.0)
-    end, esup = walk_end(sys, QuasiState(0.0, 0.0, 1.0), 300.0)
-    dense = integrate(sys, QuasiState(0.0, 0.0, 1.0), 300.0).state_at(300.0)
+    end, esup = walk_end(FREE, -1.0, QuasiState(0.0, 0.0, 1.0), 300.0)
+    dense = integrate(FREE, -1.0, QuasiState(0.0, 0.0, 1.0), 300.0).state_at(300.0)
     assert end.logscale > 0 and dense.logscale > 0
     want = 300.0 - math.log(2.0)  # log sinh(300) to rounding
     for s in (end, dense):
@@ -562,7 +559,7 @@ def _airy_end(lam, b):
 def test_taylor_shot_matches_the_airy_closed_form(lam):
     # s = i x has no constant segment: the whole shot is Taylor steps.  At
     # larger lambda the Ai/Bi combination cancels, so it is no reference
-    end, _ = walk_end(assemble(IX, "direct", lam), QuasiState(0.0, 0.0, 1.0), math.pi)
+    end, _ = walk_end(IX, lam, QuasiState(0.0, 0.0, 1.0), math.pi)
     got = np.array([end.y0, end.y1]) * math.exp(end.logscale)
     want = _airy_end(lam, math.pi)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -572,7 +569,7 @@ def _against_tight_dormand_prince(c, lam, a, b, init=(0.0, 1.0)):
     """A shot against scipy's DOP853 at rtol 1e-13 (``_dop853``): asserts
     the end states agree within 1e-11 of exp(log sup) and returns the (end
     logscale, log sup) of each."""
-    end, sup = walk_end(assemble(c, "direct", lam), QuasiState(a, *init), b)
+    end, sup = walk_end(c, lam, QuasiState(a, *init), b)
     ref, ref_sup, _ = _dop853(c, lam, a, b, init)
     for got, want in ((end.y0, ref[0]), (end.y1, ref[1])):
         assert abs(got * math.exp(end.logscale - sup) - want * math.exp(-sup)) <= 1e-11
@@ -633,7 +630,7 @@ def test_taylor_shot_stops_on_coefficients_past_the_float_range():
     # is refused before the state turns to nan
     c = CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(StepUnderflowError, match=r"below floor at x=0 ") as err:
-        walk_end(assemble(c, "direct", 2.0), QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
+        walk_end(c, 2.0, QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
     e = err.value
     assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 0.0, 1.0, 0.5, 3.0)
 
@@ -643,7 +640,7 @@ def test_taylor_step_below_the_floor_raises():
     # 1e-12 of an interval of length 100
     c = CoefficientField(PiecewisePoly([], [[1e26, 1.0]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(StepUnderflowError) as err:
-        walk_end(assemble(c, "direct", 0.0), QuasiState(0.0, 1.0, 0.0), 100.0)
+        walk_end(c, 0.0, QuasiState(0.0, 1.0, 0.0), 100.0)
     assert err.value.x == 0.0 and 0 < err.value.h < 1e-12
 
 
@@ -651,7 +648,7 @@ def test_taylor_step_whose_sum_is_not_finite_raises(monkeypatch):
     # a step the length of the segment, 1e300: the series sum overflows
     monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v, window: math.inf)
     with pytest.raises(StepUnderflowError) as err:
-        walk_end(assemble(IX, "direct", 2.0), QuasiState(0.0, 1.0, 0.0), 1e300)
+        walk_end(IX, 2.0, QuasiState(0.0, 1.0, 0.0), 1e300)
     e = err.value
     assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 1e300, 1.0, 0.0, 0.0)
 
@@ -677,13 +674,13 @@ def test_taylor_log_sup_samples_step_ends_and_midpoints(monkeypatch):
 
 
 def test_zero_state_crosses_a_taylor_segment_unchanged():
-    end, sup = walk_end(assemble(IX, "direct", 2.0), QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
+    end, sup = walk_end(IX, 2.0, QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
     assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 1.5, -math.inf)
     # r = i (50 + x/1000) at lambda = 2500: both solutions decay like
     # e^(-50 x), so the state underflows to zero on the way and stays there
     z = PiecewisePoly.zero()
     decay = CoefficientField(z, z, PiecewisePoly([], [[50j, 0.001j]]))
-    end, sup = walk_end(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
+    end, sup = walk_end(decay, 2500.0, QuasiState(0.0, 1.0, 0.0), 20.0)
     assert (end.y0, end.y1, end.logscale, sup) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -722,7 +719,7 @@ def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
     assert len(hs) == 1
     substeps = round(math.pi / hs[0])
     assert substeps == math.ceil(50 * math.pi)
-    assert len(integrate(assemble(FREE, "direct", 2500.0), QuasiState(0.0, 0.0, 1.0), math.pi).steps) == substeps
+    assert len(integrate(FREE, 2500.0, QuasiState(0.0, 0.0, 1.0), math.pi).steps) == substeps
 
 
 # ----------------------------------------------------------------------
@@ -740,9 +737,8 @@ def test_dense_shot_keeps_one_row_per_exact_substep(monkeypatch):
 def test_dense_end_state_is_the_shot(field, lam, a, b):
     # integrate crosses the segments as a shot does, so its last row at
     # theta = 1 is the shot's end state to rounding, at the same logscale
-    sys = assemble(field, "direct", lam)
-    end, _ = walk_end(sys, QuasiState(a, 0.3, 1.0), b)
-    dense = integrate(sys, QuasiState(a, 0.3, 1.0), b).state_at(b)
+    end, _ = walk_end(field, lam, QuasiState(a, 0.3, 1.0), b)
+    dense = integrate(field, lam, QuasiState(a, 0.3, 1.0), b).state_at(b)
     assert dense.logscale == end.logscale
     scale = max(abs(end.y0), abs(end.y1))
     assert abs(dense.y0 - end.y0) <= 1e-15 * scale
@@ -753,7 +749,7 @@ def test_dense_end_state_is_the_shot(field, lam, a, b):
 def test_exact_rows_end_at_the_next_substep_start(lam):
     # each row summed at theta = 1 is exp(hA) times its start state, the
     # start of the next row, to rounding of the largest term it sums
-    t = integrate(assemble(FREE, "direct", lam), QuasiState(0.0, 1.0, 0.5), 3.0)
+    t = integrate(FREE, lam, QuasiState(0.0, 1.0, 0.5), 3.0)
     assert len(t.steps) == max(1, math.ceil(3.0 * abs(cmath.sqrt(-lam))))
     coef, ls = t.steps["coef"], t.steps["logscale"]
     ends = coef[:-1].sum(axis=1) * np.exp(ls[:-1] - ls[1:])[:, None]
@@ -765,12 +761,12 @@ def test_exact_rows_end_at_the_next_substep_start(lam):
 def test_dense_interior_matches_closed_forms():
     xs = np.linspace(0.0, 2.0, 53)[1:-1]
     for lam, want in ((-1.0, np.exp(xs)), (400.0, np.cos(20 * xs) + np.sin(20 * xs) / 20)):
-        t = integrate(assemble(FREE, "direct", lam), QuasiState(0.0, 1.0, 1.0), 2.0)
+        t = integrate(FREE, lam, QuasiState(0.0, 1.0, 1.0), 2.0)
         y, ls = t.sample(xs)
         assert np.all(np.abs(y[:, 0] * np.exp(ls) - want) <= 1e-13 * np.max(np.abs(want)))
     # delta well at lambda = -1: the bound state e^(-|x|)
     dw = CoefficientField.delta_well(-2.0)
-    t = integrate(assemble(dw, "direct", -1.0), QuasiState(-6.0, math.exp(-6.0), math.exp(-6.0)), 6.0)
+    t = integrate(dw, -1.0, QuasiState(-6.0, math.exp(-6.0), math.exp(-6.0)), 6.0)
     xs = np.linspace(-6.0, 6.0, 61)[1:-1]
     y, ls = t.sample(xs)
     assert np.all(np.abs(y[:, 0] * np.exp(ls) - np.exp(-np.abs(xs))) <= 1e-13)
@@ -781,7 +777,7 @@ GRAM_PAIRS = ((0, 0), (0, 1), (1, 1))
 
 def adjoint_pair(c, lam, tmax):
     """The adjoint fundamental pair at conj(lam) on [-tmax, tmax], as the probe builds it."""
-    return fundamental(assemble(c, "adjoint", complex(lam).conjugate()), 0.0, (-tmax, tmax))
+    return fundamental(c.adjoint, complex(lam).conjugate(), 0.0, (-tmax, tmax))
 
 
 @pytest.mark.parametrize("c", [FREE, CoefficientField.delta_well(-2.0)], ids=["free", "delta-well"])
@@ -839,9 +835,8 @@ def test_pair_sums_over_more_panels_than_a_chunk_are_the_one_pass_sums(monkeypat
     # free field: 6000 exact sub-steps on (0, 300), where every panel adds
     # to the sums at lambda = 400, and the state grows like e^(20 x) and
     # is rescaled every few units at lambda = -400
-    sys = assemble(FREE, "direct", lam)
-    u = integrate(sys, QuasiState(0.0, 1.0, 0.0), 300.0)
-    v = integrate(sys, QuasiState(0.0, 0.3, 1.0j), 300.0)
+    u = integrate(FREE, lam, QuasiState(0.0, 1.0, 0.0), 300.0)
+    v = integrate(FREE, lam, QuasiState(0.0, 0.3, 1.0j), 300.0)
     assert len(u.steps) > propagate._ROWS_CHUNK
     assert len(set(u.steps["logscale"].tolist())) == (1 if lam > 0 else 26)
     args = (u, v), ((0, 0), (0, 1), (1, 1)), [0.0, 10.0, 0.0, 150.0], [300.0, 250.0, 5.0, 150.0]
@@ -855,13 +850,12 @@ def test_pair_integral_of_two_degree_24_rows_is_exact():
     # one row of degree 24 each: 25 Gauss-Legendre nodes integrate the
     # degree-48 product exactly; the reference integrates it term by term
     rng = np.random.default_rng(24)
-    sys = assemble(IX, "direct", 0.0)
     rows = []
     for _ in range(2):
         steps = np.zeros(1, propagate._step_dtype(25))
         steps["x0"], steps["h"] = -0.5, 1.5
         steps["coef"] = rng.standard_normal((1, 25, 2)) + 1j * rng.standard_normal((1, 25, 2))
-        rows.append(propagate.Trajectory(sys, -0.5, 1.0, steps))
+        rows.append(propagate.Trajectory(IX, 0j, -0.5, 1.0, steps))
     u, v = (r.steps["coef"][0, :, 0] for r in rows)
     prod = np.polynomial.polynomial.polymul(u, v.conj())
     want = 1.5 * np.sum(prod / np.arange(1, len(prod) + 1))  # int_0^1 over theta, times h
@@ -1105,13 +1099,12 @@ def _state_bits(s):
 @pytest.mark.parametrize("field, lam, a, b", _KERNEL_FIELDS,
                          ids=["s=ix", "r=-ix", "corpus-0", "corpus-1-backward", "degree-8"])
 def test_shots_and_rows_keep_the_bits_of_the_list_recurrence(monkeypatch, field, lam, a, b):
-    sys = assemble(field, "direct", lam)
     start = QuasiState(a, 0.3 - 0.1j, 1.0)
     for derivative in (False, True):
-        got, want = _both_segments(monkeypatch, lambda: walk_end(sys, start, b, derivative=derivative))
+        got, want = _both_segments(monkeypatch, lambda: walk_end(field, lam, start, b, derivative=derivative))
         assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                           [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
-    got, want = _both_segments(monkeypatch, lambda: integrate(sys, start, b).steps)
+    got, want = _both_segments(monkeypatch, lambda: integrate(field, lam, start, b).steps)
     assert len(got) > 1 and got.dtype == want.dtype
     assert all(_same_bits(got[k], want[k]) for k in got.dtype.names)
 
@@ -1121,11 +1114,10 @@ def test_degree_100_entries_shoot_through_a_kernel_of_o_window_lines(monkeypatch
     # every sum of its kernel stays flat, so it compiles and keeps the bits
     r = PiecewisePoly([], [[0.0] * 100 + [1e-3j]], degree_cap=100)
     field = CoefficientField(PiecewisePoly([], [[0.0, 1.0]]), PiecewisePoly.zero(), r)
-    sys = assemble(field, "direct", 1.0 + 0.5j)
-    rows = propagate._plan(sys.plans, 0.0, 1.0, lambda: sys)[0][0][2]
+    rows = propagate._plan(field, 0.0, 1.0)[0][0][2]
     assert [len(p) for _, p in rows] == [101, 201, 101]
     got, want = _both_segments(
-        monkeypatch, lambda: walk_end(sys, QuasiState(0.0, 1.0, 0.2j), 1.0, derivative=True))
+        monkeypatch, lambda: walk_end(field, 1.0 + 0.5j, QuasiState(0.0, 1.0, 0.2j), 1.0, derivative=True))
     assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                       [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
     for shape, window in (((1, 2, 1), 2), ((101, 201, 101), 201)):
@@ -1204,20 +1196,20 @@ def test_step_sums_are_horner_bit_for_bit():
 # float walks: real rows, lambda and start walk in Python floats
 
 
-def _complex_plan(sys, x_from, to):
-    """The plan of ``sys`` from x_from to ``to`` with every row as Python
+def _complex_plan(c, x_from, to):
+    """The plan of the field c from x_from to ``to`` with every row as Python
     complex, read from the entries at each segment's region of the field
     (its midpoint, or -inf and +inf in the tails) with its trailing zeros
     trimmed, and marked not real: a plan as a walk of complex rows takes it,
     whatever its data."""
-    segments, h_floor, width, _ = propagate._build_plan(sys, x_from, to)
-    bp = sys.field_data.breakpoints.tolist()
+    segments, h_floor, width, _ = propagate._build_plan(c, x_from, to)
+    bp = c.breakpoints.tolist()
     reps = [-math.inf, *(0.5 * a + 0.5 * b for a, b in zip(bp, bp[1:])), math.inf] if bp else [0.0]
     out = []
     for a, b, _, _ in segments:
         at = reps[bisect.bisect_right(bp, 0.5 * (a + b))]
         rows = []
-        for f in (sys.a11, sys.a21_0, sys.a22):
+        for f in c.entries:
             i = int(f._region(at, "right"))
             row = [complex(z) for z in f.coeffs[i]]
             while len(row) > 1 and not row[-1]:
@@ -1236,17 +1228,17 @@ def _forced_complex(monkeypatch, run):
     got = run()
     with monkeypatch.context() as patch:
         for module in (propagate, spectral):
-            patch.setattr(module, "_plan", lambda plans, x_from, to, system: _complex_plan(system(), x_from, to))
+            patch.setattr(module, "_plan", _complex_plan)
         want = run()
     return got, want
 
 
-def _assert_one_row_set(sys, plan):
+def _assert_one_row_set(c, plan):
     """A plan holds one row set: Python floats with the bits of the real
     parts of the entries' complex rows when none has an imaginary part,
     else the complex rows themselves."""
     segments, h_floor, width, real = plan
-    ref, *same = _complex_plan(sys, segments[0][0], segments[-1][1])
+    ref, *same = _complex_plan(c, segments[0][0], segments[-1][1])
     assert same == [h_floor, width, False] and type(real) is bool
     assert real == (not any(z.imag for *_, rows, _ in ref for _, p in rows for z in p))
     kind = float if real else complex
@@ -1272,33 +1264,32 @@ def _dense_bits(steps):
 
 
 R_MINUS_IX = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly([], [[0, -1j]]))
-# (field, side, lambda, interval): exact sub-steps that rescale, a jump
+# (field, lambda, interval): exact sub-steps that rescale, a jump
 # between exact segments, Taylor steps with zero a11 and a22, and the
-# probe's drift r = -i x on its adjoint side at conj(-1), whose
+# probe's drift r = -i x as its adjoint field at conj(-1), whose
 # G1 = x and G2 = -x are real
 FLOAT_WALKS = [
-    (FREE, "direct", -16.0, (0.0, 60.0)),
-    (CoefficientField.delta_well(-2.0), "direct", -0.7, (-8.0, 8.0)),
+    (FREE, -16.0, (0.0, 60.0)),
+    (CoefficientField.delta_well(-2.0), -0.7, (-8.0, 8.0)),
     (CoefficientField(PiecewisePoly([], [[0, 0, 1]]), PiecewisePoly.zero(), PiecewisePoly.zero()),
-     "direct", 2.0, (3.5, -3.0)),
-    (R_MINUS_IX, "adjoint", complex(-1.0).conjugate(), (-6.0, 6.0)),
+     2.0, (3.5, -3.0)),
+    (R_MINUS_IX.adjoint, complex(-1.0).conjugate(), (-6.0, 6.0)),
 ]
 
 
-@pytest.mark.parametrize("field, side, lam, ends", FLOAT_WALKS, ids=["free", "delta-well", "s=x^2", "r=-ix"])
-def test_a_float_walk_has_the_bits_of_the_walk_forced_complex(monkeypatch, field, side, lam, ends):
-    sys = assemble(field, side, lam)
-    start = QuasiState(ends[0], 0.3, -1.0, side)
+@pytest.mark.parametrize("field, lam, ends", FLOAT_WALKS, ids=["free", "delta-well", "s=x^2", "r=-ix"])
+def test_a_float_walk_has_the_bits_of_the_walk_forced_complex(monkeypatch, field, lam, ends):
+    start = QuasiState(ends[0], 0.3, -1.0)
     for derivative in (False, True):
-        got, want = _forced_complex(monkeypatch, lambda: walk_end(sys, start, ends[1], derivative=derivative))
+        got, want = _forced_complex(monkeypatch, lambda: walk_end(field, lam, start, ends[1], derivative=derivative))
         assert all(type(v) is float for s in got[::2] for v in (s.y0, s.y1))
         assert _bits(_real_parts(got)) == _bits(_real_parts(want))
         assert all(type(v) is complex for s in want[::2] for v in (s.y0, s.y1))
-    got, want = _forced_complex(monkeypatch, lambda: integrate(sys, start, ends[1]).steps)
+    got, want = _forced_complex(monkeypatch, lambda: integrate(field, lam, start, ends[1]).steps)
     assert len(got) > 1 and _dense_bits(got) == _dense_bits(want)
     assert not got["coef"].imag.any()
-    _assert_one_row_set(sys, propagate._plan(sys.plans, *ends, lambda: sys))
-    got, want = _forced_complex(monkeypatch, lambda: [y.steps for y in fundamental(sys, 0.0, (-3.0, 3.0))])
+    _assert_one_row_set(field, propagate._plan(field, *ends))
+    got, want = _forced_complex(monkeypatch, lambda: [y.steps for y in fundamental(field, lam, 0.0, (-3.0, 3.0))])
     assert all(_dense_bits(g) == _dense_bits(w) for g, w in zip(got, want))
 
 
@@ -1313,17 +1304,16 @@ PART_COMPLEX = CoefficientField(PiecewisePoly([], [[0, 0, 1]]), PiecewisePoly.ze
     (PART_COMPLEX, 2.0, 0.3, 2.0),  # one complex row
 ], ids=["lambda", "start", "row"])
 def test_complex_data_never_take_the_float_segments(monkeypatch, field, lam, y0, b):
-    sys = assemble(field, "direct", lam)
     start = QuasiState(-1.0, y0, -1.0)
-    plan = propagate._plan(sys.plans, start.x, b, lambda: sys)
+    plan = propagate._plan(field, start.x, b)
     assert plan[3] is (field is not PART_COMPLEX)
-    _assert_one_row_set(sys, plan)
+    _assert_one_row_set(field, plan)
     for derivative in (False, True):
-        got, want = _forced_complex(monkeypatch, lambda: walk_end(sys, start, b, derivative=derivative))
+        got, want = _forced_complex(monkeypatch, lambda: walk_end(field, lam, start, b, derivative=derivative))
         if lam.imag or y0.imag or field is PART_COMPLEX:
             assert all(type(v) is complex for s in got[::2] for v in (s.y0, s.y1))
         assert _bits([_state_bits(s) for s in got[::2]]) == _bits([_state_bits(s) for s in want[::2]])
-    got, want = _forced_complex(monkeypatch, lambda: integrate(sys, start, b).steps)
+    got, want = _forced_complex(monkeypatch, lambda: integrate(field, lam, start, b).steps)
     assert got.tobytes() == want.tobytes()
 
 
@@ -1340,17 +1330,17 @@ def test_a_shot_at_a_real_lambda_walks_in_floats(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# lambda-free shot plans: one per field, side and interval, bounded
+# lambda-free shot plans: one per field and interval, bounded
 
 
 def _counted_plans(monkeypatch):
-    """The (side, start, end) of every plan built from here on."""
+    """The (id of the field, start, end) of every plan built from here on."""
     built = []
     build = propagate._build_plan
 
-    def counted(sys, x_from, to):
-        built.append((sys.side, x_from, to))
-        return build(sys, x_from, to)
+    def counted(c, x_from, to):
+        built.append((id(c), x_from, to))
+        return build(c, x_from, to)
 
     monkeypatch.setattr(propagate, "_build_plan", counted)
     return built
@@ -1362,14 +1352,14 @@ def test_a_scan_and_its_roots_dense_shot_share_one_plan(monkeypatch):
     built = _counted_plans(monkeypatch)
     ix = CoefficientField(PiecewisePoly([], [[0, 1j]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     assert spectral.eigenvalues(ix, (0, math.pi), BC, scan=(0.5, 12), grid=40).refusal is not None
-    assert built == [("direct", 0.0, math.pi)]
+    assert built == [(id(ix), 0.0, math.pi)]
     (plan,) = ix.plans.values()
     # Newton shots with D' and the dense shot of the root from the left state read it too
     (root,) = spectral.eigenvalues(ix, (0, math.pi), BC, seeds=[1.2 + 1.5j]).roots
     assert root.converged and abs(root.lam - (1.1090679488224868 + 1.5707963267948712j)) < 1e-9
-    dense = integrate(assemble(ix, "direct", root.lam), QuasiState(0.0, -0.0, 1.0), math.pi)
+    dense = integrate(ix, root.lam, QuasiState(0.0, -0.0, 1.0), math.pi)
     assert dense.b == math.pi and len(dense.steps) > 1
-    assert built == [("direct", 0.0, math.pi)]
+    assert built == [(id(ix), 0.0, math.pi)]
     assert list(ix.plans.values()) == [plan] and "adjoint" not in ix.__dict__
 
 
@@ -1379,41 +1369,28 @@ def test_another_interval_side_or_field_gets_its_own_plan(monkeypatch):
     field = CoefficientField(PiecewisePoly([1.0], [[0, 1j], [0.5]]), z, z)
     twin = CoefficientField(field.s, z, z)
     start = QuasiState(0.0, 0.0, 1.0)
-    for c, side, b in ((field, "direct", 2.0), (field, "direct", 2.0), (field, "direct", 3.0),
-                       (field, "adjoint", 2.0), (twin, "direct", 2.0)):
-        walk_end(assemble(c, side, 2.0 - 0.5j), QuasiState(0.0, 0.0, 1.0, side), b)
-    assert built == [("direct", 0.0, 2.0), ("direct", 0.0, 3.0), ("adjoint", 0.0, 2.0), ("direct", 0.0, 2.0)]
+    for c, b in ((field, 2.0), (field, 2.0), (field, 3.0), (field.adjoint, 2.0), (twin, 2.0)):
+        walk_end(c, 2.0 - 0.5j, start, b)
+    assert built == [(id(field), 0.0, 2.0), (id(field), 0.0, 3.0), (id(field.adjoint), 0.0, 2.0), (id(twin), 0.0, 2.0)]
     assert (len(field.plans), len(field.adjoint.plans), len(twin.plans)) == (2, 1, 1)
     # a plan holds no lambda: another lambda shoots through it to the bits
-    # of a system that plans anew (a fresh dict of plans per walk)
-    sys = assemble(field, "direct", 7.0 + 1.0j)
+    # of a field of the same data that plans anew (a fresh field per walk)
+    lam = 7.0 + 1.0j
 
     def alone():
-        return dataclasses.replace(sys, plans={})
+        return CoefficientField(field.s, field.Q, field.r)
 
     for derivative in (False, True):
-        got, want = walk_end(sys, start, 3.0, derivative), walk_end(alone(), start, 3.0, derivative)
+        got, want = walk_end(field, lam, start, 3.0, derivative), walk_end(alone(), lam, start, 3.0, derivative)
         assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
                           [t for s in want[::2] for t in _state_bits(s)] + [want[1]])
-    assert integrate(sys, start, 3.0).steps.tobytes() == integrate(alone(), start, 3.0).steps.tobytes()
-    assert len(built) == 4 + 3  # each fresh dict planned its walk anew
+    assert integrate(field, lam, start, 3.0).steps.tobytes() == integrate(alone(), lam, start, 3.0).steps.tobytes()
+    assert len(built) == 4 + 3  # each fresh field planned its walk anew
     # a start at -0.0 does not take the plan of a start at 0.0: its dense
     # rows start at -0.0
     for x0, sign in ((0.0, 1.0), (-0.0, -1.0)):
-        back = integrate(assemble(field, "direct", 2.0), QuasiState(x0, 0.0, 1.0), -1.0)
+        back = integrate(field, 2.0, QuasiState(x0, 0.0, 1.0), -1.0)
         assert math.copysign(1.0, back.steps["x0"][-1]) == sign
-
-
-@pytest.mark.parametrize("side, other", [("adjoint", "direct"), ("direct", "adjoint")])
-def test_integrate_refuses_a_start_state_of_the_other_side(side, other):
-    # a direct y1 = u' - G1 u is not the adjoint quasi-derivative
-    # v' - conj(G2) v: the walk is refused before it is planned
-    c = CoefficientField.delta_well()
-    sys = assemble(c, side, 0.5)
-    with pytest.raises(SideMismatchError, match=f"^a {other}-side state cannot start a {side}-side walk$"):
-        integrate(sys, QuasiState(-1.0, 1.0, 0.0, other), 1.0)
-    assert sys.plans == {}
-    assert integrate(sys, QuasiState(-1.0, 1.0, 0.0, side), 1.0).state_at(1.0).side == side
 
 
 def test_shooting_many_intervals_keeps_a_bounded_number_of_plans():
@@ -1422,12 +1399,12 @@ def test_shooting_many_intervals_keeps_a_bounded_number_of_plans():
 
     field = CoefficientField(PiecewisePoly([0.5, 1.0], [[0.2], [0.3], [0.1]]),
                              PiecewisePoly.step(0.75, 0.0, -1.0), PiecewisePoly.zero())
-    starts = (QuasiState(0.0, 0.0, 1.0), QuasiState(0.0, 0.0, 1.0, "adjoint"))
+    start = QuasiState(0.0, 0.0, 1.0)
 
     def shoot(first, n):
         for k in range(first, first + n):
-            for start in starts:
-                walk_end(assemble(field, start.side, 1.0), start, 1.5 + k / 1000)
+            for c in (field, field.adjoint):
+                walk_end(c, 1.0, start, 1.5 + k / 1000)
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 
@@ -1475,11 +1452,11 @@ _UNDERFLOW_CASES = {
 @pytest.mark.parametrize("case", list(_UNDERFLOW_CASES))
 def test_a_planned_segment_raises_the_step_underflow_of_the_walk_before_plans(case):
     (s, q), lam, a, b, want = _UNDERFLOW_CASES[case]
-    sys = assemble(CoefficientField(s, q, PiecewisePoly.zero()), "direct", lam)
+    c = CoefficientField(s, q, PiecewisePoly.zero())
     start = QuasiState(a, 0.3 - 0.1j, 1.0, logscale=0.5)
-    for kind, run in ((None, lambda: walk_end(sys, start, b)),
-                      ("D'", lambda: walk_end(sys, start, b, derivative=True)),
-                      (None, lambda: integrate(sys, start, b))):
+    for kind, run in ((None, lambda: walk_end(c, lam, start, b)),
+                      ("D'", lambda: walk_end(c, lam, start, b, derivative=True)),
+                      (None, lambda: integrate(c, lam, start, b))):
         for _ in range(2):  # the walk that builds the plan and one that reuses it
             with pytest.raises(StepUnderflowError) as err:
                 run()
@@ -1530,15 +1507,14 @@ def test_a_row_that_is_not_finite_raises_before_a_later_error_of_the_walk(monkey
     # the one raised, as when each row was checked at its own step.
     hs = iter([1e9, 0.0])
     monkeypatch.setattr(propagate, "_jorba_zou", lambda u, v, window: next(hs))
-    sys = assemble(IX, "direct", 2.0)
     with pytest.raises(StepUnderflowError) as err:
-        integrate(sys, QuasiState(0.0, 1e99, 0.0), 2e9)
+        integrate(IX, 2.0, QuasiState(0.0, 1e99, 0.0), 2e9)
     e = err.value
     assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 1e9, 1e99, 0.0, 0.0)
     # the shot keeps no rows: it stops at the refused second step
     hs = iter([1e9, 0.0])
     with pytest.raises(StepUnderflowError) as err:
-        walk_end(sys, QuasiState(0.0, 1e99, 0.0), 2e9)
+        walk_end(IX, 2.0, QuasiState(0.0, 1e99, 0.0), 2e9)
     assert (err.value.x, err.value.h) == (1e9, 0.0)
 
 
@@ -1547,13 +1523,13 @@ def test_dense_taylor_walk_stops_on_coefficients_past_the_float_range():
     # at the first step, with the same error
     c = CoefficientField(PiecewisePoly([], [[0.0, 1e300]]), PiecewisePoly.zero(), PiecewisePoly.zero())
     with pytest.raises(StepUnderflowError, match=r"below floor at x=0 ") as err:
-        integrate(assemble(c, "direct", 2.0), QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
+        integrate(c, 2.0, QuasiState(0.0, 1.0, 0.5, logscale=3.0), 1.0)
     e = err.value
     assert (e.x, e.h, e.y0, e.y1, e.logscale) == (0.0, 0.0, 1.0, 0.5, 3.0)
 
 
 def test_a_zero_state_keeps_a_zero_row_to_the_segment_end():
-    t = integrate(assemble(IX, "direct", 2.0), QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
+    t = integrate(IX, 2.0, QuasiState(0.0, 0.0, 0.0, logscale=1.5), math.pi)
     assert len(t.steps) == 1
     assert (t.steps["x0"][0], t.steps["h"][0], t.steps["logscale"][0]) == (0.0, math.pi, 1.5)
     assert not np.any(t.steps["coef"])
@@ -1561,7 +1537,7 @@ def test_a_zero_state_keeps_a_zero_row_to_the_segment_end():
     # the way, and one zero row covers the rest of the segment
     z = PiecewisePoly.zero()
     decay = CoefficientField(z, z, PiecewisePoly([], [[50j, 0.001j]]))
-    t = integrate(assemble(decay, "direct", 2500.0), QuasiState(0.0, 1.0, 0.0), 20.0)
+    t = integrate(decay, 2500.0, QuasiState(0.0, 1.0, 0.0), 20.0)
     x0, h = t.steps["x0"], t.steps["h"]
     assert t.knots[0] == 0.0 and np.array_equal(t.knots[:-1], x0) and t.knots[-1] == 20.0
     assert np.array_equal(t.knots[1:], x0 + h)  # each Taylor step ends where the next starts
@@ -1576,7 +1552,7 @@ def test_dense_log_sup_is_the_shots_log_sup_on_the_drift_field(lam, b):
     # shot samples, each step's ends and midpoint, give the shot's
     drift = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePoly([], [[0, -1j]]))
     sup = characteristic(drift, (0.0, b), BC, lam).log_sup
-    t = integrate(assemble(drift, "direct", lam), QuasiState(0.0, -0.0, 1.0), b)
+    t = integrate(drift, lam, QuasiState(0.0, -0.0, 1.0), b)
     y, ls = t.sample((t.steps["x0"][:, None] + np.array([0.0, 0.5, 1.0]) * t.steps["h"][:, None]).ravel())
     m = np.max(np.abs(y), axis=1)
     dense = float(np.max(np.log(m[m > 0]) + ls[m > 0]))
@@ -1588,21 +1564,21 @@ def test_dense_log_sup_is_the_shots_log_sup_on_the_drift_field(lam, b):
 # one step budget per walk
 
 
-def _budget_walks(sys, start, b):
-    """Each walk of a system: the shot, the shot with D' and the dense walk."""
-    return (lambda: walk_end(sys, start, b), lambda: walk_end(sys, start, b, derivative=True),
-            lambda: integrate(sys, start, b))
+def _budget_walks(c, lam, start, b):
+    """Each walk of a field: the shot, the shot with D' and the dense walk."""
+    return (lambda: walk_end(c, lam, start, b), lambda: walk_end(c, lam, start, b, derivative=True),
+            lambda: integrate(c, lam, start, b))
 
 
 def test_exact_segments_share_the_step_budget_of_their_walk(monkeypatch):
     # delta well at lambda = -1: |h mu| <= 1 takes 5 sub-steps on each of
     # (-5, 0) and (0, 5), 10 in all
-    sys = assemble(CoefficientField.delta_well(-2.0), "direct", -1.0)
+    c = CoefficientField.delta_well(-2.0)
     start = QuasiState(-5.0, 1.0, 0.5j, logscale=0.25)
-    assert len(integrate(sys, start, 5.0).steps) == 10
-    full = [run() for run in _budget_walks(sys, start, 5.0)]
+    assert len(integrate(c, -1.0, start, 5.0).steps) == 10
+    full = [run() for run in _budget_walks(c, -1.0, start, 5.0)]
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", 10)
-    for run, want in zip(_budget_walks(sys, start, 5.0), full):
+    for run, want in zip(_budget_walks(c, -1.0, start, 5.0), full):
         got = run()
         if isinstance(got, tuple):
             assert _same_bits([t for s in got[::2] for t in _state_bits(s)] + [got[1]],
@@ -1611,9 +1587,9 @@ def test_exact_segments_share_the_step_budget_of_their_walk(monkeypatch):
             assert got.steps.tobytes() == want.steps.tobytes()
     # one fewer: the second segment is refused before its first sub-step,
     # with the state the first one left at 0
-    half, _ = walk_end(sys, start, 0.0)
+    half, _ = walk_end(c, -1.0, start, 0.0)
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", 9)
-    for run in _budget_walks(sys, start, 5.0):
+    for run in _budget_walks(c, -1.0, start, 5.0):
         with pytest.raises(StepBudgetError, match="walk needs more than 9 steps") as err:
             run()
         e = err.value
@@ -1624,17 +1600,16 @@ def test_taylor_steps_count_against_the_step_budget(monkeypatch):
     # s = i x on (0, pi) at lambda = 5: a walk of n Taylor steps passes a
     # budget of n and is refused at its last step under n - 1, with the
     # same position, step and state by the shot and the dense walk
-    sys = assemble(IX, "direct", 5.0)
     start = QuasiState(0.0, 0.3 - 0.1j, 1.0)
-    rows = integrate(sys, start, math.pi).steps
+    rows = integrate(IX, 5.0, start, math.pi).steps
     n = len(rows)
     assert n > 3
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", n)
-    assert integrate(sys, start, math.pi).steps.tobytes() == rows.tobytes()
-    walk_end(sys, start, math.pi, derivative=True)
+    assert integrate(IX, 5.0, start, math.pi).steps.tobytes() == rows.tobytes()
+    walk_end(IX, 5.0, start, math.pi, derivative=True)
     monkeypatch.setattr(propagate, "MAX_WALK_STEPS", n - 1)
     raised = []
-    for run in _budget_walks(sys, start, math.pi):
+    for run in _budget_walks(IX, 5.0, start, math.pi):
         with pytest.raises(StepBudgetError) as err:
             run()
         e = err.value
@@ -1647,9 +1622,8 @@ def test_taylor_steps_count_against_the_step_budget(monkeypatch):
 def test_a_walk_past_the_default_budget_stops_before_its_first_sub_step():
     # 1e6 long at lambda = 1: a million sub-steps, whose rows would take
     # about 750 MB; the walk is refused before the first
-    sys = assemble(FREE, "direct", 1.0)
     start = QuasiState(0.0, 1.0, 0.0)
-    for run in _budget_walks(sys, start, 1e6):
+    for run in _budget_walks(FREE, 1.0, start, 1e6):
         with pytest.raises(StepBudgetError) as err:
             run()
         e = err.value
@@ -1664,12 +1638,12 @@ _LONG_DENSE_WALK = """
 import sys
 from qschro import CoefficientField
 from qschro.propagate import integrate
-from qschro.quasi import QuasiState, assemble
+from qschro.quasi import QuasiState
 def peak_mb():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 before = peak_mb()
-t = integrate(assemble(CoefficientField.free(), "direct", 1.0), QuasiState(0.0, 1.0, 0.0), float(sys.argv[1]))
+t = integrate(CoefficientField.free(), 1.0, QuasiState(0.0, 1.0, 0.0), float(sys.argv[1]))
 print(len(t.steps), t.steps.nbytes / 2**20, before, peak_mb())
 """
 

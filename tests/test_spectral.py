@@ -14,7 +14,7 @@ from qschro import propagate, spectral
 from qschro.coeffs import CoefficientField, PiecewisePoly
 from qschro.errors import QschroError
 from qschro.propagate import fundamental, integrate, pair_integral
-from qschro.quasi import ADJOINT, DIRECT, QuasiState, apply_l_atoms, assemble
+from qschro.quasi import QuasiState, apply_l_atoms
 from qschro.spectral import (
     BoundaryCondition,
     characteristic,
@@ -56,7 +56,7 @@ def test_characteristic_free_off_eigenvalue():
 
 def _dense_d(c, interval, lam):
     """D(lambda) e^logscale from the shot with dense output."""
-    end = integrate(assemble(c, "direct", lam), QuasiState(interval[0], 0.0, 1.0), interval[1]).state_at(interval[1])
+    end = integrate(c, lam, QuasiState(interval[0], 0.0, 1.0), interval[1]).state_at(interval[1])
     return end.y0 * math.exp(end.logscale)
 
 
@@ -274,7 +274,7 @@ def test_real_scan_stops_at_its_first_node_that_is_not_real(monkeypatch):
     values = iter([1.0 + 0j, -2.0 + 0j, 0j, 3.0 - 4.0j] + [1e-3j] * 16)
     shot = []
 
-    def stub(c, interval, bc, lam, side=DIRECT, derivative=False):
+    def stub(c, interval, bc, lam, derivative=False):
         shot.append(lam)
         return spectral.CharValue(next(values), 0.0, 0.0)
 
@@ -357,7 +357,7 @@ def test_delta_well_truncation_convergence():
 
 def _eigenfunction(c, interval, lam):
     """The dense shot at lam from the Dirichlet left state, as a shot starts it."""
-    return integrate(assemble(c, DIRECT, lam), QuasiState(float(interval[0]), -0.0, 1.0), float(interval[1]))
+    return integrate(c, lam, QuasiState(float(interval[0]), -0.0, 1.0), float(interval[1]))
 
 
 def test_delta_well_eigenfunction_matches_exponential():
@@ -380,7 +380,7 @@ def test_delta_well_eigenfunction_refit_solves_the_equation_in_l2():
     res = eigenvalues(dw, (-20, 20), BC, scan=(-1.3, -0.7), grid=10).roots
     r = [t for t in res if t.converged][0]
     u = _eigenfunction(dw, (-20, 20), r.lam).to_piecewise(-20, 20)
-    lu, atoms = apply_l_atoms(dw, DIRECT, u, (-20, 20))
+    lu, atoms = apply_l_atoms(dw, u, (-20, 20))
     assert atoms == {}
     diff = lu - r.lam * u
     num = (diff * diff.conj()).integrate(-20, 20).real
@@ -485,14 +485,14 @@ def test_scan_builds_the_system_once_per_field(monkeypatch):
 
 
 def test_scan_reads_the_segment_rows_once_per_field(monkeypatch):
-    # the pieces of the entries on each segment are read once per field,
-    # side and interval, when the plan is built, not once per shot
+    # the pieces of the entries on each segment are read once per field
+    # and interval, when the plan is built, not once per shot
     builds = []
     build = propagate._build_plan
 
-    def counted(sys, x_from, to):
-        builds.append((sys.side, x_from, to))
-        return build(sys, x_from, to)
+    def counted(c, x_from, to):
+        builds.append((x_from, to))
+        return build(c, x_from, to)
 
     monkeypatch.setattr(propagate, "_build_plan", counted)
     counts = []
@@ -501,7 +501,7 @@ def test_scan_reads_the_segment_rows_once_per_field(monkeypatch):
         res = eigenvalues(CoefficientField.delta_well(-2.0), (-20, 20), BC, scan=(-2, -0.5), grid=grid).roots
         assert [round(r.lam.real) for r in res if r.converged] == [-1]
         counts.append(builds[:])
-    assert counts == [[(DIRECT, -20.0, 20.0)]] * 2
+    assert counts == [[(-20.0, 20.0)]] * 2
 
 
 def test_newton_real_seed_stays_real():
@@ -713,7 +713,7 @@ DRIFT = CoefficientField(PiecewisePoly.zero(), PiecewisePoly.zero(), PiecewisePo
 ])
 def test_probe_grams_match_the_windows_one_at_a_time(monkeypatch, c, lam, tmax, windows):
     ws = tuple(sorted(windows)) if windows else default_windows(tmax)
-    pair = fundamental(assemble(c, ADJOINT, complex(lam).conjugate()), 0.0, (-tmax, tmax))
+    pair = fundamental(c.adjoint, complex(lam).conjugate(), 0.0, (-tmax, tmax))
     M, L = spectral._window_grams(pair, ws)
     M_ref, L_ref = reference_window_grams(pair, ws)
     for T, m, m_ref, l, l_ref in zip(ws, M, M_ref, L, L_ref):
@@ -737,14 +737,14 @@ def _bits(x):
     return np.array([z.real, z.imag]).view(np.uint64).tolist()
 
 
-def _endpoint_shot(c, interval, bc, lam, side, derivative):
-    """The shot through ``assemble``, a start state and the walk of the
-    system's plan, as a CharValue was formed before shots walked their
-    plans from a plain start."""
+def _endpoint_shot(c, interval, bc, lam, derivative):
+    """The shot through a start state and the walk of the field's plan, as
+    a CharValue was formed before shots walked their plans from a plain
+    start."""
     al, be = bc.left
-    sys, start = assemble(c, side, lam), QuasiState(float(interval[0]), -be, al, side)
-    plan = propagate._plan(sys.plans, start.x, float(interval[1]), lambda: sys)
-    y, ls, log_sup = propagate._walk(plan, sys.lam, (start.y0, start.y1, start.logscale), derivative=derivative)
+    start = QuasiState(float(interval[0]), -be, al)
+    plan = propagate._plan(c, start.x, float(interval[1]))
+    y, ls, log_sup = propagate._walk(plan, complex(lam), (start.y0, start.y1, start.logscale), derivative=derivative)
     ar, br = bc.right
     slope = ar * y[2] + br * y[3] if derivative else None
     return ar * y[0] + br * y[1], ls, log_sup, slope
@@ -770,13 +770,13 @@ _SHOT_BCS = {"dirichlet": BC, "robin": BoundaryCondition((0.3 - 0.2j, 1.0), (1.0
 @pytest.mark.parametrize("name", list(_SHOT_FIELDS))
 def test_a_shot_has_the_bits_of_the_endpoint_shot(name):
     make, interval, lams = _SHOT_FIELDS[name]
-    for side, bc, lam, derivative in itertools.product((DIRECT, ADJOINT), _SHOT_BCS.values(), lams, (False, True)):
+    for adjoint, bc, lam, derivative in itertools.product((False, True), _SHOT_BCS.values(), lams, (False, True)):
         # the shot first, on a fresh field, so that it builds the plan
-        c = make()
-        got = characteristic(c, interval, bc, lam, side=side, derivative=derivative)
-        want = _endpoint_shot(c, interval, bc, lam, side, derivative)
+        c = make().adjoint if adjoint else make()
+        got = characteristic(c, interval, bc, lam, derivative=derivative)
+        want = _endpoint_shot(c, interval, bc, lam, derivative)
         assert list(map(_bits, (got.value, got.logscale, got.log_sup, got.slope))) == list(map(_bits, want)), (
-            name, side, bc, lam, derivative)
+            name, adjoint, bc, lam, derivative)
         assert (got.slope is None) == (not derivative)
 
 
@@ -786,7 +786,7 @@ def test_a_shot_from_minus_zero_walks_its_own_plan():
     c = _SHOT_FIELDS["s=ix"][0]()
     for a in (-0.0, 0.0, -0.0):
         got = characteristic(c, (a, 2.0), BC, 3.0 - 0.5j, derivative=True)
-        want = _endpoint_shot(c, (a, 2.0), BC, 3.0 - 0.5j, DIRECT, True)
+        want = _endpoint_shot(c, (a, 2.0), BC, 3.0 - 0.5j, True)
         assert list(map(_bits, (got.value, got.logscale, got.log_sup, got.slope))) == list(map(_bits, want))
     assert len(c.plans) == 2
 
@@ -805,7 +805,7 @@ def test_a_refused_shot_raises_the_error_of_the_endpoint_shot(coeffs, interval, 
     for derivative in (False, True):
         raised = []
         for shoot in (lambda: characteristic(c, interval, bc, lam, derivative=derivative),
-                      lambda: _endpoint_shot(c, interval, bc, lam, DIRECT, derivative)):
+                      lambda: _endpoint_shot(c, interval, bc, lam, derivative)):
             with pytest.raises(QschroError) as err:
                 shoot()
             e = err.value
@@ -816,23 +816,23 @@ def test_a_refused_shot_raises_the_error_of_the_endpoint_shot(coeffs, interval, 
 
 def test_a_scan_assembles_a_system_once_per_field_and_side(monkeypatch):
     # a shot reads the plan of its interval from the field; only the
-    # first shot of a field, side and interval builds a system
+    # first shot of a field and interval builds one, c's and c.adjoint's apart
     built = []
-    make = spectral.assemble
+    build = propagate._build_plan
 
-    def counted(c, side=DIRECT, lam=0.0):
-        built.append(side)
-        return make(c, side, lam)
+    def counted(c, x_from, to):
+        built.append(id(c))
+        return build(c, x_from, to)
 
-    monkeypatch.setattr(spectral, "assemble", counted)
+    monkeypatch.setattr(propagate, "_build_plan", counted)
     c = CoefficientField.delta_well(-2.0)
-    for side in (DIRECT, ADJOINT):
-        res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, side=side).roots
+    for f in (c, c.adjoint):
+        res = eigenvalues(f, (-20, 20), BC, scan=(-2, -0.5), grid=60).roots
         assert [round(r.lam.real) for r in res if r.converged] == [-1]
         assert res[0].shots > 0
-    assert built == [DIRECT, ADJOINT]
+    assert built == [id(c), id(c.adjoint)]
     res = eigenvalues(c, (-20, 20), BC, scan=(-2, -0.5), grid=60, seeds=[-0.9 + 0.1j]).roots
-    assert built == [DIRECT, ADJOINT]
+    assert built == [id(c), id(c.adjoint)]
 
 
 # s, Q and r complex, Q with a step at 1, and complex boundary pairs
@@ -843,26 +843,21 @@ COMPLEX_PAIRS = ((1.0, 0.5 + 0.2j), (0.7 - 0.3j, 1.0))
 
 
 def test_the_adjoint_side_under_the_conjugated_pairs_has_the_conjugate_roots():
-    # the adjoint side solves l[conj s, conj Q, conj r] - lambda under the
+    # the adjoint field solves l[conj s, conj Q, conj r] - lambda under the
     # conditions it is given; the adjoint operator's conditions are the
     # conjugated pairs, and its eigenvalues the conjugates of the direct ones
     c = CoefficientField(*COMPLEX_FIELD)
     conjugated = BoundaryCondition(*(tuple(z.conjugate() for z in pair) for pair in COMPLEX_PAIRS))
     seeds = (1.5, 4.5, 9.5)
     direct = eigenvalues(c, (0, math.pi), BoundaryCondition(*COMPLEX_PAIRS), seeds=seeds).roots
-    adjoint = eigenvalues(c, (0, math.pi), conjugated, seeds=seeds, side=ADJOINT).roots
-    same = eigenvalues(c, (0, math.pi), BoundaryCondition(*COMPLEX_PAIRS), seeds=seeds, side=ADJOINT).roots
+    adjoint = eigenvalues(c.adjoint, (0, math.pi), conjugated, seeds=seeds).roots
+    same = eigenvalues(c.adjoint, (0, math.pi), BoundaryCondition(*COMPLEX_PAIRS), seeds=seeds).roots
     assert len(direct) == len(adjoint) == len(same) == 3
     assert all(r.converged for r in direct + adjoint + same)
     assert all(abs(d.lam.imag) > 0.05 for d in direct)
     for d, a, s in zip(direct, adjoint, same):
         assert abs(a.lam - d.lam.conjugate()) <= 1e-12 * (1 + abs(d.lam))
         assert abs(s.lam - d.lam.conjugate()) > 0.05
-
-
-def test_a_shot_refuses_an_unknown_side():
-    with pytest.raises(ValueError, match="side must be"):
-        characteristic(FREE, (0, math.pi), BC, 5.0, side="Direct")
 
 
 def _roots(results) -> list:
