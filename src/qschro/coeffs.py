@@ -358,7 +358,7 @@ class PiecewisePoly:
         (``aligned``) forms every later product and sum on that mesh; only
         operands from elsewhere, such as a field's entries, still meet it,
         and the computation re-centres each once per mesh
-        (``quasi._apply_rows``).
+        (``quasi._apply_stacked``, ``quasi.product_rule_check``).
         """
         if self._canon and mesh.tobytes() == self.breakpoints.tobytes():
             return self
@@ -881,8 +881,12 @@ class CoefficientField:
     def adjoint(self) -> "CoefficientField":
         """The conjugate field: the Lagrange adjoint expression l+[s, Q, r] is
         l[conj s, conj Q, conj r], since i[(ru)' + ru'] conj(v) and
-        u conj(i[(conj(r) v)' + conj(r) v']) differ by a derivative."""
-        return CoefficientField(self.s.conj(), self.Q.conj(), self.r.conj())
+        u conj(i[(conj(r) v)' + conj(r) v']) differ by a derivative.  The
+        adjoint of the conjugate field is this field, so l++ = l is one
+        field with one set of entries and plans."""
+        conj = CoefficientField(self.s.conj(), self.Q.conj(), self.r.conj())
+        conj.__dict__["adjoint"] = self
+        return conj
 
     @cached_property
     def breakpoints(self) -> np.ndarray:

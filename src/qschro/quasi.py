@@ -7,9 +7,12 @@ continuous state is (u, u') with the derivative replaced by u' - G1*u.
 A field is the one name of its expression: the Lagrange adjoint of
 l[s, Q, r] is l[conj s, conj Q, conj r], the expression of the conjugate
 field ``CoefficientField.adjoint``, so every application takes the field
-whose expression it applies.  ``_apply_rows`` applies it through one
-quasi-derivative ladder with one jump rule and finds its atoms;
-``lagrange_forms`` forms a polynomial's u^[1] by the operators instead.
+whose expression it applies.  ``_apply_stacked`` is the one stacked
+application: one quasi-derivative ladder over the rows of a batch of
+functions, with one jump rule that finds its atoms.  Every other
+expression (the right-hand side of the cut-off product rule, and a
+polynomial's u^[1] in ``lagrange_forms``) is formed with the
+``PiecewisePoly`` operators.
 """
 
 from __future__ import annotations
@@ -104,17 +107,17 @@ def _times(p: np.ndarray, wp: np.ndarray, q: np.ndarray, wq: np.ndarray, first: 
     return out
 
 
-def _apply_rows(fields, fs, dfs, window) -> tuple:
-    """The rows of l[f] = -(u^[1]' - a22 u^[1] - a21_0 f), u^[1] = f' - a11 f,
-    and its Dirac atoms on the window, for each (field, f, f') triple, in
-    one pass over stacked rows.
+def _apply_stacked(fields, fs, dfs, window) -> list:
+    """(l[f], atoms) of each (field, f, f') triple, as ``apply_l_atoms``
+    returns them, in one pass over stacked rows: the one stacked
+    application of the expression.
 
     f and f' lie on one mesh with canonical centers, f's, and each field's
-    entries are re-centred on it, once per (field, mesh) pair; the
-    products, sums and derivatives are those of the ``PiecewisePoly``
-    operators, with their bits.  An atom at a jump h of u^[1] has weight -h
-    (``_stack_jumps``).  Returns (``first`` of the f stacked by
-    ``coeffs._stack``, l rows, width of each l, atoms of each l).
+    entries are re-centred on it, once per (field, mesh) pair; the rows of
+    u^[1] = f' - a11 f and l[f] = -(u^[1]' - a22 u^[1] - a21_0 f) are the
+    products, sums and derivatives of the ``PiecewisePoly`` operators, with
+    their bits.  An atom at a jump h of u^[1] on the window has weight -h
+    (``_stack_jumps``).
     """
     stack = _stack(fs)
     F, first, wf = stack[2:]
@@ -127,15 +130,9 @@ def _apply_rows(fields, fs, dfs, window) -> tuple:
     t = _sum_rows(_derivative_rows(U1), _times(*A22, U1, _widths(U1, first), first), np.subtract)
     L = -_sum_rows(t, _times(*A21, F, wf, first), np.subtract)
     atoms = [{x: -h for x, h in jumps.items()} for jumps in _stack_jumps((*stack[:2], U1, first), window)]
-    return first, L, _widths(L, first), atoms
-
-
-def _apply_stacked(fields, fs, dfs, window) -> list:
-    """(l[f], atoms) of each (field, f, f') triple, as ``apply_l_atoms`` returns them."""
-    first, L, wl, atoms = _apply_rows(fields, fs, dfs, window)
-    first = first.tolist()
+    rows = first.tolist()
     return [(_poly(f.breakpoints, f.centers, L[i:j, :w], True), a)
-            for f, i, j, w, a in zip(fs, first, first[1:], wl.tolist(), atoms)]
+            for f, i, j, w, a in zip(fs, rows, rows[1:], _widths(L, first).tolist(), atoms)]
 
 
 def _on_field_mesh(c: CoefficientField, fs) -> tuple[list, list]:
@@ -183,12 +180,11 @@ def product_rule_check(
 
     phi and u are re-centred once, on the union of their meshes and the
     field's, and both are screened for jumps (``apply_l_atoms``) once, in
-    that order.  Everything after is formed on that one mesh in stacked
-    rows, with the bits of the ``PiecewisePoly`` operators: the four
-    applications l[phi u] and l[u] of both fields in one pass
-    (``_apply_rows``), then both fields' right-hand expressions and differences,
-    and the six sampled expressions in one batched Horner pass on one grid,
-    where a point on a breakpoint reads the same region in all six.
+    that order.  The four applications l[phi u] and l[u] of both fields are
+    one stacked pass (``_apply_stacked``).  Each field's right-hand
+    expression and difference are formed with the ``PiecewisePoly``
+    operators on that mesh, the field's a11 + a22 re-centred on it once,
+    and each sup is read from ``sample`` on one grid.
     """
     a, b = float(window[0]), float(window[1])
     if not phi.is_real():
@@ -205,34 +201,14 @@ def product_rule_check(
     dphi_du = dphi * du
     _screen([phi_u, u], window)
     fields = (c, c.adjoint)
-    _, L, wl, atoms = _apply_rows([f for f in fields for _ in range(2)], [phi_u, u] * 2,
-                                  [phi_u.derivative(), du] * 2, window)  # l[phi u] and l[u], each field
-    # the right-hand expressions phi l[u] - phi'' u - 2 phi' u' + (a11 + a22) phi' u
-    # and the differences of both fields, c's rows first
-    n = len(phi.coeffs)
-    pairs = np.array([0, n, 2 * n])
-    phi2, ddphi_u2, dphi_du2, dphi_u2 = (np.concatenate([f.coeffs, f.coeffs]) for f in (phi, ddphi_u, dphi_du, dphi_u))
-    lu = np.concatenate([L[n : 2 * n], L[3 * n :]])
-    sums = _stack([(f.entries[0] + f.entries[2])._on_mesh(phi.breakpoints) for f in fields])[2::2]
-    rhs = _sum_rows(
-        _sum_rows(_sum_rows(_times(phi2, np.full(2, phi2.shape[1]), lu, wl[1::2], pairs), ddphi_u2, np.subtract),
-                  dphi_du2 * complex(2.0), np.subtract),
-        _times(*sums, dphi_u2, np.full(2, dphi_u2.shape[1]), pairs))
-    lhs = np.concatenate([L[:n], L[2 * n : 3 * n]])
-    diff = _sum_rows(lhs, rhs, np.subtract)
+    applied = _apply_stacked([f for f in fields for _ in range(2)], [phi_u, u] * 2,
+                             [phi_u.derivative(), du] * 2, window)  # l[phi u] and l[u], each field
     xs = np.linspace(a, b, 200)
-    i = phi._region(xs, "right")
-    exprs = [(lhs, 0), (rhs, 0), (diff, 0), (lhs, n), (rhs, n), (diff, n)]
-    width = max(e.shape[1] for e, _ in exprs)
-    rows = np.zeros((len(exprs) * len(xs), width), dtype=complex)
-    for k, (e, at) in enumerate(exprs):
-        rows[k * len(xs) : (k + 1) * len(xs), : e.shape[1]] = e[at + i]
-    values = np.abs(_dense(rows, np.tile(xs - phi.centers[i], len(exprs)))).reshape(len(exprs), -1)
     out = []
-    for s in range(2):
-        sup_lhs, sup_rhs, sup_diff = (np.max(v) for v in values[3 * s : 3 * s + 3])
+    for f, (lhs, lhs_atoms), (lu, lu_atoms) in zip(fields, applied[::2], applied[1::2]):
+        rhs = phi * lu - ddphi_u - dphi_du * 2.0 + (f.entries[0] + f.entries[2])._on_mesh(phi.breakpoints) * dphi_u
+        sup_lhs, sup_rhs, sup_diff = (np.max(np.abs(g.sample(xs))) for g in (lhs, rhs, lhs - rhs))
         sup_mag = max(sup_lhs, sup_rhs, 1.0)
-        lhs_atoms, lu_atoms = atoms[2 * s : 2 * s + 2]
         atom_err = 0.0
         for loc in set(lhs_atoms) | set(lu_atoms):
             want = phi.eval(loc) * lu_atoms.get(loc, 0.0)

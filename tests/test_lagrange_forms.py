@@ -143,6 +143,16 @@ def test_a_trajectory_of_another_field_is_refused():
     assert verify_caccioppoli(dw, null, phi) <= 1e-7
 
 
+def test_a_pair_of_the_adjoint_field_is_the_pair_of_its_adjoint():
+    # l++ = l: v of c.adjoint and u of c are a pair for the field c.adjoint,
+    # so the identities taken the other way round accept them
+    c = CoefficientField.delta_well(-2.0)
+    u = integrate(c, -1.0, QuasiState(-5.0, 0.3, 1.0), 5.0)
+    v = integrate(c.adjoint, -1.0, QuasiState(-5.0, 1.0, -0.2), 5.0)
+    assert bracket_constancy_residual(v, u, (-5, 5)) <= 1e-14
+    assert lagrange_residual(c.adjoint, v, u, (-5, 5)) <= 1e-14
+
+
 def test_lagrange_identity_random_fields():
     for _ in range(5):
         c = random_jumpy_field(RNG)

@@ -123,6 +123,19 @@ def test_the_adjoint_side_is_the_direct_side_of_the_conjugate_field():
         assert len(conj.plans) == 1 and "entries" not in c.__dict__ and "plans" not in c.__dict__
 
 
+@pytest.mark.parametrize("c", [
+    CoefficientField.delta_well(-2.0),
+    CoefficientField(PiecewisePoly.from_coeffs([0.0, 1j]), PiecewisePoly.zero(), PiecewisePoly.from_coeffs([0.3, 0.2j])),
+], ids=["delta-well", "complex"])
+def test_the_adjoint_of_the_adjoint_is_the_field(c):
+    # l++ = l: the chain of adjoints is two fields, each with its own
+    # entries and plans, not a new field at every step
+    conj = c.adjoint
+    assert conj is not c and conj.adjoint is c and c.adjoint.adjoint.adjoint is conj
+    integrate(conj.adjoint, -1.0, QuasiState(-1.0, 1.0, 0.0), 1.0)
+    assert len(c.plans) == 1 and "plans" not in conj.__dict__
+
+
 def test_adjoint_entries_are_conjugate_swapped_direct():
     # the adjoint field shoots, with and without D', and walks with dense
     # output to the bits of a conjugate field built anew, with entries and
@@ -698,10 +711,10 @@ def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
 
 
 def test_the_apply_pass_returns_the_atoms_of_a_scan_of_u1():
-    # _apply_rows scans u^[1] = f' - a11 f for jumps itself: its atoms are
+    # _apply_stacked scans u^[1] = f' - a11 f for jumps itself: its atoms are
     # the jump rule's heights on u^[1], formed by the PiecewisePoly
     # operators, negated, with their bits
-    from qschro.quasi import _apply_rows, _on_field_mesh
+    from qschro.quasi import _apply_stacked, _on_field_mesh
 
     rng = np.random.default_rng(44)
     window = (-4.0, 4.0)
@@ -710,7 +723,7 @@ def test_the_apply_pass_returns_the_atoms_of_a_scan_of_u1():
         fs = [bump(0.0, 2.0, 0.5), bump(-1.0, 3.0, 1.5), KINK * bump(0.0, 1.0, 0.5)]
         on, dfs = _on_field_mesh(c, fs)
         for e in (c, c.adjoint):
-            atoms = _apply_rows([e] * len(fs), on, dfs, window)[3]
+            atoms = [a for _, a in _apply_stacked([e] * len(fs), on, dfs, window)]
             u1 = [df - e.entries[0]._on_mesh(f.breakpoints) * f for f, df in zip(on, dfs)]
             want = [{x: -h for x, h in jumps.items()} for jumps in _stack_jumps(_stack(u1), window)]
             assert atoms == want
