@@ -358,7 +358,7 @@ class PiecewisePoly:
         (``aligned``) forms every later product and sum on that mesh; only
         operands from elsewhere, such as a field's entries, still meet it,
         and the computation re-centres each once per mesh
-        (``quasi._apply_stacked``, ``quasi.product_rule_check``).
+        (``quasi._on_field_mesh``, ``quasi.product_rule_check``).
         """
         if self._canon and mesh.tobytes() == self.breakpoints.tobytes():
             return self
@@ -594,19 +594,18 @@ def _recentre(f: PiecewisePoly, rows: np.ndarray, mesh: np.ndarray, centers: np.
 
 
 def _stack(polys) -> tuple:
-    """Piecewise polynomials as one set of arrays: (breakpoints, centers, coeffs, first, widths).
+    """Piecewise polynomials as one set of arrays: (breakpoints, centers, coeffs, first).
 
     Function i owns rows ``first[i]`` to ``first[i + 1]`` of ``centers``
     and ``coeffs`` and breakpoints ``first[i] - i`` to ``first[i + 1] - i - 1``;
-    its rows hold its ``widths[i]`` coefficients, zero-padded to the widest.
+    its rows hold its coefficients, zero-padded to the widest function's.
     """
-    widths = np.array([f.coeffs.shape[1] for f in polys])
     first = np.cumsum([0] + [len(f.coeffs) for f in polys])
-    coeffs = np.zeros((first[-1], widths.max()), dtype=complex)
+    coeffs = np.zeros((first[-1], max(f.coeffs.shape[1] for f in polys)), dtype=complex)
     for f, i in zip(polys, first.tolist()):
         coeffs[i : i + len(f.coeffs), : f.coeffs.shape[1]] = f.coeffs
     breakpoints = np.concatenate([f.breakpoints for f in polys])
-    return breakpoints, np.concatenate([f.centers for f in polys]), coeffs, first, widths
+    return breakpoints, np.concatenate([f.centers for f in polys]), coeffs, first
 
 
 def _stacked_support(breakpoints, coeffs, first) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -740,9 +739,9 @@ _FALL = np.array([1.0, 0, 0, 0], dtype=complex)  # a falling ramp is 1 minus the
 
 def _bump_stack(centers, plateaus, ramps) -> tuple:
     """``_stack(bumps(centers, plateaus, ramps))``, built as one set of
-    arrays without a member object: (breakpoints, centers, coeffs, first,
-    widths).  Every member's rows hold four coefficients, because a ramp
-    whose cubic term is 0 is refused.
+    arrays without a member object: (breakpoints, centers, coeffs, first).
+    Every member's rows hold four coefficients, because a ramp whose cubic
+    term is 0 is refused.
 
     Raises FamilyMemberError, carrying bump's message and the member's
     index, for the first triple that bump refuses.
@@ -782,14 +781,14 @@ def _bump_stack(centers, plateaus, ramps) -> tuple:
         ramp_rows, np.concatenate([mid[:, 0], last]) - ramp_centers
     )
     rows[first[:-1][has_plateau] + 2, 0] = 1.0
-    return bp, mesh_centers, rows, first, np.full(n, 4)
+    return bp, mesh_centers, rows, first
 
 
 def bumps(centers, plateaus, ramps) -> list[PiecewisePoly]:
     """``bump`` of each (center, plateau, ramp) triple, all built in one pass
     (``_bump_stack``), with its FamilyMemberError for the first refused one.
     """
-    bp, mesh_centers, rows, first, _ = _bump_stack(centers, plateaus, ramps)
+    bp, mesh_centers, rows, first = _bump_stack(centers, plateaus, ramps)
     return [
         _poly(bp[i - k : j - k - 1], mesh_centers[i:j], rows[i:j])
         for k, (i, j) in enumerate(zip(first[:-1].tolist(), first[1:].tolist()))

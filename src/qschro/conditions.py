@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, _value, aligned
+from .coeffs import CoefficientField, PiecewisePoly, _gauss_legendre, _panels, _stack, _value, aligned
 from .errors import BadSchemeError, NonRealError
 from .propagate import Trajectory
 from .quasi import _stack_jumps, apply_l_atoms
@@ -42,7 +42,7 @@ class WeightFunction:
             raise ValueError("horizon must be positive")
         if _past_float_range(m, X):
             raise ValueError(f"weight function takes values past the float range on the horizon [{-X!r}, {X!r}]")
-        jumps = _stack_jumps((m.breakpoints, m.centers, m.coeffs, np.array([0, len(m.coeffs)])), (-X, X))[0]
+        jumps = _stack_jumps(_stack([m]), (-X, X))[0]
         if jumps:
             raise ValueError(f"weight function jumps at x={next(iter(jumps))}")
         object.__setattr__(self, "m", m.real)

@@ -29,7 +29,7 @@ from .coeffs import (
 )
 from .errors import OverflowUnrecoverableError, UnsupportedTestFunctionError, ZeroNormError
 from .propagate import Trajectory, _panel_values, pair_integral
-from .quasi import QuasiState, _apply_stacked, _on_field_mesh, _stack_jumps, apply_l_atoms
+from .quasi import QuasiState, _apply, _on_field_mesh, _stack_jumps, apply_l_atoms
 from .reports import FAILS, HOLDS_SAMPLE, ConditionReport
 
 
@@ -180,9 +180,10 @@ def form_vs_operator_check(
     pass over the family (``sample_forms``, which refuses a test that
     jumps by the rule with which ``apply_l_atoms`` screens it), with t(u)
     the sum of its three parts in Python complex, and the operator side by
-    applying the expression to the whole family in one stacked pass
-    (``quasi._apply_stacked``) and integrating against conj(u), Dirac atoms
-    included.  A test supported outside ``support`` is refused first.
+    applying the expression to each test with the ``PiecewisePoly``
+    operators (``quasi._apply``, on the union of the test's mesh and the
+    field's) and integrating against conj(u), Dirac atoms included.  A test
+    supported outside ``support`` is refused first.
     """
     a, b = float(support[0]), float(support[1])
     for u in family:
@@ -190,10 +191,10 @@ def form_vs_operator_check(
         if lo < a - 1e-12 or hi > b + 1e-12:
             raise UnsupportedTestFunctionError(f"test function supported on [{lo}, {hi}], outside [{a}, {b}]")
     kinetic, coupling, potential, _ = (col.tolist() for col in sample_forms(c, family))
-    on, dfs = _on_field_mesh(c, family)
-    applied = _apply_stacked([c] * len(family), on, dfs, (a, b))
     out = []
-    for u, v, kin, cpl, pot, (expr, atoms) in zip(family, on, kinetic, coupling, potential, applied):
+    for u, kin, cpl, pot in zip(family, kinetic, coupling, potential):
+        entries, v, dv = _on_field_mesh(c, u)
+        expr, atoms = _apply(entries, v, dv, (a, b))
         t = kin + cpl + pot
         op = (expr * v.conj()).integrate(a, b)
         op += sum(w * u.eval(p).conjugate() for p, w in atoms.items() if a <= p <= b)
@@ -212,7 +213,7 @@ def _form_columns(c: CoefficientField, stack) -> tuple:
     evaluated at the stack's width, whose padding zeros change at most the sign of
     a zero.  A value that is not finite raises OverflowUnrecoverableError."""
     field = (c.G1, c.G2, c.s)
-    bp, centers, coeffs, first, _ = stack
+    bp, centers, coeffs, first = stack
     members = len(first) - 1
     lo, hi, lo_row = _stacked_support(bp, coeffs, first)
     unbounded = ~(np.isfinite(lo) & np.isfinite(hi))

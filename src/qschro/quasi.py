@@ -7,12 +7,12 @@ continuous state is (u, u') with the derivative replaced by u' - G1*u.
 A field is the one name of its expression: the Lagrange adjoint of
 l[s, Q, r] is l[conj s, conj Q, conj r], the expression of the conjugate
 field ``CoefficientField.adjoint``, so every application takes the field
-whose expression it applies.  ``_apply_stacked`` is the one stacked
-application: one quasi-derivative ladder over the rows of a batch of
-functions, with one jump rule that finds its atoms.  Every other
-expression (the right-hand side of the cut-off product rule, and a
-polynomial's u^[1] in ``lagrange_forms``) is formed with the
-``PiecewisePoly`` operators.
+whose expression it applies.  ``_apply`` applies it: the
+quasi-derivative ladder formed with the ``PiecewisePoly`` operators on
+one mesh, with the one jump rule (``_stack_jumps``) finding its atoms.
+The same operators form every other expression (the right-hand side of
+the cut-off product rule, and a polynomial's u^[1] in
+``lagrange_forms``).
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (
-    CoefficientField, PiecewisePoly, _dense, _derivative_rows, _poly, _product, _stack, _sum_rows, aligned,
-)
+from .coeffs import CoefficientField, PiecewisePoly, _dense, _stack, aligned
 from .config import JUMP_TOL
 from .errors import DiscontinuousQuasiDerivativeError, NonRealError
 
@@ -57,7 +55,7 @@ def _stack_jumps(stack, window: tuple[float, float]) -> list[dict[float, complex
     whatever its own size.  Heights are the bits of ``f.jumps``: a padding
     zero changes at most the sign of a zero in Horner's rule.
     """
-    bp, centers, rows, first = stack[:4]
+    bp, centers, rows, first = stack
     j = np.flatnonzero((bp >= float(window[0])) & (bp <= float(window[1])))
     if not len(j):
         return [{} for _ in range(len(first) - 1)]
@@ -82,65 +80,23 @@ def _screen(fs, window: tuple[float, float]) -> None:
             raise DiscontinuousQuasiDerivativeError(x, f.eval(x, "left"), f.eval(x, "right"))
 
 
-def _widths(rows: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Each function's width as ``_trim_cols`` leaves it: one past its last
-    column with a nonzero row, at least one."""
-    nz = rows != 0
-    last = np.where(nz.any(axis=1), rows.shape[1] - nz[:, ::-1].argmax(axis=1), 1)
-    return np.maximum.reduceat(last, first[:-1])
+def _apply(entries, u: PiecewisePoly, du: PiecewisePoly, window: tuple[float, float]):
+    """(l[u], atoms) of a field's entries (a11, a21_0, a22), u and u', all on
+    one mesh: u^[1] = u' - a11 u and l[u] = -(u^[1]' - a22 u^[1] - a21_0 u),
+    formed with the ``PiecewisePoly`` operators.  An atom at a jump h of
+    u^[1] on the window has weight -h (``_stack_jumps``)."""
+    a11, a21, a22 = entries
+    u1 = du - a11 * u
+    atoms = {x: -h for x, h in _stack_jumps(_stack([u1]), window)[0].items()}
+    return -(u1.derivative() - a22 * u1 - a21 * u), atoms
 
 
-def _times(p: np.ndarray, wp: np.ndarray, q: np.ndarray, wq: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Rows of p q as ``coeffs._convolve_rows`` forms each function's: the
-    widths ``wp`` and ``wq`` are the functions' own, and each function's
-    rows go through ``coeffs._product`` looping over the columns of its
-    narrower factor (q's at equal widths).  A padding zero adds a zero
-    product to a sum that starts at +0, so the rows have the bits of the
-    unpadded ones."""
-    swap = np.repeat(wp < wq, np.diff(first))
-    if not swap.any():
-        return _product(p, q)
-    if swap.all():
-        return _product(q, p)
-    out = np.empty((len(p), p.shape[1] + q.shape[1] - 1), dtype=complex)
-    out[~swap], out[swap] = _product(p[~swap], q[~swap]), _product(q[swap], p[swap])
-    return out
-
-
-def _apply_stacked(fields, fs, dfs, window) -> list:
-    """(l[f], atoms) of each (field, f, f') triple, as ``apply_l_atoms``
-    returns them, in one pass over stacked rows: the one stacked
-    application of the expression.
-
-    f and f' lie on one mesh with canonical centers, f's, and each field's
-    entries are re-centred on it, once per (field, mesh) pair; the rows of
-    u^[1] = f' - a11 f and l[f] = -(u^[1]' - a22 u^[1] - a21_0 f) are the
-    products, sums and derivatives of the ``PiecewisePoly`` operators, with
-    their bits.  An atom at a jump h of u^[1] on the window has weight -h
-    (``_stack_jumps``).
-    """
-    stack = _stack(fs)
-    F, first, wf = stack[2:]
-    DF = _stack(dfs)[2]
-    keys = [(id(c), f.breakpoints.tobytes()) for c, f in zip(fields, fs)]
-    pairs = dict(zip(keys, zip(fields, fs)))  # one (field, f) per (field, mesh)
-    on = {k: [e._on_mesh(f.breakpoints) for e in c.entries] for k, (c, f) in pairs.items()}
-    A11, A21, A22 = (_stack(column)[2::2] for column in zip(*map(on.get, keys)))
-    U1 = _sum_rows(DF, _times(*A11, F, wf, first), np.subtract)
-    t = _sum_rows(_derivative_rows(U1), _times(*A22, U1, _widths(U1, first), first), np.subtract)
-    L = -_sum_rows(t, _times(*A21, F, wf, first), np.subtract)
-    atoms = [{x: -h for x, h in jumps.items()} for jumps in _stack_jumps((*stack[:2], U1, first), window)]
-    rows = first.tolist()
-    return [(_poly(f.breakpoints, f.centers, L[i:j, :w], True), a)
-            for f, i, j, w, a in zip(fs, rows, rows[1:], _widths(L, first).tolist(), atoms)]
-
-
-def _on_field_mesh(c: CoefficientField, fs) -> tuple[list, list]:
-    """Each f, and f' formed on f's own mesh, re-centred on the union of f's
-    mesh and the field's: the operands of ``_apply_stacked``."""
-    mesh = c.breakpoints
-    on = [aligned((f,), mesh)[0] for f in fs]
-    return on, [f.derivative()._on_mesh(g.breakpoints) for f, g in zip(fs, on)]
+def _on_field_mesh(c: CoefficientField, u: PiecewisePoly) -> tuple:
+    """The operands of ``_apply`` for u and the field c: the field's entries,
+    u and u' (formed on u's own mesh), each re-centred on the union of u's
+    mesh and the field's."""
+    v = aligned((u,), c.breakpoints)[0]
+    return [e._on_mesh(v.breakpoints) for e in c.entries], v, u.derivative()._on_mesh(v.breakpoints)
 
 
 def apply_l_atoms(c: CoefficientField, u: PiecewisePoly, window: tuple[float, float]):
@@ -158,7 +114,7 @@ def apply_l_atoms(c: CoefficientField, u: PiecewisePoly, window: tuple[float, fl
     DiscontinuousQuasiDerivativeError where u itself jumps.
     """
     _screen([u], window)
-    return _apply_stacked([c], *_on_field_mesh(c, [u]), window)[0]
+    return _apply(*_on_field_mesh(c, u), window)
 
 
 def product_rule_check(
@@ -179,12 +135,13 @@ def product_rule_check(
     residuals of (c, c.adjoint).
 
     phi and u are re-centred once, on the union of their meshes and the
-    field's, and both are screened for jumps (``apply_l_atoms``) once, in
-    that order.  The four applications l[phi u] and l[u] of both fields are
-    one stacked pass (``_apply_stacked``).  Each field's right-hand
-    expression and difference are formed with the ``PiecewisePoly``
-    operators on that mesh, the field's a11 + a22 re-centred on it once,
-    and each sup is read from ``sample`` on one grid.
+    field's, and phi u and u are screened for jumps (``apply_l_atoms``)
+    once, in that order.  Each field's entries are re-centred on that mesh
+    once, for its applications l[phi u] and l[u] (``_apply``); its
+    right-hand expression and difference are formed with the
+    ``PiecewisePoly`` operators on that mesh, the field's a11 + a22
+    re-centred on it once, and each sup is read from ``sample`` on one
+    grid.
     """
     a, b = float(window[0]), float(window[1])
     if not phi.is_real():
@@ -200,12 +157,12 @@ def product_rule_check(
     phi_u, dphi_u, ddphi_u = phi * u, dphi * u, ddphi * u
     dphi_du = dphi * du
     _screen([phi_u, u], window)
-    fields = (c, c.adjoint)
-    applied = _apply_stacked([f for f in fields for _ in range(2)], [phi_u, u] * 2,
-                             [phi_u.derivative(), du] * 2, window)  # l[phi u] and l[u], each field
+    operands = ((phi_u, phi_u.derivative()), (u, du))
     xs = np.linspace(a, b, 200)
     out = []
-    for f, (lhs, lhs_atoms), (lu, lu_atoms) in zip(fields, applied[::2], applied[1::2]):
+    for f in (c, c.adjoint):
+        entries = [e._on_mesh(phi.breakpoints) for e in f.entries]
+        (lhs, lhs_atoms), (lu, lu_atoms) = (_apply(entries, g, dg, window) for g, dg in operands)
         rhs = phi * lu - ddphi_u - dphi_du * 2.0 + (f.entries[0] + f.entries[2])._on_mesh(phi.breakpoints) * dphi_u
         sup_lhs, sup_rhs, sup_diff = (np.max(np.abs(g.sample(xs))) for g in (lhs, rhs, lhs - rhs))
         sup_mag = max(sup_lhs, sup_rhs, 1.0)

@@ -4,10 +4,11 @@ The oracle below is the battery as it was written one operator at a time:
 every sum, difference and product goes through ``aligned`` (``o_add``,
 ``o_sub``, ``o_mul``), and each of the fields c and c.adjoint applies its
 expression to phi u and u on its own.  ``quasi.product_rule_check`` and
-``lagrange_forms.form_vs_operator_check`` apply l to a batch of functions
-in one stacked pass (``quasi._apply_stacked``) and must give the same
-floats, bit for bit; so must the same-mesh fast path of the
-``PiecewisePoly`` operators against ``aligned``.
+``lagrange_forms.form_vs_operator_check`` apply l with the ``PiecewisePoly``
+operators on one mesh (``quasi._apply``), whose same-mesh fast path skips
+``aligned``, and must give the same floats, bit for bit; so must
+``quasi.apply_l_atoms`` give the oracle's l[u] and atoms, and the same-mesh
+fast path of the operators its sums and products against ``aligned``.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ from qschro.config import JUMP_TOL
 from qschro.errors import DiscontinuousQuasiDerivativeError
 from qschro.lagrange_forms import form_vs_operator_check, sample_forms
 from qschro.propagate import integrate
-from qschro.quasi import QuasiState, product_rule_check
+from qschro.quasi import QuasiState, apply_l_atoms, product_rule_check
 
 
 def o_add(a, b):
@@ -168,6 +169,23 @@ def test_stacked_battery_has_the_bits_of_the_per_side_operators(c, lam):
     family = [phi, second, bump(0.3, 0.5, 0.75)]
     got = form_vs_operator_check(c, family, (-5, 5))
     assert bits(got) == bits([o_form_vs_operator(c, v, (-5, 5)) for v in family])
+
+
+@pytest.mark.parametrize("c", battery_fields())
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_apply_l_atoms_has_the_bits_of_o_apply(c, lam):
+    # l[u] itself, not only a residual of it: the function's arrays and the
+    # atoms, for both expressions, on u and phi*u put on the field's mesh
+    u, phi, _ = verify_functions(c, lam)
+    phi, u = aligned((phi, u), c.breakpoints)
+    for f in (c, c.adjoint):
+        for g in (u, o_mul(phi, u)):
+            (got, got_atoms), (want, want_atoms) = apply_l_atoms(f, g, (-5, 5)), o_apply(f, g, (-5, 5))
+            for x, y in ((got.breakpoints, want.breakpoints), (got.centers, want.centers), (got.coeffs, want.coeffs)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert list(got_atoms) == list(want_atoms)
+            assert np.array(list(got_atoms.values()), dtype=complex).tobytes() == \
+                np.array(list(want_atoms.values()), dtype=complex).tobytes()
 
 
 def test_the_product_rule_has_the_bits_of_the_operators_where_only_s_breaks():

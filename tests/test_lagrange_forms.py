@@ -100,8 +100,8 @@ def test_a_polynomial_pair_keeps_its_residual_with_one_quasi_derivative_each(mon
     # bumps against the delta well at 0.3: l[u] and the adjoint l+[v] carry
     # an atom there, and a window that ends on it reads one-sided states.
     # Each polynomial's u^[1] = u' - G1 u is formed once, however many atoms
-    # and ends read it: one derivative for its application and one for
-    # u^[1], four per residual; the residuals keep their bits
+    # and ends read it: two derivatives for its application (u' and u^[1]')
+    # and one for u^[1], six per residual; the residuals keep their bits
     dw = CoefficientField.delta_well(-2.0, 0.3)
     u, v = bump(0.0, 1.0, 1.0), bump(0.4, 1.5, 0.7) * (1 + 0.5j)
     assert set(apply_l_atoms(dw, u, (-3, 3))[1]) == {0.3} == set(apply_l_atoms(dw.adjoint, v, (-3, 3))[1])
@@ -109,7 +109,7 @@ def test_a_polynomial_pair_keeps_its_residual_with_one_quasi_derivative_each(mon
     derivative = PiecewisePoly.derivative
     monkeypatch.setattr(PiecewisePoly, "derivative", lambda f: derivatives.append(f) or derivative(f))
     got = [lagrange_residual(dw, u, v, w) for w in ((-3.0, 3.0), (-1.0, 0.3), (0.3, 2.0), (-0.5, 1.0))]
-    assert len(derivatives) == 4 * 4
+    assert len(derivatives) == 4 * 6
     want = [4.356443014522612e-16, 1.914845223904916e-16, 5.2197556506094823e-17, 1.8146728616851145e-16]
     assert np.array(got).tobytes() == np.array(want).tobytes()
 

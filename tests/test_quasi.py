@@ -681,7 +681,8 @@ def test_caccioppoli_recentres_the_refit_once(monkeypatch):
 
 def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
     # u and phi*u do not depend on the field: both are screened for jumps in
-    # one pass, and the u^[1] of both, of c and c.adjoint, in one more for atoms
+    # one pass, then each application scans its own u^[1] for atoms: phi*u
+    # and u, of c and then of c.adjoint
     from qschro import quasi
 
     screened = []
@@ -696,7 +697,7 @@ def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
     phi = bump(0.0, 1.0, 0.4)
     res = product_rule_check(c, phi, KINK, (-1, 1))
     assert max(res) <= 1e-9
-    assert screened == [2, 2 * 2]
+    assert screened == [2, 1, 1, 1, 1]
     # phi*u is screened first, as apply_l_atoms of c does: a
     # jump of u on phi's ramp is refused with the values of phi*u
     u = PiecewisePoly.step(0.7, left=1.0, right=3.0)
@@ -711,20 +712,22 @@ def test_product_rule_check_screens_u_and_phi_u_for_jumps_once(monkeypatch):
 
 
 def test_the_apply_pass_returns_the_atoms_of_a_scan_of_u1():
-    # _apply_stacked scans u^[1] = f' - a11 f for jumps itself: its atoms are
+    # apply_l_atoms scans u^[1] = f' - a11 f for jumps itself: its atoms are
     # the jump rule's heights on u^[1], formed by the PiecewisePoly
     # operators, negated, with their bits
-    from qschro.quasi import _apply_stacked, _on_field_mesh
+    from qschro.quasi import _on_field_mesh
 
     rng = np.random.default_rng(44)
     window = (-4.0, 4.0)
     seen = 0
     for c in (CoefficientField.delta_well(-2.0), corpus_field(rng)):
         fs = [bump(0.0, 2.0, 0.5), bump(-1.0, 3.0, 1.5), KINK * bump(0.0, 1.0, 0.5)]
-        on, dfs = _on_field_mesh(c, fs)
         for e in (c, c.adjoint):
-            atoms = [a for _, a in _apply_stacked([e] * len(fs), on, dfs, window)]
-            u1 = [df - e.entries[0]._on_mesh(f.breakpoints) * f for f, df in zip(on, dfs)]
+            atoms = [apply_l_atoms(e, f, window)[1] for f in fs]
+            u1 = []
+            for f in fs:
+                (a11, _, _), v, dv = _on_field_mesh(e, f)
+                u1.append(dv - a11 * v)
             want = [{x: -h for x, h in jumps.items()} for jumps in _stack_jumps(_stack(u1), window)]
             assert atoms == want
             assert [_jumps(f, window) for f in u1] == [{x: -h for x, h in a.items()} for a in atoms]
